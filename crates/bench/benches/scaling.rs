@@ -17,9 +17,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tm_algorithms::{most_general_nfa, DstmTm, MostGeneralSource, Tl2Tm, TwoPhaseTm};
 use tm_automata::{
-    check_inclusion, check_inclusion_compiled, check_inclusion_otf_executor,
-    check_inclusion_otf_lazy, check_inclusion_otf_threads, check_inclusion_reference,
-    modelcheck_threads, Alphabet, DtsSpecSource, Executor, WorkerPool,
+    check_inclusion, check_inclusion_compiled, check_inclusion_otf, check_inclusion_otf_cached,
+    check_inclusion_reference, modelcheck_threads, Alphabet, DtsSpecSource, Executor, QueryBudget,
+    SpecCache, WorkerPool,
 };
 use tm_lang::SafetyProperty;
 use tm_spec::{spec_alphabet, DetSpec, NondetSpec};
@@ -119,11 +119,13 @@ fn bench_inclusion_scaling(c: &mut Criterion) {
 
 /// The on-the-fly product engine on the TM steppers themselves: no NFA is
 /// built, the TM is stepped lazily — against the compiled spec,
-/// sequentially (`otf-seq`) and on the thread pool (`otf-par`,
+/// sequentially (`otf-seq`) and on a worker pool (`otf-par`,
 /// `TM_MODELCHECK_THREADS` or all cores up to 8), and with the spec side
-/// lazy too (`otf-lazy`). This is the group that scales past (3, 2).
+/// lazy too (`otf-lazy`, a fresh spec cache per iteration). This is the
+/// group that scales past (3, 2).
 fn bench_otf_product(c: &mut Criterion) {
-    let threads = modelcheck_threads().max(2);
+    let pool = WorkerPool::new(modelcheck_threads().max(2));
+    let unlimited = QueryBudget::unlimited();
     let mut group = c.benchmark_group("scaling/otf-product");
     group.sample_size(10);
     for (n, k) in OTF_SIZES {
@@ -144,38 +146,33 @@ fn bench_otf_product(c: &mut Criterion) {
         if lazy_selected {
             let spec = DtsSpecSource::new(&det, letters.clone());
             group.bench_with_input(BenchmarkId::new("otf-lazy", &tag), &(n, k), |b, _| {
-                b.iter(|| check_inclusion_otf_lazy(&source, &spec))
+                b.iter(|| {
+                    check_inclusion_otf_cached(&source, &mut SpecCache::new(&spec), &unlimited)
+                })
             });
         }
         if eager_selected {
             let spec = det.to_dfa(MAX).0.compile();
             group.bench_with_input(BenchmarkId::new("otf-seq", &tag), &(n, k), |b, _| {
-                b.iter(|| check_inclusion_otf_threads(&source, &spec, 1))
+                b.iter(|| check_inclusion_otf(&source, &spec, &Executor::Sequential, &unlimited))
             });
             group.bench_with_input(BenchmarkId::new("otf-par", &tag), &(n, k), |b, _| {
-                b.iter(|| check_inclusion_otf_threads(&source, &spec, threads))
+                b.iter(|| check_inclusion_otf(&source, &spec, &Executor::Pool(&pool), &unlimited))
             });
         }
     }
     group.finish();
 }
 
-/// Pool-vs-scoped A/B: the parallel product engine doing identical work,
-/// once spawning fresh scoped threads for every BFS-level region (the
-/// pre-session behavior) and once dispatching to a persistent
+/// Dispatch cost of the parallel product engine on a persistent
 /// [`WorkerPool`] (what a `tm_checker::Verifier` session does). TL2 at
-/// (2, 2) is the largest Table 2 product — frontiers wide enough to
-/// cross the engine's parallel threshold, hundreds of level regions —
-/// so the difference is pure dispatch overhead.
-fn bench_pool_vs_scoped(c: &mut Criterion) {
-    let threads = modelcheck_threads().max(2);
-    let mut group = c.benchmark_group("scaling/pool-vs-scoped");
+/// (2, 2) is the largest Table 2 product — frontiers wide enough to cross
+/// the engine's parallel threshold, hundreds of level regions.
+fn bench_pool_dispatch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("scaling/pool-dispatch");
     group.sample_size(10);
     let tag = "2x2";
-    if !["scoped", "pool"]
-        .iter()
-        .any(|kind| group.is_selected(&format!("{kind}/{tag}")))
-    {
+    if !group.is_selected(&format!("pool/{tag}")) {
         group.finish();
         return;
     }
@@ -185,21 +182,10 @@ fn bench_pool_vs_scoped(c: &mut Criterion) {
         .compile();
     let tm = Tl2Tm::new(2, 2);
     let source = MostGeneralSource::new(&tm, spec.alphabet().clone());
-    group.bench_with_input(BenchmarkId::new("scoped", tag), &(), |b, ()| {
-        b.iter(|| {
-            check_inclusion_otf_executor(
-                &source,
-                &spec,
-                &Executor::Scoped { threads },
-                usize::MAX,
-            )
-        })
-    });
-    let pool = WorkerPool::new(threads);
+    let pool = WorkerPool::new(modelcheck_threads().max(2));
+    let executor = Executor::Pool(&pool);
     group.bench_with_input(BenchmarkId::new("pool", tag), &(), |b, ()| {
-        b.iter(|| {
-            check_inclusion_otf_executor(&source, &spec, &Executor::Pool(&pool), usize::MAX)
-        })
+        b.iter(|| check_inclusion_otf(&source, &spec, &executor, &QueryBudget::unlimited()))
     });
     group.finish();
 }
@@ -210,6 +196,6 @@ criterion_group!(
     bench_spec_construction,
     bench_inclusion_scaling,
     bench_otf_product,
-    bench_pool_vs_scoped
+    bench_pool_dispatch
 );
 criterion_main!(benches);

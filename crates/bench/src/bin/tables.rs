@@ -39,9 +39,9 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use tm_algorithms::{MostGeneralSource, Tl2Tm, TmAlgorithm, TwoPhaseTm};
 use tm_automata::{
-    check_equivalence_antichain, check_inclusion, check_inclusion_compiled,
-    check_inclusion_otf_executor, check_inclusion_otf_lazy, check_inclusion_reference, Dfa,
-    DtsSpecSource, Executor, WorkerPool,
+    check_equivalence_antichain, check_inclusion, check_inclusion_compiled, check_inclusion_otf,
+    check_inclusion_otf_cached, check_inclusion_reference, Dfa, DtsSpecSource, Executor,
+    QueryBudget, SpecCache, WorkerPool,
 };
 use tm_bench::{
     liveness_property_tag, liveness_roster, table2_cases, table2_roster, table3_check_session,
@@ -125,12 +125,12 @@ fn main() {
         if !smoke {
             let (baseline, compiled_total) = bench_inclusion_baseline();
             let (scaling, lazy_total) = bench_otf_scaling();
-            let (pool_vs_scoped, pool_total) = bench_pool_vs_scoped();
+            let (pool_dispatch, pool_total) = bench_pool_dispatch();
             let phases = bench_safety_phases();
             write_bench_json(
                 &baseline,
                 &scaling,
-                &pool_vs_scoped,
+                &pool_dispatch,
                 &phases,
                 &[
                     Metric::nanos("inclusion_compiled_total_ns", compiled_total),
@@ -429,6 +429,7 @@ fn bench_otf_scaling() -> (Vec<String>, Duration) {
         let letters = spec_alphabet(n, k);
         let alphabet = tm_automata::Alphabet::from_letters(&letters);
         let compiled = eager.then(|| det.to_dfa(MAX_STATES).0.compile());
+        let pool = par_threads().map(WorkerPool::new);
         let runs = if heavy { 1 } else { 3 };
 
         let mut measure = |tm: &dyn ErasedTm, name: &str| {
@@ -437,10 +438,10 @@ fn bench_otf_scaling() -> (Vec<String>, Duration) {
             lazy_total += lazy;
             let seq = compiled
                 .as_ref()
-                .map(|spec| tm.time_compiled(&alphabet, spec, 1, runs).0);
-            let par = match (compiled.as_ref(), par_threads()) {
-                (Some(spec), Some(threads)) => {
-                    Some(tm.time_compiled(&alphabet, spec, threads, runs).0)
+                .map(|spec| tm.time_compiled(&alphabet, spec, &Executor::Sequential, runs));
+            let par = match (compiled.as_ref(), pool.as_ref()) {
+                (Some(spec), Some(pool)) => {
+                    Some(tm.time_compiled(&alphabet, spec, &Executor::Pool(pool), runs))
                 }
                 _ => None,
             };
@@ -487,21 +488,20 @@ fn bench_otf_scaling() -> (Vec<String>, Duration) {
     (rows, lazy_total)
 }
 
-/// Dispatch-overhead A/B for the parallel product engine: the same
-/// level-synchronous BFS once with fresh scoped threads per region (the
-/// pre-session behavior) and once on a persistent [`WorkerPool`] — the
-/// `pool_vs_scoped` section of `BENCH_inclusion.json`. On a single-cpu
-/// host the absolute times measure dispatch overhead, not speedup
-/// (`host_cpus` is recorded alongside).
-fn bench_pool_vs_scoped() -> (Vec<String>, Duration) {
+/// Dispatch timing of the parallel product engine on a persistent
+/// [`WorkerPool`] — the `pool_dispatch` section of
+/// `BENCH_inclusion.json`. On a single-cpu host the absolute times
+/// measure dispatch overhead, not speedup (`host_cpus` is recorded
+/// alongside).
+fn bench_pool_dispatch() -> (Vec<String>, Duration) {
     let mut rows = Vec::new();
     let mut pool_total = Duration::ZERO;
     let mut table = Table::new(
         format!(
-            "Pool vs scoped — parallel product engine dispatch (host: {} cpus)",
+            "Pool dispatch — parallel product engine (host: {} cpus)",
             host_cpus()
         ),
-        ["TM", "(n,k)", "workers", "scoped", "pool", "scoped/pool"],
+        ["TM", "(n,k)", "workers", "pool"],
     );
     let mut measure = |tm: &dyn ErasedTm,
                        name: &str,
@@ -513,32 +513,26 @@ fn bench_pool_vs_scoped() -> (Vec<String>, Duration) {
         let spec = det.to_dfa(MAX_STATES).0.compile();
         let alphabet = spec.alphabet().clone();
         for &workers in worker_counts {
-            let scoped = tm.time_executor(&alphabet, &spec, &Executor::Scoped { threads: workers }, runs);
             let pool = WorkerPool::new(workers);
-            let pooled = tm.time_executor(&alphabet, &spec, &Executor::Pool(&pool), runs);
+            let pooled = tm.time_compiled(&alphabet, &spec, &Executor::Pool(&pool), runs);
             pool_total += pooled;
-            let ratio = scoped.as_secs_f64() / pooled.as_secs_f64();
             table.push_row([
                 name.to_owned(),
                 format!("({n},{k})"),
                 workers.to_string(),
-                format!("{scoped:.2?}"),
                 format!("{pooled:.2?}"),
-                format!("{ratio:.2}x"),
             ]);
             rows.push(format!(
                 concat!(
                     "    {{\"tm\": \"{}\", \"property\": \"ss\", ",
                     "\"threads\": {}, \"vars\": {}, \"workers\": {}, ",
-                    "\"scoped_ns\": {}, \"pool_ns\": {}, \"scoped_over_pool\": {:.3}}}"
+                    "\"pool_ns\": {}}}"
                 ),
                 name,
                 n,
                 k,
                 workers,
-                scoped.as_nanos(),
                 pooled.as_nanos(),
-                ratio,
             ));
         }
     };
@@ -555,8 +549,8 @@ fn bench_pool_vs_scoped() -> (Vec<String>, Duration) {
 
 /// Object-safe timing shim over concrete TM types.
 trait ErasedTm {
-    /// Best-of-`runs` lazy (both sides on the fly) check; returns the
-    /// wall time plus product/impl state counts.
+    /// Best-of-`runs` lazy (both sides on the fly, fresh spec cache per
+    /// run) check; returns the wall time plus product/impl state counts.
     fn time_lazy(
         &self,
         alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
@@ -564,19 +558,9 @@ trait ErasedTm {
         runs: usize,
     ) -> (Duration, usize, usize);
 
-    /// Best-of-`runs` check against a compiled specification with the
-    /// given thread count.
+    /// Best-of-`runs` check against a compiled specification on
+    /// `executor`.
     fn time_compiled(
-        &self,
-        alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
-        spec: &tm_automata::CompiledDfa<tm_lang::Statement>,
-        threads: usize,
-        runs: usize,
-    ) -> (Duration, usize, usize);
-
-    /// Best-of-`runs` check against a compiled specification on an
-    /// explicit executor.
-    fn time_executor(
         &self,
         alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
         spec: &tm_automata::CompiledDfa<tm_lang::Statement>,
@@ -599,8 +583,10 @@ where
         let source = MostGeneralSource::new(self, alphabet.clone());
         let mut counts = (0, 0);
         let best = best_of(runs.max(1), || {
+            let mut cache = SpecCache::new(spec);
             let (result, stats) =
-                check_inclusion_otf_lazy(&source, spec).expect("bench query within bounds");
+                check_inclusion_otf_cached(&source, &mut cache, &QueryBudget::unlimited())
+                    .expect("bench query within bounds");
             counts = (result.product_states(), stats.impl_states);
         });
         (best, counts.0, counts.1)
@@ -610,29 +596,13 @@ where
         &self,
         alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
         spec: &tm_automata::CompiledDfa<tm_lang::Statement>,
-        threads: usize,
-        runs: usize,
-    ) -> (Duration, usize, usize) {
-        let source = MostGeneralSource::new(self, alphabet.clone());
-        let mut counts = (0, 0);
-        let best = best_of(runs.max(1), || {
-            let (result, stats) = tm_automata::check_inclusion_otf_stats(&source, spec, threads)
-                .expect("bench query within bounds");
-            counts = (result.product_states(), stats.impl_states);
-        });
-        (best, counts.0, counts.1)
-    }
-
-    fn time_executor(
-        &self,
-        alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
-        spec: &tm_automata::CompiledDfa<tm_lang::Statement>,
         executor: &Executor<'_>,
         runs: usize,
     ) -> Duration {
         let source = MostGeneralSource::new(self, alphabet.clone());
         best_of(runs.max(1), || {
-            check_inclusion_otf_executor(&source, spec, executor, usize::MAX)
+            check_inclusion_otf(&source, spec, executor, &QueryBudget::unlimited())
+                .expect("bench query within bounds")
         })
     }
 }
@@ -1370,12 +1340,12 @@ fn write_liveness_json(
 }
 
 /// Writes `BENCH_inclusion.json`: the (2,2) seed-vs-compiled baseline,
-/// the on-the-fly scaling rows, the pool-vs-scoped dispatch A/B, and
-/// the per-query phase breakdowns.
+/// the on-the-fly scaling rows, the pool dispatch timings, and the
+/// per-query phase breakdowns.
 fn write_bench_json(
     cases: &[String],
     scaling: &[String],
-    pool_vs_scoped: &[String],
+    pool_dispatch: &[String],
     phases: &[String],
     metrics: &[Metric],
 ) {
@@ -1386,11 +1356,10 @@ fn write_bench_json(
          \"scaling_unit\": \"best wall clock; lazy = both sides on the fly, \
          seq/par = compiled spec, par_threads threads\",\n  \
          \"host_cpus\": {},\n  \"scaling\": [\n{}\n  ],\n  \
-         \"pool_vs_scoped_unit\": \"best wall clock of the parallel product engine with \
-         identical work: scoped = fresh thread::scope per BFS-level region (pre-session \
-         behavior), pool = persistent WorkerPool; on a single-cpu host this measures \
+         \"pool_dispatch_unit\": \"best wall clock of the parallel product engine on a \
+         persistent WorkerPool of the given width; on a single-cpu host this measures \
          dispatch overhead, not speedup\",\n  \
-         \"pool_vs_scoped\": [\n{}\n  ],\n  \
+         \"pool_dispatch\": [\n{}\n  ],\n  \
          \"phases_unit\": \"tm-obs engine-phase totals (QueryStats::phase_ns, \
          nanoseconds, nonzero only) per Table 2 query through a fresh (2,2) session; \
          cached_spec = false on each property's first query (which pays spec_intern); \
@@ -1399,7 +1368,7 @@ fn write_bench_json(
         cases.join(",\n"),
         host_cpus(),
         scaling.join(",\n"),
-        pool_vs_scoped.join(",\n"),
+        pool_dispatch.join(",\n"),
         phases.join(",\n")
     );
     write_with_history("BENCH_inclusion.json", json, metrics);

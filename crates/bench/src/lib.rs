@@ -48,36 +48,10 @@ pub fn table3_names() -> [&'static str; 4] {
     ["seq", "2PL", "dstm+aggressive", "TL2+polite"]
 }
 
-/// Runs a liveness check for one of the [`table3_names`] rows (one-shot:
-/// each call builds the TM's run graph anew; the `tables` bin goes
-/// through [`table3_check_session`] instead).
-///
-/// # Panics
-///
-/// Panics if `name` is not one of the roster names.
-pub fn table3_check(
-    name: &str,
-    property: tm_lang::LivenessProperty,
-) -> tm_checker::LivenessVerdict {
-    match name {
-        "seq" => tm_checker::check_liveness(&SequentialTm::new(2, 1), property),
-        "2PL" => tm_checker::check_liveness(&TwoPhaseTm::new(2, 1), property),
-        "dstm+aggressive" => tm_checker::check_liveness(
-            &WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm),
-            property,
-        ),
-        "TL2+polite" => tm_checker::check_liveness(
-            &WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm),
-            property,
-        ),
-        other => panic!("unknown Table 3 row: {other}"),
-    }
-}
-
-/// [`table3_check`] through a [`Verifier`] session at (2, 1): the TM's
-/// compiled run graph is built by the session's first query for it and
-/// answers the other properties from cache. Verdicts and lassos are
-/// bit-identical to [`table3_check`]'s.
+/// Runs a liveness check for one of the [`table3_names`] rows through a
+/// [`Verifier`] session at (2, 1): the TM's compiled run graph is built
+/// by the session's first query for it and answers the other properties
+/// from cache.
 ///
 /// # Panics
 ///
@@ -112,6 +86,8 @@ pub fn table3_check_session(
 pub struct LivenessCase {
     /// Display name (`tm.name()`, e.g. `"dstm+aggressive"`).
     pub name: String,
+    threads: usize,
+    vars: usize,
     tm: Box<dyn ErasedLiveness>,
 }
 
@@ -119,14 +95,19 @@ impl LivenessCase {
     fn new<A: TmAlgorithm + 'static>(tm: A) -> Self {
         LivenessCase {
             name: tm.name(),
+            threads: tm.threads(),
+            vars: tm.vars(),
             tm: Box::new(tm),
         }
     }
 
-    /// Runs the compiled liveness engine ([`tm_checker::check_liveness_threads`])
-    /// with an explicit worker-pool size.
-    pub fn check(&self, property: LivenessProperty, threads: usize) -> LivenessVerdict {
-        self.tm.check(property, threads)
+    /// Runs the compiled liveness engine through a fresh [`Verifier`]
+    /// session with `pool` workers (so the run graph is built anew).
+    pub fn check(&self, property: LivenessProperty, pool: usize) -> LivenessVerdict {
+        let mut verifier = Verifier::new(self.threads, self.vars).pool_size(pool);
+        self.check_session(&mut verifier, property)
+            .into_liveness()
+            .expect("liveness query returns a liveness verdict")
     }
 
     /// Runs the query through a [`Verifier`] session: the first query for
@@ -150,16 +131,11 @@ impl LivenessCase {
 /// Object-safe shim over concrete TM types (the [`TmAlgorithm`] trait has
 /// an associated state type and cannot be boxed directly).
 trait ErasedLiveness {
-    fn check(&self, property: LivenessProperty, threads: usize) -> LivenessVerdict;
     fn check_session(&self, verifier: &mut Verifier, property: LivenessProperty) -> Verdict;
     fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict;
 }
 
 impl<A: TmAlgorithm> ErasedLiveness for A {
-    fn check(&self, property: LivenessProperty, threads: usize) -> LivenessVerdict {
-        tm_checker::check_liveness_threads(self, property, threads)
-    }
-
     fn check_session(&self, verifier: &mut Verifier, property: LivenessProperty) -> Verdict {
         verifier.check_liveness(self, property)
     }
@@ -278,7 +254,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown Table 3 row")]
     fn unknown_row_panics() {
-        let _ = table3_check("nope", tm_lang::LivenessProperty::ObstructionFreedom);
+        let mut verifier = Verifier::new(2, 1);
+        let _ = table3_check_session(&mut verifier, "nope", LivenessProperty::ObstructionFreedom);
     }
 
     #[test]

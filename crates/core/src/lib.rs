@@ -4,61 +4,50 @@
 //! *"Model Checking Transactional Memories"* (Guerraoui, Henzinger,
 //! Singh; PLDI 2008 / extended version):
 //!
-//! * **The session API** ([`Verifier`]): the crate's entry point — one
-//!   session per instance size owns a persistent worker pool and
-//!   build-once artifact caches (interned specifications, compiled run
-//!   graphs) and answers every query below through them, returning a
-//!   uniform [`Verdict`] with [`QueryStats`].
-//! * **Safety** ([`Verifier::check_safety`]; one-shot wrapper
-//!   [`check_safety`], reusable eager primitive [`SafetyChecker`]):
-//!   strict serializability and opacity, decided as language inclusion of
-//!   the TM algorithm (applied to the most general program) in the
-//!   deterministic specification automaton, with shortest counterexample
-//!   words.
-//! * **Liveness** ([`Verifier::check_liveness`]; one-shot wrapper
-//!   [`check_liveness`]): obstruction freedom, livelock freedom and wait
-//!   freedom, decided by loop (lasso) search in the run-level transition
-//!   system of a TM × contention-manager product — one compiled run graph
-//!   per TM answers all three properties.
+//! * **The session API** ([`Verifier`]): the crate's only entry point
+//!   for verification queries — one session per instance size owns a
+//!   persistent worker pool and build-once artifact caches (interned
+//!   specifications, compiled run graphs) and answers every query below
+//!   through them, returning a uniform [`Verdict`] with [`QueryStats`].
+//! * **Safety** ([`Verifier::check_safety`]): strict serializability and
+//!   opacity, decided as language inclusion of the TM algorithm (applied
+//!   to the most general program) in the deterministic specification
+//!   automaton, with shortest counterexample words.
+//! * **Liveness** ([`Verifier::check_liveness`]): obstruction freedom,
+//!   livelock freedom and wait freedom, decided by loop (lasso) search in
+//!   the run-level transition system of a TM × contention-manager product
+//!   — one compiled run graph per TM answers all three properties.
 //! * **Structural properties** ([`check_structural`]): bounded-exhaustive
 //!   tests of the projection/symmetry/commutativity properties P1–P4 that
 //!   the reduction theorems require.
-//! * **Reduction methodology** ([`Verifier::verify_with_reduction`];
-//!   one-shot wrapper [`verify_with_reduction`]): the paper's end-to-end
-//!   argument — check at the (2,2) bound, establish the structural
-//!   properties, conclude for all instance sizes.
+//! * **Reduction methodology** ([`Verifier::verify_with_reduction`]): the
+//!   paper's end-to-end argument — check at the (2,2) bound, establish
+//!   the structural properties, conclude for all instance sizes.
 //! * **Reports** ([`safety_table`], [`liveness_table`]): the paper's
 //!   Tables 2 and 3 regenerated from verdicts.
+//! * **Test oracle** ([`check_liveness_reference`]): the seed liveness
+//!   checker, kept as the differential baseline of the compiled engine.
 //!
 //! # Examples
 //!
 //! Verify the paper's headline results in a few lines:
 //!
 //! ```
-//! use tm_checker::{check_liveness, check_safety};
+//! use tm_checker::Verifier;
 //! use tm_lang::{LivenessProperty, SafetyProperty};
-//! use tm_algorithms::{DstmTm, AggressiveCm, WithContentionManager};
+//! use tm_algorithms::{AggressiveCm, DstmTm, SequentialTm, WithContentionManager};
 //!
 //! // Theorem 4: DSTM ensures opacity.
-//! assert!(check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity).holds());
+//! let mut safety = Verifier::new(2, 2);
+//! assert!(safety.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity).holds());
+//! // The opacity specification is interned once, shared by later checks:
+//! let verdict = safety.check_safety(&SequentialTm::new(2, 2), SafetyProperty::Opacity);
+//! assert!(verdict.holds() && verdict.stats.artifact_cached);
 //!
 //! // Theorem 6: DSTM + aggressive is obstruction free.
 //! let managed = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-//! assert!(check_liveness(&managed, LivenessProperty::ObstructionFreedom).holds());
-//! ```
-//!
-//! Or run a session and amortize the artifacts across queries:
-//!
-//! ```
-//! use tm_checker::Verifier;
-//! use tm_lang::{LivenessProperty, SafetyProperty};
-//! use tm_algorithms::{DstmTm, SequentialTm};
-//!
-//! let mut verifier = Verifier::new(2, 2);
-//! // The opacity specification is interned once, shared by both checks:
-//! assert!(verifier.check_safety(&SequentialTm::new(2, 2), SafetyProperty::Opacity).holds());
-//! let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
-//! assert!(verdict.holds() && verdict.stats.artifact_cached);
+//! let mut liveness = Verifier::new(2, 1);
+//! assert!(liveness.check_liveness(&managed, LivenessProperty::ObstructionFreedom).holds());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,16 +60,10 @@ mod safety;
 mod session;
 mod structural;
 
-pub use liveness::{
-    check_liveness, check_liveness_reference, check_liveness_threads, LivenessOutcome,
-    LivenessVerdict, RunLasso, DEFAULT_MAX_STATES as LIVENESS_MAX_STATES,
-};
-pub use reduction::{verify_with_reduction, ReductionEvidence};
+pub use liveness::{check_liveness_reference, LivenessOutcome, LivenessVerdict, RunLasso};
+pub use reduction::ReductionEvidence;
 pub use report::{liveness_table, safety_table, QueryStats, Table, Verdict, VerdictOutcome};
-pub use safety::{
-    check_safety, SafetyChecker, SafetyOutcome, SafetyVerdict, SpecAutomaton,
-    DEFAULT_MAX_STATES,
-};
+pub use safety::{SafetyOutcome, SafetyVerdict, DEFAULT_MAX_STATES};
 pub use session::{SpecMode, Verifier};
 pub use tm_automata::{CancelToken, EngineError, QueryBudget};
 pub use structural::{

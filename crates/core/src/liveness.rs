@@ -19,14 +19,14 @@
 //!
 //! Two implementations are provided:
 //!
-//! * [`check_liveness`] — the **compiled engine**
+//! * [`crate::Verifier::check_liveness`] — the **compiled engine**
 //!   ([`tm_automata::CompiledRunGraph`]): the run graph is compiled to CSR
 //!   while it is explored (never materialized as an edge list), every
 //!   property pass is a mask-filtered Tarjan over that one graph sharing
 //!   one scratch arena, and the independent per-thread / per-subset
-//!   passes fan out over the `TM_MODELCHECK_THREADS` worker pool with
-//!   first-in-order violation selection — verdicts **and lassos** are
-//!   identical at every thread count;
+//!   passes fan out over the session's worker pool with first-in-order
+//!   violation selection — verdicts **and lassos** are identical at every
+//!   pool size;
 //! * [`check_liveness_reference`] — the seed path (filtered-subgraph
 //!   clones plus per-clone Tarjan), kept as the differential baseline.
 //!   Both return the same verdicts and the same lassos.
@@ -35,16 +35,12 @@ use std::time::{Duration, Instant};
 
 use tm_algorithms::{most_general_run_graph, RunLabel, TmAlgorithm};
 use tm_automata::{
-    closed_walk_through, modelcheck_threads, strongly_connected_components, EdgeFilter,
-    LabeledGraph, LoopQuery, LoopSelection, Sccs, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
-    MASK_EMITS,
+    closed_walk_through, strongly_connected_components, EdgeFilter, LabeledGraph, LoopQuery,
+    LoopSelection, Sccs, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT, MASK_EMITS,
 };
 use tm_lang::{Lasso, LivenessProperty, ThreadId, Word};
 
-use crate::session::Verifier;
-
-/// Default bound on reachable TM states for liveness exploration.
-pub const DEFAULT_MAX_STATES: usize = 10_000_000;
+use crate::safety::DEFAULT_MAX_STATES;
 
 /// A liveness counterexample: an ultimately periodic run `prefix · loopω`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -91,7 +87,7 @@ pub enum LivenessOutcome {
     Violation(RunLasso),
 }
 
-/// Result of [`check_liveness`].
+/// Result of a [`crate::Verifier::check_liveness`] query.
 #[derive(Clone, Debug)]
 pub struct LivenessVerdict {
     /// TM algorithm (with manager) name.
@@ -121,64 +117,10 @@ impl LivenessVerdict {
     }
 }
 
-/// Checks a liveness property of a TM algorithm (× contention manager) on
-/// the most general program of its instance size, on the compiled
-/// liveness engine with the worker-pool size of
-/// [`tm_automata::modelcheck_threads`] (the `TM_MODELCHECK_THREADS`
-/// environment variable). Verdicts and lassos are identical at every
-/// thread count, and identical to [`check_liveness_reference`]'s.
-///
-/// **Migration note:** this is a thin wrapper over a throwaway
-/// [`Verifier`] session — each call compiles the TM's run graph anew. A
-/// caller asking several properties of one TM (the Table 3 shape) should
-/// create a [`Verifier`] and call [`Verifier::check_liveness`], which
-/// builds the graph once and answers all three properties from it.
-///
-/// # Panics
-///
-/// Panics if the TM's reachable state space exceeds
-/// [`DEFAULT_MAX_STATES`].
-///
-/// # Examples
-///
-/// ```
-/// use tm_checker::check_liveness;
-/// use tm_lang::LivenessProperty;
-/// use tm_algorithms::{AggressiveCm, DstmTm, WithContentionManager};
-///
-/// // Paper Table 3: DSTM + aggressive is obstruction free ...
-/// let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-/// assert!(check_liveness(&tm, LivenessProperty::ObstructionFreedom).holds());
-/// // ... but not livelock free.
-/// assert!(!check_liveness(&tm, LivenessProperty::LivelockFreedom).holds());
-/// ```
-pub fn check_liveness<A: TmAlgorithm>(tm: &A, property: LivenessProperty) -> LivenessVerdict {
-    check_liveness_threads(tm, property, modelcheck_threads())
-}
-
-/// [`check_liveness`] with an explicit worker-pool size (`1` runs the
-/// passes sequentially; results are independent of `threads`).
-///
-/// **Migration note:** prefer
-/// [`Verifier::pool_size`] + [`Verifier::check_liveness`] — the session
-/// keeps both the pool and the compiled run graph alive across queries.
-pub fn check_liveness_threads<A: TmAlgorithm>(
-    tm: &A,
-    property: LivenessProperty,
-    threads: usize,
-) -> LivenessVerdict {
-    Verifier::new(tm.threads(), tm.vars())
-        .pool_size(threads)
-        .max_states(DEFAULT_MAX_STATES)
-        .check_liveness(tm, property)
-        .into_liveness()
-        .expect("liveness query returns a liveness verdict")
-}
-
 /// The engine queries of a property for an `n`-thread instance, in the
 /// order the seed checker searches them (so first-in-order violation
-/// selection reproduces the reference lasso). Shared with the
-/// [`Verifier`] session, which runs them over its cached run graphs:
+/// selection reproduces the reference lasso), run by the
+/// [`crate::Verifier`] session over its cached run graphs:
 ///
 /// * obstruction freedom — per thread `t`: the subgraph of `t`-only,
 ///   non-commit edges must have no loop through an abort;
@@ -225,7 +167,8 @@ pub(crate) fn property_queries(n: usize, property: LivenessProperty) -> Vec<Loop
     }
 }
 
-/// The seed (pre-engine) implementation of [`check_liveness`]: explores
+/// The seed (pre-engine) implementation of
+/// [`crate::Verifier::check_liveness`]: explores
 /// the run graph into a boxed labelled edge list, then **clones** a
 /// filtered subgraph and reruns Tarjan for every per-thread / per-subset
 /// pass — `2^n` graph copies for the livelock check alone, plus `O(E)`
@@ -369,15 +312,23 @@ fn find_cyclic_edge_in<F: Fn(&RunLabel) -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Verifier;
     use tm_algorithms::{
         AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm,
         WithContentionManager,
     };
 
+    /// One liveness query through a fresh default session.
+    fn check<A: TmAlgorithm>(tm: &A, property: LivenessProperty) -> LivenessVerdict {
+        Verifier::new(tm.threads(), tm.vars())
+            .check_liveness(tm, property)
+            .into_liveness()
+            .expect("liveness query")
+    }
+
     #[test]
     fn sequential_tm_is_not_obstruction_free() {
-        let verdict =
-            check_liveness(&SequentialTm::new(2, 1), LivenessProperty::ObstructionFreedom);
+        let verdict = check(&SequentialTm::new(2, 1), LivenessProperty::ObstructionFreedom);
         let lasso = verdict.counterexample().expect("Table 3: N");
         // The paper's loop is `a1` (a single abort).
         let word = lasso.to_word_lasso().expect("emits statements");
@@ -392,7 +343,7 @@ mod tests {
             LivenessProperty::ObstructionFreedom,
             LivenessProperty::LivelockFreedom,
         ] {
-            let verdict = check_liveness(&tm, p);
+            let verdict = check(&tm, p);
             assert!(!verdict.holds(), "{p:?}");
             let lasso = verdict.counterexample().unwrap();
             let word = lasso.to_word_lasso().unwrap();
@@ -403,8 +354,8 @@ mod tests {
     #[test]
     fn dstm_aggressive_is_of_but_not_lf() {
         let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-        assert!(check_liveness(&tm, LivenessProperty::ObstructionFreedom).holds());
-        let lf = check_liveness(&tm, LivenessProperty::LivelockFreedom);
+        assert!(check(&tm, LivenessProperty::ObstructionFreedom).holds());
+        let lf = check(&tm, LivenessProperty::LivelockFreedom);
         let lasso = lf.counterexample().expect("Table 3: N");
         let word = lasso.to_word_lasso().unwrap();
         assert!(!word.is_livelock_free());
@@ -415,7 +366,7 @@ mod tests {
     #[test]
     fn tl2_polite_is_not_obstruction_free() {
         let tm = WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm);
-        let verdict = check_liveness(&tm, LivenessProperty::ObstructionFreedom);
+        let verdict = check(&tm, LivenessProperty::ObstructionFreedom);
         let lasso = verdict.counterexample().expect("Table 3: N");
         let word = lasso.to_word_lasso().unwrap();
         assert!(!word.is_obstruction_free());
@@ -425,8 +376,8 @@ mod tests {
     fn nothing_is_wait_free() {
         // Every TM lets a thread read forever without committing.
         for verdict in [
-            check_liveness(&SequentialTm::new(2, 1), LivenessProperty::WaitFreedom),
-            check_liveness(
+            check(&SequentialTm::new(2, 1), LivenessProperty::WaitFreedom),
+            check(
                 &WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm),
                 LivenessProperty::WaitFreedom,
             ),
@@ -437,8 +388,7 @@ mod tests {
 
     #[test]
     fn counterexample_prefix_starts_at_initial_state() {
-        let verdict =
-            check_liveness(&TwoPhaseTm::new(2, 1), LivenessProperty::ObstructionFreedom);
+        let verdict = check(&TwoPhaseTm::new(2, 1), LivenessProperty::ObstructionFreedom);
         let lasso = verdict.counterexample().unwrap();
         // Prefix must be a real run: non-empty here, since the violating
         // loop needs the other thread to hold a lock first.
@@ -451,8 +401,12 @@ mod tests {
         // The full differential matrix lives in
         // `tests/liveness_conformance.rs`; this is the in-crate smoke.
         let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
+        let mut verifier = Verifier::new(2, 1).pool_size(1);
         for property in LivenessProperty::all() {
-            let engine = check_liveness_threads(&tm, property, 1);
+            let engine = verifier
+                .check_liveness(&tm, property)
+                .into_liveness()
+                .expect("liveness query");
             let reference = check_liveness_reference(&tm, property);
             assert_eq!(engine.holds(), reference.holds(), "{property:?}");
             assert_eq!(engine.tm_states, reference.tm_states, "{property:?}");

@@ -16,13 +16,10 @@
 //! is not a proof of satisfaction — the paper establishes them by manual
 //! inspection of each algorithm).
 
-use tm_algorithms::TmAlgorithm;
-use tm_lang::SafetyProperty;
-
 use crate::safety::SafetyVerdict;
 use crate::structural::StructuralReport;
 
-/// Evidence assembled by [`verify_with_reduction`].
+/// Evidence assembled by [`crate::Verifier::verify_with_reduction`].
 #[derive(Clone, Debug)]
 pub struct ReductionEvidence {
     /// The safety verdict at the reduction bound (2, 2).
@@ -44,85 +41,33 @@ impl ReductionEvidence {
     }
 }
 
-/// Applies the reduction methodology to a family of TM instances.
-///
-/// `make(n, k)` must build the same TM algorithm for `n` threads and `k`
-/// variables. The property is checked at the reduction bound (2, 2);
-/// structural properties are tested on words up to `structural_depth`
-/// statements; and the inclusion is additionally verified at each size in
-/// `spot_sizes` (empirical confirmation that the reduction did not hide
-/// anything — the theorem itself makes these redundant for well-behaved
-/// TMs).
-///
-/// **Migration note:** this is a thin wrapper over a throwaway
-/// [`crate::Verifier`] session at the (2, 2) reduction bound. Callers
-/// running several reductions (or mixing them with other queries) should
-/// hold a [`crate::Verifier`] and call
-/// [`crate::Verifier::verify_with_reduction`], which shares the
-/// specification artifacts — including those of the spot-check sizes —
-/// across runs.
-///
-/// # Panics
-///
-/// Panics if any instance exceeds the checker's state bounds.
-///
-/// # Examples
-///
-/// ```no_run
-/// use tm_checker::verify_with_reduction;
-/// use tm_lang::SafetyProperty;
-/// use tm_algorithms::DstmTm;
-///
-/// let evidence = verify_with_reduction(
-///     DstmTm::new,
-///     SafetyProperty::Opacity,
-///     4,
-///     &[(2, 1), (3, 1)],
-/// );
-/// assert!(evidence.concludes());
-/// ```
-pub fn verify_with_reduction<A, F>(
-    make: F,
-    property: SafetyProperty,
-    structural_depth: usize,
-    spot_sizes: &[(usize, usize)],
-) -> ReductionEvidence
-where
-    A: TmAlgorithm + Sync,
-    A::State: Send + Sync,
-    F: Fn(usize, usize) -> A,
-{
-    crate::Verifier::new(2, 2)
-        .verify_with_reduction(make, property, structural_depth, spot_sizes)
-        .into_reduction()
-        .expect("reduction query returns reduction evidence")
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Verifier;
     use tm_algorithms::{SequentialTm, TwoPhaseTm};
+    use tm_lang::SafetyProperty;
 
     #[test]
     fn sequential_reduction_concludes() {
-        let evidence = verify_with_reduction(
+        let verdict = Verifier::new(2, 2).verify_with_reduction(
             SequentialTm::new,
             SafetyProperty::Opacity,
             4,
             &[(2, 1), (3, 1), (3, 2)],
         );
+        let evidence = verdict.into_reduction().expect("reduction query");
         assert!(evidence.concludes());
         assert_eq!(evidence.spot_checks.len(), 3);
     }
 
     #[test]
     fn two_phase_reduction_concludes_with_spot_checks() {
-        let evidence = verify_with_reduction(
+        let verdict = Verifier::new(2, 2).verify_with_reduction(
             TwoPhaseTm::new,
             SafetyProperty::StrictSerializability,
             4,
             &[(2, 1), (2, 3), (3, 2)],
         );
-        assert!(evidence.concludes());
+        assert!(verdict.into_reduction().expect("reduction query").concludes());
     }
 }

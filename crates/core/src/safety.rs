@@ -7,35 +7,16 @@
 //! programs; and since `L(A_cm) ⊆ L(A)` for every contention manager,
 //! verifying the bare TM covers every managed variant.
 //!
-//! The inclusion itself runs through the **on-the-fly product engine**
-//! ([`tm_automata::check_inclusion_otf`]): the TM transition system is
+//! The inclusion itself runs through [`crate::Verifier::check_safety`]
+//! on the **on-the-fly product engine**
+//! ([`tm_automata::check_inclusion_otf_cached`] /
+//! [`tm_automata::check_inclusion_otf`]): the TM transition system is
 //! never materialized into an NFA — its states are stepped lazily as the
-//! product BFS reaches them — and the frontier is sharded across the
-//! `TM_MODELCHECK_THREADS` thread pool (see
-//! [`tm_automata::modelcheck_threads`]).
+//! product BFS reaches them. This module holds the verdict types.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use tm_algorithms::{MostGeneralSource, TmAlgorithm};
-use tm_automata::{
-    check_inclusion_otf_bounded, modelcheck_threads, CompiledDfa, Dfa, InclusionResult,
-};
-use tm_lang::{SafetyProperty, Statement, Word};
-use tm_spec::{canonical_dfa, DetSpec};
-
-/// Which deterministic specification automaton to check against.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SpecAutomaton {
-    /// The hand-built deterministic specification of paper Algorithm 6
-    /// (validated against the nondeterministic one; state counts match
-    /// the paper).
-    #[default]
-    PaperDeterministic,
-    /// The determinized + minimized nondeterministic specification —
-    /// language-equal by construction, smaller, independent of the
-    /// Algorithm 6 transcription.
-    Canonical,
-}
+use tm_lang::{SafetyProperty, Word};
 
 /// Outcome of a safety check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -49,8 +30,8 @@ pub enum SafetyOutcome {
     Violation(Word),
 }
 
-/// Result of [`check_safety`], with the statistics reported in the
-/// paper's Table 2.
+/// Result of a [`crate::Verifier::check_safety`] query, with the
+/// statistics reported in the paper's Table 2.
 #[derive(Clone, Debug)]
 pub struct SafetyVerdict {
     /// TM algorithm name.
@@ -63,10 +44,9 @@ pub struct SafetyVerdict {
     pub tm_states: usize,
     /// States of the deterministic specification automaton: the full
     /// automaton size when it was determinized eagerly
-    /// ([`SafetyChecker`], [`crate::SpecMode::Eager`]), or the
-    /// specification states the product actually touched under lazy
-    /// stepping (the [`check_safety`] / [`crate::SpecMode::Lazy`]
-    /// default).
+    /// ([`crate::SpecMode::Eager`]), or the specification states the
+    /// product actually touched under lazy stepping (the
+    /// [`crate::SpecMode::Lazy`] default).
     pub spec_states: usize,
     /// Product states explored by the inclusion check.
     pub product_states: usize,
@@ -94,247 +74,48 @@ impl SafetyVerdict {
     }
 }
 
-/// A reusable safety checker: the deterministic specification automaton
-/// for one property and instance size, so that several TMs can be checked
-/// without rebuilding it.
-///
-/// **Migration note:** [`crate::Verifier`] subsumes this type — one
-/// session caches the artifacts of *every* property and answers liveness
-/// and reduction queries too, from a persistent worker pool.
-/// `SafetyChecker` remains as the explicit eager-specification primitive
-/// (it also backs [`crate::SpecMode::Eager`]-style checking against the
-/// [`SpecAutomaton::Canonical`] flavor, which the session does not
-/// cache).
-///
-/// # Examples
-///
-/// ```
-/// use tm_checker::SafetyChecker;
-/// use tm_lang::SafetyProperty;
-/// use tm_algorithms::{SequentialTm, TwoPhaseTm};
-///
-/// let checker = SafetyChecker::new(SafetyProperty::Opacity, 2, 2);
-/// assert!(checker.check(&SequentialTm::new(2, 2)).holds());
-/// assert!(checker.check(&TwoPhaseTm::new(2, 2)).holds());
-/// ```
-#[derive(Clone, Debug)]
-pub struct SafetyChecker {
-    property: SafetyProperty,
-    threads: usize,
-    vars: usize,
-    spec: Dfa<Statement>,
-    /// The dense-table form the inclusion inner loop runs on, compiled
-    /// once here and reused across every checked TM.
-    compiled: CompiledDfa<Statement>,
-    build_time: Duration,
-}
-
 /// Default bound on reachable TM / specification states.
 pub const DEFAULT_MAX_STATES: usize = 10_000_000;
-
-impl SafetyChecker {
-    /// Builds the checker with the paper's deterministic specification.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the instance exceeds 4 threads or the specification
-    /// exceeds [`DEFAULT_MAX_STATES`] states.
-    pub fn new(property: SafetyProperty, threads: usize, vars: usize) -> Self {
-        Self::with_spec(property, threads, vars, SpecAutomaton::PaperDeterministic)
-    }
-
-    /// Builds the checker with an explicit specification flavor.
-    ///
-    /// # Panics
-    ///
-    /// As for [`SafetyChecker::new`].
-    pub fn with_spec(
-        property: SafetyProperty,
-        threads: usize,
-        vars: usize,
-        flavor: SpecAutomaton,
-    ) -> Self {
-        let start = Instant::now();
-        let spec = match flavor {
-            SpecAutomaton::PaperDeterministic => {
-                DetSpec::new(property, threads, vars)
-                    .to_dfa(DEFAULT_MAX_STATES)
-                    .0
-            }
-            SpecAutomaton::Canonical => {
-                canonical_dfa(property, threads, vars, DEFAULT_MAX_STATES)
-            }
-        };
-        let compiled = spec.compile();
-        SafetyChecker {
-            property,
-            threads,
-            vars,
-            spec,
-            compiled,
-            build_time: start.elapsed(),
-        }
-    }
-
-    /// The property this checker decides.
-    pub fn property(&self) -> SafetyProperty {
-        self.property
-    }
-
-    /// Number of threads of the checked instance.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of variables of the checked instance.
-    pub fn vars(&self) -> usize {
-        self.vars
-    }
-
-    /// The specification automaton.
-    pub fn spec(&self) -> &Dfa<Statement> {
-        &self.spec
-    }
-
-    /// The compiled (dense-table) specification the inclusion check runs
-    /// on.
-    pub fn compiled_spec(&self) -> &CompiledDfa<Statement> {
-        &self.compiled
-    }
-
-    /// Time spent constructing the specification automaton.
-    pub fn build_time(&self) -> Duration {
-        self.build_time
-    }
-
-    /// Checks `L(A) ⊆ L(Σᵈ_π)` for the TM applied to the most general
-    /// program of this instance size, exploring the product **on the
-    /// fly**: the TM transition system is stepped lazily by
-    /// [`tm_automata::check_inclusion_otf_stats`] — no intermediate NFA
-    /// is built — and
-    /// the frontier is sharded across [`modelcheck_threads`] threads
-    /// (`TM_MODELCHECK_THREADS=1` forces the deterministic sequential
-    /// engine; verdicts and counterexample words are identical either
-    /// way).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tm`'s instance size disagrees with the checker's, or
-    /// the TM's reachable state space exceeds [`DEFAULT_MAX_STATES`].
-    pub fn check<A>(&self, tm: &A) -> SafetyVerdict
-    where
-        A: TmAlgorithm + Sync,
-        A::State: Send + Sync,
-    {
-        assert_eq!(tm.threads(), self.threads, "thread count mismatch");
-        assert_eq!(tm.vars(), self.vars, "variable count mismatch");
-        let total = Instant::now();
-        let source = MostGeneralSource::new(tm, self.compiled.alphabet().clone());
-        let check_start = Instant::now();
-        let (result, stats) = check_inclusion_otf_bounded(
-            &source,
-            &self.compiled,
-            modelcheck_threads(),
-            DEFAULT_MAX_STATES,
-        )
-        .unwrap_or_else(|error| panic!("safety check failed: {error}"));
-        let check_time = check_start.elapsed();
-        let (outcome, product_states) = match result {
-            InclusionResult::Included { product_states } => {
-                (SafetyOutcome::Verified, product_states)
-            }
-            InclusionResult::Counterexample {
-                word,
-                product_states,
-            } => {
-                let word: Word = word.into_iter().collect();
-                debug_assert!(
-                    !self.property.holds(&word),
-                    "counterexample not confirmed by the reference checker: {word}"
-                );
-                (SafetyOutcome::Violation(word), product_states)
-            }
-        };
-        SafetyVerdict {
-            tm_name: tm.name(),
-            property: self.property,
-            tm_states: stats.impl_states,
-            spec_states: self.spec.num_states(),
-            product_states,
-            check_time,
-            total_time: total.elapsed(),
-            outcome,
-        }
-    }
-}
-
-/// One-shot convenience wrapper: checks the property through a throwaway
-/// default [`crate::Verifier`] session (lazy specification stepping, so
-/// `spec_states` reports the specification states the product touched —
-/// the full automaton is never determinized).
-///
-/// **Migration note:** a caller checking several TMs or several
-/// properties at one instance size should create a [`crate::Verifier`]
-/// and call [`crate::Verifier::check_safety`] — the session shares the
-/// interned specification artifacts across all of its queries (and pass
-/// [`crate::SpecMode::Eager`] to reproduce this wrapper's pre-session
-/// behavior of determinizing the specification up front).
-///
-/// # Panics
-///
-/// As for [`SafetyChecker::check`].
-///
-/// # Examples
-///
-/// ```
-/// use tm_checker::check_safety;
-/// use tm_lang::SafetyProperty;
-/// use tm_algorithms::{Tl2Tm, ValidationStyle};
-///
-/// // The paper's modified TL2 (split validation, unsafe order) is not
-/// // strictly serializable:
-/// let modified = Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock);
-/// let verdict = check_safety(&modified, SafetyProperty::StrictSerializability);
-/// assert!(!verdict.holds());
-/// ```
-pub fn check_safety<A>(tm: &A, property: SafetyProperty) -> SafetyVerdict
-where
-    A: TmAlgorithm + Sync,
-    A::State: Send + Sync,
-{
-    crate::Verifier::new(tm.threads(), tm.vars())
-        .check_safety(tm, property)
-        .into_safety()
-        .expect("safety query returns a safety verdict")
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Verifier;
     use tm_algorithms::{
-        DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm, ValidationStyle,
+        DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm, TwoPhaseTm, ValidationStyle,
         WithContentionManager,
     };
     use tm_lang::is_strictly_serializable;
 
+    /// One safety query through a fresh default session.
+    fn check<A>(tm: &A, property: SafetyProperty) -> SafetyVerdict
+    where
+        A: TmAlgorithm + Sync,
+        A::State: Send + Sync,
+    {
+        Verifier::new(tm.threads(), tm.vars())
+            .check_safety(tm, property)
+            .into_safety()
+            .expect("safety query")
+    }
+
     #[test]
     fn sequential_tm_is_opaque() {
-        let verdict = check_safety(&SequentialTm::new(2, 2), SafetyProperty::Opacity);
+        let verdict = check(&SequentialTm::new(2, 2), SafetyProperty::Opacity);
         assert!(verdict.holds());
         assert_eq!(verdict.tm_states, 3);
     }
 
     #[test]
     fn two_phase_is_opaque() {
-        let checker = SafetyChecker::new(SafetyProperty::Opacity, 2, 2);
-        let verdict = checker.check(&TwoPhaseTm::new(2, 2));
+        let verdict = check(&TwoPhaseTm::new(2, 2), SafetyProperty::Opacity);
         assert!(verdict.holds(), "{:?}", verdict.counterexample());
     }
 
     #[test]
     fn dstm_is_strictly_serializable_and_opaque() {
         for p in SafetyProperty::all() {
-            let verdict = check_safety(&DstmTm::new(2, 2), p);
+            let verdict = check(&DstmTm::new(2, 2), p);
             assert!(verdict.holds(), "{p:?}: {:?}", verdict.counterexample());
         }
     }
@@ -345,29 +126,10 @@ mod tests {
             Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock),
             PoliteCm,
         );
-        let verdict = check_safety(&tm, SafetyProperty::StrictSerializability);
+        let verdict = check(&tm, SafetyProperty::StrictSerializability);
         let word = verdict.counterexample().expect("must be unsafe");
         assert!(!is_strictly_serializable(word));
         // The paper's w1 has length 6; BFS returns a shortest violation.
         assert!(word.len() <= 6, "counterexample too long: {word}");
-    }
-
-    #[test]
-    fn canonical_spec_gives_same_verdicts() {
-        for flavor in [SpecAutomaton::PaperDeterministic, SpecAutomaton::Canonical] {
-            let checker =
-                SafetyChecker::with_spec(SafetyProperty::Opacity, 2, 2, flavor);
-            assert!(checker.check(&TwoPhaseTm::new(2, 2)).holds());
-            let modified =
-                Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock);
-            assert!(!checker.check(&modified).holds());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "thread count mismatch")]
-    fn size_mismatch_is_rejected() {
-        let checker = SafetyChecker::new(SafetyProperty::Opacity, 2, 2);
-        let _ = checker.check(&SequentialTm::new(3, 2));
     }
 }

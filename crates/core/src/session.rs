@@ -21,14 +21,10 @@
 //!
 //! Every query returns a uniform [`Verdict`] carrying [`QueryStats`]
 //! (states explored, build vs. search time, pool size, cache hit).
-//! Determinism is unchanged: verdicts, counterexample words, and lassos
-//! are bit-identical to the one-shot entry points at every pool size and
-//! in both spec modes (pinned by `tests/inclusion_conformance.rs` and
-//! `tests/liveness_conformance.rs`).
-//!
-//! The pre-session free functions ([`crate::check_safety`],
-//! [`crate::check_liveness`], [`crate::verify_with_reduction`]) survive
-//! as thin wrappers over a throwaway default session.
+//! Verdicts, counterexample words, and lassos are bit-identical at every
+//! pool size and in both spec modes, and equal to the bare engines' and
+//! the reference checkers' (pinned by `tests/inclusion_conformance.rs`
+//! and `tests/liveness_conformance.rs`).
 //!
 //! Thread-safety: a `Verifier` is `Send` but not `Sync` — queries take
 //! `&mut self` because they mutate the artifact caches. Concurrent
@@ -43,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use tm_algorithms::{MostGeneralRunSource, MostGeneralSource, RunLabel, TmAlgorithm};
 use tm_automata::{
-    check_inclusion_otf_budget, check_inclusion_otf_cached_budget, modelcheck_threads, Alphabet,
+    check_inclusion_otf, check_inclusion_otf_cached, modelcheck_threads, Alphabet,
     CancelToken, CompiledDfa, CompiledRunGraph, DtsSpecSource, EngineError, Executor, FxHashMap,
     InclusionResult, QueryBudget, SpecCache, WorkerPool,
 };
@@ -68,8 +64,8 @@ pub enum SpecMode {
     #[default]
     Lazy,
     /// Determinize the specification up front into a dense
-    /// [`tm_automata::CompiledDfa`] (the pre-session `SafetyChecker`
-    /// behavior). Enables the parallel product BFS on the session pool
+    /// [`tm_automata::CompiledDfa`]. Enables the parallel product BFS on
+    /// the session pool
     /// and reports the full specification state count; explicit opt-in
     /// for instance sizes where determinization is affordable.
     Eager,
@@ -590,8 +586,7 @@ impl Verifier {
                 );
                 let search = Instant::now();
                 let (result, stats) =
-                    match check_inclusion_otf_cached_budget(&source, &mut artifact.cache, &budget)
-                    {
+                    match check_inclusion_otf_cached(&source, &mut artifact.cache, &budget) {
                         Ok(pair) => pair,
                         Err(error) => {
                             return abort_verdict(
@@ -673,7 +668,7 @@ impl Verifier {
                 let source = MostGeneralSource::new(tm, artifact.compiled.alphabet().clone());
                 let search = Instant::now();
                 let pool_size = executor.threads();
-                let (result, stats) = match check_inclusion_otf_budget(
+                let (result, stats) = match check_inclusion_otf(
                     &source,
                     &artifact.compiled,
                     &executor,
@@ -814,7 +809,7 @@ impl Verifier {
         let artifact = &self.run_graphs[&key];
         let executor = self.executor();
         let search = Instant::now();
-        let outcome = match artifact.graph.find_first_loop_budget(&queries, &executor, &budget) {
+        let outcome = match artifact.graph.find_first_loop(&queries, &executor, &budget) {
             Ok(Some((_, lasso))) => LivenessOutcome::Violation(RunLasso {
                 prefix: lasso.prefix,
                 cycle: lasso.cycle,

@@ -14,7 +14,8 @@
 use tm_lang::{Command, Statement, ThreadId};
 
 use tm_automata::{
-    explore, Explored, LabeledGraph, LetterId, SuccessorSource, TransitionSystem, EPSILON,
+    explore, Explored, LabeledGraph, LetterId, QueryBudget, SuccessorSource, TransitionSystem,
+    EPSILON,
 };
 
 use crate::algorithm::{Action, TmAlgorithm, TmState};
@@ -64,7 +65,7 @@ pub fn most_general_nfa<A: TmAlgorithm>(
     tm: &A,
     max_states: usize,
 ) -> Explored<A::State, Statement> {
-    explore(&WordLevel(tm), max_states)
+    explore(&WordLevel(tm), &QueryBudget::new(max_states))
         .unwrap_or_else(|error| panic!("most-general-program exploration failed: {error}"))
 }
 
@@ -84,15 +85,25 @@ pub fn most_general_nfa<A: TmAlgorithm>(
 ///
 /// ```
 /// use tm_algorithms::{MostGeneralSource, SequentialTm};
-/// use tm_automata::{check_inclusion_otf_threads, Alphabet};
+/// use tm_automata::{check_inclusion_otf, Dfa, Executor, QueryBudget};
 ///
-/// // A toy "specification alphabet" containing only commits: every
-/// // read/write completion is then a violation.
+/// // A toy specification over commits only, accepting any sequence of
+/// // them: every read/write completion is then a violation.
+/// let commits = "c1 c2".parse::<tm_lang::Word>().unwrap().statements().to_vec();
+/// let mut spec = Dfa::new(commits.clone());
+/// let q = spec.add_state();
+/// spec.set_initial(q);
+/// for c in &commits {
+///     spec.set_transition(q, c, q);
+/// }
+/// let spec = spec.compile();
 /// let tm = SequentialTm::new(2, 2);
-/// let alphabet = Alphabet::from_letters(&"c1".parse::<tm_lang::Word>()
-///     .unwrap().statements().to_vec());
-/// let source = MostGeneralSource::new(&tm, alphabet.clone());
+/// let source = MostGeneralSource::new(&tm, spec.alphabet().clone());
 /// assert_eq!(source.alphabet().len(), 12); // extended to all of Ŝ
+/// let (result, _) =
+///     check_inclusion_otf(&source, &spec, &Executor::Sequential, &QueryBudget::unlimited())
+///         .unwrap();
+/// assert_eq!(result.counterexample().map(<[_]>::len), Some(1));
 /// ```
 pub struct MostGeneralSource<'a, A> {
     tm: &'a A,
@@ -290,7 +301,7 @@ pub fn most_general_run_graph<A: TmAlgorithm>(
     tm: &A,
     max_states: usize,
 ) -> (LabeledGraph<RunLabel>, Vec<A::State>) {
-    let explored = explore(&RunLevel(tm), max_states)
+    let explored = explore(&RunLevel(tm), &QueryBudget::new(max_states))
         .unwrap_or_else(|error| panic!("run-level exploration failed: {error}"));
     let mut graph = LabeledGraph::new(explored.num_states());
     for from in 0..explored.num_states() {

@@ -58,27 +58,19 @@ impl<S, L> Explored<S, L> {
     }
 }
 
-/// Explores the reachable state space of `ts` breadth-first, up to
-/// `max_states` states.
+/// Explores the reachable state space of `ts` breadth-first under
+/// `budget`: the state bound is checked before every intern, the
+/// deadline/cancellation every `INTERRUPT_STRIDE` visited states.
 ///
 /// # Errors
 ///
 /// [`EngineError::StateLimit`] if the reachable state space exceeds
-/// `max_states` — in this workspace the bound is the caller's declaration
-/// that the instance was expected to be finite and small (cf. the paper's
-/// reduction to two threads and two variables), so hitting it is a
-/// structured abort, never a panic.
+/// `budget.max_states()` — in this workspace the bound is the caller's
+/// declaration that the instance was expected to be finite and small (cf.
+/// the paper's reduction to two threads and two variables), so hitting it
+/// is a structured abort, never a panic — and [`EngineError::Deadline`] /
+/// [`EngineError::Cancelled`] per the budget.
 pub fn explore<T: TransitionSystem>(
-    ts: &T,
-    max_states: usize,
-) -> Result<Explored<T::State, T::Label>, EngineError> {
-    explore_budget(ts, &QueryBudget::new(max_states))
-}
-
-/// [`explore`] under a full [`QueryBudget`]: the state bound is checked
-/// before every intern, the deadline/cancellation every
-/// `INTERRUPT_STRIDE` visited states.
-pub fn explore_budget<T: TransitionSystem>(
     ts: &T,
     budget: &QueryBudget,
 ) -> Result<Explored<T::State, T::Label>, EngineError> {
@@ -151,22 +143,6 @@ impl<T: DeterministicTransitionSystem + ?Sized> DeterministicTransitionSystem fo
     }
 }
 
-/// Explores a deterministic system over `alphabet` into a
-/// [`Dfa`](crate::Dfa),
-/// breadth-first, up to `max_states` states.
-///
-/// # Errors
-///
-/// [`EngineError::StateLimit`] if the reachable state space exceeds
-/// `max_states`.
-pub fn explore_deterministic<T: DeterministicTransitionSystem>(
-    ts: &T,
-    alphabet: Vec<T::Label>,
-    max_states: usize,
-) -> Result<ExploredDfa<T>, EngineError> {
-    explore_deterministic_budget(ts, alphabet, &QueryBudget::new(max_states))
-}
-
 /// The result of a deterministic exploration: the compiled
 /// [`Dfa`](crate::Dfa) plus the concrete state behind each automaton id.
 pub type ExploredDfa<T> = (
@@ -174,8 +150,13 @@ pub type ExploredDfa<T> = (
     Vec<<T as DeterministicTransitionSystem>::State>,
 );
 
-/// [`explore_deterministic`] under a full [`QueryBudget`].
-pub fn explore_deterministic_budget<T: DeterministicTransitionSystem>(
+/// Explores a deterministic system over `alphabet` into a
+/// [`Dfa`](crate::Dfa), breadth-first, under `budget`.
+///
+/// # Errors
+///
+/// As for [`explore`].
+pub fn explore_deterministic<T: DeterministicTransitionSystem>(
     ts: &T,
     alphabet: Vec<T::Label>,
     budget: &QueryBudget,
@@ -246,7 +227,7 @@ mod tests {
 
     #[test]
     fn explores_all_residues() {
-        let explored = explore(&ModCounter { n: 5 }, 100).unwrap();
+        let explored = explore(&ModCounter { n: 5 }, &QueryBudget::new(100)).unwrap();
         assert_eq!(explored.num_states(), 5);
         assert_eq!(explored.nfa.num_epsilon_transitions(), 4);
         assert_eq!(*explored.state(0), 0);
@@ -255,7 +236,7 @@ mod tests {
     #[test]
     fn state_bound_is_a_structured_error() {
         assert_eq!(
-            explore(&ModCounter { n: 100 }, 10).err(),
+            explore(&ModCounter { n: 100 }, &QueryBudget::new(10)).err(),
             Some(EngineError::StateLimit(10))
         );
     }
@@ -264,14 +245,14 @@ mod tests {
     fn expired_deadline_aborts_exploration() {
         let budget = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO);
         assert_eq!(
-            explore_budget(&ModCounter { n: 100 }, &budget).err(),
+            explore(&ModCounter { n: 100 }, &budget).err(),
             Some(EngineError::Deadline)
         );
         let stale = crate::CancelToken::new();
         stale.cancel();
         let budget = QueryBudget::unlimited().with_cancel(stale);
         assert_eq!(
-            explore_deterministic_budget(&Parity, vec!['f', 'z'], &budget).err(),
+            explore_deterministic(&Parity, vec!['f', 'z'], &budget).err(),
             Some(EngineError::Cancelled)
         );
     }
@@ -297,7 +278,8 @@ mod tests {
 
     #[test]
     fn deterministic_exploration() {
-        let (dfa, states) = explore_deterministic(&Parity, vec!['f', 'z'], 10).unwrap();
+        let (dfa, states) =
+            explore_deterministic(&Parity, vec!['f', 'z'], &QueryBudget::new(10)).unwrap();
         assert_eq!(dfa.num_states(), 2);
         assert_eq!(states.len(), 2);
         assert!(dfa.accepts(&['f', 'f', 'z']));

@@ -23,11 +23,12 @@
 //!   integers (the pre-compilation originals survive as
 //!   [`check_inclusion_reference`] /
 //!   [`check_inclusion_antichain_reference`] for A/B benches);
-//! * **on-the-fly product exploration** ([`check_inclusion_otf`],
-//!   [`SuccessorSource`]): the implementation side is stepped lazily —
-//!   never materialized — with an optional deterministic parallel
-//!   level-synchronous BFS (`TM_MODELCHECK_THREADS`); see `README.md`
-//!   for the engine hierarchy and which entry point to call;
+//! * **on-the-fly product exploration** ([`check_inclusion_otf`] against
+//!   a compiled spec, [`check_inclusion_otf_cached`] against a lazily
+//!   interned one; [`SuccessorSource`]): the implementation side is
+//!   stepped lazily — never materialized — with an optional deterministic
+//!   parallel level-synchronous BFS on a [`WorkerPool`]; see `README.md`
+//!   for the engine hierarchy;
 //! * antichain-based inclusion and equivalence between nondeterministic
 //!   automata ([`check_inclusion_antichain`],
 //!   [`check_equivalence_antichain`]) in the style of De Wulf et al.;
@@ -41,8 +42,8 @@
 //!   of independent loop queries ([`CompiledRunGraph::find_first_loop`]);
 //! * the **persistent worker pool** ([`WorkerPool`]) and the
 //!   [`Executor`] abstraction every parallel engine region runs on —
-//!   sequential, fresh scoped threads, or the pool — plus the
-//!   `TM_MODELCHECK_THREADS` configuration helpers
+//!   sequential or the pool — plus the `TM_MODELCHECK_THREADS`
+//!   configuration helpers
 //!   ([`modelcheck_threads`], [`parse_thread_count`]); the
 //!   `tm_checker::Verifier` session keeps one pool alive across all of
 //!   its queries;
@@ -105,8 +106,7 @@ pub use bitset::{BitSet, Iter as BitSetIter};
 pub use compiled::{CompiledDfa, CompiledNfa, DfaParts, NfaParts, EPSILON, NO_STATE};
 pub use dfa::Dfa;
 pub use explore::{
-    explore, explore_budget, explore_deterministic, explore_deterministic_budget,
-    DeterministicTransitionSystem, Explored, TransitionSystem,
+    explore, explore_deterministic, DeterministicTransitionSystem, Explored, TransitionSystem,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use graph::{
@@ -123,8 +123,6 @@ pub use livecheck::{
 pub use nfa::{Nfa, StateId};
 pub use pool::{Executor, TaskScope, WorkerPool};
 pub use product::{
-    check_inclusion_otf, check_inclusion_otf_bounded, check_inclusion_otf_budget,
-    check_inclusion_otf_cached, check_inclusion_otf_cached_budget, check_inclusion_otf_executor,
-    check_inclusion_otf_lazy, check_inclusion_otf_stats, check_inclusion_otf_threads,
-    DtsSpecSource, NfaSource, OtfStats, SpecCache, SpecSource, SuccessorSource,
+    check_inclusion_otf, check_inclusion_otf_cached, DtsSpecSource, NfaSource, OtfStats,
+    SpecCache, SpecSource, SuccessorSource,
 };

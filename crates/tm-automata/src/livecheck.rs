@@ -30,9 +30,12 @@
 //!   (state-major, insertion order per state), so verdicts **and lassos**
 //!   are identical to the reference checker's.
 //! * [`CompiledRunGraph::find_first_loop`] fans independent queries out
-//!   over a thread pool and deterministically selects the violation of the
-//!   smallest query index — verdicts and lasso words are identical at
-//!   every thread count.
+//!   over an [`Executor`] and deterministically selects the violation of
+//!   the smallest query index — verdicts and lasso words are identical at
+//!   every pool size.
+//!
+//! Every search takes a [`QueryBudget`]; an unbounded one passes
+//! [`QueryBudget::unlimited`].
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -524,22 +527,17 @@ impl<L> CompiledRunGraph<L> {
     /// [`crate::strongly_connected_components`] on the materialized
     /// filtered subgraph: roots are tried in state order and edges are
     /// visited in enumeration order, skipping filtered ones.
-    pub fn sccs_masked(&self, filter: EdgeFilter, scratch: &mut LiveScratch) {
-        self.sccs_masked_budget(filter, scratch, &QueryBudget::unlimited())
-            .expect("an unlimited budget cannot interrupt the SCC search")
-    }
-
-    /// [`CompiledRunGraph::sccs_masked`] under a [`QueryBudget`]: the
-    /// deadline/cancellation is polled every `INTERRUPT_STRIDE` Tarjan
-    /// iterations (an interrupted run leaves `scratch` in an unspecified —
-    /// but reusable — state).
+    ///
+    /// The deadline/cancellation of `budget` is polled every
+    /// `INTERRUPT_STRIDE` Tarjan iterations (an interrupted run leaves
+    /// `scratch` in an unspecified — but reusable — state).
     ///
     /// # Errors
     ///
     /// [`EngineError::Deadline`] or [`EngineError::Cancelled`] per the
     /// budget; the state bound does not apply (the graph is already
     /// built).
-    pub fn sccs_masked_budget(
+    pub fn sccs_masked(
         &self,
         filter: EdgeFilter,
         scratch: &mut LiveScratch,
@@ -630,25 +628,20 @@ impl<L: Clone> CompiledRunGraph<L> {
     /// finds a loop witnessing every required mask, and extracts its
     /// lasso (shortest prefix through the **full** graph, closed walk
     /// through the filtered SCC). Returns `None` if no such loop exists.
-    pub fn find_loop(&self, query: &LoopQuery, scratch: &mut LiveScratch) -> Option<CompiledLasso<L>> {
-        self.find_loop_budget(query, scratch, &QueryBudget::unlimited())
-            .expect("an unlimited budget cannot interrupt the loop search")
-    }
-
-    /// [`CompiledRunGraph::find_loop`] under a [`QueryBudget`] (polled
-    /// during the SCC decomposition, the dominant phase).
+    /// The budget is polled during the SCC decomposition, the dominant
+    /// phase.
     ///
     /// # Errors
     ///
     /// [`EngineError::Deadline`] or [`EngineError::Cancelled`] per the
     /// budget.
-    pub fn find_loop_budget(
+    pub fn find_loop(
         &self,
         query: &LoopQuery,
         scratch: &mut LiveScratch,
         budget: &QueryBudget,
     ) -> Result<Option<CompiledLasso<L>>, EngineError> {
-        self.sccs_masked_budget(query.filter, scratch, budget)?;
+        self.sccs_masked(query.filter, scratch, budget)?;
         Ok(match query.selection {
             LoopSelection::FirstEdge => {
                 let found = query.required.first().and_then(|&req| {
@@ -706,51 +699,13 @@ impl<L: Clone> CompiledRunGraph<L> {
     }
 
     /// Runs independent queries and returns the violation of the smallest
-    /// query index, with its index. `threads > 1` fans the queries out
-    /// over freshly spawned scoped threads (each with its own
-    /// [`LiveScratch`]); because each query is deterministic and the
-    /// minimal index wins, the result is identical at every thread count.
-    ///
-    /// Session users pass their persistent pool through
-    /// [`CompiledRunGraph::find_first_loop_exec`] instead of spawning
-    /// here.
-    pub fn find_first_loop(
-        &self,
-        queries: &[LoopQuery],
-        threads: usize,
-    ) -> Option<(usize, CompiledLasso<L>)>
-    where
-        L: Send + Sync,
-    {
-        self.find_first_loop_exec(queries, &Executor::for_threads(threads))
-    }
-
-    /// [`CompiledRunGraph::find_first_loop`] on an explicit [`Executor`]:
-    /// the liveness fan-out of the `tm_checker::Verifier` session, whose
-    /// persistent worker pool replaces the per-property scoped-thread
-    /// spawns. Results are identical under every executor and width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fan-out task panics or an armed fault plan fires;
-    /// budget-aware callers use
-    /// [`CompiledRunGraph::find_first_loop_budget`], which reports those
-    /// as structured errors instead.
-    pub fn find_first_loop_exec(
-        &self,
-        queries: &[LoopQuery],
-        executor: &Executor<'_>,
-    ) -> Option<(usize, CompiledLasso<L>)>
-    where
-        L: Send + Sync,
-    {
-        self.find_first_loop_budget(queries, executor, &QueryBudget::unlimited())
-            .unwrap_or_else(|error| panic!("liveness fan-out failed: {error}"))
-    }
-
-    /// [`CompiledRunGraph::find_first_loop_exec`] under a full
-    /// [`QueryBudget`]: each worker polls the budget inside its SCC
-    /// searches, and fan-out failures come back as structured errors.
+    /// query index, with its index: the liveness fan-out of the
+    /// `tm_checker::Verifier` session. An executor wider than 1 fans the
+    /// queries out over its workers (each with its own [`LiveScratch`]);
+    /// because each query is deterministic and the minimal index wins,
+    /// the result is identical under every executor and width. Each
+    /// worker polls the budget inside its SCC searches, and fan-out
+    /// failures come back as structured errors.
     ///
     /// # Errors
     ///
@@ -759,7 +714,7 @@ impl<L: Clone> CompiledRunGraph<L> {
     /// * [`EngineError::TaskPanicked`] — a fan-out task panicked;
     /// * [`EngineError::FaultInjected`] — an armed [`crate::fault`] plan
     ///   fired at dispatch.
-    pub fn find_first_loop_budget(
+    pub fn find_first_loop(
         &self,
         queries: &[LoopQuery],
         executor: &Executor<'_>,
@@ -772,7 +727,7 @@ impl<L: Clone> CompiledRunGraph<L> {
         if width <= 1 {
             let mut scratch = LiveScratch::default();
             for (i, q) in queries.iter().enumerate() {
-                if let Some(lasso) = self.find_loop_budget(q, &mut scratch, budget)? {
+                if let Some(lasso) = self.find_loop(q, &mut scratch, budget)? {
                     return Ok(Some((i, lasso)));
                 }
             }
@@ -794,7 +749,7 @@ impl<L: Clone> CompiledRunGraph<L> {
                         if min_index.load(Ordering::Relaxed) < i {
                             return;
                         }
-                        match self.find_loop_budget(&queries[i], &mut scratch, budget) {
+                        match self.find_loop(&queries[i], &mut scratch, budget) {
                             Ok(Some(lasso)) => {
                                 min_index.fetch_min(i, Ordering::Relaxed);
                                 *slot = Some(Ok((i, lasso)));
@@ -1008,6 +963,15 @@ mod tests {
         forbid_all: 0,
     };
 
+    /// [`CompiledRunGraph::find_loop`] without a budget.
+    fn find(
+        graph: &CompiledRunGraph<TestLabel>,
+        query: &LoopQuery,
+        scratch: &mut LiveScratch,
+    ) -> Option<CompiledLasso<TestLabel>> {
+        graph.find_loop(query, scratch, &QueryBudget::unlimited()).unwrap()
+    }
+
     #[test]
     fn build_compiles_reachable_subgraph_in_bfs_order() {
         // 0 -> 1 -> 2 -> 0 ring plus an unreachable state 3 in the
@@ -1069,7 +1033,7 @@ mod tests {
             EdgeFilter { keep_any: 1 << 0, forbid_all: 0 },
             EdgeFilter { keep_any: 1 << 1, forbid_all: 0 },
         ] {
-            graph.sccs_masked(filter, &mut scratch);
+            graph.sccs_masked(filter, &mut scratch, &QueryBudget::unlimited()).unwrap();
             // Reference: materialize, filter, Tarjan.
             let mut labeled = LabeledGraph::new(graph.num_states());
             for (from, l, to) in graph.edges() {
@@ -1111,7 +1075,7 @@ mod tests {
             selection: LoopSelection::FirstEdge,
         };
         let mut scratch = LiveScratch::default();
-        let lasso = graph.find_loop(&query, &mut scratch).expect("loop exists");
+        let lasso = find(&graph, &query, &mut scratch).expect("loop exists");
         assert_eq!(
             lasso.prefix.iter().map(|l| l.id).collect::<Vec<_>>(),
             vec![0]
@@ -1142,7 +1106,7 @@ mod tests {
             required: vec![MASK_ABORT],
             selection: LoopSelection::FirstEdge,
         };
-        assert!(graph.find_loop(&with_aborts, &mut scratch).is_some());
+        assert!(find(&graph, &with_aborts, &mut scratch).is_some());
         // Forbidding aborts too leaves no qualifying loop.
         let nothing = LoopQuery {
             filter: EdgeFilter {
@@ -1152,7 +1116,7 @@ mod tests {
             required: vec![MASK_ABORT | MASK_COMMIT],
             selection: LoopSelection::FirstEdge,
         };
-        assert!(graph.find_loop(&nothing, &mut scratch).is_none());
+        assert!(find(&graph, &nothing, &mut scratch).is_none());
     }
 
     #[test]
@@ -1175,7 +1139,7 @@ mod tests {
             required: vec![MASK_ABORT | 1 << 0, MASK_ABORT | 1 << 1],
             selection: LoopSelection::FirstComponent,
         };
-        assert!(graph.find_loop(&both, &mut scratch).is_none());
+        assert!(find(&graph, &both, &mut scratch).is_none());
         // Each singleton requirement is satisfiable on its own.
         for t in 0..2u16 {
             let single = LoopQuery {
@@ -1187,14 +1151,14 @@ mod tests {
                 selection: LoopSelection::FirstComponent,
             };
             assert!(
-                graph.find_loop(&single, &mut scratch).is_some(),
+                find(&graph, &single, &mut scratch).is_some(),
                 "thread {t}"
             );
         }
     }
 
     #[test]
-    fn find_first_loop_is_thread_count_independent() {
+    fn find_first_loop_is_pool_size_independent() {
         // Loops for threads 1 and 2 exist; queries ordered so index 1 is
         // the first violation whatever the pool size.
         let source = VecSource {
@@ -1214,19 +1178,19 @@ mod tests {
             selection: LoopSelection::FirstEdge,
         };
         let queries: Vec<LoopQuery> = (0..4).map(query_for).collect();
-        let expected = graph.find_first_loop(&queries, 1).expect("violation");
+        let unlimited = QueryBudget::unlimited();
+        let expected = graph
+            .find_first_loop(&queries, &Executor::Sequential, &unlimited)
+            .unwrap()
+            .expect("violation");
         assert_eq!(expected.0, 1);
-        for threads in [2, 3, 8] {
-            let got = graph.find_first_loop(&queries, threads).expect("violation");
-            assert_eq!(got.0, expected.0, "threads={threads}");
-            assert_eq!(got.1, expected.1, "threads={threads}");
-        }
-        // The persistent pool picks the same violation as the scoped and
-        // sequential paths, at every pool size.
-        for size in [1usize, 2, 5] {
+        // The persistent pool picks the same violation as the sequential
+        // path, at every pool size.
+        for size in [1usize, 2, 3, 5, 8] {
             let pool = crate::WorkerPool::new(size);
             let got = graph
-                .find_first_loop_exec(&queries, &Executor::Pool(&pool))
+                .find_first_loop(&queries, &Executor::Pool(&pool), &unlimited)
+                .unwrap()
                 .expect("violation");
             assert_eq!(got, expected, "pool size {size}");
         }

@@ -16,9 +16,6 @@
 //!
 //! * [`Executor::Sequential`] — run tasks inline (the deterministic
 //!   single-threaded engines);
-//! * [`Executor::Scoped`] — one freshly spawned scoped thread per task
-//!   (the pre-pool behavior, kept as the A/B baseline for the
-//!   pool-vs-scoped bench group);
 //! * [`Executor::Pool`] — dispatch to a [`WorkerPool`].
 //!
 //! All engine results are index-addressed (each task writes its own
@@ -108,11 +105,13 @@ impl Drop for WaitGuard<'_> {
 ///
 /// let pool = WorkerPool::new(4);
 /// let mut squares = vec![0usize; 4];
-/// Executor::Pool(&pool).scope(|scope| {
-///     for (i, slot) in squares.iter_mut().enumerate() {
-///         scope.spawn(move || *slot = i * i);
-///     }
-/// });
+/// Executor::Pool(&pool)
+///     .try_scope(|scope| {
+///         for (i, slot) in squares.iter_mut().enumerate() {
+///             scope.spawn(move || *slot = i * i);
+///         }
+///     })
+///     .unwrap();
 /// assert_eq!(squares, [0, 1, 4, 9]);
 /// ```
 pub struct WorkerPool {
@@ -259,7 +258,8 @@ fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
 }
 
 /// A collector of borrowing tasks for one parallel region; handed to the
-/// closure of [`Executor::scope`]. Tasks run after the closure returns.
+/// closure of [`Executor::try_scope`]. Tasks run after the closure
+/// returns.
 pub struct TaskScope<'scope> {
     tasks: Vec<Box<dyn FnOnce() + Send + 'scope>>,
 }
@@ -283,68 +283,40 @@ impl<'scope> TaskScope<'scope> {
     }
 }
 
-/// How a parallel region is executed. The engines take an `&Executor`
-/// wherever they used to take a thread count; results are identical under
-/// every variant (and every pool size) by the determinism contract.
+/// How a parallel region is executed. The engines take an `&Executor`;
+/// results are identical under both variants (and every pool size) by
+/// the determinism contract.
 #[derive(Clone, Copy, Debug)]
 pub enum Executor<'p> {
     /// Run tasks inline on the calling thread, in registration order —
     /// the deterministic sequential engines.
     Sequential,
-    /// Spawn one scoped thread per task, per region (the pre-pool
-    /// behavior; the baseline of the pool-vs-scoped A/B bench). `threads`
-    /// is the region width callers should partition work for.
-    Scoped {
-        /// Target number of concurrent tasks per region.
-        threads: usize,
-    },
     /// Dispatch tasks to a persistent [`WorkerPool`].
     Pool(&'p WorkerPool),
 }
 
 impl Executor<'_> {
-    /// The executor a bare thread count selects: [`Executor::Sequential`]
-    /// for `threads <= 1`, otherwise [`Executor::Scoped`] — the behavior
-    /// of the pre-session entry points that take a `threads` argument.
-    pub fn for_threads(threads: usize) -> Executor<'static> {
-        if threads <= 1 {
-            Executor::Sequential
-        } else {
-            Executor::Scoped { threads }
-        }
-    }
-
-    /// The width callers should partition a region's work into: 1, the
-    /// scoped thread count, or the pool size.
+    /// The width callers should partition a region's work into: 1 or the
+    /// pool size.
     pub fn threads(&self) -> usize {
         match self {
             Executor::Sequential => 1,
-            Executor::Scoped { threads } => (*threads).max(1),
             Executor::Pool(pool) => pool.size(),
         }
     }
 
     /// Runs one parallel region: collects the tasks registered by `f`,
     /// executes them to completion, then returns `f`'s result. Tasks may
-    /// borrow from the caller's stack; the region is fully synchronous
-    /// (no task outlives the call).
+    /// borrow from the caller's stack; the region is fully synchronous —
+    /// on `Err` as on `Ok`, no task outlives the call.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Re-raises a task panic (or an injected dispatch fault) on the
-    /// calling thread. The engines use [`Executor::try_scope`] instead,
-    /// which returns these as structured errors.
-    pub fn scope<'scope, R>(&self, f: impl FnOnce(&mut TaskScope<'scope>) -> R) -> R {
-        self.try_scope(f)
-            .unwrap_or_else(|error| panic!("parallel region failed: {error}"))
-    }
-
-    /// [`Executor::scope`] with structured failure: a task panic — caught
-    /// on the worker under [`Executor::Pool`], on the region join under
-    /// the other executors — comes back as
-    /// [`EngineError::TaskPanicked`], and the `dispatch` fault-injection
-    /// point (see [`crate::fault`]) fires here. The region is still fully
-    /// synchronous: on `Err` as on `Ok`, no task is left running.
+    /// [`EngineError::TaskPanicked`] if a task panicked (caught on the
+    /// worker under [`Executor::Pool`], inline under
+    /// [`Executor::Sequential`]; every task still runs), and
+    /// [`EngineError::FaultInjected`] from the `dispatch`
+    /// fault-injection point (see [`crate::fault`]).
     pub fn try_scope<'scope, R>(
         &self,
         f: impl FnOnce(&mut TaskScope<'scope>) -> R,
@@ -361,27 +333,13 @@ impl Executor<'_> {
         let _span = PhaseTimer::start(Phase::PoolDispatch).with_value(tasks.len() as u64);
         match self {
             Executor::Sequential => {
-                // Run every task (matching the parallel executors, which
-                // always drain the batch) and report a panic afterwards.
+                // Run every task (matching the pool, which always drains
+                // the batch) and report a panic afterwards.
                 let mut panicked = false;
                 for task in tasks {
                     panicked |= catch_unwind(AssertUnwindSafe(task)).is_err();
                 }
                 if panicked {
-                    return Err(EngineError::TaskPanicked);
-                }
-            }
-            Executor::Scoped { .. } => {
-                // `thread::scope` re-raises a child panic on join; catch
-                // it here so all executors report the same error.
-                let join = catch_unwind(AssertUnwindSafe(|| {
-                    std::thread::scope(|s| {
-                        for task in tasks {
-                            s.spawn(task);
-                        }
-                    });
-                }));
-                if join.is_err() {
                     return Err(EngineError::TaskPanicked);
                 }
             }
@@ -399,11 +357,13 @@ mod tests {
     /// Sums 0..n by giving each task a disjoint slot, under one executor.
     fn slot_sum(executor: &Executor<'_>, n: usize) -> usize {
         let mut slots = vec![0usize; n];
-        executor.scope(|scope| {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                scope.spawn(move || *slot = i);
-            }
-        });
+        executor
+            .try_scope(|scope| {
+                for (i, slot) in slots.iter_mut().enumerate() {
+                    scope.spawn(move || *slot = i);
+                }
+            })
+            .unwrap();
         slots.iter().sum()
     }
 
@@ -412,7 +372,6 @@ mod tests {
         let pool = WorkerPool::new(3);
         let expected = (0..17).sum::<usize>();
         assert_eq!(slot_sum(&Executor::Sequential, 17), expected);
-        assert_eq!(slot_sum(&Executor::Scoped { threads: 3 }, 17), expected);
         assert_eq!(slot_sum(&Executor::Pool(&pool), 17), expected);
     }
 
@@ -421,16 +380,18 @@ mod tests {
         let pool = WorkerPool::new(2);
         let counter = AtomicUsize::new(0);
         for _ in 0..50 {
-            Executor::Pool(&pool).scope(|scope| {
-                for _ in 0..4 {
-                    scope.spawn(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
+            Executor::Pool(&pool)
+                .try_scope(|scope| {
+                    for _ in 0..4 {
+                        scope.spawn(|| {
+                            counter.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                })
+                .unwrap();
         }
         // Every batch fully drained before the next: no task can be
-        // outstanding once `scope` returns.
+        // outstanding once `try_scope` returns.
         assert_eq!(counter.load(Ordering::Relaxed), 200);
     }
 
@@ -443,13 +404,8 @@ mod tests {
     #[test]
     fn scope_result_is_returned_and_empty_scopes_are_free() {
         let pool = WorkerPool::new(1);
-        for executor in [
-            Executor::Sequential,
-            Executor::Scoped { threads: 4 },
-            Executor::Pool(&pool),
-        ] {
-            let r = executor.scope(|_| 42);
-            assert_eq!(r, 42);
+        for executor in [Executor::Sequential, Executor::Pool(&pool)] {
+            assert_eq!(executor.try_scope(|_| 42), Ok(42));
         }
     }
 
@@ -459,33 +415,12 @@ mod tests {
         assert_eq!(WorkerPool::new(5).size(), 5);
         assert_eq!(Executor::Pool(&WorkerPool::new(3)).threads(), 3);
         assert_eq!(Executor::Sequential.threads(), 1);
-        assert_eq!(Executor::Scoped { threads: 0 }.threads(), 1);
-        assert_eq!(Executor::for_threads(1).threads(), 1);
-        assert!(matches!(Executor::for_threads(4), Executor::Scoped { threads: 4 }));
-    }
-
-    #[test]
-    fn task_panic_is_contained_and_reraised() {
-        let pool = WorkerPool::new(2);
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            Executor::Pool(&pool).scope(|scope| {
-                scope.spawn(|| panic!("boom"));
-                scope.spawn(|| {});
-            });
-        }));
-        assert!(result.is_err(), "task panic must propagate to the caller");
-        // The workers survived the panic and the pool still runs batches.
-        assert_eq!(slot_sum(&Executor::Pool(&pool), 8), (0..8).sum());
     }
 
     #[test]
     fn try_scope_reports_task_panics_as_errors_on_every_executor() {
         let pool = WorkerPool::new(2);
-        for executor in [
-            Executor::Sequential,
-            Executor::Scoped { threads: 2 },
-            Executor::Pool(&pool),
-        ] {
+        for executor in [Executor::Sequential, Executor::Pool(&pool)] {
             let mut ran = false;
             let result = executor.try_scope(|scope| {
                 scope.spawn(|| panic!("boom"));

@@ -13,16 +13,23 @@
 //! the implementation transition system is only ever evaluated on the
 //! product-reachable states and no `Nfa` is ever built.
 //!
-//! Two execution strategies sit behind one API:
+//! There is one entry point per kind of specification artifact, both
+//! bounded by a [`QueryBudget`]:
 //!
-//! * **Sequential** (`threads <= 1`): a single FIFO product BFS with the
-//!   exact discovery order of `check_inclusion_compiled` — identical
+//! * [`check_inclusion_otf`] against an eagerly compiled [`CompiledDfa`],
+//!   sequential or parallel depending on the width of its [`Executor`];
+//! * [`check_inclusion_otf_cached`] against a lazily interned
+//!   [`SpecCache`], sequential only.
+//!
+//! Two execution strategies sit behind them:
+//!
+//! * **Sequential** (executor width 1): a single FIFO product BFS with
+//!   the exact discovery order of `check_inclusion_compiled` — identical
 //!   verdicts, identical shortest counterexample words, identical
 //!   `product_states`.
-//! * **Parallel** (`threads > 1`): a level-synchronous BFS. Each frontier
-//!   is sharded across an [`Executor`] — fresh scoped threads per region,
-//!   or a persistent [`crate::WorkerPool`] when driven by a verification
-//!   session; workers expand their chunks into per-`(chunk, stripe)`
+//! * **Parallel** (executor width > 1): a level-synchronous BFS. Each
+//!   frontier is sharded across a persistent [`crate::WorkerPool`];
+//!   workers expand their chunks into per-`(chunk, stripe)`
 //!   successor buffers against a read-only striped visited table (keyed
 //!   by [`crate::FxHasher`] over packed `(impl, spec)` ids), and a dedup
 //!   merge between levels — stripes processed in parallel, candidates
@@ -40,9 +47,10 @@
 //! is stepped exactly once no matter how many product pairs visit it —
 //! the product inner loop is pure integer arithmetic after that.
 //!
-//! The thread count comes from the `TM_MODELCHECK_THREADS` environment
-//! variable (see [`crate::modelcheck_threads`]); `TM_MODELCHECK_THREADS=1`
-//! is the deterministic sequential fallback.
+//! The engines take their executor from the caller; the
+//! `tm_checker::Verifier` session sizes its pool from the
+//! `TM_MODELCHECK_THREADS` environment variable (see
+//! [`crate::modelcheck_threads`]).
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +61,6 @@ use tm_obs::{Histogram, Phase, PhaseTimer, Unit};
 use crate::alphabet::{Alphabet, LetterId};
 use crate::budget::{EngineError, QueryBudget};
 use crate::compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
-use crate::config::modelcheck_threads;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::inclusion::InclusionResult;
 use crate::pool::Executor;
@@ -99,7 +106,7 @@ pub trait SuccessorSource: Sync {
 /// # Examples
 ///
 /// ```
-/// use tm_automata::{check_inclusion_otf_threads, Dfa, Nfa, NfaSource};
+/// use tm_automata::{check_inclusion_otf, Dfa, Executor, Nfa, NfaSource, QueryBudget};
 /// let mut imp = Nfa::new();
 /// let s = imp.add_state();
 /// imp.set_initial(s);
@@ -113,7 +120,9 @@ pub trait SuccessorSource: Sync {
 /// let mut alphabet = compiled.alphabet().clone();
 /// let imp = imp.compile(&mut alphabet);
 /// let source = NfaSource::new(&imp, &alphabet);
-/// let result = check_inclusion_otf_threads(&source, &compiled, 1).unwrap();
+/// let (result, _) =
+///     check_inclusion_otf(&source, &compiled, &Executor::Sequential, &QueryBudget::unlimited())
+///         .unwrap();
 /// assert_eq!(result.counterexample(), Some(&['b'][..]));
 /// ```
 pub struct NfaSource<'a, L> {
@@ -235,63 +244,33 @@ impl<T: crate::DeterministicTransitionSystem> SpecSource for DtsSpecSource<T> {
 
 /// Checks `L(source) ⊆ L(spec)` with **both** sides explored on the fly:
 /// implementation states stepped lazily as in [`check_inclusion_otf`],
-/// and specification states interned and row-cached lazily from a
-/// [`SpecSource`] — only the spec states the product actually reaches
-/// are ever computed.
+/// and specification states interned and row-cached lazily in `cache` —
+/// only the spec states the product actually reaches are ever computed.
 ///
 /// Sequential only (the deterministic engine): verdicts, counterexample
-/// words and `product_states` are identical to
-/// [`check_inclusion_otf_threads`]`(source, &eager_spec, 1)` whenever
-/// the eager spec is buildable at all.
+/// words and `product_states` are identical to [`check_inclusion_otf`]
+/// on [`Executor::Sequential`] against the eager spec, whenever the
+/// eager spec is buildable at all.
 ///
-/// The interned spec states and letter rows are discarded when the call
-/// returns; a session answering several queries against the same
-/// specification should hold a [`SpecCache`] and call
-/// [`check_inclusion_otf_cached`] instead.
+/// Spec states and letter rows interned by earlier queries are reused,
+/// so a session checking many TMs against one specification pays each
+/// spec row at most once; results are bit-identical to a run on a fresh
+/// cache (spec state ids are internal; discovery order is driven by the
+/// implementation side and letter order only). A one-shot check passes
+/// `&mut SpecCache::new(&spec)`.
 ///
-/// # Errors
-///
-/// As for [`check_inclusion_otf_budget`] (with an unlimited budget, only
-/// [`EngineError::FaultInjected`] is reachable).
-pub fn check_inclusion_otf_lazy<S: SuccessorSource, D: SpecSource>(
-    source: &S,
-    spec: &D,
-) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    let mut cache = SpecCache::new(spec);
-    check_inclusion_otf_cached(source, &mut cache, usize::MAX)
-}
-
-/// [`check_inclusion_otf_lazy`] against a persistent [`SpecCache`]: spec
-/// states and letter rows interned by earlier queries are reused, so a
-/// session checking many TMs against one specification pays each spec
-/// row at most once across the whole session. Results are bit-identical
-/// to the cold-cache run (spec state ids are internal; discovery order is
-/// driven by the implementation side and letter order only).
-///
-/// # Errors
-///
-/// [`EngineError::StateLimit`] if the source reaches more than
-/// `max_impl_states` distinct implementation states (already-interned
-/// cache rows never count against a later query).
-pub fn check_inclusion_otf_cached<S: SuccessorSource, D: SpecSource>(
-    source: &S,
-    cache: &mut SpecCache<D>,
-    max_impl_states: usize,
-) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    check_inclusion_otf_cached_budget(source, cache, &QueryBudget::new(max_impl_states))
-}
-
-/// [`check_inclusion_otf_cached`] under a full [`QueryBudget`]: the state
-/// bound covers fresh interns on both sides of the product, and the
-/// deadline/cancellation is polled at BFS level boundaries and every
-/// `INTERRUPT_STRIDE` product visits.
+/// The state bound of `budget` covers fresh interns on both sides of the
+/// product (already-interned cache rows never count against a later
+/// query); the deadline/cancellation is polled at BFS level boundaries
+/// and every `INTERRUPT_STRIDE` product visits.
 ///
 /// # Errors
 ///
 /// [`EngineError::StateLimit`], [`EngineError::Deadline`], or
-/// [`EngineError::Cancelled`] per the budget; the partially interned
-/// cache rows stay valid for retries.
-pub fn check_inclusion_otf_cached_budget<S: SuccessorSource, D: SpecSource>(
+/// [`EngineError::Cancelled`] per the budget, and
+/// [`EngineError::FaultInjected`] from an armed [`crate::fault`] plan;
+/// the partially interned cache rows stay valid for retries.
+pub fn check_inclusion_otf_cached<S: SuccessorSource, D: SpecSource>(
     source: &S,
     cache: &mut SpecCache<D>,
     budget: &QueryBudget,
@@ -311,103 +290,29 @@ pub struct OtfStats {
     pub levels: usize,
 }
 
-/// Checks `L(source) ⊆ L(spec)` on the fly, with the thread count of
-/// [`modelcheck_threads`]. See the module docs for the guarantees of the
-/// sequential and parallel engines.
+/// Checks `L(source) ⊆ L(spec)` on the fly against an eagerly compiled
+/// specification. An executor of width 1 selects the deterministic
+/// sequential engine, a wider one the parallel engine; verdicts,
+/// counterexample words, and (on verified runs) statistics are identical
+/// under every executor (see the module docs). An unbounded check passes
+/// [`QueryBudget::unlimited`].
+///
+/// The sequential engine polls the budget at BFS level boundaries and
+/// every `INTERRUPT_STRIDE` product visits; the parallel engine polls it
+/// once per level (levels are the natural synchronization points of the
+/// level-synchronous BFS). Aborts are structured — no engine resource
+/// limit panics.
 ///
 /// # Errors
 ///
-/// As for [`check_inclusion_otf_budget`].
-pub fn check_inclusion_otf<S: SuccessorSource, M: Sync>(
-    source: &S,
-    spec: &CompiledDfa<M>,
-) -> Result<InclusionResult<S::Label>, EngineError> {
-    check_inclusion_otf_threads(source, spec, modelcheck_threads())
-}
-
-/// [`check_inclusion_otf`] with an explicit thread count (`1` selects the
-/// sequential engine).
-///
-/// # Errors
-///
-/// As for [`check_inclusion_otf_budget`].
-pub fn check_inclusion_otf_threads<S: SuccessorSource, M: Sync>(
-    source: &S,
-    spec: &CompiledDfa<M>,
-    threads: usize,
-) -> Result<InclusionResult<S::Label>, EngineError> {
-    Ok(check_inclusion_otf_stats(source, spec, threads)?.0)
-}
-
-/// [`check_inclusion_otf_threads`] returning run statistics alongside the
-/// result — the entry point `SafetyChecker` uses to report the TM state
-/// count without a separate exploration pass.
-///
-/// # Errors
-///
-/// As for [`check_inclusion_otf_budget`].
-pub fn check_inclusion_otf_stats<S: SuccessorSource, M: Sync>(
-    source: &S,
-    spec: &CompiledDfa<M>,
-    threads: usize,
-) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    check_inclusion_otf_bounded(source, spec, threads, usize::MAX)
-}
-
-/// [`check_inclusion_otf_stats`] with a cap on discovered implementation
-/// states — the blowup guard for rule-defined sources whose reachable
-/// state space might be unexpectedly unbounded (what `SafetyChecker`
-/// passes its `DEFAULT_MAX_STATES` through).
-///
-/// # Errors
-///
-/// [`EngineError::StateLimit`] if the source reaches more than
-/// `max_impl_states` distinct implementation states.
-pub fn check_inclusion_otf_bounded<S: SuccessorSource, M: Sync>(
-    source: &S,
-    spec: &CompiledDfa<M>,
-    threads: usize,
-    max_impl_states: usize,
-) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    check_inclusion_otf_executor(source, spec, &Executor::for_threads(threads), max_impl_states)
-}
-
-/// [`check_inclusion_otf_bounded`] with an explicit [`Executor`]: the
-/// entry point of the `tm_checker::Verifier` session, whose persistent
-/// [`crate::WorkerPool`] replaces the per-BFS-level scoped-thread spawns
-/// of the bare `threads` entry points. Verdicts, counterexample words,
-/// and statistics are identical under every executor; an executor of
-/// width 1 selects the deterministic sequential engine.
-///
-/// # Errors
-///
-/// As for [`check_inclusion_otf_budget`].
-pub fn check_inclusion_otf_executor<S: SuccessorSource, M: Sync>(
-    source: &S,
-    spec: &CompiledDfa<M>,
-    executor: &Executor<'_>,
-    max_impl_states: usize,
-) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    check_inclusion_otf_budget(source, spec, executor, &QueryBudget::new(max_impl_states))
-}
-
-/// The fully general product entry point: explicit [`Executor`] and
-/// explicit [`QueryBudget`]. The sequential engine polls the budget at
-/// BFS level boundaries and every `INTERRUPT_STRIDE` product visits;
-/// the parallel engine polls it once per level (levels are the natural
-/// synchronization points of the level-synchronous BFS). Aborts are
-/// structured — no engine resource limit panics.
-///
-/// # Errors
-///
-/// * [`EngineError::StateLimit`] — the implementation (or lazily
-///   interned specification) side outgrew `budget.max_states()`;
+/// * [`EngineError::StateLimit`] — the implementation side outgrew
+///   `budget.max_states()`;
 /// * [`EngineError::Deadline`] / [`EngineError::Cancelled`] — the budget
 ///   interrupted the exploration;
 /// * [`EngineError::TaskPanicked`] — a parallel region task panicked;
 /// * [`EngineError::FaultInjected`] — an armed [`crate::fault`] plan
 ///   fired (test/chaos builds only).
-pub fn check_inclusion_otf_budget<S: SuccessorSource, M: Sync>(
+pub fn check_inclusion_otf<S: SuccessorSource, M: Sync>(
     source: &S,
     spec: &CompiledDfa<M>,
     executor: &Executor<'_>,
@@ -1243,6 +1148,19 @@ mod tests {
     use crate::dfa::Dfa;
     use crate::inclusion::check_inclusion_compiled;
     use crate::nfa::Nfa;
+    use crate::pool::WorkerPool;
+
+    /// Runs the eager-spec engine without a budget, sequentially for
+    /// `workers <= 1` and on a fresh pool of `workers` otherwise.
+    fn run_otf<S: SuccessorSource>(
+        source: &S,
+        spec: &CompiledDfa<char>,
+        workers: usize,
+    ) -> (InclusionResult<S::Label>, OtfStats) {
+        let pool = (workers > 1).then(|| WorkerPool::new(workers));
+        let executor = pool.as_ref().map_or(Executor::Sequential, Executor::Pool);
+        check_inclusion_otf(source, spec, &executor, &QueryBudget::unlimited()).unwrap()
+    }
 
     fn compile_pair(nfa: &Nfa<char>, spec: &CompiledDfa<char>) -> (CompiledNfa, Alphabet<char>) {
         let mut alphabet = spec.alphabet().clone();
@@ -1304,7 +1222,7 @@ mod tests {
             let (imp, alphabet) = compile_pair(nfa, &spec);
             let source = NfaSource::new(&imp, &alphabet);
             for threads in [1, 2, 5] {
-                let got = check_inclusion_otf_threads(&source, &spec, threads).unwrap();
+                let (got, _) = run_otf(&source, &spec, threads);
                 assert_eq!(got.holds(), expected.holds(), "threads={threads}");
                 assert_eq!(
                     got.counterexample(),
@@ -1325,7 +1243,7 @@ mod tests {
         let expected = check_inclusion_compiled(&nfa, &spec);
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
-        let got = check_inclusion_otf_threads(&source, &spec, 1).unwrap();
+        let (got, _) = run_otf(&source, &spec, 1);
         assert_eq!(got, expected); // verdict, word, and product_states
     }
 
@@ -1335,11 +1253,11 @@ mod tests {
         let spec = letter_dfa(&['a', 'b', 'c']).compile();
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
-        let (_, sequential_stats) = check_inclusion_otf_stats(&source, &spec, 1).unwrap();
+        let (_, sequential_stats) = run_otf(&source, &spec, 1);
         assert_eq!(sequential_stats.impl_states, nfa.num_states());
         assert!(sequential_stats.levels > 0);
         for threads in [2, 3] {
-            let (result, stats) = check_inclusion_otf_stats(&source, &spec, threads).unwrap();
+            let (result, stats) = run_otf(&source, &spec, threads);
             assert!(result.holds());
             // Stats — including the level count — are engine-independent.
             assert_eq!(stats, sequential_stats, "threads={threads}");
@@ -1353,11 +1271,12 @@ mod tests {
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
         // Both engines return the structured abort, never panic.
-        for threads in [1, 4] {
+        let pool = WorkerPool::new(4);
+        for executor in [Executor::Sequential, Executor::Pool(&pool)] {
             assert_eq!(
-                check_inclusion_otf_bounded(&source, &spec, threads, 4).err(),
+                check_inclusion_otf(&source, &spec, &executor, &QueryBudget::new(4)).err(),
                 Some(EngineError::StateLimit(4)),
-                "threads={threads}"
+                "{executor:?}"
             );
         }
     }
@@ -1372,17 +1291,17 @@ mod tests {
         let token = crate::CancelToken::new();
         token.cancel();
         let cancelled = QueryBudget::unlimited().with_cancel(token);
-        for threads in [1, 4] {
-            let executor = Executor::for_threads(threads);
+        let pool = WorkerPool::new(4);
+        for executor in [Executor::Sequential, Executor::Pool(&pool)] {
             assert_eq!(
-                check_inclusion_otf_budget(&source, &spec, &executor, &expired).err(),
+                check_inclusion_otf(&source, &spec, &executor, &expired).err(),
                 Some(EngineError::Deadline),
-                "threads={threads}"
+                "{executor:?}"
             );
             assert_eq!(
-                check_inclusion_otf_budget(&source, &spec, &executor, &cancelled).err(),
+                check_inclusion_otf(&source, &spec, &executor, &cancelled).err(),
                 Some(EngineError::Cancelled),
-                "threads={threads}"
+                "{executor:?}"
             );
         }
     }
@@ -1411,7 +1330,7 @@ mod tests {
         let source = NfaSource::new(&imp, &alphabet);
         let mut cache = SpecCache::new(Unbounded);
         assert_eq!(
-            check_inclusion_otf_cached(&source, &mut cache, 8).err(),
+            check_inclusion_otf_cached(&source, &mut cache, &QueryBudget::new(8)).err(),
             Some(EngineError::StateLimit(8))
         );
     }
@@ -1426,8 +1345,8 @@ mod tests {
         let words: Vec<_> = [1usize, 2, 3, 8]
             .iter()
             .map(|&t| {
-                check_inclusion_otf_threads(&source, &spec, t)
-                    .unwrap()
+                run_otf(&source, &spec, t)
+                    .0
                     .counterexample()
                     .expect("must violate")
                     .to_vec()
@@ -1457,7 +1376,8 @@ mod tests {
                 }
             }
         }
-        let (dfa, _) = crate::explore_deterministic(&Parity, vec!['f', 'z'], 10).unwrap();
+        let (dfa, _) =
+            crate::explore_deterministic(&Parity, vec!['f', 'z'], &QueryBudget::new(10)).unwrap();
         let spec = dfa.compile();
         for nfa in [
             letter_nfa(&['f']),
@@ -1467,23 +1387,21 @@ mod tests {
         ] {
             let (imp, alphabet) = compile_pair(&nfa, &spec);
             let source = NfaSource::new(&imp, &alphabet);
-            let eager = check_inclusion_otf_stats(&source, &spec, 1).unwrap();
+            let eager = run_otf(&source, &spec, 1);
             let lazy_spec = DtsSpecSource::new(&Parity, vec!['f', 'z']);
-            let lazy = check_inclusion_otf_lazy(&source, &lazy_spec).unwrap();
+            let lazy = check_inclusion_otf_cached(
+                &source,
+                &mut SpecCache::new(&lazy_spec),
+                &QueryBudget::unlimited(),
+            )
+            .unwrap();
             assert_eq!(lazy.0, eager.0);
             assert_eq!(lazy.1, eager.1);
         }
     }
 
     #[test]
-    fn env_thread_count_parses() {
-        // Only exercises the default path (the variable is not set by
-        // the test harness); the CI matrix covers explicit values.
-        assert!(modelcheck_threads() >= 1);
-    }
-
-    #[test]
-    fn pool_executor_matches_scoped_and_sequential() {
+    fn pool_executor_matches_sequential() {
         let pool = crate::WorkerPool::new(3);
         // One verified and one violating case, under every executor.
         for dfa_letters in [&['a', 'b', 'c'][..], &['a', 'b'][..]] {
@@ -1491,14 +1409,11 @@ mod tests {
             let spec = letter_dfa(dfa_letters).compile();
             let (imp, alphabet) = compile_pair(&nfa, &spec);
             let source = NfaSource::new(&imp, &alphabet);
-            let (expected, expected_stats) = check_inclusion_otf_stats(&source, &spec, 1).unwrap();
-            for executor in [
-                Executor::Sequential,
-                Executor::Scoped { threads: 3 },
-                Executor::Pool(&pool),
-            ] {
+            let (expected, expected_stats) = run_otf(&source, &spec, 1);
+            for executor in [Executor::Sequential, Executor::Pool(&pool)] {
                 let (got, stats) =
-                    check_inclusion_otf_executor(&source, &spec, &executor, usize::MAX).unwrap();
+                    check_inclusion_otf(&source, &spec, &executor, &QueryBudget::unlimited())
+                        .unwrap();
                 assert_eq!(got.holds(), expected.holds(), "{executor:?}");
                 assert_eq!(got.counterexample(), expected.counterexample(), "{executor:?}");
                 if expected.holds() {
@@ -1534,7 +1449,9 @@ mod tests {
             letter_nfa(&['z']),
             chain_nfa(7),
         ];
-        let spec_dfa = crate::explore_deterministic(&Parity, vec!['f', 'z'], 10).unwrap().0;
+        let spec_dfa = crate::explore_deterministic(&Parity, vec!['f', 'z'], &QueryBudget::new(10))
+            .unwrap()
+            .0;
         let compiled = spec_dfa.compile();
         // First pass populates the cache; the second answers from it. All
         // reported fields must match the cold (per-call) lazy path.
@@ -1543,8 +1460,11 @@ mod tests {
             for nfa in &cases {
                 let (imp, alphabet) = compile_pair(nfa, &compiled);
                 let source = NfaSource::new(&imp, &alphabet);
-                let cold = check_inclusion_otf_lazy(&source, &lazy_spec).unwrap();
-                let warm = check_inclusion_otf_cached(&source, &mut cache, usize::MAX).unwrap();
+                let unlimited = QueryBudget::unlimited();
+                let cold =
+                    check_inclusion_otf_cached(&source, &mut SpecCache::new(&lazy_spec), &unlimited)
+                        .unwrap();
+                let warm = check_inclusion_otf_cached(&source, &mut cache, &unlimited).unwrap();
                 assert_eq!(warm.0, cold.0, "pass {pass}");
                 assert_eq!(warm.1, cold.1, "pass {pass}");
             }

@@ -7,7 +7,7 @@
 //! Faults are process-global, so every scenario runs inside one
 //! `#[test]` in this dedicated test binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tm_automata::fault::{clear_fault, install_fault, FaultPlan};
 use tm_service::{QueryOutcome, QueryResult, QuerySpec, Service, ServiceConfig};
@@ -25,10 +25,10 @@ fn batch() -> Vec<QuerySpec> {
         .collect()
 }
 
-fn store_config(dir: &PathBuf) -> ServiceConfig {
+fn store_config(dir: &Path) -> ServiceConfig {
     ServiceConfig {
         pool_size: 1,
-        store_dir: Some(dir.clone()),
+        store_dir: Some(dir.to_path_buf()),
         ..ServiceConfig::default()
     }
 }

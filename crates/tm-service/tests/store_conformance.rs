@@ -5,7 +5,7 @@
 //! rebuilding changes nothing but the counters, and a corrupt store
 //! file is quarantined and transparently rebuilt.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use tm_service::{
@@ -33,11 +33,11 @@ fn paper_batch() -> Vec<QuerySpec> {
     batch
 }
 
-fn store_config(pool_size: usize, dir: &PathBuf, mem_budget: Option<usize>) -> ServiceConfig {
+fn store_config(pool_size: usize, dir: &Path, mem_budget: Option<usize>) -> ServiceConfig {
     ServiceConfig {
         mem_budget,
         pool_size,
-        store_dir: Some(dir.clone()),
+        store_dir: Some(dir.to_path_buf()),
         ..ServiceConfig::default()
     }
 }

@@ -333,13 +333,13 @@ impl DetSpec {
     ///
     /// # Errors
     ///
-    /// As for [`tm_automata::explore_deterministic_budget`].
+    /// As for [`tm_automata::explore_deterministic`].
     pub fn try_to_dfa(
         &self,
         budget: &tm_automata::QueryBudget,
     ) -> Result<(Dfa<Statement>, Vec<DetState>), tm_automata::EngineError> {
         let alphabet = crate::canonical::spec_alphabet(self.threads, self.vars);
-        tm_automata::explore_deterministic_budget(self, alphabet, budget)
+        tm_automata::explore_deterministic(self, alphabet, budget)
     }
 }
 

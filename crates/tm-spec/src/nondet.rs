@@ -12,7 +12,7 @@ use tm_lang::{
     SafetyProperty, Statement, StatementKind, ThreadId, ThreadSet, VarId, Word,
 };
 
-use tm_automata::{explore, Explored, Nfa, TransitionSystem};
+use tm_automata::{explore, Explored, Nfa, QueryBudget, TransitionSystem};
 
 use crate::state::{NdPhase, NdState, MAX_THREADS};
 
@@ -246,7 +246,7 @@ impl NondetSpec {
     ///
     /// Panics if the reachable state space exceeds `max_states`.
     pub fn to_nfa(&self, max_states: usize) -> Explored<NdState, Statement> {
-        explore(self, max_states)
+        explore(self, &QueryBudget::new(max_states))
             .unwrap_or_else(|error| panic!("specification exploration failed: {error}"))
     }
 

@@ -9,7 +9,7 @@ use tm_algorithms::{Action, ExtCommand, RunLabel};
 use tm_automata::{
     Alphabet, CompiledRunGraph, Dfa, Nfa, RunGraphParts, NO_STATE,
 };
-use tm_lang::{Command, Statement, ThreadId, ThreadSet, VarId, VarSet};
+use tm_lang::{Command, ThreadId, ThreadSet, VarId, VarSet};
 use tm_spec::{spec_alphabet, DetPhase, DetState};
 use tm_store::{
     decode_artifact, encode_artifact, Artifact, LazySpecArtifact, RunGraphArtifact, StoreKey,

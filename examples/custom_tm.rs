@@ -13,7 +13,7 @@
 //! ```
 
 use tm_modelcheck::algorithms::{Step, TmAlgorithm, TmState, MAX_THREADS};
-use tm_modelcheck::checker::{check_all_structural, check_safety};
+use tm_modelcheck::checker::{check_all_structural, Verifier};
 use tm_modelcheck::lang::{Command, SafetyProperty, ThreadId, VarSet};
 
 /// State of the naive optimistic TM: read/write sets per thread (only so
@@ -103,8 +103,12 @@ fn main() {
     }
 
     // Step 2: model check both safety properties.
+    let mut verifier = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
-        let verdict = check_safety(&tm, property);
+        let verdict = verifier
+            .check_safety(&tm, property)
+            .into_safety()
+            .expect("safety query");
         match verdict.counterexample() {
             None => println!("{property}: verified"),
             Some(w) => println!("{property}: VIOLATED — shortest counterexample: {w}"),
@@ -114,6 +118,6 @@ fn main() {
     // The fix would be commit-time validation — exactly what separates
     // this strawman from TL2. Compare:
     let tl2 = tm_modelcheck::algorithms::Tl2Tm::new(2, 2);
-    let verdict = check_safety(&tl2, SafetyProperty::Opacity);
+    let verdict = verifier.check_safety(&tl2, SafetyProperty::Opacity);
     println!("TL2 (with validation): opacity {}", if verdict.holds() { "verified" } else { "violated" });
 }

@@ -10,10 +10,21 @@ use tm_modelcheck::algorithms::{
     AggressiveCm, DstmTm, KarmaCm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm,
     WithContentionManager,
 };
-use tm_modelcheck::checker::{check_liveness, liveness_table, LivenessVerdict};
+use tm_modelcheck::algorithms::TmAlgorithm;
+use tm_modelcheck::checker::{liveness_table, LivenessVerdict, Verifier};
 use tm_modelcheck::lang::LivenessProperty;
 
+fn check<A: TmAlgorithm>(verifier: &mut Verifier, tm: &A, p: LivenessProperty) -> LivenessVerdict {
+    verifier
+        .check_liveness(tm, p)
+        .into_liveness()
+        .expect("liveness query")
+}
+
 fn main() {
+    // One session: each TM's run graph is compiled once and answers all
+    // three properties.
+    let mut verifier = Verifier::new(2, 1);
     let mut verdicts: Vec<LivenessVerdict> = Vec::new();
     let properties = [
         LivenessProperty::ObstructionFreedom,
@@ -22,18 +33,21 @@ fn main() {
     ];
 
     for p in properties {
-        verdicts.push(check_liveness(&SequentialTm::new(2, 1), p));
-        verdicts.push(check_liveness(&TwoPhaseTm::new(2, 1), p));
-        verdicts.push(check_liveness(
+        verdicts.push(check(&mut verifier, &SequentialTm::new(2, 1), p));
+        verdicts.push(check(&mut verifier, &TwoPhaseTm::new(2, 1), p));
+        verdicts.push(check(
+            &mut verifier,
             &WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm),
             p,
         ));
-        verdicts.push(check_liveness(
+        verdicts.push(check(
+            &mut verifier,
             &WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm),
             p,
         ));
         // Extension beyond the paper: a finite Karma manager.
-        verdicts.push(check_liveness(
+        verdicts.push(check(
+            &mut verifier,
             &WithContentionManager::new(DstmTm::new(2, 1), KarmaCm::new(2, 2)),
             p,
         ));

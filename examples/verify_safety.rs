@@ -11,32 +11,44 @@ use tm_modelcheck::algorithms::{
     DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm, ValidationStyle,
     WithContentionManager,
 };
-use tm_modelcheck::checker::{safety_table, SafetyChecker, SafetyVerdict};
+use tm_modelcheck::algorithms::TmAlgorithm;
+use tm_modelcheck::checker::{safety_table, SafetyVerdict, SpecMode, Verifier};
 use tm_modelcheck::lang::SafetyProperty;
 
-fn check_all(property: SafetyProperty) -> Vec<SafetyVerdict> {
-    let checker = SafetyChecker::new(property, 2, 2);
+fn check<A>(verifier: &mut Verifier, tm: &A, property: SafetyProperty) -> SafetyVerdict
+where
+    A: TmAlgorithm + Sync,
+    A::State: Send + Sync,
+{
+    verifier
+        .check_safety(tm, property)
+        .into_safety()
+        .expect("safety query")
+}
+
+fn check_all(verifier: &mut Verifier, property: SafetyProperty) -> Vec<SafetyVerdict> {
     let modified = WithContentionManager::new(
         Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock),
         PoliteCm,
     );
+    let safe_split = Tl2Tm::with_validation(2, 2, ValidationStyle::ChkLockThenRValidate);
     vec![
-        checker.check(&SequentialTm::new(2, 2)),
-        checker.check(&TwoPhaseTm::new(2, 2)),
-        checker.check(&DstmTm::new(2, 2)),
-        checker.check(&Tl2Tm::new(2, 2)),
-        checker.check(&Tl2Tm::with_validation(
-            2,
-            2,
-            ValidationStyle::ChkLockThenRValidate,
-        )),
-        checker.check(&modified),
+        check(verifier, &SequentialTm::new(2, 2), property),
+        check(verifier, &TwoPhaseTm::new(2, 2), property),
+        check(verifier, &DstmTm::new(2, 2), property),
+        check(verifier, &Tl2Tm::new(2, 2), property),
+        check(verifier, &safe_split, property),
+        check(verifier, &modified, property),
     ]
 }
 
 fn main() {
+    // Eager mode determinizes each specification in full, so the reported
+    // spec size is the paper's figure (the lazy default reports only the
+    // states the product touched).
+    let mut verifier = Verifier::new(2, 2).spec_mode(SpecMode::Eager);
     for property in SafetyProperty::all() {
-        let verdicts = check_all(property);
+        let verdicts = check_all(&mut verifier, property);
         let title = format!(
             "Table 2 — L(A) ⊆ L(Σᵈ_{}), most general program (2 threads, 2 variables)",
             property.short_name()

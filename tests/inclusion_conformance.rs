@@ -1,9 +1,9 @@
 //! Differential conformance harness for the inclusion-check engine
 //! hierarchy: the seed reference (`check_inclusion_reference`), the
 //! compiled index-based checker (`check_inclusion_compiled`), and the
-//! on-the-fly product engine (`check_inclusion_otf`) — sequential and
-//! parallel — must agree on every Table 2 (TM, property) pair, on the TM
-//! steppers directly, and on randomized NFA/DFA pairs.
+//! on-the-fly product engine (`check_inclusion_otf`) — sequential and on
+//! worker pools — must agree on every Table 2 (TM, property) pair, on the
+//! TM steppers directly, and on randomized NFA/DFA pairs.
 //!
 //! Counterexamples additionally *replay*: the word is accepted by the
 //! implementation automaton and rejected by the specification DFA
@@ -11,6 +11,7 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -20,14 +21,34 @@ use tm_modelcheck::algorithms::{
     WithContentionManager,
 };
 use tm_modelcheck::automata::{
-    check_inclusion, check_inclusion_compiled, check_inclusion_otf_stats,
-    check_inclusion_otf_threads, check_inclusion_reference, CompiledDfa, CompiledNfa, Dfa,
-    InclusionResult, LetterId, Nfa, NfaSource,
+    check_inclusion, check_inclusion_compiled, check_inclusion_otf, check_inclusion_reference,
+    CompiledDfa, CompiledNfa, Dfa, Executor, InclusionResult, LetterId, Nfa, NfaSource, OtfStats,
+    QueryBudget, SuccessorSource, WorkerPool,
 };
 use tm_modelcheck::lang::SafetyProperty;
 use tm_modelcheck::spec::DetSpec;
 
 const MAX_STATES: usize = 20_000_000;
+
+/// The 2- or 4-worker pool of the parallel-engine legs, shared by every
+/// case.
+fn pool(workers: usize) -> &'static WorkerPool {
+    static POOLS: OnceLock<[WorkerPool; 2]> = OnceLock::new();
+    let pools = POOLS.get_or_init(|| [WorkerPool::new(2), WorkerPool::new(4)]);
+    pools
+        .iter()
+        .find(|pool| pool.size() == workers)
+        .expect("a 2- or 4-worker pool")
+}
+
+/// The on-the-fly engine on `executor`, without a budget.
+fn otf<S: SuccessorSource, L: Sync>(
+    source: &S,
+    spec: &CompiledDfa<L>,
+    executor: &Executor<'_>,
+) -> (InclusionResult<S::Label>, OtfStats) {
+    check_inclusion_otf(source, spec, executor, &QueryBudget::unlimited()).expect("in bounds")
+}
 
 /// Letter ids of `word` over `spec`'s alphabet, mapping unknown letters
 /// to an id the specification rejects.
@@ -85,10 +106,10 @@ fn conform<L: Clone + Eq + Hash + Sync + std::fmt::Debug>(
     let mut alphabet = spec.alphabet().clone();
     let imp = CompiledNfa::compile(nfa, &mut alphabet);
     let source = NfaSource::new(&imp, &alphabet);
-    let otf_seq = check_inclusion_otf_threads(&source, spec, 1).expect("in bounds");
+    let (otf_seq, _) = otf(&source, spec, &Executor::Sequential);
     assert_eq!(otf_seq, reference, "{context}: otf sequential");
     for threads in [2, 4] {
-        let otf_par = check_inclusion_otf_threads(&source, spec, threads).expect("in bounds");
+        let (otf_par, _) = otf(&source, spec, &Executor::Pool(pool(threads)));
         assert_eq!(
             otf_par.holds(),
             reference.holds(),
@@ -154,7 +175,7 @@ fn tm_steppers_match_materialized_pipeline() {
             let expected = check_inclusion_compiled(&explored.nfa, &spec);
             let source = MostGeneralSource::new(tm, spec.alphabet().clone());
             let context = format!("{} / {name} (stepper)", property.short_name());
-            let (otf_seq, stats) = check_inclusion_otf_stats(&source, &spec, 1).expect("in bounds");
+            let (otf_seq, stats) = otf(&source, &spec, &Executor::Sequential);
             assert_eq!(otf_seq, expected, "{context}");
             if expected.holds() {
                 assert_eq!(
@@ -163,7 +184,7 @@ fn tm_steppers_match_materialized_pipeline() {
                     "{context}: impl state count"
                 );
             }
-            let otf_par = check_inclusion_otf_threads(&source, &spec, 4).expect("in bounds");
+            let (otf_par, _) = otf(&source, &spec, &Executor::Pool(pool(4)));
             assert_eq!(otf_par.holds(), expected.holds(), "{context}: x4 verdict");
             assert_eq!(
                 otf_par.counterexample(),
@@ -193,45 +214,55 @@ fn tm_steppers_match_materialized_pipeline() {
 
 /// The `Verifier` session — lazy and eager spec modes, pool sizes 1 and
 /// 4, artifacts cached across all five TMs and both properties — agrees
-/// with the pre-session `SafetyChecker` on every Table 2 pair: verdict,
-/// counterexample word, and (on verified runs) TM state count.
+/// with the bare on-the-fly engine (`check_inclusion_otf` over
+/// `DetSpec::to_dfa().compile()`, sequential and on a 4-worker pool) on
+/// every Table 2 pair: verdict, counterexample word, and (on verified
+/// runs) TM state count.
 #[test]
-fn safety_sessions_match_safety_checker_on_table2() {
-    use tm_modelcheck::checker::{SafetyChecker, SpecMode, Verifier};
+fn safety_sessions_match_otf_engine_on_table2() {
+    use tm_modelcheck::algorithms::TmAlgorithm;
+    use tm_modelcheck::checker::{SpecMode, Verifier};
 
     fn check_case<A>(
         tm: &A,
         name: &str,
-        checker: &SafetyChecker,
+        property: SafetyProperty,
+        spec: &CompiledDfa<tm_modelcheck::lang::Statement>,
         sessions: &mut [(&str, Verifier)],
     ) where
-        A: tm_modelcheck::algorithms::TmAlgorithm + Sync,
+        A: TmAlgorithm + Sync,
         A::State: Send + Sync,
     {
-        let baseline = checker.check(tm);
+        let source = MostGeneralSource::new(tm, spec.alphabet().clone());
+        let baselines = [
+            ("seq", otf(&source, spec, &Executor::Sequential)),
+            ("pool4", otf(&source, spec, &Executor::Pool(pool(4)))),
+        ];
         for (label, verifier) in sessions.iter_mut() {
-            let context = format!("{} / {name} ({label})", checker.property().short_name());
             let got = verifier
-                .check_safety(tm, checker.property())
+                .check_safety(tm, property)
                 .into_safety()
                 .expect("safety query");
-            assert_eq!(got.holds(), baseline.holds(), "{context}: verdict");
-            assert_eq!(
-                got.counterexample(),
-                baseline.counterexample(),
-                "{context}: word"
-            );
-            if baseline.holds() {
-                // Full reachable TM state count — engine-independent. (On
-                // violations the explored portion legitimately differs
-                // between sequential and parallel runs.)
-                assert_eq!(got.tm_states, baseline.tm_states, "{context}: tm states");
+            for (engine, (baseline, stats)) in &baselines {
+                let context = format!("{} / {name} ({label} vs {engine})", property.short_name());
+                assert_eq!(got.holds(), baseline.holds(), "{context}: verdict");
+                assert_eq!(
+                    got.counterexample().map(|w| w.statements()),
+                    baseline.counterexample(),
+                    "{context}: word"
+                );
+                if baseline.holds() {
+                    // Full reachable TM state count — engine-independent.
+                    // (On violations the explored portion legitimately
+                    // differs between sequential and parallel runs.)
+                    assert_eq!(got.tm_states, stats.impl_states, "{context}: tm states");
+                }
             }
         }
     }
 
     for property in SafetyProperty::all() {
-        let checker = SafetyChecker::new(property, 2, 2);
+        let spec = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES).0.compile();
         let mut sessions = [
             ("lazy/p1", Verifier::new(2, 2).pool_size(1)),
             ("lazy/p4", Verifier::new(2, 2).pool_size(4)),
@@ -244,17 +275,18 @@ fn safety_sessions_match_safety_checker_on_table2() {
                 Verifier::new(2, 2).spec_mode(SpecMode::Eager).pool_size(4),
             ),
         ];
-        check_case(&SequentialTm::new(2, 2), "sequential", &checker, &mut sessions);
-        check_case(&TwoPhaseTm::new(2, 2), "2PL", &checker, &mut sessions);
-        check_case(&DstmTm::new(2, 2), "dstm", &checker, &mut sessions);
-        check_case(&Tl2Tm::new(2, 2), "TL2", &checker, &mut sessions);
+        check_case(&SequentialTm::new(2, 2), "sequential", property, &spec, &mut sessions);
+        check_case(&TwoPhaseTm::new(2, 2), "2PL", property, &spec, &mut sessions);
+        check_case(&DstmTm::new(2, 2), "dstm", property, &spec, &mut sessions);
+        check_case(&Tl2Tm::new(2, 2), "TL2", property, &spec, &mut sessions);
         check_case(
             &WithContentionManager::new(
                 Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock),
                 PoliteCm,
             ),
             "modified-TL2+polite",
-            &checker,
+            property,
+            &spec,
             &mut sessions,
         );
         for (label, verifier) in &sessions {

@@ -1,6 +1,6 @@
 //! Differential conformance harness for the liveness checker pair: the
-//! compiled engine (`check_liveness` / `check_liveness_threads`, masked
-//! CSR passes over one run graph) must agree with the seed reference
+//! compiled engine (`Verifier::check_liveness`, masked CSR passes over
+//! one run graph) must agree with the seed reference
 //! (`check_liveness_reference`, cloned filtered subgraphs) on **every**
 //! Table 3 TM × contention-manager × property combination — verdict,
 //! run-level lasso, word-level lasso projection, and Table 3 cycle
@@ -14,9 +14,9 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use tm_bench::liveness_roster;
 use tm_modelcheck::automata::{
-    strongly_connected_components, CompiledRunGraph, EdgeFilter, LabelClass, LabeledGraph,
-    LiveScratch, LoopQuery, LoopSelection, RunGraphSource, MASK_ABORT, MASK_ALL_THREADS,
-    MASK_COMMIT,
+    strongly_connected_components, CompiledRunGraph, EdgeFilter, Executor, LabelClass,
+    LabeledGraph, LiveScratch, LoopQuery, LoopSelection, QueryBudget, RunGraphSource, WorkerPool,
+    MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
 };
 use tm_modelcheck::checker::{LivenessVerdict, Verifier};
 use tm_modelcheck::lang::LivenessProperty;
@@ -76,8 +76,8 @@ fn table3_engine_matches_reference_at_every_pool_size() {
 /// Session reuse: a [`Verifier`] answering all three liveness properties
 /// of a TM from **one** cached run graph must yield verdicts, lassos,
 /// word projections, and Table 3 cycle notations bit-identical to three
-/// one-shot `check_liveness_threads` calls — at pool sizes 1 and 4, over
-/// the full (2, 1) TM × manager roster.
+/// queries on fresh sessions — at pool sizes 1 and 4, over the full
+/// (2, 1) TM × manager roster.
 #[test]
 fn session_reuse_matches_one_shot_at_every_pool_size() {
     for pool in [1usize, 4] {
@@ -202,7 +202,9 @@ fn masked_tarjan_matches_cloned_subgraph_reference_on_random_graphs() {
             labeled.add_edge(from, *label, to);
         }
         for filter in filters {
-            graph.sccs_masked(filter, &mut scratch);
+            graph
+                .sccs_masked(filter, &mut scratch, &QueryBudget::unlimited())
+                .expect("no budget to exceed");
             let filtered =
                 labeled.filtered(|_, l, _| filter.keeps(source.classify(l).mask()));
             let reference = strongly_connected_components(&filtered);
@@ -224,9 +226,11 @@ fn masked_tarjan_matches_cloned_subgraph_reference_on_random_graphs() {
 
 /// The fan-out must pick the same (first-in-order) violation at every
 /// pool size, on random graphs with randomized query lists — beyond the
-/// structured queries `check_liveness` generates.
+/// structured queries `Verifier::check_liveness` generates.
 #[test]
 fn random_query_fanout_is_pool_size_independent() {
+    let pools = [WorkerPool::new(1), WorkerPool::new(4)];
+    let unlimited = QueryBudget::unlimited();
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0xfa40_0000 + seed);
         let source = random_source(&mut rng);
@@ -249,10 +253,10 @@ fn random_query_fanout_is_pool_size_independent() {
                 }
             })
             .collect();
-        let expected = graph.find_first_loop(&queries, 1);
-        for threads in [2usize, 3, 8] {
-            let got = graph.find_first_loop(&queries, threads);
-            assert_eq!(got, expected, "seed {seed}, pool {threads}");
+        let expected = graph.find_first_loop(&queries, &Executor::Sequential, &unlimited);
+        for pool in &pools {
+            let got = graph.find_first_loop(&queries, &Executor::Pool(pool), &unlimited);
+            assert_eq!(got, expected, "seed {seed}, pool {}", pool.size());
         }
     }
 }

@@ -2,25 +2,49 @@
 //! 3, Theorems 4 and 6) end to end.
 
 use tm_modelcheck::algorithms::{
-    AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm,
+    AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm, TwoPhaseTm,
     ValidationStyle, WithContentionManager,
 };
-use tm_modelcheck::checker::{check_liveness, check_safety, SafetyChecker};
+use tm_modelcheck::checker::{LivenessVerdict, SafetyVerdict, Verifier};
 use tm_modelcheck::lang::{
     is_opaque, is_strictly_serializable, LivenessProperty, SafetyProperty,
 };
+
+/// A safety query through `verifier`, unwrapped.
+fn safety<A>(verifier: &mut Verifier, tm: &A, property: SafetyProperty) -> SafetyVerdict
+where
+    A: TmAlgorithm + Sync,
+    A::State: Send + Sync,
+{
+    verifier
+        .check_safety(tm, property)
+        .into_safety()
+        .expect("safety query")
+}
+
+/// A liveness query through `verifier`, unwrapped.
+fn liveness<A: TmAlgorithm>(
+    verifier: &mut Verifier,
+    tm: &A,
+    property: LivenessProperty,
+) -> LivenessVerdict {
+    verifier
+        .check_liveness(tm, property)
+        .into_liveness()
+        .expect("liveness query")
+}
 
 /// Paper Theorem 4: the sequential TM, 2PL, DSTM, and TL2 ensure opacity
 /// (and hence strict serializability) — Table 2's four Y rows.
 #[test]
 fn theorem4_all_four_tms_are_opaque() {
+    let mut verifier = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
-        let checker = SafetyChecker::new(property, 2, 2);
         let verdicts = [
-            checker.check(&SequentialTm::new(2, 2)),
-            checker.check(&TwoPhaseTm::new(2, 2)),
-            checker.check(&DstmTm::new(2, 2)),
-            checker.check(&Tl2Tm::new(2, 2)),
+            safety(&mut verifier, &SequentialTm::new(2, 2), property),
+            safety(&mut verifier, &TwoPhaseTm::new(2, 2), property),
+            safety(&mut verifier, &DstmTm::new(2, 2), property),
+            safety(&mut verifier, &Tl2Tm::new(2, 2), property),
         ];
         for v in &verdicts {
             assert!(
@@ -72,8 +96,9 @@ fn table2_modified_tl2_counterexample() {
         Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock),
         PoliteCm,
     );
+    let mut verifier = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
-        let verdict = check_safety(&tm, property);
+        let verdict = safety(&mut verifier, &tm, property);
         let word = verdict
             .counterexample()
             .unwrap_or_else(|| panic!("modified TL2 must violate {property}"));
@@ -108,8 +133,9 @@ fn paper_w1_is_a_word_of_modified_tl2() {
 #[test]
 fn safe_split_tl2_is_opaque() {
     let tm = Tl2Tm::with_validation(2, 2, ValidationStyle::ChkLockThenRValidate);
+    let mut verifier = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
-        assert!(check_safety(&tm, property).holds(), "{property}");
+        assert!(safety(&mut verifier, &tm, property).holds(), "{property}");
     }
 }
 
@@ -119,23 +145,24 @@ fn theorem6_liveness_matrix() {
     let of = LivenessProperty::ObstructionFreedom;
     let lf = LivenessProperty::LivelockFreedom;
     let wf = LivenessProperty::WaitFreedom;
+    let mut verifier = Verifier::new(2, 1);
 
     let seq = SequentialTm::new(2, 1);
-    assert!(!check_liveness(&seq, of).holds());
-    assert!(!check_liveness(&seq, lf).holds());
+    assert!(!liveness(&mut verifier, &seq, of).holds());
+    assert!(!liveness(&mut verifier, &seq, lf).holds());
 
     let tpl = TwoPhaseTm::new(2, 1);
-    assert!(!check_liveness(&tpl, of).holds());
-    assert!(!check_liveness(&tpl, lf).holds());
+    assert!(!liveness(&mut verifier, &tpl, of).holds());
+    assert!(!liveness(&mut verifier, &tpl, lf).holds());
 
     let dstm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-    assert!(check_liveness(&dstm, of).holds());
-    assert!(!check_liveness(&dstm, lf).holds());
-    assert!(!check_liveness(&dstm, wf).holds());
+    assert!(liveness(&mut verifier, &dstm, of).holds());
+    assert!(!liveness(&mut verifier, &dstm, lf).holds());
+    assert!(!liveness(&mut verifier, &dstm, wf).holds());
 
     let tl2 = WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm);
-    assert!(!check_liveness(&tl2, of).holds());
-    assert!(!check_liveness(&tl2, lf).holds());
+    assert!(!liveness(&mut verifier, &tl2, of).holds());
+    assert!(!liveness(&mut verifier, &tl2, lf).holds());
 }
 
 /// Table 3 counterexample shapes: seq/2PL/TL2+polite loop on a single
@@ -143,12 +170,15 @@ fn theorem6_liveness_matrix() {
 /// stealing (`w2`).
 #[test]
 fn table3_counterexample_shapes() {
+    let of = LivenessProperty::ObstructionFreedom;
+    let mut verifier = Verifier::new(2, 1);
     for verdict in [
-        check_liveness(&SequentialTm::new(2, 1), LivenessProperty::ObstructionFreedom),
-        check_liveness(&TwoPhaseTm::new(2, 1), LivenessProperty::ObstructionFreedom),
-        check_liveness(
+        liveness(&mut verifier, &SequentialTm::new(2, 1), of),
+        liveness(&mut verifier, &TwoPhaseTm::new(2, 1), of),
+        liveness(
+            &mut verifier,
             &WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm),
-            LivenessProperty::ObstructionFreedom,
+            of,
         ),
     ] {
         let lasso = verdict.counterexample().expect("all fail OF");
@@ -159,7 +189,7 @@ fn table3_counterexample_shapes() {
     }
 
     let dstm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-    let verdict = check_liveness(&dstm, LivenessProperty::LivelockFreedom);
+    let verdict = liveness(&mut verifier, &dstm, LivenessProperty::LivelockFreedom);
     let lasso = verdict.counterexample().expect("fails LF");
     let word = lasso.to_word_lasso().unwrap();
     // Both threads abort infinitely often, nobody commits.
@@ -179,19 +209,26 @@ fn table3_counterexample_shapes() {
 /// managed DSTM variants inherit opacity.
 #[test]
 fn managed_tms_inherit_safety() {
-    let checker = SafetyChecker::new(SafetyProperty::Opacity, 2, 2);
-    assert!(checker
-        .check(&WithContentionManager::new(DstmTm::new(2, 2), AggressiveCm))
-        .holds());
-    assert!(checker
-        .check(&WithContentionManager::new(DstmTm::new(2, 2), PoliteCm))
-        .holds());
-    assert!(checker
-        .check(&WithContentionManager::new(
-            Tl2Tm::new(2, 2),
-            PoliteCm
-        ))
-        .holds());
+    let mut verifier = Verifier::new(2, 2);
+    let opacity = SafetyProperty::Opacity;
+    assert!(safety(
+        &mut verifier,
+        &WithContentionManager::new(DstmTm::new(2, 2), AggressiveCm),
+        opacity
+    )
+    .holds());
+    assert!(safety(
+        &mut verifier,
+        &WithContentionManager::new(DstmTm::new(2, 2), PoliteCm),
+        opacity
+    )
+    .holds());
+    assert!(safety(
+        &mut verifier,
+        &WithContentionManager::new(Tl2Tm::new(2, 2), PoliteCm),
+        opacity
+    )
+    .holds());
 }
 
 /// Managed languages really are sublanguages: every word count at a small

@@ -7,8 +7,7 @@ use tm_modelcheck::algorithms::{
     DstmTm, KarmaCm, PastAbortsCm, SequentialTm, Tl2Tm, TwoPhaseTm, WithContentionManager,
 };
 use tm_modelcheck::checker::{
-    check_all_structural, check_structural, verify_with_reduction, SafetyChecker,
-    StructuralProperty,
+    check_all_structural, check_structural, StructuralProperty, Verifier,
 };
 use tm_modelcheck::lang::SafetyProperty;
 
@@ -60,12 +59,10 @@ fn karma_cm_violates_p1() {
 /// evidence + spot checks at other sizes.
 #[test]
 fn reduction_pipeline_two_phase() {
-    let evidence = verify_with_reduction(
-        TwoPhaseTm::new,
-        SafetyProperty::Opacity,
-        4,
-        &[(2, 1), (3, 1)],
-    );
+    let evidence = Verifier::new(2, 2)
+        .verify_with_reduction(TwoPhaseTm::new, SafetyProperty::Opacity, 4, &[(2, 1), (3, 1)])
+        .into_reduction()
+        .expect("reduction query");
     assert!(evidence.concludes());
     assert!(evidence.base_verdict.holds());
     assert_eq!(evidence.structural.len(), 4);
@@ -76,18 +73,19 @@ fn reduction_pipeline_two_phase() {
 /// redundant.
 #[test]
 fn spot_checks_beyond_the_bound() {
+    let opacity = SafetyProperty::Opacity;
     for (n, k) in [(2usize, 3usize), (3, 2)] {
-        let checker = SafetyChecker::new(SafetyProperty::Opacity, n, k);
+        let mut verifier = Verifier::new(n, k);
         assert!(
-            checker.check(&SequentialTm::new(n, k)).holds(),
+            verifier.check_safety(&SequentialTm::new(n, k), opacity).holds(),
             "seq ({n},{k})"
         );
         assert!(
-            checker.check(&TwoPhaseTm::new(n, k)).holds(),
+            verifier.check_safety(&TwoPhaseTm::new(n, k), opacity).holds(),
             "2PL ({n},{k})"
         );
         assert!(
-            checker.check(&DstmTm::new(n, k)).holds(),
+            verifier.check_safety(&DstmTm::new(n, k), opacity).holds(),
             "DSTM ({n},{k})"
         );
     }
@@ -99,7 +97,10 @@ fn spot_checks_beyond_the_bound() {
 fn unsafe_tm_fails_at_the_bound_already() {
     use tm_modelcheck::algorithms::ValidationStyle;
     let make = |n, k| Tl2Tm::with_validation(n, k, ValidationStyle::RValidateThenChkLock);
-    let evidence = verify_with_reduction(make, SafetyProperty::Opacity, 4, &[]);
+    let evidence = Verifier::new(2, 2)
+        .verify_with_reduction(make, SafetyProperty::Opacity, 4, &[])
+        .into_reduction()
+        .expect("reduction query");
     assert!(!evidence.concludes());
     assert!(!evidence.base_verdict.holds());
 }
