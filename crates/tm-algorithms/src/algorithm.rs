@@ -8,14 +8,19 @@
 //! The paper's well-formedness rules are enforced structurally:
 //!
 //! * the pending function `γ` is part of every state ([`TmState`]) and is
-//!   maintained by the framework (provided method [`TmAlgorithm::steps`]),
-//!   so rules γ1–γ4 hold by construction;
+//!   maintained by the framework (provided method
+//!   [`TmAlgorithm::steps_into`]), so rules γ1–γ4 hold by construction;
 //! * abort transitions exist exactly when a command is *abort-enabled*
 //!   (no proper transition) or the *conflict function* `φ` is true — also
-//!   enforced by [`TmAlgorithm::steps`];
+//!   enforced by [`TmAlgorithm::steps_into`];
 //! * implementations only supply the proper (non-abort) transitions via
 //!   [`TmAlgorithm::proper_steps`] and the per-thread reset state via
 //!   [`TmAlgorithm::abort_state`].
+//!
+//! Stepping is the model checker's innermost loop, so the transition
+//! methods *append* into a caller-owned buffer instead of returning a
+//! fresh `Vec`: an explorer reuses one buffer for a whole state expansion
+//! and the hot path allocates nothing once the buffer has grown.
 
 use std::fmt;
 use std::hash::Hash;
@@ -176,6 +181,16 @@ pub trait TmState: Clone + Eq + Hash + fmt::Debug {
 /// proper transitions, the conflict function, and the per-thread reset;
 /// the provided methods derive the full transition relation (abort rules,
 /// pending bookkeeping) and the enabled-command relation.
+///
+/// # The appending contract
+///
+/// [`TmAlgorithm::proper_steps`] and [`TmAlgorithm::steps_into`] append
+/// their transitions to a caller-owned `out` buffer, in a fixed order,
+/// and must leave the entries already in `out` untouched. They are called
+/// once per (state, thread, enabled command) of every explored state, so
+/// implementations should not allocate: build successors on the stack
+/// (states are small `Copy` structs) and `push` them. [`TmAlgorithm::steps`]
+/// is the allocating convenience wrapper for tests and one-off replays.
 pub trait TmAlgorithm {
     /// The state type `Q`.
     type State: TmState;
@@ -197,34 +212,50 @@ pub trait TmAlgorithm {
     /// is consulted and self-abort becomes an alternative.
     fn is_conflict(&self, q: &Self::State, c: Command, t: ThreadId) -> bool;
 
-    /// All non-abort transitions for the **enabled** command `c` of thread
-    /// `t` in state `q`. Implementations need not touch the pending field
-    /// of the successor; [`TmAlgorithm::steps`] maintains it.
-    fn proper_steps(&self, q: &Self::State, c: Command, t: ThreadId) -> Vec<Step<Self::State>>;
+    /// Appends to `out` all non-abort transitions for the **enabled**
+    /// command `c` of thread `t` in state `q`, leaving earlier entries of
+    /// `out` untouched. Appending nothing means `c` is abort-enabled.
+    /// Implementations need not touch the pending field of the successor;
+    /// [`TmAlgorithm::steps_into`] maintains it.
+    fn proper_steps(
+        &self,
+        q: &Self::State,
+        c: Command,
+        t: ThreadId,
+        out: &mut Vec<Step<Self::State>>,
+    );
 
     /// The state reached when thread `t` aborts in `q` (its per-thread
     /// bookkeeping reset; other threads untouched).
     fn abort_state(&self, q: &Self::State, t: ThreadId) -> Self::State;
 
-    /// The full transition relation for enabled command `c` of thread `t`:
-    /// the proper steps plus the abort transition when `c` is
-    /// abort-enabled (no proper step) or in conflict (`φ` true), with the
-    /// pending function updated per the formalism's rules.
-    fn steps(&self, q: &Self::State, c: Command, t: ThreadId) -> Vec<Step<Self::State>> {
-        let mut steps = self.proper_steps(q, c, t);
-        if steps.is_empty() || self.is_conflict(q, c, t) {
-            steps.push(Step {
+    /// Appends to `out` the full transition relation for enabled command
+    /// `c` of thread `t`: the proper steps plus the abort transition when
+    /// `c` is abort-enabled (no proper step) or in conflict (`φ` true),
+    /// with the pending function updated per the formalism's rules.
+    /// Entries already in `out` are left untouched.
+    fn steps_into(
+        &self,
+        q: &Self::State,
+        c: Command,
+        t: ThreadId,
+        out: &mut Vec<Step<Self::State>>,
+    ) {
+        let start = out.len();
+        self.proper_steps(q, c, t, out);
+        if out.len() == start || self.is_conflict(q, c, t) {
+            out.push(Step {
                 action: Action::Abort,
                 next: self.abort_state(q, t),
             });
         }
-        for step in &mut steps {
-            let pending = match step.action {
-                Action::Internal(_) => Some(c),
-                Action::Complete(_) | Action::Abort => None,
-            };
-            step.next.set_pending(t, pending);
-        }
+        set_pending(&mut out[start..], c, t);
+    }
+
+    /// [`TmAlgorithm::steps_into`] collected into a fresh `Vec`.
+    fn steps(&self, q: &Self::State, c: Command, t: ThreadId) -> Vec<Step<Self::State>> {
+        let mut steps = Vec::new();
+        self.steps_into(q, c, t, &mut steps);
         steps
     }
 
@@ -240,6 +271,19 @@ pub trait TmAlgorithm {
     /// Convenience iterator over this instance's thread ids.
     fn thread_ids(&self) -> Vec<ThreadId> {
         (0..self.threads()).map(ThreadId::new).collect()
+    }
+}
+
+/// Pending bookkeeping of the formalism (rules γ1–γ4) for the steps of
+/// command `c` of thread `t`: an internal (`⊥`) step leaves `c` pending,
+/// a completion or an abort clears it.
+pub(crate) fn set_pending<S: TmState>(steps: &mut [Step<S>], c: Command, t: ThreadId) {
+    for step in steps {
+        let pending = match step.action {
+            Action::Internal(_) => Some(c),
+            Action::Complete(_) | Action::Abort => None,
+        };
+        step.next.set_pending(t, pending);
     }
 }
 

@@ -13,7 +13,7 @@ use std::hash::Hash;
 
 use tm_lang::{Command, ThreadId};
 
-use crate::algorithm::{Action, ExtCommand, Step, TmAlgorithm, TmState, MAX_THREADS};
+use crate::algorithm::{set_pending, Action, ExtCommand, Step, TmAlgorithm, TmState, MAX_THREADS};
 
 /// A contention manager in the paper's formalism.
 ///
@@ -313,6 +313,36 @@ impl<A: TmAlgorithm, C: ContentionManager> WithContentionManager<A, C> {
     fn cm_advance(&self, p: &C::State, d: Option<ExtCommand>, t: ThreadId) -> C::State {
         self.cm.transition(p, d, t).unwrap_or_else(|| p.clone())
     }
+
+    /// Appends the base TM's proper steps `base` (of thread `t` in `q`,
+    /// `conflict` being `φ` there) that the manager admits, paired with
+    /// the manager's successor state.
+    fn push_cm_filtered(
+        &self,
+        q: &CmState<A::State, C::State>,
+        t: ThreadId,
+        conflict: bool,
+        base: Vec<Step<A::State>>,
+        out: &mut Vec<Step<CmState<A::State, C::State>>>,
+    ) {
+        for step in base {
+            let d = step.action.ext_command();
+            let cm_next = match self.cm.transition(&q.cm, d, t) {
+                Some(p) => p,
+                // Rule (ii): at a conflict every statement needs a δcm
+                // transition; otherwise rule (iii) keeps the CM state.
+                None if conflict => continue,
+                None => q.cm.clone(),
+            };
+            out.push(Step {
+                action: step.action,
+                next: CmState {
+                    tm: step.next,
+                    cm: cm_next,
+                },
+            });
+        }
+    }
 }
 
 impl<A: TmAlgorithm, C: ContentionManager> TmAlgorithm for WithContentionManager<A, C> {
@@ -341,29 +371,17 @@ impl<A: TmAlgorithm, C: ContentionManager> TmAlgorithm for WithContentionManager
         self.tm.is_conflict(&q.tm, c, t)
     }
 
-    fn proper_steps(&self, q: &Self::State, c: Command, t: ThreadId) -> Vec<Step<Self::State>> {
+    fn proper_steps(
+        &self,
+        q: &Self::State,
+        c: Command,
+        t: ThreadId,
+        out: &mut Vec<Step<Self::State>>,
+    ) {
         let conflict = self.tm.is_conflict(&q.tm, c, t);
-        self.tm
-            .proper_steps(&q.tm, c, t)
-            .into_iter()
-            .filter_map(|step| {
-                let d = step.action.ext_command();
-                let cm_next = match self.cm.transition(&q.cm, d, t) {
-                    Some(p) => p,
-                    // Rule (ii): at a conflict every statement needs a δcm
-                    // transition; otherwise rule (iii) keeps the CM state.
-                    None if conflict => return None,
-                    None => q.cm.clone(),
-                };
-                Some(Step {
-                    action: step.action,
-                    next: CmState {
-                        tm: step.next,
-                        cm: cm_next,
-                    },
-                })
-            })
-            .collect()
+        let mut base = Vec::new();
+        self.tm.proper_steps(&q.tm, c, t, &mut base);
+        self.push_cm_filtered(q, t, conflict, base, out);
     }
 
     fn abort_state(&self, q: &Self::State, t: ThreadId) -> Self::State {
@@ -375,27 +393,30 @@ impl<A: TmAlgorithm, C: ContentionManager> TmAlgorithm for WithContentionManager
 
     /// Product transition relation: CM-filtered proper steps, plus the
     /// abort transition when the base TM would offer it **and** — at a
-    /// conflict — the manager has an abort transition.
-    fn steps(&self, q: &Self::State, c: Command, t: ThreadId) -> Vec<Step<Self::State>> {
+    /// conflict — the manager has an abort transition. The base TM's
+    /// proper steps are computed once and serve both the filter and the
+    /// abort-enabledness test.
+    fn steps_into(
+        &self,
+        q: &Self::State,
+        c: Command,
+        t: ThreadId,
+        out: &mut Vec<Step<Self::State>>,
+    ) {
+        let start = out.len();
         let conflict = self.is_conflict(q, c, t);
-        let base_abort_enabled = self.tm.proper_steps(&q.tm, c, t).is_empty();
-        let mut steps = self.proper_steps(q, c, t);
-        let abort_in_base = base_abort_enabled || conflict;
+        let mut base = Vec::new();
+        self.tm.proper_steps(&q.tm, c, t, &mut base);
+        let abort_in_base = base.is_empty() || conflict;
+        self.push_cm_filtered(q, t, conflict, base, out);
         let cm_allows_abort = !conflict || self.cm.transition(&q.cm, None, t).is_some();
         if abort_in_base && cm_allows_abort {
-            steps.push(Step {
+            out.push(Step {
                 action: Action::Abort,
                 next: self.abort_state(q, t),
             });
         }
-        for step in &mut steps {
-            let pending = match step.action {
-                Action::Internal(_) => Some(c),
-                Action::Complete(_) | Action::Abort => None,
-            };
-            step.next.set_pending(t, pending);
-        }
-        steps
+        set_pending(&mut out[start..], c, t);
     }
 }
 
@@ -411,6 +432,69 @@ mod tests {
     }
     fn write(v: usize) -> Command {
         Command::Write(VarId::new(v))
+    }
+
+    /// A base TM that counts its `proper_steps` calls.
+    struct Counting<A> {
+        tm: A,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl<A: TmAlgorithm> TmAlgorithm for Counting<A> {
+        type State = A::State;
+
+        fn name(&self) -> String {
+            self.tm.name()
+        }
+        fn threads(&self) -> usize {
+            self.tm.threads()
+        }
+        fn vars(&self) -> usize {
+            self.tm.vars()
+        }
+        fn initial_state(&self) -> A::State {
+            self.tm.initial_state()
+        }
+        fn is_conflict(&self, q: &A::State, c: Command, t: ThreadId) -> bool {
+            self.tm.is_conflict(q, c, t)
+        }
+        fn proper_steps(&self, q: &A::State, c: Command, t: ThreadId, out: &mut Vec<Step<A::State>>) {
+            self.calls.set(self.calls.get() + 1);
+            self.tm.proper_steps(q, c, t, out);
+        }
+        fn abort_state(&self, q: &A::State, t: ThreadId) -> A::State {
+            self.tm.abort_state(q, t)
+        }
+    }
+
+    /// Every product transition relation query runs the base TM's rules
+    /// exactly once, over every reachable (state, thread, command).
+    fn assert_one_base_call_per_step<C: ContentionManager>(cm: C) {
+        let counting = Counting {
+            tm: DstmTm::new(2, 2),
+            calls: std::cell::Cell::new(0),
+        };
+        let tm = WithContentionManager::new(counting, cm);
+        let (_, states) = crate::explore::most_general_run_graph(&tm, 100_000);
+        let mut out = Vec::new();
+        let mut queries = 0;
+        for q in &states {
+            for t in tm.thread_ids() {
+                for c in tm.enabled_commands(q, t) {
+                    tm.tm().calls.set(0);
+                    tm.steps_into(q, c, t, &mut out);
+                    assert_eq!(tm.tm().calls.get(), 1, "{c} by {t} at {q:?}");
+                    queries += 1;
+                }
+            }
+        }
+        assert!(queries > states.len());
+    }
+
+    #[test]
+    fn steps_into_runs_the_base_rules_once() {
+        assert_one_base_call_per_step(AggressiveCm);
+        assert_one_base_call_per_step(PoliteCm);
     }
 
     #[test]

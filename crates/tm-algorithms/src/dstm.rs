@@ -5,10 +5,12 @@
 //! contention manager.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use tm_lang::{Command, ThreadId, VarSet};
 
 use crate::algorithm::{other_threads, ExtCommand, Step, TmAlgorithm, TmState, MAX_THREADS};
+use crate::pack;
 
 /// Per-thread status of DSTM.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -28,7 +30,7 @@ pub enum DstmStatus {
 
 /// State of DSTM: `⟨Status, rs, os⟩` per thread, plus the pending
 /// function.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct DstmState {
     status: [DstmStatus; MAX_THREADS],
     rs: [VarSet; MAX_THREADS],
@@ -58,6 +60,22 @@ impl DstmState {
         self.status[u.index()] = DstmStatus::Aborted;
         self.rs[u.index()].clear();
         self.os[u.index()].clear();
+    }
+
+    /// The state packed losslessly into three words (see `pack`).
+    pub(crate) fn packed(&self) -> [u64; 3] {
+        let status = pack::lanes(2, self.status.iter().map(|&s| s as u64));
+        [
+            pack::sets(&self.rs),
+            pack::sets(&self.os),
+            pack::pending(&self.pending) | status << 32,
+        ]
+    }
+}
+
+impl Hash for DstmState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        pack::write_words(&self.packed(), state);
     }
 }
 
@@ -159,38 +177,39 @@ impl TmAlgorithm for DstmTm {
         }
     }
 
-    fn proper_steps(&self, q: &DstmState, c: Command, t: ThreadId) -> Vec<Step<DstmState>> {
+    fn proper_steps(&self, q: &DstmState, c: Command, t: ThreadId, out: &mut Vec<Step<DstmState>>) {
         let ti = t.index();
         // A thread killed by someone else can only abort.
         if q.status[ti] == DstmStatus::Aborted {
-            return Vec::new();
+            return;
         }
-        match c {
+        let step = match c {
             Command::Read(v) => {
                 if q.os[ti].contains(v) {
                     // Reading an owned variable is always consistent.
-                    return vec![Step::complete(c, *q)];
-                }
-                if q.status[ti] == DstmStatus::Finished {
+                    Step::complete(c, *q)
+                } else if q.status[ti] == DstmStatus::Finished {
                     let mut next = *q;
                     next.rs[ti].insert(v);
-                    return vec![Step::complete(c, next)];
+                    Step::complete(c, next)
+                } else {
+                    return; // invalid/validated threads cannot take new reads
                 }
-                Vec::new() // invalid/validated threads cannot take new reads
             }
             Command::Write(v) => {
                 if q.os[ti].contains(v) {
-                    return vec![Step::complete(c, *q)];
-                }
-                // Acquire ownership, aborting any current owner.
-                let mut next = *q;
-                next.os[ti].insert(v);
-                for u in other_threads(self.threads, t) {
-                    if q.os[u.index()].contains(v) {
-                        next.kill(u);
+                    Step::complete(c, *q)
+                } else {
+                    // Acquire ownership, aborting any current owner.
+                    let mut next = *q;
+                    next.os[ti].insert(v);
+                    for u in other_threads(self.threads, t) {
+                        if q.os[u.index()].contains(v) {
+                            next.kill(u);
+                        }
                     }
+                    Step::internal(ExtCommand::Own(v), next)
                 }
-                vec![Step::internal(ExtCommand::Own(v), next)]
             }
             Command::Commit => match q.status[ti] {
                 DstmStatus::Finished => {
@@ -203,7 +222,7 @@ impl TmAlgorithm for DstmTm {
                             next.kill(u);
                         }
                     }
-                    vec![Step::internal(ExtCommand::Validate, next)]
+                    Step::internal(ExtCommand::Validate, next)
                 }
                 DstmStatus::Validated => {
                     // Complete the commit: our writes become global;
@@ -217,11 +236,12 @@ impl TmAlgorithm for DstmTm {
                             next.status[u.index()] = DstmStatus::Invalid;
                         }
                     }
-                    vec![Step::complete(c, next)]
+                    Step::complete(c, next)
                 }
-                DstmStatus::Invalid | DstmStatus::Aborted => Vec::new(),
+                DstmStatus::Invalid | DstmStatus::Aborted => return,
             },
-        }
+        };
+        out.push(step);
     }
 
     fn abort_state(&self, q: &DstmState, t: ThreadId) -> DstmState {
@@ -253,6 +273,37 @@ mod tests {
     fn do_write(tm: &DstmTm, q: DstmState, v: usize, i: usize) -> DstmState {
         let q = tm.steps(&q, write(v), t(i))[0].next;
         tm.steps(&q, write(v), t(i))[0].next
+    }
+
+    #[test]
+    fn packed_fields_do_not_overlap_at_the_largest_instance() {
+        use crate::pack::tests::{all_pending, assert_fields_disjoint, BOUNDARY_VARS};
+        for vars in BOUNDARY_VARS {
+            let base = DstmState::default();
+            let mut variants = Vec::new();
+            let mut add = |field: String, q: DstmState| variants.push((field, q.packed()));
+            for ti in 0..MAX_THREADS {
+                for v in (0..vars).map(VarId::new) {
+                    let mut q = base;
+                    q.rs[ti].insert(v);
+                    add(format!("rs[{ti}]"), q);
+                    let mut q = base;
+                    q.os[ti].insert(v);
+                    add(format!("os[{ti}]"), q);
+                }
+                for status in [DstmStatus::Aborted, DstmStatus::Validated, DstmStatus::Invalid] {
+                    let mut q = base;
+                    q.status[ti] = status;
+                    add(format!("status[{ti}]"), q);
+                }
+                for c in all_pending(vars).skip(1) {
+                    let mut q = base;
+                    q.pending[ti] = c;
+                    add(format!("pending[{ti}]"), q);
+                }
+            }
+            assert_fields_disjoint(base.packed(), &variants);
+        }
     }
 
     #[test]

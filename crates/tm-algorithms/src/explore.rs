@@ -18,7 +18,41 @@ use tm_automata::{
     EPSILON,
 };
 
-use crate::algorithm::{Action, TmAlgorithm, TmState};
+use crate::algorithm::{Action, Step, TmAlgorithm, TmState};
+
+/// Calls `f` for every thread `t` and each command enabled for it in
+/// `state` — the order of `tm.thread_ids()` ×
+/// `tm.enabled_commands(state, t)` — without allocating either list.
+pub(crate) fn for_each_enabled<A: TmAlgorithm>(
+    tm: &A,
+    state: &A::State,
+    mut f: impl FnMut(ThreadId, Command),
+) {
+    for t in (0..tm.threads()).map(ThreadId::new) {
+        match state.pending(t) {
+            Some(c) => f(t, c),
+            None => Command::all(tm.vars()).for_each(|c| f(t, c)),
+        }
+    }
+}
+
+/// One state expansion of the most general program: every step of every
+/// enabled (thread, command) pair, in [`for_each_enabled`] order and
+/// each pair's [`TmAlgorithm::steps_into`] order, handed to `emit`. All
+/// pairs share one step buffer, so an expansion allocates at most once.
+fn for_each_step<A: TmAlgorithm>(
+    tm: &A,
+    state: &A::State,
+    mut emit: impl FnMut(ThreadId, Command, Step<A::State>),
+) {
+    let mut steps = Vec::new();
+    for_each_enabled(tm, state, |t, c| {
+        tm.steps_into(state, c, t, &mut steps);
+        for step in steps.drain(..) {
+            emit(t, c, step);
+        }
+    });
+}
 
 /// Word-level view: labels are statements, internal steps are ε.
 struct WordLevel<'a, A>(&'a A);
@@ -32,13 +66,9 @@ impl<A: TmAlgorithm> TransitionSystem for WordLevel<'_, A> {
     }
 
     fn successors(&self, state: &A::State, out: &mut Vec<(Option<Statement>, A::State)>) {
-        for t in self.0.thread_ids() {
-            for c in self.0.enabled_commands(state, t) {
-                for step in self.0.steps(state, c, t) {
-                    out.push((step.action.statement(c, t), step.next));
-                }
-            }
-        }
+        for_each_step(self.0, state, |t, c, step| {
+            out.push((step.action.statement(c, t), step.next));
+        });
     }
 }
 
@@ -140,20 +170,16 @@ where
     }
 
     fn successors(&self, state: &A::State, out: &mut Vec<(LetterId, A::State)>) {
-        for t in self.tm.thread_ids() {
-            for c in self.tm.enabled_commands(state, t) {
-                for step in self.tm.steps(state, c, t) {
-                    let letter = match step.action.statement(c, t) {
-                        None => EPSILON,
-                        Some(s) => self
-                            .alphabet
-                            .get(&s)
-                            .expect("all instance statements are interned"),
-                    };
-                    out.push((letter, step.next));
-                }
-            }
-        }
+        for_each_step(self.tm, state, |t, c, step| {
+            let letter = match step.action.statement(c, t) {
+                None => EPSILON,
+                Some(s) => self
+                    .alphabet
+                    .get(&s)
+                    .expect("all instance statements are interned"),
+            };
+            out.push((letter, step.next));
+        });
     }
 
     fn letter(&self, id: LetterId) -> Statement {
@@ -213,18 +239,14 @@ impl<A: TmAlgorithm> TransitionSystem for RunLevel<'_, A> {
     }
 
     fn successors(&self, state: &A::State, out: &mut Vec<(Option<RunLabel>, A::State)>) {
-        for t in self.0.thread_ids() {
-            for c in self.0.enabled_commands(state, t) {
-                for step in self.0.steps(state, c, t) {
-                    let label = RunLabel {
-                        thread: t,
-                        command: c,
-                        action: step.action,
-                    };
-                    out.push((Some(label), step.next));
-                }
-            }
-        }
+        for_each_step(self.0, state, |thread, command, step| {
+            let label = RunLabel {
+                thread,
+                command,
+                action: step.action,
+            };
+            out.push((Some(label), step.next));
+        });
     }
 }
 
@@ -267,18 +289,14 @@ impl<A: TmAlgorithm> tm_automata::RunGraphSource for MostGeneralRunSource<'_, A>
     }
 
     fn successors(&self, state: &A::State, out: &mut Vec<(RunLabel, A::State)>) {
-        for t in self.0.thread_ids() {
-            for c in self.0.enabled_commands(state, t) {
-                for step in self.0.steps(state, c, t) {
-                    let label = RunLabel {
-                        thread: t,
-                        command: c,
-                        action: step.action,
-                    };
-                    out.push((label, step.next));
-                }
-            }
-        }
+        for_each_step(self.0, state, |thread, command, step| {
+            let label = RunLabel {
+                thread,
+                command,
+                action: step.action,
+            };
+            out.push((label, step.next));
+        });
     }
 
     fn classify(&self, label: &RunLabel) -> tm_automata::LabelClass {

@@ -37,9 +37,12 @@
 #![warn(missing_docs)]
 
 mod algorithm;
+#[cfg(test)]
+mod conformance;
 mod contention;
 mod dstm;
 mod explore;
+mod pack;
 mod runner;
 mod sequential;
 mod tl2;

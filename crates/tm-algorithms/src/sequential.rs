@@ -3,10 +3,12 @@
 //! is open is refused (and therefore aborts).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use tm_lang::{Command, ThreadId};
 
 use crate::algorithm::{other_threads, Step, TmAlgorithm, TmState, MAX_THREADS};
+use crate::pack;
 
 /// Per-thread status of the sequential TM.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -22,7 +24,7 @@ pub enum SeqStatus {
 ///
 /// The sequential TM answers every command in a single step, so no command
 /// is ever pending.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct SeqState {
     status: [SeqStatus; MAX_THREADS],
 }
@@ -31,6 +33,17 @@ impl SeqState {
     /// The status of thread `t`.
     pub fn status(&self, t: ThreadId) -> SeqStatus {
         self.status[t.index()]
+    }
+
+    /// The state packed losslessly into one word (see `pack`).
+    pub(crate) fn packed(&self) -> [u64; 1] {
+        [pack::lanes(1, self.status.iter().map(|&s| s as u64))]
+    }
+}
+
+impl Hash for SeqState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        pack::write_words(&self.packed(), state);
     }
 }
 
@@ -114,16 +127,16 @@ impl TmAlgorithm for SequentialTm {
         false
     }
 
-    fn proper_steps(&self, q: &SeqState, c: Command, t: ThreadId) -> Vec<Step<SeqState>> {
+    fn proper_steps(&self, q: &SeqState, c: Command, t: ThreadId, out: &mut Vec<Step<SeqState>>) {
         if !self.others_finished(q, t) {
-            return Vec::new();
+            return;
         }
         let mut next = *q;
         next.status[t.index()] = match c {
             Command::Read(_) | Command::Write(_) => SeqStatus::Started,
             Command::Commit => SeqStatus::Finished,
         };
-        vec![Step::complete(c, next)]
+        out.push(Step::complete(c, next));
     }
 
     fn abort_state(&self, q: &SeqState, t: ThreadId) -> SeqState {
@@ -140,6 +153,19 @@ mod tests {
 
     fn read(v: usize) -> Command {
         Command::Read(VarId::new(v))
+    }
+
+    #[test]
+    fn packed_fields_do_not_overlap_at_the_largest_instance() {
+        let base = SeqState::default();
+        let variants: Vec<(String, [u64; 1])> = (0..MAX_THREADS)
+            .map(|ti| {
+                let mut q = base;
+                q.status[ti] = SeqStatus::Started;
+                (format!("status[{ti}]"), q.packed())
+            })
+            .collect();
+        crate::pack::tests::assert_fields_disjoint(base.packed(), &variants);
     }
 
     #[test]

@@ -29,10 +29,12 @@
 //! counterexample for TL2 + polite).
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use tm_lang::{Command, ThreadId, VarId, VarSet};
 
 use crate::algorithm::{other_threads, ExtCommand, Step, TmAlgorithm, TmState, MAX_THREADS};
+use crate::pack;
 
 /// How commit-time validation is decomposed into atomic steps.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -62,7 +64,7 @@ pub enum Tl2Status {
 /// State of TL2: `⟨Status, rs, ws, ls, ms⟩` per thread, the pending
 /// function, and (for the split validation styles) a per-thread flag
 /// recording that the first validation half succeeded.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct Tl2State {
     status: [Tl2Status; MAX_THREADS],
     rs: [VarSet; MAX_THREADS],
@@ -115,6 +117,25 @@ impl Tl2State {
     /// invalidated by a commit (used for the modified-set broadcast).
     fn is_active(&self, u: ThreadId) -> bool {
         !self.rs[u.index()].is_empty() || !self.ws[u.index()].is_empty()
+    }
+
+    /// The state packed losslessly into five words (see `pack`).
+    pub(crate) fn packed(&self) -> [u64; 5] {
+        let status = pack::lanes(2, self.status.iter().map(|&s| s as u64));
+        let half_validated = pack::lanes(1, self.half_validated.iter().map(|&h| u64::from(h)));
+        [
+            pack::sets(&self.rs),
+            pack::sets(&self.ws),
+            pack::sets(&self.ls),
+            pack::sets(&self.ms),
+            pack::pending(&self.pending) | status << 32 | half_validated << 40,
+        ]
+    }
+}
+
+impl Hash for Tl2State {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        pack::write_words(&self.packed(), state);
     }
 }
 
@@ -211,16 +232,16 @@ impl Tl2Tm {
         other_threads(self.threads, t).any(|u| q.ls[u.index()].contains(v))
     }
 
-    /// The commit-phase steps available once all locks are held.
-    fn validation_steps(&self, q: &Tl2State, t: ThreadId) -> Vec<Step<Tl2State>> {
+    /// Appends the commit-phase step available once all locks are held,
+    /// if validation (or its next half) succeeds.
+    fn validation_steps(&self, q: &Tl2State, t: ThreadId, out: &mut Vec<Step<Tl2State>>) {
         let ti = t.index();
-        let mut steps = Vec::new();
         match self.validation {
             ValidationStyle::Atomic => {
                 if self.rvalidate_ok(q, t) && self.chklock_ok(q, t) {
                     let mut next = *q;
                     next.status[ti] = Tl2Status::Validated;
-                    steps.push(Step::internal(ExtCommand::Validate, next));
+                    out.push(Step::internal(ExtCommand::Validate, next));
                 }
             }
             ValidationStyle::ChkLockThenRValidate => {
@@ -228,13 +249,13 @@ impl Tl2Tm {
                     if self.chklock_ok(q, t) {
                         let mut next = *q;
                         next.half_validated[ti] = true;
-                        steps.push(Step::internal(ExtCommand::ChkLock, next));
+                        out.push(Step::internal(ExtCommand::ChkLock, next));
                     }
                 } else if self.rvalidate_ok(q, t) {
                     let mut next = *q;
                     next.half_validated[ti] = false;
                     next.status[ti] = Tl2Status::Validated;
-                    steps.push(Step::internal(ExtCommand::RValidate, next));
+                    out.push(Step::internal(ExtCommand::RValidate, next));
                 }
             }
             ValidationStyle::RValidateThenChkLock => {
@@ -242,17 +263,16 @@ impl Tl2Tm {
                     if self.rvalidate_ok(q, t) {
                         let mut next = *q;
                         next.half_validated[ti] = true;
-                        steps.push(Step::internal(ExtCommand::RValidate, next));
+                        out.push(Step::internal(ExtCommand::RValidate, next));
                     }
                 } else if self.chklock_ok(q, t) {
                     let mut next = *q;
                     next.half_validated[ti] = false;
                     next.status[ti] = Tl2Status::Validated;
-                    steps.push(Step::internal(ExtCommand::ChkLock, next));
+                    out.push(Step::internal(ExtCommand::ChkLock, next));
                 }
             }
         }
-        steps
     }
 }
 
@@ -288,55 +308,52 @@ impl TmAlgorithm for Tl2Tm {
                 .any(|v| self.locked_by_other(q, v, t))
     }
 
-    fn proper_steps(&self, q: &Tl2State, c: Command, t: ThreadId) -> Vec<Step<Tl2State>> {
+    fn proper_steps(&self, q: &Tl2State, c: Command, t: ThreadId, out: &mut Vec<Step<Tl2State>>) {
         let ti = t.index();
         if q.status[ti] == Tl2Status::Aborted {
-            return Vec::new();
+            return;
         }
         match c {
             Command::Read(v) => {
                 if q.ws[ti].contains(v) {
                     // Read own (buffered) write.
-                    return vec![Step::complete(c, *q)];
+                    out.push(Step::complete(c, *q));
+                    return;
                 }
                 if q.ms[ti].contains(v) || self.locked_by_other(q, v, t) {
                     // Version changed since the transaction began, or the
                     // variable is mid-commit elsewhere: the read would be
                     // inconsistent.
-                    return Vec::new();
+                    return;
                 }
                 let mut next = *q;
                 next.rs[ti].insert(v);
-                vec![Step::complete(c, next)]
+                out.push(Step::complete(c, next));
             }
             Command::Write(v) => {
                 // Writes are buffered; always succeed.
                 let mut next = *q;
                 next.ws[ti].insert(v);
-                vec![Step::complete(c, next)]
+                out.push(Step::complete(c, next));
             }
             Command::Commit => match q.status[ti] {
-                Tl2Status::Finished => {
-                    if !self.locks_complete(q, t) {
-                        // Lock acquisition phase: one step per unlocked
-                        // write-set variable (any order — this is where
-                        // the state space fans out). Taking a lock held by
-                        // another thread aborts that thread.
-                        let mut steps = Vec::new();
-                        for v in q.ws[ti].difference(q.ls[ti]) {
-                            let mut next = *q;
-                            next.ls[ti].insert(v);
-                            for u in other_threads(self.threads, t) {
-                                if q.ls[u.index()].contains(v) {
-                                    next.status[u.index()] = Tl2Status::Aborted;
-                                }
+                Tl2Status::Finished if !self.locks_complete(q, t) => {
+                    // Lock acquisition phase: one step per unlocked
+                    // write-set variable (any order — this is where the
+                    // state space fans out). Taking a lock held by another
+                    // thread aborts that thread.
+                    for v in q.ws[ti].difference(q.ls[ti]) {
+                        let mut next = *q;
+                        next.ls[ti].insert(v);
+                        for u in other_threads(self.threads, t) {
+                            if q.ls[u.index()].contains(v) {
+                                next.status[u.index()] = Tl2Status::Aborted;
                             }
-                            steps.push(Step::internal(ExtCommand::Lock(v), next));
                         }
-                        return steps;
+                        out.push(Step::internal(ExtCommand::Lock(v), next));
                     }
-                    self.validation_steps(q, t)
                 }
+                Tl2Status::Finished => self.validation_steps(q, t, out),
                 Tl2Status::Validated => {
                     let mut next = *q;
                     // Broadcast the write set into the modified set of
@@ -348,9 +365,9 @@ impl TmAlgorithm for Tl2Tm {
                         }
                     }
                     next.reset(t);
-                    vec![Step::complete(c, next)]
+                    out.push(Step::complete(c, next));
                 }
-                Tl2Status::Aborted => Vec::new(),
+                Tl2Status::Aborted => {}
             },
         }
     }
@@ -392,6 +409,46 @@ mod tests {
             }
         }
         q
+    }
+
+    #[test]
+    fn packed_fields_do_not_overlap_at_the_largest_instance() {
+        use crate::pack::tests::{all_pending, assert_fields_disjoint, BOUNDARY_VARS};
+        for vars in BOUNDARY_VARS {
+            let base = Tl2State::default();
+            let mut variants = Vec::new();
+            let mut add = |field: String, q: Tl2State| variants.push((field, q.packed()));
+            for ti in 0..MAX_THREADS {
+                for v in (0..vars).map(VarId::new) {
+                    let single = VarSet::singleton(v);
+                    add(format!("rs[{ti}]"), Tl2State { rs: set_at(ti, single), ..base });
+                    add(format!("ws[{ti}]"), Tl2State { ws: set_at(ti, single), ..base });
+                    add(format!("ls[{ti}]"), Tl2State { ls: set_at(ti, single), ..base });
+                    add(format!("ms[{ti}]"), Tl2State { ms: set_at(ti, single), ..base });
+                }
+                for status in [Tl2Status::Validated, Tl2Status::Aborted] {
+                    let mut q = base;
+                    q.status[ti] = status;
+                    add(format!("status[{ti}]"), q);
+                }
+                let mut q = base;
+                q.half_validated[ti] = true;
+                add(format!("half_validated[{ti}]"), q);
+                for c in all_pending(vars).skip(1) {
+                    let mut q = base;
+                    q.pending[ti] = c;
+                    add(format!("pending[{ti}]"), q);
+                }
+            }
+            assert_fields_disjoint(base.packed(), &variants);
+        }
+    }
+
+    /// Per-thread sets with `set` at thread `ti`, empty elsewhere.
+    fn set_at(ti: usize, set: VarSet) -> [VarSet; MAX_THREADS] {
+        let mut sets = [VarSet::new(); MAX_THREADS];
+        sets[ti] = set;
+        sets
     }
 
     #[test]

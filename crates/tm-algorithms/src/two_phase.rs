@@ -4,14 +4,16 @@
 //! has no waiting.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use tm_lang::{Command, ThreadId, VarSet};
 
 use crate::algorithm::{other_threads, ExtCommand, Step, TmAlgorithm, TmState, MAX_THREADS};
+use crate::pack;
 
 /// State of the 2PL TM: per-thread shared-lock sets `rs`, exclusive-lock
 /// sets `ws`, plus the pending function.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
 pub struct TwoPhaseState {
     rs: [VarSet; MAX_THREADS],
     ws: [VarSet; MAX_THREADS],
@@ -27,6 +29,17 @@ impl TwoPhaseState {
     /// The exclusive-lock (write) set of thread `t`.
     pub fn write_locks(&self, t: ThreadId) -> VarSet {
         self.ws[t.index()]
+    }
+
+    /// The state packed losslessly into three words (see `pack`).
+    pub(crate) fn packed(&self) -> [u64; 3] {
+        [pack::sets(&self.rs), pack::sets(&self.ws), pack::pending(&self.pending)]
+    }
+}
+
+impl Hash for TwoPhaseState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        pack::write_words(&self.packed(), state);
     }
 }
 
@@ -110,45 +123,52 @@ impl TmAlgorithm for TwoPhaseTm {
         false
     }
 
-    fn proper_steps(&self, q: &TwoPhaseState, c: Command, t: ThreadId) -> Vec<Step<TwoPhaseState>> {
+    fn proper_steps(
+        &self,
+        q: &TwoPhaseState,
+        c: Command,
+        t: ThreadId,
+        out: &mut Vec<Step<TwoPhaseState>>,
+    ) {
         let ti = t.index();
-        match c {
+        let step = match c {
             Command::Read(v) => {
                 if q.ws[ti].contains(v) || q.rs[ti].contains(v) {
                     // Lock already held: the read completes.
-                    return vec![Step::complete(c, *q)];
+                    Step::complete(c, *q)
+                } else if other_threads(self.threads, t).any(|u| q.ws[u.index()].contains(v)) {
+                    // Some other thread holds the exclusive lock.
+                    return;
+                } else {
+                    // Acquire the shared lock.
+                    let mut next = *q;
+                    next.rs[ti].insert(v);
+                    Step::internal(ExtCommand::RLock(v), next)
                 }
-                // Acquire the shared lock, unless some other thread holds
-                // the exclusive lock.
-                if other_threads(self.threads, t).any(|u| q.ws[u.index()].contains(v)) {
-                    return Vec::new();
-                }
-                let mut next = *q;
-                next.rs[ti].insert(v);
-                vec![Step::internal(ExtCommand::RLock(v), next)]
             }
             Command::Write(v) => {
                 if q.ws[ti].contains(v) {
-                    return vec![Step::complete(c, *q)];
-                }
-                // Acquire the exclusive lock, unless any other thread holds
-                // any lock on v.
-                if other_threads(self.threads, t)
+                    Step::complete(c, *q)
+                } else if other_threads(self.threads, t)
                     .any(|u| q.ws[u.index()].contains(v) || q.rs[u.index()].contains(v))
                 {
-                    return Vec::new();
+                    // Some other thread holds a lock on v.
+                    return;
+                } else {
+                    // Acquire the exclusive lock.
+                    let mut next = *q;
+                    next.ws[ti].insert(v);
+                    Step::internal(ExtCommand::WLock(v), next)
                 }
-                let mut next = *q;
-                next.ws[ti].insert(v);
-                vec![Step::internal(ExtCommand::WLock(v), next)]
             }
             Command::Commit => {
                 let mut next = *q;
                 next.rs[ti].clear();
                 next.ws[ti].clear();
-                vec![Step::complete(c, next)]
+                Step::complete(c, next)
             }
-        }
+        };
+        out.push(step);
     }
 
     fn abort_state(&self, q: &TwoPhaseState, t: ThreadId) -> TwoPhaseState {
@@ -174,6 +194,32 @@ mod tests {
 
     fn t(i: usize) -> ThreadId {
         ThreadId::new(i)
+    }
+
+    #[test]
+    fn packed_fields_do_not_overlap_at_the_largest_instance() {
+        use crate::pack::tests::{all_pending, assert_fields_disjoint, BOUNDARY_VARS};
+        for vars in BOUNDARY_VARS {
+            let base = TwoPhaseState::default();
+            let mut variants = Vec::new();
+            let mut add = |field: String, q: TwoPhaseState| variants.push((field, q.packed()));
+            for ti in 0..MAX_THREADS {
+                for v in (0..vars).map(VarId::new) {
+                    let mut q = base;
+                    q.rs[ti].insert(v);
+                    add(format!("rs[{ti}]"), q);
+                    let mut q = base;
+                    q.ws[ti].insert(v);
+                    add(format!("ws[{ti}]"), q);
+                }
+                for c in all_pending(vars).skip(1) {
+                    let mut q = base;
+                    q.pending[ti] = c;
+                    add(format!("pending[{ti}]"), q);
+                }
+            }
+            assert_fields_disjoint(base.packed(), &variants);
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! explicit [`Nfa`], remembering the original state for each id so that
 //! counterexamples and liveness loops can be reported in source terms.
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 use crate::budget::{EngineError, QueryBudget};
@@ -95,14 +96,13 @@ pub fn explore<T: TransitionSystem>(
         // filled before `states` grows, so no per-visit clone is needed.
         ts.successors(&states[head], &mut buf);
         for (label, succ) in buf.drain(..) {
-            let to = match ids.get(&succ) {
-                Some(&id) => id,
-                None => {
+            let to = match ids.entry(succ) {
+                Entry::Occupied(entry) => *entry.get(),
+                Entry::Vacant(entry) => {
                     budget.check_states(states.len())?;
                     let id = nfa.add_state();
-                    ids.insert(succ.clone(), id);
-                    states.push(succ);
-                    id
+                    states.push(entry.key().clone());
+                    *entry.insert(id)
                 }
             };
             nfa.add_transition(head, label, to);

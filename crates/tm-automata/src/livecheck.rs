@@ -37,6 +37,7 @@
 //! Every search takes a [`QueryBudget`]; an unbounded one passes
 //! [`QueryBudget::unlimited`].
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -335,26 +336,23 @@ impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
             buf.clear();
             source.successors(&states[head], &mut buf);
             for (label, succ) in buf.drain(..) {
-                let lid = match label_ids.get(&label) {
-                    Some(&id) => id,
-                    None => {
+                let lid = match label_ids.entry(label) {
+                    Entry::Occupied(entry) => *entry.get(),
+                    Entry::Vacant(entry) => {
                         let id = u32::try_from(labels.len()).expect("more than u32::MAX labels");
-                        let mask = source.classify(&label).mask();
-                        label_ids.insert(label.clone(), id);
-                        labels.push(label);
-                        label_masks.push(mask);
-                        id
+                        label_masks.push(source.classify(entry.key()).mask());
+                        labels.push(entry.key().clone());
+                        *entry.insert(id)
                     }
                 };
-                let to = match state_ids.get(&succ) {
-                    Some(&id) => id,
-                    None => {
+                let to = match state_ids.entry(succ) {
+                    Entry::Occupied(entry) => *entry.get(),
+                    Entry::Vacant(entry) => {
                         budget.check_states(states.len())?;
                         let id =
                             u32::try_from(states.len()).expect("more than u32::MAX run states");
-                        state_ids.insert(succ.clone(), id);
-                        states.push(succ);
-                        id
+                        states.push(entry.key().clone());
+                        *entry.insert(id)
                     }
                 };
                 edge_from.push(head as u32);

@@ -52,6 +52,7 @@
 //! `TM_MODELCHECK_THREADS` environment variable (see
 //! [`crate::modelcheck_threads`]).
 
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -507,15 +508,17 @@ impl<D: SpecSource> SpecCache<D> {
     /// cases rely on, where the *spec* side is the wall. Already-interned
     /// states from earlier queries are free.
     fn intern(&mut self, state: D::State, budget: &QueryBudget) -> Result<u32, EngineError> {
-        if let Some(&id) = self.ids.get(&state) {
-            return Ok(id);
+        match self.ids.entry(state) {
+            Entry::Occupied(entry) => Ok(*entry.get()),
+            Entry::Vacant(entry) => {
+                budget.check_states(self.states.len())?;
+                let id = u32::try_from(self.states.len()).expect("more than u32::MAX spec states");
+                self.states.push(entry.key().clone());
+                self.rows.push(None);
+                entry.insert(id);
+                Ok(id)
+            }
         }
-        budget.check_states(self.states.len())?;
-        let id = u32::try_from(self.states.len()).expect("more than u32::MAX spec states");
-        self.ids.insert(state.clone(), id);
-        self.states.push(state);
-        self.rows.push(None);
-        Ok(id)
     }
 }
 
@@ -595,6 +598,8 @@ struct Explorer<'a, S: SuccessorSource> {
     ids: FxHashMap<S::State, u32>,
     states: Vec<S::State>,
     rows: Vec<Option<Row>>,
+    /// Reused successor buffer of [`Explorer::ensure_row`].
+    scratch: Vec<(LetterId, S::State)>,
     /// The query budget bounding distinct implementation states (the
     /// caller's declaration that the source was expected to be finite and
     /// bounded).
@@ -608,26 +613,35 @@ impl<'a, S: SuccessorSource> Explorer<'a, S> {
             ids: FxHashMap::default(),
             states: Vec::new(),
             rows: Vec::new(),
+            scratch: Vec::new(),
             budget,
         }
     }
 
+    /// The id of `state`, interning it if new (one hash per call).
     fn intern(&mut self, state: S::State) -> Result<u32, EngineError> {
-        if let Some(&id) = self.ids.get(&state) {
-            return Ok(id);
+        match self.ids.entry(state) {
+            Entry::Occupied(entry) => Ok(*entry.get()),
+            Entry::Vacant(entry) => {
+                self.budget.check_states(self.states.len())?;
+                let id = u32::try_from(self.states.len()).expect("more than u32::MAX states");
+                self.states.push(entry.key().clone());
+                self.rows.push(None);
+                entry.insert(id);
+                Ok(id)
+            }
         }
-        self.budget.check_states(self.states.len())?;
-        let id = u32::try_from(self.states.len()).expect("more than u32::MAX states");
-        self.ids.insert(state.clone(), id);
-        self.states.push(state);
-        self.rows.push(None);
-        Ok(id)
     }
 
-    /// Interns an already-generated successor list as the row of `qi`.
-    fn store_row(&mut self, qi: u32, generated: Vec<(LetterId, S::State)>) -> Result<(), EngineError> {
+    /// Interns an already-generated successor list as the row of `qi`,
+    /// draining `generated`.
+    fn store_row(
+        &mut self,
+        qi: u32,
+        generated: &mut Vec<(LetterId, S::State)>,
+    ) -> Result<(), EngineError> {
         let mut row = Vec::with_capacity(generated.len());
-        for (letter, succ) in generated {
+        for (letter, succ) in generated.drain(..) {
             row.push((letter, self.intern(succ)?));
         }
         self.rows[qi as usize] = Some(row.into_boxed_slice());
@@ -639,10 +653,12 @@ impl<'a, S: SuccessorSource> Explorer<'a, S> {
         if self.rows[qi as usize].is_some() {
             return Ok(());
         }
-        let mut generated = Vec::new();
+        let mut generated = std::mem::take(&mut self.scratch);
         self.source
             .successors(&self.states[qi as usize], &mut generated);
-        self.store_row(qi, generated)
+        let stored = self.store_row(qi, &mut generated);
+        self.scratch = generated;
+        stored
     }
 }
 
@@ -968,8 +984,8 @@ fn ensure_rows<S: SuccessorSource>(
             }
         })?;
     }
-    for (qi, row) in missing.into_iter().zip(generated) {
-        ex.store_row(qi, row)?;
+    for (qi, mut row) in missing.into_iter().zip(generated) {
+        ex.store_row(qi, &mut row)?;
     }
     Ok(())
 }

@@ -111,8 +111,11 @@ fn busy_clock_stays_inside_its_envelope() {
     let service = Arc::new(Service::new(config(1)));
     // Two concurrent batches over the same sessions: each batch's wall
     // time includes waiting on the other's session locks, so the summed
-    // work clock must exceed the unioned utilization clock.
-    let batch = table3_batch();
+    // work clock must exceed the unioned utilization clock. One pass of
+    // the roster takes about a millisecond once its run graphs are built,
+    // no longer than the second thread can lag the first on a busy
+    // host, so each batch repeats it to make the two surely overlap.
+    let batch: Vec<QuerySpec> = (0..20).flat_map(|_| table3_batch()).collect();
     std::thread::scope(|scope| {
         for _ in 0..2 {
             let service = Arc::clone(&service);

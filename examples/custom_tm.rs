@@ -61,7 +61,18 @@ impl TmAlgorithm for NaiveOptimisticTm {
         false
     }
 
-    fn proper_steps(&self, q: &NaiveState, c: Command, t: ThreadId) -> Vec<Step<NaiveState>> {
+    /// Appends the one proper step of each command. The contract of
+    /// [`TmAlgorithm::proper_steps`]: append only (never clear or reorder
+    /// `out` — the framework may already hold other steps there), and do
+    /// not allocate — this runs once per (state, thread, command) of the
+    /// whole exploration, so build the successor on the stack and push it.
+    fn proper_steps(
+        &self,
+        q: &NaiveState,
+        c: Command,
+        t: ThreadId,
+        out: &mut Vec<Step<NaiveState>>,
+    ) {
         let mut next = *q;
         let ti = t.index();
         match c {
@@ -76,7 +87,7 @@ impl TmAlgorithm for NaiveOptimisticTm {
                 next.ws[ti].clear();
             }
         }
-        vec![Step::complete(c, next)]
+        out.push(Step::complete(c, next));
     }
 
     fn abort_state(&self, q: &NaiveState, t: ThreadId) -> NaiveState {
