@@ -244,7 +244,7 @@ fn check_livelock<A: TmAlgorithm>(tm: &A, graph: &LabeledGraph<RunLabel>) -> Liv
         // component covering every thread of the subset.
         'component: for comp in 0..sccs.count() {
             let mut required = Vec::new();
-            for t in tm.thread_ids().into_iter().filter(|&t| in_subset(t)) {
+            for t in tm.thread_ids().filter(|&t| in_subset(t)) {
                 match find_cyclic_edge_in(&filtered, &sccs, comp, |l| {
                     l.is_abort() && l.thread == t
                 }) {

@@ -19,8 +19,10 @@
 //!
 //! Stepping is the model checker's innermost loop, so the transition
 //! methods *append* into a caller-owned buffer instead of returning a
-//! fresh `Vec`: an explorer reuses one buffer for a whole state expansion
-//! and the hot path allocates nothing once the buffer has grown.
+//! fresh `Vec`: an explorer reuses one buffer for a whole state expansion,
+//! and stepping a plain TM allocates nothing once the buffer has grown.
+//! A TM × contention-manager product still allocates one buffer for the
+//! base TM's steps per call (see [`crate::WithContentionManager`]).
 
 use std::fmt;
 use std::hash::Hash;
@@ -189,8 +191,11 @@ pub trait TmState: Clone + Eq + Hash + fmt::Debug {
 /// and must leave the entries already in `out` untouched. They are called
 /// once per (state, thread, enabled command) of every explored state, so
 /// implementations should not allocate: build successors on the stack
-/// (states are small `Copy` structs) and `push` them. [`TmAlgorithm::steps`]
-/// is the allocating convenience wrapper for tests and one-off replays.
+/// (states are small `Copy` structs) and `push` them. A composite TM
+/// whose base has another state type cannot hand `out` to the base, so
+/// [`crate::WithContentionManager`] collects the base TM's steps in one
+/// fresh buffer per call. [`TmAlgorithm::steps`] is the allocating
+/// convenience wrapper for tests and one-off replays.
 pub trait TmAlgorithm {
     /// The state type `Q`.
     type State: TmState;
@@ -260,17 +265,17 @@ pub trait TmAlgorithm {
     }
 
     /// The commands enabled for thread `t` in `q`: the pending command if
-    /// any, otherwise every command.
-    fn enabled_commands(&self, q: &Self::State, t: ThreadId) -> Vec<Command> {
-        match q.pending(t) {
-            Some(c) => vec![c],
-            None => Command::all(self.vars()).collect(),
-        }
+    /// any, otherwise every command, in [`Command::all`] order. The
+    /// explorers step `thread_ids() × enabled_commands()` of every state,
+    /// so this iterates without allocating.
+    fn enabled_commands(&self, q: &Self::State, t: ThreadId) -> impl Iterator<Item = Command> {
+        let pending = q.pending(t);
+        Command::all(self.vars()).filter(move |&c| pending.is_none_or(|p| p == c))
     }
 
-    /// Convenience iterator over this instance's thread ids.
-    fn thread_ids(&self) -> Vec<ThreadId> {
-        (0..self.threads()).map(ThreadId::new).collect()
+    /// This instance's thread ids, in index order.
+    fn thread_ids(&self) -> impl Iterator<Item = ThreadId> {
+        (0..self.threads()).map(ThreadId::new)
     }
 }
 

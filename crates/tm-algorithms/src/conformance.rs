@@ -11,7 +11,7 @@ use tm_lang::{Command, ThreadId};
 use crate::algorithm::{Action, Step, TmAlgorithm};
 use crate::contention::{AggressiveCm, PoliteCm, WithContentionManager};
 use crate::dstm::{DstmState, DstmTm};
-use crate::explore::{for_each_enabled, MostGeneralRunSource};
+use crate::explore::{check_pending_invariant, MostGeneralRunSource};
 use crate::sequential::{SeqState, SequentialTm};
 use crate::tl2::{Tl2State, Tl2Tm, ValidationStyle};
 use crate::two_phase::{TwoPhaseState, TwoPhaseTm};
@@ -28,22 +28,21 @@ fn reachable<A: TmAlgorithm>(tm: &A) -> Vec<A::State> {
 
 /// Checks the stepping contract at every reachable state of `tm`:
 /// `steps_into` appends and leaves earlier entries alone, its output is
-/// `steps()` element for element, and the explorers' allocation-free
-/// enumeration is exactly `thread_ids() × enabled_commands()`.
+/// `steps()` element for element, and the pending rules hold.
 fn check_stepping<A: TmAlgorithm>(tm: &A) -> usize {
     let states = reachable(tm);
+    assert!(
+        check_pending_invariant(tm, &states),
+        "{}: pending rules",
+        tm.name()
+    );
     let mut buf: Vec<Step<A::State>> = Vec::new();
     for q in &states {
-        let expected: Vec<(ThreadId, Command)> = tm
+        let enabled: Vec<(ThreadId, Command)> = tm
             .thread_ids()
-            .into_iter()
-            .flat_map(|t| tm.enabled_commands(q, t).into_iter().map(move |c| (t, c)))
+            .flat_map(|t| tm.enabled_commands(q, t).map(move |c| (t, c)))
             .collect();
-        let mut visited = Vec::new();
-        for_each_enabled(tm, q, |t, c| visited.push((t, c)));
-        assert_eq!(visited, expected, "{}: enumeration at {q:?}", tm.name());
-
-        for &(t, c) in &expected {
+        for &(t, c) in &enabled {
             // A sentinel prefix that `steps_into` must not disturb.
             let sentinel = Step {
                 action: Action::Abort,
@@ -53,8 +52,18 @@ fn check_stepping<A: TmAlgorithm>(tm: &A) -> usize {
             buf.push(sentinel.clone());
             buf.push(sentinel.clone());
             tm.steps_into(q, c, t, &mut buf);
-            assert_eq!(&buf[..2], &[sentinel.clone(), sentinel], "{}: prefix", tm.name());
-            assert_eq!(buf[2..], tm.steps(q, c, t)[..], "{}: {c} by {t} at {q:?}", tm.name());
+            assert_eq!(
+                &buf[..2],
+                &[sentinel.clone(), sentinel],
+                "{}: prefix",
+                tm.name()
+            );
+            assert_eq!(
+                buf[2..],
+                tm.steps(q, c, t)[..],
+                "{}: {c} by {t} at {q:?}",
+                tm.name()
+            );
         }
     }
     states.len()
@@ -77,7 +86,11 @@ fn steps_into_appends_and_matches_steps_on_the_roster() {
         check_with_managers(TwoPhaseTm::new(n, k));
         check_with_managers(DstmTm::new(n, k));
         check_with_managers(Tl2Tm::new(n, k));
-        check_with_managers(Tl2Tm::with_validation(n, k, ValidationStyle::RValidateThenChkLock));
+        check_with_managers(Tl2Tm::with_validation(
+            n,
+            k,
+            ValidationStyle::RValidateThenChkLock,
+        ));
     }
 }
 
@@ -90,7 +103,12 @@ where
 {
     let states = reachable(tm);
     let words: HashSet<[u64; N]> = states.iter().map(packed).collect();
-    assert_eq!(words.len(), states.len(), "{} packs two states alike", tm.name());
+    assert_eq!(
+        words.len(),
+        states.len(),
+        "{} packs two states alike",
+        tm.name()
+    );
 }
 
 #[test]

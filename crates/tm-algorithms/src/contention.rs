@@ -395,7 +395,9 @@ impl<A: TmAlgorithm, C: ContentionManager> TmAlgorithm for WithContentionManager
     /// abort transition when the base TM would offer it **and** — at a
     /// conflict — the manager has an abort transition. The base TM's
     /// proper steps are computed once and serve both the filter and the
-    /// abort-enabledness test.
+    /// abort-enabledness test. They go into a fresh buffer, the one
+    /// allocation per call: its element type is the base TM's step, not
+    /// `out`'s.
     fn steps_into(
         &self,
         q: &Self::State,
@@ -458,7 +460,13 @@ mod tests {
         fn is_conflict(&self, q: &A::State, c: Command, t: ThreadId) -> bool {
             self.tm.is_conflict(q, c, t)
         }
-        fn proper_steps(&self, q: &A::State, c: Command, t: ThreadId, out: &mut Vec<Step<A::State>>) {
+        fn proper_steps(
+            &self,
+            q: &A::State,
+            c: Command,
+            t: ThreadId,
+            out: &mut Vec<Step<A::State>>,
+        ) {
             self.calls.set(self.calls.get() + 1);
             self.tm.proper_steps(q, c, t, out);
         }

@@ -291,7 +291,11 @@ mod tests {
                     q.os[ti].insert(v);
                     add(format!("os[{ti}]"), q);
                 }
-                for status in [DstmStatus::Aborted, DstmStatus::Validated, DstmStatus::Invalid] {
+                for status in [
+                    DstmStatus::Aborted,
+                    DstmStatus::Validated,
+                    DstmStatus::Invalid,
+                ] {
                     let mut q = base;
                     q.status[ti] = status;
                     add(format!("status[{ti}]"), q);

@@ -20,38 +20,26 @@ use tm_automata::{
 
 use crate::algorithm::{Action, Step, TmAlgorithm, TmState};
 
-/// Calls `f` for every thread `t` and each command enabled for it in
-/// `state` — the order of `tm.thread_ids()` ×
-/// `tm.enabled_commands(state, t)` — without allocating either list.
-pub(crate) fn for_each_enabled<A: TmAlgorithm>(
-    tm: &A,
-    state: &A::State,
-    mut f: impl FnMut(ThreadId, Command),
-) {
-    for t in (0..tm.threads()).map(ThreadId::new) {
-        match state.pending(t) {
-            Some(c) => f(t, c),
-            None => Command::all(tm.vars()).for_each(|c| f(t, c)),
-        }
-    }
-}
-
 /// One state expansion of the most general program: every step of every
-/// enabled (thread, command) pair, in [`for_each_enabled`] order and
-/// each pair's [`TmAlgorithm::steps_into`] order, handed to `emit`. All
-/// pairs share one step buffer, so an expansion allocates at most once.
+/// thread `t` in [`TmAlgorithm::thread_ids`] order and each command in
+/// [`TmAlgorithm::enabled_commands`] order, in each pair's
+/// [`TmAlgorithm::steps_into`] order, handed to `emit`. All pairs share
+/// one step buffer, so expanding a plain TM's state allocates at most
+/// once.
 fn for_each_step<A: TmAlgorithm>(
     tm: &A,
     state: &A::State,
     mut emit: impl FnMut(ThreadId, Command, Step<A::State>),
 ) {
     let mut steps = Vec::new();
-    for_each_enabled(tm, state, |t, c| {
-        tm.steps_into(state, c, t, &mut steps);
-        for step in steps.drain(..) {
-            emit(t, c, step);
+    for t in tm.thread_ids() {
+        for c in tm.enabled_commands(state, t) {
+            tm.steps_into(state, c, t, &mut steps);
+            for step in steps.drain(..) {
+                emit(t, c, step);
+            }
         }
-    });
+    }
 }
 
 /// Word-level view: labels are statements, internal steps are ε.
@@ -331,17 +319,28 @@ pub fn most_general_run_graph<A: TmAlgorithm>(
     (graph, explored.states)
 }
 
-/// Checks that an exploration never produced a state whose pending command
-/// disagrees with its outgoing transitions — a structural sanity check of
-/// the formalism's γ-rules, used in tests.
+/// Checks the formalism's pending rules (γ1–γ4) on explored states: every
+/// step of an enabled command `c` of thread `t` leaves `c` pending exactly
+/// when it answers `⊥`, and leaves every other thread's pending command
+/// as it was — a structural sanity check of the TM's rules, used in tests.
 pub fn check_pending_invariant<A: TmAlgorithm>(tm: &A, states: &[A::State]) -> bool {
+    let mut steps = Vec::new();
     states.iter().all(|q| {
-        tm.thread_ids().iter().all(|&t| {
-            match q.pending(t) {
-                // A pending command restricts the thread to that command.
-                Some(c) => tm.enabled_commands(q, t) == vec![c],
-                None => tm.enabled_commands(q, t).len() == Command::all(tm.vars()).count(),
-            }
+        tm.thread_ids().all(|t| {
+            tm.enabled_commands(q, t).all(|c| {
+                steps.clear();
+                tm.steps_into(q, c, t, &mut steps);
+                steps.iter().all(|step| {
+                    tm.thread_ids().all(|u| {
+                        let expected = match (u == t, step.action.is_internal()) {
+                            (false, _) => q.pending(u),
+                            (true, true) => Some(c),
+                            (true, false) => None,
+                        };
+                        step.next.pending(u) == expected
+                    })
+                })
+            })
         })
     })
 }

@@ -30,7 +30,10 @@ use crate::algorithm::MAX_THREADS;
 pub(crate) fn lanes(width: u32, values: impl IntoIterator<Item = u64>) -> u64 {
     debug_assert!(width as usize * MAX_THREADS <= 64);
     values.into_iter().enumerate().fold(0, |word, (i, value)| {
-        debug_assert!(value >> width == 0, "lane value {value} wider than {width} bits");
+        debug_assert!(
+            value >> width == 0,
+            "lane value {value} wider than {width} bits"
+        );
         word | value << (width * i as u32)
     })
 }
@@ -100,7 +103,10 @@ pub(crate) mod tests {
         let mut masks: Vec<(String, [u64; N])> = Vec::new();
         for (field, words) in variants {
             let diff: [u64; N] = std::array::from_fn(|i| words[i] ^ base[i]);
-            assert!(diff.iter().any(|&d| d != 0), "field {field} does not show in the packing");
+            assert!(
+                diff.iter().any(|&d| d != 0),
+                "field {field} does not show in the packing"
+            );
             match masks.iter_mut().find(|(f, _)| f == field) {
                 Some((_, mask)) => (0..N).for_each(|i| mask[i] |= diff[i]),
                 None => masks.push((field.clone(), diff)),

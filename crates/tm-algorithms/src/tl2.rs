@@ -421,10 +421,34 @@ mod tests {
             for ti in 0..MAX_THREADS {
                 for v in (0..vars).map(VarId::new) {
                     let single = VarSet::singleton(v);
-                    add(format!("rs[{ti}]"), Tl2State { rs: set_at(ti, single), ..base });
-                    add(format!("ws[{ti}]"), Tl2State { ws: set_at(ti, single), ..base });
-                    add(format!("ls[{ti}]"), Tl2State { ls: set_at(ti, single), ..base });
-                    add(format!("ms[{ti}]"), Tl2State { ms: set_at(ti, single), ..base });
+                    add(
+                        format!("rs[{ti}]"),
+                        Tl2State {
+                            rs: set_at(ti, single),
+                            ..base
+                        },
+                    );
+                    add(
+                        format!("ws[{ti}]"),
+                        Tl2State {
+                            ws: set_at(ti, single),
+                            ..base
+                        },
+                    );
+                    add(
+                        format!("ls[{ti}]"),
+                        Tl2State {
+                            ls: set_at(ti, single),
+                            ..base
+                        },
+                    );
+                    add(
+                        format!("ms[{ti}]"),
+                        Tl2State {
+                            ms: set_at(ti, single),
+                            ..base
+                        },
+                    );
                 }
                 for status in [Tl2Status::Validated, Tl2Status::Aborted] {
                     let mut q = base;

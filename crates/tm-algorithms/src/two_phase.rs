@@ -33,7 +33,11 @@ impl TwoPhaseState {
 
     /// The state packed losslessly into three words (see `pack`).
     pub(crate) fn packed(&self) -> [u64; 3] {
-        [pack::sets(&self.rs), pack::sets(&self.ws), pack::pending(&self.pending)]
+        [
+            pack::sets(&self.rs),
+            pack::sets(&self.ws),
+            pack::pending(&self.pending),
+        ]
     }
 }
 
