@@ -17,8 +17,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tm_algorithms::{most_general_nfa, DstmTm, MostGeneralSource, Tl2Tm, TwoPhaseTm};
 use tm_automata::{
-    check_inclusion, check_inclusion_compiled, check_inclusion_otf, check_inclusion_otf_cached,
-    check_inclusion_reference, modelcheck_threads, Alphabet, DtsSpecSource, Executor, QueryBudget,
+    check_inclusion, check_inclusion_otf, check_inclusion_otf_cached, check_inclusion_reference,
+    modelcheck_threads, Alphabet, CompiledNfa, DtsSpecSource, Executor, NfaSource, QueryBudget,
     SpecCache, WorkerPool,
 };
 use tm_lang::SafetyProperty;
@@ -29,13 +29,14 @@ const MAX: usize = 20_000_000;
 const SIZES: [(usize, usize); 5] = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)];
 
 /// Instance sizes of the on-the-fly group. At (3, 3) and (4, 2) only the
-/// fully lazy engine runs — eagerly determinizing those specifications
+/// fully lazy engine runs — determinizing those specifications up front
 /// does not terminate in reasonable time — so those rows bench
 /// `otf-lazy` alone (the `otf-lazy/3x3` / `otf-lazy/4x2` filters are
 /// what CI's release smoke runs behind a timeout).
 const OTF_SIZES: [(usize, usize); 4] = [(2, 2), (3, 2), (3, 3), (4, 2)];
 
 fn bench_compiled_vs_seed(c: &mut Criterion) {
+    let unlimited = QueryBudget::unlimited();
     let mut group = c.benchmark_group("scaling/compiled-vs-seed");
     group.sample_size(10);
     for (n, k) in [(2, 2), (2, 3)] {
@@ -57,8 +58,16 @@ fn bench_compiled_vs_seed(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("compiled", &tag), &tm, |b, tm| {
             b.iter(|| check_inclusion(tm, &spec))
         });
+        // `check_inclusion` minus the spec compile: the NFA is compiled
+        // over the precompiled spec's alphabet and run on the sequential
+        // engine.
         group.bench_with_input(BenchmarkId::new("precompiled", &tag), &tm, |b, tm| {
-            b.iter(|| check_inclusion_compiled(tm, &compiled))
+            b.iter(|| {
+                let mut alphabet = compiled.alphabet().clone();
+                let imp = CompiledNfa::compile(tm, &mut alphabet);
+                let source = NfaSource::new(&imp, &alphabet);
+                check_inclusion_otf(&source, &compiled, &Executor::Sequential, &unlimited)
+            })
         });
     }
     group.finish();
@@ -131,12 +140,12 @@ fn bench_otf_product(c: &mut Criterion) {
     for (n, k) in OTF_SIZES {
         let tag = format!("{n}x{k}");
         let lazy_selected = group.is_selected(&format!("otf-lazy/{tag}"));
-        let eager_feasible = matches!((n, k), (2, 2) | (3, 2));
-        let eager_selected = eager_feasible
+        let compiled_feasible = matches!((n, k), (2, 2) | (3, 2));
+        let compiled_selected = compiled_feasible
             && ["otf-seq", "otf-par"]
                 .iter()
                 .any(|kind| group.is_selected(&format!("{kind}/{tag}")));
-        if !lazy_selected && !eager_selected {
+        if !lazy_selected && !compiled_selected {
             continue;
         }
         let det = DetSpec::new(SafetyProperty::StrictSerializability, n, k);
@@ -151,7 +160,7 @@ fn bench_otf_product(c: &mut Criterion) {
                 })
             });
         }
-        if eager_selected {
+        if compiled_selected {
             let spec = det.to_dfa(MAX).0.compile();
             group.bench_with_input(BenchmarkId::new("otf-seq", &tag), &(n, k), |b, _| {
                 b.iter(|| check_inclusion_otf(&source, &spec, &Executor::Sequential, &unlimited))

@@ -42,11 +42,11 @@ pub struct SafetyVerdict {
     /// state count (Table 2 "Size") when the property holds, the explored
     /// portion when a violation cut the search short.
     pub tm_states: usize,
-    /// States of the deterministic specification automaton: the full
-    /// automaton size when it was determinized eagerly
-    /// ([`crate::SpecMode::Eager`]), or the specification states the
-    /// product actually touched under lazy stepping (the
-    /// [`crate::SpecMode::Lazy`] default).
+    /// Specification states the product touched: the states the
+    /// session's lazily interned specification holds after this query
+    /// (cumulative over the session's earlier queries against the same
+    /// property and size). Not the full deterministic automaton's size,
+    /// which `tm_spec::DetSpec::to_dfa` reports.
     pub spec_states: usize,
     /// Product states explored by the inclusion check.
     pub product_states: usize,

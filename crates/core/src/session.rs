@@ -8,10 +8,9 @@
 //! shaped around that: a [`Verifier`] is created once per instance size
 //! `(n, k)` and amortizes across all subsequent queries
 //!
-//! * the **specification artifacts** (the lazily interned
-//!   [`tm_automata::SpecCache`] rows, or the eagerly determinized
-//!   [`tm_automata::CompiledDfa`] under [`SpecMode::Eager`]), shared by
-//!   every TM checked against the same property;
+//! * the **specification artifact** of each property (the lazily
+//!   interned [`tm_automata::SpecCache`] rows), shared by every TM checked
+//!   against the same property;
 //! * the **compiled run graph** ([`tm_automata::CompiledRunGraph`]) of
 //!   each TM, built on the first liveness query and answering all three
 //!   properties (the `tables` bin used to build it three times per TM);
@@ -22,7 +21,7 @@
 //! Every query returns a uniform [`Verdict`] carrying [`QueryStats`]
 //! (states explored, build vs. search time, pool size, cache hit).
 //! Verdicts, counterexample words, and lassos are bit-identical at every
-//! pool size and in both spec modes, and equal to the bare engines' and
+//! pool size, and equal to the bare engines' and
 //! the reference checkers' (pinned by `tests/inclusion_conformance.rs`
 //! and `tests/liveness_conformance.rs`).
 //!
@@ -39,9 +38,9 @@ use std::time::{Duration, Instant};
 
 use tm_algorithms::{MostGeneralRunSource, MostGeneralSource, RunLabel, TmAlgorithm};
 use tm_automata::{
-    check_inclusion_otf, check_inclusion_otf_cached, modelcheck_threads, Alphabet,
-    CancelToken, CompiledDfa, CompiledRunGraph, DtsSpecSource, EngineError, Executor, FxHashMap,
-    InclusionResult, QueryBudget, SpecCache, WorkerPool,
+    check_inclusion_otf_cached, modelcheck_threads, Alphabet, CancelToken, CompiledRunGraph,
+    DtsSpecSource, EngineError, Executor, FxHashMap, InclusionResult, QueryBudget, SpecCache,
+    WorkerPool,
 };
 use tm_lang::{LivenessProperty, SafetyProperty, Statement, Word};
 use tm_spec::{spec_alphabet, DetSpec};
@@ -52,34 +51,13 @@ use crate::report::{QueryStats, Verdict, VerdictOutcome};
 use crate::safety::{SafetyOutcome, SafetyVerdict};
 use crate::structural::check_all_structural;
 
-/// How a session evaluates the deterministic specification.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SpecMode {
-    /// Step the specification rules on the fly ([`tm_automata::SpecCache`]
-    /// over [`tm_spec::DetSpec`]): only specification states the TM
-    /// actually reaches are ever computed, and the interned rows persist
-    /// across the session. The default — it is the only mode that scales
-    /// past (3, 2), where eager determinization dominates every check.
-    /// The product BFS runs on the deterministic sequential engine.
-    #[default]
-    Lazy,
-    /// Determinize the specification up front into a dense
-    /// [`tm_automata::CompiledDfa`]. Enables the parallel product BFS on
-    /// the session pool
-    /// and reports the full specification state count; explicit opt-in
-    /// for instance sizes where determinization is affordable.
-    Eager,
-}
-
-/// An eagerly determinized, compiled specification (one per property and
-/// instance size).
-struct EagerSpec {
-    compiled: CompiledDfa<Statement>,
-    build_time: Duration,
-}
-
 /// A lazily stepped specification with its persistent interned rows (one
-/// per property and instance size).
+/// per property and instance size): the specification rules
+/// ([`tm_spec::DetSpec`]) are stepped on the fly, so only specification
+/// states some TM actually reaches are ever computed — which is what lets
+/// safety scale past (3, 2), where determinizing the whole specification
+/// up front would dominate every check. The product BFS runs on the
+/// deterministic sequential engine.
 struct LazySpec {
     cache: SpecCache<DtsSpecSource<DetSpec>>,
     build_time: Duration,
@@ -122,7 +100,6 @@ pub struct Verifier {
     threads: usize,
     vars: usize,
     pool_size: usize,
-    spec_mode: SpecMode,
     max_states: usize,
     deadline: Option<Duration>,
     cancel: Option<CancelToken>,
@@ -130,7 +107,6 @@ pub struct Verifier {
     /// A pool owned by someone else (a service multiplexing many
     /// sessions); takes precedence over the session-owned `pool`.
     shared_pool: Option<Arc<WorkerPool>>,
-    eager_specs: FxHashMap<(SafetyProperty, usize, usize), EagerSpec>,
     lazy_specs: FxHashMap<(SafetyProperty, usize, usize), LazySpec>,
     run_graphs: FxHashMap<String, RunGraphArtifact>,
     run_graph_builds: usize,
@@ -140,9 +116,9 @@ pub struct Verifier {
     /// Total builds ever per TM name — survives eviction, so a build
     /// after [`Verifier::drop_run_graph`] is recognized as a rebuild.
     run_graph_history: FxHashMap<String, usize>,
-    /// Total builds ever per (property, n, k, mode) — the eviction
-    /// counterpart for specification artifacts.
-    spec_history: FxHashMap<(SafetyProperty, usize, usize, SpecMode), usize>,
+    /// Total builds ever per (property, n, k) — the eviction counterpart
+    /// for specification artifacts.
+    spec_history: FxHashMap<(SafetyProperty, usize, usize), usize>,
 }
 
 impl std::fmt::Debug for Verifier {
@@ -151,7 +127,6 @@ impl std::fmt::Debug for Verifier {
             .field("threads", &self.threads)
             .field("vars", &self.vars)
             .field("pool_size", &self.pool_size)
-            .field("spec_mode", &self.spec_mode)
             .field("max_states", &self.max_states)
             .field("run_graph_builds", &self.run_graph_builds)
             .field("spec_builds", &self.spec_builds)
@@ -164,20 +139,18 @@ use crate::safety::DEFAULT_MAX_STATES;
 impl Verifier {
     /// Creates a session for instance size `(threads, vars)` with the
     /// defaults: pool size from [`tm_automata::modelcheck_threads`]
-    /// (the `TM_MODELCHECK_THREADS` environment variable),
-    /// [`SpecMode::Lazy`], and a [`crate::DEFAULT_MAX_STATES`] bound.
+    /// (the `TM_MODELCHECK_THREADS` environment variable) and a
+    /// [`crate::DEFAULT_MAX_STATES`] bound.
     pub fn new(threads: usize, vars: usize) -> Self {
         Verifier {
             threads,
             vars,
             pool_size: modelcheck_threads(),
-            spec_mode: SpecMode::default(),
             max_states: DEFAULT_MAX_STATES,
             deadline: None,
             cancel: None,
             pool: None,
             shared_pool: None,
-            eager_specs: FxHashMap::default(),
             lazy_specs: FxHashMap::default(),
             run_graphs: FxHashMap::default(),
             run_graph_builds: 0,
@@ -212,12 +185,6 @@ impl Verifier {
         self.pool_size = pool.size();
         self.pool = None;
         self.shared_pool = Some(pool);
-        self
-    }
-
-    /// Sets how specifications are evaluated (see [`SpecMode`]).
-    pub fn spec_mode(mut self, mode: SpecMode) -> Self {
-        self.spec_mode = mode;
         self
     }
 
@@ -353,16 +320,15 @@ impl Verifier {
         self.run_graphs.remove(tm_name).is_some()
     }
 
-    /// Evicts every cached specification artifact for `property` — lazy
-    /// and eager, at every instance size this session has touched —
-    /// returning whether any was cached. The next safety query against
-    /// the property transparently rebuilds (and reports a rebuild, as
-    /// with [`Verifier::drop_run_graph`]).
+    /// Evicts every cached specification artifact for `property`, at
+    /// every instance size this session has touched, returning whether
+    /// any was cached. The next safety query against the property
+    /// transparently rebuilds (and reports a rebuild, as with
+    /// [`Verifier::drop_run_graph`]).
     pub fn drop_spec(&mut self, property: SafetyProperty) -> bool {
-        let before = self.lazy_specs.len() + self.eager_specs.len();
+        let before = self.lazy_specs.len();
         self.lazy_specs.retain(|key, _| key.0 != property);
-        self.eager_specs.retain(|key, _| key.0 != property);
-        before != self.lazy_specs.len() + self.eager_specs.len()
+        before != self.lazy_specs.len()
     }
 
     /// Exports the cached compiled run graph of `tm_name` for
@@ -416,8 +382,8 @@ impl Verifier {
 
     /// Exports the interned rows of the cached lazy specification for
     /// `(property, n, k)`: the interned states, the computed successor
-    /// rows, and the original build time. `None` when nothing is cached
-    /// (or only an eager artifact is). Pairs with
+    /// rows, and the original build time. `None` when nothing is cached.
+    /// Pairs with
     /// [`Verifier::import_lazy_spec`].
     #[allow(clippy::type_complexity)]
     pub fn export_lazy_spec(
@@ -460,10 +426,7 @@ impl Verifier {
         let cache = SpecCache::from_parts(source, states, rows)?;
         self.lazy_specs
             .insert((property, n, k), LazySpec { cache, build_time });
-        *self
-            .spec_history
-            .entry((property, n, k, SpecMode::Lazy))
-            .or_insert(0) += 1;
+        *self.spec_history.entry((property, n, k)).or_insert(0) += 1;
         Ok(())
     }
 
@@ -487,20 +450,14 @@ impl Verifier {
     }
 
     /// Estimated heap footprint of every cached specification artifact
-    /// for `property` (lazy and eager, summed over instance sizes), or
-    /// `None` if none is cached.
+    /// for `property` (summed over instance sizes), or `None` if none is
+    /// cached.
     pub fn spec_heap_bytes(&self, property: SafetyProperty) -> Option<usize> {
         let mut bytes = 0;
         let mut any = false;
         for (key, artifact) in &self.lazy_specs {
             if key.0 == property {
                 bytes += artifact.cache.heap_bytes();
-                any = true;
-            }
-        }
-        for (key, artifact) in &self.eager_specs {
-            if key.0 == property {
-                bytes += artifact.compiled.heap_bytes();
                 any = true;
             }
         }
@@ -515,9 +472,8 @@ impl Verifier {
             .values()
             .map(|artifact| artifact.graph.heap_bytes())
             .sum();
-        let lazy: usize = self.lazy_specs.values().map(|a| a.cache.heap_bytes()).sum();
-        let eager: usize = self.eager_specs.values().map(|a| a.compiled.heap_bytes()).sum();
-        graphs + lazy + eager
+        let specs: usize = self.lazy_specs.values().map(|a| a.cache.heap_bytes()).sum();
+        graphs + specs
     }
 
     /// Names of the TMs whose run graphs are currently cached, sorted
@@ -529,8 +485,9 @@ impl Verifier {
     }
 
     /// Checks a safety property of `tm` on the most general program,
-    /// reusing the session's specification artifacts (and, under
-    /// [`SpecMode::Eager`], its worker pool).
+    /// reusing the session's specification artifact for the property.
+    /// The product search runs on the deterministic sequential engine
+    /// whatever the pool size.
     ///
     /// A state space exceeding the session's bound, an expired
     /// [`Verifier::deadline`], or a cancelled [`Verifier::cancel_token`]
@@ -562,177 +519,68 @@ impl Verifier {
         let (n, k) = (tm.threads(), tm.vars());
         let key = (property, n, k);
         let budget = self.query_budget();
-        match self.spec_mode {
-            SpecMode::Lazy => {
-                let cached = self.lazy_specs.contains_key(&key);
-                let mut rebuilds = 0;
-                if !cached {
-                    let build = Instant::now();
-                    let spec = DetSpec::new(property, n, k);
-                    let source = DtsSpecSource::new(spec, spec_alphabet(n, k));
-                    self.lazy_specs.insert(
-                        key,
-                        LazySpec {
-                            cache: SpecCache::new(source),
-                            build_time: build.elapsed(),
-                        },
-                    );
-                    rebuilds = self.record_spec_build(property, n, k, SpecMode::Lazy);
-                }
-                let artifact = self.lazy_specs.get_mut(&key).expect("just ensured");
-                let source = MostGeneralSource::new(
-                    tm,
-                    Alphabet::from_letters(artifact.cache.source().letters()),
-                );
-                let search = Instant::now();
-                let (result, stats) =
-                    match check_inclusion_otf_cached(&source, &mut artifact.cache, &budget) {
-                        Ok(pair) => pair,
-                        Err(error) => {
-                            return abort_verdict(
-                                error,
-                                QueryStats {
-                                    states_explored: 0,
-                                    build_time: if cached {
-                                        Duration::ZERO
-                                    } else {
-                                        artifact.build_time
-                                    },
-                                    search_time: search.elapsed(),
-                                    pool_size: 1,
-                                    artifact_cached: cached,
-                                    rebuilds,
-                                    ..QueryStats::default()
-                                },
-                            );
-                        }
-                    };
-                let search_time = search.elapsed();
-                let verdict = assemble_safety(
-                    tm.name(),
-                    property,
-                    result,
-                    stats.impl_states,
-                    artifact.cache.touched(),
-                    search_time,
-                    total.elapsed(),
-                );
-                let states_explored = verdict.product_states;
-                Verdict {
-                    outcome: VerdictOutcome::Safety(verdict),
-                    stats: QueryStats {
-                        states_explored,
-                        build_time: if cached { Duration::ZERO } else { artifact.build_time },
-                        search_time,
-                        pool_size: 1, // the lazy spec path is sequential
-                        artifact_cached: cached,
-                        rebuilds,
-                        ..QueryStats::default()
-                    },
-                }
-            }
-            SpecMode::Eager => {
-                let cached = self.eager_specs.contains_key(&key);
-                let mut rebuilds = 0;
-                if !cached {
-                    let build = Instant::now();
-                    let compiled = match DetSpec::new(property, n, k).try_to_dfa(&budget) {
-                        Ok((dfa, _)) => dfa.compile(),
-                        Err(error) => {
-                            return abort_verdict(
-                                error,
-                                QueryStats {
-                                    states_explored: 0,
-                                    build_time: build.elapsed(),
-                                    search_time: Duration::ZERO,
-                                    pool_size: 1,
-                                    artifact_cached: false,
-                                    rebuilds: 0,
-                                    ..QueryStats::default()
-                                },
-                            );
-                        }
-                    };
-                    self.eager_specs.insert(
-                        key,
-                        EagerSpec {
-                            compiled,
-                            build_time: build.elapsed(),
-                        },
-                    );
-                    rebuilds = self.record_spec_build(property, n, k, SpecMode::Eager);
-                }
-                self.ensure_pool();
-                let artifact = &self.eager_specs[&key];
-                let executor = self.executor();
-                let source = MostGeneralSource::new(tm, artifact.compiled.alphabet().clone());
-                let search = Instant::now();
-                let pool_size = executor.threads();
-                let (result, stats) = match check_inclusion_otf(
-                    &source,
-                    &artifact.compiled,
-                    &executor,
-                    &budget,
-                ) {
-                    Ok(pair) => pair,
-                    Err(error) => {
-                        return abort_verdict(
-                            error,
-                            QueryStats {
-                                states_explored: 0,
-                                build_time: if cached {
-                                    Duration::ZERO
-                                } else {
-                                    artifact.build_time
-                                },
-                                search_time: search.elapsed(),
-                                pool_size,
-                                artifact_cached: cached,
-                                rebuilds,
-                                ..QueryStats::default()
-                            },
-                        );
-                    }
-                };
-                let search_time = search.elapsed();
-                let verdict = assemble_safety(
-                    tm.name(),
-                    property,
-                    result,
-                    stats.impl_states,
-                    artifact.compiled.num_states(),
-                    search_time,
-                    total.elapsed(),
-                );
-                let states_explored = verdict.product_states;
-                Verdict {
-                    outcome: VerdictOutcome::Safety(verdict),
-                    stats: QueryStats {
-                        states_explored,
-                        build_time: if cached { Duration::ZERO } else { artifact.build_time },
-                        search_time,
-                        pool_size,
-                        artifact_cached: cached,
-                        rebuilds,
-                        ..QueryStats::default()
-                    },
-                }
-            }
+        let cached = self.lazy_specs.contains_key(&key);
+        let mut rebuilds = 0;
+        if !cached {
+            let build = Instant::now();
+            let spec = DetSpec::new(property, n, k);
+            let source = DtsSpecSource::new(spec, spec_alphabet(n, k));
+            self.lazy_specs.insert(
+                key,
+                LazySpec {
+                    cache: SpecCache::new(source),
+                    build_time: build.elapsed(),
+                },
+            );
+            rebuilds = self.record_spec_build(property, n, k);
+        }
+        let artifact = self.lazy_specs.get_mut(&key).expect("just ensured");
+        let build_time = if cached {
+            Duration::ZERO
+        } else {
+            artifact.build_time
+        };
+        let source = MostGeneralSource::new(
+            tm,
+            Alphabet::from_letters(artifact.cache.source().letters()),
+        );
+        let search = Instant::now();
+        let stats = |states_explored, search_time| QueryStats {
+            states_explored,
+            build_time,
+            search_time,
+            pool_size: 1, // the lazy spec path is sequential
+            artifact_cached: cached,
+            rebuilds,
+            ..QueryStats::default()
+        };
+        let checked = check_inclusion_otf_cached(&source, &mut artifact.cache, &budget);
+        let (result, otf) = match checked {
+            Ok(pair) => pair,
+            Err(error) => return abort_verdict(error, stats(0, search.elapsed())),
+        };
+        let search_time = search.elapsed();
+        let verdict = assemble_safety(
+            tm.name(),
+            property,
+            result,
+            otf.impl_states,
+            artifact.cache.touched(),
+            search_time,
+            total.elapsed(),
+        );
+        Verdict {
+            stats: stats(verdict.product_states, search_time),
+            outcome: VerdictOutcome::Safety(verdict),
         }
     }
 
     /// Records a specification build in the counters, returning 1 when it
     /// was a rebuild (the artifact existed before a
     /// [`Verifier::drop_spec`]) and 0 on first build.
-    fn record_spec_build(
-        &mut self,
-        property: SafetyProperty,
-        n: usize,
-        k: usize,
-        mode: SpecMode,
-    ) -> usize {
+    fn record_spec_build(&mut self, property: SafetyProperty, n: usize, k: usize) -> usize {
         self.spec_builds += 1;
-        let rebuilt = bump_build_history(self.spec_history.entry((property, n, k, mode)).or_insert(0));
+        let rebuilt = bump_build_history(self.spec_history.entry((property, n, k)).or_insert(0));
         self.spec_rebuilds += rebuilt;
         rebuilt
     }
@@ -1042,11 +890,7 @@ fn assemble_safety(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_algorithms::{
-        AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm, ValidationStyle,
-        WithContentionManager,
-    };
-    use tm_lang::is_strictly_serializable;
+    use tm_algorithms::{AggressiveCm, DstmTm, SequentialTm, TwoPhaseTm, WithContentionManager};
 
     #[test]
     fn safety_artifacts_are_shared_across_tms() {
@@ -1065,29 +909,6 @@ mod tests {
             .check_safety(&SequentialTm::new(2, 2), SafetyProperty::StrictSerializability);
         assert!(!other.stats.artifact_cached);
         assert_eq!(verifier.spec_builds(), 2);
-    }
-
-    #[test]
-    fn lazy_and_eager_modes_agree_on_verdict_and_word() {
-        let tm = WithContentionManager::new(
-            Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock),
-            PoliteCm,
-        );
-        let lazy = Verifier::new(2, 2)
-            .spec_mode(SpecMode::Lazy)
-            .check_safety(&tm, SafetyProperty::StrictSerializability)
-            .into_safety()
-            .unwrap();
-        let eager = Verifier::new(2, 2)
-            .spec_mode(SpecMode::Eager)
-            .pool_size(1)
-            .check_safety(&tm, SafetyProperty::StrictSerializability)
-            .into_safety()
-            .unwrap();
-        assert!(!lazy.holds() && !eager.holds());
-        assert_eq!(lazy.counterexample(), eager.counterexample());
-        let word = lazy.counterexample().unwrap();
-        assert!(!is_strictly_serializable(word));
     }
 
     #[test]
@@ -1149,19 +970,14 @@ mod tests {
     #[test]
     fn a_state_blowup_aborts_instead_of_panicking() {
         for pool in [1, 4] {
-            for mode in [SpecMode::Lazy, SpecMode::Eager] {
-                let mut verifier = Verifier::new(2, 2)
-                    .pool_size(pool)
-                    .spec_mode(mode)
-                    .max_states(10);
-                let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
-                assert!(!verdict.holds(), "pool={pool} {mode:?}");
-                assert_eq!(
-                    verdict.abort_reason(),
-                    Some(EngineError::StateLimit(10)),
-                    "pool={pool} {mode:?}"
-                );
-            }
+            let mut verifier = Verifier::new(2, 2).pool_size(pool).max_states(10);
+            let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
+            assert!(!verdict.holds(), "pool={pool}");
+            assert_eq!(
+                verdict.abort_reason(),
+                Some(EngineError::StateLimit(10)),
+                "pool={pool}"
+            );
             let mut verifier = Verifier::new(2, 1).pool_size(pool).max_states(10);
             let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
             let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
@@ -1173,18 +989,13 @@ mod tests {
     #[test]
     fn an_expired_deadline_aborts_every_engine() {
         for pool in [1, 4] {
-            for mode in [SpecMode::Lazy, SpecMode::Eager] {
-                let mut verifier = Verifier::new(2, 2)
-                    .pool_size(pool)
-                    .spec_mode(mode)
-                    .deadline(Duration::ZERO);
-                let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
-                assert_eq!(
-                    verdict.abort_reason(),
-                    Some(EngineError::Deadline),
-                    "pool={pool} {mode:?}"
-                );
-            }
+            let mut verifier = Verifier::new(2, 2).pool_size(pool).deadline(Duration::ZERO);
+            let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
+            assert_eq!(
+                verdict.abort_reason(),
+                Some(EngineError::Deadline),
+                "pool={pool}"
+            );
             let mut verifier = Verifier::new(2, 1).pool_size(pool).deadline(Duration::ZERO);
             let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
             let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);

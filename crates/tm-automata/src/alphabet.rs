@@ -104,15 +104,6 @@ impl<L> Alphabet<L> {
         self.letters.len()
     }
 
-    /// Estimated heap footprint in bytes: the letter `Vec`'s capacity
-    /// plus the interning table, letters counted at their inline size
-    /// (see the crate's heap-accounting convention on
-    /// [`crate::CompiledNfa::heap_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.letters.capacity() * std::mem::size_of::<L>()
-            + crate::fxhash::map_heap_bytes(&self.index)
-    }
-
     /// `true` if no letter was interned yet.
     pub fn is_empty(&self) -> bool {
         self.letters.is_empty()

@@ -29,7 +29,7 @@ use std::hash::Hash;
 use crate::alphabet::{Alphabet, LetterId};
 use crate::bitset::BitSet;
 use crate::compiled::{CompiledNfa, EPSILON};
-use crate::inclusion::{counterexample, InclusionResult};
+use crate::inclusion::InclusionResult;
 use crate::nfa::{Nfa, StateId};
 
 /// Checks `L(a) ⊆ L(b)` with the antichain algorithm.
@@ -103,6 +103,33 @@ pub fn check_inclusion_antichain<L: Clone + Eq + Hash>(
     }
     InclusionResult::Included {
         product_states: queue.len(),
+    }
+}
+
+/// Reconstructs the violating word along the queue's parent pointers; the
+/// only place letter ids are materialized back into labels.
+fn counterexample<L: Clone>(
+    alphabet: &Alphabet<L>,
+    parent: &[(u32, LetterId)],
+    mut at: usize,
+    last_letter: LetterId,
+    product_states: usize,
+) -> InclusionResult<L> {
+    let mut word = vec![alphabet.letter(last_letter).clone()];
+    loop {
+        let (prev, letter) = parent[at];
+        if prev == u32::MAX {
+            break;
+        }
+        if letter != EPSILON {
+            word.push(alphabet.letter(letter).clone());
+        }
+        at = prev as usize;
+    }
+    word.reverse();
+    InclusionResult::Counterexample {
+        word,
+        product_states,
     }
 }
 

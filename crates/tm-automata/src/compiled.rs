@@ -264,161 +264,6 @@ impl CompiledNfa {
         }
         true
     }
-
-    /// Clones the raw CSR arrays out of the automaton — the serialization
-    /// form used by the on-disk artifact store (`tm-store`).
-    pub fn to_parts(&self) -> NfaParts {
-        NfaParts {
-            num_states: self.num_states,
-            num_letters: self.num_letters,
-            initial: self.initial.clone(),
-            letter_offsets: self.letter_offsets.clone(),
-            letter_targets: self.letter_targets.clone(),
-            eps_offsets: self.eps_offsets.clone(),
-            eps_targets: self.eps_targets.clone(),
-            edge_offsets: self.edge_offsets.clone(),
-            edge_letters: self.edge_letters.clone(),
-            edge_targets: self.edge_targets.clone(),
-        }
-    }
-
-    /// Reassembles an automaton from raw CSR arrays
-    /// ([`CompiledNfa::to_parts`]), verifying every structural invariant
-    /// [`CompiledNfa::compile`] establishes before trusting the data: CSR
-    /// shapes and monotonicity, target ranges, and exact agreement
-    /// between the insertion-order edge lists and the per-letter/ε CSR
-    /// (the CSR is a counting-sort permutation of the edge lists, so the
-    /// two encode each other). Deserialized artifacts are therefore
-    /// behaviourally indistinguishable from freshly compiled ones.
-    ///
-    /// # Errors
-    ///
-    /// A static description of the first violated invariant.
-    pub fn from_parts(parts: NfaParts) -> Result<Self, &'static str> {
-        let NfaParts {
-            num_states,
-            num_letters,
-            initial,
-            letter_offsets,
-            letter_targets,
-            eps_offsets,
-            eps_targets,
-            edge_offsets,
-            edge_letters,
-            edge_targets,
-        } = parts;
-        let n = num_states as usize;
-        let rows = n
-            .checked_mul(num_letters as usize)
-            .ok_or("state x letter row count overflows")?;
-        let check_csr = |offsets: &[u32], targets: &[u32], rows: usize| -> Result<(), &'static str> {
-            if offsets.len() != rows + 1 {
-                return Err("CSR offset array has wrong length");
-            }
-            if offsets[0] != 0 {
-                return Err("CSR offsets do not start at 0");
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err("CSR offsets are not monotone");
-            }
-            if offsets[rows] as usize != targets.len() {
-                return Err("CSR offsets do not cover the target array");
-            }
-            Ok(())
-        };
-        check_csr(&letter_offsets, &letter_targets, rows)?;
-        check_csr(&eps_offsets, &eps_targets, n)?;
-        check_csr(&edge_offsets, &edge_targets, n)?;
-        if edge_letters.len() != edge_targets.len() {
-            return Err("edge letter/target arrays disagree in length");
-        }
-        if initial.iter().any(|&q| q as usize >= n) {
-            return Err("initial state out of range");
-        }
-        for targets in [&letter_targets, &eps_targets, &edge_targets] {
-            if targets.iter().any(|&q| q as usize >= n) {
-                return Err("edge target out of range");
-            }
-        }
-        // Replay the compile-time counting sort over the insertion-order
-        // edge lists and demand the CSR matches position for position.
-        let mut letter_cursor: Vec<u32> = letter_offsets[..rows].to_vec();
-        let mut eps_cursor: Vec<u32> = eps_offsets[..n].to_vec();
-        for q in 0..n {
-            for k in edge_offsets[q] as usize..edge_offsets[q + 1] as usize {
-                let letter = edge_letters[k];
-                if letter == EPSILON {
-                    let c = eps_cursor[q] as usize;
-                    if c >= eps_offsets[q + 1] as usize || eps_targets[c] != edge_targets[k] {
-                        return Err("ε CSR disagrees with the edge lists");
-                    }
-                    eps_cursor[q] += 1;
-                } else {
-                    if letter >= num_letters {
-                        return Err("edge letter out of range");
-                    }
-                    let row = q * num_letters as usize + letter as usize;
-                    let c = letter_cursor[row] as usize;
-                    if c >= letter_offsets[row + 1] as usize || letter_targets[c] != edge_targets[k]
-                    {
-                        return Err("letter CSR disagrees with the edge lists");
-                    }
-                    letter_cursor[row] += 1;
-                }
-            }
-        }
-        if letter_cursor
-            .iter()
-            .enumerate()
-            .any(|(row, &c)| c != letter_offsets[row + 1])
-            || eps_cursor
-                .iter()
-                .enumerate()
-                .any(|(q, &c)| c != eps_offsets[q + 1])
-        {
-            return Err("CSR contains edges absent from the edge lists");
-        }
-        Ok(CompiledNfa {
-            num_states,
-            num_letters,
-            initial,
-            letter_offsets,
-            letter_targets,
-            eps_offsets,
-            eps_targets,
-            edge_offsets,
-            edge_letters,
-            edge_targets,
-        })
-    }
-}
-
-/// The raw CSR arrays of a [`CompiledNfa`]
-/// ([`CompiledNfa::to_parts`] / [`CompiledNfa::from_parts`]): the
-/// label-free serialization form used by the on-disk artifact store.
-/// Field meanings match the private fields of [`CompiledNfa`].
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct NfaParts {
-    /// Number of states.
-    pub num_states: u32,
-    /// Number of letters of the compile-time alphabet.
-    pub num_letters: u32,
-    /// The initial states.
-    pub initial: Vec<u32>,
-    /// CSR offsets by `(state, letter)` row.
-    pub letter_offsets: Vec<u32>,
-    /// CSR targets by `(state, letter)` row.
-    pub letter_targets: Vec<u32>,
-    /// CSR offsets of ε-edges per state.
-    pub eps_offsets: Vec<u32>,
-    /// CSR targets of ε-edges per state.
-    pub eps_targets: Vec<u32>,
-    /// Insertion-order edge-list offsets per state.
-    pub edge_offsets: Vec<u32>,
-    /// Insertion-order edge letters (ε as [`EPSILON`]).
-    pub edge_letters: Vec<LetterId>,
-    /// Insertion-order edge targets.
-    pub edge_targets: Vec<u32>,
 }
 
 /// A DFA compiled to a dense `u32` transition table over its interned
@@ -458,75 +303,6 @@ impl<L: Clone + Eq + Hash> CompiledDfa<L> {
             next,
         }
     }
-
-    /// Clones the letter table and dense transition table out of the
-    /// automaton — the serialization form used by the on-disk artifact
-    /// store (`tm-store`).
-    pub fn to_parts(&self) -> DfaParts<L> {
-        DfaParts {
-            letters: self.alphabet.letters().to_vec(),
-            num_states: self.num_states,
-            initial: self.initial,
-            next: self.next.clone(),
-        }
-    }
-
-    /// Reassembles an automaton from [`CompiledDfa::to_parts`] output,
-    /// verifying table shape, target ranges, and letter uniqueness
-    /// before trusting the data.
-    ///
-    /// # Errors
-    ///
-    /// A static description of the first violated invariant.
-    pub fn from_parts(parts: DfaParts<L>) -> Result<Self, &'static str> {
-        let DfaParts {
-            letters,
-            num_states,
-            initial,
-            next,
-        } = parts;
-        let alphabet = Alphabet::from_letters(&letters);
-        if alphabet.len() != letters.len() {
-            return Err("duplicate letters in alphabet table");
-        }
-        let expected = (num_states as usize)
-            .checked_mul(alphabet.len())
-            .ok_or("transition table size overflows")?;
-        if next.len() != expected {
-            return Err("transition table has wrong size");
-        }
-        if num_states == 0 {
-            return Err("automaton has no states");
-        }
-        if initial >= num_states {
-            return Err("initial state out of range");
-        }
-        if next.iter().any(|&q| q != NO_STATE && q >= num_states) {
-            return Err("transition target out of range");
-        }
-        Ok(CompiledDfa {
-            alphabet,
-            num_states,
-            initial,
-            next,
-        })
-    }
-}
-
-/// The raw tables of a [`CompiledDfa`] ([`CompiledDfa::to_parts`] /
-/// [`CompiledDfa::from_parts`]): the serialization form used by the
-/// on-disk artifact store. Letter ids are the indices into `letters`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DfaParts<L> {
-    /// The interned alphabet, in letter-id order.
-    pub letters: Vec<L>,
-    /// Number of states.
-    pub num_states: u32,
-    /// The initial state.
-    pub initial: u32,
-    /// `next[state * letters.len() + letter]`, [`NO_STATE`] when
-    /// undefined.
-    pub next: Vec<u32>,
 }
 
 impl<L> CompiledDfa<L> {
@@ -543,13 +319,6 @@ impl<L> CompiledDfa<L> {
     /// The initial state.
     pub fn initial_state(&self) -> u32 {
         self.initial
-    }
-
-    /// Estimated heap footprint in bytes: the dense transition table
-    /// plus the interned alphabet (convention of
-    /// [`CompiledNfa::heap_bytes`]).
-    pub fn heap_bytes(&self) -> usize {
-        self.next.capacity() * std::mem::size_of::<u32>() + self.alphabet.heap_bytes()
     }
 
     /// Raw successor lookup: [`NO_STATE`] when the transition is missing.
@@ -679,29 +448,6 @@ mod tests {
         let edges = nfa.num_transitions();
         let floor = (4 * edges + 2 * (nfa.num_states() + 1)) * std::mem::size_of::<u32>();
         assert!(compiled.heap_bytes() >= floor, "{}", compiled.heap_bytes());
-        assert!(alphabet.heap_bytes() >= alphabet.len() * std::mem::size_of::<char>());
-
-        // The DFA's figure tracks its dense table: states × letters.
-        let small = {
-            let mut dfa = Dfa::new(vec!['a', 'b']);
-            let q = dfa.add_state();
-            dfa.set_initial(q);
-            dfa.compile()
-        };
-        let big = {
-            let mut dfa = Dfa::new(vec!['a', 'b']);
-            let q0 = dfa.add_state();
-            dfa.set_initial(q0);
-            for _ in 0..63 {
-                dfa.add_state();
-            }
-            dfa.compile()
-        };
-        let table_floor =
-            |d: &CompiledDfa<char>| d.num_states() * d.alphabet().len() * std::mem::size_of::<u32>();
-        assert!(small.heap_bytes() >= table_floor(&small));
-        assert!(big.heap_bytes() >= table_floor(&big));
-        assert!(big.heap_bytes() > small.heap_bytes());
     }
 
     #[test]

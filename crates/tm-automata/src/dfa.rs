@@ -31,9 +31,8 @@ use crate::nfa::{Nfa, StateId};
 #[derive(Clone, Debug)]
 pub struct Dfa<L> {
     /// The interned alphabet, built once at construction: letter ids are
-    /// the letter indices, and consumers that need an [`Alphabet`] over
-    /// the same ids ([`Dfa::compile`], the inclusion checkers) clone this
-    /// one instead of re-interning every letter.
+    /// the letter indices, and [`Dfa::compile`] clones this one instead of
+    /// re-interning every letter.
     alphabet: Alphabet<L>,
     initial: StateId,
     /// `next[state][letter] = Some(target)`.
@@ -63,13 +62,6 @@ impl<L: Clone + Eq + Hash> Dfa<L> {
     /// The alphabet.
     pub fn alphabet(&self) -> &[L] {
         self.alphabet.letters()
-    }
-
-    /// The alphabet in interned form (ids are the letter indices) —
-    /// prebuilt at construction, so checkers clone it instead of
-    /// re-hashing every letter per call.
-    pub fn alphabet_interned(&self) -> &Alphabet<L> {
-        &self.alphabet
     }
 
     /// Adds a fresh state with no outgoing transitions.
@@ -121,14 +113,6 @@ impl<L: Clone + Eq + Hash> Dfa<L> {
     /// Successor by letter index (see [`Dfa::alphabet`] for the order).
     pub fn step_by_index(&self, state: StateId, letter_index: usize) -> Option<StateId> {
         self.next[state][letter_index]
-    }
-
-    /// Raw successor by letter index with the [`NO_STATE`] sentinel: the
-    /// table-free stepping used by `check_inclusion`'s light path, which
-    /// avoids building the dense [`CompiledDfa`] table when the
-    /// implementation is small.
-    pub(crate) fn step_id(&self, state: u32, letter: u32) -> u32 {
-        self.next[state as usize][letter as usize].map_or(NO_STATE, |s| s as u32)
     }
 
     /// Defines `from --letter--> to` by letter index, skipping the label

@@ -3,22 +3,23 @@
 //! check (§5.4): "Since the TM specification is deterministic, language
 //! inclusion can be checked in time linear in the size of the systems."
 //!
-//! The check is *index-based* end to end: the implementation NFA is
-//! compiled over the specification's interned alphabet
-//! ([`crate::CompiledNfa`] / [`crate::CompiledDfa`]), the product BFS
-//! runs purely on `(u32 state, u32 letter)` integers — no label clones
-//! and no label hashing inside the loop — and labels are materialized
-//! only when a counterexample word is reconstructed. The pre-compilation
-//! original is kept as [`check_inclusion_reference`] for A/B benchmarks
-//! and differential tests.
+//! There is one product BFS: the sequential engine behind
+//! [`crate::check_inclusion_otf`] (`product.rs`). [`check_inclusion`] is
+//! its wrapper for already-materialized automata; callers checking one
+//! specification against many implementations compile the specification
+//! once and call [`crate::check_inclusion_otf`] over [`crate::NfaSource`]
+//! themselves. The pre-compilation original is kept as
+//! [`check_inclusion_reference`], the test oracle of the differential
+//! suites.
 
 use std::hash::Hash;
 
-use crate::alphabet::LetterId;
-use crate::compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
+use crate::budget::QueryBudget;
+use crate::compiled::CompiledNfa;
 use crate::dfa::Dfa;
-use crate::fxhash::FxHashSet;
 use crate::nfa::{Nfa, StateId};
+use crate::pool::Executor;
+use crate::product::{check_inclusion_otf, NfaSource};
 
 /// Outcome of an inclusion check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,12 +69,12 @@ impl<L> InclusionResult<L> {
 /// specification; BFS order makes the returned counterexample shortest
 /// (and identical to [`check_inclusion_reference`]'s).
 ///
-/// Compiles the specification on the spot — unless the implementation is
-/// so small that building the dense spec table would dominate, in which
-/// case the BFS steps the `Dfa`'s rows directly (same interned ids,
-/// identical results). When the same specification is checked against
-/// several implementations, compile it once with [`Dfa::compile`] and
-/// use [`check_inclusion_compiled`].
+/// Compiles the specification ([`Dfa::compile`], which clones the
+/// prebuilt interned alphabet) and the implementation over it, then runs
+/// the sequential engine of [`crate::check_inclusion_otf`] without a
+/// budget. To check one specification against several implementations,
+/// compile it once and call [`crate::check_inclusion_otf`] over
+/// [`crate::NfaSource`] directly.
 ///
 /// # Examples
 ///
@@ -91,236 +92,21 @@ impl<L> InclusionResult<L> {
 /// let result = check_inclusion(&imp, &spec);
 /// assert_eq!(result.counterexample(), Some(&['b'][..]));
 /// ```
-pub fn check_inclusion<L: Clone + Eq + Hash>(nfa: &Nfa<L>, dfa: &Dfa<L>) -> InclusionResult<L> {
-    // Compiling the specification costs O(spec states × letters) per call
-    // (dense-table fill). For implementations far smaller than that — the
-    // sequential TM's 3 states against a 3520-state specification — the
-    // table build dominates the whole check, so a *light path* steps the
-    // specification's row vectors directly: same interned letter ids
-    // (cloned from the Dfa's prebuilt alphabet, no re-interning), same
-    // BFS, identical results; only the per-step load differs.
-    let table_cells = dfa.num_states() * dfa.alphabet().len();
-    if table_cells > 32 * (nfa.num_transitions() + nfa.num_states() + 1) {
-        let mut alphabet = dfa.alphabet_interned().clone();
-        let imp = CompiledNfa::compile(nfa, &mut alphabet);
-        run_product_bfs(&imp, &DfaRows(dfa), &alphabet)
-    } else {
-        check_inclusion_compiled(nfa, &dfa.compile())
-    }
-}
-
-/// [`check_inclusion`] against a pre-compiled specification — the form
-/// the safety checker uses, amortizing the specification compilation
-/// over many implementations.
-pub fn check_inclusion_compiled<L: Clone + Eq + Hash>(
+pub fn check_inclusion<L: Clone + Eq + Hash + Sync>(
     nfa: &Nfa<L>,
-    spec: &CompiledDfa<L>,
+    dfa: &Dfa<L>,
 ) -> InclusionResult<L> {
-    // Intern the implementation's labels on top of the specification
-    // alphabet: ids below `spec_letters` are specification letters (and
-    // equal its letter indices); ids at or above it can never be matched
-    // by the specification and are immediate violations when reached.
+    let spec = dfa.compile();
+    // Implementation labels are interned on top of the specification
+    // alphabet: ids at or above its length are implementation-only
+    // letters, immediate violations when reached.
     let mut alphabet = spec.alphabet().clone();
     let imp = CompiledNfa::compile(nfa, &mut alphabet);
-    run_product_bfs(&imp, spec, &alphabet)
-}
-
-/// Runs the product BFS with the visited representation suited to the
-/// product size.
-fn run_product_bfs<L: Clone, D: SpecStep>(
-    imp: &CompiledNfa,
-    spec: &D,
-    alphabet: &crate::alphabet::Alphabet<L>,
-) -> InclusionResult<L> {
-    // The BFS only ever *dedups* product pairs, so the visited structure
-    // is a set, not a map. When the full product fits a bitmap, even the
-    // hash goes away: one test-and-set per discovered edge.
-    let product_bits = imp.num_states() as u64 * spec.num_states() as u64;
-    if product_bits <= DENSE_VISITED_LIMIT {
-        let visited = DenseVisited {
-            set: crate::bitset::BitSet::new(product_bits as usize),
-            spec_states: spec.num_states() as u64,
-        };
-        product_bfs(imp, spec, alphabet, visited)
-    } else {
-        product_bfs(imp, spec, alphabet, HashedVisited(FxHashSet::default()))
-    }
-}
-
-/// Deterministic-specification stepping, abstracted over the storage:
-/// the dense [`CompiledDfa`] table or the [`Dfa`]'s row vectors
-/// ([`DfaRows`], the light path). Monomorphized into the BFS.
-trait SpecStep {
-    /// Number of specification states.
-    fn num_states(&self) -> usize;
-    /// Number of specification letters.
-    fn num_letters(&self) -> u32;
-    /// The initial state.
-    fn initial(&self) -> u32;
-    /// Raw successor: [`NO_STATE`] when missing. `letter` is below
-    /// [`SpecStep::num_letters`].
-    fn step_raw(&self, state: u32, letter: LetterId) -> u32;
-}
-
-impl<L> SpecStep for CompiledDfa<L> {
-    #[inline]
-    fn num_states(&self) -> usize {
-        CompiledDfa::num_states(self)
-    }
-
-    #[inline]
-    fn num_letters(&self) -> u32 {
-        self.alphabet().len() as u32
-    }
-
-    #[inline]
-    fn initial(&self) -> u32 {
-        self.initial_state()
-    }
-
-    #[inline]
-    fn step_raw(&self, state: u32, letter: LetterId) -> u32 {
-        CompiledDfa::step_raw(self, state, letter)
-    }
-}
-
-/// The table-free specification view behind [`check_inclusion`]'s light
-/// path.
-struct DfaRows<'a, L>(&'a Dfa<L>);
-
-impl<L: Clone + Eq + Hash> SpecStep for DfaRows<'_, L> {
-    #[inline]
-    fn num_states(&self) -> usize {
-        self.0.num_states()
-    }
-
-    #[inline]
-    fn num_letters(&self) -> u32 {
-        self.0.alphabet().len() as u32
-    }
-
-    #[inline]
-    fn initial(&self) -> u32 {
-        self.0.initial_state() as u32
-    }
-
-    #[inline]
-    fn step_raw(&self, state: u32, letter: LetterId) -> u32 {
-        self.0.step_id(state, letter)
-    }
-}
-
-/// Largest dense product bitmap the checker will allocate: 2^27 bits =
-/// 16 MiB. Above it (e.g. TL2-sized TMs against (2,3)+ specifications)
-/// the visited set falls back to hashing packed pairs.
-const DENSE_VISITED_LIMIT: u64 = 1 << 27;
-
-/// Dedup structure for product pairs; monomorphized into the BFS.
-trait ProductVisited {
-    /// `true` exactly on the first visit of `(qi, qs)`.
-    fn first_visit(&mut self, qi: u32, qs: u32) -> bool;
-}
-
-struct DenseVisited {
-    set: crate::bitset::BitSet,
-    spec_states: u64,
-}
-
-impl ProductVisited for DenseVisited {
-    #[inline]
-    fn first_visit(&mut self, qi: u32, qs: u32) -> bool {
-        self.set
-            .insert((qi as u64 * self.spec_states + qs as u64) as usize)
-    }
-}
-
-struct HashedVisited(FxHashSet<u64>);
-
-impl ProductVisited for HashedVisited {
-    #[inline]
-    fn first_visit(&mut self, qi: u32, qs: u32) -> bool {
-        self.0.insert((qi as u64) << 32 | qs as u64)
-    }
-}
-
-/// The index-based product BFS: every step is integer arithmetic on
-/// `(u32 state, u32 letter)` — no label clones, no label hashing.
-fn product_bfs<L: Clone, D: SpecStep, V: ProductVisited>(
-    imp: &CompiledNfa,
-    spec: &D,
-    alphabet: &crate::alphabet::Alphabet<L>,
-    mut visited: V,
-) -> InclusionResult<L> {
-    const ROOT: u32 = u32::MAX;
-    let spec_letters = spec.num_letters();
-    let mut pairs: Vec<(u32, u32)> = Vec::new();
-    // (predecessor index, letter id) per pair, for counterexamples.
-    let mut parent: Vec<(u32, LetterId)> = Vec::new();
-
-    let spec0 = spec.initial();
-    for &qi in imp.initial_states() {
-        if visited.first_visit(qi, spec0) {
-            pairs.push((qi, spec0));
-            parent.push((ROOT, EPSILON));
-        }
-    }
-
-    let mut head = 0usize;
-    while head < pairs.len() {
-        let (qi, qs) = pairs[head];
-        let (letters, targets) = imp.edges_from(qi);
-        for (&letter, &target) in letters.iter().zip(targets) {
-            let qs2 = if letter == EPSILON {
-                qs // internal step: spec stays put
-            } else if letter < spec_letters {
-                match spec.step_raw(qs, letter) {
-                    NO_STATE => {
-                        return counterexample(alphabet, &parent, head, letter, pairs.len())
-                    }
-                    next => next,
-                }
-            } else {
-                // Implementation letter outside the spec alphabet.
-                return counterexample(alphabet, &parent, head, letter, pairs.len());
-            };
-            if visited.first_visit(target, qs2) {
-                pairs.push((target, qs2));
-                parent.push((head as u32, letter));
-            }
-        }
-        head += 1;
-    }
-    InclusionResult::Included {
-        product_states: pairs.len(),
-    }
-}
-
-/// Reconstructs the violating word along parent pointers; the only place
-/// letter ids are materialized back into labels. Shared with the
-/// antichain checker, whose queue uses the same parent encoding.
-pub(crate) fn counterexample<L: Clone>(
-    alphabet: &crate::alphabet::Alphabet<L>,
-    parent: &[(u32, LetterId)],
-    mut at: usize,
-    last_letter: LetterId,
-    product_states: usize,
-) -> InclusionResult<L> {
-    let mut word = vec![alphabet.letter(last_letter).clone()];
-    loop {
-        let (prev, letter) = parent[at];
-        if prev == u32::MAX {
-            break;
-        }
-        if letter != EPSILON {
-            word.push(alphabet.letter(letter).clone());
-        }
-        at = prev as usize;
-    }
-    word.reverse();
-    InclusionResult::Counterexample {
-        word,
-        product_states,
-    }
+    let source = NfaSource::new(&imp, &alphabet);
+    let unlimited = QueryBudget::unlimited();
+    check_inclusion_otf(&source, &spec, &Executor::Sequential, &unlimited)
+        .expect("an unlimited sequential check cannot abort")
+        .0
 }
 
 /// The pre-compilation (seed) implementation of [`check_inclusion`]:
@@ -499,13 +285,5 @@ mod tests {
             let slow = check_inclusion_reference(nfa, dfa);
             assert_eq!(fast, slow);
         }
-    }
-
-    #[test]
-    fn precompiled_spec_reusable_across_checks() {
-        let spec = letter_dfa(&['a', 'b']).compile();
-        assert!(check_inclusion_compiled(&letter_nfa(&['a']), &spec).holds());
-        let bad = check_inclusion_compiled(&letter_nfa(&['a', 'z']), &spec);
-        assert_eq!(bad.counterexample(), Some(&['z'][..]));
     }
 }

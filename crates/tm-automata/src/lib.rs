@@ -17,18 +17,18 @@
 //! * on-the-fly state-space exploration of rule-defined systems
 //!   ([`TransitionSystem`] / [`explore`],
 //!   [`DeterministicTransitionSystem`] / [`explore_deterministic`]);
-//! * linear-time inclusion against a deterministic specification
-//!   ([`check_inclusion`], [`check_inclusion_compiled`]) with shortest
-//!   counterexamples, running purely on `(u32 state, u32 letter)`
-//!   integers (the pre-compilation originals survive as
-//!   [`check_inclusion_reference`] /
-//!   [`check_inclusion_antichain_reference`] for A/B benches);
-//! * **on-the-fly product exploration** ([`check_inclusion_otf`] against
+//! * linear-time inclusion against a deterministic specification by
+//!   **on-the-fly product exploration** ([`check_inclusion_otf`] against
 //!   a compiled spec, [`check_inclusion_otf_cached`] against a lazily
-//!   interned one; [`SuccessorSource`]): the implementation side is
-//!   stepped lazily — never materialized — with an optional deterministic
-//!   parallel level-synchronous BFS on a [`WorkerPool`]; see `README.md`
-//!   for the engine hierarchy;
+//!   interned one; [`SuccessorSource`]) with shortest counterexamples,
+//!   running purely on `(u32 state, u32 letter)` integers: the
+//!   implementation side is stepped lazily — never materialized — with an
+//!   optional deterministic parallel level-synchronous BFS on a
+//!   [`WorkerPool`]. [`check_inclusion`] wraps the sequential engine for
+//!   materialized automata; the pre-compilation originals survive as
+//!   [`check_inclusion_reference`] /
+//!   [`check_inclusion_antichain_reference`], test oracles and A/B
+//!   baselines. See `README.md` for the engine hierarchy;
 //! * antichain-based inclusion and equivalence between nondeterministic
 //!   automata ([`check_inclusion_antichain`],
 //!   [`check_equivalence_antichain`]) in the style of De Wulf et al.;
@@ -103,7 +103,7 @@ pub use antichain::{
     check_inclusion_antichain_reference, EquivalenceResult,
 };
 pub use bitset::{BitSet, Iter as BitSetIter};
-pub use compiled::{CompiledDfa, CompiledNfa, DfaParts, NfaParts, EPSILON, NO_STATE};
+pub use compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
 pub use dfa::Dfa;
 pub use explore::{
     explore, explore_deterministic, DeterministicTransitionSystem, Explored, TransitionSystem,
@@ -112,9 +112,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use graph::{
     closed_walk_through, strongly_connected_components, LabeledGraph, Sccs,
 };
-pub use inclusion::{
-    check_inclusion, check_inclusion_compiled, check_inclusion_reference, InclusionResult,
-};
+pub use inclusion::{check_inclusion, check_inclusion_reference, InclusionResult};
 pub use livecheck::{
     CompiledLasso, CompiledRunGraph, EdgeFilter, EdgeMask, LabelClass, LiveScratch, LoopQuery,
     LoopSelection, RunGraphParts, RunGraphSource, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,

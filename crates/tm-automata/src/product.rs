@@ -1,32 +1,32 @@
-//! On-the-fly product exploration for inclusion checking.
+//! On-the-fly product exploration for inclusion checking: the one product
+//! BFS of the workspace.
 //!
-//! [`check_inclusion_compiled`](crate::check_inclusion_compiled) needs the
-//! implementation automaton materialized up front (an [`crate::Nfa`]
-//! compiled to CSR). For TM algorithms that is wasteful twice over: the
-//! most-general-program NFA of TL2 at (2, 2) already has ~19k states and
-//! every label is cloned into it, and the exploration pass and the product
-//! BFS each hash the full state space once. The engine in this module
-//! fuses the two passes: it explores `(implementation state, spec state)`
-//! pairs **lazily**, pulling implementation successors from a
+//! The engine explores `(implementation state, spec state)` pairs
+//! **lazily**, pulling implementation successors from a
 //! [`SuccessorSource`] — implemented by [`CompiledNfa`] (via
 //! [`NfaSource`]) and directly by the TM steppers in `tm-algorithms` — so
 //! the implementation transition system is only ever evaluated on the
-//! product-reachable states and no `Nfa` is ever built.
+//! product-reachable states and no `Nfa` is ever built. (The
+//! most-general-program NFA of TL2 at (2, 2) alone has ~19k states.)
+//! [`crate::check_inclusion`] runs already-materialized automata through
+//! the same engine.
 //!
 //! There is one entry point per kind of specification artifact, both
 //! bounded by a [`QueryBudget`]:
 //!
-//! * [`check_inclusion_otf`] against an eagerly compiled [`CompiledDfa`],
+//! * [`check_inclusion_otf`] against a compiled [`CompiledDfa`],
 //!   sequential or parallel depending on the width of its [`Executor`];
 //! * [`check_inclusion_otf_cached`] against a lazily interned
-//!   [`SpecCache`], sequential only.
+//!   [`SpecCache`], sequential only — the `tm_checker::Verifier`
+//!   session's safety path.
 //!
 //! Two execution strategies sit behind them:
 //!
-//! * **Sequential** (executor width 1): a single FIFO product BFS with
-//!   the exact discovery order of `check_inclusion_compiled` — identical
-//!   verdicts, identical shortest counterexample words, identical
-//!   `product_states`.
+//! * **Sequential** (executor width 1): a single FIFO product BFS. Its
+//!   discovery order is that of [`crate::check_inclusion_reference`] —
+//!   identical verdicts, identical shortest counterexample words,
+//!   identical `product_states` — and it is the same code for both spec
+//!   artifacts.
 //! * **Parallel** (executor width > 1): a level-synchronous BFS. Each
 //!   frontier is sharded across a persistent [`crate::WorkerPool`];
 //!   workers expand their chunks into per-`(chunk, stripe)`
@@ -250,8 +250,8 @@ impl<T: crate::DeterministicTransitionSystem> SpecSource for DtsSpecSource<T> {
 ///
 /// Sequential only (the deterministic engine): verdicts, counterexample
 /// words and `product_states` are identical to [`check_inclusion_otf`]
-/// on [`Executor::Sequential`] against the eager spec, whenever the
-/// eager spec is buildable at all.
+/// on [`Executor::Sequential`] against the determinized, compiled spec,
+/// whenever that is buildable at all.
 ///
 /// Spec states and letter rows interned by earlier queries are reused,
 /// so a session checking many TMs against one specification pays each
@@ -291,7 +291,7 @@ pub struct OtfStats {
     pub levels: usize,
 }
 
-/// Checks `L(source) ⊆ L(spec)` on the fly against an eagerly compiled
+/// Checks `L(source) ⊆ L(spec)` on the fly against a compiled
 /// specification. An executor of width 1 selects the deterministic
 /// sequential engine, a wider one the parallel engine; verdicts,
 /// counterexample words, and (on verified runs) statistics are identical
@@ -407,9 +407,9 @@ impl<D: SpecSource> SpecCache<D> {
         &self.source
     }
 
-    /// Number of distinct specification states touched so far — the lazy
-    /// counterpart of the eager spec's state count (what a session
-    /// reports as `spec_states`).
+    /// Number of distinct specification states touched so far (what a
+    /// session reports as `spec_states`); the full determinized
+    /// specification can be far larger.
     pub fn touched(&self) -> usize {
         self.states.len()
     }
@@ -662,10 +662,10 @@ impl<'a, S: SuccessorSource> Explorer<'a, S> {
     }
 }
 
-/// The sequential engine: the exact FIFO product BFS of
-/// `check_inclusion_compiled`, with the implementation side pulled
-/// lazily. Identical discovery order, hence identical verdict, word, and
-/// `product_states`.
+/// The sequential engine: a FIFO product BFS with the implementation side
+/// pulled lazily and the specification side from either artifact. The
+/// discovery order is that of [`crate::check_inclusion_reference`], hence
+/// the identical verdict, word, and `product_states`.
 fn sequential_bounded<S: SuccessorSource, P: SpecAccess>(
     source: &S,
     mut spec: P,
@@ -1162,11 +1162,11 @@ fn reconstruct_levels<S: SuccessorSource>(
 mod tests {
     use super::*;
     use crate::dfa::Dfa;
-    use crate::inclusion::check_inclusion_compiled;
+    use crate::inclusion::check_inclusion_reference;
     use crate::nfa::Nfa;
     use crate::pool::WorkerPool;
 
-    /// Runs the eager-spec engine without a budget, sequentially for
+    /// Runs the compiled-spec engine without a budget, sequentially for
     /// `workers <= 1` and on a fresh pool of `workers` otherwise.
     fn run_otf<S: SuccessorSource>(
         source: &S,
@@ -1224,7 +1224,7 @@ mod tests {
     }
 
     #[test]
-    fn otf_matches_compiled_on_examples() {
+    fn otf_matches_reference_on_examples() {
         let cases: Vec<(Nfa<char>, Dfa<char>)> = vec![
             (letter_nfa(&['a']), letter_dfa(&['a', 'b'])),
             (letter_nfa(&['a', 'b']), letter_dfa(&['a'])),
@@ -1234,7 +1234,7 @@ mod tests {
         ];
         for (nfa, dfa) in &cases {
             let spec = dfa.compile();
-            let expected = check_inclusion_compiled(nfa, &spec);
+            let expected = check_inclusion_reference(nfa, dfa);
             let (imp, alphabet) = compile_pair(nfa, &spec);
             let source = NfaSource::new(&imp, &alphabet);
             for threads in [1, 2, 5] {
@@ -1255,8 +1255,9 @@ mod tests {
     #[test]
     fn sequential_otf_has_exact_parity() {
         let nfa = chain_nfa(9);
-        let spec = letter_dfa(&['a', 'b']).compile();
-        let expected = check_inclusion_compiled(&nfa, &spec);
+        let dfa = letter_dfa(&['a', 'b']);
+        let spec = dfa.compile();
+        let expected = check_inclusion_reference(&nfa, &dfa);
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
         let (got, _) = run_otf(&source, &spec, 1);
@@ -1376,7 +1377,7 @@ mod tests {
     #[test]
     fn lazy_spec_matches_compiled_spec() {
         // Parity system: 'f' flips, 'z' only when even — as a lazy
-        // SpecSource vs its eagerly explored compiled DFA.
+        // SpecSource vs its explored, compiled DFA.
         struct Parity;
         impl crate::DeterministicTransitionSystem for Parity {
             type State = bool;
@@ -1403,7 +1404,7 @@ mod tests {
         ] {
             let (imp, alphabet) = compile_pair(&nfa, &spec);
             let source = NfaSource::new(&imp, &alphabet);
-            let eager = run_otf(&source, &spec, 1);
+            let compiled = run_otf(&source, &spec, 1);
             let lazy_spec = DtsSpecSource::new(&Parity, vec!['f', 'z']);
             let lazy = check_inclusion_otf_cached(
                 &source,
@@ -1411,8 +1412,8 @@ mod tests {
                 &QueryBudget::unlimited(),
             )
             .unwrap();
-            assert_eq!(lazy.0, eager.0);
-            assert_eq!(lazy.1, eager.1);
+            assert_eq!(lazy.0, compiled.0);
+            assert_eq!(lazy.1, compiled.1);
         }
     }
 

@@ -58,8 +58,8 @@ use tm_obs::{Phase, PhaseTimer};
 pub enum ArtifactKind {
     /// A TM's compiled run graph (key: the full TM name).
     RunGraph(String),
-    /// The specification artifacts of one safety property (lazy interned
-    /// rows and/or eager compiled DFA, summed).
+    /// The specification artifact of one safety property (its lazily
+    /// interned rows).
     Spec(SafetyProperty),
 }
 

@@ -1394,10 +1394,11 @@ fn store_key(key: &ArtifactKey) -> StoreKey {
 }
 
 /// The inverse of [`store_key`]: the ledger key a store file installs
-/// under, or `None` for files this service does not serve — foreign
-/// kinds (eager NFA/DFA artifacts), unknown property codes, or instance
-/// sizes outside the query bounds (a foreign file in the directory must
-/// be skipped, not fed to a session constructor that would assert).
+/// under, or `None` for files this service does not serve — unknown
+/// property codes, or instance sizes outside the query bounds (a
+/// foreign file in the directory must be skipped, not fed to a session
+/// constructor that would assert). A file of an unknown kind never gets
+/// here: the store quarantines it as corrupt when it is loaded.
 fn ledger_key(key: &StoreKey) -> Option<ArtifactKey> {
     let threads = key.threads as usize;
     let vars = key.vars as usize;
@@ -1410,7 +1411,6 @@ fn ledger_key(key: &StoreKey) -> Option<ArtifactKey> {
             Ok(PropertyKind::Safety(property)) => ArtifactKind::Spec(property),
             _ => return None,
         },
-        _ => return None,
     };
     Some(ArtifactKey {
         threads,

@@ -11,7 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tm_service::{
     table2_batch, table3_batch, QueryOutcome, QueryResult, QuerySpec, Service, ServiceConfig,
 };
-use tm_store::StoreKey;
+use tm_store::sha256::checksum64;
+use tm_store::{decode_artifact, encode_artifact, StoreKey, MAGIC};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -203,6 +204,57 @@ fn corrupt_store_files_are_quarantined_and_rebuilt() {
         "only the quarantined artifact is rebuilt: {stats:?}"
     );
     assert!(victim.exists(), "the rebuild is written through again");
+    assert_eq!(stats.store_files, 2, "{stats:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A warm start over files whose header names no artifact kind this
+/// build knows (3 and 4 once named compiled NFA/DFA formats) quarantines
+/// them as corrupt, boots without panicking, and serves the rest of the
+/// store: zero builds, the cold service's answers.
+#[test]
+fn unknown_kind_files_are_quarantined_at_warm_start() {
+    const UNKNOWN: [u32; 3] = [3, 4, 99];
+    let batch: Vec<QuerySpec> = ["dstm+aggressive:of:2:1", "TL2:ss:2:2"]
+        .iter()
+        .map(|q| QuerySpec::parse(q).unwrap())
+        .collect();
+    let dir = scratch_dir("unknown-kind");
+    let cold = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let reference = fingerprint(&cold.submit(&batch));
+    drop(cold);
+
+    // Re-encode a real artifact under foreign keys, then overwrite the
+    // header's kind tag (recomputing the header checksum, so the tag is
+    // the only fault).
+    let source = StoreKey::run_graph("dstm+aggressive", 2, 1);
+    let (_, artifact) = decode_artifact(&std::fs::read(dir.join(source.file_name())).unwrap())
+        .expect("the cold service's file decodes");
+    let foreign: Vec<StoreKey> = UNKNOWN
+        .iter()
+        .map(|tag| StoreKey::run_graph(&format!("foreign-{tag}"), 2, 1))
+        .collect();
+    for (key, &tag) in foreign.iter().zip(&UNKNOWN) {
+        let mut image = encode_artifact(key, &artifact);
+        image[16..20].copy_from_slice(&tag.to_le_bytes());
+        let sections = u32::from_le_bytes(image[20..24].try_into().unwrap()) as usize;
+        let header_len = MAGIC.len() + 4 * 4 + 32 + sections * (4 + 8 + 8);
+        let sum = checksum64(&image[..header_len]);
+        image[header_len..header_len + 8].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(dir.join(key.file_name()), image).unwrap();
+    }
+
+    let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
+    for key in &foreign {
+        let path = dir.join(key.file_name());
+        assert!(!path.exists(), "{key:?} left in the namespace");
+        let quarantined = dir.join(format!("{}.quarantined", key.file_name()));
+        assert!(quarantined.exists(), "{key:?} not kept for post-mortem");
+    }
+    assert_eq!(fingerprint(&warm.submit(&batch)), reference);
+    let stats = warm.stats();
+    assert_eq!(stats.store_corrupt, UNKNOWN.len() as u64, "{stats:?}");
+    assert_eq!(stats.artifact_builds, 0, "{stats:?}");
     assert_eq!(stats.store_files, 2, "{stats:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

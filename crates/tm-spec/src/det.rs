@@ -319,27 +319,12 @@ impl DetSpec {
     ///
     /// # Panics
     ///
-    /// Panics if the reachable state space exceeds `max_states`. Callers
-    /// that need a structured abort instead (the verification session's
-    /// eager spec build) use [`DetSpec::try_to_dfa`].
+    /// Panics if the reachable state space exceeds `max_states`.
     pub fn to_dfa(&self, max_states: usize) -> (Dfa<Statement>, Vec<DetState>) {
-        self.try_to_dfa(&tm_automata::QueryBudget::new(max_states))
-            .unwrap_or_else(|error| panic!("specification exploration failed: {error}"))
-    }
-
-    /// [`DetSpec::to_dfa`] under a full [`tm_automata::QueryBudget`]:
-    /// blowups, deadlines, and cancellations come back as structured
-    /// [`tm_automata::EngineError`]s instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// As for [`tm_automata::explore_deterministic`].
-    pub fn try_to_dfa(
-        &self,
-        budget: &tm_automata::QueryBudget,
-    ) -> Result<(Dfa<Statement>, Vec<DetState>), tm_automata::EngineError> {
         let alphabet = crate::canonical::spec_alphabet(self.threads, self.vars);
-        tm_automata::explore_deterministic(self, alphabet, budget)
+        let budget = tm_automata::QueryBudget::new(max_states);
+        tm_automata::explore_deterministic(self, alphabet, &budget)
+            .unwrap_or_else(|error| panic!("specification exploration failed: {error}"))
     }
 }
 

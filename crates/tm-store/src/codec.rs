@@ -2,10 +2,10 @@
 //!
 //! Everything is little-endian and fixed-width. Domain values are
 //! encoded structurally (no `Debug`/string round-trips): a
-//! [`RunLabel`] is 7 bytes, a [`Statement`] 3 bytes, a [`DetState`]
-//! 64 bytes. Decoders never trust lengths or ids — array lengths are
-//! bounds-checked against the remaining payload *before* allocation,
-//! and every id is range-checked before the panicking constructors
+//! [`RunLabel`] is 7 bytes, a [`DetState`] 64 bytes. Decoders never
+//! trust lengths or ids — array lengths are bounds-checked against the
+//! remaining payload *before* allocation, and every id is range-checked
+//! before the panicking constructors
 //! ([`VarId::new`] / [`ThreadId::new`]) run. Structural validity of
 //! the decoded CSR data is then enforced by the `from_parts`
 //! constructors in `tm-automata`, so a file that passes the checksum
@@ -13,10 +13,8 @@
 //! [`FormatError`], never a panic or an inconsistent artifact.
 
 use tm_algorithms::{Action, ExtCommand, RunLabel};
-use tm_automata::{
-    CompiledDfa, CompiledNfa, CompiledRunGraph, DfaParts, NfaParts, RunGraphParts,
-};
-use tm_lang::{Command, Statement, StatementKind, ThreadId, VarId};
+use tm_automata::{CompiledRunGraph, RunGraphParts};
+use tm_lang::{Command, ThreadId, VarId};
 use tm_spec::{DetPhase, DetState, DetThread};
 
 use crate::format::{FormatError, SectionWriter, Sections};
@@ -277,49 +275,6 @@ fn decode_run_labels(payload: &[u8]) -> Result<Vec<RunLabel>, FormatError> {
     Ok(out)
 }
 
-/// `Statement` → 3 bytes: `[kind tag, var, thread]`.
-fn encode_statement(out: &mut Vec<u8>, statement: Statement) {
-    let (tag, var) = match statement.kind {
-        StatementKind::Read(v) => (0u8, var_u8(v)),
-        StatementKind::Write(v) => (1, var_u8(v)),
-        StatementKind::Commit => (2, 0),
-        StatementKind::Abort => (3, 0),
-    };
-    out.extend_from_slice(&[tag, var, var_u8_thread(statement.thread)]);
-}
-
-fn decode_statement(reader: &mut Reader) -> Result<Statement, FormatError> {
-    let raw = reader.bytes(3)?;
-    let kind = match (raw[0], raw[1]) {
-        (0, v) => StatementKind::Read(decode_var(v)?),
-        (1, v) => StatementKind::Write(decode_var(v)?),
-        (2, 0) => StatementKind::Commit,
-        (3, 0) => StatementKind::Abort,
-        _ => return Err("bad statement encoding"),
-    };
-    Ok(Statement::new(kind, decode_thread(raw[2])?))
-}
-
-fn encode_statements(statements: &[Statement]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + statements.len() * 3);
-    out.extend_from_slice(&(statements.len() as u32).to_le_bytes());
-    for &s in statements {
-        encode_statement(&mut out, s);
-    }
-    out
-}
-
-fn decode_statements(payload: &[u8]) -> Result<Vec<Statement>, FormatError> {
-    let mut reader = Reader::new(payload);
-    let count = reader.checked_len(3)?;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(decode_statement(&mut reader)?);
-    }
-    reader.finish()?;
-    Ok(out)
-}
-
 /// `DetThread` → 16 bytes:
 /// `[phase, valid, rs u16, ws u16, prs u16, pws u16, wp u16, sp u16, 0, 0]`
 /// (sets serialized through `IdSet::bits`). A `DetState` is its four
@@ -416,20 +371,6 @@ const SEC_SPEC_STATES: u32 = 3;
 const SEC_SPEC_PRESENT: u32 = 4;
 const SEC_SPEC_ROWS: u32 = 5;
 
-const SEC_NFA_HEAD: u32 = 3;
-const SEC_NFA_INITIAL: u32 = 4;
-const SEC_NFA_LETTER_OFFSETS: u32 = 5;
-const SEC_NFA_LETTER_TARGETS: u32 = 6;
-const SEC_NFA_EPS_OFFSETS: u32 = 7;
-const SEC_NFA_EPS_TARGETS: u32 = 8;
-const SEC_NFA_EDGE_OFFSETS: u32 = 9;
-const SEC_NFA_EDGE_LETTERS: u32 = 10;
-const SEC_NFA_EDGE_TARGETS: u32 = 11;
-
-const SEC_DFA_HEAD: u32 = 3;
-const SEC_DFA_LETTERS: u32 = 4;
-const SEC_DFA_NEXT: u32 = 5;
-
 /// A stored run graph: the compiled CSR graph plus the build metadata
 /// the service reports (`states_explored`, build wall time).
 #[derive(Debug)]
@@ -463,10 +404,6 @@ pub enum Artifact {
     RunGraph(RunGraphArtifact),
     /// Interned lazy-specification rows with build metadata.
     LazySpec(LazySpecArtifact),
-    /// A compiled NFA.
-    Nfa(CompiledNfa),
-    /// A compiled DFA over statements.
-    Dfa(CompiledDfa<Statement>),
 }
 
 impl Artifact {
@@ -475,8 +412,6 @@ impl Artifact {
         match self {
             Artifact::RunGraph(_) => StoreKind::RunGraph,
             Artifact::LazySpec(_) => StoreKind::LazySpec,
-            Artifact::Nfa(_) => StoreKind::Nfa,
-            Artifact::Dfa(_) => StoreKind::Dfa,
         }
     }
 }
@@ -537,30 +472,6 @@ pub fn encode_artifact(key: &StoreKey, artifact: &Artifact) -> Vec<u8> {
                 }
             }
             writer.section(SEC_SPEC_ROWS, rows);
-        }
-        Artifact::Nfa(nfa) => {
-            let parts = nfa.to_parts();
-            let mut head = Vec::with_capacity(8);
-            head.extend_from_slice(&parts.num_states.to_le_bytes());
-            head.extend_from_slice(&parts.num_letters.to_le_bytes());
-            writer.section(SEC_NFA_HEAD, head);
-            writer.section(SEC_NFA_INITIAL, encode_u32s(&parts.initial));
-            writer.section(SEC_NFA_LETTER_OFFSETS, encode_u32s(&parts.letter_offsets));
-            writer.section(SEC_NFA_LETTER_TARGETS, encode_u32s(&parts.letter_targets));
-            writer.section(SEC_NFA_EPS_OFFSETS, encode_u32s(&parts.eps_offsets));
-            writer.section(SEC_NFA_EPS_TARGETS, encode_u32s(&parts.eps_targets));
-            writer.section(SEC_NFA_EDGE_OFFSETS, encode_u32s(&parts.edge_offsets));
-            writer.section(SEC_NFA_EDGE_LETTERS, encode_u32s(&parts.edge_letters));
-            writer.section(SEC_NFA_EDGE_TARGETS, encode_u32s(&parts.edge_targets));
-        }
-        Artifact::Dfa(dfa) => {
-            let parts = dfa.to_parts();
-            let mut head = Vec::with_capacity(8);
-            head.extend_from_slice(&parts.num_states.to_le_bytes());
-            head.extend_from_slice(&parts.initial.to_le_bytes());
-            writer.section(SEC_DFA_HEAD, head);
-            writer.section(SEC_DFA_LETTERS, encode_statements(&parts.letters));
-            writer.section(SEC_DFA_NEXT, encode_u32s(&parts.next));
         }
     }
     writer.finish(key.kind, key.digest())
@@ -636,38 +547,6 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<(StoreKey, Artifact), FormatError
                 build_ns,
             })
         }
-        StoreKind::Nfa => {
-            let mut head = Reader::new(sections.get(SEC_NFA_HEAD)?);
-            let num_states = head.u32()?;
-            let num_letters = head.u32()?;
-            head.finish()?;
-            let parts = NfaParts {
-                num_states,
-                num_letters,
-                initial: decode_u32s(sections.get(SEC_NFA_INITIAL)?)?,
-                letter_offsets: decode_u32s(sections.get(SEC_NFA_LETTER_OFFSETS)?)?,
-                letter_targets: decode_u32s(sections.get(SEC_NFA_LETTER_TARGETS)?)?,
-                eps_offsets: decode_u32s(sections.get(SEC_NFA_EPS_OFFSETS)?)?,
-                eps_targets: decode_u32s(sections.get(SEC_NFA_EPS_TARGETS)?)?,
-                edge_offsets: decode_u32s(sections.get(SEC_NFA_EDGE_OFFSETS)?)?,
-                edge_letters: decode_u32s(sections.get(SEC_NFA_EDGE_LETTERS)?)?,
-                edge_targets: decode_u32s(sections.get(SEC_NFA_EDGE_TARGETS)?)?,
-            };
-            Artifact::Nfa(CompiledNfa::from_parts(parts)?)
-        }
-        StoreKind::Dfa => {
-            let mut head = Reader::new(sections.get(SEC_DFA_HEAD)?);
-            let num_states = head.u32()?;
-            let initial = head.u32()?;
-            head.finish()?;
-            let parts = DfaParts {
-                letters: decode_statements(sections.get(SEC_DFA_LETTERS)?)?,
-                num_states,
-                initial,
-                next: decode_u32s(sections.get(SEC_DFA_NEXT)?)?,
-            };
-            Artifact::Dfa(CompiledDfa::from_parts(parts)?)
-        }
     };
     Ok((key, artifact))
 }
@@ -710,18 +589,6 @@ mod tests {
         let original = labels();
         let encoded = encode_run_labels(&original);
         assert_eq!(decode_run_labels(&encoded).unwrap(), original);
-    }
-
-    #[test]
-    fn statements_round_trip() {
-        let original = vec![
-            Statement::read(0, 1),
-            Statement::write(2, 0),
-            Statement::commit(3),
-            Statement::abort(2),
-        ];
-        let encoded = encode_statements(&original);
-        assert_eq!(decode_statements(&encoded).unwrap(), original);
     }
 
     #[test]

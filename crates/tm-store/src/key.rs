@@ -34,10 +34,6 @@ pub enum StoreKind {
     /// The interned rows of a lazily stepped deterministic specification
     /// (`SpecCache` contents).
     LazySpec,
-    /// A compiled NFA over statements.
-    Nfa,
-    /// A compiled DFA over statements.
-    Dfa,
 }
 
 impl StoreKind {
@@ -46,18 +42,16 @@ impl StoreKind {
         match self {
             StoreKind::RunGraph => 1,
             StoreKind::LazySpec => 2,
-            StoreKind::Nfa => 3,
-            StoreKind::Dfa => 4,
         }
     }
 
-    /// Inverse of [`StoreKind::as_tag`].
+    /// Inverse of [`StoreKind::as_tag`]; `None` for every other tag.
+    /// (Tags 3 and 4 once named compiled NFA/DFA formats that nothing
+    /// wrote; they stay unassigned.)
     pub fn from_tag(tag: u32) -> Option<StoreKind> {
         match tag {
             1 => Some(StoreKind::RunGraph),
             2 => Some(StoreKind::LazySpec),
-            3 => Some(StoreKind::Nfa),
-            4 => Some(StoreKind::Dfa),
             _ => None,
         }
     }
@@ -67,8 +61,6 @@ impl StoreKind {
         match self {
             StoreKind::RunGraph => "run_graph",
             StoreKind::LazySpec => "lazy_spec",
-            StoreKind::Nfa => "nfa",
-            StoreKind::Dfa => "dfa",
         }
     }
 }
@@ -87,8 +79,9 @@ pub struct StoreKey {
     /// Safety-property short name (`"ss"` / `"op"`); empty for run
     /// graphs.
     pub property: String,
-    /// Specification mode (`"lazy"` for interned-row caches); empty for
-    /// run graphs.
+    /// Specification mode tag: `"lazy"` for the interned-row caches (the
+    /// only specification artifact), empty for run graphs. Part of the
+    /// digest, so it stays in the encoding.
     pub mode: String,
     /// Number of threads `n`.
     pub threads: u32,
@@ -194,8 +187,6 @@ impl StoreKey {
                 "lazy_spec {}:{}:{}",
                 self.property, self.threads, self.vars
             ),
-            StoreKind::Nfa => format!("nfa {}:{}:{}", self.tm, self.threads, self.vars),
-            StoreKind::Dfa => format!("dfa {}:{}:{}", self.tm, self.threads, self.vars),
         }
     }
 }

@@ -1,9 +1,8 @@
 //! # tm-store — persistent content-addressed artifact store
 //!
 //! Compiled verification artifacts — TM run graphs
-//! ([`tm_automata::CompiledRunGraph`]), compiled automata
-//! ([`tm_automata::CompiledNfa`] / [`tm_automata::CompiledDfa`]), and
-//! interned lazy-specification rows — are expensive to build and
+//! ([`tm_automata::CompiledRunGraph`]) and interned lazy-specification
+//! rows ([`tm_automata::SpecCache`] contents) — are expensive to build and
 //! entirely deterministic: the same engine at the same version,
 //! given the same TM, contention manager, property, and instance size
 //! `(n, k)`, always builds bit-identical CSR arrays. This crate
@@ -25,7 +24,8 @@
 //! * the codecs (`codec`) — fixed-width little-endian encodings of
 //!   the domain types ([`Artifact`] and friends), with every id
 //!   range-checked and every decoded structure re-validated through
-//!   the `from_parts` constructors in `tm-automata`;
+//!   the `from_parts` constructors in `tm-automata`
+//!   (`CompiledRunGraph::from_parts`, `SpecCache::from_parts`);
 //! * [`ArtifactStore`] — the directory: atomic temp-file + rename
 //!   writes, mmap (or buffered) reads, quarantine of corrupt files,
 //!   an LRU byte/file cap, and counters for the service metrics.

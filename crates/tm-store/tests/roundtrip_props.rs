@@ -6,14 +6,11 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tm_algorithms::{Action, ExtCommand, RunLabel};
-use tm_automata::{
-    Alphabet, CompiledRunGraph, Dfa, Nfa, RunGraphParts, NO_STATE,
-};
+use tm_automata::{CompiledRunGraph, RunGraphParts, NO_STATE};
 use tm_lang::{Command, ThreadId, ThreadSet, VarId, VarSet};
-use tm_spec::{spec_alphabet, DetPhase, DetState};
+use tm_spec::{DetPhase, DetState};
 use tm_store::{
     decode_artifact, encode_artifact, Artifact, LazySpecArtifact, RunGraphArtifact, StoreKey,
-    StoreKind,
 };
 
 /// A fixed universe of distinct run labels to draw edge labels from.
@@ -66,24 +63,6 @@ fn label_universe() -> Vec<RunLabel> {
     ]
 }
 
-fn nfa_key() -> StoreKey {
-    StoreKey {
-        kind: StoreKind::Nfa,
-        tm: "prop".into(),
-        property: String::new(),
-        mode: String::new(),
-        threads: 2,
-        vars: 2,
-    }
-}
-
-fn dfa_key() -> StoreKey {
-    StoreKey {
-        kind: StoreKind::Dfa,
-        ..nfa_key()
-    }
-}
-
 /// Builds a random run-graph CSR over the label universe; masks are
 /// uniform per label as `CompiledRunGraph::from_parts` demands.
 fn random_run_graph(
@@ -124,53 +103,6 @@ fn random_run_graph(
 }
 
 proptest! {
-    #[test]
-    fn nfa_round_trips(input in (1usize..9, vec((0u32..9, 0u32..16, 0u32..9), 0..40))) {
-        let (num_states, edges) = input;
-        let letters = spec_alphabet(2, 2);
-        let mut nfa = Nfa::new();
-        let states: Vec<_> = (0..num_states).map(|_| nfa.add_state()).collect();
-        nfa.set_initial(states[0]);
-        for &(from, letter, to) in &edges {
-            let from = states[from as usize % num_states];
-            let to = states[to as usize % num_states];
-            // Every 4th pick is an ε-edge so both CSR families are hit.
-            let label = if letter % 4 == 0 {
-                None
-            } else {
-                Some(letters[letter as usize % letters.len()])
-            };
-            nfa.add_transition(from, label, to);
-        }
-        let mut alphabet = Alphabet::from_letters(&letters);
-        let compiled = nfa.compile(&mut alphabet);
-        let image = encode_artifact(&nfa_key(), &Artifact::Nfa(compiled.clone()));
-        let (key, decoded) = decode_artifact(&image).expect("fresh image must decode");
-        prop_assert_eq!(key, nfa_key());
-        let Artifact::Nfa(decoded) = decoded else { panic!("wrong artifact kind") };
-        prop_assert_eq!(decoded.to_parts(), compiled.to_parts());
-    }
-
-    #[test]
-    fn dfa_round_trips(input in (1usize..9, vec((0u32..9, 0u32..16, 0u32..9), 0..40))) {
-        let (num_states, edges) = input;
-        let letters = spec_alphabet(2, 2);
-        let mut dfa = Dfa::new(letters.clone());
-        let states: Vec<_> = (0..num_states).map(|_| dfa.add_state()).collect();
-        dfa.set_initial(states[0]);
-        for &(from, letter, to) in &edges {
-            let from = states[from as usize % num_states];
-            let to = states[to as usize % num_states];
-            dfa.set_transition(from, &letters[letter as usize % letters.len()], to);
-        }
-        let compiled = dfa.compile();
-        let image = encode_artifact(&dfa_key(), &Artifact::Dfa(compiled.clone()));
-        let (key, decoded) = decode_artifact(&image).expect("fresh image must decode");
-        prop_assert_eq!(key, dfa_key());
-        let Artifact::Dfa(decoded) = decoded else { panic!("wrong artifact kind") };
-        prop_assert_eq!(decoded.to_parts(), compiled.to_parts());
-    }
-
     #[test]
     fn run_graph_round_trips(
         input in (

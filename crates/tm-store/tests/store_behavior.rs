@@ -8,7 +8,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tm_algorithms::{Action, ExtCommand, RunLabel};
 use tm_automata::{CompiledRunGraph, RunGraphParts};
 use tm_lang::{Command, ThreadId, VarId};
-use tm_store::{Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreError, StoreKey};
+use tm_store::sha256::checksum64;
+use tm_store::{
+    encode_artifact, Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreError, StoreKey,
+    MAGIC,
+};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -173,6 +177,84 @@ fn corrupt_files_are_quarantined_and_become_misses() {
     assert!(store.load(&key).unwrap().is_none());
     store.save(&key, &sample_artifact(0)).unwrap();
     assert!(store.load(&key).unwrap().is_some());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A well-formed image of `artifact` under `key` whose header declares
+/// kind `tag` instead, with the header checksum recomputed so the kind
+/// tag is the file's only fault.
+fn image_with_kind_tag(key: &StoreKey, artifact: &Artifact, tag: u32) -> Vec<u8> {
+    let mut image = encode_artifact(key, artifact);
+    image[16..20].copy_from_slice(&tag.to_le_bytes());
+    let sections = u32::from_le_bytes(image[20..24].try_into().unwrap()) as usize;
+    let header_len = MAGIC.len() + 4 * 4 + 32 + sections * (4 + 8 + 8);
+    let sum = checksum64(&image[..header_len]);
+    image[header_len..header_len + 8].copy_from_slice(&sum.to_le_bytes());
+    image
+}
+
+/// Tags 3 and 4 once named compiled NFA/DFA formats; like any other
+/// unassigned tag they are corrupt files now. Both load paths quarantine
+/// them and count them as corrupt — `load_path`, and the warm start of a
+/// reopened store, which walks `files()` through `load_path` — and
+/// neither panics.
+#[test]
+fn unknown_kind_tags_are_quarantined_at_load_path_and_warm_start() {
+    const UNKNOWN: [u32; 3] = [3, 4, 99];
+    let dir = scratch_dir("unknown-kind");
+    let good = StoreKey::run_graph("dstm", 2, 2);
+    let foreign: Vec<StoreKey> = UNKNOWN
+        .iter()
+        .map(|&tag| StoreKey::run_graph(&format!("foreign-{tag}"), 2, 2))
+        .collect();
+    let write_foreign = |dir: &std::path::Path| {
+        for (key, &tag) in foreign.iter().zip(&UNKNOWN) {
+            let image = image_with_kind_tag(key, &sample_artifact(0), tag);
+            std::fs::write(dir.join(key.file_name()), image).unwrap();
+        }
+    };
+    let open = || {
+        ArtifactStore::open(StoreConfig {
+            dir: dir.clone(),
+            ..StoreConfig::default()
+        })
+        .unwrap()
+    };
+
+    // load_path on each file, with the store already open.
+    let store = open();
+    store.save(&good, &sample_artifact(0)).unwrap();
+    write_foreign(&dir);
+    for key in &foreign {
+        let path = dir.join(key.file_name());
+        match store.load_path(&path) {
+            Err(StoreError::Corrupt(why)) => assert_eq!(why, "unknown artifact kind tag"),
+            other => panic!("expected corrupt, got {other:?}"),
+        }
+        assert!(!path.exists(), "the file must leave the namespace");
+        let quarantined = dir.join(format!("{}.quarantined", key.file_name()));
+        assert!(quarantined.exists(), "the file is kept for post-mortem");
+    }
+    assert_eq!(store.stats().corrupt, UNKNOWN.len() as u64);
+    drop(store);
+
+    // Warm start: a reopened store addresses the foreign files, and the
+    // files()/load_path walk quarantines them and keeps the good one.
+    for key in &foreign {
+        std::fs::remove_file(dir.join(format!("{}.quarantined", key.file_name()))).unwrap();
+    }
+    write_foreign(&dir);
+    let store = open();
+    assert_eq!(store.stats().files, 1 + UNKNOWN.len() as u64);
+    let loaded: Vec<StoreKey> = store
+        .files()
+        .iter()
+        .filter_map(|path| store.load_path(path).ok().map(|(key, _)| key))
+        .collect();
+    assert_eq!(loaded, vec![good]);
+    let stats = store.stats();
+    assert_eq!(stats.corrupt, UNKNOWN.len() as u64);
+    assert_eq!(stats.files, 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

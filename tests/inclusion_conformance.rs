@@ -1,9 +1,9 @@
-//! Differential conformance harness for the inclusion-check engine
-//! hierarchy: the seed reference (`check_inclusion_reference`), the
-//! compiled index-based checker (`check_inclusion_compiled`), and the
-//! on-the-fly product engine (`check_inclusion_otf`) — sequential and on
-//! worker pools — must agree on every Table 2 (TM, property) pair, on the
-//! TM steppers directly, and on randomized NFA/DFA pairs.
+//! Differential conformance harness for the inclusion checks: the seed
+//! reference (`check_inclusion_reference`) and the on-the-fly product
+//! engine — through its `check_inclusion` wrapper and through
+//! `check_inclusion_otf`, sequential and on worker pools — must agree on
+//! every Table 2 (TM, property) pair, on the TM steppers directly, and on
+//! randomized NFA/DFA pairs.
 //!
 //! Counterexamples additionally *replay*: the word is accepted by the
 //! implementation automaton and rejected by the specification DFA
@@ -21,9 +21,9 @@ use tm_modelcheck::algorithms::{
     WithContentionManager,
 };
 use tm_modelcheck::automata::{
-    check_inclusion, check_inclusion_compiled, check_inclusion_otf, check_inclusion_reference,
-    CompiledDfa, CompiledNfa, Dfa, Executor, InclusionResult, LetterId, Nfa, NfaSource, OtfStats,
-    QueryBudget, SuccessorSource, WorkerPool,
+    check_inclusion, check_inclusion_otf, check_inclusion_reference, CompiledDfa, CompiledNfa, Dfa,
+    Executor, InclusionResult, LetterId, Nfa, NfaSource, OtfStats, QueryBudget, SuccessorSource,
+    WorkerPool,
 };
 use tm_modelcheck::lang::SafetyProperty;
 use tm_modelcheck::spec::DetSpec;
@@ -98,10 +98,8 @@ fn conform<L: Clone + Eq + Hash + Sync + std::fmt::Debug>(
     context: &str,
 ) -> InclusionResult<L> {
     let reference = check_inclusion_reference(nfa, dfa);
-    let light = check_inclusion(nfa, dfa);
-    assert_eq!(light, reference, "{context}: check_inclusion");
-    let compiled = check_inclusion_compiled(nfa, spec);
-    assert_eq!(compiled, reference, "{context}: compiled");
+    let wrapped = check_inclusion(nfa, dfa);
+    assert_eq!(wrapped, reference, "{context}: check_inclusion");
 
     let mut alphabet = spec.alphabet().clone();
     let imp = CompiledNfa::compile(nfa, &mut alphabet);
@@ -172,7 +170,7 @@ fn tm_steppers_match_materialized_pipeline() {
             let (dfa, _) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
             let spec = dfa.compile();
             let explored = tm_modelcheck::algorithms::most_general_nfa(tm, MAX_STATES);
-            let expected = check_inclusion_compiled(&explored.nfa, &spec);
+            let expected = check_inclusion(&explored.nfa, &dfa);
             let source = MostGeneralSource::new(tm, spec.alphabet().clone());
             let context = format!("{} / {name} (stepper)", property.short_name());
             let (otf_seq, stats) = otf(&source, &spec, &Executor::Sequential);
@@ -212,8 +210,8 @@ fn tm_steppers_match_materialized_pipeline() {
     );
 }
 
-/// The `Verifier` session — lazy and eager spec modes, pool sizes 1 and
-/// 4, artifacts cached across all five TMs and both properties — agrees
+/// The `Verifier` session — pool sizes 1 and 4, its lazily interned
+/// specification cached across all five TMs — agrees
 /// with the bare on-the-fly engine (`check_inclusion_otf` over
 /// `DetSpec::to_dfa().compile()`, sequential and on a 4-worker pool) on
 /// every Table 2 pair: verdict, counterexample word, and (on verified
@@ -221,7 +219,7 @@ fn tm_steppers_match_materialized_pipeline() {
 #[test]
 fn safety_sessions_match_otf_engine_on_table2() {
     use tm_modelcheck::algorithms::TmAlgorithm;
-    use tm_modelcheck::checker::{SpecMode, Verifier};
+    use tm_modelcheck::checker::Verifier;
 
     fn check_case<A>(
         tm: &A,
@@ -266,14 +264,6 @@ fn safety_sessions_match_otf_engine_on_table2() {
         let mut sessions = [
             ("lazy/p1", Verifier::new(2, 2).pool_size(1)),
             ("lazy/p4", Verifier::new(2, 2).pool_size(4)),
-            (
-                "eager/p1",
-                Verifier::new(2, 2).spec_mode(SpecMode::Eager).pool_size(1),
-            ),
-            (
-                "eager/p4",
-                Verifier::new(2, 2).spec_mode(SpecMode::Eager).pool_size(4),
-            ),
         ];
         check_case(&SequentialTm::new(2, 2), "sequential", property, &spec, &mut sessions);
         check_case(&TwoPhaseTm::new(2, 2), "2PL", property, &spec, &mut sessions);
@@ -331,9 +321,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Fuzz: on random NFA/DFA pairs, the on-the-fly engine (sequential
-    /// and parallel) is equivalent to the compiled checker, so the
-    /// parallel path is exercised on adversarial shapes, not just the
-    /// Table 2 examples.
+    /// and parallel, directly and through `check_inclusion`) is
+    /// equivalent to the reference checker, so the parallel path is
+    /// exercised on adversarial shapes, not just the Table 2 examples.
     #[test]
     fn otf_equals_compiled_on_random_pairs((left, right) in (arb_nfa(), arb_nfa())) {
         let dfa = Dfa::determinize(&right, NFA_ALPHABET.to_vec());

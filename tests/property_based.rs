@@ -6,7 +6,8 @@ use proptest::prelude::*;
 
 use tm_modelcheck::automata::{
     check_inclusion, check_inclusion_antichain, check_inclusion_antichain_reference,
-    check_inclusion_reference, Alphabet as LetterAlphabet, BitSet, Dfa, LetterId, Nfa,
+    check_inclusion_otf, check_inclusion_reference, Alphabet as LetterAlphabet, BitSet, Dfa,
+    Executor, LetterId, Nfa, NfaSource, QueryBudget,
 };
 use tm_modelcheck::lang::{
     is_opaque, is_opaque_brute_force, is_strictly_serializable,
@@ -246,8 +247,16 @@ fn table2_inclusion_matches_seed_implementation() {
             let fast = check_inclusion(nfa, &spec);
             let seed = check_inclusion_reference(nfa, &spec);
             assert_eq!(fast, seed, "{property} / {name}");
-            let precompiled =
-                tm_modelcheck::automata::check_inclusion_compiled(nfa, &compiled);
+            // The same engine over the shared precompiled spec.
+            let mut alphabet = compiled.alphabet().clone();
+            let imp = nfa.compile(&mut alphabet);
+            let (precompiled, _) = check_inclusion_otf(
+                &NfaSource::new(&imp, &alphabet),
+                &compiled,
+                &Executor::Sequential,
+                &QueryBudget::unlimited(),
+            )
+            .expect("unlimited query");
             assert_eq!(precompiled, seed, "{property} / {name} (precompiled)");
             if let Some(word) = seed.counterexample() {
                 let word: Word = word.iter().copied().collect();

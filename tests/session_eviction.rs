@@ -10,7 +10,7 @@ use tm_algorithms::{
     AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm, ValidationStyle,
     WithContentionManager,
 };
-use tm_checker::{LivenessVerdict, SafetyVerdict, SpecMode, Verifier};
+use tm_checker::{LivenessVerdict, SafetyVerdict, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty};
 
 /// The Table 3 roster rows, rebuilt per call (construction is cheap).
@@ -108,40 +108,37 @@ fn safety_verdict(
 fn evicted_specs_requery_bit_identically() {
     // The paper's interesting safety rows: a verifying TM per property
     // plus the violating modified TL2 (counterexample word must survive
-    // eviction byte-for-byte). Lazy is the session default; eager also
-    // pinned since its artifact type (compiled DFA) evicts separately.
-    for mode in [SpecMode::Lazy, SpecMode::Eager] {
-        let mut kept = Verifier::new(2, 2).spec_mode(mode);
-        let mut evicting = Verifier::new(2, 2).spec_mode(mode);
-        for property in SafetyProperty::all() {
-            for name in ["sequential", "dstm", "modified-TL2+polite"] {
-                let (reference, _) = safety_verdict(&mut kept, name, property);
-                let had_spec = evicting.drop_spec(property);
-                let (requeried, rebuilds) = safety_verdict(&mut evicting, name, property);
-                assert_eq!(
-                    reference.holds(),
-                    requeried.holds(),
-                    "{name}/{property:?} {mode:?}: verdict"
-                );
-                assert_eq!(
-                    reference.counterexample(),
-                    requeried.counterexample(),
-                    "{name}/{property:?} {mode:?}: word"
-                );
-                assert_eq!(
-                    rebuilds,
-                    usize::from(had_spec),
-                    "{name}/{property:?} {mode:?}: rebuild accounting"
-                );
-            }
+    // eviction byte-for-byte).
+    let mut kept = Verifier::new(2, 2);
+    let mut evicting = Verifier::new(2, 2);
+    for property in SafetyProperty::all() {
+        for name in ["sequential", "dstm", "modified-TL2+polite"] {
+            let (reference, _) = safety_verdict(&mut kept, name, property);
+            let had_spec = evicting.drop_spec(property);
+            let (requeried, rebuilds) = safety_verdict(&mut evicting, name, property);
+            assert_eq!(
+                reference.holds(),
+                requeried.holds(),
+                "{name}/{property:?}: verdict"
+            );
+            assert_eq!(
+                reference.counterexample(),
+                requeried.counterexample(),
+                "{name}/{property:?}: word"
+            );
+            assert_eq!(
+                rebuilds,
+                usize::from(had_spec),
+                "{name}/{property:?}: rebuild accounting"
+            );
         }
-        // 2 properties, 3 TMs each: every query after the first per
-        // property was answered from a freshly rebuilt artifact.
-        assert_eq!(kept.spec_builds(), 2);
-        assert_eq!(kept.spec_rebuilds(), 0);
-        assert_eq!(evicting.spec_builds(), 6);
-        assert_eq!(evicting.spec_rebuilds(), 4);
     }
+    // 2 properties, 3 TMs each: every query after the first per
+    // property was answered from a freshly rebuilt artifact.
+    assert_eq!(kept.spec_builds(), 2);
+    assert_eq!(kept.spec_rebuilds(), 0);
+    assert_eq!(evicting.spec_builds(), 6);
+    assert_eq!(evicting.spec_rebuilds(), 4);
 }
 
 #[test]
