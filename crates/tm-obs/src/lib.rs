@@ -4,10 +4,12 @@
 //! `crates/shims` policy) observability layer shared by every other
 //! crate:
 //!
-//! * [`registry`] — a process-global **metrics registry**: lock-free
+//! * [`registry`] — **metrics registries** (a process-global one, and
+//!   any a component owns, like each `tm-service` service): lock-free
 //!   atomic [`Counter`]s, [`Gauge`]s, and fixed-bucket log2
 //!   [`Histogram`]s, registered by static name + label set under a
-//!   cardinality cap, rendered in the Prometheus text exposition format;
+//!   cardinality cap, rendered — several registries as one exposition
+//!   ([`render_exposition`]) — in the Prometheus text format;
 //! * [`trace`] — **phase spans**: a lightweight [`PhaseTimer`] RAII API
 //!   that records engine phases ([`Phase`]) both into the global phase
 //!   histograms and — when a per-query recorder is installed — into a
@@ -56,8 +58,8 @@ pub use log::{
     slow_query_threshold, LogMode, LogValue,
 };
 pub use registry::{
-    global, global_counter, global_gauge, global_gauge_f, global_histogram, Counter, Gauge,
-    GaugeF, Histogram, HistogramSnapshot, LocalHistogram, Registry, RegistryError, Unit,
+    global, global_counter, global_histogram, render_exposition, Counter, Gauge, GaugeF,
+    Histogram, HistogramSnapshot, LocalHistogram, Registry, Unit,
     DEFAULT_SERIES_CAP, HISTOGRAM_BUCKETS,
 };
 pub use profile::{
@@ -67,7 +69,7 @@ pub use profile::{
 };
 pub use text::{parse_prometheus, Exposition, Sample};
 pub use trace::{
-    ensure_recorder, phase_totals, record_phase, recorder_active, with_recorder, Phase,
+    ensure_recorder, phase_totals, record_phase, recorder_active, timed, with_recorder, Phase,
     PhaseNanos, PhaseTimer, TraceEvent, TraceRecord, TRACE_EVENT_CAP,
 };
 

@@ -7,9 +7,10 @@
 //! is lock-free — a relaxed `fetch_add` for counters and histograms, a
 //! relaxed `store` for gauges. A handle can also be *detached*
 //! ([`Counter::detached`] etc.): it records into private atomics that no
-//! registry exports, which is what the infallible [`crate::global`]
-//! convenience constructors fall back to when the cardinality cap
-//! rejects a new series — the hot path never has to handle a `Result`.
+//! registry exports, which is what a registration falls back to when
+//! the cardinality cap (or a kind clash) refuses it — counted in
+//! [`Registry::dropped_series`], so the hot path never has to handle a
+//! `Result` and the loss is never silent.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -105,17 +106,6 @@ impl Gauge {
         self.0.store(value, Ordering::Relaxed);
     }
 
-    /// Adds `delta`.
-    pub fn add(&self, delta: u64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Subtracts `delta` (saturating at zero only in aggregate use; the
-    /// raw subtraction wraps like the underlying atomic).
-    pub fn sub(&self, delta: u64) {
-        self.0.fetch_sub(delta, Ordering::Relaxed);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -181,6 +171,16 @@ impl Histogram {
         self.0.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// Observations so far.
+    pub fn count(&self) -> u64 {
+        self.0.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of the observed values so far.
+    pub fn sum(&self) -> u64 {
+        self.0.sum.load(Ordering::Relaxed)
     }
 
     /// A consistent-enough copy of the current state (individual fields
@@ -322,27 +322,6 @@ impl LocalHistogram {
     }
 }
 
-/// Why a registration was refused.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RegistryError {
-    /// Registering this series would exceed the registry's series cap.
-    CardinalityCapExceeded,
-    /// The name is already registered as a different metric kind (or a
-    /// different unit).
-    KindMismatch,
-}
-
-impl std::fmt::Display for RegistryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RegistryError::CardinalityCapExceeded => write!(f, "metric cardinality cap exceeded"),
-            RegistryError::KindMismatch => {
-                write!(f, "metric name already registered with a different kind or unit")
-            }
-        }
-    }
-}
-
 #[derive(Clone)]
 enum Handle {
     Counter(Counter),
@@ -380,13 +359,16 @@ struct Family {
 /// label explosion could allocate or expose.
 pub const DEFAULT_SERIES_CAP: usize = 256;
 
-/// A set of registered metrics. Most code uses the process-global
-/// registry via [`crate::global`]; tests construct private ones.
+/// A set of registered metrics. Engine instrumentation uses the
+/// process-global registry via [`crate::global`]; a component that owns
+/// its counters (a `tm-service` service) and tests construct private
+/// ones.
 pub struct Registry {
     families: Mutex<Vec<Family>>,
     cap: usize,
-    /// Registrations refused by the cardinality cap (each refused call
-    /// fell back to a detached handle and its data is invisible) —
+    /// Registrations refused — by the cardinality cap, or because the
+    /// name is registered with a different kind or unit. Each refused
+    /// call fell back to a detached handle whose data is invisible;
     /// rendered unconditionally as `tm_obs_dropped_series_total` so the
     /// loss itself is never silent.
     dropped: AtomicU64,
@@ -417,24 +399,22 @@ impl Registry {
         self.families.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
+    /// Gets or registers a series, returning its shared handle — or, when
+    /// the cap or a kind clash refuses the registration, counts the drop
+    /// and returns `probe` itself, a detached handle of the requested
+    /// kind. Recording therefore stays infallible at every call site.
     fn get_or_register(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
-        make: impl FnOnce() -> Handle,
-    ) -> Result<Handle, RegistryError> {
-        let probe = make();
+        probe: Handle,
+    ) -> Handle {
         let (kind, unit) = probe.kind_tag();
         let mut families = self.lock();
         let total: usize = families.iter().map(|f| f.series.len()).sum();
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(family) => {
-                if family.kind != kind || family.unit != unit {
-                    return Err(RegistryError::KindMismatch);
-                }
-                family
-            }
+        let index = match families.iter().position(|f| f.name == name) {
+            Some(index) => index,
             None => {
                 families.push(Family {
                     name: name.to_owned(),
@@ -443,118 +423,111 @@ impl Registry {
                     unit,
                     series: Vec::new(),
                 });
-                families.last_mut().expect("just pushed")
+                families.len() - 1
             }
         };
+        let family = &mut families[index];
         let labels: Vec<(String, String)> = labels
             .iter()
             .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
             .collect();
-        if let Some(series) = family.series.iter().find(|s| s.labels == labels) {
-            return Ok(series.handle.clone());
+        let existing = family.series.iter().find(|s| s.labels == labels);
+        let same_kind = (family.kind, family.unit) == (kind, unit)
+            && existing.is_none_or(|s| {
+                std::mem::discriminant(&s.handle) == std::mem::discriminant(&probe)
+            });
+        if let (true, Some(series)) = (same_kind, existing) {
+            return series.handle.clone();
         }
-        if total >= self.cap {
+        if !same_kind || total >= self.cap {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return Err(RegistryError::CardinalityCapExceeded);
+            return probe;
         }
         family.series.push(Series {
             labels,
             handle: probe.clone(),
         });
-        Ok(probe)
+        probe
     }
 
-    /// Gets or registers a counter series.
-    pub fn counter(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Result<Counter, RegistryError> {
-        match self.get_or_register(name, help, labels, || Handle::Counter(Counter::detached()))? {
-            Handle::Counter(c) => Ok(c),
-            _ => Err(RegistryError::KindMismatch),
+    /// Gets or registers a counter series (a detached handle if refused).
+    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
+        match self.get_or_register(name, help, labels, Handle::Counter(Counter::detached())) {
+            Handle::Counter(c) => c,
+            _ => unreachable!("a registration returns the probe's kind"),
         }
     }
 
-    /// Gets or registers an integer gauge series.
-    pub fn gauge(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Result<Gauge, RegistryError> {
-        match self.get_or_register(name, help, labels, || Handle::Gauge(Gauge::detached()))? {
-            Handle::Gauge(g) => Ok(g),
-            _ => Err(RegistryError::KindMismatch),
+    /// Gets or registers an integer gauge series (detached if refused).
+    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
+        match self.get_or_register(name, help, labels, Handle::Gauge(Gauge::detached())) {
+            Handle::Gauge(g) => g,
+            _ => unreachable!("a registration returns the probe's kind"),
         }
     }
 
-    /// Gets or registers a float gauge series.
-    pub fn gauge_f(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Result<GaugeF, RegistryError> {
-        match self.get_or_register(name, help, labels, || Handle::GaugeF(GaugeF::detached()))? {
-            Handle::GaugeF(g) => Ok(g),
-            _ => Err(RegistryError::KindMismatch),
+    /// Gets or registers a float gauge series (detached if refused).
+    pub fn gauge_f(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> GaugeF {
+        match self.get_or_register(name, help, labels, Handle::GaugeF(GaugeF::detached())) {
+            Handle::GaugeF(g) => g,
+            _ => unreachable!("a registration returns the probe's kind"),
         }
     }
 
-    /// Gets or registers a histogram series with the given unit.
+    /// Gets or registers a histogram series with the given unit
+    /// (detached if refused).
     pub fn histogram(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
         unit: Unit,
-    ) -> Result<Histogram, RegistryError> {
-        match self.get_or_register(name, help, labels, || {
-            Handle::Histogram(Histogram::detached(), unit)
-        })? {
-            Handle::Histogram(h, _) => Ok(h),
-            _ => Err(RegistryError::KindMismatch),
+    ) -> Histogram {
+        let probe = Handle::Histogram(Histogram::detached(), unit);
+        match self.get_or_register(name, help, labels, probe) {
+            Handle::Histogram(h, _) => h,
+            _ => unreachable!("a registration returns the probe's kind"),
         }
     }
 
-    /// Total registered series (one histogram = one series here).
-    pub fn series_count(&self) -> usize {
-        self.lock().iter().map(|f| f.series.len()).sum()
-    }
-
-    /// Registrations the cardinality cap refused so far (each fell back
-    /// to an invisible detached handle).
+    /// Registrations refused so far (each fell back to an invisible
+    /// detached handle).
     pub fn dropped_series(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Renders every registered metric in the Prometheus text exposition
-    /// format (`# HELP` / `# TYPE` comments, one sample line per series;
-    /// histograms as cumulative `_bucket{le=…}` plus `_sum`/`_count`).
+    /// format — [`render_exposition`] of this registry alone.
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        let families = self.lock();
-        for family in families.iter() {
+        render_exposition(&[self])
+    }
+}
+
+/// Renders several registries as **one** Prometheus text exposition
+/// (`# HELP` / `# TYPE` comments, one sample line per series;
+/// histograms as cumulative `_bucket{le=…}` plus `_sum`/`_count`).
+/// The registries must not share a family name. The
+/// `tm_obs_dropped_series_total` family appears once, summed over them.
+pub fn render_exposition(registries: &[&Registry]) -> String {
+    let mut out = String::new();
+    for registry in registries {
+        for family in registry.lock().iter() {
             out.push_str(&format!("# HELP {} {}\n", family.name, family.help));
             out.push_str(&format!("# TYPE {} {}\n", family.name, family.kind));
             for series in &family.series {
                 render_series(&mut out, &family.name, series, family.unit);
             }
         }
-        // Rendered outside the family table so it cannot itself be a
-        // victim of the cap it reports on.
-        out.push_str(
-            "# HELP tm_obs_dropped_series_total Metric registrations refused by the cardinality cap (recording fell back to detached handles)\n",
-        );
-        out.push_str("# TYPE tm_obs_dropped_series_total counter\n");
-        out.push_str(&format!(
-            "tm_obs_dropped_series_total {}\n",
-            self.dropped_series()
-        ));
-        out
     }
+    // Rendered outside the family tables so it cannot itself be a
+    // victim of the cap it reports on.
+    let dropped: u64 = registries.iter().map(|r| r.dropped_series()).sum();
+    out.push_str(
+        "# HELP tm_obs_dropped_series_total Metric registrations refused by the cardinality cap or a kind clash (recording fell back to detached handles)\n",
+    );
+    out.push_str("# TYPE tm_obs_dropped_series_total counter\n");
+    out.push_str(&format!("tm_obs_dropped_series_total {dropped}\n"));
+    out
 }
 
 fn label_block(labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
@@ -642,31 +615,14 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Gets or registers a counter in the global registry, falling back to a
-/// detached handle if the registration is refused — recording stays
-/// infallible at every call site.
+/// Gets or registers a counter in the global registry.
 pub fn global_counter(name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-    global().counter(name, help, labels).unwrap_or_else(|_| Counter::detached())
+    global().counter(name, help, labels)
 }
 
-/// Gets or registers an integer gauge in the global registry (detached
-/// fallback).
-pub fn global_gauge(name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-    global().gauge(name, help, labels).unwrap_or_else(|_| Gauge::detached())
-}
-
-/// Gets or registers a float gauge in the global registry (detached
-/// fallback).
-pub fn global_gauge_f(name: &str, help: &str, labels: &[(&str, &str)]) -> GaugeF {
-    global().gauge_f(name, help, labels).unwrap_or_else(|_| GaugeF::detached())
-}
-
-/// Gets or registers a histogram in the global registry (detached
-/// fallback).
+/// Gets or registers a histogram in the global registry.
 pub fn global_histogram(name: &str, help: &str, labels: &[(&str, &str)], unit: Unit) -> Histogram {
-    global()
-        .histogram(name, help, labels, unit)
-        .unwrap_or_else(|_| Histogram::detached())
+    global().histogram(name, help, labels, unit)
 }
 
 #[cfg(test)]
@@ -709,33 +665,39 @@ mod tests {
     #[test]
     fn cardinality_cap_rejects_new_series_but_returns_existing() {
         let registry = Registry::with_cap(2);
-        let a = registry.counter("tm_x_total", "x", &[("k", "a")]).unwrap();
-        let _b = registry.counter("tm_x_total", "x", &[("k", "b")]).unwrap();
-        assert_eq!(
-            registry.counter("tm_x_total", "x", &[("k", "c")]).unwrap_err(),
-            RegistryError::CardinalityCapExceeded
-        );
+        let a = registry.counter("tm_x_total", "x", &[("k", "a")]);
+        let _b = registry.counter("tm_x_total", "x", &[("k", "b")]);
+        // The third series is refused: a detached handle, counted.
+        registry.counter("tm_x_total", "x", &[("k", "c")]).inc();
+        assert_eq!(registry.dropped_series(), 1);
         // Existing series are still retrievable at the cap, and the
         // handle aliases the original.
-        let a2 = registry.counter("tm_x_total", "x", &[("k", "a")]).unwrap();
+        let a2 = registry.counter("tm_x_total", "x", &[("k", "a")]);
         a.inc();
         assert_eq!(a2.get(), 1);
-        assert_eq!(registry.series_count(), 2);
+        let text = registry.render_prometheus();
+        let exposition = crate::text::parse_prometheus(&text).expect("renders well formed");
+        assert_eq!(exposition.series("tm_x_total").len(), 2);
     }
 
     #[test]
     fn kind_mismatch_is_rejected() {
         let registry = Registry::new();
-        registry.counter("tm_thing", "t", &[]).unwrap();
-        assert_eq!(
-            registry.gauge("tm_thing", "t", &[]).unwrap_err(),
-            RegistryError::KindMismatch
-        );
-        registry.histogram("tm_h", "h", &[], Unit::Nanos).unwrap();
-        assert_eq!(
-            registry.histogram("tm_h", "h", &[], Unit::None).unwrap_err(),
-            RegistryError::KindMismatch
-        );
+        registry.counter("tm_thing", "t", &[]).inc();
+        registry.gauge("tm_thing", "t", &[]).set(7);
+        registry.histogram("tm_h", "h", &[], Unit::Nanos).observe(1);
+        registry.histogram("tm_h", "h", &[], Unit::None).observe(1);
+        registry.gauge("tm_g", "g", &[]).set(1);
+        registry.gauge_f("tm_g", "g", &[]).set(0.5);
+        // Each clash fell back to a detached handle; the families keep
+        // their first kind and value.
+        assert_eq!(registry.dropped_series(), 3);
+        let text = registry.render_prometheus();
+        let exposition = crate::text::parse_prometheus(&text).expect("renders well formed");
+        assert_eq!(exposition.types["tm_thing"], "counter");
+        assert_eq!(exposition.series("tm_thing")[0].value, 1.0);
+        assert_eq!(exposition.series("tm_h_count")[0].value, 1.0);
+        assert_eq!(exposition.series("tm_g")[0].value, 1.0);
     }
 
     #[test]
@@ -768,13 +730,13 @@ mod tests {
     #[test]
     fn dropped_series_are_counted_and_rendered() {
         let registry = Registry::with_cap(1);
-        registry.counter("tm_a_total", "a", &[]).unwrap();
+        registry.counter("tm_a_total", "a", &[]);
         assert_eq!(registry.dropped_series(), 0);
-        assert!(registry.counter("tm_b_total", "b", &[]).is_err());
-        assert!(registry.gauge("tm_c", "c", &[]).is_err());
+        registry.counter("tm_b_total", "b", &[]);
+        registry.gauge("tm_c", "c", &[]);
         assert_eq!(registry.dropped_series(), 2);
         // Re-resolving an existing series at the cap is not a drop.
-        registry.counter("tm_a_total", "a", &[]).unwrap();
+        registry.counter("tm_a_total", "a", &[]);
         assert_eq!(registry.dropped_series(), 2);
         let text = registry.render_prometheus();
         assert!(text.contains("# TYPE tm_obs_dropped_series_total counter"));
@@ -782,6 +744,21 @@ mod tests {
         // The exposition with the synthetic family still parses.
         let exposition = crate::text::parse_prometheus(&text).expect("renders well formed");
         assert!(exposition.has_series("tm_obs_dropped_series_total"));
+    }
+
+    #[test]
+    fn one_exposition_over_several_registries() {
+        let service = Registry::with_cap(1);
+        service.counter("tm_a_total", "a", &[]).add(2);
+        service.counter("tm_b_total", "b", &[]);
+        let process = Registry::new();
+        process.histogram("tm_h_seconds", "h", &[], Unit::Nanos).observe(5);
+        let text = render_exposition(&[&service, &process]);
+        // Every family once, the dropped-series footer summed over both.
+        let exposition = crate::text::parse_prometheus(&text).expect("one well-formed exposition");
+        assert_eq!(exposition.series("tm_a_total")[0].value, 2.0);
+        assert!(exposition.has_series("tm_h_seconds"));
+        assert_eq!(exposition.series("tm_obs_dropped_series_total")[0].value, 1.0);
     }
 
     #[test]
@@ -817,9 +794,9 @@ mod tests {
     #[test]
     fn render_emits_cumulative_buckets_and_labels() {
         let registry = Registry::new();
-        let c = registry.counter("tm_q_total", "queries", &[("result", "ok")]).unwrap();
+        let c = registry.counter("tm_q_total", "queries", &[("result", "ok")]);
         c.add(3);
-        let h = registry.histogram("tm_lat_seconds", "latency", &[], Unit::Nanos).unwrap();
+        let h = registry.histogram("tm_lat_seconds", "latency", &[], Unit::Nanos);
         h.observe(1_000_000_000); // exactly 2^30 < 1s < 2^31 ns? (2^30 ≈ 1.07e9) — 1e9 <= 2^30
         let text = registry.render_prometheus();
         assert!(text.contains("# TYPE tm_q_total counter"));

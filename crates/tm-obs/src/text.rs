@@ -7,11 +7,13 @@
 //!
 //! * every non-comment line is `name[{labels}] value` with a parsable
 //!   float value and well-formed label syntax;
-//! * every sample's base name was declared by a preceding `# TYPE` line;
+//! * every sample's base name was declared by a preceding `# TYPE` line,
+//!   no family is declared twice, and no series (name plus label set)
+//!   appears twice;
 //! * histogram `_bucket` series are cumulative (non-decreasing in `le`
 //!   order as emitted) and end with an `+Inf` bucket equal to `_count`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One parsed sample line.
 #[derive(Clone, Debug, PartialEq)]
@@ -125,6 +127,7 @@ fn base_name<'a>(sample: &'a str, types: &HashMap<String, String>) -> &'a str {
 /// docs for the checked invariants).
 pub fn parse_prometheus(text: &str) -> Result<Exposition, String> {
     let mut exposition = Exposition::default();
+    let mut seen: HashSet<(String, Vec<(String, String)>)> = HashSet::new();
     for (index, raw) in text.lines().enumerate() {
         let line_no = index + 1;
         let line = raw.trim();
@@ -144,7 +147,9 @@ pub fn parse_prometheus(text: &str) -> Result<Exposition, String> {
                 if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
                     return Err(format!("line {line_no}: unknown TYPE kind {kind:?}"));
                 }
-                exposition.types.insert(name.to_owned(), kind.to_owned());
+                if exposition.types.insert(name.to_owned(), kind.to_owned()).is_some() {
+                    return Err(format!("line {line_no}: family {name:?} declared twice"));
+                }
             }
             continue;
         }
@@ -181,6 +186,11 @@ pub fn parse_prometheus(text: &str) -> Result<Exposition, String> {
         if !exposition.types.contains_key(base) {
             return Err(format!("line {line_no}: sample {name:?} has no TYPE declaration"));
         }
+        let mut series = labels.clone();
+        series.sort();
+        if !seen.insert((name.to_owned(), series)) {
+            return Err(format!("line {line_no}: series {name:?} repeated"));
+        }
         exposition.samples.push(Sample {
             name: name.to_owned(),
             labels,
@@ -196,6 +206,16 @@ pub fn parse_prometheus(text: &str) -> Result<Exposition, String> {
 /// non-decreasing in emission order, an `+Inf` bucket exists, and it
 /// equals the `_count` sample.
 fn check_histograms(exposition: &Exposition) -> Result<(), String> {
+    // A sample's label set without `le`, as one comparable string.
+    let labels_of = |sample: &Sample| -> String {
+        let labels: Vec<String> = sample
+            .labels
+            .iter()
+            .filter(|(k, _)| k != "le")
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        labels.join(",")
+    };
     for (name, kind) in &exposition.types {
         if kind != "histogram" {
             continue;
@@ -204,13 +224,7 @@ fn check_histograms(exposition: &Exposition) -> Result<(), String> {
         let mut groups: HashMap<String, Vec<&Sample>> = HashMap::new();
         for sample in &exposition.samples {
             if sample.name == format!("{name}_bucket") {
-                let signature: Vec<String> = sample
-                    .labels
-                    .iter()
-                    .filter(|(k, _)| k != "le")
-                    .map(|(k, v)| format!("{k}={v}"))
-                    .collect();
-                groups.entry(signature.join(",")).or_default().push(sample);
+                groups.entry(labels_of(sample)).or_default().push(sample);
             }
         }
         if groups.is_empty() {
@@ -235,16 +249,7 @@ fn check_histograms(exposition: &Exposition) -> Result<(), String> {
             let count = exposition
                 .samples
                 .iter()
-                .find(|s| {
-                    s.name == format!("{name}_count")
-                        && s.labels
-                            .iter()
-                            .filter(|(k, _)| k != "le")
-                            .map(|(k, v)| format!("{k}={v}"))
-                            .collect::<Vec<_>>()
-                            .join(",")
-                            == *signature
-                })
+                .find(|s| s.name == format!("{name}_count") && labels_of(s) == *signature)
                 .ok_or_else(|| format!("histogram {name}{{{signature}}}: missing _count"))?;
             if (last.value - count.value).abs() > 0.0 {
                 return Err(format!(
@@ -301,6 +306,31 @@ tm_query_seconds_count 3
             parse_prometheus("# TYPE tm_x wibble\n").is_err(),
             "unknown kind"
         );
+    }
+
+    #[test]
+    fn rejects_repeated_families_and_series() {
+        let registry = crate::Registry::new();
+        registry.counter("tm_x_total", "x", &[("k", "a")]).inc();
+        let one = registry.render_prometheus();
+        assert!(parse_prometheus(&one).is_ok());
+        // Two concatenated renders declare every family twice.
+        let twice = format!("{one}{one}");
+        assert!(parse_prometheus(&twice).unwrap_err().contains("declared twice"));
+        // A repeated series is caught even when its labels are reordered.
+        let text = "\
+# TYPE tm_y_total counter
+tm_y_total{a=\"1\",b=\"2\"} 1
+tm_y_total{b=\"2\",a=\"1\"} 1
+";
+        assert!(parse_prometheus(text).unwrap_err().contains("repeated"));
+        // Distinct label sets of one family are fine.
+        let text = "\
+# TYPE tm_y_total counter
+tm_y_total{a=\"1\"} 1
+tm_y_total{a=\"2\"} 1
+";
+        assert_eq!(parse_prometheus(text).unwrap().series("tm_y_total").len(), 2);
     }
 
     #[test]

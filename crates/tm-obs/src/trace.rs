@@ -305,6 +305,25 @@ impl PhaseTimer {
     pub fn stop(self) {}
 }
 
+/// Runs `f` inside a `phase` span and returns its result with the time
+/// it took. One pair of clock reads feeds both the span and the caller's
+/// duration, and the clock is read even with instrumentation disabled
+/// (the caller asked for the duration); only the span is gated.
+pub fn timed<R>(phase: Phase, f: impl FnOnce() -> R) -> (R, Duration) {
+    // Taking the span's start leaves it the profiler frame only; the
+    // recording uses the duration measured here.
+    let mut span = PhaseTimer::start(phase);
+    let enabled = span.start.take();
+    let started = enabled.unwrap_or_else(Instant::now);
+    let result = f();
+    let elapsed = started.elapsed();
+    drop(span);
+    if enabled.is_some() {
+        record_phase(phase, elapsed, 0);
+    }
+    (result, elapsed)
+}
+
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
         if self.frame {

@@ -51,7 +51,7 @@ use std::fmt;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use tm_lang::SafetyProperty;
-use tm_obs::{Phase, PhaseTimer};
+use tm_obs::{Counter, Phase, PhaseTimer};
 
 /// What a ledger entry pays for.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -112,7 +112,8 @@ struct Entry {
 ///     vars: 1,
 ///     kind: ArtifactKind::RunGraph(name.to_owned()),
 /// };
-/// let mut budget = MemoryBudget::new(Some(100));
+/// let evictions = tm_obs::Registry::new().counter("tm_evictions_total", "", &[]);
+/// let mut budget = MemoryBudget::new(Some(100), evictions);
 /// assert!(budget.charge(key("a"), 60).is_empty());
 /// // Charging past the limit evicts the least recently used entry.
 /// let evicted = budget.charge(key("b"), 60);
@@ -129,12 +130,13 @@ pub struct MemoryBudget {
     clock: u64,
     tracked: usize,
     peak: usize,
-    evictions: u64,
+    evictions: Counter,
 }
 
 impl MemoryBudget {
-    /// Creates a ledger with the given byte limit (`None` = unbounded).
-    pub fn new(limit: Option<usize>) -> Self {
+    /// Creates a ledger with the given byte limit (`None` = unbounded)
+    /// that counts its evictions into `evictions`.
+    pub fn new(limit: Option<usize>, evictions: Counter) -> Self {
         MemoryBudget {
             limit,
             entries: HashMap::new(),
@@ -142,7 +144,7 @@ impl MemoryBudget {
             clock: 0,
             tracked: 0,
             peak: 0,
-            evictions: 0,
+            evictions,
         }
     }
 
@@ -316,7 +318,7 @@ impl MemoryBudget {
             let Some(victim) = victim else { break };
             let entry = self.entries.remove(&victim).expect("victim is charged");
             self.tracked -= entry.bytes;
-            self.evictions += 1;
+            self.evictions.inc();
             evicted.push(victim);
         }
         evicted
@@ -335,7 +337,7 @@ impl MemoryBudget {
 
     /// Total evictions so far.
     pub fn evictions(&self) -> u64 {
-        self.evictions
+        self.evictions.get()
     }
 
     /// Number of charged artifacts.
@@ -382,10 +384,11 @@ pub struct SharedBudget {
 }
 
 impl SharedBudget {
-    /// Wraps a fresh ledger with the given byte limit.
-    pub fn new(limit: Option<usize>) -> Self {
+    /// Wraps a fresh ledger with the given byte limit, counting its
+    /// evictions into `evictions`.
+    pub fn new(limit: Option<usize>, evictions: Counter) -> Self {
         SharedBudget {
-            inner: Mutex::new(MemoryBudget::new(limit)),
+            inner: Mutex::new(MemoryBudget::new(limit, evictions)),
             freed: Condvar::new(),
         }
     }
@@ -504,6 +507,11 @@ impl SharedBudget {
 mod tests {
     use super::*;
 
+    /// An eviction counter in a private registry.
+    fn evictions() -> Counter {
+        tm_obs::Registry::new().counter("tm_evictions_total", "evictions", &[])
+    }
+
     fn graph(name: &str) -> ArtifactKey {
         ArtifactKey {
             threads: 2,
@@ -522,7 +530,7 @@ mod tests {
 
     #[test]
     fn lru_order_decides_the_victim() {
-        let mut budget = MemoryBudget::new(Some(100));
+        let mut budget = MemoryBudget::new(Some(100), evictions());
         assert!(budget.charge(graph("a"), 40).is_empty());
         assert!(budget.charge(graph("b"), 40).is_empty());
         // Touching `a` makes `b` the LRU entry.
@@ -536,7 +544,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_the_high_water_mark_under_the_limit() {
-        let mut budget = MemoryBudget::new(Some(100));
+        let mut budget = MemoryBudget::new(Some(100), evictions());
         budget.charge(graph("a"), 70);
         budget.charge(graph("b"), 60); // evicts a
         budget.charge(spec(), 30);
@@ -547,7 +555,7 @@ mod tests {
 
     #[test]
     fn reserve_uses_the_last_known_size() {
-        let mut budget = MemoryBudget::new(Some(100));
+        let mut budget = MemoryBudget::new(Some(100), evictions());
         budget.charge(graph("a"), 80);
         budget.charge(graph("b"), 15); // fits alongside
         assert_eq!(budget.tracked_bytes(), 95);
@@ -567,7 +575,7 @@ mod tests {
 
     #[test]
     fn a_failed_build_releases_its_reservation() {
-        let mut budget = MemoryBudget::new(Some(100));
+        let mut budget = MemoryBudget::new(Some(100), evictions());
         budget.charge(graph("a"), 80);
         budget.charge(graph("b"), 15);
         let before = budget.tracked_bytes();
@@ -593,7 +601,7 @@ mod tests {
 
     #[test]
     fn an_unbounded_ledger_never_evicts() {
-        let mut budget = MemoryBudget::new(None);
+        let mut budget = MemoryBudget::new(None, evictions());
         for i in 0..50 {
             assert!(budget.charge(graph(&format!("tm{i}")), 1 << 20).is_empty());
         }
@@ -604,7 +612,7 @@ mod tests {
 
     #[test]
     fn the_artifact_in_use_is_never_its_own_victim() {
-        let mut budget = MemoryBudget::new(Some(10));
+        let mut budget = MemoryBudget::new(Some(10), evictions());
         // A single over-budget artifact stays charged (evicting it would
         // just force a rebuild for the query that is using it).
         assert!(budget.charge(graph("big"), 50).is_empty());
@@ -617,7 +625,7 @@ mod tests {
 
     #[test]
     fn recharging_updates_bytes_in_place() {
-        let mut budget = MemoryBudget::new(Some(100));
+        let mut budget = MemoryBudget::new(Some(100), evictions());
         budget.charge(spec(), 30);
         // A lazy spec cache grows as later queries touch more rows.
         budget.charge(spec(), 45);
@@ -628,7 +636,7 @@ mod tests {
 
     #[test]
     fn pinned_entries_are_never_eviction_victims() {
-        let mut budget = MemoryBudget::new(Some(100));
+        let mut budget = MemoryBudget::new(Some(100), evictions());
         budget.charge(graph("a"), 60);
         budget.charge(graph("b"), 30);
         budget.pin(&graph("a"));
@@ -646,7 +654,7 @@ mod tests {
 
     #[test]
     fn pins_nest_like_a_refcount() {
-        let mut budget = MemoryBudget::new(Some(50));
+        let mut budget = MemoryBudget::new(Some(50), evictions());
         budget.charge(graph("a"), 40);
         budget.pin(&graph("a"));
         budget.pin(&graph("a"));
@@ -670,7 +678,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
-        let budget = Arc::new(SharedBudget::new(Some(100)));
+        let budget = Arc::new(SharedBudget::new(Some(100), evictions()));
         // Query 1 holds a pin on a 70-byte artifact.
         let first = budget.admit(&graph("a"));
         assert!(first.reserved);
@@ -718,7 +726,7 @@ mod tests {
         // Two queries, each pinned, whose actual sizes together exceed
         // the limit: both settles must complete (one evicts the other),
         // never deadlock.
-        let budget = std::sync::Arc::new(SharedBudget::new(Some(100)));
+        let budget = std::sync::Arc::new(SharedBudget::new(Some(100), evictions()));
         let a = budget.admit(&graph("a"));
         let b = budget.admit(&graph("b"));
         assert!(a.reserved && b.reserved);
@@ -736,7 +744,7 @@ mod tests {
 
     #[test]
     fn shared_abandon_refunds_the_reservation_under_pins() {
-        let budget = SharedBudget::new(Some(100));
+        let budget = SharedBudget::new(Some(100), evictions());
         budget.admit(&graph("a"));
         budget.settle(&graph("a"), 40);
         // A rebuild admission reserves at the hint...

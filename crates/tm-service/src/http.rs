@@ -33,8 +33,9 @@
 //! on different instance sizes overlap, queries on one session
 //! serialize, and artifacts in use are pinned against eviction (see the
 //! service and registry docs for the lock hierarchy). `/healthz` takes
-//! no lock at all and `/v1/stats` reads atomics plus the short ledger
-//! lock, so both answer immediately while long batches run. The accept
+//! no lock at all, and `/v1/stats`, `/v1/sessions` and `/metrics` read
+//! the service's metrics registry plus the short ledger lock, so they
+//! answer immediately while long batches run. The accept
 //! loop polls a shutdown flag, so `POST /v1/shutdown` drains in-flight
 //! connections and returns from [`serve`] — the clean shutdown the CI
 //! smoke asserts.
@@ -370,17 +371,12 @@ fn route(
     let (path, query) = path.split_once('?').unwrap_or((path, ""));
     match (method, path) {
         ("GET", "/healthz") => (200, JSON, "{\"ok\": true}".to_owned(), None),
-        ("GET", "/metrics") => {
-            // Publish the scrape-time gauges, then render the global
-            // registry in the Prometheus text exposition format.
-            service.refresh_metrics();
-            (
-                200,
-                "text/plain; version=0.0.4",
-                tm_obs::global().render_prometheus(),
-                None,
-            )
-        }
+        ("GET", "/metrics") => (
+            200,
+            "text/plain; version=0.0.4",
+            service.render_prometheus(),
+            None,
+        ),
         ("GET", "/v1/stats") => (
             200,
             JSON,

@@ -21,7 +21,9 @@
 //! * the **session registry** ([`SessionRegistry`]) lazily creates one
 //!   [`tm_checker::Verifier`] per instance size, all multiplexing one
 //!   shared [`tm_automata::WorkerPool`] — each session behind its own
-//!   mutex, so concurrent batches on different instance sizes overlap;
+//!   mutex, so concurrent batches on different instance sizes overlap,
+//!   and each carrying its series in the service's one metrics registry
+//!   (the counters `/v1/stats`, `/v1/sessions` and `/metrics` all read);
 //! * the **memory budget** ([`MemoryBudget`], shared concurrently as
 //!   [`SharedBudget`]) charges every compiled artifact (per-TM run
 //!   graphs, per-property specifications) against a byte limit using the
@@ -87,7 +89,7 @@ pub mod wire;
 pub use budget::{Admission, ArtifactKey, ArtifactKind, MemoryBudget, SharedBudget};
 pub use client::{is_retryable_status, Backoff};
 pub use http::{http_request, http_request_full, http_request_with_id, serve};
-pub use registry::{lock_session, SessionRegistry, SharedSession};
+pub use registry::{lock_session, Session, SessionRegistry, SharedSession};
 pub use roster::{
     run_query, table2_batch, table3_batch, CmKind, PropertyKind, QuerySpec, TmKind,
     MAX_QUERY_THREADS, MAX_QUERY_VARS,

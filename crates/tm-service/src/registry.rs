@@ -18,6 +18,11 @@
 //! their jobs on the one queue. Lock hierarchy: registry → session →
 //! budget ledger; the registry lock is never held while a session lock
 //! is being waited on with the ledger held.
+//!
+//! Each session also carries its serving counters: handles into the
+//! service's metrics registry, resolved once when the session is
+//! created. They sit beside the `Verifier`, outside its mutex, so
+//! reading them never waits on a running query.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -25,22 +30,78 @@ use std::time::Duration;
 
 use tm_automata::WorkerPool;
 use tm_checker::Verifier;
+use tm_obs::{Counter, Histogram, Registry, Unit};
+
+/// One `(n, k)` session: the lockable [`Verifier`] (see
+/// [`lock_session`]) and its per-session series in the service's
+/// metrics registry, each labelled `threads`, `vars`.
+pub struct Session {
+    verifier: Mutex<Verifier>,
+    /// Threads `n` of the session.
+    pub threads: usize,
+    /// Variables `k` of the session.
+    pub vars: usize,
+    /// `tm_artifact_builds_total`: artifact builds (first-time and
+    /// rebuilds) that left the artifact resident.
+    pub builds: Counter,
+    /// `tm_artifact_rebuilds_total`: builds that re-created an evicted
+    /// artifact.
+    pub rebuilds: Counter,
+    /// `tm_store_promotes_total`: artifacts promoted from the
+    /// persistent store instead of rebuilt.
+    pub promotes: Counter,
+    /// `tm_session_lock_wait_seconds`: time each query waited for the
+    /// session lock (its count is the number of acquisitions).
+    pub lock_wait: Histogram,
+}
+
+impl Session {
+    fn new(verifier: Verifier, threads: usize, vars: usize, metrics: &Registry) -> Self {
+        let (n, k) = (threads.to_string(), vars.to_string());
+        let labels = [("threads", n.as_str()), ("vars", k.as_str())];
+        let counter = |name: &str, help: &str| metrics.counter(name, help, &labels);
+        Session {
+            verifier: Mutex::new(verifier),
+            threads,
+            vars,
+            builds: counter(
+                "tm_artifact_builds_total",
+                "Artifact builds (first-time and rebuilds), by session",
+            ),
+            rebuilds: counter(
+                "tm_artifact_rebuilds_total",
+                "Builds that re-created an evicted artifact, by session",
+            ),
+            promotes: counter(
+                "tm_store_promotes_total",
+                "Artifacts promoted from the persistent store instead of rebuilt, by session",
+            ),
+            lock_wait: metrics.histogram(
+                "tm_session_lock_wait_seconds",
+                "Time queries waited for the session lock, by session",
+                &labels,
+                Unit::Nanos,
+            ),
+        }
+    }
+}
 
 /// A shared, independently lockable session (see [`lock_session`]).
-pub type SharedSession = Arc<Mutex<Verifier>>;
+pub type SharedSession = Arc<Session>;
 
 /// Locks one session, recovering from a poisoned mutex (a panicked
 /// query — e.g. an injected panic fault — must not wedge every later
 /// query on the same instance size; sessions hold no invariants a
 /// completed query can break mid-update, artifacts are rebuilt on
 /// demand).
-pub fn lock_session(session: &SharedSession) -> MutexGuard<'_, Verifier> {
-    session.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+pub fn lock_session(session: &Session) -> MutexGuard<'_, Verifier> {
+    session.verifier.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// Registry of per-instance-size sessions over one shared pool.
 pub struct SessionRegistry {
     sessions: RwLock<HashMap<(usize, usize), SharedSession>>,
+    metrics: Arc<Registry>,
     pool: Option<Arc<WorkerPool>>,
     pool_size: usize,
     max_states: usize,
@@ -51,11 +112,13 @@ impl SessionRegistry {
     /// Creates a registry whose sessions run parallel regions on a
     /// shared pool of `pool_size` workers (1 = the deterministic
     /// sequential engines, no pool spawned), bounding every state space
-    /// at `max_states`.
-    pub fn new(pool_size: usize, max_states: usize) -> Self {
+    /// at `max_states`. Each session's series are registered in
+    /// `metrics` when the session is created.
+    pub fn new(pool_size: usize, max_states: usize, metrics: Arc<Registry>) -> Self {
         let pool_size = pool_size.max(1);
         SessionRegistry {
             sessions: RwLock::new(HashMap::new()),
+            metrics,
             pool: (pool_size > 1).then(|| Arc::new(WorkerPool::new(pool_size))),
             pool_size,
             max_states,
@@ -94,7 +157,7 @@ impl SessionRegistry {
                 Some(pool) => verifier.shared_pool(Arc::clone(pool)),
                 None => verifier.pool_size(1),
             };
-            Arc::new(Mutex::new(verifier))
+            Arc::new(Session::new(verifier, threads, vars, &self.metrics))
         });
         Arc::clone(session)
     }
@@ -104,21 +167,11 @@ impl SessionRegistry {
         self.pool_size
     }
 
-    /// Number of sessions created so far.
-    pub fn len(&self) -> usize {
-        self.read().len()
-    }
-
-    /// `true` if no session was created yet.
-    pub fn is_empty(&self) -> bool {
-        self.read().is_empty()
-    }
-
-    /// The sessions' instance sizes, sorted.
-    pub fn instance_sizes(&self) -> Vec<(usize, usize)> {
-        let mut sizes: Vec<(usize, usize)> = self.read().keys().copied().collect();
-        sizes.sort_unstable();
-        sizes
+    /// Every session, sorted by instance size. Takes no session lock.
+    pub fn sessions(&self) -> Vec<SharedSession> {
+        let mut sessions: Vec<SharedSession> = self.read().values().cloned().collect();
+        sessions.sort_unstable_by_key(|s| (s.threads, s.vars));
+        sessions
     }
 
     /// Sum of every session's estimated artifact heap bytes — the ground
@@ -130,29 +183,6 @@ impl SessionRegistry {
             .map(|s| lock_session(s).artifact_heap_bytes())
             .sum()
     }
-
-    /// Total artifact builds across sessions (spec + run graph).
-    pub fn total_builds(&self) -> usize {
-        self.read()
-            .values()
-            .map(|s| {
-                let s = lock_session(s);
-                s.spec_builds() + s.run_graph_builds()
-            })
-            .sum()
-    }
-
-    /// Total artifact *re*builds across sessions — builds forced by an
-    /// eviction.
-    pub fn total_rebuilds(&self) -> usize {
-        self.read()
-            .values()
-            .map(|s| {
-                let s = lock_session(s);
-                s.spec_rebuilds() + s.run_graph_rebuilds()
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -162,23 +192,32 @@ mod tests {
 
     use crate::roster::{run_query, QuerySpec};
 
+    fn registry(pool_size: usize) -> SessionRegistry {
+        SessionRegistry::new(pool_size, 1_000_000, Arc::new(Registry::new()))
+    }
+
     #[test]
     fn sessions_are_created_lazily_and_keyed_by_size() {
-        let registry = SessionRegistry::new(1, 1_000_000);
-        assert!(registry.is_empty());
+        let registry = registry(1);
+        assert!(registry.sessions().is_empty());
         let spec21 = QuerySpec::parse("dstm+aggressive:of:2:1").unwrap();
         let spec22 = QuerySpec::parse("sequential:op:2:2").unwrap();
         assert!(run_query(&mut lock_session(&registry.session(2, 1)), &spec21).holds());
         assert!(run_query(&mut lock_session(&registry.session(2, 2)), &spec22).holds());
-        assert_eq!(registry.len(), 2);
-        assert_eq!(registry.instance_sizes(), vec![(2, 1), (2, 2)]);
-        assert_eq!(registry.total_builds(), 2);
+        assert_eq!(registry.sessions().len(), 2);
+        let sizes: Vec<_> = registry.sessions().iter().map(|s| (s.threads, s.vars)).collect();
+        assert_eq!(sizes, vec![(2, 1), (2, 2)]);
+        let builds = |s: &Session| {
+            let verifier = lock_session(s);
+            verifier.spec_builds() + verifier.run_graph_builds()
+        };
+        assert_eq!(registry.sessions().iter().map(|s| builds(s)).sum::<usize>(), 2);
         assert!(registry.artifact_heap_bytes() > 0);
     }
 
     #[test]
     fn sessions_share_the_registry_pool() {
-        let registry = SessionRegistry::new(4, 1_000_000);
+        let registry = registry(4);
         let spec = QuerySpec {
             property: crate::PropertyKind::Liveness(LivenessProperty::WaitFreedom),
             ..QuerySpec::parse("2PL:of:2:1").unwrap()
@@ -192,7 +231,7 @@ mod tests {
 
     #[test]
     fn the_same_arc_is_handed_to_concurrent_resolvers() {
-        let registry = Arc::new(SessionRegistry::new(1, 1_000_000));
+        let registry = Arc::new(registry(1));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let registry = Arc::clone(&registry);
@@ -200,7 +239,7 @@ mod tests {
             })
             .collect();
         let sessions: Vec<SharedSession> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(registry.len(), 1, "one session for one instance size");
+        assert_eq!(registry.sessions().len(), 1, "one session for one instance size");
         for pair in sessions.windows(2) {
             assert!(Arc::ptr_eq(&pair[0], &pair[1]));
         }

@@ -183,12 +183,15 @@ pub struct QuerySpec {
     pub vars: usize,
 }
 
-/// Largest thread count a query may ask for: the TM implementations and
-/// the liveness engine's edge masks are built for at most
-/// [`tm_automata::MAX_MASK_THREADS`] threads, and they enforce it with
-/// asserts — a daemon must reject such queries at the boundary instead
-/// of panicking a handler mid-batch.
-pub const MAX_QUERY_THREADS: usize = tm_automata::MAX_MASK_THREADS;
+/// Largest thread count a query may ask for: the smallest of the
+/// engines' bounds — the TM state encodings
+/// ([`tm_algorithms::MAX_THREADS`]), the specification states
+/// (`tm_spec::MAX_THREADS`, pinned by a unit test) and the liveness
+/// engine's edge masks ([`tm_automata::MAX_MASK_THREADS`]). Each
+/// enforces its bound with asserts, so a daemon must reject larger
+/// queries at the boundary instead of panicking a handler mid-batch.
+pub const MAX_QUERY_THREADS: usize = tm_algorithms::MAX_THREADS;
+const _: () = assert!(MAX_QUERY_THREADS <= tm_automata::MAX_MASK_THREADS);
 
 /// Largest variable count a query may ask for. State spaces explode well
 /// before this; the bound exists so a malformed request is an error, not
@@ -369,6 +372,8 @@ mod tests {
         // Instance sizes beyond the engines' supported range are parse
         // errors, not downstream panics.
         assert!(QuerySpec::parse("2PL:of:9:1").is_err());
+        assert!(QuerySpec::parse("2PL:of:5:1").is_err());
+        const { assert!(MAX_QUERY_THREADS <= tm_spec::MAX_THREADS) };
         assert!(QuerySpec::parse("2PL:of:0:1").is_err());
         assert!(QuerySpec::parse("2PL:of:2:0").is_err());
     }

@@ -13,29 +13,31 @@
 //! on one session serialize — which also makes artifact builds
 //! single-flight per key), and the budget ledger pins in-flight
 //! artifacts so a concurrent batch can never evict an artifact
-//! mid-query. The statistics counters are atomics, so [`Service::stats`]
-//! never waits on a running query.
+//! mid-query.
+//!
+//! Every counter lives once, as a handle in the service's own `tm-obs`
+//! [`Registry`]: [`Service::stats`], [`Service::sessions_snapshot`] and
+//! [`Service::render_prometheus`] (`/metrics`) read the same handles, so
+//! the three surfaces agree and none of them waits on a running query.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tm_automata::{fault, EngineError};
 use tm_checker::{Verdict, VerdictOutcome, Verifier};
 use tm_obs::{
-    Counter, EventKind, Gauge, GaugeF, Histogram, JournalEvent, LogValue, Phase, PhaseTimer,
+    Counter, EventKind, Gauge, GaugeF, Histogram, JournalEvent, LogValue, Phase, Registry,
     TraceRecord, Unit,
 };
 use tm_store::{
-    Artifact, ArtifactStore, LazySpecArtifact, RunGraphArtifact, StoreConfig, StoreEntry,
-    StoreKey, StoreKind,
+    Artifact, ArtifactStore, LazySpecArtifact, RunGraphArtifact, StoreConfig, StoreCounters,
+    StoreEntry, StoreKey, StoreKind,
 };
 
 use crate::budget::{ArtifactKey, ArtifactKind, SharedBudget};
-use crate::registry::{lock_session, SessionRegistry};
+use crate::registry::{lock_session, Session, SessionRegistry};
 use crate::roster::{
     run_query, PropertyKind, QuerySpec, MAX_QUERY_THREADS, MAX_QUERY_VARS,
 };
@@ -378,21 +380,30 @@ impl QueryResult {
 }
 
 /// Cumulative service counters (monotonic across batches, except the
-/// instantaneous `tracked_bytes`).
+/// instantaneous `tracked_bytes`, `store_bytes` and `store_files`).
+///
+/// The counters are read from the service's metrics registry, the same
+/// handles `/metrics` renders: a field equals its series there (or the
+/// sum of its per-session series).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ServiceStats {
-    /// Queries answered.
+    /// Queries answered: the count of `tm_query_seconds`.
     pub queries: u64,
-    /// Queries whose artifact was already resident.
+    /// Queries whose artifact was already resident
+    /// (`tm_cache_hits_total`).
     pub cache_hits: u64,
-    /// Artifact builds (first-time and rebuilds).
+    /// Artifact builds (first-time and rebuilds) that left the artifact
+    /// resident, even when the query itself then aborted: the sum of the
+    /// per-session `tm_artifact_builds_total` series.
     pub artifact_builds: u64,
-    /// Builds that were rebuilds of an evicted artifact.
+    /// Builds that were rebuilds of an evicted artifact (the sum of
+    /// `tm_artifact_rebuilds_total`).
     pub artifact_rebuilds: u64,
     /// Queries that aborted (deadline, cancellation, state limit,
-    /// injected fault) instead of producing a verdict.
+    /// injected fault) instead of producing a verdict:
+    /// `tm_queries_total{result="aborted"}`.
     pub aborted_queries: u64,
-    /// Ledger evictions.
+    /// Ledger evictions (`tm_evictions_total`).
     pub evictions: u64,
     /// Currently tracked artifact bytes.
     pub tracked_bytes: usize,
@@ -410,7 +421,7 @@ pub struct ServiceStats {
     /// time, so on overlapping load this exceeds real wall clock. A
     /// *work* metric (total batch time served), not a utilization
     /// metric; for utilization use [`ServiceStats::busy_wall_ns`] /
-    /// [`ServiceStats::uptime_ns`].
+    /// [`ServiceStats::uptime_ns`]. The sum of `tm_batch_seconds`.
     pub batch_ns: u64,
     /// Wall-clock nanoseconds during which **at least one** batch was in
     /// flight — each instant counted once no matter how many batches
@@ -426,7 +437,8 @@ pub struct ServiceStats {
     /// Persistent-store loads that found no file for the key.
     pub store_misses: u64,
     /// Artifacts promoted from the store into a session instead of
-    /// rebuilt (a promote counts as a cache hit, not a build).
+    /// rebuilt (a promote counts as a cache hit, not a build): the sum
+    /// of the per-session `tm_store_promotes_total` series.
     pub store_promotes: u64,
     /// Eviction victims demoted to the store instead of discarded.
     pub store_demotes: u64,
@@ -513,47 +525,19 @@ impl Drop for BusyGuard<'_> {
     }
 }
 
-/// Publishes an externally kept monotonic total into a registry counter
-/// by delta at each [`Service::refresh_metrics`] — `fetch_max` makes
-/// concurrent scrapes add each increment exactly once.
-struct DeltaCounter {
-    counter: Counter,
-    published: AtomicU64,
-}
-
-impl DeltaCounter {
-    fn new(counter: Counter) -> Self {
-        DeltaCounter {
-            counter,
-            published: AtomicU64::new(0),
-        }
-    }
-
-    fn publish(&self, total: u64) {
-        let published = self.published.fetch_max(total, Ordering::Relaxed);
-        if total > published {
-            self.counter.add(total - published);
-        }
-    }
-}
-
-/// The service's handles into the global metrics registry, resolved once
-/// per `Service` (registration is idempotent — a second service in the
-/// same process shares the same series).
+/// The service's own series in its metrics registry, resolved once at
+/// construction. The per-session series sit on each [`Session`], the
+/// eviction counter in the budget ledger and the store counters in the
+/// store; all of them live in `registry`.
 struct ServiceMetrics {
+    registry: Arc<Registry>,
     queries_verified: Counter,
     queries_violated: Counter,
     queries_aborted: Counter,
     query_seconds: Histogram,
+    batch_seconds: Histogram,
     cache_hits: Counter,
-    artifact_builds: Counter,
-    artifact_rebuilds: Counter,
-    evictions: DeltaCounter,
-    store_hits: DeltaCounter,
-    store_misses: DeltaCounter,
-    store_promotes: DeltaCounter,
-    store_demotes: DeltaCounter,
-    store_corrupt: DeltaCounter,
+    store_demotes: Counter,
     tracked_bytes: Gauge,
     peak_tracked_bytes: Gauge,
     store_bytes: Gauge,
@@ -561,93 +545,51 @@ struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    fn new() -> Self {
-        let queries = |result: &str| {
-            tm_obs::global_counter(
-                "tm_queries_total",
-                "Queries answered, by result",
-                &[("result", result)],
-            )
+    fn new(registry: Arc<Registry>) -> Self {
+        let r = &registry;
+        let counter = |name: &str, help: &str| r.counter(name, help, &[]);
+        let gauge = |name: &str, help: &str| r.gauge(name, help, &[]);
+        let seconds = |name: &str, help: &str| r.histogram(name, help, &[], Unit::Nanos);
+        let queries = |result| {
+            r.counter("tm_queries_total", "Queries answered, by result", &[("result", result)])
         };
         ServiceMetrics {
             queries_verified: queries("verified"),
             queries_violated: queries("violated"),
             queries_aborted: queries("aborted"),
-            query_seconds: tm_obs::global_histogram(
+            query_seconds: seconds(
                 "tm_query_seconds",
                 "End-to-end time per query (admission to settle)",
-                &[],
-                Unit::Nanos,
             ),
-            cache_hits: tm_obs::global_counter(
-                "tm_cache_hits_total",
-                "Queries answered from a resident artifact",
-                &[],
-            ),
-            artifact_builds: tm_obs::global_counter(
-                "tm_artifact_builds_total",
-                "Artifact builds (first-time and rebuilds)",
-                &[],
-            ),
-            artifact_rebuilds: tm_obs::global_counter(
-                "tm_artifact_rebuilds_total",
-                "Builds that re-created an evicted artifact",
-                &[],
-            ),
-            evictions: DeltaCounter::new(tm_obs::global_counter(
-                "tm_evictions_total",
-                "Artifacts evicted by the memory budget",
-                &[],
-            )),
-            store_hits: DeltaCounter::new(tm_obs::global_counter(
-                "tm_store_hits_total",
-                "Persistent-store loads that returned a verified artifact",
-                &[],
-            )),
-            store_misses: DeltaCounter::new(tm_obs::global_counter(
-                "tm_store_misses_total",
-                "Persistent-store loads that found no file for the key",
-                &[],
-            )),
-            store_promotes: DeltaCounter::new(tm_obs::global_counter(
-                "tm_store_promotes_total",
-                "Artifacts promoted from the persistent store instead of rebuilt",
-                &[],
-            )),
-            store_demotes: DeltaCounter::new(tm_obs::global_counter(
+            batch_seconds: seconds("tm_batch_seconds", "Wall time per submitted batch"),
+            cache_hits: counter("tm_cache_hits_total", "Queries answered from a resident artifact"),
+            store_demotes: counter(
                 "tm_store_demotes_total",
                 "Eviction victims demoted to the persistent store instead of discarded",
-                &[],
-            )),
-            store_corrupt: DeltaCounter::new(tm_obs::global_counter(
-                "tm_store_corrupt_total",
-                "Persistent-store files quarantined as corrupt",
-                &[],
-            )),
-            tracked_bytes: tm_obs::global_gauge(
+            ),
+            tracked_bytes: gauge(
                 "tm_tracked_bytes",
                 "Artifact bytes currently tracked by the budget ledger",
-                &[],
             ),
-            peak_tracked_bytes: tm_obs::global_gauge(
+            peak_tracked_bytes: gauge(
                 "tm_peak_tracked_bytes",
                 "High-water mark of tracked artifact bytes",
-                &[],
             ),
-            store_bytes: tm_obs::global_gauge(
+            store_bytes: gauge(
                 "tm_store_bytes",
                 "Bytes currently addressable in the persistent artifact store",
-                &[],
             ),
-            busy_ratio: tm_obs::global_gauge_f(
+            busy_ratio: r.gauge_f(
                 "tm_serve_busy_ratio",
                 "Fraction of service uptime with at least one batch in flight",
                 &[],
             ),
+            registry,
         }
     }
 
-    /// Per-query counter updates (cheap relaxed adds, done inline).
+    /// Per-query updates: the result counter and the latency histogram
+    /// (cheap relaxed adds, done inline).
     fn observe_query(&self, result: &QueryResult, elapsed: Duration) {
         match &result.outcome {
             QueryOutcome::Aborted { reason } => {
@@ -655,26 +597,18 @@ impl ServiceMetrics {
                 // Abort-reason cardinality is the 5 EngineError codes;
                 // aborts are rare, so the registry lookup per abort is
                 // fine.
-                tm_obs::global_counter(
-                    "tm_aborted_queries_total",
-                    "Aborted queries, by abort reason",
-                    &[("reason", reason.code())],
-                )
-                .inc();
+                self.registry
+                    .counter(
+                        "tm_aborted_queries_total",
+                        "Aborted queries, by abort reason",
+                        &[("reason", reason.code())],
+                    )
+                    .inc();
             }
             _ if result.holds => self.queries_verified.inc(),
             _ => self.queries_violated.inc(),
         }
-        if result.cached {
-            self.cache_hits.inc();
-        } else if result.abort_reason().is_none() {
-            self.artifact_builds.inc();
-        }
-        if result.rebuilt {
-            self.artifact_rebuilds.inc();
-        }
-        self.query_seconds
-            .observe(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64);
+        self.query_seconds.observe(saturating_ns(elapsed));
     }
 }
 
@@ -721,20 +655,12 @@ impl Drop for PinGuard<'_> {
     }
 }
 
-/// Side counters the service keeps per `(n, k)` session for
-/// introspection — things the [`Verifier`] itself does not track
-/// because they belong to the serving layer (store promotions, time
-/// spent waiting on the session mutex).
-#[derive(Clone, Copy, Default)]
-struct SessionCounters {
-    promotes: u64,
-    lock_waits: u64,
-    lock_wait_ns: u64,
-}
-
 /// One row of [`Service::sessions_snapshot`] — the `GET /v1/sessions`
 /// schema: the per-instance-size view of artifact residency, build
-/// work, and contention.
+/// work, and contention. Residency comes from the budget ledger; the
+/// counts are the session's own series in the metrics registry
+/// (labelled `threads`, `vars`), so they add up to the
+/// [`ServiceStats`] totals.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SessionInfo {
     /// Threads `n` of the session.
@@ -746,15 +672,20 @@ pub struct SessionInfo {
     pub resident_artifacts: usize,
     /// Their summed ledger bytes.
     pub heap_bytes: usize,
-    /// Artifact builds this session performed (spec + run graph).
+    /// Artifact builds this session performed (spec + run graph):
+    /// `tm_artifact_builds_total`.
     pub builds: u64,
-    /// Builds that re-created an evicted artifact.
+    /// Builds that re-created an evicted artifact:
+    /// `tm_artifact_rebuilds_total`.
     pub rebuilds: u64,
-    /// Artifacts promoted from the persistent store instead of rebuilt.
+    /// Artifacts promoted from the persistent store instead of rebuilt:
+    /// `tm_store_promotes_total`.
     pub store_promotes: u64,
-    /// Queries that acquired this session's lock.
+    /// Queries that acquired this session's lock: the count of
+    /// `tm_session_lock_wait_seconds`.
     pub lock_waits: u64,
-    /// Total nanoseconds queries spent waiting for this session's lock.
+    /// Total nanoseconds queries spent waiting for this session's lock:
+    /// the sum of `tm_session_lock_wait_seconds`.
     pub lock_wait_ns: u64,
 }
 
@@ -803,17 +734,8 @@ pub struct Service {
     batch_deadline: Option<Duration>,
     max_inflight: usize,
     store: Option<ArtifactStore>,
-    queries: AtomicU64,
-    cache_hits: AtomicU64,
-    artifact_builds: AtomicU64,
-    artifact_rebuilds: AtomicU64,
-    aborted_queries: AtomicU64,
-    store_promotes: AtomicU64,
-    store_demotes: AtomicU64,
-    batch_ns: AtomicU64,
     busy: BusyClock,
     metrics: ServiceMetrics,
-    session_counters: Mutex<HashMap<(usize, usize), SessionCounters>>,
 }
 
 impl Service {
@@ -834,35 +756,36 @@ impl Service {
     /// query runs, so a restarted daemon answers its old roster with
     /// zero rebuilds; corrupt files are quarantined and skipped.
     pub fn try_new(config: ServiceConfig) -> Result<Self, String> {
+        let metrics = Arc::new(Registry::new());
         let store = match &config.store_dir {
             None => None,
             Some(dir) => Some(
-                ArtifactStore::open(StoreConfig {
-                    dir: dir.clone(),
-                    cap_bytes: config.store_cap,
-                    cap_files: None,
-                })
+                ArtifactStore::open(
+                    StoreConfig {
+                        dir: dir.clone(),
+                        cap_bytes: config.store_cap,
+                        cap_files: None,
+                    },
+                    StoreCounters::register(&metrics),
+                )
                 .map_err(|e| format!("cannot open artifact store {}: {e}", dir.display()))?,
             ),
         };
+        let evictions =
+            metrics.counter("tm_evictions_total", "Artifacts evicted by the memory budget", &[]);
         let service = Service {
-            registry: SessionRegistry::new(config.pool_size, config.max_states)
-                .query_deadline(config.query_deadline),
-            budget: SharedBudget::new(config.mem_budget),
+            registry: SessionRegistry::new(
+                config.pool_size,
+                config.max_states,
+                Arc::clone(&metrics),
+            )
+            .query_deadline(config.query_deadline),
+            budget: SharedBudget::new(config.mem_budget, evictions),
             batch_deadline: config.batch_deadline,
             max_inflight: config.max_inflight,
             store,
-            queries: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            artifact_builds: AtomicU64::new(0),
-            artifact_rebuilds: AtomicU64::new(0),
-            aborted_queries: AtomicU64::new(0),
-            store_promotes: AtomicU64::new(0),
-            store_demotes: AtomicU64::new(0),
-            batch_ns: AtomicU64::new(0),
             busy: BusyClock::new(),
-            metrics: ServiceMetrics::new(),
-            session_counters: Mutex::new(HashMap::new()),
+            metrics: ServiceMetrics::new(metrics),
         };
         service.warm_start();
         Ok(service)
@@ -918,11 +841,7 @@ impl Service {
         let Some(store) = &self.store else {
             return false;
         };
-        let resident = match &key.kind {
-            ArtifactKind::RunGraph(name) => session.run_graph_heap_bytes(name).is_some(),
-            ArtifactKind::Spec(property) => session.spec_heap_bytes(*property).is_some(),
-        };
-        if resident {
+        if resident_bytes(session, key).is_some() {
             return false;
         }
         let Ok(Some(artifact)) = store.load(&store_key(key)) else {
@@ -931,20 +850,8 @@ impl Service {
         let Some(bytes) = import(session, key, artifact) else {
             return false;
         };
-        self.store_promotes.fetch_add(1, Ordering::Relaxed);
-        self.bump_session(key.threads, key.vars, |c| c.promotes += 1);
         journal(EventKind::Promote, key, bytes as u64);
         true
-    }
-
-    /// Applies `update` to the side counters of session `(threads,
-    /// vars)` (creating the row on first touch).
-    fn bump_session(&self, threads: usize, vars: usize, update: impl FnOnce(&mut SessionCounters)) {
-        let mut counters = self
-            .session_counters
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        update(counters.entry((threads, vars)).or_default());
     }
 
     /// Write-through: persists a freshly built artifact, exporting it
@@ -973,7 +880,7 @@ impl Service {
         if store.save(&store_key(key), &artifact).is_err() {
             return false;
         }
-        self.store_demotes.fetch_add(1, Ordering::Relaxed);
+        self.metrics.store_demotes.inc();
         true
     }
 
@@ -1027,10 +934,7 @@ impl Service {
         for idx in execution_order(batch) {
             results[idx] = Some(self.run_traced(&batch[idx], deadline, trace));
         }
-        self.batch_ns.fetch_add(
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
+        self.metrics.batch_seconds.observe(saturating_ns(start.elapsed()));
         results
             .into_iter()
             .map(|r| r.expect("every scheduled query was answered"))
@@ -1097,9 +1001,7 @@ impl Service {
     /// old `submit` loop, so [`Service::run_traced`] can wrap it in a
     /// recorder.
     fn run_one(&self, spec: &QuerySpec, deadline: Option<Instant>) -> QueryResult {
-        self.queries.fetch_add(1, Ordering::Relaxed);
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            self.aborted_queries.fetch_add(1, Ordering::Relaxed);
             journal(EventKind::Abort, spec, 0);
             return QueryResult::aborted(spec.clone(), EngineError::Deadline);
         }
@@ -1119,7 +1021,6 @@ impl Service {
         if admission.reserved {
             if let Err(error) = fault::fault_point("build") {
                 pin.abandon();
-                self.aborted_queries.fetch_add(1, Ordering::Relaxed);
                 journal(EventKind::Abort, &key, 0);
                 return QueryResult::aborted(spec.clone(), error);
             }
@@ -1127,26 +1028,17 @@ impl Service {
         let session = self.registry.session(spec.threads, spec.vars);
         let mut promotes = 0;
         let (mut verdict, bytes) = {
-            let lock_started = Instant::now();
-            let lock_span = PhaseTimer::start(Phase::SessionLockWait);
-            let mut session = lock_session(&session);
-            lock_span.stop();
-            let lock_wait = lock_started.elapsed();
-            self.bump_session(spec.threads, spec.vars, |c| {
-                c.lock_waits += 1;
-                c.lock_wait_ns += saturating_ns(lock_wait);
-            });
+            let (mut verifier, waited) =
+                tm_obs::timed(Phase::SessionLockWait, || lock_session(&session));
+            session.lock_wait.observe(saturating_ns(waited));
             // A budget miss first tries the persistent store: a
             // verified on-disk copy imports in place of a rebuild.
-            if admission.reserved && self.promote(&mut session, &key) {
+            if admission.reserved && self.promote(&mut verifier, &key) {
+                session.promotes.inc();
                 promotes = 1;
             }
-            let verdict = run_query(&mut session, spec);
-            let bytes = match &key.kind {
-                ArtifactKind::RunGraph(name) => session.run_graph_heap_bytes(name),
-                ArtifactKind::Spec(property) => session.spec_heap_bytes(*property),
-            }
-            .unwrap_or(0);
+            let verdict = run_query(&mut verifier, spec);
+            let bytes = resident_bytes(&verifier, &key).unwrap_or(0);
             // Write-through: a successful first build (or rebuild) is
             // persisted immediately, so a restart warm-starts even if
             // the budget never forces a demotion.
@@ -1154,26 +1046,27 @@ impl Service {
                 && !verdict.stats.artifact_cached
                 && !matches!(verdict.outcome, VerdictOutcome::Aborted(_))
             {
-                self.save_through(&session, &key);
+                self.save_through(&verifier, &key);
             }
             (verdict, bytes)
         };
         let aborted = matches!(verdict.outcome, VerdictOutcome::Aborted(_));
         if aborted {
-            self.aborted_queries.fetch_add(1, Ordering::Relaxed);
             journal(EventKind::Abort, &key, 0);
-        } else if verdict.stats.artifact_cached {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.artifact_builds.fetch_add(1, Ordering::Relaxed);
+        }
+        if verdict.stats.artifact_cached {
+            self.metrics.cache_hits.inc();
+        } else if bytes > 0 {
+            // A build counts once it leaves the artifact resident — an
+            // aborted safety search keeps the spec it started, exactly
+            // as the session's own build counters see it.
+            session.builds.inc();
+            session.rebuilds.add(verdict.stats.rebuilds as u64);
             journal(EventKind::Build, &key, bytes as u64);
         }
-        self.artifact_rebuilds
-            .fetch_add(verdict.stats.rebuilds as u64, Ordering::Relaxed);
         // Fault site: the charge settle / eviction after the query.
         if let Err(error) = fault::fault_point("evict") {
             pin.abandon();
-            self.aborted_queries.fetch_add(1, Ordering::Relaxed);
             journal(EventKind::Abort, &key, 0);
             return QueryResult::aborted(spec.clone(), error);
         }
@@ -1213,11 +1106,7 @@ impl Service {
             if !self.budget.should_drop(key) {
                 continue;
             }
-            let bytes = match &key.kind {
-                ArtifactKind::RunGraph(name) => session.run_graph_heap_bytes(name),
-                ArtifactKind::Spec(property) => session.spec_heap_bytes(*property),
-            }
-            .unwrap_or(0) as u64;
+            let bytes = resident_bytes(&session, key).unwrap_or(0) as u64;
             if self.demote(&session, key) {
                 demotes += 1;
                 journal(EventKind::Demote, key, bytes);
@@ -1236,34 +1125,40 @@ impl Service {
         demotes
     }
 
-    /// Current counters. Reads atomics and takes only the (short,
-    /// condvar-released) ledger and registry-map locks — never a session
-    /// lock — so it answers immediately while long batches run.
+    /// Current counters, read from the metrics registry handles. Takes
+    /// only the (short, condvar-released) ledger and registry-map locks
+    /// — never a session lock — so it answers immediately while long
+    /// batches run.
     pub fn stats(&self) -> ServiceStats {
         let store = self
             .store
             .as_ref()
             .map(ArtifactStore::stats)
             .unwrap_or_default();
+        let sessions = self.registry.sessions();
+        let total = |counter: fn(&Session) -> &Counter| -> u64 {
+            sessions.iter().map(|s| counter(s).get()).sum()
+        };
+        let m = &self.metrics;
         ServiceStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            artifact_builds: self.artifact_builds.load(Ordering::Relaxed),
-            artifact_rebuilds: self.artifact_rebuilds.load(Ordering::Relaxed),
-            aborted_queries: self.aborted_queries.load(Ordering::Relaxed),
+            queries: m.query_seconds.count(),
+            cache_hits: m.cache_hits.get(),
+            artifact_builds: total(|s| &s.builds),
+            artifact_rebuilds: total(|s| &s.rebuilds),
+            aborted_queries: m.queries_aborted.get(),
             evictions: self.budget.evictions(),
             tracked_bytes: self.budget.tracked_bytes(),
             peak_tracked_bytes: self.budget.peak_bytes(),
             mem_budget: self.budget.limit(),
-            sessions: self.registry.len(),
+            sessions: sessions.len(),
             pool_size: self.registry.pool_size(),
-            batch_ns: self.batch_ns.load(Ordering::Relaxed),
-            busy_wall_ns: u64::try_from(self.busy.busy_wall().as_nanos()).unwrap_or(u64::MAX),
-            uptime_ns: u64::try_from(self.busy.uptime().as_nanos()).unwrap_or(u64::MAX),
+            batch_ns: m.batch_seconds.sum(),
+            busy_wall_ns: saturating_ns(self.busy.busy_wall()),
+            uptime_ns: saturating_ns(self.busy.uptime()),
             store_hits: store.hits,
             store_misses: store.misses,
-            store_promotes: self.store_promotes.load(Ordering::Relaxed),
-            store_demotes: self.store_demotes.load(Ordering::Relaxed),
+            store_promotes: total(|s| &s.promotes),
+            store_demotes: m.store_demotes.get(),
             store_corrupt: store.corrupt,
             store_saves: store.saves,
             store_bytes: store.bytes,
@@ -1271,26 +1166,19 @@ impl Service {
         }
     }
 
-    /// Publishes the scrape-time metrics into the global registry: the
-    /// ledger gauges, the eviction-counter delta, and the busy ratio.
-    /// The `/metrics` endpoint calls this before rendering, so gauges
-    /// are current without a per-query update.
-    pub fn refresh_metrics(&self) {
+    /// The `GET /metrics` body: sets the scrape-time gauges (ledger
+    /// bytes, store bytes, busy ratio), then renders this service's
+    /// registry and the process-global one (engine phases, profiler,
+    /// HTTP routes) as one Prometheus text exposition.
+    pub fn render_prometheus(&self) -> String {
         let stats = self.stats();
         let m = &self.metrics;
         m.tracked_bytes.set(stats.tracked_bytes as u64);
         m.peak_tracked_bytes.set(stats.peak_tracked_bytes as u64);
         m.store_bytes.set(stats.store_bytes);
-        // Publish the monotonic service-side totals into the counters
-        // by delta (see [`DeltaCounter`]).
-        m.evictions.publish(stats.evictions);
-        m.store_hits.publish(stats.store_hits);
-        m.store_misses.publish(stats.store_misses);
-        m.store_promotes.publish(stats.store_promotes);
-        m.store_demotes.publish(stats.store_demotes);
-        m.store_corrupt.publish(stats.store_corrupt);
         m.busy_ratio
             .set(stats.busy_wall_ns as f64 / (stats.uptime_ns.max(1)) as f64);
+        tm_obs::render_exposition(&[&m.registry, tm_obs::global()])
     }
 
     /// The currently charged artifacts and their byte sizes, sorted.
@@ -1313,44 +1201,29 @@ impl Service {
     }
 
     /// One [`SessionInfo`] row per `(n, k)` session, sorted by instance
-    /// size — the `GET /v1/sessions` payload. Takes each session's lock
-    /// briefly for the build counters, so a row for a session mid-query
-    /// waits for that query (unlike [`Service::stats`], which never
-    /// touches a session lock).
+    /// size — the `GET /v1/sessions` payload. Reads the ledger and each
+    /// session's registry handles and takes no session lock, so it
+    /// answers while a query (even a cold build) holds a session.
     pub fn sessions_snapshot(&self) -> Vec<SessionInfo> {
         let ledger = self.budget.ledger();
-        let counters = self
-            .session_counters
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .clone();
         self.registry
-            .instance_sizes()
-            .into_iter()
-            .map(|(threads, vars)| {
+            .sessions()
+            .iter()
+            .map(|s| {
                 let (resident_artifacts, heap_bytes) = ledger
                     .iter()
-                    .filter(|(key, _)| key.threads == threads && key.vars == vars)
+                    .filter(|(key, _)| key.threads == s.threads && key.vars == s.vars)
                     .fold((0, 0), |(n, b), (_, bytes)| (n + 1, b + bytes));
-                let (builds, rebuilds) = {
-                    let session = self.registry.session(threads, vars);
-                    let session = lock_session(&session);
-                    (
-                        (session.spec_builds() + session.run_graph_builds()) as u64,
-                        (session.spec_rebuilds() + session.run_graph_rebuilds()) as u64,
-                    )
-                };
-                let side = counters.get(&(threads, vars)).copied().unwrap_or_default();
                 SessionInfo {
-                    threads,
-                    vars,
+                    threads: s.threads,
+                    vars: s.vars,
                     resident_artifacts,
                     heap_bytes,
-                    builds,
-                    rebuilds,
-                    store_promotes: side.promotes,
-                    lock_waits: side.lock_waits,
-                    lock_wait_ns: side.lock_wait_ns,
+                    builds: s.builds.get(),
+                    rebuilds: s.rebuilds.get(),
+                    store_promotes: s.promotes.get(),
+                    lock_waits: s.lock_wait.count(),
+                    lock_wait_ns: s.lock_wait.sum(),
                 }
             })
             .collect()
@@ -1417,6 +1290,14 @@ fn ledger_key(key: &StoreKey) -> Option<ArtifactKey> {
         vars,
         kind,
     })
+}
+
+/// The resident heap size of `key`'s artifact in `session`, if held.
+fn resident_bytes(session: &Verifier, key: &ArtifactKey) -> Option<usize> {
+    match &key.kind {
+        ArtifactKind::RunGraph(name) => session.run_graph_heap_bytes(name),
+        ArtifactKind::Spec(property) => session.spec_heap_bytes(*property),
+    }
 }
 
 /// Imports a verified store artifact into `session` under `key`,
@@ -1535,13 +1416,52 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_take_no_session_lock() {
+        let service = Service::new(sequential_config(None));
+        service.submit(&[QuerySpec::parse("dstm+aggressive:of:2:1").unwrap()]);
+        let session = service.registry.session(2, 1);
+        let held = lock_session(&session);
+        let (sender, receiver) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _ = sender.send((service.sessions_snapshot(), service.stats()));
+            });
+            // Held like a query mid-build: both reads must still answer.
+            let answered = receiver.recv_timeout(Duration::from_secs(10));
+            drop(held);
+            let (rows, stats) = answered.expect("snapshot and stats answer under a held session");
+            assert_eq!(rows.len(), 1);
+            assert_eq!(rows[0].builds, stats.artifact_builds);
+        });
+    }
+
+    #[test]
+    fn every_instance_size_gets_its_series_without_drops() {
+        let service = Service::new(ServiceConfig {
+            max_states: 1,
+            ..sequential_config(None)
+        });
+        let batch: Vec<QuerySpec> = (1..=MAX_QUERY_THREADS)
+            .flat_map(|n| (1..=MAX_QUERY_VARS).map(move |k| (n, k)))
+            .map(|(n, k)| QuerySpec::parse(&format!("sequential:ss:{n}:{k}")).unwrap())
+            .collect();
+        assert_eq!(batch.len(), 32);
+        let results = service.submit(&batch);
+        assert!(results
+            .iter()
+            .all(|r| matches!(r.abort_reason(), Some(EngineError::StateLimit(_)))));
+        assert_eq!(service.sessions_snapshot().len(), 32);
+        assert_eq!(service.metrics.registry.dropped_series(), 0);
+        // Each aborted search left its spec resident: one build a session.
+        assert_eq!(service.stats().artifact_builds, 32);
+    }
+
+    #[test]
     fn latency_quantiles_are_ordered_and_populated_after_queries() {
         let service = Service::new(sequential_config(None));
         service.submit(&table3_batch());
         let q = service.latency_quantiles();
-        // `tm_query_seconds` is a process-global series shared with any
-        // other test in this binary, so assert monotonic facts only.
-        assert!(q.count >= 12);
+        assert_eq!(q.count, 12);
         assert!(q.p50_s > 0.0);
         assert!(q.p50_s <= q.p95_s && q.p95_s <= q.p99_s);
     }

@@ -192,13 +192,17 @@ fn http_endpoint_matches_the_in_process_service() {
             .expect("malformed request is answered");
         assert_eq!(status, 400);
         // An out-of-range instance size is a client error, not a panic
-        // in the serving thread (the engines assert on threads > 8).
-        let oversized =
-            r#"{"queries": [{"tm": "2PL", "property": "of", "threads": 9, "vars": 1}]}"#;
-        let (status, body) = http_request(&addr, "POST", "/v1/batch", Some(oversized))
-            .expect("oversized query is answered");
-        assert_eq!(status, 400, "{body}");
-        assert!(body.contains("out of range"), "{body}");
+        // in the serving thread (the TMs and the specification assert
+        // on threads > 4, the liveness edge masks on threads > 8).
+        for threads in [5, 9] {
+            let oversized = format!(
+                r#"{{"queries": [{{"tm": "2PL", "property": "of", "threads": {threads}, "vars": 1}}]}}"#
+            );
+            let (status, body) = http_request(&addr, "POST", "/v1/batch", Some(&oversized))
+                .expect("oversized query is answered");
+            assert_eq!(status, 400, "{body}");
+            assert!(body.contains("out of range"), "{body}");
+        }
         let (status, _) = http_request(&addr, "GET", "/nope", None).expect("404 route");
         assert_eq!(status, 404);
         let (status, body) = http_request(&addr, "GET", "/v1/stats", None).expect("stats");
@@ -209,6 +213,6 @@ fn http_endpoint_matches_the_in_process_service() {
         let (status, _) = http_request(&addr, "POST", "/v1/shutdown", None).expect("shutdown");
         assert_eq!(status, 200);
         let served = server.join().expect("server thread").expect("serve result");
-        assert_eq!(served, 7);
+        assert_eq!(served, 8);
     }
 }

@@ -57,7 +57,7 @@ pub use codec::{Artifact, LazySpecArtifact, Reader, RunGraphArtifact};
 pub use format::{FormatError, SectionWriter, Sections, MAGIC};
 pub use key::{StoreKey, StoreKind, ENGINE_VERSION, FORMAT_VERSION};
 pub use mmap::{read_file, FileBytes};
-pub use store::{ArtifactStore, StoreConfig, StoreEntry, StoreError, StoreStats};
+pub use store::{ArtifactStore, StoreConfig, StoreCounters, StoreEntry, StoreError, StoreStats};
 
 // Re-exported for integration tests and the service layer, which
 // encode/decode images without going through a directory.

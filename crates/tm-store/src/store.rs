@@ -16,16 +16,16 @@
 //! open, tracked by access order afterwards) and enforces an optional
 //! byte and file cap by deleting the least-recently-used artifacts
 //! after each save. Hits, misses, corruptions, saves, and evictions
-//! are counted for the service metrics.
+//! are counted into the [`StoreCounters`] handles the owner passes in,
+//! so the owner's metrics registry is the only place they live.
 
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use tm_automata::fault::fault_point;
-use tm_obs::{Phase, PhaseTimer};
+use tm_obs::{Counter, Phase, PhaseTimer, Registry};
 
 use crate::codec::{decode_artifact, encode_artifact, Artifact};
 use crate::key::StoreKey;
@@ -72,6 +72,50 @@ pub struct StoreConfig {
     pub cap_bytes: Option<u64>,
     /// File-count cap (`None` = unbounded).
     pub cap_files: Option<usize>,
+}
+
+/// The store's counters: handles into the owner's metrics registry.
+#[derive(Clone, Debug)]
+pub struct StoreCounters {
+    /// Loads that returned a verified artifact.
+    pub hits: Counter,
+    /// Loads that found no file for the key.
+    pub misses: Counter,
+    /// Files that failed verification and were quarantined.
+    pub corrupt: Counter,
+    /// Artifacts written.
+    pub saves: Counter,
+    /// Files deleted by the byte/file cap.
+    pub evicted: Counter,
+}
+
+impl StoreCounters {
+    /// Registers the `tm_store_*_total` counter families in `registry`.
+    pub fn register(registry: &Registry) -> Self {
+        let counter = |name: &str, help: &str| registry.counter(name, help, &[]);
+        StoreCounters {
+            hits: counter(
+                "tm_store_hits_total",
+                "Persistent-store loads that returned a verified artifact",
+            ),
+            misses: counter(
+                "tm_store_misses_total",
+                "Persistent-store loads that found no file for the key",
+            ),
+            corrupt: counter(
+                "tm_store_corrupt_total",
+                "Persistent-store files quarantined as corrupt",
+            ),
+            saves: counter(
+                "tm_store_saves_total",
+                "Artifact files written to the persistent store",
+            ),
+            evicted: counter(
+                "tm_store_evictions_total",
+                "Persistent-store files deleted by the byte/file cap",
+            ),
+        }
+    }
 }
 
 /// A point-in-time snapshot of the store counters.
@@ -142,19 +186,16 @@ pub struct ArtifactStore {
     cap_bytes: Option<u64>,
     cap_files: Option<usize>,
     ledger: Mutex<Ledger>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    corrupt: AtomicU64,
-    saves: AtomicU64,
-    evicted: AtomicU64,
+    counters: StoreCounters,
 }
 
 impl ArtifactStore {
     /// Opens (creating if needed) the store at `config.dir`. Scans the
     /// directory: stale `.tmp` files from interrupted writes are
     /// deleted, addressable `.tmart` files seed the LRU ledger in
-    /// modification-time order (oldest = least recently used).
-    pub fn open(config: StoreConfig) -> Result<ArtifactStore, StoreError> {
+    /// modification-time order (oldest = least recently used). The
+    /// store counts into `counters`.
+    pub fn open(config: StoreConfig, counters: StoreCounters) -> Result<ArtifactStore, StoreError> {
         std::fs::create_dir_all(&config.dir)?;
         let mut found: Vec<(String, u64, std::time::SystemTime)> = Vec::new();
         for entry in std::fs::read_dir(&config.dir)? {
@@ -191,11 +232,7 @@ impl ArtifactStore {
             cap_bytes: config.cap_bytes,
             cap_files: config.cap_files,
             ledger: Mutex::new(ledger),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
-            saves: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
+            counters,
         })
     }
 
@@ -236,7 +273,7 @@ impl ArtifactStore {
             let _ = std::fs::remove_file(&tmp_path);
             return write_result;
         }
-        self.saves.fetch_add(1, Ordering::Relaxed);
+        self.counters.saves.inc();
         let over_cap = {
             let mut ledger = self.lock_ledger();
             ledger.tick += 1;
@@ -263,7 +300,7 @@ impl ArtifactStore {
         let name = key.file_name();
         let path = self.dir.join(&name);
         if !path.exists() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.misses.inc();
             return Ok(None);
         }
         fault_point("store").map_err(|_| StoreError::Fault)?;
@@ -272,7 +309,7 @@ impl ArtifactStore {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 // Raced with an eviction: a plain miss.
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.inc();
                 return Ok(None);
             }
             Err(e) => return Err(e.into()),
@@ -286,7 +323,7 @@ impl ArtifactStore {
             }
         }) {
             Ok(artifact) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.inc();
                 self.lock_ledger().touch(&name);
                 Ok(Some(artifact))
             }
@@ -370,7 +407,7 @@ impl ArtifactStore {
             }
         }) {
             Ok(result) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.inc();
                 self.lock_ledger().touch(&name);
                 Ok(result)
             }
@@ -389,11 +426,11 @@ impl ArtifactStore {
             (ledger.total_bytes(), ledger.entries.len() as u64)
         };
         StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
-            saves: self.saves.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
+            hits: self.counters.hits.get(),
+            misses: self.counters.misses.get(),
+            corrupt: self.counters.corrupt.get(),
+            saves: self.counters.saves.get(),
+            evicted: self.counters.evicted.get(),
             bytes,
             files,
         }
@@ -408,7 +445,7 @@ impl ArtifactStore {
     /// Renames a failed file out of the addressable namespace and drops
     /// it from the ledger.
     fn quarantine(&self, name: &str) {
-        self.corrupt.fetch_add(1, Ordering::Relaxed);
+        self.counters.corrupt.inc();
         let from = self.dir.join(name);
         let to = self.dir.join(format!("{name}.quarantined"));
         if std::fs::rename(&from, &to).is_err() {
@@ -450,7 +487,7 @@ impl ArtifactStore {
     fn delete_evicted(&self, names: Vec<String>) {
         for name in names {
             let _ = std::fs::remove_file(self.dir.join(&name));
-            self.evicted.fetch_add(1, Ordering::Relaxed);
+            self.counters.evicted.inc();
         }
     }
 }

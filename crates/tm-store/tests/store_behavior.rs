@@ -10,11 +10,16 @@ use tm_automata::{CompiledRunGraph, RunGraphParts};
 use tm_lang::{Command, ThreadId, VarId};
 use tm_store::sha256::checksum64;
 use tm_store::{
-    encode_artifact, Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreError, StoreKey,
-    MAGIC,
+    encode_artifact, Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreCounters,
+    StoreError, StoreKey, MAGIC,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Counters in a private registry, so tests never share them.
+fn store_counters() -> StoreCounters {
+    StoreCounters::register(&tm_obs::Registry::new())
+}
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let seq = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -68,7 +73,7 @@ fn save_load_round_trip_and_idempotent_resave() {
     let store = ArtifactStore::open(StoreConfig {
         dir: dir.clone(),
         ..StoreConfig::default()
-    })
+    }, store_counters())
     .unwrap();
     let key = StoreKey::run_graph("dstm", 2, 2);
 
@@ -100,7 +105,7 @@ fn reopen_warm_starts_from_disk() {
         let store = ArtifactStore::open(StoreConfig {
             dir: dir.clone(),
             ..StoreConfig::default()
-        })
+        }, store_counters())
         .unwrap();
         store.save(&key_a, &sample_artifact(0)).unwrap();
         store
@@ -119,7 +124,7 @@ fn reopen_warm_starts_from_disk() {
     let store = ArtifactStore::open(StoreConfig {
         dir: dir.clone(),
         ..StoreConfig::default()
-    })
+    }, store_counters())
     .unwrap();
     assert_eq!(store.stats().files, 2, "both artifacts must be readdressable");
     assert!(
@@ -148,7 +153,7 @@ fn corrupt_files_are_quarantined_and_become_misses() {
     let store = ArtifactStore::open(StoreConfig {
         dir: dir.clone(),
         ..StoreConfig::default()
-    })
+    }, store_counters())
     .unwrap();
     let key = StoreKey::run_graph("TL2", 2, 2);
     store.save(&key, &sample_artifact(0)).unwrap();
@@ -217,7 +222,7 @@ fn unknown_kind_tags_are_quarantined_at_load_path_and_warm_start() {
         ArtifactStore::open(StoreConfig {
             dir: dir.clone(),
             ..StoreConfig::default()
-        })
+        }, store_counters())
         .unwrap()
     };
 
@@ -264,7 +269,7 @@ fn renamed_files_cannot_impersonate_another_key() {
     let store = ArtifactStore::open(StoreConfig {
         dir: dir.clone(),
         ..StoreConfig::default()
-    })
+    }, store_counters())
     .unwrap();
     let key = StoreKey::run_graph("dstm", 2, 2);
     let other = StoreKey::run_graph("dstm", 2, 1);
@@ -287,7 +292,7 @@ fn byte_cap_evicts_least_recently_used() {
         let store = ArtifactStore::open(StoreConfig {
             dir: dir.clone(),
             ..StoreConfig::default()
-        })
+        }, store_counters())
         .unwrap();
         store
             .save(&StoreKey::run_graph("probe", 2, 2), &sample_artifact(0))
@@ -300,7 +305,7 @@ fn byte_cap_evicts_least_recently_used() {
         dir: dir.clone(),
         cap_bytes: Some(probe * 2 + probe / 2),
         cap_files: None,
-    })
+    }, store_counters())
     .unwrap();
     let keys: Vec<StoreKey> = ["a", "b", "c"]
         .iter()
@@ -328,7 +333,7 @@ fn file_cap_holds_too() {
         dir: dir.clone(),
         cap_bytes: None,
         cap_files: Some(1),
-    })
+    }, store_counters())
     .unwrap();
     store
         .save(&StoreKey::run_graph("a", 2, 2), &sample_artifact(0))

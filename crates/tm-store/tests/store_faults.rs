@@ -9,7 +9,14 @@ use tm_algorithms::{Action, ExtCommand, RunLabel};
 use tm_automata::fault::{clear_fault, install_fault, FaultPlan};
 use tm_automata::{CompiledRunGraph, RunGraphParts};
 use tm_lang::{Command, ThreadId, VarId};
-use tm_store::{Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreError, StoreKey};
+use tm_store::{
+    Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreCounters, StoreError, StoreKey,
+};
+
+/// Counters in a private registry, so tests never share them.
+fn store_counters() -> StoreCounters {
+    StoreCounters::register(&tm_obs::Registry::new())
+}
 
 fn sample_artifact() -> Artifact {
     let v0 = VarId::new(0);
@@ -52,7 +59,7 @@ fn store_faults_crash_saves_and_poison_loads() {
     let store = ArtifactStore::open(StoreConfig {
         dir: dir.clone(),
         ..StoreConfig::default()
-    })
+    }, store_counters())
     .unwrap();
     let key = StoreKey::run_graph("dstm", 2, 2);
 
@@ -102,7 +109,7 @@ fn store_faults_crash_saves_and_poison_loads() {
     let reopened = ArtifactStore::open(StoreConfig {
         dir: dir.clone(),
         ..StoreConfig::default()
-    })
+    }, store_counters())
     .unwrap();
     assert!(!tmp.exists(), "open must sweep stale temp files");
     assert_eq!(reopened.stats().files, 1);
