@@ -202,6 +202,18 @@ impl RunLabel {
     pub fn statement(self) -> Option<Statement> {
         self.action.statement(self.command, self.thread)
     }
+
+    /// The liveness engine's classification of this step: the label
+    /// masks of a built run graph and of one loaded from the store both
+    /// come from here.
+    pub fn class(self) -> tm_automata::LabelClass {
+        tm_automata::LabelClass {
+            thread: self.thread.index(),
+            is_commit: self.is_commit(),
+            is_abort: self.is_abort(),
+            emits_statement: self.statement().is_some(),
+        }
+    }
 }
 
 impl std::fmt::Display for RunLabel {
@@ -288,12 +300,7 @@ impl<A: TmAlgorithm> tm_automata::RunGraphSource for MostGeneralRunSource<'_, A>
     }
 
     fn classify(&self, label: &RunLabel) -> tm_automata::LabelClass {
-        tm_automata::LabelClass {
-            thread: label.thread.index(),
-            is_commit: label.is_commit(),
-            is_abort: label.is_abort(),
-            emits_statement: label.statement().is_some(),
-        }
+        label.class()
     }
 }
 

@@ -12,11 +12,14 @@
 //! engine in `product.rs`:
 //!
 //! * [`CompiledRunGraph`] explores a [`RunGraphSource`] breadth-first and
-//!   compiles it **directly** into CSR adjacency — `row_start` /
-//!   `edge_target` / `edge_label` arrays — with labels interned to dense
-//!   ids and a precomputed per-edge [`EdgeMask`] recording the label's
-//!   class bits (thread, commit, abort, emits-statement). The labelled
-//!   edge list of the seed path is never built.
+//!   compiles it **directly** into CSR adjacency: a `row_start` offset per
+//!   state and two edge columns, a `u32` target and a `u16` label id
+//!   (6 bytes per edge). Labels are interned to dense ids, and each
+//!   label's [`EdgeMask`] (thread, commit, abort, emits-statement bits)
+//!   is computed once when it is interned, so an edge's class is one
+//!   lookup through its label. Every array is shrunk to fit when the
+//!   build ends, so [`CompiledRunGraph::heap_bytes`] is exact. The
+//!   labelled edge list of the seed path is never built.
 //! * [`CompiledRunGraph::sccs_masked`] runs an iterative Tarjan that takes
 //!   an [`EdgeFilter`] (two mask words) instead of a cloned subgraph; all
 //!   scratch state lives in a reusable [`LiveScratch`] arena, so the
@@ -72,7 +75,7 @@ pub const MASK_EMITS: EdgeMask = 1 << (MAX_MASK_THREADS + 2);
 pub const MASK_ALL_THREADS: EdgeMask = (1 << MAX_MASK_THREADS) - 1;
 
 /// The classification of a run-graph label, provided once per distinct
-/// label by [`RunGraphSource::classify`] and folded into the per-edge
+/// label by [`RunGraphSource::classify`] and stored as that label's
 /// [`EdgeMask`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct LabelClass {
@@ -219,9 +222,9 @@ pub struct LiveScratch {
     work: Vec<(u32, u32)>,
     component: Vec<u32>,
     count: u32,
-    // Per-(component, requirement) first-edge table of the
+    // Per-(component, requirement) first `(source, edge)` table of the
     // `FirstComponent` search.
-    first_match: Vec<u32>,
+    first_match: Vec<(u32, u32)>,
     // Generation-stamped BFS state (no O(n) clear between walks).
     bfs_seen: Vec<u32>,
     bfs_pred: Vec<(u32, u32)>,
@@ -243,7 +246,7 @@ impl LiveScratch {
 }
 
 /// A run-level transition graph compiled to CSR with interned labels and
-/// per-edge class masks — the liveness counterpart of
+/// one class mask per label — the liveness counterpart of
 /// [`crate::CompiledNfa`]. Built on the fly from a [`RunGraphSource`];
 /// state 0 is the initial state, states and per-state edges are numbered
 /// in discovery order (identical to the seed exploration's, so component
@@ -251,33 +254,30 @@ impl LiveScratch {
 #[derive(Clone, Debug)]
 pub struct CompiledRunGraph<L> {
     labels: Vec<L>,
+    /// Class mask per label id.
+    label_mask: Vec<EdgeMask>,
     /// CSR row boundaries: edges of state `v` are
     /// `row_start[v]..row_start[v + 1]`.
     row_start: Vec<u32>,
-    edge_from: Vec<u32>,
     edge_target: Vec<u32>,
-    edge_label: Vec<u32>,
-    edge_mask: Vec<EdgeMask>,
+    edge_label: Vec<u16>,
 }
 
 /// The raw CSR arrays of a [`CompiledRunGraph`]
 /// ([`CompiledRunGraph::to_parts`] / [`CompiledRunGraph::from_parts`]):
 /// the serialization form used by the on-disk artifact store. Field
-/// meanings match the private fields of [`CompiledRunGraph`].
+/// meanings match the private fields of [`CompiledRunGraph`]; the label
+/// masks are not part of it, since they follow from the labels.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunGraphParts<L> {
     /// Interned labels, in id order.
     pub labels: Vec<L>,
     /// CSR row boundaries (length `num_states + 1`, starting at 0).
     pub row_start: Vec<u32>,
-    /// Source state per edge ( = its CSR row).
-    pub edge_from: Vec<u32>,
     /// Target state per edge.
     pub edge_target: Vec<u32>,
     /// Label id per edge (index into `labels`).
-    pub edge_label: Vec<u32>,
-    /// Class mask per edge (uniform per label id).
-    pub edge_mask: Vec<EdgeMask>,
+    pub edge_label: Vec<u16>,
 }
 
 impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
@@ -304,14 +304,20 @@ impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
     ///
     /// [`EngineError::StateLimit`], [`EngineError::Deadline`], or
     /// [`EngineError::Cancelled`] per the budget.
+    ///
+    /// # Panics
+    ///
+    /// If the source has more than 65,536 distinct labels (label ids are
+    /// `u16`; the TM instances the service admits have far fewer), or a
+    /// label's thread id is not below [`MAX_MASK_THREADS`].
     pub fn build_budget<S: RunGraphSource<Label = L>>(
         source: &S,
         budget: &QueryBudget,
     ) -> Result<(Self, Vec<S::State>), EngineError> {
         let mut span = PhaseTimer::start(Phase::RunGraphBuild);
-        let mut label_ids: FxHashMap<L, u32> = FxHashMap::default();
+        let mut label_ids: FxHashMap<L, u16> = FxHashMap::default();
         let mut labels: Vec<L> = Vec::new();
-        let mut label_masks: Vec<EdgeMask> = Vec::new();
+        let mut label_mask: Vec<EdgeMask> = Vec::new();
 
         let mut state_ids: FxHashMap<S::State, u32> = FxHashMap::default();
         let mut states: Vec<S::State> = Vec::new();
@@ -320,10 +326,8 @@ impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
         states.push(init);
 
         let mut row_start: Vec<u32> = vec![0];
-        let mut edge_from: Vec<u32> = Vec::new();
         let mut edge_target: Vec<u32> = Vec::new();
-        let mut edge_label: Vec<u32> = Vec::new();
-        let mut edge_mask: Vec<EdgeMask> = Vec::new();
+        let mut edge_label: Vec<u16> = Vec::new();
 
         // States are expanded in id (FIFO) order, so CSR rows are emitted
         // sequentially and the edge arrays need no sorting pass.
@@ -339,8 +343,8 @@ impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
                 let lid = match label_ids.entry(label) {
                     Entry::Occupied(entry) => *entry.get(),
                     Entry::Vacant(entry) => {
-                        let id = u32::try_from(labels.len()).expect("more than u32::MAX labels");
-                        label_masks.push(source.classify(entry.key()).mask());
+                        let id = u16::try_from(labels.len()).expect("more than 65,536 labels");
+                        label_mask.push(source.classify(entry.key()).mask());
                         labels.push(entry.key().clone());
                         *entry.insert(id)
                     }
@@ -355,10 +359,8 @@ impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
                         *entry.insert(id)
                     }
                 };
-                edge_from.push(head as u32);
                 edge_target.push(to);
                 edge_label.push(lid);
-                edge_mask.push(label_masks[lid as usize]);
             }
             row_start.push(u32::try_from(edge_target.len()).expect("more than u32::MAX edges"));
             head += 1;
@@ -366,17 +368,14 @@ impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
         // Rows exist for exactly the discovered states.
         debug_assert_eq!(row_start.len(), states.len() + 1);
         span.set_value(states.len() as u64);
-        Ok((
-            CompiledRunGraph {
-                labels,
-                row_start,
-                edge_from,
-                edge_target,
-                edge_label,
-                edge_mask,
-            },
-            states,
-        ))
+        let graph = CompiledRunGraph {
+            labels,
+            label_mask,
+            row_start,
+            edge_target,
+            edge_label,
+        };
+        Ok((graph.shrunk(), states))
     }
 }
 
@@ -396,38 +395,53 @@ impl<L> CompiledRunGraph<L> {
         self.labels.len()
     }
 
-    /// Estimated heap footprint in bytes: the sum of the CSR arrays'
-    /// capacities, labels counted at their inline size (convention of
-    /// [`crate::CompiledNfa::heap_bytes`]). For the large graphs a
-    /// session budget cares about — millions of run states, a handful of
-    /// labels — the figure is dominated by the exact `u32` arrays.
+    /// Heap footprint in bytes: the capacities of the CSR arrays, labels
+    /// counted at their inline size (convention of
+    /// [`crate::CompiledNfa::heap_bytes`]). Built and loaded graphs hold
+    /// exact-size arrays, so this is
+    /// `(states + 1)·4 + edges·6 + labels·(size_of::<L>() + 2)`.
     pub fn heap_bytes(&self) -> usize {
-        let u32s = self.row_start.capacity()
-            + self.edge_from.capacity()
-            + self.edge_target.capacity()
-            + self.edge_label.capacity();
-        u32s * std::mem::size_of::<u32>()
-            + self.edge_mask.capacity() * std::mem::size_of::<EdgeMask>()
+        (self.row_start.capacity() + self.edge_target.capacity()) * std::mem::size_of::<u32>()
+            + self.edge_label.capacity() * std::mem::size_of::<u16>()
+            + self.label_mask.capacity() * std::mem::size_of::<EdgeMask>()
             + self.labels.capacity() * std::mem::size_of::<L>()
+    }
+
+    /// The graph with every array shrunk to its length.
+    fn shrunk(mut self) -> Self {
+        self.labels.shrink_to_fit();
+        self.label_mask.shrink_to_fit();
+        self.row_start.shrink_to_fit();
+        self.edge_target.shrink_to_fit();
+        self.edge_label.shrink_to_fit();
+        self
+    }
+
+    /// The edges of state `v`, as indices into the edge columns.
+    #[inline]
+    fn row(&self, v: usize) -> std::ops::Range<usize> {
+        self.row_start[v] as usize..self.row_start[v + 1] as usize
+    }
+
+    /// The class mask of edge `e`: its label's.
+    #[inline]
+    fn mask_of(&self, e: usize) -> EdgeMask {
+        self.label_mask[self.edge_label[e] as usize]
     }
 
     /// Iterates over all edges as `(from, &label, to)`, in the engine's
     /// canonical enumeration order (state-major, discovery order per
     /// state) — the order loop candidates are selected in.
     pub fn edges(&self) -> impl Iterator<Item = (usize, &L, usize)> + '_ {
-        (0..self.num_edges()).map(move |e| {
-            (
-                self.edge_from[e] as usize,
-                &self.labels[self.edge_label[e] as usize],
-                self.edge_target[e] as usize,
-            )
+        (0..self.num_states()).flat_map(move |v| {
+            self.row(v).map(move |e| {
+                (
+                    v,
+                    &self.labels[self.edge_label[e] as usize],
+                    self.edge_target[e] as usize,
+                )
+            })
         })
-    }
-
-    /// The class mask of edge `e` (edges numbered as in
-    /// [`CompiledRunGraph::edges`]).
-    pub fn edge_mask(&self, e: usize) -> EdgeMask {
-        self.edge_mask[e]
     }
 
     /// Clones the raw CSR arrays out of the graph — the serialization
@@ -439,36 +453,36 @@ impl<L> CompiledRunGraph<L> {
         RunGraphParts {
             labels: self.labels.clone(),
             row_start: self.row_start.clone(),
-            edge_from: self.edge_from.clone(),
             edge_target: self.edge_target.clone(),
             edge_label: self.edge_label.clone(),
-            edge_mask: self.edge_mask.clone(),
         }
     }
 
     /// Reassembles a run graph from raw CSR arrays
     /// ([`CompiledRunGraph::to_parts`]), verifying every structural
     /// invariant [`CompiledRunGraph::build_budget`] establishes before
-    /// trusting the data: CSR shape and monotonicity, per-row
-    /// `edge_from` agreement, id ranges, and one uniform class mask per
-    /// interned label (masks are a per-label property of the builder).
-    /// A graph that passes is behaviourally indistinguishable from a
-    /// freshly built one — SCC indices, loop choices, and lassos are
-    /// functions of these arrays alone.
+    /// trusting the data: CSR shape and monotonicity, array lengths, and
+    /// id ranges. The label masks are recomputed by `classify`, as the
+    /// build does with [`RunGraphSource::classify`]. A graph that passes
+    /// is behaviourally indistinguishable from a freshly built one — SCC
+    /// indices, loop choices, and lassos are functions of these arrays
+    /// alone — and holds exact-size arrays, so it reports the same
+    /// [`CompiledRunGraph::heap_bytes`].
     ///
     /// # Errors
     ///
     /// A static description of the first violated invariant.
-    pub fn from_parts(parts: RunGraphParts<L>) -> Result<Self, &'static str> {
+    pub fn from_parts(
+        parts: RunGraphParts<L>,
+        classify: impl Fn(&L) -> LabelClass,
+    ) -> Result<Self, &'static str> {
         let RunGraphParts {
             labels,
             row_start,
-            edge_from,
             edge_target,
             edge_label,
-            edge_mask,
         } = parts;
-        if row_start.is_empty() || row_start[0] != 0 {
+        if row_start.first() != Some(&0) {
             return Err("CSR rows do not start at 0");
         }
         if row_start.windows(2).any(|w| w[0] > w[1]) {
@@ -476,18 +490,8 @@ impl<L> CompiledRunGraph<L> {
         }
         let num_states = row_start.len() - 1;
         let num_edges = *row_start.last().expect("nonempty") as usize;
-        if edge_from.len() != num_edges
-            || edge_target.len() != num_edges
-            || edge_label.len() != num_edges
-            || edge_mask.len() != num_edges
-        {
+        if edge_target.len() != num_edges || edge_label.len() != num_edges {
             return Err("edge arrays do not cover the CSR rows");
-        }
-        for v in 0..num_states {
-            let row = row_start[v] as usize..row_start[v + 1] as usize;
-            if edge_from[row].iter().any(|&f| f as usize != v) {
-                return Err("edge source disagrees with its CSR row");
-            }
         }
         if edge_target.iter().any(|&t| t as usize >= num_states) {
             return Err("edge target out of range");
@@ -495,23 +499,25 @@ impl<L> CompiledRunGraph<L> {
         if edge_label.iter().any(|&l| l as usize >= labels.len()) {
             return Err("edge label out of range");
         }
-        let mut label_masks: Vec<Option<EdgeMask>> = vec![None; labels.len()];
-        for e in 0..num_edges {
-            let slot = &mut label_masks[edge_label[e] as usize];
-            match *slot {
-                None => *slot = Some(edge_mask[e]),
-                Some(mask) if mask == edge_mask[e] => {}
-                Some(_) => return Err("edge mask varies within one label"),
-            }
-        }
-        Ok(CompiledRunGraph {
+        let label_mask = labels
+            .iter()
+            .map(|label| {
+                let class = classify(label);
+                if class.thread < MAX_MASK_THREADS {
+                    Ok(class.mask())
+                } else {
+                    Err("label thread exceeds the mask capacity")
+                }
+            })
+            .collect::<Result<Vec<EdgeMask>, _>>()?;
+        let graph = CompiledRunGraph {
             labels,
+            label_mask,
             row_start,
-            edge_from,
             edge_target,
             edge_label,
-            edge_mask,
-        })
+        };
+        Ok(graph.shrunk())
     }
 
     /// Computes the SCCs of the subgraph induced by `filter` with an
@@ -581,7 +587,7 @@ impl<L> CompiledRunGraph<L> {
                 while *cursor < row_end {
                     let e = *cursor as usize;
                     *cursor += 1;
-                    if filter.keeps(self.edge_mask[e]) {
+                    if filter.keeps(self.mask_of(e)) {
                         next_edge = Some(e);
                         break;
                     }
@@ -643,15 +649,19 @@ impl<L: Clone> CompiledRunGraph<L> {
         Ok(match query.selection {
             LoopSelection::FirstEdge => {
                 let found = query.required.first().and_then(|&req| {
-                    (0..self.num_edges()).find(|&e| {
-                        let mask = self.edge_mask[e];
-                        query.filter.keeps(mask)
-                            && mask & req == req
-                            && scratch.component[self.edge_from[e] as usize]
-                                == scratch.component[self.edge_target[e] as usize]
+                    (0..self.num_states()).find_map(|v| {
+                        self.row(v)
+                            .find(|&e| {
+                                let mask = self.mask_of(e);
+                                query.filter.keeps(mask)
+                                    && mask & req == req
+                                    && scratch.component[v]
+                                        == scratch.component[self.edge_target[e] as usize]
+                            })
+                            .map(|e| (v as u32, e as u32))
                     })
                 });
-                found.and_then(|e| self.build_lasso(query.filter, scratch, &[e as u32]))
+                found.and_then(|edge| self.build_lasso(query.filter, scratch, &[edge]))
             }
             LoopSelection::FirstComponent => {
                 let r = query.required.len();
@@ -661,30 +671,31 @@ impl<L: Clone> CompiledRunGraph<L> {
                 let count = scratch.count as usize;
                 let mut first_match = std::mem::take(&mut scratch.first_match);
                 first_match.clear();
-                first_match.resize(count * r, UNVISITED);
-                for e in 0..self.num_edges() {
-                    let mask = self.edge_mask[e];
-                    if !query.filter.keeps(mask) {
-                        continue;
-                    }
-                    let comp = scratch.component[self.edge_from[e] as usize];
-                    if comp != scratch.component[self.edge_target[e] as usize] {
-                        continue;
-                    }
-                    for (j, &req) in query.required.iter().enumerate() {
-                        let slot = &mut first_match[comp as usize * r + j];
-                        if *slot == UNVISITED && mask & req == req {
-                            *slot = e as u32;
+                first_match.resize(count * r, (UNVISITED, UNVISITED));
+                for v in 0..self.num_states() {
+                    let comp = scratch.component[v];
+                    for e in self.row(v) {
+                        let mask = self.mask_of(e);
+                        if !query.filter.keeps(mask)
+                            || comp != scratch.component[self.edge_target[e] as usize]
+                        {
+                            continue;
+                        }
+                        for (j, &req) in query.required.iter().enumerate() {
+                            let slot = &mut first_match[comp as usize * r + j];
+                            if slot.1 == UNVISITED && mask & req == req {
+                                *slot = (v as u32, e as u32);
+                            }
                         }
                     }
                 }
                 let mut result = None;
                 for comp in 0..count {
                     let slots = &first_match[comp * r..(comp + 1) * r];
-                    if slots.contains(&UNVISITED) {
+                    if slots.iter().any(|&(_, e)| e == UNVISITED) {
                         continue;
                     }
-                    let required: Vec<u32> = slots.to_vec();
+                    let required: Vec<(u32, u32)> = slots.to_vec();
                     if let Some(lasso) = self.build_lasso(query.filter, scratch, &required) {
                         result = Some(lasso);
                         break;
@@ -776,24 +787,24 @@ impl<L: Clone> CompiledRunGraph<L> {
         Ok(best)
     }
 
-    /// Wraps the `required` edges (indices into the edge arrays, all
-    /// within one SCC of the filtered subgraph) into a lasso: a closed
-    /// walk starting and ending at the source of the first required edge,
-    /// visiting every required edge, prefixed by a shortest path from
-    /// state 0 through the full (unfiltered) graph.
+    /// Wraps the `required` edges (`(source state, edge index)` pairs,
+    /// all within one SCC of the filtered subgraph) into a lasso: a
+    /// closed walk starting and ending at the source of the first
+    /// required edge, visiting every required edge, prefixed by a
+    /// shortest path from state 0 through the full (unfiltered) graph.
     fn build_lasso(
         &self,
         filter: EdgeFilter,
         scratch: &mut LiveScratch,
-        required: &[u32],
+        required: &[(u32, u32)],
     ) -> Option<CompiledLasso<L>> {
         let _span = PhaseTimer::start(Phase::LassoExtract);
-        let (&first, rest) = required.split_first()?;
-        let comp = scratch.component[self.edge_from[first as usize] as usize];
+        let (&(home, first), rest) = required.split_first()?;
+        let comp = scratch.component[home as usize];
         // All endpoints must share the SCC (guaranteed by the callers;
         // kept as the same guard the reference walk has).
-        for &e in required {
-            if scratch.component[self.edge_from[e as usize] as usize] != comp
+        for &(from, e) in required {
+            if scratch.component[from as usize] != comp
                 || scratch.component[self.edge_target[e as usize] as usize] != comp
             {
                 return None;
@@ -801,13 +812,11 @@ impl<L: Clone> CompiledRunGraph<L> {
         }
         let mut walk: Vec<u32> = vec![first];
         let mut at = self.edge_target[first as usize];
-        for &e in rest {
-            let entry = self.edge_from[e as usize];
+        for &(entry, e) in rest {
             self.bfs_path(at, entry, Some((filter, comp)), scratch, &mut walk)?;
             walk.push(e);
             at = self.edge_target[e as usize];
         }
-        let home = self.edge_from[first as usize];
         self.bfs_path(at, home, Some((filter, comp)), scratch, &mut walk)?;
 
         let mut prefix: Vec<u32> = Vec::new();
@@ -857,7 +866,7 @@ impl<L: Clone> CompiledRunGraph<L> {
             for e in self.row_start[qi]..self.row_start[qi + 1] {
                 let ei = e as usize;
                 if let Some((filter, comp)) = restrict {
-                    if !filter.keeps(self.edge_mask[ei])
+                    if !filter.keeps(self.mask_of(ei))
                         || scratch.component[self.edge_target[ei] as usize] != comp
                     {
                         continue;
@@ -1218,30 +1227,145 @@ mod tests {
         .keeps(mask));
     }
 
+    /// The exact footprint of a graph with exact-size arrays.
+    fn exact_bytes(g: &CompiledRunGraph<TestLabel>) -> usize {
+        (g.num_states() + 1) * 4
+            + g.num_edges() * 6
+            + g.num_labels() * (std::mem::size_of::<TestLabel>() + 2)
+    }
+
     #[test]
     fn heap_bytes_tracks_the_csr_arrays() {
-        // Lower bound from the graph's own counts: `row_start` has
-        // `states + 1` entries, every edge appears in three u32 arrays
-        // plus the mask array, every label is stored once.
-        fn floor(g: &CompiledRunGraph<TestLabel>) -> usize {
-            (g.num_states() + 1 + 3 * g.num_edges()) * std::mem::size_of::<u32>()
-                + g.num_edges() * std::mem::size_of::<EdgeMask>()
-                + g.num_labels() * std::mem::size_of::<TestLabel>()
-        }
         let small = VecSource {
             succ: vec![vec![(lbl(0, 0), 1)], vec![(lbl(1, 1), 0)]],
         };
         let (small_graph, _) = CompiledRunGraph::build(&small, 100).unwrap();
-        assert!(small_graph.heap_bytes() >= floor(&small_graph));
+        assert_eq!(small_graph.heap_bytes(), exact_bytes(&small_graph));
+        // Enough edges that the growing columns overshoot their length
+        // before the build shrinks them.
         let big = VecSource {
-            succ: (0..64u32)
-                .map(|i| vec![(lbl((i % 8) as u8, 0), (i + 1) % 64)])
+            succ: (0..100u32)
+                .map(|i| {
+                    (0..3u32)
+                        .map(|j| (lbl(((i + j) % 8) as u8, (j % 2) as u8), (i + j + 1) % 100))
+                        .collect()
+                })
                 .collect(),
         };
-        let (big_graph, _) = CompiledRunGraph::build(&big, 100).unwrap();
-        assert!(big_graph.heap_bytes() >= floor(&big_graph));
-        // A strictly larger graph is charged strictly more.
+        let (big_graph, _) = CompiledRunGraph::build(&big, 1000).unwrap();
+        assert_eq!(big_graph.num_edges(), 300);
+        assert_eq!(big_graph.heap_bytes(), exact_bytes(&big_graph));
+        // A loaded graph is charged exactly what the built one is.
+        let loaded = CompiledRunGraph::from_parts(big_graph.to_parts(), |l| big.classify(l)).unwrap();
+        assert_eq!(loaded.heap_bytes(), big_graph.heap_bytes());
         assert!(big_graph.heap_bytes() > small_graph.heap_bytes());
+    }
+
+    /// Parts of a small valid graph: 0 -> 1 -> 2 -> 0 over three labels.
+    fn ring_parts() -> (VecSource, RunGraphParts<TestLabel>) {
+        let source = VecSource {
+            succ: vec![
+                vec![(lbl(0, 0), 1), (abort(1, 1), 0)],
+                vec![(lbl(2, 1), 2)],
+                vec![(lbl(0, 0), 0)],
+            ],
+        };
+        let (graph, _) = CompiledRunGraph::build(&source, 100).unwrap();
+        (source, graph.to_parts())
+    }
+
+    fn load(
+        source: &VecSource,
+        parts: RunGraphParts<TestLabel>,
+    ) -> Result<CompiledRunGraph<TestLabel>, &'static str> {
+        CompiledRunGraph::from_parts(parts, |l| source.classify(l))
+    }
+
+    #[test]
+    fn from_parts_round_trips_a_built_graph() {
+        let (source, parts) = ring_parts();
+        assert_eq!(parts.row_start, vec![0, 2, 3, 4]);
+        assert_eq!(parts.edge_label, vec![0, 1, 2, 0]);
+        let (built, _) = CompiledRunGraph::build(&source, 100).unwrap();
+        let loaded = load(&source, parts.clone()).unwrap();
+        assert_eq!(loaded.to_parts(), parts);
+        assert_eq!(
+            loaded.edges().collect::<Vec<_>>(),
+            built.edges().collect::<Vec<_>>()
+        );
+        let query = LoopQuery {
+            filter: KEEP_ALL,
+            required: vec![MASK_ABORT],
+            selection: LoopSelection::FirstEdge,
+        };
+        let mut scratch = LiveScratch::default();
+        assert_eq!(
+            find(&loaded, &query, &mut scratch),
+            find(&built, &query, &mut scratch)
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_rows_not_starting_at_zero() {
+        let (source, mut parts) = ring_parts();
+        parts.row_start[0] = 1;
+        assert_eq!(load(&source, parts).err(), Some("CSR rows do not start at 0"));
+        let (source, mut parts) = ring_parts();
+        parts.row_start.clear();
+        assert_eq!(load(&source, parts).err(), Some("CSR rows do not start at 0"));
+    }
+
+    #[test]
+    fn from_parts_rejects_non_monotone_offsets() {
+        let (source, mut parts) = ring_parts();
+        parts.row_start = vec![0, 3, 2, 4];
+        assert_eq!(load(&source, parts).err(), Some("CSR offsets are not monotone"));
+    }
+
+    #[test]
+    fn from_parts_rejects_arrays_not_covering_the_rows() {
+        let (source, mut parts) = ring_parts();
+        parts.edge_target.pop();
+        assert_eq!(
+            load(&source, parts).err(),
+            Some("edge arrays do not cover the CSR rows")
+        );
+        let (source, mut parts) = ring_parts();
+        parts.edge_label.push(0);
+        assert_eq!(
+            load(&source, parts).err(),
+            Some("edge arrays do not cover the CSR rows")
+        );
+        let (source, mut parts) = ring_parts();
+        *parts.row_start.last_mut().unwrap() = 5;
+        assert_eq!(
+            load(&source, parts).err(),
+            Some("edge arrays do not cover the CSR rows")
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_target_out_of_range() {
+        let (source, mut parts) = ring_parts();
+        parts.edge_target[2] = 3;
+        assert_eq!(load(&source, parts).err(), Some("edge target out of range"));
+    }
+
+    #[test]
+    fn from_parts_rejects_label_out_of_range() {
+        let (source, mut parts) = ring_parts();
+        parts.edge_label[1] = 3;
+        assert_eq!(load(&source, parts).err(), Some("edge label out of range"));
+    }
+
+    #[test]
+    fn from_parts_rejects_threads_beyond_the_mask_capacity() {
+        let (source, mut parts) = ring_parts();
+        parts.labels[2].thread = MAX_MASK_THREADS as u8;
+        assert_eq!(
+            load(&source, parts).err(),
+            Some("label thread exceeds the mask capacity")
+        );
     }
 
     #[test]

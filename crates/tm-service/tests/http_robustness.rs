@@ -6,6 +6,7 @@
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use tm_service::wire::{decode_results, encode_batch_request};
 use tm_service::{
@@ -25,6 +26,29 @@ fn shutdown(addr: &str, server: std::thread::JoinHandle<std::io::Result<u64>>) {
     let (status, _) = http_request(addr, "POST", "/v1/shutdown", None).expect("shutdown");
     assert_eq!(status, 200);
     server.join().expect("server thread").expect("serve result");
+}
+
+/// The accept loop blocks in `accept`, and `/v1/shutdown` wakes it with
+/// a connection of its own: with no other client, `serve` returns within
+/// a second, also on a wildcard bind, and the wake-up connection is not
+/// counted as served.
+#[test]
+fn serve_returns_promptly_after_shutdown_with_no_other_client() {
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let listener = TcpListener::bind(bind).expect("bind ephemeral port");
+        let addr = format!("127.0.0.1:{}", listener.local_addr().expect("local addr").port());
+        let service = Arc::new(Service::new(ServiceConfig::default()));
+        let server = std::thread::spawn(move || serve(listener, service));
+        let asked = Instant::now();
+        let (status, _) = http_request(&addr, "POST", "/v1/shutdown", None).expect("shutdown");
+        assert_eq!(status, 200);
+        while !server.is_finished() && asked.elapsed() < Duration::from_secs(1) {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(server.is_finished(), "{bind}: serve still running 1 s after shutdown");
+        let served = server.join().expect("server thread").expect("serve result");
+        assert_eq!(served, 1, "{bind}: only the shutdown request is served");
+    }
 }
 
 #[test]
@@ -153,9 +177,10 @@ fn overload_sheds_with_429_and_drain_with_503() {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
     });
-    // Give the slow batch a head start into the admission window, then
-    // probe: with max_inflight=1 a collision answers 429 + Retry-After.
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    // Probe from the start until the slow batch has finished, so the
+    // probes cover its whole admission window (a fixed head start can
+    // outlast the batch): with max_inflight=1 a collision answers 429 +
+    // Retry-After.
     let quick = encode_batch_request(&[QuerySpec::parse("sequential:ss:2:1").unwrap()], None);
     let mut saw_429 = false;
     while !first.is_finished() {

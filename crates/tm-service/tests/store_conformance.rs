@@ -12,7 +12,7 @@ use tm_service::{
     table2_batch, table3_batch, QueryOutcome, QueryResult, QuerySpec, Service, ServiceConfig,
 };
 use tm_store::sha256::checksum64;
-use tm_store::{decode_artifact, encode_artifact, StoreKey, MAGIC};
+use tm_store::{decode_artifact, encode_artifact, SectionWriter, Sections, StoreKey, MAGIC};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -205,6 +205,57 @@ fn corrupt_store_files_are_quarantined_and_rebuilt() {
     );
     assert!(victim.exists(), "the rebuild is written through again");
     assert_eq!(stats.store_files, 2, "{stats:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A run-graph image rewritten by the container's own writer, with its
+/// first edge target replaced by `target`: every checksum is valid.
+/// Sections 1–6 are key, metadata, labels, row offsets, edge targets
+/// (a `u32` count, then the targets) and edge labels.
+fn with_first_edge_target(image: &[u8], target: u32) -> Vec<u8> {
+    let sections = Sections::parse(image).unwrap();
+    let mut writer = SectionWriter::new();
+    for tag in 1..=6 {
+        let mut payload = sections.get(tag).unwrap().to_vec();
+        if tag == 5 {
+            payload[4..8].copy_from_slice(&target.to_le_bytes());
+        }
+        writer.section(tag, payload);
+    }
+    writer.finish(sections.kind, sections.digest)
+}
+
+/// A run-graph file that passes every checksum but holds an edge target
+/// beyond its state count is quarantined at warm boot, counted as
+/// corrupt, and rebuilt: the service answers exactly as the cold one.
+#[test]
+fn checksum_valid_structurally_bad_run_graphs_are_rebuilt() {
+    let batch: Vec<QuerySpec> = ["dstm+aggressive:of:2:1", "TL2:ss:2:2"]
+        .iter()
+        .map(|q| QuerySpec::parse(q).unwrap())
+        .collect();
+    let dir = scratch_dir("bad-target");
+    let cold = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let reference = fingerprint(&cold.submit(&batch));
+    drop(cold);
+
+    let key = StoreKey::run_graph("dstm+aggressive", 2, 1);
+    let victim = dir.join(key.file_name());
+    let image = with_first_edge_target(&std::fs::read(&victim).unwrap(), u32::MAX);
+    assert_eq!(
+        decode_artifact(&image).err(),
+        Some("edge target out of range"),
+        "the checksums pass and the structural check rejects"
+    );
+    std::fs::write(&victim, &image).unwrap();
+
+    let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
+    assert!(dir.join(format!("{}.quarantined", key.file_name())).exists());
+    assert_eq!(fingerprint(&warm.submit(&batch)), reference);
+    let stats = warm.stats();
+    assert_eq!(stats.store_corrupt, 1, "{stats:?}");
+    assert_eq!(stats.artifact_builds, 1, "only the bad run graph is rebuilt: {stats:?}");
+    assert!(victim.exists(), "the rebuild is written through again");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -11,6 +11,11 @@
 //! constructors in `tm-automata`, so a file that passes the checksum
 //! layer but carries nonsense still comes back as a clean
 //! [`FormatError`], never a panic or an inconsistent artifact.
+//!
+//! A run graph is stored as four sections: its labels, its CSR row
+//! offsets (`u32`), and one `u32` target and one `u16` label id per
+//! edge. The per-label class masks are not stored: loading recomputes
+//! them with [`RunLabel::class`], as the build does.
 
 use tm_algorithms::{Action, ExtCommand, RunLabel};
 use tm_automata::{CompiledRunGraph, RunGraphParts};
@@ -362,10 +367,8 @@ const SEC_META: u32 = 2;
 
 const SEC_RG_LABELS: u32 = 3;
 const SEC_RG_ROW_START: u32 = 4;
-const SEC_RG_EDGE_FROM: u32 = 5;
-const SEC_RG_EDGE_TARGET: u32 = 6;
-const SEC_RG_EDGE_LABEL: u32 = 7;
-const SEC_RG_EDGE_MASK: u32 = 8;
+const SEC_RG_EDGE_TARGET: u32 = 5;
+const SEC_RG_EDGE_LABEL: u32 = 6;
 
 const SEC_SPEC_STATES: u32 = 3;
 const SEC_SPEC_PRESENT: u32 = 4;
@@ -436,10 +439,8 @@ pub fn encode_artifact(key: &StoreKey, artifact: &Artifact) -> Vec<u8> {
             let parts = rg.graph.to_parts();
             writer.section(SEC_RG_LABELS, encode_run_labels(&parts.labels));
             writer.section(SEC_RG_ROW_START, encode_u32s(&parts.row_start));
-            writer.section(SEC_RG_EDGE_FROM, encode_u32s(&parts.edge_from));
             writer.section(SEC_RG_EDGE_TARGET, encode_u32s(&parts.edge_target));
-            writer.section(SEC_RG_EDGE_LABEL, encode_u32s(&parts.edge_label));
-            writer.section(SEC_RG_EDGE_MASK, encode_u16s(&parts.edge_mask));
+            writer.section(SEC_RG_EDGE_LABEL, encode_u16s(&parts.edge_label));
         }
         Artifact::LazySpec(spec) => {
             writer.section(SEC_META, spec.build_ns.to_le_bytes().to_vec());
@@ -500,13 +501,11 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<(StoreKey, Artifact), FormatError
             let parts = RunGraphParts {
                 labels: decode_run_labels(sections.get(SEC_RG_LABELS)?)?,
                 row_start: decode_u32s(sections.get(SEC_RG_ROW_START)?)?,
-                edge_from: decode_u32s(sections.get(SEC_RG_EDGE_FROM)?)?,
                 edge_target: decode_u32s(sections.get(SEC_RG_EDGE_TARGET)?)?,
-                edge_label: decode_u32s(sections.get(SEC_RG_EDGE_LABEL)?)?,
-                edge_mask: decode_u16s(sections.get(SEC_RG_EDGE_MASK)?)?,
+                edge_label: decode_u16s(sections.get(SEC_RG_EDGE_LABEL)?)?,
             };
             Artifact::RunGraph(RunGraphArtifact {
-                graph: CompiledRunGraph::from_parts(parts)?,
+                graph: CompiledRunGraph::from_parts(parts, |label| label.class())?,
                 states,
                 build_ns,
             })

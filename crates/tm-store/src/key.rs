@@ -3,7 +3,7 @@
 //! Every artifact in the store is addressed by the SHA-256 digest of a
 //! canonical, length-prefixed encoding of *what was built*: the artifact
 //! kind, the TM name (with its contention-manager suffix, `"dstm"` or
-//! `"dstm+aggressive"`), the property and spec mode for specification
+//! `"dstm+aggressive"`) for run graphs, the property for specification
 //! artifacts, and the `(threads, vars)` instance size — plus the store
 //! format version and the engine version, so a format change or an
 //! engine change silently invalidates every old file (they simply stop
@@ -16,7 +16,10 @@
 use crate::sha256::{sha256, to_hex};
 
 /// Bumped whenever the on-disk byte format changes incompatibly.
-pub const FORMAT_VERSION: u32 = 1;
+/// Version 2 stores run graphs as two edge columns (`u32` target, `u16`
+/// label id) without per-edge sources or masks, and drops the key's
+/// specification-mode field.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Bumped whenever compiled-artifact *semantics* change — anything that
 /// could make a previously stored artifact differ from what the current
@@ -66,9 +69,9 @@ impl StoreKind {
 }
 
 /// The full identity of a stored artifact. Fields that don't apply to a
-/// kind are empty strings (e.g. `tm` for specification artifacts,
-/// `property`/`mode` for run graphs); the kind tag keeps the encodings
-/// disjoint regardless.
+/// kind are empty strings (`tm` for specification artifacts, `property`
+/// for run graphs); the kind tag keeps the encodings disjoint
+/// regardless.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct StoreKey {
     /// Artifact kind.
@@ -79,10 +82,6 @@ pub struct StoreKey {
     /// Safety-property short name (`"ss"` / `"op"`); empty for run
     /// graphs.
     pub property: String,
-    /// Specification mode tag: `"lazy"` for the interned-row caches (the
-    /// only specification artifact), empty for run graphs. Part of the
-    /// digest, so it stays in the encoding.
-    pub mode: String,
     /// Number of threads `n`.
     pub threads: u32,
     /// Number of shared variables `k`.
@@ -96,7 +95,6 @@ impl StoreKey {
             kind: StoreKind::RunGraph,
             tm: tm.to_owned(),
             property: String::new(),
-            mode: String::new(),
             threads: threads as u32,
             vars: vars as u32,
         }
@@ -108,7 +106,6 @@ impl StoreKey {
             kind: StoreKind::LazySpec,
             tm: String::new(),
             property: property.to_owned(),
-            mode: "lazy".to_owned(),
             threads: threads as u32,
             vars: vars as u32,
         }
@@ -122,7 +119,7 @@ impl StoreKey {
         out.extend_from_slice(&self.kind.as_tag().to_le_bytes());
         out.extend_from_slice(&self.threads.to_le_bytes());
         out.extend_from_slice(&self.vars.to_le_bytes());
-        for field in [&self.tm, &self.property, &self.mode] {
+        for field in [&self.tm, &self.property] {
             out.extend_from_slice(&(field.len() as u32).to_le_bytes());
             out.extend_from_slice(field.as_bytes());
         }
@@ -136,7 +133,7 @@ impl StoreKey {
             StoreKind::from_tag(reader.u32()?).ok_or("store key: unknown artifact kind tag")?;
         let threads = reader.u32()?;
         let vars = reader.u32()?;
-        let mut strings = [const { String::new() }; 3];
+        let mut strings = [const { String::new() }; 2];
         for slot in &mut strings {
             let len = reader.u32()? as usize;
             let raw = reader.bytes(len)?;
@@ -147,12 +144,11 @@ impl StoreKey {
         if !reader.is_empty() {
             return Err("store key: trailing bytes");
         }
-        let [tm, property, mode] = strings;
+        let [tm, property] = strings;
         Ok(StoreKey {
             kind,
             tm,
             property,
-            mode,
             threads,
             vars,
         })
@@ -232,15 +228,15 @@ mod tests {
     #[test]
     fn digest_is_byte_stable() {
         let key = StoreKey::run_graph("TL2", 2, 2);
-        // Hard-coded pin computed at FORMAT_VERSION=1 / ENGINE_VERSION=1.
+        // Hard-coded pin computed at FORMAT_VERSION=2 / ENGINE_VERSION=1.
         assert_eq!(
             key.file_name(),
-            "2389e55b68e99704f246816228810a6cc5cfae8ac69114dcf13bf25b0a1b0306.tmart"
+            "0ddc475c532013714735899d7d5ebc9264bae25b7083996056e1b7fe0627d439.tmart"
         );
         // Field separation: moving a character between fields changes
         // the digest (length prefixes prevent concatenation collisions).
         let mut a = StoreKey::lazy_spec("s", 2, 2);
-        a.mode = "slazy".to_owned();
+        a.tm = "s".to_owned();
         let b = StoreKey::lazy_spec("ss", 2, 2);
         assert_ne!(a.digest(), b.digest());
     }

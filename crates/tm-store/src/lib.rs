@@ -15,9 +15,9 @@
 //! * [`sha256`] — a std-only SHA-256 (the workspace builds offline;
 //!   see the shims policy in the workspace manifest);
 //! * [`StoreKey`] — the content address: SHA-256 over a canonical
-//!   length-prefixed encoding of *(kind, TM name, property, mode, n,
-//!   k)* plus the format and engine versions, so any incompatible
-//!   change silently retires old files;
+//!   length-prefixed encoding of *(kind, TM name, property, n, k)*
+//!   plus the format and engine versions, so any incompatible change
+//!   silently retires old files;
 //! * the `.tmart` container (`format`) — magic, versions, a
 //!   checksummed section table, per-section checksums; any single-bit
 //!   corruption or truncation anywhere in a file is detected;
@@ -25,7 +25,9 @@
 //!   the domain types ([`Artifact`] and friends), with every id
 //!   range-checked and every decoded structure re-validated through
 //!   the `from_parts` constructors in `tm-automata`
-//!   (`CompiledRunGraph::from_parts`, `SpecCache::from_parts`);
+//!   (`CompiledRunGraph::from_parts`, which also recomputes the
+//!   per-label class masks the file does not store, and
+//!   `SpecCache::from_parts`);
 //! * [`ArtifactStore`] — the directory: atomic temp-file + rename
 //!   writes, mmap (or buffered) reads, quarantine of corrupt files,
 //!   an LRU byte/file cap, and counters for the service metrics.

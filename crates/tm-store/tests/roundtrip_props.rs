@@ -63,42 +63,33 @@ fn label_universe() -> Vec<RunLabel> {
     ]
 }
 
-/// Builds a random run-graph CSR over the label universe; masks are
-/// uniform per label as `CompiledRunGraph::from_parts` demands.
-fn random_run_graph(
-    num_states: usize,
-    edge_picks: &[(u32, u32)],
-    masks: &[u16],
-) -> CompiledRunGraph<RunLabel> {
+/// Builds a random run-graph CSR over the label universe.
+fn random_run_graph(num_states: usize, edge_picks: &[(u32, u32)]) -> CompiledRunGraph<RunLabel> {
     let labels = label_universe();
     let mut row_start = vec![0u32];
-    let mut edge_from = Vec::new();
     let mut edge_target = Vec::new();
     let mut edge_label = Vec::new();
-    let mut edge_mask = Vec::new();
     let per_state = (edge_picks.len() / num_states).max(1);
     for (i, &(target, label)) in edge_picks.iter().enumerate() {
         let from = (i / per_state).min(num_states - 1);
         while row_start.len() <= from {
-            row_start.push(edge_from.len() as u32);
+            row_start.push(edge_target.len() as u32);
         }
-        edge_from.push(from as u32);
         edge_target.push(target % num_states as u32);
-        let label = label as usize % labels.len();
-        edge_label.push(label as u32);
-        edge_mask.push(masks[label]);
+        edge_label.push((label as usize % labels.len()) as u16);
     }
     while row_start.len() <= num_states {
-        row_start.push(edge_from.len() as u32);
+        row_start.push(edge_target.len() as u32);
     }
-    CompiledRunGraph::from_parts(RunGraphParts {
-        labels,
-        row_start,
-        edge_from,
-        edge_target,
-        edge_label,
-        edge_mask,
-    })
+    CompiledRunGraph::from_parts(
+        RunGraphParts {
+            labels,
+            row_start,
+            edge_target,
+            edge_label,
+        },
+        |label| label.class(),
+    )
     .expect("generated CSR must be valid")
 }
 
@@ -107,12 +98,11 @@ proptest! {
     fn run_graph_round_trips(
         input in (
             (1usize..10, vec((0u32..64, 0u32..64), 0..36)),
-            vec(0u16..u16::MAX, 8..9),
             (0u64..u64::MAX, 0u64..1 << 40),
         )
     ) {
-        let ((num_states, edge_picks), masks, (_seed, build_ns)) = input;
-        let graph = random_run_graph(num_states, &edge_picks, &masks);
+        let ((num_states, edge_picks), (_seed, build_ns)) = input;
+        let graph = random_run_graph(num_states, &edge_picks);
         let key = StoreKey::run_graph("prop+tm", 2, 2);
         let artifact = Artifact::RunGraph(RunGraphArtifact {
             graph: graph.clone(),
@@ -124,6 +114,7 @@ proptest! {
         prop_assert_eq!(decoded_key, key);
         let Artifact::RunGraph(decoded) = decoded else { panic!("wrong artifact kind") };
         prop_assert_eq!(decoded.graph.to_parts(), graph.to_parts());
+        prop_assert_eq!(decoded.graph.heap_bytes(), graph.heap_bytes());
         prop_assert_eq!(decoded.states, num_states);
         prop_assert_eq!(decoded.build_ns, build_ns);
     }
@@ -195,10 +186,10 @@ proptest! {
     /// single-bit flip of the file is rejected by the loader.
     #[test]
     fn encoding_is_stable_and_corruption_is_always_detected(
-        input in ((1usize..5, vec((0u32..64, 0u32..64), 0..10)), vec(0u16..u16::MAX, 8..9))
+        input in (1usize..5, vec((0u32..64, 0u32..64), 0..10))
     ) {
-        let ((num_states, edge_picks), masks) = input;
-        let graph = random_run_graph(num_states, &edge_picks, &masks);
+        let (num_states, edge_picks) = input;
+        let graph = random_run_graph(num_states, &edge_picks);
         let key = StoreKey::run_graph("prop+tm", 2, 2);
         let artifact = Artifact::RunGraph(RunGraphArtifact {
             graph,

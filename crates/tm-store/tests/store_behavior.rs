@@ -11,7 +11,7 @@ use tm_lang::{Command, ThreadId, VarId};
 use tm_store::sha256::checksum64;
 use tm_store::{
     encode_artifact, Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreCounters,
-    StoreError, StoreKey, MAGIC,
+    StoreError, StoreKey, MAGIC, SectionWriter, Sections,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -48,14 +48,15 @@ fn sample_graph(flavor: u32) -> CompiledRunGraph<RunLabel> {
             action: Action::Abort,
         },
     ];
-    CompiledRunGraph::from_parts(RunGraphParts {
-        labels,
-        row_start: vec![0, 2, 3],
-        edge_from: vec![0, 0, 1],
-        edge_target: vec![1, 0, flavor % 2],
-        edge_label: vec![0, 1, 0],
-        edge_mask: vec![1, 2, 1],
-    })
+    CompiledRunGraph::from_parts(
+        RunGraphParts {
+            labels,
+            row_start: vec![0, 2, 3],
+            edge_target: vec![1, 0, flavor % 2],
+            edge_label: vec![0, 1, 0],
+        },
+        |label| label.class(),
+    )
     .expect("sample CSR is valid")
 }
 
@@ -191,10 +192,7 @@ fn corrupt_files_are_quarantined_and_become_misses() {
 fn image_with_kind_tag(key: &StoreKey, artifact: &Artifact, tag: u32) -> Vec<u8> {
     let mut image = encode_artifact(key, artifact);
     image[16..20].copy_from_slice(&tag.to_le_bytes());
-    let sections = u32::from_le_bytes(image[20..24].try_into().unwrap()) as usize;
-    let header_len = MAGIC.len() + 4 * 4 + 32 + sections * (4 + 8 + 8);
-    let sum = checksum64(&image[..header_len]);
-    image[header_len..header_len + 8].copy_from_slice(&sum.to_le_bytes());
+    reseal_header(&mut image);
     image
 }
 
@@ -260,6 +258,121 @@ fn unknown_kind_tags_are_quarantined_at_load_path_and_warm_start() {
     let stats = store.stats();
     assert_eq!(stats.corrupt, UNKNOWN.len() as u64);
     assert_eq!(stats.files, 1);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Recomputes the header checksum of `image` after an edit to its
+/// fixed header or section table.
+fn reseal_header(image: &mut [u8]) {
+    let sections = u32::from_le_bytes(image[20..24].try_into().unwrap()) as usize;
+    let header_len = MAGIC.len() + 4 * 4 + 32 + sections * (4 + 8 + 8);
+    let sum = checksum64(&image[..header_len]);
+    image[header_len..header_len + 8].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Stores written by the previous format (version 1: per-edge source
+/// and mask columns) are unreadable by this build. An image whose only
+/// fault is its format word takes the version-mismatch path at
+/// `load_path` and at the warm start of a reopened store: quarantined,
+/// counted as corrupt, no panic.
+#[test]
+fn format_version_1_images_take_the_version_mismatch_path() {
+    let dir = scratch_dir("format-v1");
+    let key = StoreKey::run_graph("dstm", 2, 2);
+    let path = dir.join(key.file_name());
+    let write_v1 = || {
+        let mut image = encode_artifact(&key, &sample_artifact(0));
+        image[8..12].copy_from_slice(&1u32.to_le_bytes());
+        reseal_header(&mut image);
+        std::fs::write(&path, image).unwrap();
+    };
+    let open = || {
+        ArtifactStore::open(StoreConfig {
+            dir: dir.clone(),
+            ..StoreConfig::default()
+        }, store_counters())
+        .unwrap()
+    };
+
+    let store = open();
+    write_v1();
+    match store.load_path(&path) {
+        Err(StoreError::Corrupt(why)) => assert_eq!(why, "format version mismatch"),
+        other => panic!("expected a version mismatch, got {other:?}"),
+    }
+    assert!(!path.exists(), "the file must leave the namespace");
+    assert!(dir.join(format!("{}.quarantined", key.file_name())).exists());
+    assert_eq!(store.stats().corrupt, 1);
+    drop(store);
+
+    // Warm start: the reopened store addresses the file, and the
+    // files()/load_path walk quarantines it.
+    std::fs::remove_file(dir.join(format!("{}.quarantined", key.file_name()))).unwrap();
+    write_v1();
+    let store = open();
+    assert_eq!(store.stats().files, 1);
+    for file in store.files() {
+        match store.load_path(&file) {
+            Err(StoreError::Corrupt(why)) => assert_eq!(why, "format version mismatch"),
+            other => panic!("expected a version mismatch, got {other:?}"),
+        }
+    }
+    let stats = store.stats();
+    assert_eq!((stats.corrupt, stats.files), (1, 0));
+    assert!(store.load(&key).unwrap().is_none(), "the key now misses");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A run-graph image rewritten by the container's own writer, with its
+/// first edge target replaced by `target`: every checksum is valid.
+/// Sections 1–6 are key, metadata, labels, row offsets, edge targets
+/// (a `u32` count, then the targets) and edge labels.
+fn with_first_edge_target(image: &[u8], target: u32) -> Vec<u8> {
+    let sections = Sections::parse(image).unwrap();
+    let mut writer = SectionWriter::new();
+    for tag in 1..=6 {
+        let mut payload = sections.get(tag).unwrap().to_vec();
+        if tag == 5 {
+            payload[4..8].copy_from_slice(&target.to_le_bytes());
+        }
+        writer.section(tag, payload);
+    }
+    writer.finish(sections.kind, sections.digest)
+}
+
+/// A file from a buggy writer — every checksum valid, an edge target
+/// beyond the state count — is rejected by the structural validation of
+/// `CompiledRunGraph::from_parts`: quarantined and counted in
+/// `tm_store_corrupt_total`, never loaded.
+#[test]
+fn checksum_valid_out_of_range_targets_are_quarantined() {
+    let dir = scratch_dir("bad-target");
+    let registry = tm_obs::Registry::new();
+    let store = ArtifactStore::open(StoreConfig {
+        dir: dir.clone(),
+        ..StoreConfig::default()
+    }, StoreCounters::register(&registry))
+    .unwrap();
+    let key = StoreKey::run_graph("dstm", 2, 2);
+    store.save(&key, &sample_artifact(0)).unwrap();
+    let path = dir.join(key.file_name());
+    // The sample graph has 2 states.
+    let image = with_first_edge_target(&std::fs::read(&path).unwrap(), 2);
+    std::fs::write(&path, image).unwrap();
+
+    match store.load(&key) {
+        Err(StoreError::Corrupt(why)) => assert_eq!(why, "edge target out of range"),
+        other => panic!("expected corrupt, got {other:?}"),
+    }
+    assert!(!path.exists(), "the file must leave the namespace");
+    assert!(dir.join(format!("{}.quarantined", key.file_name())).exists());
+    assert_eq!(store.stats().corrupt, 1);
+    assert!(
+        registry.render_prometheus().contains("\ntm_store_corrupt_total 1\n"),
+        "{}",
+        registry.render_prometheus()
+    );
+    assert!(store.load(&key).unwrap().is_none(), "the key now misses");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -27,14 +27,15 @@ fn sample_artifact() -> Artifact {
         action: Action::Complete(ExtCommand::Base(Command::Read(v0))),
     }];
     Artifact::RunGraph(RunGraphArtifact {
-        graph: CompiledRunGraph::from_parts(RunGraphParts {
-            labels,
-            row_start: vec![0, 1],
-            edge_from: vec![0],
-            edge_target: vec![0],
-            edge_label: vec![0],
-            edge_mask: vec![1],
-        })
+        graph: CompiledRunGraph::from_parts(
+            RunGraphParts {
+                labels,
+                row_start: vec![0, 1],
+                edge_target: vec![0],
+                edge_label: vec![0],
+            },
+            |label| label.class(),
+        )
         .unwrap(),
         states: 1,
         build_ns: 1,
