@@ -47,7 +47,7 @@ use tm_bench::{
     liveness_property_tag, liveness_roster, table2_cases, table2_roster, table3_check_session,
     table3_names, MAX_STATES,
 };
-use tm_checker::{Table, Verifier};
+use tm_checker::{Artifact, ArtifactKey, Table, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty, Statement};
 use tm_spec::{spec_alphabet, DetSpec, NondetSpec};
 
@@ -152,7 +152,7 @@ fn main() {
     let mut session21 = Verifier::new(2, 1);
     table3(&mut session21);
     assert_eq!(
-        session21.run_graph_builds(),
+        session21.builds(),
         4,
         "Table 3 must build each of its four run graphs exactly once"
     );
@@ -166,7 +166,7 @@ fn main() {
     let (liveness_cases, liveness_speedup, liveness_phases, liveness_total) =
         bench_liveness_baseline(&mut session21);
     assert_eq!(
-        session21.run_graph_builds(),
+        session21.builds(),
         12,
         "the (2,1) session must build each roster run graph exactly once"
     );
@@ -242,7 +242,7 @@ fn table2(specs: &[(SafetyProperty, Dfa<Statement>)]) {
         println!("{table}");
     }
     assert_eq!(
-        verifier.spec_builds(),
+        verifier.builds(),
         SafetyProperty::all().len(),
         "Table 2 must build each specification exactly once"
     );
@@ -819,7 +819,8 @@ fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<String>, f64, Vec<St
         // already did), so the timed queries measure pure search.
         let _ = case.check_session(verifier, LivenessProperty::ObstructionFreedom);
         let build = verifier
-            .run_graph_build_time(&case.name)
+            .artifact(&ArtifactKey::run_graph(case.name.as_str(), 2, 1))
+            .map(Artifact::build_time)
             .expect("graph cached by the priming query");
         // Count every graph's one-time build — including the four that
         // Table 3 already paid — so the aggregate speedup is honest.
@@ -913,7 +914,8 @@ fn bench_liveness_session(sizes: &[(usize, usize)]) -> Vec<String> {
                 verdicts.push(yn(verdict.holds()));
             }
             let build = verifier
-                .run_graph_build_time(&case.name)
+                .artifact(&ArtifactKey::run_graph(case.name.as_str(), n, k))
+                .map(Artifact::build_time)
                 .expect("graph cached by the first query");
             let session = build + searches;
             let oneshot_est = build * 3 + searches;
@@ -950,7 +952,7 @@ fn bench_liveness_session(sizes: &[(usize, usize)]) -> Vec<String> {
             ));
         }
         assert_eq!(
-            verifier.run_graph_builds(),
+            verifier.builds(),
             roster_len,
             "the ({n},{k}) session must build each roster run graph exactly once"
         );

@@ -279,7 +279,7 @@ mod tests {
             let one_shot = case.check(property, 1);
             assert_eq!(session.holds(), one_shot.holds(), "{property}");
         }
-        assert_eq!(verifier.run_graph_builds(), 1);
+        assert_eq!(verifier.builds(), 1);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use liveness::{check_liveness_reference, LivenessOutcome, LivenessVerdict, R
 pub use reduction::ReductionEvidence;
 pub use report::{liveness_table, safety_table, QueryStats, Table, Verdict, VerdictOutcome};
 pub use safety::{SafetyOutcome, SafetyVerdict, DEFAULT_MAX_STATES};
-pub use session::Verifier;
+pub use session::{Artifact, ArtifactKey, ArtifactKind, Verifier};
 pub use tm_automata::{CancelToken, EngineError, QueryBudget};
 pub use structural::{
     check_all_structural, check_structural, StructuralProperty, StructuralReport,

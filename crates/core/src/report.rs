@@ -33,9 +33,8 @@ pub struct QueryStats {
     /// earlier query of the same session.
     pub artifact_cached: bool,
     /// How many of the artifacts this query built were *re*builds — an
-    /// artifact of the same key had been built before and evicted via
-    /// [`crate::Verifier::drop_run_graph`] /
-    /// [`crate::Verifier::drop_spec`]. Zero for cache hits and for
+    /// artifact of the same key had been built (or imported) before and
+    /// evicted via [`crate::Verifier::evict`]. Zero for cache hits and for
     /// first-time builds; what a memory-budgeted service reports as its
     /// eviction cost.
     pub rebuilds: usize,

@@ -18,6 +18,14 @@
 //!   reused by every parallel region of every query, replacing the
 //!   per-BFS-level and per-property scoped-thread spawns.
 //!
+//! Both kinds of artifact are one resident [`Artifact`] in one map,
+//! addressed by one [`ArtifactKey`] (kind, `n`, `k`). The same key names
+//! the artifact in the `tm-service` memory budget and in the `tm-store`
+//! files, and the keyed session API — [`Verifier::artifact`],
+//! [`Verifier::import`], [`Verifier::evict`] — is all a service needs to
+//! charge, persist, evict and reload artifacts. [`Verifier::builds`] and
+//! [`Verifier::rebuilds`] count builds of either kind.
+//!
 //! Every query returns a uniform [`Verdict`] carrying [`QueryStats`]
 //! (states explored, build vs. search time, pool size, cache hit).
 //! Verdicts, counterexample words, and lassos are bit-identical at every
@@ -33,6 +41,7 @@
 //! cross-query invariants, a session is safe to keep using after a
 //! panicked query poisoned its mutex.
 
+use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -40,10 +49,10 @@ use tm_algorithms::{MostGeneralRunSource, MostGeneralSource, RunLabel, TmAlgorit
 use tm_automata::{
     check_inclusion_otf_cached, modelcheck_threads, Alphabet, CancelToken, CompiledRunGraph,
     DtsSpecSource, EngineError, Executor, FxHashMap, InclusionResult, QueryBudget, SpecCache,
-    WorkerPool,
+    SpecRows, WorkerPool,
 };
 use tm_lang::{LivenessProperty, SafetyProperty, Statement, Word};
-use tm_spec::{spec_alphabet, DetSpec};
+use tm_spec::{spec_alphabet, DetSpec, DetState};
 
 use crate::liveness::{property_queries, LivenessOutcome, LivenessVerdict, RunLasso};
 use crate::reduction::ReductionEvidence;
@@ -51,29 +60,155 @@ use crate::report::{QueryStats, Verdict, VerdictOutcome};
 use crate::safety::{SafetyOutcome, SafetyVerdict};
 use crate::structural::check_all_structural;
 
-/// A lazily stepped specification with its persistent interned rows (one
-/// per property and instance size): the specification rules
-/// ([`tm_spec::DetSpec`]) are stepped on the fly, so only specification
-/// states some TM actually reaches are ever computed — which is what lets
-/// safety scale past (3, 2), where determinizing the whole specification
-/// up front would dominate every check. The product BFS runs on the
-/// deterministic sequential engine.
-struct LazySpec {
-    cache: SpecCache<DtsSpecSource<DetSpec>>,
-    build_time: Duration,
+/// Which compiled artifact an [`ArtifactKey`] names.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub enum ArtifactKind {
+    /// A TM's compiled run graph, by the TM's full name (with its
+    /// contention-manager suffix, `"dstm+aggressive"`).
+    RunGraph(String),
+    /// The specification artifact of one safety property.
+    Spec(SafetyProperty),
 }
 
-/// The compiled run graph of one TM (keyed by `tm.name()`), answering
-/// every liveness property of the session.
-struct RunGraphArtifact {
-    graph: CompiledRunGraph<RunLabel>,
-    states: usize,
-    build_time: Duration,
+/// The identity of one compiled artifact: its kind at instance size
+/// `(threads, vars)`. The session, the service's memory budget and the
+/// on-disk store all address artifacts by this key.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct ArtifactKey {
+    /// Threads `n`.
+    pub threads: usize,
+    /// Variables `k`.
+    pub vars: usize,
+    /// Which artifact.
+    pub kind: ArtifactKind,
+}
+
+impl ArtifactKey {
+    /// The key of `tm_name`'s run graph at `(threads, vars)`.
+    pub fn run_graph(tm_name: impl Into<String>, threads: usize, vars: usize) -> Self {
+        ArtifactKey {
+            threads,
+            vars,
+            kind: ArtifactKind::RunGraph(tm_name.into()),
+        }
+    }
+
+    /// The key of `property`'s specification at `(threads, vars)`.
+    pub fn spec(property: SafetyProperty, threads: usize, vars: usize) -> Self {
+        ArtifactKey {
+            threads,
+            vars,
+            kind: ArtifactKind::Spec(property),
+        }
+    }
+}
+
+impl fmt::Display for ArtifactKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (n, k) = (self.threads, self.vars);
+        match &self.kind {
+            ArtifactKind::RunGraph(name) => write!(f, "({n},{k})/run-graph/{name}"),
+            ArtifactKind::Spec(property) => {
+                write!(f, "({n},{k})/spec/{}", property.short_name())
+            }
+        }
+    }
+}
+
+/// A resident compiled artifact with its build metadata.
+pub enum Artifact {
+    /// A TM's compiled run graph, answering every liveness property.
+    RunGraph {
+        /// The graph.
+        graph: CompiledRunGraph<RunLabel>,
+        /// States explored by the build.
+        states: usize,
+        /// Wall time of the original build.
+        build_time: Duration,
+    },
+    /// A lazily stepped specification with its persistent interned rows:
+    /// the specification rules ([`tm_spec::DetSpec`]) are stepped on the
+    /// fly, so only specification states some TM actually reaches are
+    /// ever computed — which is what lets safety scale past (3, 2),
+    /// where determinizing the whole specification up front would
+    /// dominate every check. Shared by every TM checked against the
+    /// property.
+    Spec {
+        /// The interned rows over the specification source.
+        cache: SpecCache<DtsSpecSource<DetSpec>>,
+        /// Wall time of the original build.
+        build_time: Duration,
+    },
+}
+
+impl Artifact {
+    /// Reassembles the specification artifact of `(property, threads,
+    /// vars)` from stored interned rows, validated by
+    /// [`SpecCache::from_parts`] against a freshly built specification
+    /// source (initial state, row widths, id ranges). The rows are a pure
+    /// memo of the deterministic specification, so an artifact that
+    /// passes can change timing, never verdicts.
+    ///
+    /// # Errors
+    ///
+    /// A static description of the first validation failure, including
+    /// an instance size the specification does not support.
+    pub fn spec_from_parts(
+        property: SafetyProperty,
+        threads: usize,
+        vars: usize,
+        states: Vec<DetState>,
+        rows: SpecRows,
+        build_time: Duration,
+    ) -> Result<Artifact, &'static str> {
+        // The sizes `DetSpec::new` asserts: the key comes from disk.
+        if !(1..=tm_spec::MAX_THREADS).contains(&threads) || !(1..=16).contains(&vars) {
+            return Err("specification instance size out of range");
+        }
+        let cache = SpecCache::from_parts(spec_source(property, threads, vars), states, rows)?;
+        Ok(Artifact::Spec { cache, build_time })
+    }
+
+    /// Estimated heap footprint in bytes
+    /// ([`CompiledRunGraph::heap_bytes`] / [`SpecCache::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Artifact::RunGraph { graph, .. } => graph.heap_bytes(),
+            Artifact::Spec { cache, .. } => cache.heap_bytes(),
+        }
+    }
+
+    /// Wall time of the original build.
+    pub fn build_time(&self) -> Duration {
+        match self {
+            Artifact::RunGraph { build_time, .. } | Artifact::Spec { build_time, .. } => {
+                *build_time
+            }
+        }
+    }
+}
+
+impl fmt::Debug for Artifact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = match self {
+            Artifact::RunGraph { .. } => "RunGraph",
+            Artifact::Spec { .. } => "Spec",
+        };
+        f.debug_struct(kind)
+            .field("heap_bytes", &self.heap_bytes())
+            .field("build_time", &self.build_time())
+            .finish()
+    }
+}
+
+/// The lazily stepped specification source of `(property, n, k)`.
+fn spec_source(property: SafetyProperty, n: usize, k: usize) -> DtsSpecSource<DetSpec> {
+    DtsSpecSource::new(DetSpec::new(property, n, k), spec_alphabet(n, k))
 }
 
 /// A verification session for one instance size `(n, k)`: the single
 /// entry point of the crate, owning the persistent worker pool and the
-/// per-property / per-TM artifact caches (see the module docs).
+/// artifact cache (see the module docs).
 ///
 /// Construction is cheap and lazy: the pool spawns on the first parallel
 /// query, artifacts build on first use. Builder-style setters configure
@@ -94,7 +229,7 @@ struct RunGraphArtifact {
 /// assert!(!verifier.check_liveness(&tm, LivenessProperty::LivelockFreedom).holds());
 /// assert!(!verifier.check_liveness(&tm, LivenessProperty::WaitFreedom).holds());
 /// // The graph was built once and reused by the second and third query.
-/// assert_eq!(verifier.run_graph_builds(), 1);
+/// assert_eq!(verifier.builds(), 1);
 /// ```
 pub struct Verifier {
     threads: usize,
@@ -103,33 +238,28 @@ pub struct Verifier {
     max_states: usize,
     deadline: Option<Duration>,
     cancel: Option<CancelToken>,
-    pool: Option<WorkerPool>,
-    /// A pool owned by someone else (a service multiplexing many
-    /// sessions); takes precedence over the session-owned `pool`.
-    shared_pool: Option<Arc<WorkerPool>>,
-    lazy_specs: FxHashMap<(SafetyProperty, usize, usize), LazySpec>,
-    run_graphs: FxHashMap<String, RunGraphArtifact>,
-    run_graph_builds: usize,
-    spec_builds: usize,
-    run_graph_rebuilds: usize,
-    spec_rebuilds: usize,
-    /// Total builds ever per TM name — survives eviction, so a build
-    /// after [`Verifier::drop_run_graph`] is recognized as a rebuild.
-    run_graph_history: FxHashMap<String, usize>,
-    /// Total builds ever per (property, n, k) — the eviction counterpart
-    /// for specification artifacts.
-    spec_history: FxHashMap<(SafetyProperty, usize, usize), usize>,
+    /// The pool parallel regions run on: spawned by the session on the
+    /// first parallel query, or owned by someone else (a service
+    /// multiplexing many sessions) and attached by
+    /// [`Verifier::shared_pool`].
+    pool: Option<Arc<WorkerPool>>,
+    artifacts: FxHashMap<ArtifactKey, Artifact>,
+    /// Builds and imports ever per key — survives eviction, so a build
+    /// after [`Verifier::evict`] is recognized as a rebuild.
+    history: FxHashMap<ArtifactKey, usize>,
+    builds: usize,
+    rebuilds: usize,
 }
 
-impl std::fmt::Debug for Verifier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Verifier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Verifier")
             .field("threads", &self.threads)
             .field("vars", &self.vars)
             .field("pool_size", &self.pool_size)
             .field("max_states", &self.max_states)
-            .field("run_graph_builds", &self.run_graph_builds)
-            .field("spec_builds", &self.spec_builds)
+            .field("builds", &self.builds)
+            .field("rebuilds", &self.rebuilds)
             .finish()
     }
 }
@@ -150,15 +280,10 @@ impl Verifier {
             deadline: None,
             cancel: None,
             pool: None,
-            shared_pool: None,
-            lazy_specs: FxHashMap::default(),
-            run_graphs: FxHashMap::default(),
-            run_graph_builds: 0,
-            spec_builds: 0,
-            run_graph_rebuilds: 0,
-            spec_rebuilds: 0,
-            run_graph_history: FxHashMap::default(),
-            spec_history: FxHashMap::default(),
+            artifacts: FxHashMap::default(),
+            history: FxHashMap::default(),
+            builds: 0,
+            rebuilds: 0,
         }
     }
 
@@ -171,7 +296,6 @@ impl Verifier {
         if size != self.pool_size {
             self.pool_size = size;
             self.pool = None;
-            self.shared_pool = None;
         }
         self
     }
@@ -183,8 +307,7 @@ impl Verifier {
     /// pool size becomes the shared pool's.
     pub fn shared_pool(mut self, pool: Arc<WorkerPool>) -> Self {
         self.pool_size = pool.size();
-        self.pool = None;
-        self.shared_pool = Some(pool);
+        self.pool = Some(pool);
         self
     }
 
@@ -217,26 +340,6 @@ impl Verifier {
         self
     }
 
-    /// [`Verifier::max_states`] for an already-shared session: the
-    /// consuming builder setters cannot reconfigure a `Verifier` living
-    /// inside an `Arc<Mutex<_>>`, so the reconfigurable limits also have
-    /// `&mut self` forms usable through a lock guard.
-    pub fn set_max_states(&mut self, max_states: usize) {
-        self.max_states = max_states;
-    }
-
-    /// [`Verifier::deadline`] in `&mut self` form (see
-    /// [`Verifier::set_max_states`]); `None` clears the deadline.
-    pub fn set_deadline(&mut self, deadline: Option<Duration>) {
-        self.deadline = deadline;
-    }
-
-    /// [`Verifier::cancel_token`] in `&mut self` form (see
-    /// [`Verifier::set_max_states`]); `None` detaches the token.
-    pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
     /// The budget one query runs under: the session's state bound, plus
     /// the optional deadline (counted from *now* — each query gets the
     /// full window) and cancellation token.
@@ -251,104 +354,49 @@ impl Verifier {
         budget
     }
 
-    /// Number of threads of the session's instance size.
-    pub fn instance_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Number of variables of the session's instance size.
-    pub fn instance_vars(&self) -> usize {
-        self.vars
-    }
-
     /// The configured worker-pool size.
     pub fn configured_pool_size(&self) -> usize {
         self.pool_size
     }
 
-    /// How many run graphs this session has compiled so far — one per
-    /// distinct TM with at least one liveness query, never more (the
-    /// build-once counter the `tables` bin asserts on).
-    pub fn run_graph_builds(&self) -> usize {
-        self.run_graph_builds
+    /// How many artifacts this session has built so far — at most one
+    /// run graph per TM and one specification per (property, instance
+    /// size) queried, unless evicted in between. Imports are not builds.
+    pub fn builds(&self) -> usize {
+        self.builds
     }
 
-    /// How many specification artifacts this session has built so far —
-    /// at most one per (property, instance size) queried.
-    pub fn spec_builds(&self) -> usize {
-        self.spec_builds
+    /// How many of [`Verifier::builds`] were *re*builds of an artifact
+    /// the session had built or imported before an [`Verifier::evict`].
+    pub fn rebuilds(&self) -> usize {
+        self.rebuilds
     }
 
-    /// The recorded build time of `tm_name`'s cached run graph, if this
-    /// session has compiled one — however early in the session that
-    /// happened (what the bench suite reports as the amortized
-    /// per-TM build cost).
-    pub fn run_graph_build_time(&self, tm_name: &str) -> Option<Duration> {
-        self.run_graphs.get(tm_name).map(|artifact| artifact.build_time)
-    }
-
-    /// Spawns the pool if a parallel query needs it (a shared pool is
-    /// never spawned here — the owner did).
+    /// Spawns the pool if a parallel query needs one and none is
+    /// attached.
     fn ensure_pool(&mut self) {
-        if self.shared_pool.is_none() && self.pool_size > 1 && self.pool.is_none() {
-            self.pool = Some(WorkerPool::new(self.pool_size));
+        if self.pool_size > 1 && self.pool.is_none() {
+            self.pool = Some(Arc::new(WorkerPool::new(self.pool_size)));
         }
     }
 
-    /// The executor parallel regions run on: the shared pool if one is
-    /// attached, else the session-owned pool, else sequential.
+    /// The executor parallel regions run on: the pool if it has more
+    /// than one worker, else sequential.
     fn executor(&self) -> Executor<'_> {
-        if let Some(pool) = self.shared_pool.as_deref() {
-            if pool.size() > 1 {
-                return Executor::Pool(pool);
-            }
-            return Executor::Sequential;
-        }
-        match self.pool.as_ref() {
-            Some(pool) => Executor::Pool(pool),
-            None => Executor::Sequential,
+        match self.pool.as_deref() {
+            Some(pool) if pool.size() > 1 => Executor::Pool(pool),
+            _ => Executor::Sequential,
         }
     }
 
-    /// Evicts the cached compiled run graph of `tm_name`, returning
-    /// whether one was cached. The next liveness query for that TM
-    /// transparently rebuilds it — and reports the build in
-    /// [`QueryStats::rebuilds`] and [`Verifier::run_graph_rebuilds`].
-    /// Verdicts and lassos are unaffected by eviction (the build is
-    /// deterministic); only time and memory are.
-    pub fn drop_run_graph(&mut self, tm_name: &str) -> bool {
-        self.run_graphs.remove(tm_name).is_some()
+    /// The cached artifact under `key`, if any — what a service charges
+    /// to its memory budget and persists to disk.
+    pub fn artifact(&self, key: &ArtifactKey) -> Option<&Artifact> {
+        self.artifacts.get(key)
     }
 
-    /// Evicts every cached specification artifact for `property`, at
-    /// every instance size this session has touched, returning whether
-    /// any was cached. The next safety query against the property
-    /// transparently rebuilds (and reports a rebuild, as with
-    /// [`Verifier::drop_run_graph`]).
-    pub fn drop_spec(&mut self, property: SafetyProperty) -> bool {
-        let before = self.lazy_specs.len();
-        self.lazy_specs.retain(|key, _| key.0 != property);
-        before != self.lazy_specs.len()
-    }
-
-    /// Exports the cached compiled run graph of `tm_name` for
-    /// persistence: the graph (cloned), the states-explored figure, and
-    /// the original build time. `None` when nothing is cached. Pairs
-    /// with [`Verifier::import_run_graph`]; a service *demotes* an
-    /// artifact by exporting it to disk and then calling
-    /// [`Verifier::drop_run_graph`].
-    pub fn export_run_graph(
-        &self,
-        tm_name: &str,
-    ) -> Option<(CompiledRunGraph<RunLabel>, usize, Duration)> {
-        self.run_graphs
-            .get(tm_name)
-            .map(|artifact| (artifact.graph.clone(), artifact.states, artifact.build_time))
-    }
-
-    /// Installs a previously exported (or freshly loaded-from-disk)
-    /// compiled run graph as `tm_name`'s cached artifact, replacing any
-    /// cached one.
+    /// Installs `artifact` as the cached artifact under `key`, replacing
+    /// any cached one.
     ///
     /// Importing is **neither a build nor a rebuild** — the build
     /// counters and [`QueryStats::rebuilds`] are untouched, so a
@@ -356,132 +404,51 @@ impl Verifier {
     /// *history* is marked, so a later eviction followed by an actual
     /// build still counts as a rebuild.
     ///
-    /// The graph must come from [`Verifier::export_run_graph`] or a
-    /// verified store load: builds are deterministic, so an imported
-    /// artifact answers queries bit-identically to a rebuilt one.
-    pub fn import_run_graph(
-        &mut self,
-        tm_name: &str,
-        graph: CompiledRunGraph<RunLabel>,
-        states: usize,
-        build_time: Duration,
-    ) {
-        self.run_graphs.insert(
-            tm_name.to_owned(),
-            RunGraphArtifact {
-                graph,
-                states,
-                build_time,
-            },
+    /// The artifact must come from this key's build or a verified store
+    /// load: builds are deterministic, so an imported artifact answers
+    /// queries bit-identically to a rebuilt one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the artifact's kind disagrees with the key's.
+    pub fn import(&mut self, key: ArtifactKey, artifact: Artifact) {
+        assert!(
+            matches!(
+                (&key.kind, &artifact),
+                (ArtifactKind::RunGraph(_), Artifact::RunGraph { .. })
+                    | (ArtifactKind::Spec(_), Artifact::Spec { .. })
+            ),
+            "artifact kind disagrees with its key {key}"
         );
-        *self
-            .run_graph_history
-            .entry(tm_name.to_owned())
-            .or_insert(0) += 1;
+        *self.history.entry(key.clone()).or_insert(0) += 1;
+        self.artifacts.insert(key, artifact);
     }
 
-    /// Exports the interned rows of the cached lazy specification for
-    /// `(property, n, k)`: the interned states, the computed successor
-    /// rows, and the original build time. `None` when nothing is cached.
-    /// Pairs with
-    /// [`Verifier::import_lazy_spec`].
-    #[allow(clippy::type_complexity)]
-    pub fn export_lazy_spec(
-        &self,
-        property: SafetyProperty,
-        n: usize,
-        k: usize,
-    ) -> Option<(Vec<tm_spec::DetState>, Vec<Option<Box<[u32]>>>, Duration)> {
-        self.lazy_specs.get(&(property, n, k)).map(|artifact| {
-            let (states, rows) = artifact.cache.to_parts();
-            (states, rows, artifact.build_time)
-        })
+    /// Evicts the cached artifact under `key`, returning whether one was
+    /// cached. The next query that needs it transparently rebuilds it —
+    /// and reports the build in [`QueryStats::rebuilds`] and
+    /// [`Verifier::rebuilds`]. Verdicts, words and lassos are unaffected
+    /// by eviction (builds are deterministic); only time and memory are.
+    pub fn evict(&mut self, key: &ArtifactKey) -> bool {
+        self.artifacts.remove(key).is_some()
     }
 
-    /// Installs previously exported lazy-specification rows for
-    /// `(property, n, k)`, validating them against a freshly
-    /// constructed specification source (initial state, row widths, id
-    /// ranges). Like [`Verifier::import_run_graph`], this is neither a
-    /// build nor a rebuild, but it marks the build history.
-    ///
-    /// The interned rows are a pure memo of the deterministic
-    /// specification semantics — ids are dense renames in discovery
-    /// order, and any state the memo lacks is stepped on demand — so an
-    /// import can change timing, never verdicts.
-    ///
-    /// # Errors
-    ///
-    /// A static description of the first validation failure; the
-    /// session is left unchanged.
-    pub fn import_lazy_spec(
-        &mut self,
-        property: SafetyProperty,
-        n: usize,
-        k: usize,
-        states: Vec<tm_spec::DetState>,
-        rows: Vec<Option<Box<[u32]>>>,
-        build_time: Duration,
-    ) -> Result<(), &'static str> {
-        let source = DtsSpecSource::new(DetSpec::new(property, n, k), spec_alphabet(n, k));
-        let cache = SpecCache::from_parts(source, states, rows)?;
-        self.lazy_specs
-            .insert((property, n, k), LazySpec { cache, build_time });
-        *self.spec_history.entry((property, n, k)).or_insert(0) += 1;
-        Ok(())
-    }
-
-    /// How many run-graph builds were *re*builds after a
-    /// [`Verifier::drop_run_graph`] eviction.
-    pub fn run_graph_rebuilds(&self) -> usize {
-        self.run_graph_rebuilds
-    }
-
-    /// How many specification builds were *re*builds after a
-    /// [`Verifier::drop_spec`] eviction.
-    pub fn spec_rebuilds(&self) -> usize {
-        self.spec_rebuilds
-    }
-
-    /// Estimated heap footprint of `tm_name`'s cached run graph (the
-    /// [`tm_automata::CompiledRunGraph::heap_bytes`] figure), if one is
-    /// cached.
-    pub fn run_graph_heap_bytes(&self, tm_name: &str) -> Option<usize> {
-        self.run_graphs.get(tm_name).map(|artifact| artifact.graph.heap_bytes())
-    }
-
-    /// Estimated heap footprint of every cached specification artifact
-    /// for `property` (summed over instance sizes), or `None` if none is
-    /// cached.
-    pub fn spec_heap_bytes(&self, property: SafetyProperty) -> Option<usize> {
-        let mut bytes = 0;
-        let mut any = false;
-        for (key, artifact) in &self.lazy_specs {
-            if key.0 == property {
-                bytes += artifact.cache.heap_bytes();
-                any = true;
-            }
-        }
-        any.then_some(bytes)
-    }
-
-    /// Estimated heap footprint of every cached artifact of the session
-    /// (run graphs plus specifications).
+    /// Estimated heap footprint of every cached artifact of the session.
     pub fn artifact_heap_bytes(&self) -> usize {
-        let graphs: usize = self
-            .run_graphs
-            .values()
-            .map(|artifact| artifact.graph.heap_bytes())
-            .sum();
-        let specs: usize = self.lazy_specs.values().map(|a| a.cache.heap_bytes()).sum();
-        graphs + specs
+        self.artifacts.values().map(Artifact::heap_bytes).sum()
     }
 
-    /// Names of the TMs whose run graphs are currently cached, sorted
-    /// (the hash map's own order is not deterministic).
-    pub fn cached_run_graphs(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.run_graphs.keys().cloned().collect();
-        names.sort();
-        names
+    /// Caches a freshly built artifact under `key` and counts the build,
+    /// returning 1 when it was a rebuild (the key had been built or
+    /// imported before) and 0 on first build.
+    fn record_build(&mut self, key: ArtifactKey, artifact: Artifact) -> usize {
+        let seen = self.history.entry(key.clone()).or_insert(0);
+        *seen += 1;
+        let rebuilt = usize::from(*seen > 1);
+        self.artifacts.insert(key, artifact);
+        self.builds += 1;
+        self.rebuilds += rebuilt;
+        rebuilt
     }
 
     /// Checks a safety property of `tm` on the most general program,
@@ -516,34 +483,21 @@ impl Verifier {
         A::State: Send + Sync,
     {
         let total = Instant::now();
-        let (n, k) = (tm.threads(), tm.vars());
-        let key = (property, n, k);
+        let key = ArtifactKey::spec(property, tm.threads(), tm.vars());
         let budget = self.query_budget();
-        let cached = self.lazy_specs.contains_key(&key);
+        let cached = self.artifacts.contains_key(&key);
         let mut rebuilds = 0;
         if !cached {
             let build = Instant::now();
-            let spec = DetSpec::new(property, n, k);
-            let source = DtsSpecSource::new(spec, spec_alphabet(n, k));
-            self.lazy_specs.insert(
-                key,
-                LazySpec {
-                    cache: SpecCache::new(source),
-                    build_time: build.elapsed(),
-                },
-            );
-            rebuilds = self.record_spec_build(property, n, k);
+            let cache = SpecCache::new(spec_source(property, key.threads, key.vars));
+            let build_time = build.elapsed();
+            rebuilds = self.record_build(key.clone(), Artifact::Spec { cache, build_time });
         }
-        let artifact = self.lazy_specs.get_mut(&key).expect("just ensured");
-        let build_time = if cached {
-            Duration::ZERO
-        } else {
-            artifact.build_time
+        let Some(Artifact::Spec { cache, build_time }) = self.artifacts.get_mut(&key) else {
+            unreachable!("a spec key holds a spec artifact");
         };
-        let source = MostGeneralSource::new(
-            tm,
-            Alphabet::from_letters(artifact.cache.source().letters()),
-        );
+        let build_time = if cached { Duration::ZERO } else { *build_time };
+        let source = MostGeneralSource::new(tm, Alphabet::from_letters(cache.source().letters()));
         let search = Instant::now();
         let stats = |states_explored, search_time| QueryStats {
             states_explored,
@@ -554,7 +508,7 @@ impl Verifier {
             rebuilds,
             ..QueryStats::default()
         };
-        let checked = check_inclusion_otf_cached(&source, &mut artifact.cache, &budget);
+        let checked = check_inclusion_otf_cached(&source, cache, &budget);
         let (result, otf) = match checked {
             Ok(pair) => pair,
             Err(error) => return abort_verdict(error, stats(0, search.elapsed())),
@@ -565,7 +519,7 @@ impl Verifier {
             property,
             result,
             otf.impl_states,
-            artifact.cache.touched(),
+            cache.touched(),
             search_time,
             total.elapsed(),
         );
@@ -573,16 +527,6 @@ impl Verifier {
             stats: stats(verdict.product_states, search_time),
             outcome: VerdictOutcome::Safety(verdict),
         }
-    }
-
-    /// Records a specification build in the counters, returning 1 when it
-    /// was a rebuild (the artifact existed before a
-    /// [`Verifier::drop_spec`]) and 0 on first build.
-    fn record_spec_build(&mut self, property: SafetyProperty, n: usize, k: usize) -> usize {
-        self.spec_builds += 1;
-        let rebuilt = bump_build_history(self.spec_history.entry((property, n, k)).or_insert(0));
-        self.spec_rebuilds += rebuilt;
-        rebuilt
     }
 
     /// Checks a liveness property of `tm` (× its contention manager) on
@@ -617,8 +561,9 @@ impl Verifier {
     ) -> Verdict {
         let total = Instant::now();
         let budget = self.query_budget();
-        let key = tm.name();
-        let cached = self.run_graphs.contains_key(&key);
+        let tm_name = tm.name();
+        let key = ArtifactKey::run_graph(tm_name.clone(), self.threads, self.vars);
+        let cached = self.artifacts.contains_key(&key);
         let mut rebuilds = 0;
         if !cached {
             let build = Instant::now();
@@ -640,24 +585,27 @@ impl Verifier {
                     );
                 }
             };
-            self.run_graphs.insert(
-                key.clone(),
-                RunGraphArtifact {
-                    graph,
-                    states: states.len(),
-                    build_time: build.elapsed(),
-                },
-            );
-            self.run_graph_builds += 1;
-            rebuilds = bump_build_history(self.run_graph_history.entry(key.clone()).or_insert(0));
-            self.run_graph_rebuilds += rebuilds;
+            let artifact = Artifact::RunGraph {
+                graph,
+                states: states.len(),
+                build_time: build.elapsed(),
+            };
+            rebuilds = self.record_build(key.clone(), artifact);
         }
         self.ensure_pool();
         let queries = property_queries(self.threads, property);
-        let artifact = &self.run_graphs[&key];
+        let Some(Artifact::RunGraph {
+            graph,
+            states,
+            build_time,
+        }) = self.artifacts.get(&key)
+        else {
+            unreachable!("a run-graph key holds a run graph");
+        };
+        let (states, build_time) = (*states, if cached { Duration::ZERO } else { *build_time });
         let executor = self.executor();
         let search = Instant::now();
-        let outcome = match artifact.graph.find_first_loop(&queries, &executor, &budget) {
+        let outcome = match graph.find_first_loop(&queries, &executor, &budget) {
             Ok(Some((_, lasso))) => LivenessOutcome::Violation(RunLasso {
                 prefix: lasso.prefix,
                 cycle: lasso.cycle,
@@ -667,8 +615,8 @@ impl Verifier {
                 return abort_verdict(
                     error,
                     QueryStats {
-                        states_explored: artifact.states,
-                        build_time: if cached { Duration::ZERO } else { artifact.build_time },
+                        states_explored: states,
+                        build_time,
                         search_time: search.elapsed(),
                         pool_size: executor.threads(),
                         artifact_cached: cached,
@@ -680,17 +628,17 @@ impl Verifier {
         };
         let search_time = search.elapsed();
         let verdict = LivenessVerdict {
-            tm_name: key,
+            tm_name,
             property,
-            tm_states: artifact.states,
+            tm_states: states,
             total_time: total.elapsed(),
             outcome,
         };
         Verdict {
             outcome: VerdictOutcome::Liveness(verdict),
             stats: QueryStats {
-                states_explored: artifact.states,
-                build_time: if cached { Duration::ZERO } else { artifact.build_time },
+                states_explored: states,
+                build_time,
                 search_time,
                 pool_size: executor.threads(),
                 artifact_cached: cached,
@@ -841,15 +789,6 @@ fn abort_verdict(error: EngineError, stats: QueryStats) -> Verdict {
     }
 }
 
-/// Bumps a per-artifact build-history entry, returning 1 when the build
-/// was a *re*build (the artifact had been built — and evicted — before)
-/// and 0 on first build. The one place the rebuild-counting rule lives,
-/// shared by the spec and run-graph paths.
-fn bump_build_history(seen: &mut usize) -> usize {
-    *seen += 1;
-    usize::from(*seen > 1)
-}
-
 /// Builds a [`SafetyVerdict`] from an inclusion result, re-checking any
 /// counterexample against the definition-level oracle (debug builds).
 fn assemble_safety(
@@ -898,17 +837,17 @@ mod tests {
         assert!(verifier
             .check_safety(&SequentialTm::new(2, 2), SafetyProperty::Opacity)
             .holds());
-        assert_eq!(verifier.spec_builds(), 1);
+        assert_eq!(verifier.builds(), 1);
         let second = verifier.check_safety(&TwoPhaseTm::new(2, 2), SafetyProperty::Opacity);
         assert!(second.holds());
         assert!(second.stats.artifact_cached);
         assert_eq!(second.stats.build_time, Duration::ZERO);
-        assert_eq!(verifier.spec_builds(), 1);
+        assert_eq!(verifier.builds(), 1);
         // A different property is a different artifact.
         let other = verifier
             .check_safety(&SequentialTm::new(2, 2), SafetyProperty::StrictSerializability);
         assert!(!other.stats.artifact_cached);
-        assert_eq!(verifier.spec_builds(), 2);
+        assert_eq!(verifier.builds(), 2);
     }
 
     #[test]
@@ -925,13 +864,13 @@ mod tests {
             assert_eq!(verdict.stats.build_time, Duration::ZERO);
             assert_eq!(verdict.stats.pool_size, 4);
         }
-        assert_eq!(verifier.run_graph_builds(), 1);
+        assert_eq!(verifier.builds(), 1);
         // A different TM builds its own graph.
         let other = TwoPhaseTm::new(2, 1);
         assert!(!verifier
             .check_liveness(&other, LivenessProperty::ObstructionFreedom)
             .holds());
-        assert_eq!(verifier.run_graph_builds(), 2);
+        assert_eq!(verifier.builds(), 2);
     }
 
     #[test]
@@ -947,7 +886,7 @@ mod tests {
         let evidence = verdict.as_reduction().unwrap();
         assert_eq!(evidence.spot_checks.len(), 2);
         // Base (2,2) + spots (2,1), (3,1): three spec artifacts.
-        assert_eq!(verifier.spec_builds(), 3);
+        assert_eq!(verifier.builds(), 3);
         // A second run over the same family answers from cache.
         let again = verifier.verify_with_reduction(
             SequentialTm::new,
@@ -957,7 +896,7 @@ mod tests {
         );
         assert!(again.holds());
         assert!(again.stats.artifact_cached);
-        assert_eq!(verifier.spec_builds(), 3);
+        assert_eq!(verifier.builds(), 3);
     }
 
     #[test]

@@ -122,5 +122,5 @@ pub use nfa::{Nfa, StateId};
 pub use pool::{Executor, TaskScope, WorkerPool};
 pub use product::{
     check_inclusion_otf, check_inclusion_otf_cached, DtsSpecSource, NfaSource, OtfStats,
-    SpecCache, SpecSource, SuccessorSource,
+    SpecCache, SpecRows, SpecSource, SuccessorSource,
 };

@@ -264,7 +264,7 @@ pub struct CompiledRunGraph<L> {
 }
 
 /// The raw CSR arrays of a [`CompiledRunGraph`]
-/// ([`CompiledRunGraph::to_parts`] / [`CompiledRunGraph::from_parts`]):
+/// ([`CompiledRunGraph::parts`] / [`CompiledRunGraph::from_parts`]):
 /// the serialization form used by the on-disk artifact store. Field
 /// meanings match the private fields of [`CompiledRunGraph`]; the label
 /// masks are not part of it, since they follow from the labels.
@@ -444,22 +444,20 @@ impl<L> CompiledRunGraph<L> {
         })
     }
 
-    /// Clones the raw CSR arrays out of the graph — the serialization
-    /// form used by the on-disk artifact store (`tm-store`).
-    pub fn to_parts(&self) -> RunGraphParts<L>
-    where
-        L: Clone,
-    {
-        RunGraphParts {
-            labels: self.labels.clone(),
-            row_start: self.row_start.clone(),
-            edge_target: self.edge_target.clone(),
-            edge_label: self.edge_label.clone(),
-        }
+    /// Borrows the raw CSR arrays — the fields of [`RunGraphParts`], in
+    /// order: labels, row offsets, edge targets, edge label ids. This is
+    /// what the on-disk artifact store (`tm-store`) encodes.
+    pub fn parts(&self) -> (&[L], &[u32], &[u32], &[u16]) {
+        (
+            &self.labels,
+            &self.row_start,
+            &self.edge_target,
+            &self.edge_label,
+        )
     }
 
     /// Reassembles a run graph from raw CSR arrays
-    /// ([`CompiledRunGraph::to_parts`]), verifying every structural
+    /// ([`CompiledRunGraph::parts`]), verifying every structural
     /// invariant [`CompiledRunGraph::build_budget`] establishes before
     /// trusting the data: CSR shape and monotonicity, array lengths, and
     /// id ranges. The label masks are recomputed by `classify`, as the
@@ -1256,9 +1254,20 @@ mod tests {
         assert_eq!(big_graph.num_edges(), 300);
         assert_eq!(big_graph.heap_bytes(), exact_bytes(&big_graph));
         // A loaded graph is charged exactly what the built one is.
-        let loaded = CompiledRunGraph::from_parts(big_graph.to_parts(), |l| big.classify(l)).unwrap();
+        let loaded = CompiledRunGraph::from_parts(owned_parts(&big_graph), |l| big.classify(l)).unwrap();
         assert_eq!(loaded.heap_bytes(), big_graph.heap_bytes());
         assert!(big_graph.heap_bytes() > small_graph.heap_bytes());
+    }
+
+    /// A copy of `graph`'s CSR arrays, for tests that edit them.
+    fn owned_parts(graph: &CompiledRunGraph<TestLabel>) -> RunGraphParts<TestLabel> {
+        let (labels, row_start, edge_target, edge_label) = graph.parts();
+        RunGraphParts {
+            labels: labels.to_vec(),
+            row_start: row_start.to_vec(),
+            edge_target: edge_target.to_vec(),
+            edge_label: edge_label.to_vec(),
+        }
     }
 
     /// Parts of a small valid graph: 0 -> 1 -> 2 -> 0 over three labels.
@@ -1271,7 +1280,7 @@ mod tests {
             ],
         };
         let (graph, _) = CompiledRunGraph::build(&source, 100).unwrap();
-        (source, graph.to_parts())
+        (source, owned_parts(&graph))
     }
 
     fn load(
@@ -1288,7 +1297,7 @@ mod tests {
         assert_eq!(parts.edge_label, vec![0, 1, 2, 0]);
         let (built, _) = CompiledRunGraph::build(&source, 100).unwrap();
         let loaded = load(&source, parts.clone()).unwrap();
-        assert_eq!(loaded.to_parts(), parts);
+        assert_eq!(owned_parts(&loaded), parts);
         assert_eq!(
             loaded.edges().collect::<Vec<_>>(),
             built.edges().collect::<Vec<_>>()

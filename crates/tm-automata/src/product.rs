@@ -438,17 +438,17 @@ impl<D: SpecSource> SpecCache<D> {
             + rows
     }
 
-    /// Clones the interned state table and cached letter rows out of the
-    /// cache — the serialization form used by the on-disk artifact store
+    /// Borrows the interned state table and cached letter rows — the
+    /// serialization form used by the on-disk artifact store
     /// (`tm-store`). `states[id]` is the spec state behind id `id`;
     /// `rows[id]` is its cached full letter row (`None` if never
     /// stepped), entries indexing `states` with misses as
     /// [`crate::NO_STATE`].
-    pub fn to_parts(&self) -> (Vec<D::State>, SpecRows) {
-        (self.states.clone(), self.rows.clone())
+    pub fn parts(&self) -> (&[D::State], &SpecRows) {
+        (&self.states, &self.rows)
     }
 
-    /// Rebuilds a cache around `source` from [`SpecCache::to_parts`]
+    /// Rebuilds a cache around `source` from [`SpecCache::parts`]
     /// output, verifying before trusting the data that the tables are
     /// parallel, states are distinct, the first interned state is the
     /// source's initial state, and every row has exactly one entry per
@@ -1524,5 +1524,83 @@ mod tests {
         let floor = cache.rows_built() * 4 * std::mem::size_of::<u32>()
             + cache.touched() * std::mem::size_of::<u64>();
         assert!(warm >= empty + floor, "{empty} -> {warm}, floor {floor}");
+    }
+
+    /// A two-letter spec source over `u64` states, initial state 0, for
+    /// the [`SpecCache::from_parts`] tests.
+    struct TwoLetters;
+
+    impl SpecSource for TwoLetters {
+        type State = u64;
+        fn num_letters(&self) -> u32 {
+            2
+        }
+        fn initial_state(&self) -> u64 {
+            0
+        }
+        fn step(&self, state: &u64, letter: LetterId) -> Option<u64> {
+            Some(state + u64::from(letter) + 1)
+        }
+    }
+
+    fn rejection(states: Vec<u64>, rows: SpecRows) -> Option<&'static str> {
+        SpecCache::from_parts(TwoLetters, states, rows).err()
+    }
+
+    fn row(entries: &[u32]) -> Option<Box<[u32]>> {
+        Some(entries.into())
+    }
+
+    // One test per rejection branch of `from_parts`, except "more than
+    // u32::MAX spec states": reaching it takes about 4 G states.
+
+    #[test]
+    fn from_parts_accepts_and_returns_valid_parts() {
+        let states = vec![0, 1, 2];
+        let rows = vec![row(&[1, 2]), None, row(&[NO_STATE, 0])];
+        let cache = SpecCache::from_parts(TwoLetters, states.clone(), rows.clone()).unwrap();
+        assert_eq!(cache.parts(), (&states[..], &rows));
+        assert_eq!(cache.touched(), 3);
+        assert_eq!(cache.rows_built(), 2);
+    }
+
+    #[test]
+    fn from_parts_rejects_tables_of_different_lengths() {
+        assert_eq!(
+            rejection(vec![0, 1], vec![None]),
+            Some("state and row tables disagree in length")
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_a_first_state_other_than_the_initial_state() {
+        assert_eq!(
+            rejection(vec![5], vec![None]),
+            Some("first interned state is not the initial state")
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_a_row_with_the_wrong_letter_count() {
+        assert_eq!(
+            rejection(vec![0], vec![row(&[0])]),
+            Some("cached row has wrong letter count")
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_a_row_target_out_of_range() {
+        assert_eq!(
+            rejection(vec![0, 1], vec![row(&[1, 2]), None]),
+            Some("cached row points outside the state table")
+        );
+    }
+
+    #[test]
+    fn from_parts_rejects_a_duplicate_state() {
+        assert_eq!(
+            rejection(vec![0, 1, 1], vec![None, None, None]),
+            Some("duplicate interned state")
+        );
     }
 }

@@ -4,8 +4,9 @@
 //!
 //! The ledger is deliberately decoupled from the sessions that own the
 //! memory: it decides *which* artifact to evict and the service layer
-//! performs the eviction ([`tm_checker::Verifier::drop_run_graph`] /
-//! [`tm_checker::Verifier::drop_spec`]). The invariant it maintains is
+//! performs the eviction ([`tm_checker::Verifier::evict`]). Entries are
+//! keyed by the session's own [`ArtifactKey`], the key the persistent
+//! store addresses files by too. The invariant it maintains is
 //! about *retained* memory: between queries, the sum of tracked artifact
 //! bytes never exceeds the budget (provided every single artifact fits —
 //! an over-budget artifact is kept and re-evicted as soon as another
@@ -47,49 +48,10 @@
 //! query for a key finds the artifact the first one built.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
-use tm_lang::SafetyProperty;
+use tm_checker::ArtifactKey;
 use tm_obs::{Counter, Phase, PhaseTimer};
-
-/// What a ledger entry pays for.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum ArtifactKind {
-    /// A TM's compiled run graph (key: the full TM name).
-    RunGraph(String),
-    /// The specification artifact of one safety property (its lazily
-    /// interned rows).
-    Spec(SafetyProperty),
-}
-
-/// Ledger key: an artifact within one instance size's session.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct ArtifactKey {
-    /// Threads `n` of the owning session.
-    pub threads: usize,
-    /// Variables `k` of the owning session.
-    pub vars: usize,
-    /// Which artifact.
-    pub kind: ArtifactKind,
-}
-
-impl fmt::Display for ArtifactKey {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.kind {
-            ArtifactKind::RunGraph(name) => {
-                write!(f, "({},{})/run-graph/{name}", self.threads, self.vars)
-            }
-            ArtifactKind::Spec(property) => write!(
-                f,
-                "({},{})/spec/{}",
-                self.threads,
-                self.vars,
-                property.short_name()
-            ),
-        }
-    }
-}
 
 struct Entry {
     bytes: usize,
@@ -105,13 +67,10 @@ struct Entry {
 /// # Examples
 ///
 /// ```
-/// use tm_service::{ArtifactKey, ArtifactKind, MemoryBudget};
+/// use tm_checker::ArtifactKey;
+/// use tm_service::MemoryBudget;
 ///
-/// let key = |name: &str| ArtifactKey {
-///     threads: 2,
-///     vars: 1,
-///     kind: ArtifactKind::RunGraph(name.to_owned()),
-/// };
+/// let key = |name: &str| ArtifactKey::run_graph(name, 2, 1);
 /// let evictions = tm_obs::Registry::new().counter("tm_evictions_total", "", &[]);
 /// let mut budget = MemoryBudget::new(Some(100), evictions);
 /// assert!(budget.charge(key("a"), 60).is_empty());
@@ -513,19 +472,11 @@ mod tests {
     }
 
     fn graph(name: &str) -> ArtifactKey {
-        ArtifactKey {
-            threads: 2,
-            vars: 1,
-            kind: ArtifactKind::RunGraph(name.to_owned()),
-        }
+        ArtifactKey::run_graph(name, 2, 1)
     }
 
     fn spec() -> ArtifactKey {
-        ArtifactKey {
-            threads: 2,
-            vars: 2,
-            kind: ArtifactKind::Spec(SafetyProperty::Opacity),
-        }
+        ArtifactKey::spec(tm_lang::SafetyProperty::Opacity, 2, 2)
     }
 
     #[test]

@@ -86,7 +86,7 @@ mod scheduler;
 mod service;
 pub mod wire;
 
-pub use budget::{Admission, ArtifactKey, ArtifactKind, MemoryBudget, SharedBudget};
+pub use budget::{Admission, MemoryBudget, SharedBudget};
 pub use client::{is_retryable_status, Backoff};
 pub use http::{http_request, http_request_full, http_request_with_id, serve};
 pub use registry::{lock_session, Session, SessionRegistry, SharedSession};

@@ -207,10 +207,7 @@ mod tests {
         assert_eq!(registry.sessions().len(), 2);
         let sizes: Vec<_> = registry.sessions().iter().map(|s| (s.threads, s.vars)).collect();
         assert_eq!(sizes, vec![(2, 1), (2, 2)]);
-        let builds = |s: &Session| {
-            let verifier = lock_session(s);
-            verifier.spec_builds() + verifier.run_graph_builds()
-        };
+        let builds = |s: &Session| lock_session(s).builds();
         assert_eq!(registry.sessions().iter().map(|s| builds(s)).sum::<usize>(), 2);
         assert!(registry.artifact_heap_bytes() > 0);
     }

@@ -17,21 +17,20 @@
 //! turns "evict on every query" into "build each artifact once per
 //! batch".
 
-use crate::budget::{ArtifactKey, ArtifactKind};
+use tm_checker::ArtifactKey;
+
 use crate::roster::{PropertyKind, QuerySpec};
 
 impl QuerySpec {
-    /// The ledger key of the artifact this query needs: the TM's run
-    /// graph for a liveness query, the property's specification for a
-    /// safety query.
+    /// The key of the artifact this query needs: the TM's run graph for
+    /// a liveness query, the property's specification for a safety
+    /// query.
     pub fn artifact_key(&self) -> ArtifactKey {
-        ArtifactKey {
-            threads: self.threads,
-            vars: self.vars,
-            kind: match self.property {
-                PropertyKind::Safety(property) => ArtifactKind::Spec(property),
-                PropertyKind::Liveness(_) => ArtifactKind::RunGraph(self.tm_name()),
-            },
+        match self.property {
+            PropertyKind::Safety(property) => ArtifactKey::spec(property, self.threads, self.vars),
+            PropertyKind::Liveness(_) => {
+                ArtifactKey::run_graph(self.tm_name(), self.threads, self.vars)
+            }
         }
     }
 }

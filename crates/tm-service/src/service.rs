@@ -26,21 +26,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tm_automata::{fault, EngineError};
-use tm_checker::{Verdict, VerdictOutcome, Verifier};
+use tm_checker::{Artifact, ArtifactKey, Verdict, VerdictOutcome, Verifier};
 use tm_obs::{
     Counter, EventKind, Gauge, GaugeF, Histogram, JournalEvent, LogValue, Phase, Registry,
     TraceRecord, Unit,
 };
-use tm_store::{
-    Artifact, ArtifactStore, LazySpecArtifact, RunGraphArtifact, StoreConfig, StoreCounters,
-    StoreEntry, StoreKey, StoreKind,
-};
+use tm_store::{ArtifactStore, StoreConfig, StoreCounters, StoreEntry};
 
-use crate::budget::{ArtifactKey, ArtifactKind, SharedBudget};
+use crate::budget::SharedBudget;
 use crate::registry::{lock_session, Session, SessionRegistry};
-use crate::roster::{
-    run_query, PropertyKind, QuerySpec, MAX_QUERY_THREADS, MAX_QUERY_VARS,
-};
+use crate::roster::{run_query, QuerySpec, MAX_QUERY_THREADS, MAX_QUERY_VARS};
 use crate::scheduler::execution_order;
 
 /// Default bound on reachable state spaces (the experiment suite's).
@@ -800,35 +795,26 @@ impl Service {
     fn warm_start(&self) {
         let Some(store) = &self.store else { return };
         for path in store.files() {
-            let Ok((key, artifact)) = store.load_path(&path) else {
-                continue;
-            };
-            self.install(&key, artifact);
+            if let Ok((key, artifact)) = store.load_path(&path) {
+                self.install(key, artifact);
+            }
         }
     }
 
     /// Installs one verified store artifact into its owning session and
-    /// charges it to the budget ledger. `false` if the store key does
-    /// not map to an artifact this service serves (foreign kind,
-    /// unknown property code, out-of-range instance size) or the
-    /// payload fails the session's structural validation.
-    fn install(&self, key: &StoreKey, artifact: Artifact) -> bool {
-        let Some(ledger_key) = ledger_key(key) else {
-            return false;
-        };
-        let session = self.registry.session(ledger_key.threads, ledger_key.vars);
-        let bytes = {
-            let mut session = lock_session(&session);
-            match import(&mut session, &ledger_key, artifact) {
-                Some(bytes) => bytes,
-                None => return false,
-            }
-        };
-        let admission = self.budget.admit(&ledger_key);
+    /// charges it to the budget ledger. Skipped when the key's instance
+    /// size is outside the query bounds.
+    fn install(&self, key: ArtifactKey, artifact: Artifact) {
+        if !serves(&key) {
+            return;
+        }
+        let bytes = artifact.heap_bytes();
+        let session = self.registry.session(key.threads, key.vars);
+        lock_session(&session).import(key.clone(), artifact);
+        let admission = self.budget.admit(&key);
         self.perform_evictions(&admission.evicted);
-        let evicted = self.budget.settle(&ledger_key, bytes);
+        let evicted = self.budget.settle(&key, bytes);
         self.perform_evictions(&evicted);
-        true
     }
 
     /// Tries to answer an artifact miss from the persistent store:
@@ -841,43 +827,41 @@ impl Service {
         let Some(store) = &self.store else {
             return false;
         };
-        if resident_bytes(session, key).is_some() {
+        if session.artifact(key).is_some() {
             return false;
         }
-        let Ok(Some(artifact)) = store.load(&store_key(key)) else {
+        let Ok(Some(artifact)) = store.load(key) else {
             return false;
         };
-        let Some(bytes) = import(session, key, artifact) else {
-            return false;
-        };
-        journal(EventKind::Promote, key, bytes as u64);
+        journal(EventKind::Promote, key, artifact.heap_bytes() as u64);
+        session.import(key.clone(), artifact);
         true
     }
 
-    /// Write-through: persists a freshly built artifact, exporting it
-    /// from the (locked) session. Content-addressed re-saves of an
-    /// already stored key are no-ops inside the store; store faults and
-    /// I/O errors are swallowed — persistence is best-effort and never
-    /// fails a query.
+    /// Write-through: persists a freshly built artifact straight from
+    /// the (locked) session. Content-addressed re-saves of an already
+    /// stored key are no-ops inside the store; store faults and I/O
+    /// errors are swallowed — persistence is best-effort and never fails
+    /// a query.
     fn save_through(&self, session: &Verifier, key: &ArtifactKey) {
         let Some(store) = &self.store else { return };
-        if let Some(artifact) = export(session, key) {
-            let _ = store.save(&store_key(key), &artifact);
+        if let Some(artifact) = session.artifact(key) {
+            let _ = store.save(key, artifact);
         }
     }
 
     /// Demotes an eviction victim to the store before it is dropped
-    /// (export + save under the caller's session lock). `false` — and
-    /// the eviction simply discards, the pre-store behavior — when no
-    /// store is configured or the save fails.
+    /// (saved under the caller's session lock). `false` — and the
+    /// eviction simply discards, the pre-store behavior — when no store
+    /// is configured or the save fails.
     fn demote(&self, session: &Verifier, key: &ArtifactKey) -> bool {
         let Some(store) = &self.store else {
             return false;
         };
-        let Some(artifact) = export(session, key) else {
+        let Some(artifact) = session.artifact(key) else {
             return false;
         };
-        if store.save(&store_key(key), &artifact).is_err() {
+        if store.save(key, artifact).is_err() {
             return false;
         }
         self.metrics.store_demotes.inc();
@@ -1038,7 +1022,7 @@ impl Service {
                 promotes = 1;
             }
             let verdict = run_query(&mut verifier, spec);
-            let bytes = resident_bytes(&verifier, &key).unwrap_or(0);
+            let bytes = verifier.artifact(&key).map_or(0, Artifact::heap_bytes);
             // Write-through: a successful first build (or rebuild) is
             // persisted immediately, so a restart warm-starts even if
             // the budget never forces a demotion.
@@ -1106,21 +1090,14 @@ impl Service {
             if !self.budget.should_drop(key) {
                 continue;
             }
-            let bytes = resident_bytes(&session, key).unwrap_or(0) as u64;
+            let bytes = session.artifact(key).map_or(0, Artifact::heap_bytes) as u64;
             if self.demote(&session, key) {
                 demotes += 1;
                 journal(EventKind::Demote, key, bytes);
             } else {
                 journal(EventKind::Evict, key, bytes);
             }
-            match &key.kind {
-                ArtifactKind::RunGraph(name) => {
-                    session.drop_run_graph(name);
-                }
-                ArtifactKind::Spec(property) => {
-                    session.drop_spec(*property);
-                }
-            }
+            session.evict(key);
         }
         demotes
     }
@@ -1254,103 +1231,11 @@ impl Service {
     }
 }
 
-/// The store key addressing a budget-ledger artifact on disk.
-fn store_key(key: &ArtifactKey) -> StoreKey {
-    match &key.kind {
-        ArtifactKind::RunGraph(name) => StoreKey::run_graph(name, key.threads, key.vars),
-        ArtifactKind::Spec(property) => StoreKey::lazy_spec(
-            PropertyKind::Safety(*property).code(),
-            key.threads,
-            key.vars,
-        ),
-    }
-}
-
-/// The inverse of [`store_key`]: the ledger key a store file installs
-/// under, or `None` for files this service does not serve — unknown
-/// property codes, or instance sizes outside the query bounds (a
-/// foreign file in the directory must be skipped, not fed to a session
-/// constructor that would assert). A file of an unknown kind never gets
-/// here: the store quarantines it as corrupt when it is loaded.
-fn ledger_key(key: &StoreKey) -> Option<ArtifactKey> {
-    let threads = key.threads as usize;
-    let vars = key.vars as usize;
-    if !(1..=MAX_QUERY_THREADS).contains(&threads) || !(1..=MAX_QUERY_VARS).contains(&vars) {
-        return None;
-    }
-    let kind = match key.kind {
-        StoreKind::RunGraph => ArtifactKind::RunGraph(key.tm.clone()),
-        StoreKind::LazySpec => match key.property.parse::<PropertyKind>() {
-            Ok(PropertyKind::Safety(property)) => ArtifactKind::Spec(property),
-            _ => return None,
-        },
-    };
-    Some(ArtifactKey {
-        threads,
-        vars,
-        kind,
-    })
-}
-
-/// The resident heap size of `key`'s artifact in `session`, if held.
-fn resident_bytes(session: &Verifier, key: &ArtifactKey) -> Option<usize> {
-    match &key.kind {
-        ArtifactKind::RunGraph(name) => session.run_graph_heap_bytes(name),
-        ArtifactKind::Spec(property) => session.spec_heap_bytes(*property),
-    }
-}
-
-/// Imports a verified store artifact into `session` under `key`,
-/// returning its resident heap size — `None` if the payload kind does
-/// not match the key or fails the session's structural validation.
-fn import(session: &mut Verifier, key: &ArtifactKey, artifact: Artifact) -> Option<usize> {
-    match (&key.kind, artifact) {
-        (ArtifactKind::RunGraph(name), Artifact::RunGraph(a)) => {
-            session.import_run_graph(name, a.graph, a.states, Duration::from_nanos(a.build_ns));
-            session.run_graph_heap_bytes(name)
-        }
-        (ArtifactKind::Spec(property), Artifact::LazySpec(a)) => {
-            session
-                .import_lazy_spec(
-                    *property,
-                    key.threads,
-                    key.vars,
-                    a.states,
-                    a.rows,
-                    Duration::from_nanos(a.build_ns),
-                )
-                .ok()?;
-            session.spec_heap_bytes(*property)
-        }
-        _ => None,
-    }
-}
-
-/// Exports `key`'s resident artifact from `session` for the store —
-/// `None` if the session no longer holds it.
-fn export(session: &Verifier, key: &ArtifactKey) -> Option<Artifact> {
-    match &key.kind {
-        ArtifactKind::RunGraph(name) => {
-            session
-                .export_run_graph(name)
-                .map(|(graph, states, build_time)| {
-                    Artifact::RunGraph(RunGraphArtifact {
-                        graph,
-                        states,
-                        build_ns: saturating_ns(build_time),
-                    })
-                })
-        }
-        ArtifactKind::Spec(property) => session
-            .export_lazy_spec(*property, key.threads, key.vars)
-            .map(|(states, rows, build_time)| {
-                Artifact::LazySpec(LazySpecArtifact {
-                    states,
-                    rows,
-                    build_ns: saturating_ns(build_time),
-                })
-            }),
-    }
+/// Whether this service serves an artifact of `key`'s instance size: a
+/// key read from disk outside the query bounds must be skipped, not fed
+/// to a session constructor that would assert.
+fn serves(key: &ArtifactKey) -> bool {
+    (1..=MAX_QUERY_THREADS).contains(&key.threads) && (1..=MAX_QUERY_VARS).contains(&key.vars)
 }
 
 fn saturating_ns(duration: Duration) -> u64 {

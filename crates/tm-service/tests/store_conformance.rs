@@ -8,11 +8,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use tm_checker::ArtifactKey;
+use tm_lang::SafetyProperty;
 use tm_service::{
     table2_batch, table3_batch, QueryOutcome, QueryResult, QuerySpec, Service, ServiceConfig,
 };
 use tm_store::sha256::checksum64;
-use tm_store::{decode_artifact, encode_artifact, SectionWriter, Sections, StoreKey, MAGIC};
+use tm_store::{decode_artifact, encode_artifact, file_name, SectionWriter, Sections, MAGIC};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -170,7 +172,7 @@ fn corrupt_store_files_are_quarantined_and_rebuilt() {
     drop(cold);
 
     // Flip one byte of the liveness run graph on disk.
-    let victim = dir.join(StoreKey::run_graph("dstm+aggressive", 2, 1).file_name());
+    let victim = dir.join(file_name(&ArtifactKey::run_graph("dstm+aggressive", 2, 1)));
     let mut bytes = std::fs::read(&victim).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x10;
@@ -185,7 +187,7 @@ fn corrupt_store_files_are_quarantined_and_rebuilt() {
     assert!(
         dir.join(format!(
             "{}.quarantined",
-            StoreKey::run_graph("dstm+aggressive", 2, 1).file_name()
+            file_name(&ArtifactKey::run_graph("dstm+aggressive", 2, 1))
         ))
         .exists(),
         "the corrupt file is kept for post-mortem"
@@ -239,8 +241,8 @@ fn checksum_valid_structurally_bad_run_graphs_are_rebuilt() {
     let reference = fingerprint(&cold.submit(&batch));
     drop(cold);
 
-    let key = StoreKey::run_graph("dstm+aggressive", 2, 1);
-    let victim = dir.join(key.file_name());
+    let key = ArtifactKey::run_graph("dstm+aggressive", 2, 1);
+    let victim = dir.join(file_name(&key));
     let image = with_first_edge_target(&std::fs::read(&victim).unwrap(), u32::MAX);
     assert_eq!(
         decode_artifact(&image).err(),
@@ -250,11 +252,75 @@ fn checksum_valid_structurally_bad_run_graphs_are_rebuilt() {
     std::fs::write(&victim, &image).unwrap();
 
     let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
-    assert!(dir.join(format!("{}.quarantined", key.file_name())).exists());
+    assert!(dir.join(format!("{}.quarantined", file_name(&key))).exists());
     assert_eq!(fingerprint(&warm.submit(&batch)), reference);
     let stats = warm.stats();
     assert_eq!(stats.store_corrupt, 1, "{stats:?}");
     assert_eq!(stats.artifact_builds, 1, "only the bad run graph is rebuilt: {stats:?}");
+    assert!(victim.exists(), "the rebuild is written through again");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A lazy-spec image rewritten by the container's own writer, with the
+/// first entry of its first stored row replaced by `entry`: every
+/// checksum is valid. Sections 1–5 are key, metadata, states, the row
+/// bitmap and the rows (a `u32` width, then the entries).
+fn with_first_row_entry(image: &[u8], entry: u32) -> Vec<u8> {
+    let sections = Sections::parse(image).unwrap();
+    let mut writer = SectionWriter::new();
+    for tag in 1..=5 {
+        let mut payload = sections.get(tag).unwrap().to_vec();
+        if tag == 5 {
+            payload[4..8].copy_from_slice(&entry.to_le_bytes());
+        }
+        writer.section(tag, payload);
+    }
+    writer.finish(sections.kind, sections.digest)
+}
+
+/// A lazy-spec file that passes every checksum but holds a row target
+/// beyond its state table is rejected by `SpecCache::from_parts` when
+/// the store decodes it: quarantined at warm boot, counted as corrupt
+/// (not as a store hit), and rebuilt — the service answers exactly as
+/// the cold one.
+#[test]
+fn checksum_valid_structurally_bad_spec_rows_are_rebuilt() {
+    let batch: Vec<QuerySpec> = ["dstm+aggressive:of:2:1", "TL2:ss:2:2"]
+        .iter()
+        .map(|q| QuerySpec::parse(q).unwrap())
+        .collect();
+    let dir = scratch_dir("bad-spec-row");
+    let cold = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let reference = fingerprint(&cold.submit(&batch));
+    drop(cold);
+
+    let key = ArtifactKey::spec(SafetyProperty::StrictSerializability, 2, 2);
+    let victim = dir.join(file_name(&key));
+    let image = with_first_row_entry(&std::fs::read(&victim).unwrap(), u32::MAX - 1);
+    assert_eq!(
+        decode_artifact(&image).err(),
+        Some("cached row points outside the state table"),
+        "the checksums pass and the structural check rejects"
+    );
+    std::fs::write(&victim, &image).unwrap();
+
+    let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
+    assert!(
+        !victim.exists(),
+        "the bad file must leave the namespace at boot"
+    );
+    assert!(dir
+        .join(format!("{}.quarantined", file_name(&key)))
+        .exists());
+    let boot = warm.stats();
+    assert_eq!((boot.store_corrupt, boot.store_hits), (1, 1), "{boot:?}");
+    assert_eq!(fingerprint(&warm.submit(&batch)), reference);
+    let stats = warm.stats();
+    assert_eq!(stats.store_corrupt, 1, "{stats:?}");
+    assert_eq!(
+        stats.artifact_builds, 1,
+        "only the bad spec is rebuilt: {stats:?}"
+    );
     assert!(victim.exists(), "the rebuild is written through again");
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -278,12 +344,12 @@ fn unknown_kind_files_are_quarantined_at_warm_start() {
     // Re-encode a real artifact under foreign keys, then overwrite the
     // header's kind tag (recomputing the header checksum, so the tag is
     // the only fault).
-    let source = StoreKey::run_graph("dstm+aggressive", 2, 1);
-    let (_, artifact) = decode_artifact(&std::fs::read(dir.join(source.file_name())).unwrap())
+    let source = ArtifactKey::run_graph("dstm+aggressive", 2, 1);
+    let (_, artifact) = decode_artifact(&std::fs::read(dir.join(file_name(&source))).unwrap())
         .expect("the cold service's file decodes");
-    let foreign: Vec<StoreKey> = UNKNOWN
+    let foreign: Vec<ArtifactKey> = UNKNOWN
         .iter()
-        .map(|tag| StoreKey::run_graph(&format!("foreign-{tag}"), 2, 1))
+        .map(|tag| ArtifactKey::run_graph(format!("foreign-{tag}"), 2, 1))
         .collect();
     for (key, &tag) in foreign.iter().zip(&UNKNOWN) {
         let mut image = encode_artifact(key, &artifact);
@@ -292,14 +358,14 @@ fn unknown_kind_files_are_quarantined_at_warm_start() {
         let header_len = MAGIC.len() + 4 * 4 + 32 + sections * (4 + 8 + 8);
         let sum = checksum64(&image[..header_len]);
         image[header_len..header_len + 8].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(dir.join(key.file_name()), image).unwrap();
+        std::fs::write(dir.join(file_name(key)), image).unwrap();
     }
 
     let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
     for key in &foreign {
-        let path = dir.join(key.file_name());
+        let path = dir.join(file_name(key));
         assert!(!path.exists(), "{key:?} left in the namespace");
-        let quarantined = dir.join(format!("{}.quarantined", key.file_name()));
+        let quarantined = dir.join(format!("{}.quarantined", file_name(key)));
         assert!(quarantined.exists(), "{key:?} not kept for post-mortem");
     }
     assert_eq!(fingerprint(&warm.submit(&batch)), reference);

@@ -15,15 +15,19 @@
 //! A run graph is stored as four sections: its labels, its CSR row
 //! offsets (`u32`), and one `u32` target and one `u16` label id per
 //! edge. The per-label class masks are not stored: loading recomputes
-//! them with [`RunLabel::class`], as the build does.
+//! them with [`RunLabel::class`], as the build does. A specification's
+//! source is not stored either: loading rebuilds it from the key.
+
+use std::time::Duration;
 
 use tm_algorithms::{Action, ExtCommand, RunLabel};
 use tm_automata::{CompiledRunGraph, RunGraphParts};
+use tm_checker::{Artifact, ArtifactKey, ArtifactKind};
 use tm_lang::{Command, ThreadId, VarId};
 use tm_spec::{DetPhase, DetState, DetThread};
 
 use crate::format::{FormatError, SectionWriter, Sections};
-use crate::key::{StoreKey, StoreKind};
+use crate::key::{decode_key, digest, encode_key, kind_tag};
 
 /// Maximum id value representable in the workspace's `IdSet` universe;
 /// decoders reject anything at or above it before calling the
@@ -374,81 +378,36 @@ const SEC_SPEC_STATES: u32 = 3;
 const SEC_SPEC_PRESENT: u32 = 4;
 const SEC_SPEC_ROWS: u32 = 5;
 
-/// A stored run graph: the compiled CSR graph plus the build metadata
-/// the service reports (`states_explored`, build wall time).
-#[derive(Debug)]
-pub struct RunGraphArtifact {
-    /// The compiled graph.
-    pub graph: CompiledRunGraph<RunLabel>,
-    /// States explored when the graph was originally built.
-    pub states: usize,
-    /// Original build wall time, nanoseconds.
-    pub build_ns: u64,
-}
-
-/// Stored interned rows of a lazily stepped deterministic
-/// specification. The spec *source* is not stored — the importer
-/// reconstructs it from the key and validates these rows against it via
-/// `SpecCache::from_parts`.
-#[derive(Debug)]
-pub struct LazySpecArtifact {
-    /// Interned specification states, in id order.
-    pub states: Vec<DetState>,
-    /// Computed successor rows (`None` where never stepped).
-    pub rows: Vec<Option<Box<[u32]>>>,
-    /// Original build wall time, nanoseconds.
-    pub build_ns: u64,
-}
-
-/// A decoded artifact of any kind.
-#[derive(Debug)]
-pub enum Artifact {
-    /// A compiled run graph with build metadata.
-    RunGraph(RunGraphArtifact),
-    /// Interned lazy-specification rows with build metadata.
-    LazySpec(LazySpecArtifact),
-}
-
-impl Artifact {
-    /// The store kind this artifact serializes as.
-    pub fn kind(&self) -> StoreKind {
-        match self {
-            Artifact::RunGraph(_) => StoreKind::RunGraph,
-            Artifact::LazySpec(_) => StoreKind::LazySpec,
-        }
-    }
-}
-
 /// Serializes `artifact` under `key` into a complete `.tmart` file
-/// image (header, checksums, payloads).
+/// image (header, checksums, payloads), reading the artifact in place.
 ///
 /// # Panics
 ///
-/// If `key.kind` disagrees with the artifact's kind — the store's typed
-/// save entry points make that unrepresentable.
-pub fn encode_artifact(key: &StoreKey, artifact: &Artifact) -> Vec<u8> {
-    assert_eq!(key.kind, artifact.kind(), "store key / artifact kind mismatch");
+/// If `key.kind` disagrees with the artifact's kind.
+pub fn encode_artifact(key: &ArtifactKey, artifact: &Artifact) -> Vec<u8> {
     let mut writer = SectionWriter::new();
-    writer.section(SEC_KEY, key.encode());
-    match artifact {
-        Artifact::RunGraph(rg) => {
+    writer.section(SEC_KEY, encode_key(key));
+    let build_ns = u64::try_from(artifact.build_time().as_nanos()).unwrap_or(u64::MAX);
+    match (&key.kind, artifact) {
+        (ArtifactKind::RunGraph(_), Artifact::RunGraph { graph, states, .. }) => {
             let mut meta = Vec::with_capacity(16);
-            meta.extend_from_slice(&(rg.states as u64).to_le_bytes());
-            meta.extend_from_slice(&rg.build_ns.to_le_bytes());
+            meta.extend_from_slice(&(*states as u64).to_le_bytes());
+            meta.extend_from_slice(&build_ns.to_le_bytes());
             writer.section(SEC_META, meta);
-            let parts = rg.graph.to_parts();
-            writer.section(SEC_RG_LABELS, encode_run_labels(&parts.labels));
-            writer.section(SEC_RG_ROW_START, encode_u32s(&parts.row_start));
-            writer.section(SEC_RG_EDGE_TARGET, encode_u32s(&parts.edge_target));
-            writer.section(SEC_RG_EDGE_LABEL, encode_u16s(&parts.edge_label));
+            let (labels, row_start, edge_target, edge_label) = graph.parts();
+            writer.section(SEC_RG_LABELS, encode_run_labels(labels));
+            writer.section(SEC_RG_ROW_START, encode_u32s(row_start));
+            writer.section(SEC_RG_EDGE_TARGET, encode_u32s(edge_target));
+            writer.section(SEC_RG_EDGE_LABEL, encode_u16s(edge_label));
         }
-        Artifact::LazySpec(spec) => {
-            writer.section(SEC_META, spec.build_ns.to_le_bytes().to_vec());
-            writer.section(SEC_SPEC_STATES, encode_det_states(&spec.states));
-            let mut present = Vec::with_capacity(4 + spec.rows.len().div_ceil(8));
-            present.extend_from_slice(&(spec.rows.len() as u32).to_le_bytes());
-            present.resize(4 + spec.rows.len().div_ceil(8), 0);
-            for (i, row) in spec.rows.iter().enumerate() {
+        (ArtifactKind::Spec(_), Artifact::Spec { cache, .. }) => {
+            let (states, rows) = cache.parts();
+            writer.section(SEC_META, build_ns.to_le_bytes().to_vec());
+            writer.section(SEC_SPEC_STATES, encode_det_states(states));
+            let mut present = Vec::with_capacity(4 + rows.len().div_ceil(8));
+            present.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+            present.resize(4 + rows.len().div_ceil(8), 0);
+            for (i, row) in rows.iter().enumerate() {
                 if row.is_some() {
                     present[4 + i / 8] |= 1 << (i % 8);
                 }
@@ -456,47 +415,49 @@ pub fn encode_artifact(key: &StoreKey, artifact: &Artifact) -> Vec<u8> {
             writer.section(SEC_SPEC_PRESENT, present);
             // Rows are uniform-width; record the width once, then the
             // present rows back to back in index order.
-            let width = spec
-                .rows
+            let width = rows
                 .iter()
                 .flatten()
                 .map(|row| row.len())
                 .next()
                 .unwrap_or(0);
-            let mut rows =
-                Vec::with_capacity(4 + spec.rows.iter().flatten().count() * width * 4);
-            rows.extend_from_slice(&(width as u32).to_le_bytes());
-            for row in spec.rows.iter().flatten() {
+            let mut payload = Vec::with_capacity(4 + rows.iter().flatten().count() * width * 4);
+            payload.extend_from_slice(&(width as u32).to_le_bytes());
+            for row in rows.iter().flatten() {
                 debug_assert_eq!(row.len(), width, "spec rows must be uniform-width");
                 for &entry in row.iter() {
-                    rows.extend_from_slice(&entry.to_le_bytes());
+                    payload.extend_from_slice(&entry.to_le_bytes());
                 }
             }
-            writer.section(SEC_SPEC_ROWS, rows);
+            writer.section(SEC_SPEC_ROWS, payload);
         }
+        _ => panic!("store key / artifact kind mismatch"),
     }
-    writer.finish(key.kind, key.digest())
+    writer.finish(kind_tag(&key.kind), digest(key))
 }
 
 /// Parses, verifies, and decodes a `.tmart` file image. Checks the
 /// container checksums, then that the embedded key re-digests to the
 /// embedded content address (so a renamed or tampered-key file cannot
 /// impersonate another artifact), then rebuilds the artifact through
-/// the validating `from_parts` constructors.
-pub fn decode_artifact(bytes: &[u8]) -> Result<(StoreKey, Artifact), FormatError> {
+/// the validating constructors: `CompiledRunGraph::from_parts` for a
+/// run graph, and [`Artifact::spec_from_parts`] — `SpecCache::from_parts`
+/// against the specification source of the key — for interned
+/// specification rows.
+pub fn decode_artifact(bytes: &[u8]) -> Result<(ArtifactKey, Artifact), FormatError> {
     let sections = Sections::parse(bytes)?;
-    let key = StoreKey::decode(sections.get(SEC_KEY)?)?;
-    if key.kind != sections.kind {
+    let key = decode_key(sections.get(SEC_KEY)?)?;
+    if kind_tag(&key.kind) != sections.kind {
         return Err("key kind disagrees with header kind");
     }
-    if key.digest() != sections.digest {
+    if digest(&key) != sections.digest {
         return Err("embedded key does not match content address");
     }
-    let artifact = match sections.kind {
-        StoreKind::RunGraph => {
+    let artifact = match key.kind {
+        ArtifactKind::RunGraph(_) => {
             let mut meta = Reader::new(sections.get(SEC_META)?);
             let states = usize::try_from(meta.u64()?).map_err(|_| "states overflow")?;
-            let build_ns = meta.u64()?;
+            let build_time = Duration::from_nanos(meta.u64()?);
             meta.finish()?;
             let parts = RunGraphParts {
                 labels: decode_run_labels(sections.get(SEC_RG_LABELS)?)?,
@@ -504,15 +465,15 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<(StoreKey, Artifact), FormatError
                 edge_target: decode_u32s(sections.get(SEC_RG_EDGE_TARGET)?)?,
                 edge_label: decode_u16s(sections.get(SEC_RG_EDGE_LABEL)?)?,
             };
-            Artifact::RunGraph(RunGraphArtifact {
+            Artifact::RunGraph {
                 graph: CompiledRunGraph::from_parts(parts, |label| label.class())?,
                 states,
-                build_ns,
-            })
+                build_time,
+            }
         }
-        StoreKind::LazySpec => {
+        ArtifactKind::Spec(property) => {
             let mut meta = Reader::new(sections.get(SEC_META)?);
-            let build_ns = meta.u64()?;
+            let build_time = Duration::from_nanos(meta.u64()?);
             meta.finish()?;
             let states = decode_det_states(sections.get(SEC_SPEC_STATES)?)?;
             let mut present = Reader::new(sections.get(SEC_SPEC_PRESENT)?);
@@ -540,11 +501,7 @@ pub fn decode_artifact(bytes: &[u8]) -> Result<(StoreKey, Artifact), FormatError
                 }
             }
             rows_reader.finish()?;
-            Artifact::LazySpec(LazySpecArtifact {
-                states,
-                rows,
-                build_ns,
-            })
+            Artifact::spec_from_parts(property, key.threads, key.vars, states, rows, build_time)?
         }
     };
     Ok((key, artifact))

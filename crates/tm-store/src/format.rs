@@ -6,7 +6,7 @@
 //! magic            b"TMARTSTO"                           8 bytes
 //! format_version   u32 LE                                4 bytes
 //! engine_version   u32 LE                                4 bytes
-//! kind             u32 LE (StoreKind tag)                4 bytes
+//! kind             u32 LE (1 run graph, 2 lazy spec)     4 bytes
 //! section_count    u32 LE                                4 bytes
 //! digest           key content-address                  32 bytes
 //! section table    per section:
@@ -28,7 +28,7 @@
 //! Corruption is reported as [`FormatError`]; the store quarantines
 //! the file and the caller rebuilds.
 
-use crate::key::{StoreKind, ENGINE_VERSION, FORMAT_VERSION};
+use crate::key::{ENGINE_VERSION, FORMAT_VERSION, TAG_RUN_GRAPH, TAG_SPEC};
 use crate::sha256::checksum64;
 
 /// File magic: "TM ARTifact STOre".
@@ -69,7 +69,7 @@ impl SectionWriter {
 
     /// Serializes the container: header, checksummed section table,
     /// payloads.
-    pub fn finish(self, kind: StoreKind, digest: [u8; 32]) -> Vec<u8> {
+    pub fn finish(self, kind: u32, digest: [u8; 32]) -> Vec<u8> {
         let table_len = self.sections.len() * (4 + 8 + 8);
         let header_len = MAGIC.len() + 4 + 4 + 4 + 4 + 32 + table_len;
         let payload_len: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
@@ -77,7 +77,7 @@ impl SectionWriter {
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&ENGINE_VERSION.to_le_bytes());
-        out.extend_from_slice(&kind.as_tag().to_le_bytes());
+        out.extend_from_slice(&kind.to_le_bytes());
         out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         out.extend_from_slice(&digest);
         for (tag, payload) in &self.sections {
@@ -97,8 +97,9 @@ impl SectionWriter {
 /// bytes.
 #[derive(Debug)]
 pub struct Sections<'a> {
-    /// The artifact kind declared by the header.
-    pub kind: StoreKind,
+    /// The artifact kind tag declared by the header (1 run graph, 2 lazy
+    /// spec).
+    pub kind: u32,
     /// The content-address digest embedded in the header.
     pub digest: [u8; 32],
     entries: Vec<(u32, &'a [u8])>,
@@ -123,7 +124,10 @@ impl<'a> Sections<'a> {
         if word(12) != ENGINE_VERSION {
             return Err("engine version mismatch");
         }
-        let kind = StoreKind::from_tag(word(16)).ok_or("unknown artifact kind tag")?;
+        let kind = word(16);
+        if !matches!(kind, TAG_RUN_GRAPH | TAG_SPEC) {
+            return Err("unknown artifact kind tag");
+        }
         let section_count = word(20) as usize;
         let mut digest = [0u8; 32];
         digest.copy_from_slice(&bytes[24..56]);
@@ -196,14 +200,14 @@ mod tests {
         writer.section(1, b"first payload".to_vec());
         writer.section(2, vec![]);
         writer.section(7, vec![0xAB; 100]);
-        writer.finish(StoreKind::RunGraph, [0x5A; 32])
+        writer.finish(TAG_RUN_GRAPH, [0x5A; 32])
     }
 
     #[test]
     fn round_trip() {
         let image = sample();
         let sections = Sections::parse(&image).unwrap();
-        assert_eq!(sections.kind, StoreKind::RunGraph);
+        assert_eq!(sections.kind, TAG_RUN_GRAPH);
         assert_eq!(sections.digest, [0x5A; 32]);
         assert_eq!(sections.get(1).unwrap(), b"first payload");
         assert_eq!(sections.get(2).unwrap(), b"");

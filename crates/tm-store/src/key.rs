@@ -1,18 +1,25 @@
 //! Content-address keys.
 //!
 //! Every artifact in the store is addressed by the SHA-256 digest of a
-//! canonical, length-prefixed encoding of *what was built*: the artifact
-//! kind, the TM name (with its contention-manager suffix, `"dstm"` or
-//! `"dstm+aggressive"`) for run graphs, the property for specification
-//! artifacts, and the `(threads, vars)` instance size — plus the store
-//! format version and the engine version, so a format change or an
-//! engine change silently invalidates every old file (they simply stop
-//! being addressed; the store's LRU reclaims them).
+//! canonical, length-prefixed encoding of its [`ArtifactKey`] — the
+//! same key the `Verifier` session and the service's memory budget use:
+//! the artifact kind, the `(threads, vars)` instance size, the TM name
+//! (with its contention-manager suffix, `"dstm"` or `"dstm+aggressive"`)
+//! for run graphs and the property's short name for specification
+//! artifacts — plus the store format version and the engine version, so
+//! a format change or an engine change silently invalidates every old
+//! file (they simply stop being addressed; the store's LRU reclaims
+//! them).
 //!
 //! The digest is also embedded in the file itself and re-verified on
 //! load, so a renamed or cross-copied file can never impersonate a
 //! different key.
 
+use tm_checker::{ArtifactKey, ArtifactKind};
+use tm_lang::SafetyProperty;
+
+use crate::codec::Reader;
+use crate::format::FormatError;
 use crate::sha256::{sha256, to_hex};
 
 /// Bumped whenever the on-disk byte format changes incompatibly.
@@ -27,164 +34,93 @@ pub const FORMAT_VERSION: u32 = 2;
 /// specification encoding).
 pub const ENGINE_VERSION: u32 = 1;
 
-/// What kind of artifact a key addresses. The discriminants are part of
-/// the on-disk format.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum StoreKind {
-    /// A compiled TM run graph (`CompiledRunGraph<RunLabel>`) plus its
-    /// build metadata.
-    RunGraph,
-    /// The interned rows of a lazily stepped deterministic specification
-    /// (`SpecCache` contents).
-    LazySpec,
-}
+/// The on-disk kind tag of a run graph. Tags are part of the format;
+/// 3 and 4 once named compiled NFA/DFA formats that nothing wrote, and
+/// stay unassigned.
+pub(crate) const TAG_RUN_GRAPH: u32 = 1;
 
-impl StoreKind {
-    /// The on-disk tag.
-    pub fn as_tag(self) -> u32 {
-        match self {
-            StoreKind::RunGraph => 1,
-            StoreKind::LazySpec => 2,
-        }
-    }
+/// The on-disk kind tag of a lazy specification's interned rows.
+pub(crate) const TAG_SPEC: u32 = 2;
 
-    /// Inverse of [`StoreKind::as_tag`]; `None` for every other tag.
-    /// (Tags 3 and 4 once named compiled NFA/DFA formats that nothing
-    /// wrote; they stay unassigned.)
-    pub fn from_tag(tag: u32) -> Option<StoreKind> {
-        match tag {
-            1 => Some(StoreKind::RunGraph),
-            2 => Some(StoreKind::LazySpec),
-            _ => None,
-        }
-    }
-
-    /// Short human-readable name (logs, stats).
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreKind::RunGraph => "run_graph",
-            StoreKind::LazySpec => "lazy_spec",
-        }
+/// The on-disk kind tag of `kind`.
+pub(crate) fn kind_tag(kind: &ArtifactKind) -> u32 {
+    match kind {
+        ArtifactKind::RunGraph(_) => TAG_RUN_GRAPH,
+        ArtifactKind::Spec(_) => TAG_SPEC,
     }
 }
 
-/// The full identity of a stored artifact. Fields that don't apply to a
-/// kind are empty strings (`tm` for specification artifacts, `property`
-/// for run graphs); the kind tag keeps the encodings disjoint
-/// regardless.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct StoreKey {
-    /// Artifact kind.
-    pub kind: StoreKind,
-    /// TM name with contention-manager suffix (`"TL2"`,
-    /// `"dstm+aggressive"`, …); empty for specification artifacts.
-    pub tm: String,
-    /// Safety-property short name (`"ss"` / `"op"`); empty for run
-    /// graphs.
-    pub property: String,
-    /// Number of threads `n`.
-    pub threads: u32,
-    /// Number of shared variables `k`.
-    pub vars: u32,
+/// Canonical byte encoding of `key` (no versions): the kind tag, `n`
+/// and `k` as `u32`, then two length-prefixed strings — the TM name of a
+/// run graph and the property short name of a specification, each empty
+/// for the other kind. The length prefixes keep distinct keys from
+/// colliding by concatenation.
+pub(crate) fn encode_key(key: &ArtifactKey) -> Vec<u8> {
+    let (tm, property) = match &key.kind {
+        ArtifactKind::RunGraph(name) => (name.as_str(), ""),
+        ArtifactKind::Spec(property) => ("", property.short_name()),
+    };
+    let mut out = Vec::with_capacity(20 + tm.len() + property.len());
+    out.extend_from_slice(&kind_tag(&key.kind).to_le_bytes());
+    out.extend_from_slice(&(key.threads as u32).to_le_bytes());
+    out.extend_from_slice(&(key.vars as u32).to_le_bytes());
+    for field in [tm, property] {
+        out.extend_from_slice(&(field.len() as u32).to_le_bytes());
+        out.extend_from_slice(field.as_bytes());
+    }
+    out
 }
 
-impl StoreKey {
-    /// Key for a compiled run graph of `tm` at instance size `(n, k)`.
-    pub fn run_graph(tm: &str, threads: usize, vars: usize) -> StoreKey {
-        StoreKey {
-            kind: StoreKind::RunGraph,
-            tm: tm.to_owned(),
-            property: String::new(),
-            threads: threads as u32,
-            vars: vars as u32,
-        }
+/// Parses [`encode_key`]'s encoding back into a key, rejecting unknown
+/// kind tags and property names and a string set for the wrong kind.
+pub(crate) fn decode_key(bytes: &[u8]) -> Result<ArtifactKey, FormatError> {
+    let mut reader = Reader::new(bytes);
+    let tag = reader.u32()?;
+    let threads = reader.u32()? as usize;
+    let vars = reader.u32()? as usize;
+    let mut strings = [""; 2];
+    for slot in &mut strings {
+        let len = reader.u32()? as usize;
+        *slot = std::str::from_utf8(reader.bytes(len)?)
+            .map_err(|_| "store key: non-UTF-8 string field")?;
     }
+    reader.finish()?;
+    let kind = match (tag, strings) {
+        (TAG_RUN_GRAPH, [tm, ""]) => ArtifactKind::RunGraph(tm.to_owned()),
+        (TAG_SPEC, ["", code]) => ArtifactKind::Spec(
+            SafetyProperty::all()
+                .into_iter()
+                .find(|property| property.short_name() == code)
+                .ok_or("store key: unknown property")?,
+        ),
+        (TAG_RUN_GRAPH | TAG_SPEC, _) => return Err("store key: field set for the wrong kind"),
+        _ => return Err("store key: unknown artifact kind tag"),
+    };
+    Ok(ArtifactKey {
+        threads,
+        vars,
+        kind,
+    })
+}
 
-    /// Key for the interned rows of a lazily stepped specification.
-    pub fn lazy_spec(property: &str, threads: usize, vars: usize) -> StoreKey {
-        StoreKey {
-            kind: StoreKind::LazySpec,
-            tm: String::new(),
-            property: property.to_owned(),
-            threads: threads as u32,
-            vars: vars as u32,
-        }
-    }
+/// The content-address digest of `key`: SHA-256 over a
+/// domain-separation tag, the format and engine versions, and the
+/// canonical key encoding.
+pub fn digest(key: &ArtifactKey) -> [u8; 32] {
+    let mut input = Vec::with_capacity(64);
+    input.extend_from_slice(b"tm-store");
+    input.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    input.extend_from_slice(&ENGINE_VERSION.to_le_bytes());
+    input.extend_from_slice(&encode_key(key));
+    sha256(&input)
+}
 
-    /// Canonical byte encoding of the key itself (no versions). Each
-    /// string is length-prefixed, so distinct field values can never
-    /// collide by concatenation.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32 + self.tm.len() + self.property.len());
-        out.extend_from_slice(&self.kind.as_tag().to_le_bytes());
-        out.extend_from_slice(&self.threads.to_le_bytes());
-        out.extend_from_slice(&self.vars.to_le_bytes());
-        for field in [&self.tm, &self.property] {
-            out.extend_from_slice(&(field.len() as u32).to_le_bytes());
-            out.extend_from_slice(field.as_bytes());
-        }
-        out
-    }
-
-    /// Parses the canonical encoding back into a key.
-    pub fn decode(bytes: &[u8]) -> Result<StoreKey, &'static str> {
-        let mut reader = crate::codec::Reader::new(bytes);
-        let kind =
-            StoreKind::from_tag(reader.u32()?).ok_or("store key: unknown artifact kind tag")?;
-        let threads = reader.u32()?;
-        let vars = reader.u32()?;
-        let mut strings = [const { String::new() }; 2];
-        for slot in &mut strings {
-            let len = reader.u32()? as usize;
-            let raw = reader.bytes(len)?;
-            *slot = std::str::from_utf8(raw)
-                .map_err(|_| "store key: non-UTF-8 string field")?
-                .to_owned();
-        }
-        if !reader.is_empty() {
-            return Err("store key: trailing bytes");
-        }
-        let [tm, property] = strings;
-        Ok(StoreKey {
-            kind,
-            tm,
-            property,
-            threads,
-            vars,
-        })
-    }
-
-    /// The content-address digest: SHA-256 over a domain-separation tag,
-    /// the format and engine versions, and the canonical key encoding.
-    pub fn digest(&self) -> [u8; 32] {
-        let mut input = Vec::with_capacity(64);
-        input.extend_from_slice(b"tm-store");
-        input.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        input.extend_from_slice(&ENGINE_VERSION.to_le_bytes());
-        input.extend_from_slice(&self.encode());
-        sha256(&input)
-    }
-
-    /// The file name under the store directory: 64 hex digits plus the
-    /// `.tmart` extension.
-    pub fn file_name(&self) -> String {
-        let mut name = to_hex(&self.digest());
-        name.push_str(".tmart");
-        name
-    }
-
-    /// Human-readable description (logs, error messages).
-    pub fn describe(&self) -> String {
-        match self.kind {
-            StoreKind::RunGraph => {
-                format!("run_graph {}:{}:{}", self.tm, self.threads, self.vars)
-            }
-            StoreKind::LazySpec => format!(
-                "lazy_spec {}:{}:{}",
-                self.property, self.threads, self.vars
-            ),
-        }
-    }
+/// The file name of `key` under the store directory: 64 hex digits plus
+/// the `.tmart` extension.
+pub fn file_name(key: &ArtifactKey) -> String {
+    let mut name = to_hex(&digest(key));
+    name.push_str(".tmart");
+    name
 }
 
 #[cfg(test)]
@@ -194,29 +130,58 @@ mod tests {
     #[test]
     fn key_encoding_round_trips() {
         let keys = [
-            StoreKey::run_graph("dstm+aggressive", 2, 2),
-            StoreKey::run_graph("TL2", 3, 1),
-            StoreKey::lazy_spec("ss", 2, 2),
-            StoreKey::lazy_spec("op", 1, 1),
+            ArtifactKey::run_graph("dstm+aggressive", 2, 2),
+            ArtifactKey::run_graph("TL2", 3, 1),
+            ArtifactKey::spec(SafetyProperty::StrictSerializability, 2, 2),
+            ArtifactKey::spec(SafetyProperty::Opacity, 1, 1),
         ];
         for key in &keys {
-            assert_eq!(&StoreKey::decode(&key.encode()).unwrap(), key);
+            assert_eq!(&decode_key(&encode_key(key)).unwrap(), key);
         }
+    }
+
+    #[test]
+    fn malformed_keys_are_rejected() {
+        let raw = |tag: u32, tm: &str, property: &str| {
+            let mut out = Vec::new();
+            for word in [tag, 2, 2] {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+            for field in [tm, property] {
+                out.extend_from_slice(&(field.len() as u32).to_le_bytes());
+                out.extend_from_slice(field.as_bytes());
+            }
+            out
+        };
+        let wrong_field = Err("store key: field set for the wrong kind");
+        assert_eq!(
+            decode_key(&raw(3, "", "")),
+            Err("store key: unknown artifact kind tag")
+        );
+        assert_eq!(
+            decode_key(&raw(2, "", "xx")),
+            Err("store key: unknown property")
+        );
+        assert_eq!(decode_key(&raw(2, "dstm", "op")), wrong_field);
+        assert_eq!(decode_key(&raw(1, "dstm", "op")), wrong_field);
+        let mut trailing = raw(1, "dstm", "");
+        trailing.push(0);
+        assert!(decode_key(&trailing).is_err());
     }
 
     #[test]
     fn distinct_keys_distinct_digests() {
         let keys = [
-            StoreKey::run_graph("dstm", 2, 2),
-            StoreKey::run_graph("dstm", 2, 1),
-            StoreKey::run_graph("dstm", 1, 2),
-            StoreKey::run_graph("dstm+aggressive", 2, 2),
-            StoreKey::lazy_spec("ss", 2, 2),
-            StoreKey::lazy_spec("op", 2, 2),
+            ArtifactKey::run_graph("dstm", 2, 2),
+            ArtifactKey::run_graph("dstm", 2, 1),
+            ArtifactKey::run_graph("dstm", 1, 2),
+            ArtifactKey::run_graph("dstm+aggressive", 2, 2),
+            ArtifactKey::spec(SafetyProperty::StrictSerializability, 2, 2),
+            ArtifactKey::spec(SafetyProperty::Opacity, 2, 2),
         ];
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
-                assert_ne!(a.digest(), b.digest(), "{a:?} vs {b:?}");
+                assert_ne!(digest(a), digest(b), "{a:?} vs {b:?}");
             }
         }
     }
@@ -227,17 +192,22 @@ mod tests {
     /// accident.
     #[test]
     fn digest_is_byte_stable() {
-        let key = StoreKey::run_graph("TL2", 2, 2);
-        // Hard-coded pin computed at FORMAT_VERSION=2 / ENGINE_VERSION=1.
+        // Hard-coded pins computed at FORMAT_VERSION=2 / ENGINE_VERSION=1,
+        // one per kind: files written by earlier builds of this format
+        // are still found.
         assert_eq!(
-            key.file_name(),
+            file_name(&ArtifactKey::run_graph("TL2", 2, 2)),
             "0ddc475c532013714735899d7d5ebc9264bae25b7083996056e1b7fe0627d439.tmart"
         );
-        // Field separation: moving a character between fields changes
-        // the digest (length prefixes prevent concatenation collisions).
-        let mut a = StoreKey::lazy_spec("s", 2, 2);
-        a.tm = "s".to_owned();
-        let b = StoreKey::lazy_spec("ss", 2, 2);
-        assert_ne!(a.digest(), b.digest());
+        assert_eq!(
+            file_name(&ArtifactKey::spec(SafetyProperty::Opacity, 2, 2)),
+            "d2d8b216a850a99d461ceb53ab088b335285681c240eee8d897c7c3d7b6116c2.tmart"
+        );
+        // A run graph named like a property is not that property's spec:
+        // the kind tag and the string's slot both differ.
+        assert_ne!(
+            digest(&ArtifactKey::run_graph("op", 2, 2)),
+            digest(&ArtifactKey::spec(SafetyProperty::Opacity, 2, 2))
+        );
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! Compiled verification artifacts — TM run graphs
 //! ([`tm_automata::CompiledRunGraph`]) and interned lazy-specification
-//! rows ([`tm_automata::SpecCache`] contents) — are expensive to build and
+//! rows ([`tm_automata::SpecCache`] contents), held by a session as one
+//! [`tm_checker::Artifact`] — are expensive to build and
 //! entirely deterministic: the same engine at the same version,
 //! given the same TM, contention manager, property, and instance size
 //! `(n, k)`, always builds bit-identical CSR arrays. This crate
@@ -14,20 +15,24 @@
 //!
 //! * [`sha256`] — a std-only SHA-256 (the workspace builds offline;
 //!   see the shims policy in the workspace manifest);
-//! * [`StoreKey`] — the content address: SHA-256 over a canonical
-//!   length-prefixed encoding of *(kind, TM name, property, n, k)*
-//!   plus the format and engine versions, so any incompatible change
-//!   silently retires old files;
+//! * the content address ([`digest`], [`file_name`]) — SHA-256 over a
+//!   canonical length-prefixed encoding of the artifact's
+//!   [`tm_checker::ArtifactKey`] (kind, `n`, `k`, then the TM name of a
+//!   run graph or the property of a specification) plus the format and
+//!   engine versions, so any incompatible change silently retires old
+//!   files. The key is the one the `Verifier` session and the service's
+//!   memory budget use; there is no store-side key type;
 //! * the `.tmart` container (`format`) — magic, versions, a
 //!   checksummed section table, per-section checksums; any single-bit
 //!   corruption or truncation anywhere in a file is detected;
 //! * the codecs (`codec`) — fixed-width little-endian encodings of
-//!   the domain types ([`Artifact`] and friends), with every id
-//!   range-checked and every decoded structure re-validated through
-//!   the `from_parts` constructors in `tm-automata`
-//!   (`CompiledRunGraph::from_parts`, which also recomputes the
-//!   per-label class masks the file does not store, and
-//!   `SpecCache::from_parts`);
+//!   the resident [`tm_checker::Artifact`], written straight from the
+//!   session's copy, with every id range-checked and every decoded
+//!   structure re-validated through the `from_parts` constructors in
+//!   `tm-automata`: `CompiledRunGraph::from_parts`, which also
+//!   recomputes the per-label class masks the file does not store, and
+//!   `SpecCache::from_parts` against the specification source rebuilt
+//!   from the key;
 //! * [`ArtifactStore`] — the directory: atomic temp-file + rename
 //!   writes, mmap (or buffered) reads, quarantine of corrupt files,
 //!   an LRU byte/file cap, and counters for the service metrics.
@@ -55,9 +60,9 @@ mod mmap;
 pub mod sha256;
 mod store;
 
-pub use codec::{Artifact, LazySpecArtifact, Reader, RunGraphArtifact};
+pub use codec::Reader;
 pub use format::{FormatError, SectionWriter, Sections, MAGIC};
-pub use key::{StoreKey, StoreKind, ENGINE_VERSION, FORMAT_VERSION};
+pub use key::{digest, file_name, ENGINE_VERSION, FORMAT_VERSION};
 pub use mmap::{read_file, FileBytes};
 pub use store::{ArtifactStore, StoreConfig, StoreCounters, StoreEntry, StoreError, StoreStats};
 

@@ -27,8 +27,10 @@ use std::sync::Mutex;
 use tm_automata::fault::fault_point;
 use tm_obs::{Counter, Phase, PhaseTimer, Registry};
 
-use crate::codec::{decode_artifact, encode_artifact, Artifact};
-use crate::key::StoreKey;
+use tm_checker::{Artifact, ArtifactKey};
+
+use crate::codec::{decode_artifact, encode_artifact};
+use crate::key::file_name;
 
 /// Extension of addressable artifact files.
 const EXT: &str = "tmart";
@@ -241,14 +243,15 @@ impl ArtifactStore {
         &self.dir
     }
 
-    /// Saves `artifact` under `key`. Content-addressed and idempotent:
+    /// Saves `artifact` under `key`, encoding it in place (nothing is
+    /// copied before the encode). Content-addressed and idempotent:
     /// if the digest is already present, the entry is only touched in
     /// the LRU. The write is atomic (temp file + rename) and runs the
     /// `store` fault point *before* the rename, so an injected fault
     /// models a crash mid-write: the addressable store is unchanged and
     /// only a `.tmp` remains.
-    pub fn save(&self, key: &StoreKey, artifact: &Artifact) -> Result<(), StoreError> {
-        let name = key.file_name();
+    pub fn save(&self, key: &ArtifactKey, artifact: &Artifact) -> Result<(), StoreError> {
+        let name = file_name(key);
         {
             let mut ledger = self.lock_ledger();
             if ledger.entries.contains_key(&name) {
@@ -296,8 +299,8 @@ impl ArtifactStore {
     /// file) when one exists but fails verification; `Err(Fault)` when
     /// the injected `store` fault fires (a poisoned read — the caller
     /// treats it like a miss and rebuilds).
-    pub fn load(&self, key: &StoreKey) -> Result<Option<Artifact>, StoreError> {
-        let name = key.file_name();
+    pub fn load(&self, key: &ArtifactKey) -> Result<Option<Artifact>, StoreError> {
+        let name = file_name(key);
         let path = self.dir.join(&name);
         if !path.exists() {
             self.counters.misses.inc();
@@ -316,7 +319,7 @@ impl ArtifactStore {
         };
         timer.set_value(bytes.len() as u64);
         match decode_artifact(&bytes).and_then(|(stored_key, artifact)| {
-            if stored_key.digest() == key.digest() {
+            if stored_key == *key {
                 Ok(artifact)
             } else {
                 Err("file content addresses a different key")
@@ -389,7 +392,7 @@ impl ArtifactStore {
     /// where the key is not known up front — it is read out of the
     /// file and re-verified against the content address). Quarantines
     /// on corruption exactly like [`ArtifactStore::load`].
-    pub fn load_path(&self, path: &Path) -> Result<(StoreKey, Artifact), StoreError> {
+    pub fn load_path(&self, path: &Path) -> Result<(ArtifactKey, Artifact), StoreError> {
         let name = path
             .file_name()
             .and_then(|n| n.to_str())
@@ -400,7 +403,7 @@ impl ArtifactStore {
         let bytes = crate::mmap::read_file(path)?;
         timer.set_value(bytes.len() as u64);
         match decode_artifact(&bytes).and_then(|(key, artifact)| {
-            if key.file_name() == name {
+            if file_name(&key) == name {
                 Ok((key, artifact))
             } else {
                 Err("file name does not match content address")

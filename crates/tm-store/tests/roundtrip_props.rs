@@ -3,15 +3,16 @@
 //! byte-stable, and every single-bit corruption of an encoded file is
 //! detected and rejected.
 
+use std::time::Duration;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use tm_algorithms::{Action, ExtCommand, RunLabel};
-use tm_automata::{CompiledRunGraph, RunGraphParts, NO_STATE};
-use tm_lang::{Command, ThreadId, ThreadSet, VarId, VarSet};
-use tm_spec::{DetPhase, DetState};
-use tm_store::{
-    decode_artifact, encode_artifact, Artifact, LazySpecArtifact, RunGraphArtifact, StoreKey,
-};
+use tm_automata::{CompiledRunGraph, DeterministicTransitionSystem, RunGraphParts, NO_STATE};
+use tm_checker::{Artifact, ArtifactKey};
+use tm_lang::{Command, SafetyProperty, ThreadId, ThreadSet, VarId, VarSet};
+use tm_spec::{spec_alphabet, DetPhase, DetSpec, DetState};
+use tm_store::{decode_artifact, encode_artifact};
 
 /// A fixed universe of distinct run labels to draw edge labels from.
 fn label_universe() -> Vec<RunLabel> {
@@ -102,34 +103,39 @@ proptest! {
         )
     ) {
         let ((num_states, edge_picks), (_seed, build_ns)) = input;
-        let graph = random_run_graph(num_states, &edge_picks);
-        let key = StoreKey::run_graph("prop+tm", 2, 2);
-        let artifact = Artifact::RunGraph(RunGraphArtifact {
-            graph: graph.clone(),
+        let key = ArtifactKey::run_graph("prop+tm", 2, 2);
+        let artifact = Artifact::RunGraph {
+            graph: random_run_graph(num_states, &edge_picks),
             states: num_states,
-            build_ns,
-        });
+            build_time: Duration::from_nanos(build_ns),
+        };
         let image = encode_artifact(&key, &artifact);
         let (decoded_key, decoded) = decode_artifact(&image).expect("fresh image must decode");
         prop_assert_eq!(decoded_key, key);
-        let Artifact::RunGraph(decoded) = decoded else { panic!("wrong artifact kind") };
-        prop_assert_eq!(decoded.graph.to_parts(), graph.to_parts());
-        prop_assert_eq!(decoded.graph.heap_bytes(), graph.heap_bytes());
-        prop_assert_eq!(decoded.states, num_states);
-        prop_assert_eq!(decoded.build_ns, build_ns);
+        let (
+            Artifact::RunGraph { graph, states, build_time },
+            Artifact::RunGraph { graph: decoded, states: decoded_states, build_time: decoded_time },
+        ) = (&artifact, &decoded) else { panic!("wrong artifact kind") };
+        prop_assert_eq!(decoded.parts(), graph.parts());
+        prop_assert_eq!(decoded.heap_bytes(), graph.heap_bytes());
+        prop_assert_eq!(decoded_states, states);
+        prop_assert_eq!(decoded_time, build_time);
     }
 
     #[test]
     fn lazy_spec_round_trips(
         input in (
-            (1usize..12, 1usize..6),
+            1usize..12,
             vec((0u32..3, 0u16..u16::MAX, 0u16..16), 1..12),
             vec(0u32..1000, 0..60),
         )
     ) {
-        let ((num_states, width), thread_picks, row_entries) = input;
-        // Random deterministic-spec states.
-        let mut states = Vec::with_capacity(num_states);
+        let (num_states, thread_picks, row_entries) = input;
+        // Interned states as `SpecCache::from_parts` accepts them: the
+        // specification's initial state first, then distinct random ones.
+        let spec = DetSpec::new(SafetyProperty::Opacity, 2, 2);
+        let width = spec_alphabet(2, 2).len();
+        let mut states = vec![spec.initial()];
         for i in 0..num_states {
             let mut state = DetState::default();
             for (t, &(phase, var_bits, thread_bits)) in
@@ -148,8 +154,11 @@ proptest! {
                 state.0[t].wp = ThreadSet::from_bits(thread_bits & 0xF);
                 state.0[t].sp = ThreadSet::from_bits(thread_bits.rotate_left(2) & 0xF);
             }
-            states.push(state);
+            if !states.contains(&state) {
+                states.push(state);
+            }
         }
+        let num_states = states.len();
         // Random present/absent successor rows of uniform width.
         let mut rows: Vec<Option<Box<[u32]>>> = Vec::with_capacity(num_states);
         let mut cursor = row_entries.iter().cycle();
@@ -166,19 +175,22 @@ proptest! {
                 rows.push(Some(row.into_boxed_slice()));
             }
         }
-        let key = StoreKey::lazy_spec("op", 2, 2);
-        let artifact = Artifact::LazySpec(LazySpecArtifact {
-            states: states.clone(),
-            rows: rows.clone(),
-            build_ns: 12_345,
-        });
+        let key = ArtifactKey::spec(SafetyProperty::Opacity, 2, 2);
+        let artifact = Artifact::spec_from_parts(
+            SafetyProperty::Opacity,
+            2,
+            2,
+            states.clone(),
+            rows.clone(),
+            Duration::from_nanos(12_345),
+        )
+        .expect("generated tables are structurally valid");
         let image = encode_artifact(&key, &artifact);
         let (decoded_key, decoded) = decode_artifact(&image).expect("fresh image must decode");
         prop_assert_eq!(decoded_key, key);
-        let Artifact::LazySpec(decoded) = decoded else { panic!("wrong artifact kind") };
-        prop_assert_eq!(decoded.states, states);
-        prop_assert_eq!(decoded.rows, rows);
-        prop_assert_eq!(decoded.build_ns, 12_345);
+        let Artifact::Spec { cache, build_time } = decoded else { panic!("wrong artifact kind") };
+        prop_assert_eq!(cache.parts(), (&states[..], &rows));
+        prop_assert_eq!(build_time, Duration::from_nanos(12_345));
     }
 
     /// Encoding is deterministic (same artifact → bit-identical file,
@@ -189,13 +201,12 @@ proptest! {
         input in (1usize..5, vec((0u32..64, 0u32..64), 0..10))
     ) {
         let (num_states, edge_picks) = input;
-        let graph = random_run_graph(num_states, &edge_picks);
-        let key = StoreKey::run_graph("prop+tm", 2, 2);
-        let artifact = Artifact::RunGraph(RunGraphArtifact {
-            graph,
+        let key = ArtifactKey::run_graph("prop+tm", 2, 2);
+        let artifact = Artifact::RunGraph {
+            graph: random_run_graph(num_states, &edge_picks),
             states: num_states,
-            build_ns: 7,
-        });
+            build_time: Duration::from_nanos(7),
+        };
         let image = encode_artifact(&key, &artifact);
         prop_assert_eq!(&encode_artifact(&key, &artifact), &image);
         for byte in 0..image.len() {

@@ -4,14 +4,16 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use tm_algorithms::{Action, ExtCommand, RunLabel};
+use tm_algorithms::{Action, ExtCommand, RunLabel, SequentialTm};
 use tm_automata::{CompiledRunGraph, RunGraphParts};
-use tm_lang::{Command, ThreadId, VarId};
+use tm_checker::{Artifact, ArtifactKey, Verifier};
+use tm_lang::{Command, SafetyProperty, ThreadId, VarId};
 use tm_store::sha256::checksum64;
 use tm_store::{
-    encode_artifact, Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreCounters,
-    StoreError, StoreKey, MAGIC, SectionWriter, Sections,
+    encode_artifact, file_name, ArtifactStore, SectionWriter, Sections, StoreConfig, StoreCounters,
+    StoreError, MAGIC,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -61,11 +63,21 @@ fn sample_graph(flavor: u32) -> CompiledRunGraph<RunLabel> {
 }
 
 fn sample_artifact(flavor: u32) -> Artifact {
-    Artifact::RunGraph(RunGraphArtifact {
+    Artifact::RunGraph {
         graph: sample_graph(flavor),
         states: 2,
-        build_ns: 42,
-    })
+        build_time: Duration::from_nanos(42),
+    }
+}
+
+/// A session that has built the opacity specification at (2, 1) by
+/// checking the sequential TM against it, with the artifact's key.
+fn session_with_spec() -> (Verifier, ArtifactKey) {
+    let mut verifier = Verifier::new(2, 1).pool_size(1);
+    assert!(verifier
+        .check_safety(&SequentialTm::new(2, 1), SafetyProperty::Opacity)
+        .holds());
+    (verifier, ArtifactKey::spec(SafetyProperty::Opacity, 2, 1))
 }
 
 #[test]
@@ -76,7 +88,7 @@ fn save_load_round_trip_and_idempotent_resave() {
         ..StoreConfig::default()
     }, store_counters())
     .unwrap();
-    let key = StoreKey::run_graph("dstm", 2, 2);
+    let key = ArtifactKey::run_graph("dstm", 2, 2);
 
     assert!(store.load(&key).unwrap().is_none(), "empty store must miss");
     store.save(&key, &sample_artifact(0)).unwrap();
@@ -86,12 +98,17 @@ fn save_load_round_trip_and_idempotent_resave() {
     assert_eq!(stats.files, 1);
     assert!(stats.bytes > 0);
 
-    let Some(Artifact::RunGraph(loaded)) = store.load(&key).unwrap() else {
+    let Some(Artifact::RunGraph {
+        graph,
+        states,
+        build_time,
+    }) = store.load(&key).unwrap()
+    else {
         panic!("expected a run-graph hit");
     };
-    assert_eq!(loaded.graph.to_parts(), sample_graph(0).to_parts());
-    assert_eq!(loaded.states, 2);
-    assert_eq!(loaded.build_ns, 42);
+    assert_eq!(graph.parts(), sample_graph(0).parts());
+    assert_eq!(states, 2);
+    assert_eq!(build_time, Duration::from_nanos(42));
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses), (1, 1));
     std::fs::remove_dir_all(&dir).unwrap();
@@ -100,8 +117,8 @@ fn save_load_round_trip_and_idempotent_resave() {
 #[test]
 fn reopen_warm_starts_from_disk() {
     let dir = scratch_dir("reopen");
-    let key_a = StoreKey::run_graph("dstm", 2, 2);
-    let key_b = StoreKey::lazy_spec("op", 2, 2);
+    let key_a = ArtifactKey::run_graph("dstm", 2, 2);
+    let (session, key_b) = session_with_spec();
     {
         let store = ArtifactStore::open(StoreConfig {
             dir: dir.clone(),
@@ -110,14 +127,7 @@ fn reopen_warm_starts_from_disk() {
         .unwrap();
         store.save(&key_a, &sample_artifact(0)).unwrap();
         store
-            .save(
-                &key_b,
-                &Artifact::LazySpec(tm_store::LazySpecArtifact {
-                    states: vec![tm_spec::DetState::default()],
-                    rows: vec![None],
-                    build_ns: 7,
-                }),
-            )
+            .save(&key_b, session.artifact(&key_b).unwrap())
             .unwrap();
         // A stale temp file from a "crashed" writer.
         std::fs::write(dir.join("deadbeef.tmart.tmp"), b"partial").unwrap();
@@ -134,16 +144,10 @@ fn reopen_warm_starts_from_disk() {
     );
     let files = store.files();
     assert_eq!(files.len(), 2);
-    let mut kinds = Vec::new();
-    for path in files {
-        let (key, _artifact) = store.load_path(&path).unwrap();
-        kinds.push(key.kind);
-    }
-    kinds.sort_by_key(|k| k.as_tag());
-    assert_eq!(
-        kinds,
-        vec![tm_store::StoreKind::RunGraph, tm_store::StoreKind::LazySpec]
-    );
+    let mut keys: Vec<ArtifactKey> =
+        files.iter().map(|path| store.load_path(path).unwrap().0).collect();
+    keys.sort_by_key(ArtifactKey::to_string);
+    assert_eq!(keys, vec![key_b, key_a.clone()], "sorted by display: (2,1) before (2,2)");
     assert!(store.load(&key_a).unwrap().is_some());
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -156,11 +160,11 @@ fn corrupt_files_are_quarantined_and_become_misses() {
         ..StoreConfig::default()
     }, store_counters())
     .unwrap();
-    let key = StoreKey::run_graph("TL2", 2, 2);
+    let key = ArtifactKey::run_graph("TL2", 2, 2);
     store.save(&key, &sample_artifact(0)).unwrap();
 
     // Flip one payload byte on disk.
-    let path = dir.join(key.file_name());
+    let path = dir.join(file_name(&key));
     let mut bytes = std::fs::read(&path).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x40;
@@ -172,7 +176,7 @@ fn corrupt_files_are_quarantined_and_become_misses() {
     }
     assert!(!path.exists(), "corrupt file must leave the namespace");
     assert!(
-        dir.join(format!("{}.quarantined", key.file_name())).exists(),
+        dir.join(format!("{}.quarantined", file_name(&key))).exists(),
         "corrupt file must be kept for post-mortem"
     );
     let stats = store.stats();
@@ -189,7 +193,7 @@ fn corrupt_files_are_quarantined_and_become_misses() {
 /// A well-formed image of `artifact` under `key` whose header declares
 /// kind `tag` instead, with the header checksum recomputed so the kind
 /// tag is the file's only fault.
-fn image_with_kind_tag(key: &StoreKey, artifact: &Artifact, tag: u32) -> Vec<u8> {
+fn image_with_kind_tag(key: &ArtifactKey, artifact: &Artifact, tag: u32) -> Vec<u8> {
     let mut image = encode_artifact(key, artifact);
     image[16..20].copy_from_slice(&tag.to_le_bytes());
     reseal_header(&mut image);
@@ -205,15 +209,15 @@ fn image_with_kind_tag(key: &StoreKey, artifact: &Artifact, tag: u32) -> Vec<u8>
 fn unknown_kind_tags_are_quarantined_at_load_path_and_warm_start() {
     const UNKNOWN: [u32; 3] = [3, 4, 99];
     let dir = scratch_dir("unknown-kind");
-    let good = StoreKey::run_graph("dstm", 2, 2);
-    let foreign: Vec<StoreKey> = UNKNOWN
+    let good = ArtifactKey::run_graph("dstm", 2, 2);
+    let foreign: Vec<ArtifactKey> = UNKNOWN
         .iter()
-        .map(|&tag| StoreKey::run_graph(&format!("foreign-{tag}"), 2, 2))
+        .map(|&tag| ArtifactKey::run_graph(format!("foreign-{tag}"), 2, 2))
         .collect();
     let write_foreign = |dir: &std::path::Path| {
         for (key, &tag) in foreign.iter().zip(&UNKNOWN) {
             let image = image_with_kind_tag(key, &sample_artifact(0), tag);
-            std::fs::write(dir.join(key.file_name()), image).unwrap();
+            std::fs::write(dir.join(file_name(key)), image).unwrap();
         }
     };
     let open = || {
@@ -229,13 +233,13 @@ fn unknown_kind_tags_are_quarantined_at_load_path_and_warm_start() {
     store.save(&good, &sample_artifact(0)).unwrap();
     write_foreign(&dir);
     for key in &foreign {
-        let path = dir.join(key.file_name());
+        let path = dir.join(file_name(key));
         match store.load_path(&path) {
             Err(StoreError::Corrupt(why)) => assert_eq!(why, "unknown artifact kind tag"),
             other => panic!("expected corrupt, got {other:?}"),
         }
         assert!(!path.exists(), "the file must leave the namespace");
-        let quarantined = dir.join(format!("{}.quarantined", key.file_name()));
+        let quarantined = dir.join(format!("{}.quarantined", file_name(key)));
         assert!(quarantined.exists(), "the file is kept for post-mortem");
     }
     assert_eq!(store.stats().corrupt, UNKNOWN.len() as u64);
@@ -244,12 +248,12 @@ fn unknown_kind_tags_are_quarantined_at_load_path_and_warm_start() {
     // Warm start: a reopened store addresses the foreign files, and the
     // files()/load_path walk quarantines them and keeps the good one.
     for key in &foreign {
-        std::fs::remove_file(dir.join(format!("{}.quarantined", key.file_name()))).unwrap();
+        std::fs::remove_file(dir.join(format!("{}.quarantined", file_name(key)))).unwrap();
     }
     write_foreign(&dir);
     let store = open();
     assert_eq!(store.stats().files, 1 + UNKNOWN.len() as u64);
-    let loaded: Vec<StoreKey> = store
+    let loaded: Vec<ArtifactKey> = store
         .files()
         .iter()
         .filter_map(|path| store.load_path(path).ok().map(|(key, _)| key))
@@ -278,8 +282,8 @@ fn reseal_header(image: &mut [u8]) {
 #[test]
 fn format_version_1_images_take_the_version_mismatch_path() {
     let dir = scratch_dir("format-v1");
-    let key = StoreKey::run_graph("dstm", 2, 2);
-    let path = dir.join(key.file_name());
+    let key = ArtifactKey::run_graph("dstm", 2, 2);
+    let path = dir.join(file_name(&key));
     let write_v1 = || {
         let mut image = encode_artifact(&key, &sample_artifact(0));
         image[8..12].copy_from_slice(&1u32.to_le_bytes());
@@ -301,13 +305,13 @@ fn format_version_1_images_take_the_version_mismatch_path() {
         other => panic!("expected a version mismatch, got {other:?}"),
     }
     assert!(!path.exists(), "the file must leave the namespace");
-    assert!(dir.join(format!("{}.quarantined", key.file_name())).exists());
+    assert!(dir.join(format!("{}.quarantined", file_name(&key))).exists());
     assert_eq!(store.stats().corrupt, 1);
     drop(store);
 
     // Warm start: the reopened store addresses the file, and the
     // files()/load_path walk quarantines it.
-    std::fs::remove_file(dir.join(format!("{}.quarantined", key.file_name()))).unwrap();
+    std::fs::remove_file(dir.join(format!("{}.quarantined", file_name(&key)))).unwrap();
     write_v1();
     let store = open();
     assert_eq!(store.stats().files, 1);
@@ -353,9 +357,9 @@ fn checksum_valid_out_of_range_targets_are_quarantined() {
         ..StoreConfig::default()
     }, StoreCounters::register(&registry))
     .unwrap();
-    let key = StoreKey::run_graph("dstm", 2, 2);
+    let key = ArtifactKey::run_graph("dstm", 2, 2);
     store.save(&key, &sample_artifact(0)).unwrap();
-    let path = dir.join(key.file_name());
+    let path = dir.join(file_name(&key));
     // The sample graph has 2 states.
     let image = with_first_edge_target(&std::fs::read(&path).unwrap(), 2);
     std::fs::write(&path, image).unwrap();
@@ -365,10 +369,76 @@ fn checksum_valid_out_of_range_targets_are_quarantined() {
         other => panic!("expected corrupt, got {other:?}"),
     }
     assert!(!path.exists(), "the file must leave the namespace");
-    assert!(dir.join(format!("{}.quarantined", key.file_name())).exists());
+    assert!(dir.join(format!("{}.quarantined", file_name(&key))).exists());
     assert_eq!(store.stats().corrupt, 1);
     assert!(
         registry.render_prometheus().contains("\ntm_store_corrupt_total 1\n"),
+        "{}",
+        registry.render_prometheus()
+    );
+    assert!(store.load(&key).unwrap().is_none(), "the key now misses");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A lazy-spec image rewritten by the container's own writer, with the
+/// first entry of its first stored row replaced by `entry`: every
+/// checksum is valid. Sections 1–5 are key, metadata, states, the row
+/// bitmap and the rows (a `u32` width, then the entries).
+fn with_first_row_entry(image: &[u8], entry: u32) -> Vec<u8> {
+    let sections = Sections::parse(image).unwrap();
+    let mut writer = SectionWriter::new();
+    for tag in 1..=5 {
+        let mut payload = sections.get(tag).unwrap().to_vec();
+        if tag == 5 {
+            payload[4..8].copy_from_slice(&entry.to_le_bytes());
+        }
+        writer.section(tag, payload);
+    }
+    writer.finish(sections.kind, sections.digest)
+}
+
+/// The specification counterpart: a checksum-valid lazy-spec file
+/// whose row points past its state table is rejected by
+/// `SpecCache::from_parts` on load — quarantined and counted in
+/// `tm_store_corrupt_total`, not as a hit.
+#[test]
+fn checksum_valid_out_of_range_spec_rows_are_quarantined() {
+    let dir = scratch_dir("bad-spec-row");
+    let registry = tm_obs::Registry::new();
+    let store = ArtifactStore::open(
+        StoreConfig {
+            dir: dir.clone(),
+            ..StoreConfig::default()
+        },
+        StoreCounters::register(&registry),
+    )
+    .unwrap();
+    let (session, key) = session_with_spec();
+    let Some(Artifact::Spec { cache, .. }) = session.artifact(&key) else {
+        panic!("the session holds the spec");
+    };
+    let touched = cache.touched() as u32;
+    store.save(&key, session.artifact(&key).unwrap()).unwrap();
+    let path = dir.join(file_name(&key));
+    let image = with_first_row_entry(&std::fs::read(&path).unwrap(), touched);
+    std::fs::write(&path, image).unwrap();
+
+    match store.load(&key) {
+        Err(StoreError::Corrupt(why)) => {
+            assert_eq!(why, "cached row points outside the state table")
+        }
+        other => panic!("expected corrupt, got {other:?}"),
+    }
+    assert!(!path.exists(), "the file must leave the namespace");
+    assert!(dir
+        .join(format!("{}.quarantined", file_name(&key)))
+        .exists());
+    let stats = store.stats();
+    assert_eq!((stats.corrupt, stats.hits), (1, 0));
+    assert!(
+        registry
+            .render_prometheus()
+            .contains("\ntm_store_corrupt_total 1\n"),
         "{}",
         registry.render_prometheus()
     );
@@ -384,10 +454,10 @@ fn renamed_files_cannot_impersonate_another_key() {
         ..StoreConfig::default()
     }, store_counters())
     .unwrap();
-    let key = StoreKey::run_graph("dstm", 2, 2);
-    let other = StoreKey::run_graph("dstm", 2, 1);
+    let key = ArtifactKey::run_graph("dstm", 2, 2);
+    let other = ArtifactKey::run_graph("dstm", 2, 1);
     store.save(&key, &sample_artifact(0)).unwrap();
-    std::fs::rename(dir.join(key.file_name()), dir.join(other.file_name())).unwrap();
+    std::fs::rename(dir.join(file_name(&key)), dir.join(file_name(&other))).unwrap();
     match store.load(&other) {
         Err(StoreError::Corrupt(why)) => {
             assert!(why.contains("different key"), "unexpected reason: {why}")
@@ -408,7 +478,7 @@ fn byte_cap_evicts_least_recently_used() {
         }, store_counters())
         .unwrap();
         store
-            .save(&StoreKey::run_graph("probe", 2, 2), &sample_artifact(0))
+            .save(&ArtifactKey::run_graph("probe", 2, 2), &sample_artifact(0))
             .unwrap();
         store.stats().bytes
     };
@@ -420,9 +490,9 @@ fn byte_cap_evicts_least_recently_used() {
         cap_files: None,
     }, store_counters())
     .unwrap();
-    let keys: Vec<StoreKey> = ["a", "b", "c"]
+    let keys: Vec<ArtifactKey> = ["a", "b", "c"]
         .iter()
-        .map(|tm| StoreKey::run_graph(tm, 2, 2))
+        .map(|&tm| ArtifactKey::run_graph(tm, 2, 2))
         .collect();
     store.save(&keys[0], &sample_artifact(0)).unwrap();
     store.save(&keys[1], &sample_artifact(0)).unwrap();
@@ -449,14 +519,14 @@ fn file_cap_holds_too() {
     }, store_counters())
     .unwrap();
     store
-        .save(&StoreKey::run_graph("a", 2, 2), &sample_artifact(0))
+        .save(&ArtifactKey::run_graph("a", 2, 2), &sample_artifact(0))
         .unwrap();
     store
-        .save(&StoreKey::run_graph("b", 2, 2), &sample_artifact(1))
+        .save(&ArtifactKey::run_graph("b", 2, 2), &sample_artifact(1))
         .unwrap();
     let stats = store.stats();
     assert_eq!((stats.files, stats.evicted), (1, 1));
-    assert!(store.load(&StoreKey::run_graph("a", 2, 2)).unwrap().is_none());
-    assert!(store.load(&StoreKey::run_graph("b", 2, 2)).unwrap().is_some());
+    assert!(store.load(&ArtifactKey::run_graph("a", 2, 2)).unwrap().is_none());
+    assert!(store.load(&ArtifactKey::run_graph("b", 2, 2)).unwrap().is_some());
     std::fs::remove_dir_all(&dir).unwrap();
 }

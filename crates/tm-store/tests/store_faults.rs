@@ -5,13 +5,14 @@
 //! a miss and rebuilds. Kept in its own test binary (process) because
 //! the fault plan is process-global.
 
+use std::time::Duration;
+
 use tm_algorithms::{Action, ExtCommand, RunLabel};
 use tm_automata::fault::{clear_fault, install_fault, FaultPlan};
 use tm_automata::{CompiledRunGraph, RunGraphParts};
+use tm_checker::{Artifact, ArtifactKey};
 use tm_lang::{Command, ThreadId, VarId};
-use tm_store::{
-    Artifact, ArtifactStore, RunGraphArtifact, StoreConfig, StoreCounters, StoreError, StoreKey,
-};
+use tm_store::{file_name, ArtifactStore, StoreConfig, StoreCounters, StoreError};
 
 /// Counters in a private registry, so tests never share them.
 fn store_counters() -> StoreCounters {
@@ -26,7 +27,7 @@ fn sample_artifact() -> Artifact {
         command: Command::Read(v0),
         action: Action::Complete(ExtCommand::Base(Command::Read(v0))),
     }];
-    Artifact::RunGraph(RunGraphArtifact {
+    Artifact::RunGraph {
         graph: CompiledRunGraph::from_parts(
             RunGraphParts {
                 labels,
@@ -38,8 +39,8 @@ fn sample_artifact() -> Artifact {
         )
         .unwrap(),
         states: 1,
-        build_ns: 1,
-    })
+        build_time: Duration::from_nanos(1),
+    }
 }
 
 fn store_plan(nth: u64) -> FaultPlan {
@@ -62,7 +63,7 @@ fn store_faults_crash_saves_and_poison_loads() {
         ..StoreConfig::default()
     }, store_counters())
     .unwrap();
-    let key = StoreKey::run_graph("dstm", 2, 2);
+    let key = ArtifactKey::run_graph("dstm", 2, 2);
 
     // --- Mid-write crash: the fault fires after the temp file is
     // written but before the rename.
@@ -73,7 +74,7 @@ fn store_faults_crash_saves_and_poison_loads() {
     }
     clear_fault();
     assert!(
-        !dir.join(key.file_name()).exists(),
+        !dir.join(file_name(&key)).exists(),
         "a crashed save must not publish an addressable file"
     );
     assert_eq!(store.stats().saves, 0);
@@ -90,7 +91,7 @@ fn store_faults_crash_saves_and_poison_loads() {
         other => panic!("expected injected fault, got {other:?}"),
     }
     clear_fault();
-    assert!(dir.join(key.file_name()).exists());
+    assert!(dir.join(file_name(&key)).exists());
     assert_eq!(store.stats().corrupt, 0);
     assert!(
         store.load(&key).unwrap().is_some(),
@@ -99,10 +100,10 @@ fn store_faults_crash_saves_and_poison_loads() {
 
     // --- A fresh open after the crash sweeps the leftover temp file.
     install_fault(store_plan(1));
-    let key2 = StoreKey::run_graph("TL2", 2, 2);
+    let key2 = ArtifactKey::run_graph("TL2", 2, 2);
     assert!(store.save(&key2, &sample_artifact()).is_err());
     clear_fault();
-    let tmp = dir.join(format!("{}.tmp", key2.file_name()));
+    let tmp = dir.join(format!("{}.tmp", file_name(&key2)));
     assert!(!tmp.exists(), "failed save cleans its temp file in-process");
     // Simulate the harder case: a crash that never ran cleanup.
     std::fs::write(&tmp, b"partial").unwrap();

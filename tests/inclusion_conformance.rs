@@ -282,7 +282,7 @@ fn safety_sessions_match_otf_engine_on_table2() {
         for (label, verifier) in &sessions {
             // Five TMs, one property per loop iteration: each session
             // built its specification artifact exactly once.
-            assert_eq!(verifier.spec_builds(), 1, "{label}: spec built once");
+            assert_eq!(verifier.builds(), 1, "{label}: spec built once");
         }
     }
 }

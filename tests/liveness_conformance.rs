@@ -94,7 +94,7 @@ fn session_reuse_matches_one_shot_at_every_pool_size() {
                 assert_conforms(&session, &one_shot, &context);
             }
             assert_eq!(
-                verifier.run_graph_builds(),
+                verifier.builds(),
                 1,
                 "{}: three properties must share one compiled run graph",
                 case.name

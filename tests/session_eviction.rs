@@ -1,16 +1,17 @@
 //! Eviction conformance: a session that evicts compiled artifacts
-//! between queries ([`Verifier::drop_run_graph`] / [`Verifier::drop_spec`])
-//! must answer every re-query **bit-identically** to the session that
-//! never evicted — verdicts, counterexample words, lassos, and notations.
-//! Eviction may only cost time (the rebuild) and is reported in
-//! [`tm_checker::QueryStats::rebuilds`]; this is the contract the
-//! memory-budgeted `tm-service` layer rests on.
+//! between queries ([`Verifier::evict`] with the artifact's
+//! [`ArtifactKey`]) must answer every re-query **bit-identically** to
+//! the session that never evicted — verdicts, counterexample words,
+//! lassos, and notations. Eviction may only cost time (the rebuild) and
+//! is reported in [`tm_checker::QueryStats::rebuilds`] and
+//! [`Verifier::rebuilds`]; this is the contract the memory-budgeted
+//! `tm-service` layer rests on.
 
 use tm_algorithms::{
     AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm, ValidationStyle,
     WithContentionManager,
 };
-use tm_checker::{LivenessVerdict, SafetyVerdict, Verifier};
+use tm_checker::{ArtifactKey, LivenessVerdict, SafetyVerdict, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty};
 
 /// The Table 3 roster rows, rebuilt per call (construction is cheap).
@@ -54,13 +55,13 @@ fn evicted_run_graphs_requery_bit_identically() {
     for pool in [1, 4] {
         let mut kept = Verifier::new(2, 1).pool_size(pool);
         let mut evicting = Verifier::new(2, 1).pool_size(pool);
-        // Names are the TMs' own `name()`s — the run-graph cache keys.
+        // Names are the TMs' own `name()`s — the run-graph key names.
         for name in ["sequential", "2PL", "dstm+aggressive", "TL2+polite"] {
             for property in LivenessProperty::all() {
                 let (reference, _) = liveness_verdict(&mut kept, name, property);
                 // Evict the graph before *every* query: each one is a
                 // cold rebuild after the first.
-                let had_graph = evicting.drop_run_graph(name);
+                let had_graph = evicting.evict(&ArtifactKey::run_graph(name, 2, 1));
                 let (requeried, rebuilds) = liveness_verdict(&mut evicting, name, property);
                 assert_liveness_identical(
                     &reference,
@@ -75,10 +76,10 @@ fn evicted_run_graphs_requery_bit_identically() {
             }
         }
         // 4 TMs × 3 properties: one first build plus two rebuilds each.
-        assert_eq!(kept.run_graph_builds(), 4);
-        assert_eq!(kept.run_graph_rebuilds(), 0);
-        assert_eq!(evicting.run_graph_builds(), 12);
-        assert_eq!(evicting.run_graph_rebuilds(), 8);
+        assert_eq!(kept.builds(), 4);
+        assert_eq!(kept.rebuilds(), 0);
+        assert_eq!(evicting.builds(), 12);
+        assert_eq!(evicting.rebuilds(), 8);
     }
 }
 
@@ -114,7 +115,7 @@ fn evicted_specs_requery_bit_identically() {
     for property in SafetyProperty::all() {
         for name in ["sequential", "dstm", "modified-TL2+polite"] {
             let (reference, _) = safety_verdict(&mut kept, name, property);
-            let had_spec = evicting.drop_spec(property);
+            let had_spec = evicting.evict(&ArtifactKey::spec(property, 2, 2));
             let (requeried, rebuilds) = safety_verdict(&mut evicting, name, property);
             assert_eq!(
                 reference.holds(),
@@ -135,24 +136,27 @@ fn evicted_specs_requery_bit_identically() {
     }
     // 2 properties, 3 TMs each: every query after the first per
     // property was answered from a freshly rebuilt artifact.
-    assert_eq!(kept.spec_builds(), 2);
-    assert_eq!(kept.spec_rebuilds(), 0);
-    assert_eq!(evicting.spec_builds(), 6);
-    assert_eq!(evicting.spec_rebuilds(), 4);
+    assert_eq!(kept.builds(), 2);
+    assert_eq!(kept.rebuilds(), 0);
+    assert_eq!(evicting.builds(), 6);
+    assert_eq!(evicting.rebuilds(), 4);
 }
 
 #[test]
 fn dropping_unknown_artifacts_is_a_no_op() {
     let mut verifier = Verifier::new(2, 1);
-    assert!(!verifier.drop_run_graph("dstm"));
-    assert!(!verifier.drop_spec(SafetyProperty::Opacity));
+    assert!(!verifier.evict(&ArtifactKey::run_graph("dstm", 2, 1)));
+    assert!(!verifier.evict(&ArtifactKey::spec(SafetyProperty::Opacity, 2, 1)));
     let verdict = verifier.check_liveness(
         &WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm),
         LivenessProperty::ObstructionFreedom,
     );
     // A first-time build after a no-op drop is not a rebuild.
     assert_eq!(verdict.stats.rebuilds, 0);
-    assert_eq!(verifier.run_graph_rebuilds(), 0);
-    assert!(verifier.drop_run_graph("dstm+aggressive"));
-    assert!(verifier.run_graph_heap_bytes("dstm+aggressive").is_none());
+    assert_eq!(verifier.rebuilds(), 0);
+    let key = ArtifactKey::run_graph("dstm+aggressive", 2, 1);
+    assert!(verifier.artifact(&key).is_some());
+    assert!(verifier.evict(&key));
+    assert!(verifier.artifact(&key).is_none());
+    assert_eq!(verifier.artifact_heap_bytes(), 0);
 }
