@@ -4,8 +4,9 @@
 //!
 //! The `scaling/compiled-vs-seed` group is the A/B evidence for the
 //! interned-alphabet refactor: the seed (label-hashing)
-//! `check_inclusion_reference` against the index-based `check_inclusion`
-//! and its precompiled-spec variant, on the same automata.
+//! `tm_bench::oracle::check_inclusion_reference` against the index-based
+//! `check_inclusion` and its precompiled-spec variant, on the same
+//! automata.
 //!
 //! Automaton construction dominates this bench's setup, so each sized
 //! case checks the command-line filter *before* building its automata;
@@ -17,10 +18,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tm_algorithms::{most_general_nfa, DstmTm, MostGeneralSource, Tl2Tm, TwoPhaseTm};
 use tm_automata::{
-    check_inclusion, check_inclusion_otf, check_inclusion_otf_cached, check_inclusion_reference,
-    modelcheck_threads, Alphabet, CompiledNfa, DtsSpecSource, Executor, NfaSource, QueryBudget,
-    SpecCache, WorkerPool,
+    check_inclusion, check_inclusion_otf, check_inclusion_otf_cached, modelcheck_threads,
+    Alphabet, CompiledNfa, DtsSpecSource, Executor, NfaSource, QueryBudget, SpecCache, WorkerPool,
 };
+use tm_bench::oracle::check_inclusion_reference;
 use tm_lang::SafetyProperty;
 use tm_spec::{spec_alphabet, DetSpec, NondetSpec};
 

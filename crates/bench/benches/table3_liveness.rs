@@ -10,7 +10,8 @@ use tm_algorithms::{
     AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm, TwoPhaseTm,
     WithContentionManager,
 };
-use tm_checker::{check_liveness_reference, Verdict, Verifier};
+use tm_bench::oracle::check_liveness_reference;
+use tm_checker::{Verdict, Verifier};
 use tm_lang::LivenessProperty;
 
 /// One liveness query through a fresh session of `pool` workers, so every

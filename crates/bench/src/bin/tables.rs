@@ -25,8 +25,9 @@
 //!
 //! Perf trajectory (`TM_BENCH_TREND`): every `BENCH_*.json` carries a
 //! `history` array of timestamped headline records (host cpus, pool
-//! size, the section's headline numbers), preserved verbatim across
-//! regenerations. `TM_BENCH_TREND=record` appends this run's record;
+//! size, the section's headline numbers); a regeneration parses the
+//! previous file and carries its last [`TREND_HISTORY_KEEP`] records
+//! over. `TM_BENCH_TREND=record` appends this run's record;
 //! `TM_BENCH_TREND=check` appends **and** compares it against the
 //! previous record, exiting nonzero when a headline metric is worse by
 //! more than `TM_BENCH_TREND_TOLERANCE` (a fraction; default
@@ -34,21 +35,25 @@
 //! checks across unrelated 1-cpu hosts). Unset, the run rewrites the
 //! measurement sections but leaves `history` untouched.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use tm_algorithms::{MostGeneralSource, Tl2Tm, TmAlgorithm, TwoPhaseTm};
 use tm_automata::{
     check_equivalence_antichain, check_inclusion, check_inclusion_otf, check_inclusion_otf_cached,
-    check_inclusion_reference, CompiledDfa, CompiledNfa, Dfa, DtsSpecSource, Executor,
-    InclusionResult, Nfa, NfaSource, QueryBudget, SpecCache, WorkerPool,
+    CompiledDfa, CompiledNfa, Dfa, DtsSpecSource, Executor, InclusionResult, Nfa, NfaSource,
+    QueryBudget, SpecCache, WorkerPool,
 };
+use tm_bench::oracle::check_inclusion_reference;
 use tm_bench::{
     liveness_property_tag, liveness_roster, table2_cases, table2_roster, table3_check_session,
     table3_names, MAX_STATES,
 };
 use tm_checker::{Artifact, ArtifactKey, Table, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty, Statement};
+use tm_service::wire::{encode_phases, JsonError};
+use tm_service::Json;
 use tm_spec::{spec_alphabet, DetSpec, NondetSpec};
 
 fn env_flag(name: &str) -> bool {
@@ -99,8 +104,47 @@ impl Metric {
     }
 
     fn rate(name: &'static str, value: f64) -> Metric {
-        Metric { name, value, lower_is_better: false }
+        Metric { name, value: round_to(value, 3), lower_is_better: false }
     }
+}
+
+/// The members of a JSON object, in writing order.
+type Members = Vec<(String, Json)>;
+
+/// Object members from `(key, value)` pairs.
+fn members_of<const N: usize>(members: [(&str, Json); N]) -> Members {
+    members.map(|(key, value)| (key.to_owned(), value)).into()
+}
+
+/// A JSON object from `(key, value)` pairs.
+fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+    Json::Obj(members_of(members))
+}
+
+/// A count.
+fn int(n: impl TryInto<u64>) -> Json {
+    Json::Num(n.try_into().unwrap_or(u64::MAX) as f64)
+}
+
+/// A wall time in nanoseconds.
+fn ns(d: Duration) -> Json {
+    Json::Num(d.as_nanos() as f64)
+}
+
+/// A string.
+fn text(s: &str) -> Json {
+    Json::Str(s.to_owned())
+}
+
+/// `x` rounded to `places` decimals.
+fn round_to(x: f64, places: i32) -> f64 {
+    let scale = 10f64.powi(places);
+    (x * scale).round() / scale
+}
+
+/// A ratio, written to `places` decimals.
+fn ratio(x: f64, places: i32) -> Json {
+    Json::Num(round_to(x, places))
 }
 
 fn exit_if_regressed() {
@@ -134,10 +178,10 @@ fn main() {
             let (pool_dispatch, pool_total) = bench_pool_dispatch();
             let phases = bench_safety_phases();
             write_bench_json(
-                &baseline,
-                &scaling,
-                &pool_dispatch,
-                &phases,
+                baseline,
+                scaling,
+                pool_dispatch,
+                phases,
                 &[
                     Metric::nanos("inclusion_compiled_total_ns", compiled_total),
                     Metric::nanos("scaling_lazy_total_ns", lazy_total),
@@ -172,10 +216,10 @@ fn main() {
     );
     let session_rows = bench_liveness_session(&[(3, 1), (2, 2), (3, 2)]);
     write_liveness_json(
-        &liveness_cases,
+        liveness_cases,
         liveness_speedup,
-        &session_rows,
-        &liveness_phases,
+        session_rows,
+        liveness_phases,
         &[
             Metric::nanos("session_total_ns", liveness_total),
             Metric::rate("overall_speedup", liveness_speedup),
@@ -334,7 +378,7 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
 /// one on every Table 2 TM/property pair; the measurements become the
 /// `cases` section of `BENCH_inclusion.json` — the committed baseline for
 /// the interned-alphabet refactor.
-fn bench_inclusion_baseline() -> (Vec<String>, Duration) {
+fn bench_inclusion_baseline() -> (Vec<Json>, Duration) {
     let mut cases = Vec::new();
     let mut compiled_total = Duration::ZERO;
     let mut table = Table::new(
@@ -363,23 +407,17 @@ fn bench_inclusion_baseline() -> (Vec<String>, Duration) {
                 format!("{precompiled:.2?}"),
                 format!("{speedup:.2}x"),
             ]);
-            cases.push(format!(
-                concat!(
-                    "    {{\"tm\": \"{}\", \"property\": \"{}\", ",
-                    "\"tm_states\": {}, \"spec_states\": {}, \"product_states\": {}, ",
-                    "\"seed_ns\": {}, \"compiled_ns\": {}, \"precompiled_ns\": {}, ",
-                    "\"speedup\": {:.3}}}"
-                ),
-                name,
-                property.short_name(),
-                nfa.num_states(),
-                spec.num_states(),
-                product_states,
-                seed.as_nanos(),
-                fast.as_nanos(),
-                precompiled.as_nanos(),
-                speedup,
-            ));
+            cases.push(obj([
+                ("tm", text(name)),
+                ("property", text(property.short_name())),
+                ("tm_states", int(nfa.num_states())),
+                ("spec_states", int(spec.num_states())),
+                ("product_states", int(product_states)),
+                ("seed_ns", ns(seed)),
+                ("compiled_ns", ns(fast)),
+                ("precompiled_ns", ns(precompiled)),
+                ("speedup", ratio(speedup, 3)),
+            ]));
         }
     }
     println!("{table}");
@@ -420,7 +458,7 @@ fn par_threads() -> Option<usize> {
 /// (3,3)/(4,2) rows only exist on the fully lazy engine — eagerly
 /// determinizing those specifications does not terminate in reasonable
 /// time — which is exactly the point of on-the-fly exploration.
-fn bench_otf_scaling() -> (Vec<String>, Duration) {
+fn bench_otf_scaling() -> (Vec<Json>, Duration) {
     let mut rows = Vec::new();
     let mut lazy_total = Duration::ZERO;
     let mut table = Table::new(
@@ -476,24 +514,18 @@ fn bench_otf_scaling() -> (Vec<String>, Duration) {
                 par.map_or(String::new(), |d| format!("{d:.2?}")),
                 speedup,
             ]);
-            rows.push(format!(
-                concat!(
-                    "    {{\"tm\": \"{}\", \"property\": \"ss\", ",
-                    "\"threads\": {}, \"vars\": {}, ",
-                    "\"product_states\": {}, \"impl_states\": {}, ",
-                    "\"lazy_ns\": {}, \"seq_ns\": {}, \"par_ns\": {}, ",
-                    "\"par_threads\": {}}}"
-                ),
-                name,
-                n,
-                k,
-                product,
-                impl_states,
-                lazy.as_nanos(),
-                seq.map_or("null".to_owned(), |d| d.as_nanos().to_string()),
-                par.map_or("null".to_owned(), |d| d.as_nanos().to_string()),
-                par_threads().map_or("null".to_owned(), |t| t.to_string()),
-            ));
+            rows.push(obj([
+                ("tm", text(name)),
+                ("property", text("ss")),
+                ("threads", int(n)),
+                ("vars", int(k)),
+                ("product_states", int(product)),
+                ("impl_states", int(impl_states)),
+                ("lazy_ns", ns(lazy)),
+                ("seq_ns", seq.map_or(Json::Null, ns)),
+                ("par_ns", par.map_or(Json::Null, ns)),
+                ("par_threads", par_threads().map_or(Json::Null, int)),
+            ]));
         };
 
         measure(&TwoPhaseTm::new(n, k), "2PL");
@@ -510,7 +542,7 @@ fn bench_otf_scaling() -> (Vec<String>, Duration) {
 /// `BENCH_inclusion.json`. On a single-cpu host the absolute times
 /// measure dispatch overhead, not speedup (`host_cpus` is recorded
 /// alongside).
-fn bench_pool_dispatch() -> (Vec<String>, Duration) {
+fn bench_pool_dispatch() -> (Vec<Json>, Duration) {
     let mut rows = Vec::new();
     let mut pool_total = Duration::ZERO;
     let mut table = Table::new(
@@ -539,18 +571,14 @@ fn bench_pool_dispatch() -> (Vec<String>, Duration) {
                 workers.to_string(),
                 format!("{pooled:.2?}"),
             ]);
-            rows.push(format!(
-                concat!(
-                    "    {{\"tm\": \"{}\", \"property\": \"ss\", ",
-                    "\"threads\": {}, \"vars\": {}, \"workers\": {}, ",
-                    "\"pool_ns\": {}}}"
-                ),
-                name,
-                n,
-                k,
-                workers,
-                pooled.as_nanos(),
-            ));
+            rows.push(obj([
+                ("tm", text(name)),
+                ("property", text("ss")),
+                ("threads", int(n)),
+                ("vars", int(k)),
+                ("workers", int(workers)),
+                ("pool_ns", ns(pooled)),
+            ]));
         }
     };
     // TL2 (2,2): the largest Table 2 product, with frontiers wide enough
@@ -628,77 +656,58 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The previous `history` records of a `BENCH_*.json`, spliced out
-/// textually (one record per line, exactly as this binary writes them)
-/// so regenerations preserve the recorded trajectory byte-for-byte.
-fn previous_history(path: &str) -> Vec<String> {
+/// What a `history` record holds, written next to it as `history_unit`.
+const HISTORY_UNIT: &str = "perf trajectory: one record per TM_BENCH_TREND=record|check run, \
+    oldest first, last 30 kept across regenerations; metrics are this file's headline numbers, \
+    compared against the latest record by TM_BENCH_TREND=check under TM_BENCH_TREND_TOLERANCE \
+    (suffix _ns: lower is better; rates: higher is better)";
+
+/// The `history` records of the `BENCH_*.json` at `path` (none if there
+/// is no such file).
+fn previous_history(path: &Path) -> Result<Vec<Json>, JsonError> {
     let Ok(text) = std::fs::read_to_string(path) else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
-    let Some(start) = text.find("\"history\": [") else {
-        return Vec::new();
-    };
-    let tail = &text[start + "\"history\": [".len()..];
-    // Records are single-line objects with no nested arrays, so the
-    // first ']' closes the history array.
-    let Some(end) = tail.find(']') else {
-        return Vec::new();
-    };
-    tail[..end]
-        .lines()
-        .map(str::trim)
-        .filter(|line| line.starts_with('{'))
-        .map(|line| line.trim_end_matches(',').to_owned())
-        .collect()
+    let doc = Json::parse(&text)?;
+    Ok(doc.get("history").and_then(Json::as_arr).map_or_else(Vec::new, <[Json]>::to_vec))
 }
 
 /// One history record: when the run happened, where, and the section's
 /// headline numbers.
-fn trend_record(metrics: &[Metric]) -> String {
+fn trend_record(metrics: &[Metric]) -> Json {
     let now = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    let fields: Vec<String> = metrics
+    let values = metrics
         .iter()
-        .map(|m| {
-            if m.value.fract() == 0.0 {
-                format!("\"{}\": {}", m.name, m.value as u128)
-            } else {
-                format!("\"{}\": {:.3}", m.name, m.value)
-            }
-        })
+        .map(|m| (m.name.to_owned(), Json::Num(m.value)))
         .collect();
-    format!(
-        "    {{\"recorded_at_unix\": {now}, \"host_cpus\": {}, \"pool_size\": {}, \
-         \"metrics\": {{{}}}}}",
-        host_cpus(),
-        tm_automata::modelcheck_threads(),
-        fields.join(", ")
-    )
+    obj([
+        ("recorded_at_unix", int(now)),
+        ("host_cpus", int(host_cpus())),
+        ("pool_size", int(tm_automata::modelcheck_threads())),
+        ("metrics", Json::Obj(values)),
+    ])
 }
 
 /// `check` mode: each headline metric may be worse than the previous
 /// record's by at most `TM_BENCH_TREND_TOLERANCE` (a fraction of the
 /// old value); anything beyond flags the run for a nonzero exit.
-fn check_trend(path: &str, previous: Option<&String>, metrics: &[Metric]) {
+fn check_trend(path: &Path, previous: Option<&Json>, metrics: &[Metric]) {
+    let path = path.display();
     let tolerance = std::env::var("TM_BENCH_TREND_TOLERANCE")
         .ok()
         .and_then(|raw| raw.parse().ok())
         .unwrap_or(DEFAULT_TREND_TOLERANCE);
-    let Some(previous) = previous else {
+    let Some(record) = previous else {
         println!("{path}: no history record to check against (run TM_BENCH_TREND=record first)");
-        return;
-    };
-    let Ok(record) = tm_service::Json::parse(previous) else {
-        eprintln!("{path}: unparseable history record {previous:?}");
-        TREND_REGRESSED.store(true, Ordering::Relaxed);
         return;
     };
     for metric in metrics {
         let Some(old) = record
             .get("metrics")
             .and_then(|m| m.get(metric.name))
-            .and_then(tm_service::Json::as_f64)
+            .and_then(Json::as_f64)
             .filter(|old| *old > 0.0)
         else {
             println!("{path}: no previous {} to check against", metric.name);
@@ -728,12 +737,18 @@ fn check_trend(path: &str, previous: Option<&String>, metrics: &[Metric]) {
     }
 }
 
-/// Appends the perf-trajectory section to a regenerated `BENCH_*.json`
-/// body (the full JSON minus its closing brace) and writes the file;
-/// see the module docs for the `TM_BENCH_TREND` modes.
-fn write_with_history(path: &str, body: String, metrics: &[Metric]) {
-    let mode = trend_mode();
-    let mut records = previous_history(path);
+/// Writes a regenerated `BENCH_*.json`: `members`, then the perf
+/// trajectory carried over from the file at `path` (see the module docs
+/// for the `TM_BENCH_TREND` modes).
+fn write_with_history(path: &Path, mut members: Members, metrics: &[Metric], mode: TrendMode) {
+    let mut records = previous_history(path).unwrap_or_else(|error| {
+        eprintln!("{}: previous history unreadable ({error})", path.display());
+        // `check` cannot pass without the record it compares against.
+        if mode == TrendMode::Check {
+            TREND_REGRESSED.store(true, Ordering::Relaxed);
+        }
+        Vec::new()
+    });
     if records.len() > TREND_HISTORY_KEEP {
         records.drain(..records.len() - TREND_HISTORY_KEEP);
     }
@@ -743,34 +758,35 @@ fn write_with_history(path: &str, body: String, metrics: &[Metric]) {
     if mode != TrendMode::Off {
         records.push(trend_record(metrics));
     }
-    let history = if records.is_empty() {
-        "[]".to_owned()
-    } else {
-        format!("[\n{}\n  ]", records.join(",\n"))
-    };
-    let json = format!(
-        "{body},\n  \"history_unit\": \"perf trajectory: one record per \
-         TM_BENCH_TREND=record|check run, oldest first, last {TREND_HISTORY_KEEP} kept \
-         across regenerations; metrics are this file's headline numbers, compared \
-         against the latest record by TM_BENCH_TREND=check under \
-         TM_BENCH_TREND_TOLERANCE (suffix _ns: lower is better; rates: higher is \
-         better)\",\n  \"history\": {history}\n}}\n",
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    members.push(("history_unit".to_owned(), text(HISTORY_UNIT)));
+    members.push(("history".to_owned(), Json::Arr(records)));
+    match std::fs::write(path, render(&members)) {
+        Ok(()) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }
 
-/// Nonzero engine-phase totals (`QueryStats::phase_ns`) as a JSON
-/// object fragment, keyed by `tm_obs::Phase` name.
-fn phase_json(phase_ns: &tm_obs::PhaseNanos) -> String {
-    let entries: Vec<String> = tm_obs::Phase::ALL
-        .into_iter()
-        .filter(|&p| phase_ns[p as usize] > 0)
-        .map(|p| format!("\"{}\": {}", p.name(), phase_ns[p as usize]))
-        .collect();
-    format!("{{{}}}", entries.join(", "))
+/// A document with one member per line and, in a non-empty array
+/// member, one element per line; every other value is written compact.
+fn render(members: &[(String, Json)]) -> String {
+    let mut out = String::from("{");
+    for (i, (key, value)) in members.iter().enumerate() {
+        out.push_str(if i == 0 { "\n  " } else { ",\n  " });
+        out.push_str(&Json::Str(key.clone()).to_string());
+        out.push_str(": ");
+        match value {
+            Json::Arr(items) if !items.is_empty() => {
+                for (j, item) in items.iter().enumerate() {
+                    out.push_str(if j == 0 { "[\n    " } else { ",\n    " });
+                    out.push_str(&item.to_string());
+                }
+                out.push_str("\n  ]");
+            }
+            _ => out.push_str(&value.to_string()),
+        }
+    }
+    out.push_str("\n}\n");
+    out
 }
 
 /// Per-query engine-phase breakdown of the Table 2 safety roster at
@@ -778,7 +794,7 @@ fn phase_json(phase_ns: &tm_obs::PhaseNanos) -> String {
 /// levels, dedup merges, pool dispatch vs queue wait), from
 /// `QueryStats::phase_ns` through a fresh session. The `phases` section
 /// of `BENCH_inclusion.json`.
-fn bench_safety_phases() -> Vec<String> {
+fn bench_safety_phases() -> Vec<Json> {
     let mut rows = Vec::new();
     let mut verifier = Verifier::new(2, 2).max_states(MAX_STATES);
     let cases = table2_cases();
@@ -786,14 +802,12 @@ fn bench_safety_phases() -> Vec<String> {
     for property in SafetyProperty::all() {
         for (case, (name, _, _)) in cases.iter().zip(&roster) {
             let verdict = case.check_session(&mut verifier, property);
-            rows.push(format!(
-                "    {{\"tm\": \"{}\", \"property\": \"{}\", \"cached_spec\": {}, \
-                 \"phase_ns\": {}}}",
-                name,
-                property.short_name(),
-                verdict.stats.artifact_cached,
-                phase_json(&verdict.stats.phase_ns)
-            ));
+            rows.push(obj([
+                ("tm", text(name)),
+                ("property", text(property.short_name())),
+                ("cached_spec", Json::Bool(verdict.stats.artifact_cached)),
+                ("phase_ns", encode_phases(&verdict.stats.phase_ns)),
+            ]));
         }
     }
     rows
@@ -805,7 +819,7 @@ fn bench_safety_phases() -> Vec<String> {
 /// the one-time graph build is recorded per TM alongside). The rows
 /// become the `cases` section of `BENCH_liveness.json`; the per-query
 /// phase breakdowns (`QueryStats::phase_ns`) its `phases` section.
-fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<String>, f64, Vec<String>, Duration) {
+fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<Json>, f64, Vec<Json>, Duration) {
     let mut cases = Vec::new();
     let mut phases = Vec::new();
     let mut table = Table::new(
@@ -846,28 +860,21 @@ fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<String>, f64, Vec<St
                 format!("{build:.2?}"),
                 format!("{speedup:.2}x"),
             ]);
-            cases.push(format!(
-                concat!(
-                    "    {{\"tm\": \"{}\", \"property\": \"{}\", ",
-                    "\"tm_states\": {}, \"holds\": {}, ",
-                    "\"reference_ns\": {}, \"session_ns\": {}, ",
-                    "\"graph_build_ns\": {}, \"speedup\": {:.3}}}"
-                ),
-                case.name,
-                liveness_property_tag(property),
-                states,
-                verdict.holds(),
-                reference.as_nanos(),
-                session.as_nanos(),
-                build.as_nanos(),
-                speedup,
-            ));
-            phases.push(format!(
-                "    {{\"tm\": \"{}\", \"property\": \"{}\", \"phase_ns\": {}}}",
-                case.name,
-                liveness_property_tag(property),
-                phase_json(&verdict.stats.phase_ns)
-            ));
+            cases.push(obj([
+                ("tm", text(&case.name)),
+                ("property", text(liveness_property_tag(property))),
+                ("tm_states", int(states)),
+                ("holds", Json::Bool(verdict.holds())),
+                ("reference_ns", ns(reference)),
+                ("session_ns", ns(session)),
+                ("graph_build_ns", ns(build)),
+                ("speedup", ratio(speedup, 3)),
+            ]));
+            phases.push(obj([
+                ("tm", text(&case.name)),
+                ("property", text(liveness_property_tag(property))),
+                ("phase_ns", encode_phases(&verdict.stats.phase_ns)),
+            ]));
         }
     }
     println!("{table}");
@@ -884,7 +891,7 @@ fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<String>, f64, Vec<St
 /// three property searches. `oneshot_est_ns` is what three one-shot
 /// checks would pay (three builds); the `speedup_est` column is the
 /// session's wall-clock cut.
-fn bench_liveness_session(sizes: &[(usize, usize)]) -> Vec<String> {
+fn bench_liveness_session(sizes: &[(usize, usize)]) -> Vec<Json> {
     let pool = tm_automata::modelcheck_threads();
     let mut rows = Vec::new();
     let mut table = Table::new(
@@ -899,18 +906,14 @@ fn bench_liveness_session(sizes: &[(usize, usize)]) -> Vec<String> {
         let roster_len = roster.len();
         for case in roster {
             let mut searches = Duration::ZERO;
-            let mut per_property = Vec::new();
+            let mut search_ns = Vec::new();
             let mut verdicts = Vec::new();
             let mut states = 0;
             for property in LivenessProperty::all() {
                 let verdict = case.check_session(&mut verifier, property);
                 searches += verdict.stats.search_time;
                 states = verdict.stats.states_explored;
-                per_property.push(format!(
-                    "\"{}_search_ns\": {}",
-                    liveness_property_tag(property),
-                    verdict.stats.search_time.as_nanos()
-                ));
+                search_ns.push(ns(verdict.stats.search_time));
                 verdicts.push(yn(verdict.holds()));
             }
             let build = verifier
@@ -930,26 +933,23 @@ fn bench_liveness_session(sizes: &[(usize, usize)]) -> Vec<String> {
                 format!("{session:.2?}"),
                 format!("{speedup:.2}x"),
             ]);
-            rows.push(format!(
-                concat!(
-                    "    {{\"tm\": \"{}\", \"threads\": {}, \"vars\": {}, ",
-                    "\"tm_states\": {}, \"verdicts\": \"{}\", ",
-                    "\"graph_build_ns\": {}, {}, ",
-                    "\"session_ns\": {}, \"oneshot_est_ns\": {}, ",
-                    "\"speedup_est\": {:.3}, \"pool_threads\": {}}}"
-                ),
-                case.name,
-                n,
-                k,
-                states,
-                verdicts.join("/"),
-                build.as_nanos(),
-                per_property.join(", "),
-                session.as_nanos(),
-                oneshot_est.as_nanos(),
-                speedup,
-                pool,
-            ));
+            let [of_ns, lf_ns, wf_ns]: [Json; 3] =
+                search_ns.try_into().expect("one search per liveness property");
+            rows.push(obj([
+                ("tm", text(&case.name)),
+                ("threads", int(n)),
+                ("vars", int(k)),
+                ("tm_states", int(states)),
+                ("verdicts", text(&verdicts.join("/"))),
+                ("graph_build_ns", ns(build)),
+                ("of_search_ns", of_ns),
+                ("lf_search_ns", lf_ns),
+                ("wf_search_ns", wf_ns),
+                ("session_ns", ns(session)),
+                ("oneshot_est_ns", ns(oneshot_est)),
+                ("speedup_est", ratio(speedup, 3)),
+                ("pool_threads", int(pool)),
+            ]));
         }
         assert_eq!(
             verifier.builds(),
@@ -1048,26 +1048,19 @@ fn bench_service() {
             stats.evictions.to_string(),
             stats.peak_tracked_bytes.to_string(),
         ]);
-        rows.push(format!(
-            concat!(
-                "    {{\"budget_bytes\": {}, \"cold_ns\": {}, \"warm_ns\": {}, ",
-                "\"cold_qps\": {:.3}, \"warm_qps\": {:.3}, ",
-                "\"artifact_builds\": {}, \"artifact_rebuilds\": {}, ",
-                "\"cache_hits\": {}, \"evictions\": {}, ",
-                "\"peak_tracked_bytes\": {}, \"tracked_bytes\": {}}}"
-            ),
-            budget.map_or("null".to_owned(), |b: usize| b.to_string()),
-            cold.as_nanos(),
-            warm.as_nanos(),
-            qps(cold),
-            qps(warm),
-            stats.artifact_builds,
-            stats.artifact_rebuilds,
-            stats.cache_hits,
-            stats.evictions,
-            stats.peak_tracked_bytes,
-            stats.tracked_bytes,
-        ));
+        rows.push(obj([
+            ("budget_bytes", budget.map_or(Json::Null, int)),
+            ("cold_ns", ns(cold)),
+            ("warm_ns", ns(warm)),
+            ("cold_qps", ratio(qps(cold), 3)),
+            ("warm_qps", ratio(qps(warm), 3)),
+            ("artifact_builds", int(stats.artifact_builds)),
+            ("artifact_rebuilds", int(stats.artifact_rebuilds)),
+            ("cache_hits", int(stats.cache_hits)),
+            ("evictions", int(stats.evictions)),
+            ("peak_tracked_bytes", int(stats.peak_tracked_bytes)),
+            ("tracked_bytes", int(stats.tracked_bytes)),
+        ]));
     }
     println!("{table}");
 
@@ -1150,11 +1143,12 @@ fn bench_service() {
             format!("{elapsed:.2?}"),
             format!("{conc_qps:.1}"),
         ]);
-        conc_rows.push(format!(
-            "    {{\"inflight\": {inflight}, \"batches\": {TOTAL_BATCHES}, \
-             \"elapsed_ns\": {}, \"qps\": {conc_qps:.3}}}",
-            elapsed.as_nanos()
-        ));
+        conc_rows.push(obj([
+            ("inflight", int(inflight)),
+            ("batches", int(TOTAL_BATCHES)),
+            ("elapsed_ns", ns(elapsed)),
+            ("qps", ratio(conc_qps, 3)),
+        ]));
     }
     println!("{conc_table}");
 
@@ -1256,69 +1250,82 @@ fn bench_service() {
         warm_store_stats.store_hits
     );
 
-    let json = format!(
-        "{{\n  \"benchmark\": \"service-batch\",\n  \
-         \"unit\": \"wall clock per 22-query batch (Table 2 safety at (2,2) + Table 3 \
-         liveness at (2,1)); cold = fresh service (every artifact builds), warm = same \
-         service re-submitted (cache hits at an unbounded budget, rebuilds of evicted \
-         artifacts at the tight one); tight budget = largest artifact + (total - \
-         largest)/4, so the roster cannot be held resident at once; concurrency = 8 warm \
-         submissions of the roster through one shared service at 1 vs 4 in-flight \
-         submitter threads\",\n  \
-         \"host_cpus\": {},\n  \"pool_size\": {},\n  \"queries_per_batch\": {},\n  \
-         \"artifact_total_bytes\": {},\n  \"largest_artifact_bytes\": {},\n  \
-         \"budgets\": [\n{}\n  ],\n  \"concurrency\": [\n{}\n  ],\n  \
-         \"persistence_unit\": \"same roster through the content-addressed artifact \
-         store (tm-store): store_cold_ns = fresh service writing every built artifact \
-         through to disk, warm_boot_ns = restarted service opening the store and \
-         installing every artifact at construction, store_warm_ns = that restarted \
-         service answering the full roster with zero builds, promote_warm_ns = a \
-         tight-budget service re-answering the roster by promoting demoted artifacts \
-         from disk instead of rebuilding (compare the tight budget row's rebuild-based \
-         warm_ns)\",\n  \
-         \"persistence\": {{\"store_cold_ns\": {}, \"warm_boot_ns\": {}, \
-         \"store_warm_ns\": {}, \"promote_warm_ns\": {}, \"store_bytes\": {}, \
-         \"store_files\": {}, \"cold_saves\": {}, \"warm_hits\": {}, \"promotes\": {}, \
-         \"demotes\": {}}},\n  \
-         \"instrumentation_unit\": \"best-of-5 warm roster through an unbounded-budget \
-         service with tm-obs phase timers enabled (default) vs TM_OBS=off; \
-         overhead_ratio = on/off - 1, target <= 0.05; sampler_on_warm_ns = same roster \
-         with the ~97 Hz sampling profiler also running, profiler_overhead_ratio = \
-         sampler_on/on - 1, target <= 0.05\",\n  \
-         \"instrumentation\": {{\"obs_on_warm_ns\": {}, \"obs_off_warm_ns\": {}, \
-         \"overhead_ratio\": {:.4}, \"sampler_on_warm_ns\": {}, \
-         \"profiler_overhead_ratio\": {:.4}}}",
-        host_cpus(),
-        pool,
-        batch.len(),
-        total,
-        largest,
-        rows.join(",\n"),
-        conc_rows.join(",\n"),
-        store_cold.as_nanos(),
-        warm_boot.as_nanos(),
-        store_warm.as_nanos(),
-        promote_warm.as_nanos(),
-        warm_store_stats.store_bytes,
-        warm_store_stats.store_files,
-        cold_store_stats.store_saves,
-        warm_store_stats.store_hits,
-        demote_stats.store_promotes,
-        demote_stats.store_demotes,
-        obs_on.as_nanos(),
-        obs_off.as_nanos(),
-        obs_overhead,
-        sampler_on.as_nanos(),
-        profiler_overhead
-    );
+    let members = [
+        ("benchmark", text("service-batch")),
+        (
+            "unit",
+            text(
+                "wall clock per 22-query batch (Table 2 safety at (2,2) + Table 3 liveness at \
+                 (2,1)); cold = fresh service (every artifact builds), warm = same service \
+                 re-submitted (cache hits at an unbounded budget, rebuilds of evicted artifacts \
+                 at the tight one); tight budget = largest artifact + (total - largest)/4, so \
+                 the roster cannot be held resident at once; concurrency = 8 warm submissions \
+                 of the roster through one shared service at 1 vs 4 in-flight submitter threads",
+            ),
+        ),
+        ("host_cpus", int(host_cpus())),
+        ("pool_size", int(pool)),
+        ("queries_per_batch", int(batch.len())),
+        ("artifact_total_bytes", int(total)),
+        ("largest_artifact_bytes", int(largest)),
+        ("budgets", Json::Arr(rows)),
+        ("concurrency", Json::Arr(conc_rows)),
+        (
+            "persistence_unit",
+            text(
+                "same roster through the content-addressed artifact store (tm-store): \
+                 store_cold_ns = fresh service writing every built artifact through to disk, \
+                 warm_boot_ns = restarted service opening the store and installing every \
+                 artifact at construction, store_warm_ns = that restarted service answering \
+                 the full roster with zero builds, promote_warm_ns = a tight-budget service \
+                 re-answering the roster by promoting demoted artifacts from disk instead of \
+                 rebuilding (compare the tight budget row's rebuild-based warm_ns)",
+            ),
+        ),
+        (
+            "persistence",
+            obj([
+                ("store_cold_ns", ns(store_cold)),
+                ("warm_boot_ns", ns(warm_boot)),
+                ("store_warm_ns", ns(store_warm)),
+                ("promote_warm_ns", ns(promote_warm)),
+                ("store_bytes", int(warm_store_stats.store_bytes)),
+                ("store_files", int(warm_store_stats.store_files)),
+                ("cold_saves", int(cold_store_stats.store_saves)),
+                ("warm_hits", int(warm_store_stats.store_hits)),
+                ("promotes", int(demote_stats.store_promotes)),
+                ("demotes", int(demote_stats.store_demotes)),
+            ]),
+        ),
+        (
+            "instrumentation_unit",
+            text(
+                "best-of-5 warm roster through an unbounded-budget service with tm-obs phase \
+                 timers enabled (default) vs TM_OBS=off; overhead_ratio = on/off - 1, target \
+                 <= 0.05; sampler_on_warm_ns = same roster with the ~97 Hz sampling profiler \
+                 also running, profiler_overhead_ratio = sampler_on/on - 1, target <= 0.05",
+            ),
+        ),
+        (
+            "instrumentation",
+            obj([
+                ("obs_on_warm_ns", ns(obs_on)),
+                ("obs_off_warm_ns", ns(obs_off)),
+                ("overhead_ratio", ratio(obs_overhead, 4)),
+                ("sampler_on_warm_ns", ns(sampler_on)),
+                ("profiler_overhead_ratio", ratio(profiler_overhead, 4)),
+            ]),
+        ),
+    ];
     write_with_history(
-        "BENCH_service.json",
-        json,
+        Path::new("BENCH_service.json"),
+        members_of(members),
         &[
             Metric::nanos("cold_ns", unbounded_cold),
             Metric::nanos("warm_ns", unbounded_warm),
             Metric::rate("concurrent4_qps", conc4_qps),
         ],
+        trend_mode(),
     );
 }
 
@@ -1327,68 +1334,173 @@ fn bench_service() {
 /// build-once-answer-three session rows and the per-query phase
 /// breakdowns.
 fn write_liveness_json(
-    cases: &[String],
+    cases: Vec<Json>,
     overall_speedup: f64,
-    session: &[String],
-    phases: &[String],
+    session: Vec<Json>,
+    phases: Vec<Json>,
     metrics: &[Metric],
 ) {
-    let json = format!(
-        "{{\n  \"benchmark\": \"liveness-session-vs-reference\",\n  \
-         \"instance\": {{\"threads\": 2, \"vars\": 1}},\n  \
-         \"unit\": \"best-of-3 wall clock; reference = seed one-shot (cloned filtered \
-         subgraphs), session = query against the session-cached compiled run graph \
-         (search only; graph_build_ns is paid once per TM)\",\n  \
-         \"host_cpus\": {},\n  \"overall_speedup\": {:.3},\n  \"cases\": [\n{}\n  ],\n  \
-         \"session_unit\": \"build once, answer OF+LF+WF: single-run wall clock per \
-         property search on pool_threads workers; oneshot_est_ns = 3*graph_build_ns + \
-         searches (what three one-shot checks would pay)\",\n  \
-         \"session\": [\n{}\n  ],\n  \
-         \"phases_unit\": \"tm-obs engine-phase totals (QueryStats::phase_ns, \
-         nanoseconds, nonzero only) of the final measured run of each (2,1) query; \
-         phases nest (run_graph_build contains its pool phases), so they do not sum to \
-         wall time\",\n  \
-         \"phases\": [\n{}\n  ]",
-        host_cpus(),
-        overall_speedup,
-        cases.join(",\n"),
-        session.join(",\n"),
-        phases.join(",\n")
-    );
-    write_with_history("BENCH_liveness.json", json, metrics);
+    let members = [
+        ("benchmark", text("liveness-session-vs-reference")),
+        ("instance", obj([("threads", int(2u8)), ("vars", int(1u8))])),
+        (
+            "unit",
+            text(
+                "best-of-3 wall clock; reference = seed one-shot (cloned filtered subgraphs), \
+                 session = query against the session-cached compiled run graph (search only; \
+                 graph_build_ns is paid once per TM)",
+            ),
+        ),
+        ("host_cpus", int(host_cpus())),
+        ("overall_speedup", ratio(overall_speedup, 3)),
+        ("cases", Json::Arr(cases)),
+        (
+            "session_unit",
+            text(
+                "build once, answer OF+LF+WF: single-run wall clock per property search on \
+                 pool_threads workers; oneshot_est_ns = 3*graph_build_ns + searches (what \
+                 three one-shot checks would pay)",
+            ),
+        ),
+        ("session", Json::Arr(session)),
+        (
+            "phases_unit",
+            text(
+                "tm-obs engine-phase totals (QueryStats::phase_ns, nanoseconds, nonzero only) \
+                 of the final measured run of each (2,1) query; phases nest (run_graph_build \
+                 contains its pool phases), so they do not sum to wall time",
+            ),
+        ),
+        ("phases", Json::Arr(phases)),
+    ];
+    write_with_history(Path::new("BENCH_liveness.json"), members_of(members), metrics, trend_mode());
 }
 
 /// Writes `BENCH_inclusion.json`: the (2,2) seed-vs-compiled baseline,
 /// the on-the-fly scaling rows, the pool dispatch timings, and the
 /// per-query phase breakdowns.
 fn write_bench_json(
-    cases: &[String],
-    scaling: &[String],
-    pool_dispatch: &[String],
-    phases: &[String],
+    cases: Vec<Json>,
+    scaling: Vec<Json>,
+    pool_dispatch: Vec<Json>,
+    phases: Vec<Json>,
     metrics: &[Metric],
 ) {
-    let json = format!(
-        "{{\n  \"benchmark\": \"inclusion-seed-vs-compiled\",\n  \
-         \"instance\": {{\"threads\": 2, \"vars\": 2}},\n  \
-         \"unit\": \"best-of-3 wall clock\",\n  \"cases\": [\n{}\n  ],\n  \
-         \"scaling_unit\": \"best wall clock; lazy = both sides on the fly, \
-         seq/par = compiled spec, par_threads threads\",\n  \
-         \"host_cpus\": {},\n  \"scaling\": [\n{}\n  ],\n  \
-         \"pool_dispatch_unit\": \"best wall clock of the parallel product engine on a \
-         persistent WorkerPool of the given width; on a single-cpu host this measures \
-         dispatch overhead, not speedup\",\n  \
-         \"pool_dispatch\": [\n{}\n  ],\n  \
-         \"phases_unit\": \"tm-obs engine-phase totals (QueryStats::phase_ns, \
-         nanoseconds, nonzero only) per Table 2 query through a fresh (2,2) session; \
-         cached_spec = false on each property's first query (which pays spec_intern); \
-         phases nest, so they do not sum to wall time\",\n  \
-         \"phases\": [\n{}\n  ]",
-        cases.join(",\n"),
-        host_cpus(),
-        scaling.join(",\n"),
-        pool_dispatch.join(",\n"),
-        phases.join(",\n")
-    );
-    write_with_history("BENCH_inclusion.json", json, metrics);
+    let members = [
+        ("benchmark", text("inclusion-seed-vs-compiled")),
+        ("instance", obj([("threads", int(2u8)), ("vars", int(2u8))])),
+        ("unit", text("best-of-3 wall clock")),
+        ("cases", Json::Arr(cases)),
+        (
+            "scaling_unit",
+            text(
+                "best wall clock; lazy = both sides on the fly, seq/par = compiled spec, \
+                 par_threads threads",
+            ),
+        ),
+        ("host_cpus", int(host_cpus())),
+        ("scaling", Json::Arr(scaling)),
+        (
+            "pool_dispatch_unit",
+            text(
+                "best wall clock of the parallel product engine on a persistent WorkerPool of \
+                 the given width; on a single-cpu host this measures dispatch overhead, not \
+                 speedup",
+            ),
+        ),
+        ("pool_dispatch", Json::Arr(pool_dispatch)),
+        (
+            "phases_unit",
+            text(
+                "tm-obs engine-phase totals (QueryStats::phase_ns, nanoseconds, nonzero only) \
+                 per Table 2 query through a fresh (2,2) session; cached_spec = false on each \
+                 property's first query (which pays spec_intern); phases nest, so they do not \
+                 sum to wall time",
+            ),
+        ),
+        ("phases", Json::Arr(phases)),
+    ];
+    write_with_history(Path::new("BENCH_inclusion.json"), members_of(members), metrics, trend_mode());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `metrics.<name>` values of a file's history records, oldest
+    /// first.
+    fn history_values(path: &Path, name: &str) -> Vec<f64> {
+        let doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        doc.get("history")
+            .and_then(Json::as_arr)
+            .expect("a history array")
+            .iter()
+            .map(|record| {
+                record
+                    .get("metrics")
+                    .and_then(|m| m.get(name))
+                    .and_then(Json::as_f64)
+                    .expect("the recorded metric")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn record_mode_appends_history_by_value_and_keeps_the_last_records() {
+        let dir = std::env::temp_dir().join(format!("tm-bench-tables-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_test.json");
+        let body = || members_of([("benchmark", text("test")), ("rows", Json::Arr(vec![]))]);
+
+        // Two regenerations in record mode: both records read back.
+        for value in [7.0, 11.5] {
+            write_with_history(&path, body(), &[Metric::rate("rate", value)], TrendMode::Record);
+        }
+        assert_eq!(history_values(&path, "rate"), [7.0, 11.5]);
+        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(doc.get("benchmark").and_then(Json::as_str), Some("test"));
+        assert_eq!(doc.get("history_unit").and_then(Json::as_str), Some(HISTORY_UNIT));
+        assert!(HISTORY_UNIT.contains(&format!("last {TREND_HISTORY_KEEP} kept")));
+
+        // Off mode rewrites the body and leaves the history as it was.
+        write_with_history(&path, body(), &[Metric::rate("rate", 1.0)], TrendMode::Off);
+        assert_eq!(history_values(&path, "rate"), [7.0, 11.5]);
+
+        // A longer history keeps its last TREND_HISTORY_KEEP records,
+        // then gains this run's.
+        let old: Vec<Json> = (0..TREND_HISTORY_KEEP + 5)
+            .map(|i| obj([("metrics", obj([("rate", int(i))]))]))
+            .collect();
+        let mut long = body();
+        long.push(("history".to_owned(), Json::Arr(old)));
+        std::fs::write(&path, render(&long)).unwrap();
+        write_with_history(&path, body(), &[Metric::rate("rate", 99.0)], TrendMode::Record);
+        let values = history_values(&path, "rate");
+        assert_eq!(values.len(), TREND_HISTORY_KEEP + 1);
+        assert_eq!(values[0], 5.0);
+        assert_eq!(values[TREND_HISTORY_KEEP - 1], (TREND_HISTORY_KEEP + 4) as f64);
+        assert_eq!(values[TREND_HISTORY_KEEP], 99.0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn render_puts_one_array_element_per_line() {
+        let doc = members_of([
+            ("a", Json::Arr(vec![int(1u8), obj([("b", Json::Null)])])),
+            ("c", Json::Arr(vec![])),
+        ]);
+        assert_eq!(render(&doc), "{\n  \"a\": [\n    1,\n    {\"b\":null}\n  ],\n  \"c\": []\n}\n");
+    }
+
+    #[test]
+    fn committed_bench_files_parse_and_carry_a_history() {
+        for file in ["BENCH_inclusion.json", "BENCH_liveness.json", "BENCH_service.json"] {
+            let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
+            let doc = Json::parse(&std::fs::read_to_string(&path).unwrap())
+                .unwrap_or_else(|error| panic!("{file}: {error}"));
+            let history = doc.get("history").and_then(Json::as_arr);
+            assert!(history.is_some(), "{file}: no history array");
+            assert_eq!(previous_history(&path).unwrap().as_slice(), history.unwrap(), "{file}");
+        }
+    }
 }

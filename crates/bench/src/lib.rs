@@ -7,9 +7,17 @@
 //! ```bash
 //! cargo run --release -p tm-bench --bin tables
 //! ```
+//!
+//! The [`oracle`] module holds the seed checkers that the production
+//! engines replaced: the ground truth of the workspace's differential
+//! test suites and the baselines of the A/B benches. This crate is a
+//! dev-dependency of the facade's tests only; no production crate
+//! depends on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod oracle;
 
 use tm_algorithms::{
     most_general_nfa, AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm,
@@ -122,7 +130,7 @@ impl LivenessCase {
     }
 
     /// Runs the seed reference checker
-    /// ([`tm_checker::check_liveness_reference`]).
+    /// ([`oracle::check_liveness_reference`]).
     pub fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict {
         self.tm.check_reference(property)
     }
@@ -141,7 +149,7 @@ impl<A: TmAlgorithm> ErasedLiveness for A {
     }
 
     fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict {
-        tm_checker::check_liveness_reference(self, property)
+        oracle::check_liveness_reference(self, property)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Labelled directed graphs, strongly connected components, and
-//! constrained closed-walk construction — the machinery behind the
-//! liveness checks of §6.
+//! constrained closed-walk construction — the machinery of the seed
+//! liveness checks of §6, which the compiled engine
+//! (`tm_automata::CompiledRunGraph`) replaced.
 //!
 //! A liveness violation is a reachable *loop* in a TM algorithm's
 //! transition system whose edges satisfy certain constraints (e.g. "all
@@ -16,7 +17,7 @@ use std::collections::VecDeque;
 /// # Examples
 ///
 /// ```
-/// use tm_automata::LabeledGraph;
+/// use tm_bench::oracle::LabeledGraph;
 /// let mut g = LabeledGraph::new(2);
 /// g.add_edge(0, 'x', 1);
 /// g.add_edge(1, 'y', 0);
@@ -223,9 +224,8 @@ pub fn closed_walk_through<L: Clone + Eq>(
         }
     }
     // Restrict to the SCC so BFS paths stay inside it.
-    let inside = g.filtered(|from, _, to| {
-        sccs.component_of(from) == comp && sccs.component_of(to) == comp
-    });
+    let inside =
+        g.filtered(|from, _, to| sccs.component_of(from) == comp && sccs.component_of(to) == comp);
     let mut walk: Vec<(usize, L, usize)> = vec![first.clone()];
     let mut at = first.2;
     for edge in rest {
@@ -237,92 +237,4 @@ pub fn closed_walk_through<L: Clone + Eq>(
     let back = inside.shortest_path_to(at, |s| s == first.0)?;
     walk.extend(back);
     Some(walk)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ring(n: usize) -> LabeledGraph<usize> {
-        let mut g = LabeledGraph::new(n);
-        for i in 0..n {
-            g.add_edge(i, i, (i + 1) % n);
-        }
-        g
-    }
-
-    #[test]
-    fn ring_is_one_scc() {
-        let sccs = strongly_connected_components(&ring(5));
-        assert_eq!(sccs.count(), 1);
-        assert!(sccs.same_component(0, 4));
-    }
-
-    #[test]
-    fn dag_has_singleton_sccs() {
-        let mut g = LabeledGraph::new(3);
-        g.add_edge(0, 'x', 1);
-        g.add_edge(1, 'y', 2);
-        let sccs = strongly_connected_components(&g);
-        assert_eq!(sccs.count(), 3);
-        assert!(!sccs.same_component(0, 1));
-    }
-
-    #[test]
-    fn two_cycles_joined_by_bridge() {
-        let mut g = LabeledGraph::new(4);
-        g.add_edge(0, 'a', 1);
-        g.add_edge(1, 'b', 0);
-        g.add_edge(1, 'c', 2); // bridge
-        g.add_edge(2, 'd', 3);
-        g.add_edge(3, 'e', 2);
-        let sccs = strongly_connected_components(&g);
-        assert_eq!(sccs.count(), 2);
-        assert!(sccs.same_component(0, 1));
-        assert!(sccs.same_component(2, 3));
-        assert!(!sccs.same_component(1, 2));
-    }
-
-    #[test]
-    fn shortest_path_finds_bfs_route() {
-        let g = ring(6);
-        let path = g.shortest_path_to(0, |s| s == 3).unwrap();
-        assert_eq!(path.len(), 3);
-        assert_eq!(path[0], (0, 0, 1));
-        assert_eq!(path[2].2, 3);
-        assert!(g.shortest_path_to(0, |_| false).is_none());
-        assert_eq!(g.shortest_path_to(2, |s| s == 2).unwrap().len(), 0);
-    }
-
-    #[test]
-    fn closed_walk_visits_required_edges() {
-        let g = ring(4);
-        let required = vec![(1usize, 1usize, 2usize), (3, 3, 0)];
-        let walk = closed_walk_through(&g, &required).unwrap();
-        // Walk starts at 1, ends back at 1, uses both required edges.
-        assert_eq!(walk.first().unwrap().0, 1);
-        assert_eq!(walk.last().unwrap().2, 1);
-        for edge in &required {
-            assert!(walk.contains(edge));
-        }
-    }
-
-    #[test]
-    fn closed_walk_rejects_cross_scc_requirements() {
-        let mut g = LabeledGraph::new(4);
-        g.add_edge(0, 'a', 1);
-        g.add_edge(1, 'b', 0);
-        g.add_edge(1, 'x', 2);
-        g.add_edge(2, 'c', 3);
-        g.add_edge(3, 'd', 2);
-        let required = vec![(0, 'a', 1), (2, 'c', 3)];
-        assert!(closed_walk_through(&g, &required).is_none());
-    }
-
-    #[test]
-    fn filtered_drops_edges() {
-        let g = ring(3);
-        let f = g.filtered(|from, _, _| from != 1);
-        assert_eq!(f.num_edges(), 2);
-    }
 }

@@ -25,8 +25,11 @@
 //!   the structural properties, conclude for all instance sizes.
 //! * **Reports** ([`safety_table`], [`liveness_table`]): the paper's
 //!   Tables 2 and 3 regenerated from verdicts.
-//! * **Test oracle** ([`check_liveness_reference`]): the seed liveness
-//!   checker, kept as the differential baseline of the compiled engine.
+//!
+//! The seed liveness checker the compiled engine replaced is a test
+//! oracle in the dev-only `tm-bench` crate (`tm_bench::oracle`), the
+//! differential baseline of `tests/liveness_conformance.rs`; it is not
+//! part of this crate.
 //!
 //! # Examples
 //!
@@ -60,7 +63,7 @@ mod safety;
 mod session;
 mod structural;
 
-pub use liveness::{check_liveness_reference, LivenessOutcome, LivenessVerdict, RunLasso};
+pub use liveness::{LivenessOutcome, LivenessVerdict, RunLasso};
 pub use reduction::ReductionEvidence;
 pub use report::{liveness_table, safety_table, QueryStats, Table, Verdict, VerdictOutcome};
 pub use safety::{SafetyOutcome, SafetyVerdict, DEFAULT_MAX_STATES};

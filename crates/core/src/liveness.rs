@@ -17,30 +17,26 @@
 //! extended commands (cf. the loop `a1, (r,1)1, (o,1)1, a2, (o,1)2` of the
 //! paper's Table 3).
 //!
-//! Two implementations are provided:
-//!
-//! * [`crate::Verifier::check_liveness`] — the **compiled engine**
-//!   ([`tm_automata::CompiledRunGraph`]): the run graph is compiled to CSR
-//!   while it is explored (never materialized as an edge list), every
-//!   property pass is a mask-filtered Tarjan over that one graph sharing
-//!   one scratch arena, and the independent per-thread / per-subset
-//!   passes fan out over the session's worker pool with first-in-order
-//!   violation selection — verdicts **and lassos** are identical at every
-//!   pool size;
-//! * [`check_liveness_reference`] — the seed path (filtered-subgraph
-//!   clones plus per-clone Tarjan), kept as the differential baseline.
-//!   Both return the same verdicts and the same lassos.
+//! [`crate::Verifier::check_liveness`] decides them with the **compiled
+//! engine** ([`tm_automata::CompiledRunGraph`]): the run graph is
+//! compiled to CSR while it is explored (never materialized as an edge
+//! list), every property pass is a mask-filtered Tarjan over that one
+//! graph sharing one scratch arena, and the independent per-thread /
+//! per-subset passes fan out over the session's worker pool with
+//! first-in-order violation selection — verdicts **and lassos** are
+//! identical at every pool size. The seed checker it replaced (cloned
+//! filtered subgraphs, one Tarjan per clone) is a test oracle in the
+//! dev-only `tm-bench` crate (`tm_bench::oracle`); it returns the same
+//! verdicts and lassos and is the differential baseline of
+//! `tests/liveness_conformance.rs`.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use tm_algorithms::{most_general_run_graph, RunLabel, TmAlgorithm};
+use tm_algorithms::RunLabel;
 use tm_automata::{
-    closed_walk_through, strongly_connected_components, EdgeFilter, LabeledGraph, LoopQuery,
-    LoopSelection, Sccs, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT, MASK_EMITS,
+    EdgeFilter, LoopQuery, LoopSelection, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT, MASK_EMITS,
 };
-use tm_lang::{Lasso, LivenessProperty, ThreadId, Word};
-
-use crate::safety::DEFAULT_MAX_STATES;
+use tm_lang::{Lasso, LivenessProperty, Word};
 
 /// A liveness counterexample: an ultimately periodic run `prefix · loopω`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -167,154 +163,12 @@ pub(crate) fn property_queries(n: usize, property: LivenessProperty) -> Vec<Loop
     }
 }
 
-/// The seed (pre-engine) implementation of
-/// [`crate::Verifier::check_liveness`]: explores
-/// the run graph into a boxed labelled edge list, then **clones** a
-/// filtered subgraph and reruns Tarjan for every per-thread / per-subset
-/// pass — `2^n` graph copies for the livelock check alone, plus `O(E)`
-/// edge scans per required-edge query (`find_cyclic_edge`). Kept
-/// verbatim (minus a dead parameter) as the differential baseline for
-/// `tests/liveness_conformance.rs` and the A/B benches; not used by any
-/// checker.
-pub fn check_liveness_reference<A: TmAlgorithm>(
-    tm: &A,
-    property: LivenessProperty,
-) -> LivenessVerdict {
-    let start = Instant::now();
-    let (graph, states) = most_general_run_graph(tm, DEFAULT_MAX_STATES);
-    let outcome = match property {
-        LivenessProperty::ObstructionFreedom => check_obstruction(tm, &graph),
-        LivenessProperty::LivelockFreedom => check_livelock(tm, &graph),
-        LivenessProperty::WaitFreedom => check_wait(tm, &graph),
-    };
-    LivenessVerdict {
-        tm_name: tm.name(),
-        property,
-        tm_states: states.len(),
-        total_time: start.elapsed(),
-        outcome,
-    }
-}
-
-/// Finds a loop in `filtered` containing one edge of each required kind,
-/// and wraps it into a lasso with a shortest prefix from the initial
-/// state through the *full* graph.
-fn build_lasso(
-    full: &LabeledGraph<RunLabel>,
-    filtered: &LabeledGraph<RunLabel>,
-    required: Vec<(usize, RunLabel, usize)>,
-) -> Option<RunLasso> {
-    let walk = closed_walk_through(filtered, &required)?;
-    let entry = walk.first()?.0;
-    let prefix_edges = full.shortest_path_to(0, |s| s == entry)?;
-    Some(RunLasso {
-        prefix: prefix_edges.into_iter().map(|(_, l, _)| l).collect(),
-        cycle: walk.into_iter().map(|(_, l, _)| l).collect(),
-    })
-}
-
-/// Obstruction freedom: for each thread `t`, search the subgraph of
-/// `t`-only, non-commit edges for an SCC containing an abort edge of `t`.
-fn check_obstruction<A: TmAlgorithm>(
-    tm: &A,
-    graph: &LabeledGraph<RunLabel>,
-) -> LivenessOutcome {
-    for t in tm.thread_ids() {
-        let filtered = graph.filtered(|_, l, _| l.thread == t && !l.is_commit());
-        let sccs = strongly_connected_components(&filtered);
-        if let Some(edge) = find_cyclic_edge(&filtered, &sccs, |l| l.is_abort()) {
-            if let Some(lasso) = build_lasso(graph, &filtered, vec![edge]) {
-                return LivenessOutcome::Violation(lasso);
-            }
-        }
-    }
-    LivenessOutcome::Verified
-}
-
-/// Livelock freedom: for each non-empty subset `T'` of threads, search the
-/// subgraph of `T'`-edges without commits for an SCC containing an abort
-/// edge of every thread in `T'`.
-fn check_livelock<A: TmAlgorithm>(tm: &A, graph: &LabeledGraph<RunLabel>) -> LivenessOutcome {
-    let n = tm.threads();
-    for subset in 1u32..(1 << n) {
-        let in_subset = |t: ThreadId| subset & (1 << t.index()) != 0;
-        let filtered = graph.filtered(|_, l, _| in_subset(l.thread) && !l.is_commit());
-        let sccs = strongly_connected_components(&filtered);
-        // Group cyclic abort edges per component, then look for a
-        // component covering every thread of the subset.
-        'component: for comp in 0..sccs.count() {
-            let mut required = Vec::new();
-            for t in tm.thread_ids().filter(|&t| in_subset(t)) {
-                match find_cyclic_edge_in(&filtered, &sccs, comp, |l| {
-                    l.is_abort() && l.thread == t
-                }) {
-                    Some(edge) => required.push(edge),
-                    None => continue 'component,
-                }
-            }
-            if let Some(lasso) = build_lasso(graph, &filtered, required) {
-                return LivenessOutcome::Violation(lasso);
-            }
-        }
-    }
-    LivenessOutcome::Verified
-}
-
-/// Wait freedom: for each thread `t`, search the subgraph without
-/// `(commit, t)` completions for an SCC containing a word-level statement
-/// of `t`.
-fn check_wait<A: TmAlgorithm>(tm: &A, graph: &LabeledGraph<RunLabel>) -> LivenessOutcome {
-    for t in tm.thread_ids() {
-        let filtered = graph.filtered(|_, l, _| !(l.thread == t && l.is_commit()));
-        let sccs = strongly_connected_components(&filtered);
-        if let Some(edge) = find_cyclic_edge(&filtered, &sccs, |l| {
-            l.thread == t && l.statement().is_some()
-        }) {
-            if let Some(lasso) = build_lasso(graph, &filtered, vec![edge]) {
-                return LivenessOutcome::Violation(lasso);
-            }
-        }
-    }
-    LivenessOutcome::Verified
-}
-
-/// An edge matching `want` whose endpoints share an SCC (i.e. an edge on
-/// some cycle), if any. A full `O(E)` scan per query — acceptable only in
-/// the reference path; the engine's [`LoopQuery`] passes precompute
-/// per-edge class masks and answer every requirement in one scan.
-fn find_cyclic_edge<F: Fn(&RunLabel) -> bool>(
-    g: &LabeledGraph<RunLabel>,
-    sccs: &Sccs,
-    want: F,
-) -> Option<(usize, RunLabel, usize)> {
-    g.edges()
-        .find(|(from, l, to)| want(l) && sccs.same_component(*from, *to))
-        .map(|(from, l, to)| (from, *l, to))
-}
-
-/// Like [`find_cyclic_edge`], restricted to one component (and sharing
-/// its reference-path-only `O(E)`-per-query cost).
-fn find_cyclic_edge_in<F: Fn(&RunLabel) -> bool>(
-    g: &LabeledGraph<RunLabel>,
-    sccs: &Sccs,
-    component: usize,
-    want: F,
-) -> Option<(usize, RunLabel, usize)> {
-    g.edges()
-        .find(|(from, l, to)| {
-            want(l)
-                && sccs.component_of(*from) == component
-                && sccs.component_of(*to) == component
-        })
-        .map(|(from, l, to)| (from, *l, to))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Verifier;
     use tm_algorithms::{
-        AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm,
+        AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm, TwoPhaseTm,
         WithContentionManager,
     };
 
@@ -394,27 +248,5 @@ mod tests {
         // loop needs the other thread to hold a lock first.
         assert!(!lasso.prefix.is_empty());
         assert!(!lasso.cycle.is_empty());
-    }
-
-    #[test]
-    fn engine_agrees_with_reference_on_a_sample() {
-        // The full differential matrix lives in
-        // `tests/liveness_conformance.rs`; this is the in-crate smoke.
-        let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-        let mut verifier = Verifier::new(2, 1).pool_size(1);
-        for property in LivenessProperty::all() {
-            let engine = verifier
-                .check_liveness(&tm, property)
-                .into_liveness()
-                .expect("liveness query");
-            let reference = check_liveness_reference(&tm, property);
-            assert_eq!(engine.holds(), reference.holds(), "{property:?}");
-            assert_eq!(engine.tm_states, reference.tm_states, "{property:?}");
-            assert_eq!(
-                engine.counterexample(),
-                reference.counterexample(),
-                "{property:?}"
-            );
-        }
     }
 }

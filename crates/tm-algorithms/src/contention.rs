@@ -483,7 +483,7 @@ mod tests {
             calls: std::cell::Cell::new(0),
         };
         let tm = WithContentionManager::new(counting, cm);
-        let (_, states) = crate::explore::most_general_run_graph(&tm, 100_000);
+        let states = crate::explore::most_general_nfa(&tm, 100_000).states;
         let mut out = Vec::new();
         let mut queries = 0;
         for q in &states {

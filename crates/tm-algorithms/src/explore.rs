@@ -7,15 +7,15 @@
 //! * the **word-level** NFA over statements `Ŝ` — internal (`⊥`-response)
 //!   steps become ε-moves, completions emit `(c, t)`, aborts emit
 //!   `(abort, t)`; its language is `L(A)`, the input to the safety checks;
-//! * the **run-level** graph, in which every atomic step (including
-//!   internal ones) is an edge labelled with thread, command, and action —
-//!   the input to the liveness loop search of §6.
+//! * the **run-level** graph ([`MostGeneralRunSource`]), in which every
+//!   atomic step (including internal ones) is an edge labelled with
+//!   thread, command, and action — the input to the liveness loop search
+//!   of §6.
 
 use tm_lang::{Command, Statement, ThreadId};
 
 use tm_automata::{
-    explore, Explored, LabeledGraph, LetterId, QueryBudget, SuccessorSource, TransitionSystem,
-    EPSILON,
+    explore, Explored, LetterId, QueryBudget, SuccessorSource, TransitionSystem, EPSILON,
 };
 
 use crate::algorithm::{Action, Step, TmAlgorithm, TmState};
@@ -227,37 +227,15 @@ impl std::fmt::Display for RunLabel {
     }
 }
 
-/// Run-level view: every step is a labelled edge.
-struct RunLevel<'a, A>(&'a A);
-
-impl<A: TmAlgorithm> TransitionSystem for RunLevel<'_, A> {
-    type State = A::State;
-    type Label = RunLabel;
-
-    fn initial(&self) -> A::State {
-        self.0.initial_state()
-    }
-
-    fn successors(&self, state: &A::State, out: &mut Vec<(Option<RunLabel>, A::State)>) {
-        for_each_step(self.0, state, |thread, command, step| {
-            let label = RunLabel {
-                thread,
-                command,
-                action: step.action,
-            };
-            out.push((Some(label), step.next));
-        });
-    }
-}
-
 /// The most general program of a TM algorithm at the **run level** as a
-/// lazy [`tm_automata::RunGraphSource`]: the same transition system as
-/// [`most_general_run_graph`], but stepped on demand by the compiled
-/// liveness engine ([`tm_automata::CompiledRunGraph::build`]) so the
-/// labelled edge list is never materialized. Successor order matches
-/// [`most_general_run_graph`]'s exactly, which is what makes the engine's
-/// state numbering — and hence its lassos — identical to the reference
-/// checker's.
+/// lazy [`tm_automata::RunGraphSource`]: every step of the word-level
+/// system of [`most_general_nfa`], labelled with its [`RunLabel`], stepped
+/// on demand by the compiled liveness engine
+/// ([`tm_automata::CompiledRunGraph::build`]) so no labelled edge list is
+/// materialized. Successors come in the order of the seed checker's
+/// materialized run graph (a test oracle in `tm_bench::oracle`), which is
+/// what makes the engine's state numbering — and hence its lassos —
+/// identical to that checker's.
 ///
 /// # Examples
 ///
@@ -302,28 +280,6 @@ impl<A: TmAlgorithm> tm_automata::RunGraphSource for MostGeneralRunSource<'_, A>
     fn classify(&self, label: &RunLabel) -> tm_automata::LabelClass {
         label.class()
     }
-}
-
-/// The run-level transition graph of the TM on the most general program,
-/// plus the interned TM states.
-///
-/// # Panics
-///
-/// Panics if the reachable state space exceeds `max_states`.
-pub fn most_general_run_graph<A: TmAlgorithm>(
-    tm: &A,
-    max_states: usize,
-) -> (LabeledGraph<RunLabel>, Vec<A::State>) {
-    let explored = explore(&RunLevel(tm), &QueryBudget::new(max_states))
-        .unwrap_or_else(|error| panic!("run-level exploration failed: {error}"));
-    let mut graph = LabeledGraph::new(explored.num_states());
-    for from in 0..explored.num_states() {
-        for (label, to) in explored.nfa.transitions_from(from) {
-            let label = label.expect("run-level edges are always labelled");
-            graph.add_edge(from, label, *to);
-        }
-    }
-    (graph, explored.states)
 }
 
 /// Checks the formalism's pending rules (γ1–γ4) on explored states: every
@@ -387,32 +343,17 @@ mod tests {
     fn run_graph_and_nfa_have_same_state_count() {
         let tm = TwoPhaseTm::new(2, 2);
         let explored = most_general_nfa(&tm, 10_000);
-        let (graph, states) = most_general_run_graph(&tm, 10_000);
-        assert_eq!(explored.num_states(), states.len());
-        assert!(graph.num_edges() >= explored.nfa.num_transitions());
-    }
-
-    #[test]
-    fn run_source_matches_materialized_run_graph() {
-        // The compiled engine's state numbering AND edge enumeration must
-        // be identical to the seed path's — lasso parity depends on it.
-        let tm = TwoPhaseTm::new(2, 2);
-        let (graph, states) = most_general_run_graph(&tm, 10_000);
-        let (compiled, compiled_states) =
+        let (graph, states) =
             tm_automata::CompiledRunGraph::build(&MostGeneralRunSource::new(&tm), 10_000).unwrap();
-        assert_eq!(states, compiled_states);
-        let seed_edges: Vec<(usize, RunLabel, usize)> =
-            graph.edges().map(|(f, l, t)| (f, *l, t)).collect();
-        let engine_edges: Vec<(usize, RunLabel, usize)> =
-            compiled.edges().map(|(f, l, t)| (f, *l, t)).collect();
-        assert_eq!(seed_edges, engine_edges);
+        assert_eq!(explored.states, states);
+        assert!(graph.num_edges() >= explored.nfa.num_transitions());
     }
 
     #[test]
     fn pending_invariant_holds_for_all_tms() {
         let tm = TwoPhaseTm::new(2, 2);
-        let (_, states) = most_general_run_graph(&tm, 10_000);
-        assert!(check_pending_invariant(&tm, &states));
+        let explored = most_general_nfa(&tm, 10_000);
+        assert!(check_pending_invariant(&tm, &explored.states));
     }
 
     #[test]

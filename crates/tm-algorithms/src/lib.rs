@@ -55,8 +55,7 @@ pub use contention::{
 };
 pub use dstm::{DstmState, DstmStatus, DstmTm};
 pub use explore::{
-    check_pending_invariant, most_general_nfa, most_general_run_graph, MostGeneralRunSource,
-    MostGeneralSource, RunLabel,
+    check_pending_invariant, most_general_nfa, MostGeneralRunSource, MostGeneralSource, RunLabel,
 };
 pub use runner::{execute_schedule, run_statements, Run, RunEntry, ScheduleError};
 pub use sequential::{SeqState, SeqStatus, SequentialTm};

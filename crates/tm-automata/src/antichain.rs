@@ -18,19 +18,16 @@
 //! the stored sets bucketed by popcount — a subset is never larger than
 //! its superset, so `try_insert` scans only the buckets a subset relation
 //! is arithmetically possible in — and labels are materialized only for
-//! counterexample reconstruction. The
-//! pre-compilation original is kept as
-//! [`check_inclusion_antichain_reference`] for A/B benchmarks and
-//! differential tests.
+//! counterexample reconstruction. The pre-compilation original is a
+//! test oracle in the dev-only `tm-bench` crate (`tm_bench::oracle`).
 
-use std::collections::HashMap;
 use std::hash::Hash;
 
 use crate::alphabet::{Alphabet, LetterId};
 use crate::bitset::BitSet;
 use crate::compiled::{CompiledNfa, EPSILON};
 use crate::inclusion::InclusionResult;
-use crate::nfa::{Nfa, StateId};
+use crate::nfa::Nfa;
 
 /// Checks `L(a) ⊆ L(b)` with the antichain algorithm.
 ///
@@ -225,81 +222,6 @@ fn subset_words(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(&x, &y)| x & !y == 0)
 }
 
-/// The pre-compilation (seed) implementation of
-/// [`check_inclusion_antichain`]: per-letter full-edge `Nfa::post`
-/// scans, label clones on every discovered edge, `HashMap`-keyed
-/// antichain. Kept verbatim as the baseline for benches and differential
-/// tests; not used by any checker.
-pub fn check_inclusion_antichain_reference<L: Clone + Eq + Hash>(
-    a: &Nfa<L>,
-    b: &Nfa<L>,
-) -> InclusionResult<L> {
-    let mut queue: Vec<(StateId, BitSet)> = Vec::new();
-    let mut parent: Vec<Option<(usize, Option<L>)>> = Vec::new();
-    // Antichain of ⊆-minimal B-sets seen per A-state.
-    let mut antichain: HashMap<StateId, Vec<BitSet>> = HashMap::new();
-
-    let b0 = b.initial_closure();
-    for &qa in a.initial_states() {
-        if try_insert_map(&mut antichain, qa, &b0) {
-            queue.push((qa, b0.clone()));
-            parent.push(None);
-        }
-    }
-
-    let mut head = 0;
-    while head < queue.len() {
-        let (qa, set) = queue[head].clone();
-        for (label, target) in a.transitions_from(qa) {
-            let next_set = match label {
-                None => set.clone(),
-                Some(l) => {
-                    let post = b.post(&set, l);
-                    if post.is_empty() {
-                        let mut word = vec![l.clone()];
-                        let mut at = head;
-                        while let Some((p, lab)) = parent[at].clone() {
-                            if let Some(lab) = lab {
-                                word.push(lab);
-                            }
-                            at = p;
-                        }
-                        word.reverse();
-                        return InclusionResult::Counterexample {
-                            word,
-                            product_states: queue.len(),
-                        };
-                    }
-                    post
-                }
-            };
-            if try_insert_map(&mut antichain, *target, &next_set) {
-                queue.push((*target, next_set));
-                parent.push(Some((head, label.clone())));
-            }
-        }
-        head += 1;
-    }
-    InclusionResult::Included {
-        product_states: queue.len(),
-    }
-}
-
-/// [`try_insert`] over the reference implementation's map-keyed antichain.
-fn try_insert_map(
-    antichain: &mut HashMap<StateId, Vec<BitSet>>,
-    state: StateId,
-    set: &BitSet,
-) -> bool {
-    let entry = antichain.entry(state).or_default();
-    if entry.iter().any(|stored| stored.is_subset(set)) {
-        return false;
-    }
-    entry.retain(|stored| !set.is_subset(stored));
-    entry.push(set.clone());
-    true
-}
-
 /// Outcome of a language-equivalence check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EquivalenceResult<L> {
@@ -481,8 +403,18 @@ mod tests {
         assert!(entry.comparisons() - before <= 9);
     }
 
+    /// The seed's unbucketed antichain insert over one plain list.
+    fn try_insert_list(entry: &mut Vec<BitSet>, set: &BitSet) -> bool {
+        if entry.iter().any(|stored| stored.is_subset(set)) {
+            return false;
+        }
+        entry.retain(|stored| !set.is_subset(stored));
+        entry.push(set.clone());
+        true
+    }
+
     /// The bucketed antichain stores exactly the ⊆-minimal sets the seed
-    /// map-based implementation stores, for an interleaved workload.
+    /// list-based insert stores, for an interleaved workload.
     #[test]
     fn bucketed_antichain_matches_reference_storage() {
         let sets: Vec<BitSet> = vec![
@@ -496,38 +428,17 @@ mod tests {
             bits(32, &[2, 6]),
         ];
         let mut bucketed = Antichain::new();
-        let mut reference: HashMap<StateId, Vec<BitSet>> = HashMap::new();
+        let mut expected: Vec<BitSet> = Vec::new();
         for set in &sets {
             assert_eq!(
                 bucketed.try_insert(set),
-                try_insert_map(&mut reference, 0, set),
+                try_insert_list(&mut expected, set),
                 "{set:?}"
             );
         }
         let mut stored: Vec<BitSet> = bucketed.buckets.iter().flatten().cloned().collect();
-        let mut expected = reference.remove(&0).unwrap_or_default();
         stored.sort();
         expected.sort();
         assert_eq!(stored, expected);
-    }
-
-    /// The compiled antichain check agrees with the seed reference on
-    /// verdicts and counterexample words.
-    #[test]
-    fn compiled_antichain_matches_reference() {
-        let ab = letters(&['a', 'b']);
-        let a = letters(&['a']);
-        let mut eps = Nfa::new();
-        let q0 = eps.add_state();
-        let q1 = eps.add_state();
-        eps.set_initial(q0);
-        eps.add_transition(q0, None, q1);
-        eps.add_transition(q1, Some('a'), q1);
-        eps.add_transition(q1, Some('c'), q0);
-        for (left, right) in [(&ab, &a), (&a, &ab), (&eps, &ab), (&ab, &eps), (&eps, &a)] {
-            let fast = check_inclusion_antichain(left, right);
-            let slow = check_inclusion_antichain_reference(left, right);
-            assert_eq!(fast, slow);
-        }
     }
 }

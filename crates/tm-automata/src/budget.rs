@@ -162,12 +162,6 @@ impl QueryBudget {
         QueryBudget::new(usize::MAX)
     }
 
-    /// Sets an absolute deadline.
-    pub fn with_deadline(mut self, deadline: Instant) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Sets a deadline `timeout` from now.
     pub fn with_timeout(self, timeout: Duration) -> Self {
         let deadline = Instant::now().checked_add(timeout);

@@ -110,11 +110,6 @@ impl<L: Clone + Eq + Hash> Dfa<L> {
         self.next[state][li]
     }
 
-    /// Successor by letter index (see [`Dfa::alphabet`] for the order).
-    pub fn step_by_index(&self, state: StateId, letter_index: usize) -> Option<StateId> {
-        self.next[state][letter_index]
-    }
-
     /// Defines `from --letter--> to` by letter index, skipping the label
     /// hash of [`Dfa::set_transition`].
     ///

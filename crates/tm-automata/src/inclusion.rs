@@ -8,16 +8,16 @@
 //! its wrapper for already-materialized automata; callers checking one
 //! specification against many implementations compile the specification
 //! once and call [`crate::check_inclusion_otf`] over [`crate::NfaSource`]
-//! themselves. The pre-compilation original is kept as
-//! [`check_inclusion_reference`], the test oracle of the differential
-//! suites.
+//! themselves. The pre-compilation original is the test oracle of the
+//! differential suites, in the dev-only `tm-bench` crate
+//! (`tm_bench::oracle`).
 
 use std::hash::Hash;
 
 use crate::budget::QueryBudget;
 use crate::compiled::CompiledNfa;
 use crate::dfa::Dfa;
-use crate::nfa::{Nfa, StateId};
+use crate::nfa::Nfa;
 use crate::pool::Executor;
 use crate::product::{check_inclusion_otf, NfaSource};
 
@@ -67,7 +67,7 @@ impl<L> InclusionResult<L> {
 /// Both automata have all states accepting, so inclusion fails exactly
 /// when some reachable implementation transition has no counterpart in the
 /// specification; BFS order makes the returned counterexample shortest
-/// (and identical to [`check_inclusion_reference`]'s).
+/// (and identical to the seed checker's in `tm_bench::oracle`).
 ///
 /// Compiles the specification ([`Dfa::compile`], which clones the
 /// prebuilt interned alphabet) and the implementation over it, then runs
@@ -107,75 +107,6 @@ pub fn check_inclusion<L: Clone + Eq + Hash + Sync>(
     check_inclusion_otf(&source, &spec, &Executor::Sequential, &unlimited)
         .expect("an unlimited sequential check cannot abort")
         .0
-}
-
-/// The pre-compilation (seed) implementation of [`check_inclusion`]:
-/// label hashing in `Dfa::step`, label clones on every discovered edge,
-/// SipHash product-pair interning.
-///
-/// Kept verbatim as the baseline for the `compiled-vs-seed` criterion
-/// bench and the differential property tests; not used by any checker.
-pub fn check_inclusion_reference<L: Clone + Eq + Hash>(
-    nfa: &Nfa<L>,
-    dfa: &Dfa<L>,
-) -> InclusionResult<L> {
-    // Product pair (implementation state, spec state), interned.
-    let mut ids: std::collections::HashMap<(StateId, StateId), usize> =
-        std::collections::HashMap::new();
-    // Parent pointers for counterexample reconstruction:
-    // (parent pair index, label on the edge — None for ε).
-    let mut parent: Vec<Option<(usize, Option<L>)>> = Vec::new();
-    let mut pairs: Vec<(StateId, StateId)> = Vec::new();
-
-    let spec0 = dfa.initial_state();
-    for &q in nfa.initial_states() {
-        if let std::collections::hash_map::Entry::Vacant(e) = ids.entry((q, spec0)) {
-            e.insert(pairs.len());
-            pairs.push((q, spec0));
-            parent.push(None);
-        }
-    }
-
-    let mut head = 0;
-    while head < pairs.len() {
-        let (qi, qs) = pairs[head];
-        for (label, target) in nfa.transitions_from(qi) {
-            let next = match label {
-                None => Some(qs), // internal step: spec stays put
-                Some(l) => match dfa.step(qs, l) {
-                    Some(qs2) => Some(qs2),
-                    None => {
-                        // Violation: reconstruct the word along parents.
-                        let mut word = vec![l.clone()];
-                        let mut at = head;
-                        while let Some((p, lab)) = parent[at].clone() {
-                            if let Some(lab) = lab {
-                                word.push(lab);
-                            }
-                            at = p;
-                        }
-                        word.reverse();
-                        return InclusionResult::Counterexample {
-                            word,
-                            product_states: pairs.len(),
-                        };
-                    }
-                },
-            };
-            if let Some(qs2) = next {
-                let key = (*target, qs2);
-                if let std::collections::hash_map::Entry::Vacant(e) = ids.entry(key) {
-                    e.insert(pairs.len());
-                    pairs.push(key);
-                    parent.push(Some((head, label.clone())));
-                }
-            }
-        }
-        head += 1;
-    }
-    InclusionResult::Included {
-        product_states: pairs.len(),
-    }
 }
 
 #[cfg(test)]
@@ -246,44 +177,5 @@ mod tests {
     fn letter_outside_spec_alphabet_is_violation() {
         let result = check_inclusion(&letter_nfa(&['z']), &letter_dfa(&['a']));
         assert_eq!(result.counterexample(), Some(&['z'][..]));
-    }
-
-    /// Random-ish structured cases: the compiled check and the seed
-    /// reference must agree exactly (verdict, counterexample word, and
-    /// product-state count).
-    #[test]
-    fn compiled_check_matches_reference() {
-        let cases: Vec<(Nfa<char>, Dfa<char>)> = vec![
-            (letter_nfa(&['a', 'b']), letter_dfa(&['a'])),
-            (letter_nfa(&['a']), letter_dfa(&['a', 'b'])),
-            (letter_nfa(&['z']), letter_dfa(&['a'])),
-            (
-                {
-                    let mut imp = Nfa::new();
-                    let s0 = imp.add_state();
-                    let s1 = imp.add_state();
-                    imp.set_initial(s0);
-                    imp.add_transition(s0, None, s1);
-                    imp.add_transition(s1, Some('a'), s0);
-                    imp.add_transition(s0, Some('b'), s1);
-                    imp.add_transition(s1, Some('c'), s1);
-                    imp
-                },
-                {
-                    let mut spec = Dfa::new(vec!['a', 'b']);
-                    let q0 = spec.add_state();
-                    let q1 = spec.add_state();
-                    spec.set_initial(q0);
-                    spec.set_transition(q0, &'a', q1);
-                    spec.set_transition(q1, &'b', q0);
-                    spec
-                },
-            ),
-        ];
-        for (nfa, dfa) in &cases {
-            let fast = check_inclusion(nfa, dfa);
-            let slow = check_inclusion_reference(nfa, dfa);
-            assert_eq!(fast, slow);
-        }
     }
 }

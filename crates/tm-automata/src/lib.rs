@@ -25,21 +25,20 @@
 //!   implementation side is stepped lazily — never materialized — with an
 //!   optional deterministic parallel level-synchronous BFS on a
 //!   [`WorkerPool`]. [`check_inclusion`] wraps the sequential engine for
-//!   materialized automata; the pre-compilation originals survive as
-//!   [`check_inclusion_reference`] /
-//!   [`check_inclusion_antichain_reference`], test oracles and A/B
-//!   baselines. See `README.md` for the engine hierarchy;
+//!   materialized automata. The pre-compilation originals are test
+//!   oracles and A/B baselines in the dev-only `tm-bench` crate
+//!   (`tm_bench::oracle`), not part of this crate. See `README.md` for
+//!   the engine hierarchy;
 //! * antichain-based inclusion and equivalence between nondeterministic
 //!   automata ([`check_inclusion_antichain`],
 //!   [`check_equivalence_antichain`]) in the style of De Wulf et al.;
-//! * labelled graphs, iterative Tarjan SCCs, and constrained closed-walk
-//!   construction for liveness lassos ([`LabeledGraph`],
-//!   [`strongly_connected_components`], [`closed_walk_through`]);
 //! * the **compiled liveness engine** ([`CompiledRunGraph`],
 //!   [`RunGraphSource`], `livecheck.rs`): run graphs built on the fly
 //!   into CSR with per-edge class bitmasks, mask-filtered Tarjan in a
-//!   reusable [`LiveScratch`] arena, and deterministic parallel fan-out
-//!   of independent loop queries ([`CompiledRunGraph::find_first_loop`]);
+//!   reusable [`LiveScratch`] arena, closed-walk lasso extraction, and
+//!   deterministic parallel fan-out of independent loop queries
+//!   ([`CompiledRunGraph::find_first_loop`]); its reference, the seed's
+//!   labelled graphs with per-clone Tarjan, is `tm_bench::oracle` too;
 //! * the **persistent worker pool** ([`WorkerPool`]) and the
 //!   [`Executor`] abstraction every parallel engine region runs on —
 //!   sequential or the pool — plus the `TM_MODELCHECK_THREADS`
@@ -86,7 +85,6 @@ mod dfa;
 mod explore;
 pub mod fault;
 mod fxhash;
-mod graph;
 mod inclusion;
 mod livecheck;
 mod nfa;
@@ -98,10 +96,7 @@ pub use budget::{CancelToken, EngineError, QueryBudget};
 pub use config::{
     default_threads, modelcheck_threads, parse_thread_count, DEFAULT_THREAD_CAP,
 };
-pub use antichain::{
-    check_equivalence_antichain, check_inclusion_antichain,
-    check_inclusion_antichain_reference, EquivalenceResult,
-};
+pub use antichain::{check_equivalence_antichain, check_inclusion_antichain, EquivalenceResult};
 pub use bitset::{BitSet, Iter as BitSetIter};
 pub use compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
 pub use dfa::Dfa;
@@ -109,10 +104,7 @@ pub use explore::{
     explore, explore_deterministic, DeterministicTransitionSystem, Explored, TransitionSystem,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use graph::{
-    closed_walk_through, strongly_connected_components, LabeledGraph, Sccs,
-};
-pub use inclusion::{check_inclusion, check_inclusion_reference, InclusionResult};
+pub use inclusion::{check_inclusion, InclusionResult};
 pub use livecheck::{
     CompiledLasso, CompiledRunGraph, EdgeFilter, EdgeMask, LabelClass, LiveScratch, LoopQuery,
     LoopSelection, RunGraphParts, RunGraphSource, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,

@@ -3,10 +3,11 @@
 //!
 //! The paper reduces each liveness property (§6, Theorem 5) to the absence
 //! of a certain *loop* in the run-level transition system of the TM
-//! applied to the most general program. The seed checker materializes that
-//! system as a boxed labelled edge list ([`crate::LabeledGraph`]) and, for
-//! every thread subset, **clones** a filtered subgraph and reruns Tarjan
-//! on it — `2^n` copies of the graph for the livelock check alone.
+//! applied to the most general program. The seed checker (a test oracle in
+//! `tm_bench::oracle`) materializes that system as a boxed labelled edge
+//! list and, for every thread subset, **clones** a filtered subgraph and
+//! reruns Tarjan on it — `2^n` copies of the graph for the livelock check
+//! alone.
 //!
 //! This module is the liveness counterpart of the on-the-fly product
 //! engine in `product.rs`:
@@ -525,10 +526,10 @@ impl<L> CompiledRunGraph<L> {
     /// no allocation happens once the arena has grown to the graph's
     /// size.
     ///
-    /// Component indices are identical to running the reference
-    /// [`crate::strongly_connected_components`] on the materialized
-    /// filtered subgraph: roots are tried in state order and edges are
-    /// visited in enumeration order, skipping filtered ones.
+    /// Component indices are identical to running the seed checker's
+    /// Tarjan (`tm_bench::oracle`) on the materialized filtered
+    /// subgraph: roots are tried in state order and edges are visited in
+    /// enumeration order, skipping filtered ones.
     ///
     /// The deadline/cancellation of `budget` is polled every
     /// `INTERRUPT_STRIDE` Tarjan iterations (an interrupted run leaves
@@ -835,8 +836,8 @@ impl<L: Clone> CompiledRunGraph<L> {
     /// `out`. With `restrict = Some((filter, comp))` the path uses only
     /// kept edges whose endpoints lie in SCC `comp` of the current
     /// `scratch` decomposition; with `None` the full graph. BFS visits
-    /// edges in enumeration order, so ties break exactly as in the
-    /// reference [`crate::LabeledGraph::shortest_path_to`].
+    /// edges in enumeration order, so ties break exactly as in the seed
+    /// checker's BFS (`tm_bench::oracle`).
     fn bfs_path(
         &self,
         from: u32,
@@ -897,7 +898,6 @@ impl<L: Clone> CompiledRunGraph<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{strongly_connected_components, LabeledGraph};
 
     /// A label carrying its own class, for hand-built test graphs.
     #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -1018,46 +1018,6 @@ mod tests {
             CompiledRunGraph::build_budget(&source, &expired).err(),
             Some(EngineError::Deadline)
         );
-    }
-
-    #[test]
-    fn masked_sccs_match_cloned_subgraph_reference() {
-        // Two 2-cycles (threads 0 and 1) joined by a thread-0 bridge.
-        let source = VecSource {
-            succ: vec![
-                vec![(lbl(0, 0), 1)],
-                vec![(lbl(1, 0), 0), (lbl(2, 0), 2)],
-                vec![(lbl(3, 1), 3)],
-                vec![(lbl(4, 1), 2)],
-            ],
-        };
-        let (graph, _) = CompiledRunGraph::build(&source, 100).unwrap();
-        let mut scratch = LiveScratch::default();
-        for filter in [
-            KEEP_ALL,
-            EdgeFilter { keep_any: 1 << 0, forbid_all: 0 },
-            EdgeFilter { keep_any: 1 << 1, forbid_all: 0 },
-        ] {
-            graph.sccs_masked(filter, &mut scratch, &QueryBudget::unlimited()).unwrap();
-            // Reference: materialize, filter, Tarjan.
-            let mut labeled = LabeledGraph::new(graph.num_states());
-            for (from, l, to) in graph.edges() {
-                labeled.add_edge(from, *l, to);
-            }
-            let source_ref = &source;
-            let filtered = labeled.filtered(|_, l, _| {
-                filter.keeps(source_ref.classify(l).mask())
-            });
-            let reference = strongly_connected_components(&filtered);
-            assert_eq!(scratch.num_components(), reference.count(), "{filter:?}");
-            for v in 0..graph.num_states() {
-                assert_eq!(
-                    scratch.component_of(v),
-                    reference.component_of(v),
-                    "state {v} under {filter:?}"
-                );
-            }
-        }
     }
 
     #[test]

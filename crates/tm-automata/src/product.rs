@@ -23,7 +23,7 @@
 //! Two execution strategies sit behind them:
 //!
 //! * **Sequential** (executor width 1): a single FIFO product BFS. Its
-//!   discovery order is that of [`crate::check_inclusion_reference`] —
+//!   discovery order is that of the seed checker (`tm_bench::oracle`) —
 //!   identical verdicts, identical shortest counterexample words,
 //!   identical `product_states` — and it is the same code for both spec
 //!   artifacts.
@@ -664,7 +664,7 @@ impl<'a, S: SuccessorSource> Explorer<'a, S> {
 
 /// The sequential engine: a FIFO product BFS with the implementation side
 /// pulled lazily and the specification side from either artifact. The
-/// discovery order is that of [`crate::check_inclusion_reference`], hence
+/// discovery order is that of the seed checker in `tm_bench::oracle`, hence
 /// the identical verdict, word, and `product_states`.
 fn sequential_bounded<S: SuccessorSource, P: SpecAccess>(
     source: &S,
@@ -1162,7 +1162,6 @@ fn reconstruct_levels<S: SuccessorSource>(
 mod tests {
     use super::*;
     use crate::dfa::Dfa;
-    use crate::inclusion::check_inclusion_reference;
     use crate::nfa::Nfa;
     use crate::pool::WorkerPool;
 
@@ -1221,47 +1220,6 @@ mod tests {
         }
         nfa.add_transition(states[n - 1], Some('c'), states[n - 1]);
         nfa
-    }
-
-    #[test]
-    fn otf_matches_reference_on_examples() {
-        let cases: Vec<(Nfa<char>, Dfa<char>)> = vec![
-            (letter_nfa(&['a']), letter_dfa(&['a', 'b'])),
-            (letter_nfa(&['a', 'b']), letter_dfa(&['a'])),
-            (letter_nfa(&['z']), letter_dfa(&['a'])),
-            (chain_nfa(12), letter_dfa(&['a', 'b'])),
-            (chain_nfa(12), letter_dfa(&['a', 'b', 'c'])),
-        ];
-        for (nfa, dfa) in &cases {
-            let spec = dfa.compile();
-            let expected = check_inclusion_reference(nfa, dfa);
-            let (imp, alphabet) = compile_pair(nfa, &spec);
-            let source = NfaSource::new(&imp, &alphabet);
-            for threads in [1, 2, 5] {
-                let (got, _) = run_otf(&source, &spec, threads);
-                assert_eq!(got.holds(), expected.holds(), "threads={threads}");
-                assert_eq!(
-                    got.counterexample(),
-                    expected.counterexample(),
-                    "threads={threads}"
-                );
-                if expected.holds() {
-                    assert_eq!(got.product_states(), expected.product_states());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sequential_otf_has_exact_parity() {
-        let nfa = chain_nfa(9);
-        let dfa = letter_dfa(&['a', 'b']);
-        let spec = dfa.compile();
-        let expected = check_inclusion_reference(&nfa, &dfa);
-        let (imp, alphabet) = compile_pair(&nfa, &spec);
-        let source = NfaSource::new(&imp, &alphabet);
-        let (got, _) = run_otf(&source, &spec, 1);
-        assert_eq!(got, expected); // verdict, word, and product_states
     }
 
     #[test]

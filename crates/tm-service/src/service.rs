@@ -759,7 +759,6 @@ impl Service {
                     StoreConfig {
                         dir: dir.clone(),
                         cap_bytes: config.store_cap,
-                        cap_files: None,
                     },
                     StoreCounters::register(&metrics),
                 )
@@ -881,27 +880,18 @@ impl Service {
     /// Concurrent `submit` calls overlap: queries on different instance
     /// sizes run in parallel, queries on the same session serialize.
     pub fn submit(&self, batch: &[QuerySpec]) -> Vec<QueryResult> {
-        self.submit_with_deadline(batch, None)
+        self.submit_traced(batch, None, false)
     }
 
     /// [`Service::submit`] with an explicit batch deadline in
     /// milliseconds (a request-supplied `deadline_ms` overrides the
-    /// configured default). Queries still unanswered when the deadline
-    /// expires are shed as [`QueryOutcome::Aborted`] /
+    /// configured default) and, when `trace` is `true` (and
+    /// instrumentation is enabled; with `TM_OBS=off` the results come
+    /// back untraced), a per-query [`TraceRecord`] — the phase totals and
+    /// captured spans — on every result. Queries still unanswered when
+    /// the deadline expires are shed as [`QueryOutcome::Aborted`] /
     /// [`EngineError::Deadline`] results without running; results stay
     /// in request order either way.
-    pub fn submit_with_deadline(
-        &self,
-        batch: &[QuerySpec],
-        deadline_ms: Option<u64>,
-    ) -> Vec<QueryResult> {
-        self.submit_traced(batch, deadline_ms, false)
-    }
-
-    /// [`Service::submit_with_deadline`] that additionally attaches a
-    /// per-query [`TraceRecord`] — the phase totals and captured spans —
-    /// to every result when `trace` is `true` (and instrumentation is
-    /// enabled; with `TM_OBS=off` the results come back untraced).
     pub fn submit_traced(
         &self,
         batch: &[QuerySpec],
@@ -1253,6 +1243,33 @@ mod tests {
             pool_size: 1,
             ..ServiceConfig::default()
         }
+    }
+
+    /// Two overlapping guards: the clock counts their union once, so the
+    /// sum of the two batches' wall times (what `batch_ns` adds up)
+    /// exceeds it by at least the overlap.
+    #[test]
+    fn busy_clock_counts_overlapping_batches_once() {
+        let pause = || std::thread::sleep(Duration::from_millis(2));
+        let clock = BusyClock::new();
+        let first_start = Instant::now();
+        let first = clock.enter();
+        pause();
+        let second_start = Instant::now();
+        let second = clock.enter();
+        pause();
+        drop(first);
+        let first_wall = first_start.elapsed();
+        pause();
+        drop(second);
+        let second_wall = second_start.elapsed();
+        let busy = clock.busy_wall();
+        assert!(busy >= Duration::from_millis(6), "{busy:?}");
+        assert!(busy <= clock.uptime());
+        assert!(
+            first_wall + second_wall >= busy + Duration::from_millis(2),
+            "{first_wall:?} + {second_wall:?} vs union {busy:?}"
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@
 use std::fmt;
 
 use tm_automata::EngineError;
-use tm_obs::{JournalRead, Phase, TraceEvent, TraceRecord};
+use tm_obs::{JournalRead, Phase, PhaseNanos, TraceEvent, TraceRecord};
 use tm_store::StoreEntry;
 
 use crate::roster::{CmKind, PropertyKind, QuerySpec, TmKind};
@@ -602,14 +602,20 @@ fn result_to_json(result: &QueryResult) -> Json {
     Json::Obj(members)
 }
 
+/// Engine-phase totals as a [`Phase::name`] → nanoseconds object;
+/// all-zero phases are omitted to keep the object compact.
+pub fn encode_phases(phase_ns: &PhaseNanos) -> Json {
+    Json::Obj(
+        Phase::ALL
+            .into_iter()
+            .filter(|&p| phase_ns[p as usize] > 0)
+            .map(|p| (p.name().to_owned(), num(phase_ns[p as usize] as usize)))
+            .collect(),
+    )
+}
+
 fn trace_to_json(trace: &TraceRecord) -> Json {
-    // Phase totals as a name → nanoseconds map; all-zero phases are
-    // omitted to keep traced responses compact.
-    let phases = Phase::ALL
-        .into_iter()
-        .filter(|&p| trace.phase_ns[p as usize] > 0)
-        .map(|p| (p.name().to_owned(), num(trace.phase_ns[p as usize] as usize)))
-        .collect();
+    let phases = encode_phases(&trace.phase_ns);
     let events = trace
         .events
         .iter()
@@ -623,7 +629,7 @@ fn trace_to_json(trace: &TraceRecord) -> Json {
         })
         .collect();
     Json::Obj(vec![
-        ("phases".to_owned(), Json::Obj(phases)),
+        ("phases".to_owned(), phases),
         ("events".to_owned(), Json::Arr(events)),
         ("dropped_events".to_owned(), num(trace.dropped_events as usize)),
     ])
@@ -722,13 +728,8 @@ fn stats_to_json(stats: &ServiceStats) -> Json {
     ])
 }
 
-/// Encodes the `GET /v1/stats` body.
-pub fn encode_stats(stats: &ServiceStats) -> String {
-    stats_to_json(stats).to_string()
-}
-
-/// [`encode_stats`] plus the `"latency"` quantile summary — the body
-/// `GET /v1/stats` actually serves. Decoders that predate the member
+/// Encodes the `GET /v1/stats` body: the service counters plus the
+/// `"latency"` quantile summary. Decoders that predate the member
 /// (`decode_stats`) ignore it.
 pub fn encode_stats_full(stats: &ServiceStats, latency: &LatencyQuantiles) -> String {
     let Json::Obj(mut members) = stats_to_json(stats) else {

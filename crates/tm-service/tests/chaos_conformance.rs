@@ -113,7 +113,7 @@ fn a_batch_deadline_sheds_the_tail_and_recovers() {
         ..ServiceConfig::default()
     });
     // A zero-millisecond deadline is already expired: every query sheds.
-    let shed = service.submit_with_deadline(&batch, Some(0));
+    let shed = service.submit_traced(&batch, Some(0), false);
     assert_eq!(shed.len(), batch.len());
     for result in &shed {
         assert!(

@@ -109,13 +109,12 @@ fn traces_attach_exactly_when_requested() {
 fn busy_clock_stays_inside_its_envelope() {
     let _flag = ObsFlag::hold();
     let service = Arc::new(Service::new(config(1)));
-    // Two concurrent batches over the same sessions: each batch's wall
-    // time includes waiting on the other's session locks, so the summed
-    // work clock must exceed the unioned utilization clock. One pass of
-    // the roster takes about a millisecond once its run graphs are built,
-    // no longer than the second thread can lag the first on a busy
-    // host, so each batch repeats it to make the two surely overlap.
-    let batch: Vec<QuerySpec> = (0..20).flat_map(|_| table3_batch()).collect();
+    // Two concurrent batches over the same sessions. Whether they
+    // overlap depends on the scheduler, so only the bounds that hold
+    // either way are checked here; that overlapping batches sum past the
+    // unioned clock is pinned deterministically by the `BusyClock` unit
+    // test in `service.rs`.
+    let batch = table3_batch();
     std::thread::scope(|scope| {
         for _ in 0..2 {
             let service = Arc::clone(&service);
@@ -129,10 +128,6 @@ fn busy_clock_stays_inside_its_envelope() {
     assert!(
         stats.busy_wall_ns <= stats.uptime_ns,
         "union of busy intervals cannot exceed uptime: {stats:?}"
-    );
-    assert!(
-        stats.batch_ns > stats.busy_wall_ns,
-        "overlapping batches sum past wall time: {stats:?}"
     );
 }
 

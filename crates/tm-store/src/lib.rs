@@ -34,8 +34,8 @@
 //!   `SpecCache::from_parts` against the specification source rebuilt
 //!   from the key;
 //! * [`ArtifactStore`] — the directory: atomic temp-file + rename
-//!   writes, mmap (or buffered) reads, quarantine of corrupt files,
-//!   an LRU byte/file cap, and counters for the service metrics.
+//!   writes, whole-file reads, quarantine of corrupt files, an LRU byte
+//!   cap, and counters for the service metrics.
 //!
 //! Trust model: nothing read from disk is believed until the
 //! container checksums pass, the embedded key re-digests to the
@@ -48,22 +48,18 @@
 //! which fires inside save (before the atomic rename — a crash
 //! mid-write) and load (a poisoned read). See [`tm_automata::fault`].
 
-// `deny` (not `forbid`) so the mmap module can opt in locally,
-// mirroring the worker-pool convention in `tm-automata`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod codec;
 mod format;
 mod key;
-mod mmap;
 pub mod sha256;
 mod store;
 
 pub use codec::Reader;
 pub use format::{FormatError, SectionWriter, Sections, MAGIC};
 pub use key::{digest, file_name, ENGINE_VERSION, FORMAT_VERSION};
-pub use mmap::{read_file, FileBytes};
 pub use store::{ArtifactStore, StoreConfig, StoreCounters, StoreEntry, StoreError, StoreStats};
 
 // Re-exported for integration tests and the service layer, which

@@ -14,7 +14,7 @@
 //!
 //! The store keeps its own LRU ledger (seeded from file mtimes at
 //! open, tracked by access order afterwards) and enforces an optional
-//! byte and file cap by deleting the least-recently-used artifacts
+//! byte cap by deleting the least-recently-used artifacts
 //! after each save. Hits, misses, corruptions, saves, and evictions
 //! are counted into the [`StoreCounters`] handles the owner passes in,
 //! so the owner's metrics registry is the only place they live.
@@ -72,8 +72,6 @@ pub struct StoreConfig {
     pub dir: PathBuf,
     /// Byte cap over all addressable files (`None` = unbounded).
     pub cap_bytes: Option<u64>,
-    /// File-count cap (`None` = unbounded).
-    pub cap_files: Option<usize>,
 }
 
 /// The store's counters: handles into the owner's metrics registry.
@@ -87,7 +85,7 @@ pub struct StoreCounters {
     pub corrupt: Counter,
     /// Artifacts written.
     pub saves: Counter,
-    /// Files deleted by the byte/file cap.
+    /// Files deleted by the byte cap.
     pub evicted: Counter,
 }
 
@@ -114,7 +112,7 @@ impl StoreCounters {
             ),
             evicted: counter(
                 "tm_store_evictions_total",
-                "Persistent-store files deleted by the byte/file cap",
+                "Persistent-store files deleted by the byte cap",
             ),
         }
     }
@@ -132,7 +130,7 @@ pub struct StoreStats {
     /// Artifacts written (idempotent re-saves of an existing digest are
     /// not counted).
     pub saves: u64,
-    /// Files deleted by the byte/file cap.
+    /// Files deleted by the byte cap.
     pub evicted: u64,
     /// Current addressable bytes on disk (per the ledger).
     pub bytes: u64,
@@ -186,7 +184,6 @@ impl Ledger {
 pub struct ArtifactStore {
     dir: PathBuf,
     cap_bytes: Option<u64>,
-    cap_files: Option<usize>,
     ledger: Mutex<Ledger>,
     counters: StoreCounters,
 }
@@ -232,7 +229,6 @@ impl ArtifactStore {
         Ok(ArtifactStore {
             dir: config.dir,
             cap_bytes: config.cap_bytes,
-            cap_files: config.cap_files,
             ledger: Mutex::new(ledger),
             counters,
         })
@@ -308,7 +304,7 @@ impl ArtifactStore {
         }
         fault_point("store").map_err(|_| StoreError::Fault)?;
         let mut timer = PhaseTimer::start(Phase::StoreLoad);
-        let bytes = match crate::mmap::read_file(&path) {
+        let bytes = match std::fs::read(&path) {
             Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 // Raced with an eviction: a plain miss.
@@ -331,7 +327,6 @@ impl ArtifactStore {
                 Ok(Some(artifact))
             }
             Err(why) => {
-                drop(bytes);
                 self.quarantine(&name);
                 Err(StoreError::Corrupt(why))
             }
@@ -400,7 +395,7 @@ impl ArtifactStore {
             .to_owned();
         fault_point("store").map_err(|_| StoreError::Fault)?;
         let mut timer = PhaseTimer::start(Phase::StoreLoad);
-        let bytes = crate::mmap::read_file(path)?;
+        let bytes = std::fs::read(path)?;
         timer.set_value(bytes.len() as u64);
         match decode_artifact(&bytes).and_then(|(key, artifact)| {
             if file_name(&key) == name {
@@ -415,7 +410,6 @@ impl ArtifactStore {
                 Ok(result)
             }
             Err(why) => {
-                drop(bytes);
                 self.quarantine(&name);
                 Err(StoreError::Corrupt(why))
             }
@@ -459,20 +453,11 @@ impl ArtifactStore {
         self.lock_ledger().entries.remove(name);
     }
 
-    /// Removes least-recently-used ledger entries until the caps hold;
-    /// returns the file names to delete (done outside the lock).
+    /// Removes least-recently-used ledger entries until the byte cap
+    /// holds; returns the file names to delete (done outside the lock).
     fn collect_over_cap(&self, ledger: &mut Ledger) -> Vec<String> {
         let mut victims = Vec::new();
-        loop {
-            let over_bytes = self
-                .cap_bytes
-                .is_some_and(|cap| ledger.total_bytes() > cap);
-            let over_files = self
-                .cap_files
-                .is_some_and(|cap| ledger.entries.len() > cap);
-            if !over_bytes && !over_files {
-                break;
-            }
+        while self.cap_bytes.is_some_and(|cap| ledger.total_bytes() > cap) {
             let Some(name) = ledger
                 .entries
                 .iter()

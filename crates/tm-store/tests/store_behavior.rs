@@ -1,6 +1,6 @@
 //! Behavioral tests for [`ArtifactStore`]: atomic saves, verified
 //! loads, quarantine of corrupt files, warm re-open, and the LRU
-//! byte/file cap.
+//! byte cap.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -487,7 +487,6 @@ fn byte_cap_evicts_least_recently_used() {
     let store = ArtifactStore::open(StoreConfig {
         dir: dir.clone(),
         cap_bytes: Some(probe * 2 + probe / 2),
-        cap_files: None,
     }, store_counters())
     .unwrap();
     let keys: Vec<ArtifactKey> = ["a", "b", "c"]
@@ -506,27 +505,5 @@ fn byte_cap_evicts_least_recently_used() {
     assert!(store.load(&keys[0]).unwrap().is_some(), "a was recently used");
     assert!(store.load(&keys[1]).unwrap().is_none(), "b must be evicted");
     assert!(store.load(&keys[2]).unwrap().is_some(), "c was just saved");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn file_cap_holds_too() {
-    let dir = scratch_dir("filecap");
-    let store = ArtifactStore::open(StoreConfig {
-        dir: dir.clone(),
-        cap_bytes: None,
-        cap_files: Some(1),
-    }, store_counters())
-    .unwrap();
-    store
-        .save(&ArtifactKey::run_graph("a", 2, 2), &sample_artifact(0))
-        .unwrap();
-    store
-        .save(&ArtifactKey::run_graph("b", 2, 2), &sample_artifact(1))
-        .unwrap();
-    let stats = store.stats();
-    assert_eq!((stats.files, stats.evicted), (1, 1));
-    assert!(store.load(&ArtifactKey::run_graph("a", 2, 2)).unwrap().is_none());
-    assert!(store.load(&ArtifactKey::run_graph("b", 2, 2)).unwrap().is_some());
     std::fs::remove_dir_all(&dir).unwrap();
 }

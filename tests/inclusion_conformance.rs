@@ -1,9 +1,9 @@
 //! Differential conformance harness for the inclusion checks: the seed
-//! reference (`check_inclusion_reference`) and the on-the-fly product
-//! engine — through its `check_inclusion` wrapper and through
-//! `check_inclusion_otf`, sequential and on worker pools — must agree on
-//! every Table 2 (TM, property) pair, on the TM steppers directly, and on
-//! randomized NFA/DFA pairs.
+//! reference (`tm_bench::oracle::check_inclusion_reference`) and the
+//! on-the-fly product engine — through its `check_inclusion` wrapper and
+//! through `check_inclusion_otf`, sequential and on worker pools — must
+//! agree on every Table 2 (TM, property) pair, on the TM steppers
+//! directly, on randomized NFA/DFA pairs and on hand-built edge cases.
 //!
 //! Counterexamples additionally *replay*: the word is accepted by the
 //! implementation automaton and rejected by the specification DFA
@@ -20,8 +20,9 @@ use tm_modelcheck::algorithms::{
     DstmTm, MostGeneralSource, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm, ValidationStyle,
     WithContentionManager,
 };
+use tm_bench::oracle::{check_inclusion_antichain_reference, check_inclusion_reference};
 use tm_modelcheck::automata::{
-    check_inclusion, check_inclusion_otf, check_inclusion_reference, CompiledDfa, CompiledNfa, Dfa,
+    check_inclusion, check_inclusion_antichain, check_inclusion_otf, CompiledDfa, CompiledNfa, Dfa,
     Executor, InclusionResult, LetterId, Nfa, NfaSource, OtfStats, QueryBudget, SuccessorSource,
     WorkerPool,
 };
@@ -356,6 +357,103 @@ fn otf_equals_compiled_on_seeded_pairs() {
         let dfa = Dfa::determinize(&right, NFA_ALPHABET.to_vec());
         let spec = dfa.compile();
         conform(&left, &dfa, &spec, &format!("seed {seed}"));
+    }
+}
+
+/// A one-state implementation looping on each of `letters`.
+fn letter_nfa(letters: &[char]) -> Nfa<char> {
+    let mut nfa = Nfa::new();
+    let s = nfa.add_state();
+    nfa.set_initial(s);
+    for &l in letters {
+        nfa.add_transition(s, Some(l), s);
+    }
+    nfa
+}
+
+/// A one-state specification allowing exactly `letters`.
+fn letter_dfa(letters: &[char]) -> Dfa<char> {
+    let mut dfa = Dfa::new(letters.to_vec());
+    let q = dfa.add_state();
+    dfa.set_initial(q);
+    for l in letters {
+        dfa.set_transition(q, l, q);
+    }
+    dfa
+}
+
+/// A chain with branching and ε-moves, long enough to have several BFS
+/// levels.
+fn chain_nfa(n: usize) -> Nfa<char> {
+    let mut nfa = Nfa::new();
+    let states: Vec<_> = (0..n).map(|_| nfa.add_state()).collect();
+    nfa.set_initial(states[0]);
+    for i in 0..n - 1 {
+        nfa.add_transition(states[i], Some('a'), states[i + 1]);
+        if i % 3 == 0 {
+            nfa.add_transition(states[i], None, states[(i + 2).min(n - 1)]);
+        }
+        if i % 4 == 1 {
+            nfa.add_transition(states[i], Some('b'), states[i]);
+        }
+    }
+    nfa.add_transition(states[n - 1], Some('c'), states[n - 1]);
+    nfa
+}
+
+/// Hand-built pairs the random ones do not reach: implementation letters
+/// outside the specification's alphabet, an ε-cycle, and multi-level
+/// chains. Every engine matches the reference exactly.
+#[test]
+fn hand_built_pairs_match_reference() {
+    let mut eps_cycle = Nfa::new();
+    let s0 = eps_cycle.add_state();
+    let s1 = eps_cycle.add_state();
+    eps_cycle.set_initial(s0);
+    eps_cycle.add_transition(s0, None, s1);
+    eps_cycle.add_transition(s1, Some('a'), s0);
+    eps_cycle.add_transition(s0, Some('b'), s1);
+    eps_cycle.add_transition(s1, Some('c'), s1);
+    let mut alternating = Dfa::new(vec!['a', 'b']);
+    let q0 = alternating.add_state();
+    let q1 = alternating.add_state();
+    alternating.set_initial(q0);
+    alternating.set_transition(q0, &'a', q1);
+    alternating.set_transition(q1, &'b', q0);
+
+    let cases: Vec<(Nfa<char>, Dfa<char>)> = vec![
+        (letter_nfa(&['a', 'b']), letter_dfa(&['a'])),
+        (letter_nfa(&['a']), letter_dfa(&['a', 'b'])),
+        (letter_nfa(&['z']), letter_dfa(&['a'])),
+        (eps_cycle, alternating),
+        (chain_nfa(9), letter_dfa(&['a', 'b'])),
+        (chain_nfa(12), letter_dfa(&['a', 'b'])),
+        (chain_nfa(12), letter_dfa(&['a', 'b', 'c'])),
+    ];
+    for (i, (nfa, dfa)) in cases.iter().enumerate() {
+        conform(nfa, dfa, &dfa.compile(), &format!("hand-built pair {i}"));
+    }
+}
+
+/// The compiled antichain check agrees with the seed reference on
+/// verdicts, counterexample words and explored pairs, including letters
+/// one side lacks and ε-moves.
+#[test]
+fn antichain_matches_reference_on_hand_built_pairs() {
+    let ab = letter_nfa(&['a', 'b']);
+    let a = letter_nfa(&['a']);
+    let mut eps = Nfa::new();
+    let q0 = eps.add_state();
+    let q1 = eps.add_state();
+    eps.set_initial(q0);
+    eps.add_transition(q0, None, q1);
+    eps.add_transition(q1, Some('a'), q1);
+    eps.add_transition(q1, Some('c'), q0);
+    for (left, right) in [(&ab, &a), (&a, &ab), (&eps, &ab), (&ab, &eps), (&eps, &a)] {
+        assert_eq!(
+            check_inclusion_antichain(left, right),
+            check_inclusion_antichain_reference(left, right)
+        );
     }
 }
 

@@ -1,22 +1,28 @@
 //! Differential conformance harness for the liveness checker pair: the
 //! compiled engine (`Verifier::check_liveness`, masked CSR passes over
 //! one run graph) must agree with the seed reference
-//! (`check_liveness_reference`, cloned filtered subgraphs) on **every**
-//! Table 3 TM × contention-manager × property combination — verdict,
-//! run-level lasso, word-level lasso projection, and Table 3 cycle
-//! notation — and must be identical at every worker-pool size.
+//! (`tm_bench::oracle::check_liveness_reference`, cloned filtered
+//! subgraphs) on **every** Table 3 TM × contention-manager × property
+//! combination — verdict, run-level lasso, word-level lasso projection,
+//! and Table 3 cycle notation — and must be identical at every
+//! worker-pool size. The engine's run graph has the reference's state
+//! numbering and edge order, which is what makes the lassos agree.
 //!
 //! A seeded random-graph fuzz additionally pins the engine's mask-filtered
 //! Tarjan to the reference cloned-subgraph SCC decomposition on
-//! adversarial shapes, component indices included.
+//! adversarial shapes, component indices included; the reference graph
+//! algorithms themselves are pinned on small hand-built graphs.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use tm_bench::liveness_roster;
+use tm_bench::oracle::{
+    closed_walk_through, most_general_run_graph, strongly_connected_components, LabeledGraph,
+};
+use tm_modelcheck::algorithms::{MostGeneralRunSource, RunLabel, TwoPhaseTm};
 use tm_modelcheck::automata::{
-    strongly_connected_components, CompiledRunGraph, EdgeFilter, Executor, LabelClass,
-    LabeledGraph, LiveScratch, LoopQuery, LoopSelection, QueryBudget, RunGraphSource, WorkerPool,
-    MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
+    CompiledRunGraph, EdgeFilter, Executor, LabelClass, LiveScratch, LoopQuery, LoopSelection,
+    QueryBudget, RunGraphSource, WorkerPool, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
 };
 use tm_modelcheck::checker::{LivenessVerdict, Verifier};
 use tm_modelcheck::lang::LivenessProperty;
@@ -101,6 +107,22 @@ fn session_reuse_matches_one_shot_at_every_pool_size() {
             );
         }
     }
+}
+
+/// The engine's run graph numbers states and enumerates edges exactly
+/// like the reference's materialized graph — lasso parity depends on it.
+#[test]
+fn run_source_matches_materialized_run_graph() {
+    let tm = TwoPhaseTm::new(2, 2);
+    let (graph, states) = most_general_run_graph(&tm, 10_000);
+    let (compiled, compiled_states) =
+        CompiledRunGraph::build(&MostGeneralRunSource::new(&tm), 10_000).unwrap();
+    assert_eq!(states, compiled_states);
+    let seed_edges: Vec<(usize, RunLabel, usize)> =
+        graph.edges().map(|(f, l, t)| (f, *l, t)).collect();
+    let engine_edges: Vec<(usize, RunLabel, usize)> =
+        compiled.edges().map(|(f, l, t)| (f, *l, t)).collect();
+    assert_eq!(seed_edges, engine_edges);
 }
 
 /// The (3, 1) instance exercises the 7-subset livelock fan-out and
@@ -259,4 +281,90 @@ fn random_query_fanout_is_pool_size_independent() {
             assert_eq!(got, expected, "seed {seed}, pool {}", pool.size());
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The reference graph algorithms on small hand-built graphs.
+
+fn ring(n: usize) -> LabeledGraph<usize> {
+    let mut g = LabeledGraph::new(n);
+    for i in 0..n {
+        g.add_edge(i, i, (i + 1) % n);
+    }
+    g
+}
+
+#[test]
+fn reference_ring_is_one_scc() {
+    let sccs = strongly_connected_components(&ring(5));
+    assert_eq!(sccs.count(), 1);
+    assert!(sccs.same_component(0, 4));
+}
+
+#[test]
+fn reference_dag_has_singleton_sccs() {
+    let mut g = LabeledGraph::new(3);
+    g.add_edge(0, 'x', 1);
+    g.add_edge(1, 'y', 2);
+    let sccs = strongly_connected_components(&g);
+    assert_eq!(sccs.count(), 3);
+    assert!(!sccs.same_component(0, 1));
+}
+
+#[test]
+fn reference_two_cycles_joined_by_bridge() {
+    let mut g = LabeledGraph::new(4);
+    g.add_edge(0, 'a', 1);
+    g.add_edge(1, 'b', 0);
+    g.add_edge(1, 'c', 2); // bridge
+    g.add_edge(2, 'd', 3);
+    g.add_edge(3, 'e', 2);
+    let sccs = strongly_connected_components(&g);
+    assert_eq!(sccs.count(), 2);
+    assert!(sccs.same_component(0, 1));
+    assert!(sccs.same_component(2, 3));
+    assert!(!sccs.same_component(1, 2));
+}
+
+#[test]
+fn reference_shortest_path_finds_bfs_route() {
+    let g = ring(6);
+    let path = g.shortest_path_to(0, |s| s == 3).unwrap();
+    assert_eq!(path.len(), 3);
+    assert_eq!(path[0], (0, 0, 1));
+    assert_eq!(path[2].2, 3);
+    assert!(g.shortest_path_to(0, |_| false).is_none());
+    assert_eq!(g.shortest_path_to(2, |s| s == 2).unwrap().len(), 0);
+}
+
+#[test]
+fn reference_closed_walk_visits_required_edges() {
+    let g = ring(4);
+    let required = vec![(1usize, 1usize, 2usize), (3, 3, 0)];
+    let walk = closed_walk_through(&g, &required).unwrap();
+    // Walk starts at 1, ends back at 1, uses both required edges.
+    assert_eq!(walk.first().unwrap().0, 1);
+    assert_eq!(walk.last().unwrap().2, 1);
+    for edge in &required {
+        assert!(walk.contains(edge));
+    }
+}
+
+#[test]
+fn reference_closed_walk_rejects_cross_scc_requirements() {
+    let mut g = LabeledGraph::new(4);
+    g.add_edge(0, 'a', 1);
+    g.add_edge(1, 'b', 0);
+    g.add_edge(1, 'x', 2);
+    g.add_edge(2, 'c', 3);
+    g.add_edge(3, 'd', 2);
+    let required = vec![(0, 'a', 1), (2, 'c', 3)];
+    assert!(closed_walk_through(&g, &required).is_none());
+}
+
+#[test]
+fn reference_filtered_drops_edges() {
+    let g = ring(3);
+    let f = g.filtered(|from, _, _| from != 1);
+    assert_eq!(f.num_edges(), 2);
 }

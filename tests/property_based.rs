@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 
+use tm_bench::oracle::{check_inclusion_antichain_reference, check_inclusion_reference};
 use tm_modelcheck::automata::{
-    check_inclusion, check_inclusion_antichain, check_inclusion_antichain_reference,
-    check_inclusion_otf, check_inclusion_reference, Alphabet as LetterAlphabet, BitSet, Dfa,
-    Executor, LetterId, Nfa, NfaSource, QueryBudget,
+    check_inclusion, check_inclusion_antichain, check_inclusion_otf, Alphabet as LetterAlphabet,
+    BitSet, Dfa, Executor, LetterId, Nfa, NfaSource, QueryBudget,
 };
 use tm_modelcheck::lang::{
     is_opaque, is_opaque_brute_force, is_strictly_serializable,
