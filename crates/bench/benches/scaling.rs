@@ -16,10 +16,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use tm_algorithms::{most_general_nfa, DstmTm, MostGeneralSource, Tl2Tm, TwoPhaseTm};
+use tm_algorithms::{most_general_nfa, DstmTm, MostGeneralSource, TwoPhaseTm};
 use tm_automata::{
-    check_inclusion, check_inclusion_otf, check_inclusion_otf_cached, modelcheck_threads,
-    Alphabet, CompiledNfa, DtsSpecSource, Executor, NfaSource, QueryBudget, SpecCache, WorkerPool,
+    check_inclusion, check_inclusion_otf, check_inclusion_otf_cached, Alphabet, CompiledNfa,
+    DtsSpecSource, NfaSource, QueryBudget, SpecCache,
 };
 use tm_bench::oracle::check_inclusion_reference;
 use tm_lang::SafetyProperty;
@@ -60,14 +60,13 @@ fn bench_compiled_vs_seed(c: &mut Criterion) {
             b.iter(|| check_inclusion(tm, &spec))
         });
         // `check_inclusion` minus the spec compile: the NFA is compiled
-        // over the precompiled spec's alphabet and run on the sequential
-        // engine.
+        // over the precompiled spec's alphabet.
         group.bench_with_input(BenchmarkId::new("precompiled", &tag), &tm, |b, tm| {
             b.iter(|| {
                 let mut alphabet = compiled.alphabet().clone();
                 let imp = CompiledNfa::compile(tm, &mut alphabet);
                 let source = NfaSource::new(&imp, &alphabet);
-                check_inclusion_otf(&source, &compiled, &Executor::Sequential, &unlimited)
+                check_inclusion_otf(&source, &compiled, &unlimited)
             })
         });
     }
@@ -128,13 +127,10 @@ fn bench_inclusion_scaling(c: &mut Criterion) {
 }
 
 /// The on-the-fly product engine on the TM steppers themselves: no NFA is
-/// built, the TM is stepped lazily — against the compiled spec,
-/// sequentially (`otf-seq`) and on a worker pool (`otf-par`,
-/// `TM_MODELCHECK_THREADS` or all cores up to 8), and with the spec side
-/// lazy too (`otf-lazy`, a fresh spec cache per iteration). This is the
-/// group that scales past (3, 2).
+/// built, the TM is stepped lazily — against the compiled spec
+/// (`otf-compiled`), and with the spec side lazy too (`otf-lazy`, a fresh
+/// spec cache per iteration). This is the group that scales past (3, 2).
 fn bench_otf_product(c: &mut Criterion) {
-    let pool = WorkerPool::new(modelcheck_threads().max(2));
     let unlimited = QueryBudget::unlimited();
     let mut group = c.benchmark_group("scaling/otf-product");
     group.sample_size(10);
@@ -142,10 +138,8 @@ fn bench_otf_product(c: &mut Criterion) {
         let tag = format!("{n}x{k}");
         let lazy_selected = group.is_selected(&format!("otf-lazy/{tag}"));
         let compiled_feasible = matches!((n, k), (2, 2) | (3, 2));
-        let compiled_selected = compiled_feasible
-            && ["otf-seq", "otf-par"]
-                .iter()
-                .any(|kind| group.is_selected(&format!("{kind}/{tag}")));
+        let compiled_selected =
+            compiled_feasible && group.is_selected(&format!("otf-compiled/{tag}"));
         if !lazy_selected && !compiled_selected {
             continue;
         }
@@ -163,40 +157,11 @@ fn bench_otf_product(c: &mut Criterion) {
         }
         if compiled_selected {
             let spec = det.to_dfa(MAX).0.compile();
-            group.bench_with_input(BenchmarkId::new("otf-seq", &tag), &(n, k), |b, _| {
-                b.iter(|| check_inclusion_otf(&source, &spec, &Executor::Sequential, &unlimited))
-            });
-            group.bench_with_input(BenchmarkId::new("otf-par", &tag), &(n, k), |b, _| {
-                b.iter(|| check_inclusion_otf(&source, &spec, &Executor::Pool(&pool), &unlimited))
+            group.bench_with_input(BenchmarkId::new("otf-compiled", &tag), &(n, k), |b, _| {
+                b.iter(|| check_inclusion_otf(&source, &spec, &unlimited))
             });
         }
     }
-    group.finish();
-}
-
-/// Dispatch cost of the parallel product engine on a persistent
-/// [`WorkerPool`] (what a `tm_checker::Verifier` session does). TL2 at
-/// (2, 2) is the largest Table 2 product — frontiers wide enough to cross
-/// the engine's parallel threshold, hundreds of level regions.
-fn bench_pool_dispatch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scaling/pool-dispatch");
-    group.sample_size(10);
-    let tag = "2x2";
-    if !group.is_selected(&format!("pool/{tag}")) {
-        group.finish();
-        return;
-    }
-    let spec = DetSpec::new(SafetyProperty::StrictSerializability, 2, 2)
-        .to_dfa(MAX)
-        .0
-        .compile();
-    let tm = Tl2Tm::new(2, 2);
-    let source = MostGeneralSource::new(&tm, spec.alphabet().clone());
-    let pool = WorkerPool::new(modelcheck_threads().max(2));
-    let executor = Executor::Pool(&pool);
-    group.bench_with_input(BenchmarkId::new("pool", tag), &(), |b, ()| {
-        b.iter(|| check_inclusion_otf(&source, &spec, &executor, &QueryBudget::unlimited()))
-    });
     group.finish();
 }
 
@@ -205,7 +170,6 @@ criterion_group!(
     bench_compiled_vs_seed,
     bench_spec_construction,
     bench_inclusion_scaling,
-    bench_otf_product,
-    bench_pool_dispatch
+    bench_otf_product
 );
 criterion_main!(benches);

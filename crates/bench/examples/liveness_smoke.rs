@@ -15,14 +15,13 @@ use tm_bench::{liveness_property_tag, liveness_roster};
 use tm_lang::LivenessProperty;
 
 fn main() {
-    let pool = tm_automata::modelcheck_threads();
-    println!("liveness scaling smoke (pool = {pool} threads)");
+    println!("liveness scaling smoke");
     let start = Instant::now();
     let mut checks = 0usize;
     for (n, k) in [(3usize, 1usize), (2, 2)] {
         for case in liveness_roster(n, k) {
             for property in LivenessProperty::all() {
-                let verdict = case.check(property, pool);
+                let verdict = case.check(property);
                 let holds = verdict.holds();
                 if let Some(lasso) = verdict.counterexample() {
                     // Every violation must be a genuine one: its

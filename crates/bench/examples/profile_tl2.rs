@@ -9,10 +9,9 @@
 //! ```
 //!
 //! The interesting line is the session thread inside
-//! `run_graph_build`: the run-graph compilation of the first query is
-//! serial, so at any pool size the build window folds as
-//! `session-*;query;run_graph_build` with the worker threads idle —
-//! the serial bottleneck discussed in `crates/bench/NOTES.md`.
+//! `run_graph_build`: the run-graph compilation of the first query folds
+//! as `session-*;query;run_graph_build` — the build cost discussed in
+//! `crates/bench/NOTES.md`.
 
 use std::time::Instant;
 
@@ -22,13 +21,12 @@ use tm_lang::LivenessProperty;
 use tm_obs::{profile_snapshot, register_thread, start_sampler, stop_sampler, ThreadKind};
 
 fn main() {
-    let pool = tm_automata::modelcheck_threads();
     let _session = register_thread(ThreadKind::Session);
     let case = liveness_roster(3, 2)
         .into_iter()
         .find(|case| case.name.starts_with("TL2"))
         .expect("TL2 is in the (3,2) roster");
-    println!("profiling {} at (3, 2), pool = {pool} threads", case.name);
+    println!("profiling {} at (3, 2)", case.name);
 
     start_sampler();
     let before = profile_snapshot();

@@ -10,8 +10,7 @@
 //! deterministic specifications of Table 2, the run graph of each
 //! Table 3 TM) is **built exactly once per (n, k)**; the binary asserts
 //! this on the sessions' build counters. Verdicts, counterexamples, and
-//! lassos are identical to the one-shot entry points at every
-//! `TM_MODELCHECK_THREADS` setting (the sessions' determinism contract).
+//! lassos are identical to the one-shot entry points.
 //!
 //! Environment gates:
 //!
@@ -24,10 +23,10 @@
 //!   baseline (`BENCH_service.json`).
 //!
 //! Perf trajectory (`TM_BENCH_TREND`): every `BENCH_*.json` carries a
-//! `history` array of timestamped headline records (host cpus, pool
-//! size, the section's headline numbers); a regeneration parses the
-//! previous file and carries its last [`TREND_HISTORY_KEEP`] records
-//! over. `TM_BENCH_TREND=record` appends this run's record;
+//! `history` array of timestamped headline records (host cpus, the
+//! section's headline numbers); a regeneration parses the previous file
+//! and carries its last [`TREND_HISTORY_KEEP`] records over.
+//! `TM_BENCH_TREND=record` appends this run's record;
 //! `TM_BENCH_TREND=check` appends **and** compares it against the
 //! previous record, exiting nonzero when a headline metric is worse by
 //! more than `TM_BENCH_TREND_TOLERANCE` (a fraction; default
@@ -39,11 +38,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use tm_algorithms::{MostGeneralSource, Tl2Tm, TmAlgorithm, TwoPhaseTm};
+use tm_algorithms::{MostGeneralSource, TmAlgorithm, TwoPhaseTm};
 use tm_automata::{
     check_equivalence_antichain, check_inclusion, check_inclusion_otf, check_inclusion_otf_cached,
-    CompiledDfa, CompiledNfa, Dfa, DtsSpecSource, Executor, InclusionResult, Nfa, NfaSource,
-    QueryBudget, SpecCache, WorkerPool,
+    CompiledDfa, CompiledNfa, Dfa, DtsSpecSource, InclusionResult, Nfa, NfaSource, QueryBudget,
+    SpecCache,
 };
 use tm_bench::oracle::check_inclusion_reference;
 use tm_bench::{
@@ -175,17 +174,14 @@ fn main() {
         if !smoke {
             let (baseline, compiled_total) = bench_inclusion_baseline();
             let (scaling, lazy_total) = bench_otf_scaling();
-            let (pool_dispatch, pool_total) = bench_pool_dispatch();
             let phases = bench_safety_phases();
             write_bench_json(
                 baseline,
                 scaling,
-                pool_dispatch,
                 phases,
                 &[
                     Metric::nanos("inclusion_compiled_total_ns", compiled_total),
                     Metric::nanos("scaling_lazy_total_ns", lazy_total),
-                    Metric::nanos("pool_dispatch_total_ns", pool_total),
                 ],
             );
         }
@@ -425,8 +421,8 @@ fn bench_inclusion_baseline() -> (Vec<Json>, Duration) {
 }
 
 /// Inclusion of `nfa` in an already compiled specification: the NFA is
-/// compiled over the spec's alphabet and checked on the sequential
-/// engine — [`check_inclusion`] minus the specification compile.
+/// compiled over the spec's alphabet and checked by the product engine
+/// — [`check_inclusion`] minus the specification compile.
 fn check_precompiled(
     nfa: &Nfa<Statement>,
     spec: &CompiledDfa<Statement>,
@@ -435,84 +431,45 @@ fn check_precompiled(
     let imp = CompiledNfa::compile(nfa, &mut alphabet);
     let source = NfaSource::new(&imp, &alphabet);
     let unlimited = QueryBudget::unlimited();
-    check_inclusion_otf(&source, spec, &Executor::Sequential, &unlimited)
+    check_inclusion_otf(&source, spec, &unlimited)
         .expect("unlimited query")
         .0
 }
 
-/// Preferred thread count of the parallel-engine measurements; clamped
-/// to the host's parallelism by [`par_threads`] so the recorded numbers
-/// never measure oversubscription.
-const PAR_THREADS: usize = 4;
-
-/// The thread count actually measured: `None` on hosts without real
-/// parallelism (a 4-threads-on-1-cpu "speedup" would only document
-/// scheduler thrash; regenerate on a multi-core host to record one).
-fn par_threads() -> Option<usize> {
-    let cpus = host_cpus();
-    (cpus >= 2).then(|| PAR_THREADS.min(cpus))
-}
-
 /// Scaling rows for the on-the-fly product engine: 2PL (and DSTM where
-/// the product stays tractable) against π_ss at (2,2) → (4,2). The
-/// (3,3)/(4,2) rows only exist on the fully lazy engine — eagerly
-/// determinizing those specifications does not terminate in reasonable
-/// time — which is exactly the point of on-the-fly exploration.
+/// the product stays tractable) against π_ss at (2,2) → (4,2), both
+/// sides explored lazily. Eagerly determinizing the (3,3)/(4,2)
+/// specifications does not terminate in reasonable time, which is
+/// exactly the point of on-the-fly exploration.
 fn bench_otf_scaling() -> (Vec<Json>, Duration) {
     let mut rows = Vec::new();
     let mut lazy_total = Duration::ZERO;
     let mut table = Table::new(
-        format!(
-            "Scaling — on-the-fly product engine, π_ss (host: {} cpus; par = {})",
-            host_cpus(),
-            par_threads().map_or("skipped (single-cpu host)".to_owned(), |t| {
-                format!("{t} threads")
-            })
-        ),
-        [
-            "TM", "(n,k)", "product", "TM states", "lazy", "seq", "par", "speedup",
-        ],
+        "Scaling — on-the-fly product engine, π_ss",
+        ["TM", "(n,k)", "product", "TM states", "lazy"],
     );
-    // (n, k, eager spec buildable, heavy → single timed run)
-    for (n, k, eager, heavy) in [
-        (2usize, 2usize, true, false),
-        (3, 2, true, true),
-        (3, 3, false, true),
-        (4, 2, false, true),
+    // (n, k, heavy → single timed run)
+    for (n, k, heavy) in [
+        (2usize, 2usize, false),
+        (3, 2, true),
+        (3, 3, true),
+        (4, 2, true),
     ] {
         let det = DetSpec::new(SafetyProperty::StrictSerializability, n, k);
         let letters = spec_alphabet(n, k);
         let alphabet = tm_automata::Alphabet::from_letters(&letters);
-        let compiled = eager.then(|| det.to_dfa(MAX_STATES).0.compile());
-        let pool = par_threads().map(WorkerPool::new);
         let runs = if heavy { 1 } else { 3 };
 
         let mut measure = |tm: &dyn ErasedTm, name: &str| {
             let lazy_spec = DtsSpecSource::new(&det, letters.clone());
             let (lazy, product, impl_states) = tm.time_lazy(&alphabet, &lazy_spec, runs);
             lazy_total += lazy;
-            let seq = compiled
-                .as_ref()
-                .map(|spec| tm.time_compiled(&alphabet, spec, &Executor::Sequential, runs));
-            let par = match (compiled.as_ref(), pool.as_ref()) {
-                (Some(spec), Some(pool)) => {
-                    Some(tm.time_compiled(&alphabet, spec, &Executor::Pool(pool), runs))
-                }
-                _ => None,
-            };
-            let speedup = match (seq, par) {
-                (Some(s), Some(p)) => format!("{:.2}x", s.as_secs_f64() / p.as_secs_f64()),
-                _ => String::new(),
-            };
             table.push_row([
                 name.to_owned(),
                 format!("({n},{k})"),
                 product.to_string(),
                 impl_states.to_string(),
                 format!("{lazy:.2?}"),
-                seq.map_or(String::new(), |d| format!("{d:.2?}")),
-                par.map_or(String::new(), |d| format!("{d:.2?}")),
-                speedup,
             ]);
             rows.push(obj([
                 ("tm", text(name)),
@@ -522,9 +479,6 @@ fn bench_otf_scaling() -> (Vec<Json>, Duration) {
                 ("product_states", int(product)),
                 ("impl_states", int(impl_states)),
                 ("lazy_ns", ns(lazy)),
-                ("seq_ns", seq.map_or(Json::Null, ns)),
-                ("par_ns", par.map_or(Json::Null, ns)),
-                ("par_threads", par_threads().map_or(Json::Null, int)),
             ]));
         };
 
@@ -537,61 +491,6 @@ fn bench_otf_scaling() -> (Vec<Json>, Duration) {
     (rows, lazy_total)
 }
 
-/// Dispatch timing of the parallel product engine on a persistent
-/// [`WorkerPool`] — the `pool_dispatch` section of
-/// `BENCH_inclusion.json`. On a single-cpu host the absolute times
-/// measure dispatch overhead, not speedup (`host_cpus` is recorded
-/// alongside).
-fn bench_pool_dispatch() -> (Vec<Json>, Duration) {
-    let mut rows = Vec::new();
-    let mut pool_total = Duration::ZERO;
-    let mut table = Table::new(
-        format!(
-            "Pool dispatch — parallel product engine (host: {} cpus)",
-            host_cpus()
-        ),
-        ["TM", "(n,k)", "workers", "pool"],
-    );
-    let mut measure = |tm: &dyn ErasedTm,
-                       name: &str,
-                       n: usize,
-                       k: usize,
-                       runs: usize,
-                       worker_counts: &[usize]| {
-        let det = DetSpec::new(SafetyProperty::StrictSerializability, n, k);
-        let spec = det.to_dfa(MAX_STATES).0.compile();
-        let alphabet = spec.alphabet().clone();
-        for &workers in worker_counts {
-            let pool = WorkerPool::new(workers);
-            let pooled = tm.time_compiled(&alphabet, &spec, &Executor::Pool(&pool), runs);
-            pool_total += pooled;
-            table.push_row([
-                name.to_owned(),
-                format!("({n},{k})"),
-                workers.to_string(),
-                format!("{pooled:.2?}"),
-            ]);
-            rows.push(obj([
-                ("tm", text(name)),
-                ("property", text("ss")),
-                ("threads", int(n)),
-                ("vars", int(k)),
-                ("workers", int(workers)),
-                ("pool_ns", ns(pooled)),
-            ]));
-        }
-    };
-    // TL2 (2,2): the largest Table 2 product, with frontiers wide enough
-    // to cross the engine's parallel threshold; dstm (3,2): a deep
-    // multi-second product with thousands of level regions, the worst
-    // case for per-level spawning (single run, two workers only — the
-    // eager (3,2) spec alone costs seconds to build).
-    measure(&Tl2Tm::new(2, 2), "TL2", 2, 2, 3, &[2, 4]);
-    measure(&tm_algorithms::DstmTm::new(3, 2), "dstm", 3, 2, 1, &[2]);
-    println!("{table}");
-    (rows, pool_total)
-}
-
 /// Object-safe timing shim over concrete TM types.
 trait ErasedTm {
     /// Best-of-`runs` lazy (both sides on the fly, fresh spec cache per
@@ -602,23 +501,9 @@ trait ErasedTm {
         spec: &DtsSpecSource<&DetSpec>,
         runs: usize,
     ) -> (Duration, usize, usize);
-
-    /// Best-of-`runs` check against a compiled specification on
-    /// `executor`.
-    fn time_compiled(
-        &self,
-        alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
-        spec: &tm_automata::CompiledDfa<tm_lang::Statement>,
-        executor: &Executor<'_>,
-        runs: usize,
-    ) -> Duration;
 }
 
-impl<A> ErasedTm for A
-where
-    A: TmAlgorithm + Sync,
-    A::State: Send + Sync,
-{
+impl<A: TmAlgorithm> ErasedTm for A {
     fn time_lazy(
         &self,
         alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
@@ -635,20 +520,6 @@ where
             counts = (result.product_states(), stats.impl_states);
         });
         (best, counts.0, counts.1)
-    }
-
-    fn time_compiled(
-        &self,
-        alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
-        spec: &tm_automata::CompiledDfa<tm_lang::Statement>,
-        executor: &Executor<'_>,
-        runs: usize,
-    ) -> Duration {
-        let source = MostGeneralSource::new(self, alphabet.clone());
-        best_of(runs.max(1), || {
-            check_inclusion_otf(&source, spec, executor, &QueryBudget::unlimited())
-                .expect("bench query within bounds")
-        })
     }
 }
 
@@ -685,7 +556,6 @@ fn trend_record(metrics: &[Metric]) -> Json {
     obj([
         ("recorded_at_unix", int(now)),
         ("host_cpus", int(host_cpus())),
-        ("pool_size", int(tm_automata::modelcheck_threads())),
         ("metrics", Json::Obj(values)),
     ])
 }
@@ -791,8 +661,7 @@ fn render(members: &[(String, Json)]) -> String {
 
 /// Per-query engine-phase breakdown of the Table 2 safety roster at
 /// (2, 2) — where each query spends its time (spec interning, BFS
-/// levels, dedup merges, pool dispatch vs queue wait), from
-/// `QueryStats::phase_ns` through a fresh session. The `phases` section
+/// levels), from `QueryStats::phase_ns` through a fresh session. The `phases` section
 /// of `BENCH_inclusion.json`.
 fn bench_safety_phases() -> Vec<Json> {
     let mut rows = Vec::new();
@@ -892,10 +761,9 @@ fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<Json>, f64, Vec<Json
 /// checks would pay (three builds); the `speedup_est` column is the
 /// session's wall-clock cut.
 fn bench_liveness_session(sizes: &[(usize, usize)]) -> Vec<Json> {
-    let pool = tm_automata::modelcheck_threads();
     let mut rows = Vec::new();
     let mut table = Table::new(
-        format!("Liveness sessions — build once, answer OF+LF+WF (pool = {pool} threads)"),
+        "Liveness sessions — build once, answer OF+LF+WF",
         [
             "TM", "(n,k)", "verdicts", "states", "build", "searches", "session", "vs one-shot",
         ],
@@ -948,7 +816,6 @@ fn bench_liveness_session(sizes: &[(usize, usize)]) -> Vec<Json> {
                 ("session_ns", ns(session)),
                 ("oneshot_est_ns", ns(oneshot_est)),
                 ("speedup_est", ratio(speedup, 3)),
-                ("pool_threads", int(pool)),
             ]));
         }
         assert_eq!(
@@ -977,10 +844,8 @@ fn bench_service() {
 
     let mut batch = table3_batch();
     batch.extend(table2_batch());
-    let pool = tm_automata::modelcheck_threads();
     let config = |mem_budget| ServiceConfig {
         mem_budget,
-        pool_size: pool,
         max_states: MAX_STATES,
         ..ServiceConfig::default()
     };
@@ -1027,7 +892,7 @@ fn bench_service() {
     let qps = |d: Duration| batch.len() as f64 / d.as_secs_f64();
     let mut table = Table::new(
         format!(
-            "Service batches — Table 2 + Table 3 roster ({} queries, pool = {pool}, \
+            "Service batches — Table 2 + Table 3 roster ({} queries, \
              artifacts total {total} B, largest {largest} B)",
             batch.len()
         ),
@@ -1104,7 +969,7 @@ fn bench_service() {
     let mut conc_table = Table::new(
         format!(
             "Service concurrency — {TOTAL_BATCHES} warm batch submissions of the roster, \
-             shared service (pool = {pool})"
+             shared service"
         ),
         ["inflight", "elapsed", "q/s"],
     );
@@ -1163,7 +1028,6 @@ fn bench_service() {
     let _ = std::fs::remove_dir_all(&store_dir);
     let store_config = |mem_budget, dir: &std::path::Path| ServiceConfig {
         mem_budget,
-        pool_size: pool,
         max_states: MAX_STATES,
         store_dir: Some(dir.to_path_buf()),
         ..ServiceConfig::default()
@@ -1264,7 +1128,6 @@ fn bench_service() {
             ),
         ),
         ("host_cpus", int(host_cpus())),
-        ("pool_size", int(pool)),
         ("queries_per_batch", int(batch.len())),
         ("artifact_total_bytes", int(total)),
         ("largest_artifact_bytes", int(largest)),
@@ -1357,8 +1220,8 @@ fn write_liveness_json(
         (
             "session_unit",
             text(
-                "build once, answer OF+LF+WF: single-run wall clock per property search on \
-                 pool_threads workers; oneshot_est_ns = 3*graph_build_ns + searches (what \
+                "build once, answer OF+LF+WF: single-run wall clock per property search; \
+                 oneshot_est_ns = 3*graph_build_ns + searches (what \
                  three one-shot checks would pay)",
             ),
         ),
@@ -1367,8 +1230,8 @@ fn write_liveness_json(
             "phases_unit",
             text(
                 "tm-obs engine-phase totals (QueryStats::phase_ns, nanoseconds, nonzero only) \
-                 of the final measured run of each (2,1) query; phases nest (run_graph_build \
-                 contains its pool phases), so they do not sum to wall time",
+                 of the final measured run of each (2,1) query; phases nest, so they do not \
+                 sum to wall time",
             ),
         ),
         ("phases", Json::Arr(phases)),
@@ -1377,12 +1240,10 @@ fn write_liveness_json(
 }
 
 /// Writes `BENCH_inclusion.json`: the (2,2) seed-vs-compiled baseline,
-/// the on-the-fly scaling rows, the pool dispatch timings, and the
-/// per-query phase breakdowns.
+/// the on-the-fly scaling rows, and the per-query phase breakdowns.
 fn write_bench_json(
     cases: Vec<Json>,
     scaling: Vec<Json>,
-    pool_dispatch: Vec<Json>,
     phases: Vec<Json>,
     metrics: &[Metric],
 ) {
@@ -1393,22 +1254,10 @@ fn write_bench_json(
         ("cases", Json::Arr(cases)),
         (
             "scaling_unit",
-            text(
-                "best wall clock; lazy = both sides on the fly, seq/par = compiled spec, \
-                 par_threads threads",
-            ),
+            text("best wall clock; lazy = both sides on the fly"),
         ),
         ("host_cpus", int(host_cpus())),
         ("scaling", Json::Arr(scaling)),
-        (
-            "pool_dispatch_unit",
-            text(
-                "best wall clock of the parallel product engine on a persistent WorkerPool of \
-                 the given width; on a single-cpu host this measures dispatch overhead, not \
-                 speedup",
-            ),
-        ),
-        ("pool_dispatch", Json::Arr(pool_dispatch)),
         (
             "phases_unit",
             text(

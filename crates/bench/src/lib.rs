@@ -110,9 +110,9 @@ impl LivenessCase {
     }
 
     /// Runs the compiled liveness engine through a fresh [`Verifier`]
-    /// session with `pool` workers (so the run graph is built anew).
-    pub fn check(&self, property: LivenessProperty, pool: usize) -> LivenessVerdict {
-        let mut verifier = Verifier::new(self.threads, self.vars).pool_size(pool);
+    /// session (so the run graph is built anew).
+    pub fn check(&self, property: LivenessProperty) -> LivenessVerdict {
+        let mut verifier = Verifier::new(self.threads, self.vars);
         self.check_session(&mut verifier, property)
             .into_liveness()
             .expect("liveness query returns a liveness verdict")
@@ -165,11 +165,7 @@ pub struct SafetyCase {
 }
 
 impl SafetyCase {
-    fn new<A>(tm: A, paper_states: usize) -> Self
-    where
-        A: TmAlgorithm + Sync + 'static,
-        A::State: Send + Sync,
-    {
+    fn new<A: TmAlgorithm + 'static>(tm: A, paper_states: usize) -> Self {
         SafetyCase {
             name: tm.name(),
             paper_states,
@@ -190,11 +186,7 @@ trait ErasedSafety {
     fn check_session(&self, verifier: &mut Verifier, property: SafetyProperty) -> Verdict;
 }
 
-impl<A> ErasedSafety for A
-where
-    A: TmAlgorithm + Sync,
-    A::State: Send + Sync,
-{
+impl<A: TmAlgorithm> ErasedSafety for A {
     fn check_session(&self, verifier: &mut Verifier, property: SafetyProperty) -> Verdict {
         verifier.check_safety(self, property)
     }
@@ -284,7 +276,7 @@ mod tests {
         let case = &roster[0];
         for property in LivenessProperty::all() {
             let session = case.check_session(&mut verifier, property);
-            let one_shot = case.check(property, 1);
+            let one_shot = case.check(property);
             assert_eq!(session.holds(), one_shot.holds(), "{property}");
         }
         assert_eq!(verifier.builds(), 1);

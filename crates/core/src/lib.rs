@@ -5,8 +5,8 @@
 //! Singh; PLDI 2008 / extended version):
 //!
 //! * **The session API** ([`Verifier`]): the crate's only entry point
-//!   for verification queries — one session per instance size owns a
-//!   persistent worker pool and build-once artifact caches (interned
+//!   for verification queries — one session per instance size owns
+//!   build-once artifact caches (interned
 //!   specifications, compiled run graphs) and answers every query below
 //!   through them, returning a uniform [`Verdict`] with [`QueryStats`].
 //! * **Safety** ([`Verifier::check_safety`]): strict serializability and

@@ -22,13 +22,11 @@
 //! compiled to CSR while it is explored (never materialized as an edge
 //! list), every property pass is a mask-filtered Tarjan over that one
 //! graph sharing one scratch arena, and the independent per-thread /
-//! per-subset passes fan out over the session's worker pool with
-//! first-in-order violation selection — verdicts **and lassos** are
-//! identical at every pool size. The seed checker it replaced (cloned
-//! filtered subgraphs, one Tarjan per clone) is a test oracle in the
-//! dev-only `tm-bench` crate (`tm_bench::oracle`); it returns the same
-//! verdicts and lassos and is the differential baseline of
-//! `tests/liveness_conformance.rs`.
+//! per-subset passes run in order until the first violation. The seed
+//! checker it replaced (cloned filtered subgraphs, one Tarjan per clone)
+//! is a test oracle in the dev-only `tm-bench` crate
+//! (`tm_bench::oracle`); it returns the same verdicts and lassos and is
+//! the differential baseline of `tests/liveness_conformance.rs`.
 
 use std::time::Duration;
 
@@ -215,6 +213,29 @@ mod tests {
         assert!(!word.is_livelock_free());
         // Both threads abort infinitely (ownership ping-pong).
         assert!(word.is_obstruction_free());
+    }
+
+    #[test]
+    fn the_first_violating_query_wins_after_earlier_ones_hold() {
+        // dstm+aggressive livelock at (2, 1): the subsets {t0} and {t1}
+        // hold and only {t0, t1}, index 2 of 3, has a loop, so the scan
+        // runs every query and reports the last one.
+        let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
+        let source = tm_algorithms::MostGeneralRunSource::new(&tm);
+        let (graph, _) = tm_automata::CompiledRunGraph::build(&source, 1_000_000).unwrap();
+        let queries = property_queries(2, LivenessProperty::LivelockFreedom);
+        let unlimited = tm_automata::QueryBudget::unlimited();
+        let mut scratch = tm_automata::LiveScratch::default();
+        let alone: Vec<bool> = queries
+            .iter()
+            .map(|q| graph.find_loop(q, &mut scratch, &unlimited).unwrap().is_some())
+            .collect();
+        assert_eq!(alone, [false, false, true]);
+        let (index, _) = graph
+            .find_first_loop(&queries, &unlimited)
+            .unwrap()
+            .expect("Table 3: N");
+        assert_eq!(index, 2);
     }
 
     #[test]

@@ -13,8 +13,7 @@ use crate::safety::SafetyVerdict;
 
 /// Uniform run statistics attached to every session query ([`Verdict`]),
 /// separating what the one-shot verdict types blend together: artifact
-/// construction (specification / run graph) versus the search itself,
-/// and the worker-pool width the search ran at.
+/// construction (specification / run graph) versus the search itself.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryStats {
     /// States explored by the search: product states for a safety query,
@@ -26,9 +25,6 @@ pub struct QueryStats {
     pub build_time: Duration,
     /// Time spent searching (inclusion BFS or loop queries).
     pub search_time: Duration,
-    /// Worker-pool width the search ran at (1 = the deterministic
-    /// sequential engine; results are identical at every width).
-    pub pool_size: usize,
     /// `true` if every artifact the query needed was already cached by an
     /// earlier query of the same session.
     pub artifact_cached: bool,
@@ -41,8 +37,8 @@ pub struct QueryStats {
     /// Nanoseconds per engine/service phase, indexed by
     /// [`tm_obs::Phase`]` as usize` — the phase breakdown of this query.
     /// All zeros when instrumentation is disabled (`TM_OBS=off`). Phases
-    /// nest (a BFS level contains its pool dispatches and spec-row
-    /// interning), so the entries do not sum to wall time.
+    /// nest (a BFS level contains its spec-row interning), so the entries
+    /// do not sum to wall time.
     pub phase_ns: tm_obs::PhaseNanos,
     /// Artifacts this query *promoted* from the persistent store
     /// (loaded and verified from disk instead of rebuilt). Zero when no

@@ -88,11 +88,7 @@ mod tests {
     use tm_lang::is_strictly_serializable;
 
     /// One safety query through a fresh default session.
-    fn check<A>(tm: &A, property: SafetyProperty) -> SafetyVerdict
-    where
-        A: TmAlgorithm + Sync,
-        A::State: Send + Sync,
-    {
+    fn check<A: TmAlgorithm>(tm: &A, property: SafetyProperty) -> SafetyVerdict {
         Verifier::new(tm.threads(), tm.vars())
             .check_safety(tm, property)
             .into_safety()

@@ -1,6 +1,5 @@
 //! The [`Verifier`] session: one entry point for every query of the
-//! paper's method, with build-once compiled artifacts and a persistent
-//! worker pool.
+//! paper's method, with build-once compiled artifacts.
 //!
 //! The paper answers *many* queries per TM — two safety properties
 //! (Table 2), three liveness properties per TM × contention-manager pair
@@ -13,10 +12,9 @@
 //!   against the same property;
 //! * the **compiled run graph** ([`tm_automata::CompiledRunGraph`]) of
 //!   each TM, built on the first liveness query and answering all three
-//!   properties (the `tables` bin used to build it three times per TM);
-//! * the **worker pool** ([`tm_automata::WorkerPool`]), spawned once and
-//!   reused by every parallel region of every query, replacing the
-//!   per-BFS-level and per-property scoped-thread spawns.
+//!   properties (the `tables` bin used to build it three times per TM).
+//!
+//! Every query runs on the calling thread.
 //!
 //! Both kinds of artifact are one resident [`Artifact`] in one map,
 //! addressed by one [`ArtifactKey`] (kind, `n`, `k`). The same key names
@@ -27,11 +25,10 @@
 //! [`Verifier::rebuilds`] count builds of either kind.
 //!
 //! Every query returns a uniform [`Verdict`] carrying [`QueryStats`]
-//! (states explored, build vs. search time, pool size, cache hit).
-//! Verdicts, counterexample words, and lassos are bit-identical at every
-//! pool size, and equal to the bare engines' and
-//! the reference checkers' (pinned by `tests/inclusion_conformance.rs`
-//! and `tests/liveness_conformance.rs`).
+//! (states explored, build vs. search time, cache hit). Verdicts,
+//! counterexample words, and lassos equal the bare engines' and the
+//! reference checkers' (pinned by `tests/inclusion_conformance.rs` and
+//! `tests/liveness_conformance.rs`).
 //!
 //! Thread-safety: a `Verifier` is `Send` but not `Sync` — queries take
 //! `&mut self` because they mutate the artifact caches. Concurrent
@@ -42,14 +39,12 @@
 //! panicked query poisoned its mutex.
 
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tm_algorithms::{MostGeneralRunSource, MostGeneralSource, RunLabel, TmAlgorithm};
 use tm_automata::{
-    check_inclusion_otf_cached, modelcheck_threads, Alphabet, CancelToken, CompiledRunGraph,
-    DtsSpecSource, EngineError, Executor, FxHashMap, InclusionResult, QueryBudget, SpecCache,
-    SpecRows, WorkerPool,
+    check_inclusion_otf_cached, Alphabet, CancelToken, CompiledRunGraph, DtsSpecSource,
+    EngineError, FxHashMap, InclusionResult, QueryBudget, SpecCache, SpecRows,
 };
 use tm_lang::{LivenessProperty, SafetyProperty, Statement, Word};
 use tm_spec::{spec_alphabet, DetSpec, DetState};
@@ -207,12 +202,12 @@ fn spec_source(property: SafetyProperty, n: usize, k: usize) -> DtsSpecSource<De
 }
 
 /// A verification session for one instance size `(n, k)`: the single
-/// entry point of the crate, owning the persistent worker pool and the
-/// artifact cache (see the module docs).
+/// entry point of the crate, owning the artifact cache (see the module
+/// docs).
 ///
-/// Construction is cheap and lazy: the pool spawns on the first parallel
-/// query, artifacts build on first use. Builder-style setters configure
-/// the session before (or between) queries.
+/// Construction is cheap and lazy: artifacts build on first use.
+/// Builder-style setters configure the session before (or between)
+/// queries.
 ///
 /// # Examples
 ///
@@ -223,7 +218,7 @@ fn spec_source(property: SafetyProperty, n: usize, k: usize) -> DtsSpecSource<De
 /// use tm_lang::LivenessProperty;
 /// use tm_algorithms::{AggressiveCm, DstmTm, WithContentionManager};
 ///
-/// let mut verifier = Verifier::new(2, 1).pool_size(2);
+/// let mut verifier = Verifier::new(2, 1);
 /// let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
 /// assert!(verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom).holds());
 /// assert!(!verifier.check_liveness(&tm, LivenessProperty::LivelockFreedom).holds());
@@ -234,15 +229,9 @@ fn spec_source(property: SafetyProperty, n: usize, k: usize) -> DtsSpecSource<De
 pub struct Verifier {
     threads: usize,
     vars: usize,
-    pool_size: usize,
     max_states: usize,
     deadline: Option<Duration>,
     cancel: Option<CancelToken>,
-    /// The pool parallel regions run on: spawned by the session on the
-    /// first parallel query, or owned by someone else (a service
-    /// multiplexing many sessions) and attached by
-    /// [`Verifier::shared_pool`].
-    pool: Option<Arc<WorkerPool>>,
     artifacts: FxHashMap<ArtifactKey, Artifact>,
     /// Builds and imports ever per key — survives eviction, so a build
     /// after [`Verifier::evict`] is recognized as a rebuild.
@@ -256,7 +245,6 @@ impl fmt::Debug for Verifier {
         f.debug_struct("Verifier")
             .field("threads", &self.threads)
             .field("vars", &self.vars)
-            .field("pool_size", &self.pool_size)
             .field("max_states", &self.max_states)
             .field("builds", &self.builds)
             .field("rebuilds", &self.rebuilds)
@@ -267,48 +255,21 @@ impl fmt::Debug for Verifier {
 use crate::safety::DEFAULT_MAX_STATES;
 
 impl Verifier {
-    /// Creates a session for instance size `(threads, vars)` with the
-    /// defaults: pool size from [`tm_automata::modelcheck_threads`]
-    /// (the `TM_MODELCHECK_THREADS` environment variable) and a
-    /// [`crate::DEFAULT_MAX_STATES`] bound.
+    /// Creates a session for instance size `(threads, vars)` with a
+    /// [`crate::DEFAULT_MAX_STATES`] bound, no deadline and no
+    /// cancellation token.
     pub fn new(threads: usize, vars: usize) -> Self {
         Verifier {
             threads,
             vars,
-            pool_size: modelcheck_threads(),
             max_states: DEFAULT_MAX_STATES,
             deadline: None,
             cancel: None,
-            pool: None,
             artifacts: FxHashMap::default(),
             history: FxHashMap::default(),
             builds: 0,
             rebuilds: 0,
         }
-    }
-
-    /// Sets the worker-pool size (clamped to at least 1; 1 selects the
-    /// deterministic sequential engines). Results are identical at every
-    /// size. An already-spawned pool of a different size is replaced on
-    /// the next parallel query.
-    pub fn pool_size(mut self, size: usize) -> Self {
-        let size = size.max(1);
-        if size != self.pool_size {
-            self.pool_size = size;
-            self.pool = None;
-        }
-        self
-    }
-
-    /// Attaches a worker pool owned by the caller: every parallel region
-    /// of this session dispatches to it instead of a session-owned pool.
-    /// This is how a service multiplexes many sessions over one fixed
-    /// set of worker threads (see the `tm-service` crate). The session's
-    /// pool size becomes the shared pool's.
-    pub fn shared_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool_size = pool.size();
-        self.pool = Some(pool);
-        self
     }
 
     /// Sets the bound on reachable state spaces. A query whose state
@@ -354,11 +315,6 @@ impl Verifier {
         budget
     }
 
-    /// The configured worker-pool size.
-    pub fn configured_pool_size(&self) -> usize {
-        self.pool_size
-    }
-
     /// How many artifacts this session has built so far — at most one
     /// run graph per TM and one specification per (property, instance
     /// size) queried, unless evicted in between. Imports are not builds.
@@ -370,23 +326,6 @@ impl Verifier {
     /// the session had built or imported before an [`Verifier::evict`].
     pub fn rebuilds(&self) -> usize {
         self.rebuilds
-    }
-
-    /// Spawns the pool if a parallel query needs one and none is
-    /// attached.
-    fn ensure_pool(&mut self) {
-        if self.pool_size > 1 && self.pool.is_none() {
-            self.pool = Some(Arc::new(WorkerPool::new(self.pool_size)));
-        }
-    }
-
-    /// The executor parallel regions run on: the pool if it has more
-    /// than one worker, else sequential.
-    fn executor(&self) -> Executor<'_> {
-        match self.pool.as_deref() {
-            Some(pool) if pool.size() > 1 => Executor::Pool(pool),
-            _ => Executor::Sequential,
-        }
     }
 
     /// The cached artifact under `key`, if any — what a service charges
@@ -453,8 +392,6 @@ impl Verifier {
 
     /// Checks a safety property of `tm` on the most general program,
     /// reusing the session's specification artifact for the property.
-    /// The product search runs on the deterministic sequential engine
-    /// whatever the pool size.
     ///
     /// A state space exceeding the session's bound, an expired
     /// [`Verifier::deadline`], or a cancelled [`Verifier::cancel_token`]
@@ -464,11 +401,7 @@ impl Verifier {
     /// # Panics
     ///
     /// Panics if `tm`'s instance size disagrees with the session's.
-    pub fn check_safety<A>(&mut self, tm: &A, property: SafetyProperty) -> Verdict
-    where
-        A: TmAlgorithm + Sync,
-        A::State: Send + Sync,
-    {
+    pub fn check_safety<A: TmAlgorithm>(&mut self, tm: &A, property: SafetyProperty) -> Verdict {
         assert_eq!(tm.threads(), self.threads, "thread count mismatch");
         assert_eq!(tm.vars(), self.vars, "variable count mismatch");
         capture_phases(|| self.safety_query(tm, property))
@@ -477,11 +410,7 @@ impl Verifier {
     /// The safety pipeline, parameterized over the TM's own size so the
     /// reduction methodology can run spot checks at non-session sizes
     /// against the same artifact caches.
-    fn safety_query<A>(&mut self, tm: &A, property: SafetyProperty) -> Verdict
-    where
-        A: TmAlgorithm + Sync,
-        A::State: Send + Sync,
-    {
+    fn safety_query<A: TmAlgorithm>(&mut self, tm: &A, property: SafetyProperty) -> Verdict {
         let total = Instant::now();
         let key = ArtifactKey::spec(property, tm.threads(), tm.vars());
         let budget = self.query_budget();
@@ -503,7 +432,6 @@ impl Verifier {
             states_explored,
             build_time,
             search_time,
-            pool_size: 1, // the lazy spec path is sequential
             artifact_cached: cached,
             rebuilds,
             ..QueryStats::default()
@@ -532,7 +460,7 @@ impl Verifier {
     /// Checks a liveness property of `tm` (× its contention manager) on
     /// the most general program. The compiled run graph is built on the
     /// first query for this TM and cached; subsequent properties are pure
-    /// loop searches over it, fanned out on the session pool.
+    /// loop searches over it.
     ///
     /// A run-graph state space exceeding the session's bound, an expired
     /// [`Verifier::deadline`], or a cancelled [`Verifier::cancel_token`]
@@ -577,7 +505,6 @@ impl Verifier {
                             states_explored: 0,
                             build_time: build.elapsed(),
                             search_time: Duration::ZERO,
-                            pool_size: 1,
                             artifact_cached: false,
                             rebuilds: 0,
                             ..QueryStats::default()
@@ -592,7 +519,6 @@ impl Verifier {
             };
             rebuilds = self.record_build(key.clone(), artifact);
         }
-        self.ensure_pool();
         let queries = property_queries(self.threads, property);
         let Some(Artifact::RunGraph {
             graph,
@@ -603,9 +529,8 @@ impl Verifier {
             unreachable!("a run-graph key holds a run graph");
         };
         let (states, build_time) = (*states, if cached { Duration::ZERO } else { *build_time });
-        let executor = self.executor();
         let search = Instant::now();
-        let outcome = match graph.find_first_loop(&queries, &executor, &budget) {
+        let outcome = match graph.find_first_loop(&queries, &budget) {
             Ok(Some((_, lasso))) => LivenessOutcome::Violation(RunLasso {
                 prefix: lasso.prefix,
                 cycle: lasso.cycle,
@@ -618,7 +543,6 @@ impl Verifier {
                         states_explored: states,
                         build_time,
                         search_time: search.elapsed(),
-                        pool_size: executor.threads(),
                         artifact_cached: cached,
                         rebuilds,
                         ..QueryStats::default()
@@ -640,7 +564,6 @@ impl Verifier {
                 states_explored: states,
                 build_time,
                 search_time,
-                pool_size: executor.threads(),
                 artifact_cached: cached,
                 rebuilds,
                 ..QueryStats::default()
@@ -668,8 +591,7 @@ impl Verifier {
         spot_sizes: &[(usize, usize)],
     ) -> Verdict
     where
-        A: TmAlgorithm + Sync,
-        A::State: Send + Sync,
+        A: TmAlgorithm,
         F: Fn(usize, usize) -> A,
     {
         capture_phases(|| self.reduction_query(make, property, structural_depth, spot_sizes))
@@ -686,8 +608,7 @@ impl Verifier {
         spot_sizes: &[(usize, usize)],
     ) -> Verdict
     where
-        A: TmAlgorithm + Sync,
-        A::State: Send + Sync,
+        A: TmAlgorithm,
         F: Fn(usize, usize) -> A,
     {
         let total = Instant::now();
@@ -699,7 +620,6 @@ impl Verifier {
         let mut build_time = base.stats.build_time;
         let mut search_time = base.stats.search_time;
         let states_explored = base.stats.states_explored;
-        let pool_size = base.stats.pool_size;
         let mut all_cached = base.stats.artifact_cached;
         let mut rebuilds = base.stats.rebuilds;
         let base_verdict = base.into_safety().expect("safety query");
@@ -723,7 +643,6 @@ impl Verifier {
                         states_explored,
                         build_time,
                         search_time,
-                        pool_size,
                         artifact_cached: all_cached,
                         rebuilds,
                         ..QueryStats::default()
@@ -744,7 +663,6 @@ impl Verifier {
                 build_time,
                 // Structural evidence is part of the methodology's search.
                 search_time: search_time + structural_time,
-                pool_size,
                 artifact_cached: all_cached,
                 rebuilds,
                 ..QueryStats::default()
@@ -852,7 +770,7 @@ mod tests {
 
     #[test]
     fn liveness_graph_is_built_once_per_tm() {
-        let mut verifier = Verifier::new(2, 1).pool_size(4);
+        let mut verifier = Verifier::new(2, 1);
         let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
         let first = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
         assert!(first.holds());
@@ -862,7 +780,6 @@ mod tests {
             assert!(!verdict.holds());
             assert!(verdict.stats.artifact_cached);
             assert_eq!(verdict.stats.build_time, Duration::ZERO);
-            assert_eq!(verdict.stats.pool_size, 4);
         }
         assert_eq!(verifier.builds(), 1);
         // A different TM builds its own graph.
@@ -908,66 +825,49 @@ mod tests {
 
     #[test]
     fn a_state_blowup_aborts_instead_of_panicking() {
-        for pool in [1, 4] {
-            let mut verifier = Verifier::new(2, 2).pool_size(pool).max_states(10);
-            let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
-            assert!(!verdict.holds(), "pool={pool}");
-            assert_eq!(
-                verdict.abort_reason(),
-                Some(EngineError::StateLimit(10)),
-                "pool={pool}"
-            );
-            let mut verifier = Verifier::new(2, 1).pool_size(pool).max_states(10);
-            let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-            let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
-            assert!(!verdict.holds(), "pool={pool} liveness");
-            assert_eq!(verdict.abort_reason(), Some(EngineError::StateLimit(10)));
-        }
+        let mut verifier = Verifier::new(2, 2).max_states(10);
+        let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
+        assert!(!verdict.holds());
+        assert_eq!(verdict.abort_reason(), Some(EngineError::StateLimit(10)));
+        let mut verifier = Verifier::new(2, 1).max_states(10);
+        let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
+        let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
+        assert!(!verdict.holds(), "liveness");
+        assert_eq!(verdict.abort_reason(), Some(EngineError::StateLimit(10)));
     }
 
     #[test]
     fn an_expired_deadline_aborts_every_engine() {
-        for pool in [1, 4] {
-            let mut verifier = Verifier::new(2, 2).pool_size(pool).deadline(Duration::ZERO);
-            let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
-            assert_eq!(
-                verdict.abort_reason(),
-                Some(EngineError::Deadline),
-                "pool={pool}"
-            );
-            let mut verifier = Verifier::new(2, 1).pool_size(pool).deadline(Duration::ZERO);
-            let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-            let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
-            assert_eq!(verdict.abort_reason(), Some(EngineError::Deadline));
-        }
+        let mut verifier = Verifier::new(2, 2).deadline(Duration::ZERO);
+        let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
+        assert_eq!(verdict.abort_reason(), Some(EngineError::Deadline));
+        let mut verifier = Verifier::new(2, 1).deadline(Duration::ZERO);
+        let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
+        let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
+        assert_eq!(verdict.abort_reason(), Some(EngineError::Deadline));
     }
 
     #[test]
     fn a_cancelled_token_aborts_every_engine() {
-        for pool in [1, 4] {
-            let token = CancelToken::new();
-            token.cancel();
-            let mut verifier = Verifier::new(2, 2)
-                .pool_size(pool)
-                .cancel_token(token.clone());
-            let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
-            assert_eq!(verdict.abort_reason(), Some(EngineError::Cancelled), "pool={pool}");
-            let mut verifier = Verifier::new(2, 1).pool_size(pool).cancel_token(token);
-            let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-            let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
-            assert_eq!(verdict.abort_reason(), Some(EngineError::Cancelled));
-        }
+        let token = CancelToken::new();
+        token.cancel();
+        let mut verifier = Verifier::new(2, 2).cancel_token(token.clone());
+        let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
+        assert_eq!(verdict.abort_reason(), Some(EngineError::Cancelled));
+        let mut verifier = Verifier::new(2, 1).cancel_token(token);
+        let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
+        let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
+        assert_eq!(verdict.abort_reason(), Some(EngineError::Cancelled));
     }
 
     #[test]
     fn an_aborted_query_reports_partial_stats_and_recovers() {
         // The same session answers normally once the limit is lifted —
         // an abort must not poison the artifact caches.
-        let mut verifier = Verifier::new(2, 1).pool_size(1).max_states(10);
+        let mut verifier = Verifier::new(2, 1).max_states(10);
         let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
         let aborted = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
         assert_eq!(aborted.abort_reason(), Some(EngineError::StateLimit(10)));
-        assert_eq!(aborted.stats.pool_size, 1);
         let mut verifier = verifier.max_states(1_000_000);
         let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
         assert!(verdict.holds());
@@ -975,7 +875,7 @@ mod tests {
 
     #[test]
     fn reduction_stops_at_the_first_aborted_query() {
-        let mut verifier = Verifier::new(2, 2).pool_size(1).max_states(10);
+        let mut verifier = Verifier::new(2, 2).max_states(10);
         let verdict = verifier.verify_with_reduction(
             SequentialTm::new,
             SafetyProperty::Opacity,

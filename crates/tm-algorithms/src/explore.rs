@@ -103,7 +103,7 @@ pub fn most_general_nfa<A: TmAlgorithm>(
 ///
 /// ```
 /// use tm_algorithms::{MostGeneralSource, SequentialTm};
-/// use tm_automata::{check_inclusion_otf, Dfa, Executor, QueryBudget};
+/// use tm_automata::{check_inclusion_otf, Dfa, QueryBudget};
 ///
 /// // A toy specification over commits only, accepting any sequence of
 /// // them: every read/write completion is then a violation.
@@ -118,9 +118,7 @@ pub fn most_general_nfa<A: TmAlgorithm>(
 /// let tm = SequentialTm::new(2, 2);
 /// let source = MostGeneralSource::new(&tm, spec.alphabet().clone());
 /// assert_eq!(source.alphabet().len(), 12); // extended to all of Ŝ
-/// let (result, _) =
-///     check_inclusion_otf(&source, &spec, &Executor::Sequential, &QueryBudget::unlimited())
-///         .unwrap();
+/// let (result, _) = check_inclusion_otf(&source, &spec, &QueryBudget::unlimited()).unwrap();
 /// assert_eq!(result.counterexample().map(<[_]>::len), Some(1));
 /// ```
 pub struct MostGeneralSource<'a, A> {
@@ -146,10 +144,7 @@ impl<'a, A: TmAlgorithm> MostGeneralSource<'a, A> {
     }
 }
 
-impl<A: TmAlgorithm + Sync> SuccessorSource for MostGeneralSource<'_, A>
-where
-    A::State: Send + Sync,
-{
+impl<A: TmAlgorithm> SuccessorSource for MostGeneralSource<'_, A> {
     type State = A::State;
     type Label = Statement;
 

@@ -15,9 +15,7 @@
 //!   cooperatively ([`EngineError::Cancelled`]).
 //!
 //! The checks are cheap (a load and a clock read per level/chunk, a
-//! comparison per interned state) and sit on the same code paths for
-//! every executor, so an aborted query is aborted identically at every
-//! pool size.
+//! comparison per interned state).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,31 +37,27 @@ pub enum EngineError {
     Deadline,
     /// The budget's [`CancelToken`] was cancelled.
     Cancelled,
-    /// A worker-pool task panicked; the panic was caught on the worker
-    /// and converted to this error on the submitting thread.
-    TaskPanicked,
     /// A deterministic fault-injection point fired (see [`crate::fault`]).
     FaultInjected,
 }
 
 impl EngineError {
     /// Whether a retry of the same query can succeed: `true` for
-    /// transient conditions (deadline, cancellation, a panicked worker,
-    /// an injected fault), `false` for a state-space blowup, which is
-    /// deterministic at a fixed bound.
+    /// transient conditions (deadline, cancellation, an injected fault),
+    /// `false` for a state-space blowup, which is deterministic at a
+    /// fixed bound.
     pub fn is_retryable(&self) -> bool {
         !matches!(self, EngineError::StateLimit(_))
     }
 
     /// A stable machine-readable code (`state-limit`, `deadline`,
-    /// `cancelled`, `task-panicked`, `fault-injected`) — the wire
-    /// vocabulary of aborted query results.
+    /// `cancelled`, `fault-injected`) — the wire vocabulary of aborted
+    /// query results.
     pub fn code(&self) -> &'static str {
         match self {
             EngineError::StateLimit(_) => "state-limit",
             EngineError::Deadline => "deadline",
             EngineError::Cancelled => "cancelled",
-            EngineError::TaskPanicked => "task-panicked",
             EngineError::FaultInjected => "fault-injected",
         }
     }
@@ -74,7 +68,6 @@ impl EngineError {
         match code {
             "deadline" => Some(EngineError::Deadline),
             "cancelled" => Some(EngineError::Cancelled),
-            "task-panicked" => Some(EngineError::TaskPanicked),
             "fault-injected" => Some(EngineError::FaultInjected),
             _ => {
                 let rest = code.strip_prefix("state-limit")?;
@@ -244,7 +237,6 @@ mod tests {
             EngineError::StateLimit(42),
             EngineError::Deadline,
             EngineError::Cancelled,
-            EngineError::TaskPanicked,
             EngineError::FaultInjected,
         ] {
             assert_eq!(EngineError::from_code(&error.to_string()), Some(error));

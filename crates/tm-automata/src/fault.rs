@@ -1,7 +1,7 @@
 //! Deterministic fault injection:
 //! `TM_FAULT=<site>:<nth>[:delay_ms][:panic]`.
 //!
-//! A *fault point* is a named call site (`fault::fault_point("dispatch")`)
+//! A *fault point* is a named call site (`fault::fault_point("build")`)
 //! that normally does nothing. When a fault plan is installed — from the
 //! `TM_FAULT` environment variable at process start, or programmatically
 //! in tests — the plan's site counts its hits, and exactly the `nth` hit
@@ -20,7 +20,6 @@
 //!
 //! | site       | where it fires                                      |
 //! |------------|-----------------------------------------------------|
-//! | `dispatch` | worker-pool / executor parallel-region dispatch     |
 //! | `build`    | tm-service artifact build (spec or run graph)       |
 //! | `evict`    | tm-service budget-ledger charge settle / eviction   |
 //! | `encode`   | tm-service wire encoding of a batch response        |
@@ -208,9 +207,9 @@ mod tests {
             })
         );
         assert_eq!(
-            FaultPlan::parse("dispatch:1:250"),
+            FaultPlan::parse("evict:1:250"),
             Ok(FaultPlan {
-                site: "dispatch".into(),
+                site: "evict".into(),
                 nth: 1,
                 delay_ms: 250,
                 panic: false

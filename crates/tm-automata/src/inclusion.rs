@@ -18,7 +18,6 @@ use crate::budget::QueryBudget;
 use crate::compiled::CompiledNfa;
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
-use crate::pool::Executor;
 use crate::product::{check_inclusion_otf, NfaSource};
 
 /// Outcome of an inclusion check.
@@ -92,10 +91,7 @@ impl<L> InclusionResult<L> {
 /// let result = check_inclusion(&imp, &spec);
 /// assert_eq!(result.counterexample(), Some(&['b'][..]));
 /// ```
-pub fn check_inclusion<L: Clone + Eq + Hash + Sync>(
-    nfa: &Nfa<L>,
-    dfa: &Dfa<L>,
-) -> InclusionResult<L> {
+pub fn check_inclusion<L: Clone + Eq + Hash>(nfa: &Nfa<L>, dfa: &Dfa<L>) -> InclusionResult<L> {
     let spec = dfa.compile();
     // Implementation labels are interned on top of the specification
     // alphabet: ids at or above its length are implementation-only
@@ -104,8 +100,8 @@ pub fn check_inclusion<L: Clone + Eq + Hash + Sync>(
     let imp = CompiledNfa::compile(nfa, &mut alphabet);
     let source = NfaSource::new(&imp, &alphabet);
     let unlimited = QueryBudget::unlimited();
-    check_inclusion_otf(&source, &spec, &Executor::Sequential, &unlimited)
-        .expect("an unlimited sequential check cannot abort")
+    check_inclusion_otf(&source, &spec, &unlimited)
+        .expect("an unlimited check cannot abort")
         .0
 }
 

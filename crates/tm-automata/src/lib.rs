@@ -22,11 +22,10 @@
 //!   a compiled spec, [`check_inclusion_otf_cached`] against a lazily
 //!   interned one; [`SuccessorSource`]) with shortest counterexamples,
 //!   running purely on `(u32 state, u32 letter)` integers: the
-//!   implementation side is stepped lazily — never materialized — with an
-//!   optional deterministic parallel level-synchronous BFS on a
-//!   [`WorkerPool`]. [`check_inclusion`] wraps the sequential engine for
-//!   materialized automata. The pre-compilation originals are test
-//!   oracles and A/B baselines in the dev-only `tm-bench` crate
+//!   implementation side is stepped lazily — never materialized.
+//!   [`check_inclusion`] wraps the same engine for materialized
+//!   automata. The pre-compilation originals are test oracles and A/B
+//!   baselines in the dev-only `tm-bench` crate
 //!   (`tm_bench::oracle`), not part of this crate. See `README.md` for
 //!   the engine hierarchy;
 //! * antichain-based inclusion and equivalence between nondeterministic
@@ -35,17 +34,10 @@
 //! * the **compiled liveness engine** ([`CompiledRunGraph`],
 //!   [`RunGraphSource`], `livecheck.rs`): run graphs built on the fly
 //!   into CSR with per-edge class bitmasks, mask-filtered Tarjan in a
-//!   reusable [`LiveScratch`] arena, closed-walk lasso extraction, and
-//!   deterministic parallel fan-out of independent loop queries
+//!   reusable [`LiveScratch`] arena, closed-walk lasso extraction, and a
+//!   first-violation scan over independent loop queries
 //!   ([`CompiledRunGraph::find_first_loop`]); its reference, the seed's
 //!   labelled graphs with per-clone Tarjan, is `tm_bench::oracle` too;
-//! * the **persistent worker pool** ([`WorkerPool`]) and the
-//!   [`Executor`] abstraction every parallel engine region runs on —
-//!   sequential or the pool — plus the `TM_MODELCHECK_THREADS`
-//!   configuration helpers
-//!   ([`modelcheck_threads`], [`parse_thread_count`]); the
-//!   `tm_checker::Verifier` session keeps one pool alive across all of
-//!   its queries;
 //! * the [`FxHasher`] used by every hot-path hash map in the workspace
 //!   ([`FxHashMap`], [`FxHashSet`]).
 //!
@@ -70,9 +62,7 @@
 //! assert_eq!(verdict.counterexample(), Some(&['b'][..]));
 //! ```
 
-// `deny` (not `forbid`) so the one lifetime-erasure transmute of the
-// persistent worker pool can be allowed locally; see `pool.rs`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alphabet;
@@ -80,7 +70,6 @@ mod antichain;
 mod bitset;
 mod budget;
 mod compiled;
-mod config;
 mod dfa;
 mod explore;
 pub mod fault;
@@ -88,14 +77,10 @@ mod fxhash;
 mod inclusion;
 mod livecheck;
 mod nfa;
-mod pool;
 mod product;
 
 pub use alphabet::{Alphabet, LetterId};
 pub use budget::{CancelToken, EngineError, QueryBudget};
-pub use config::{
-    default_threads, modelcheck_threads, parse_thread_count, DEFAULT_THREAD_CAP,
-};
 pub use antichain::{check_equivalence_antichain, check_inclusion_antichain, EquivalenceResult};
 pub use bitset::{BitSet, Iter as BitSetIter};
 pub use compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
@@ -111,7 +96,6 @@ pub use livecheck::{
     MASK_EMITS, MAX_MASK_THREADS,
 };
 pub use nfa::{Nfa, StateId};
-pub use pool::{Executor, TaskScope, WorkerPool};
 pub use product::{
     check_inclusion_otf, check_inclusion_otf_cached, DtsSpecSource, NfaSource, OtfStats,
     SpecCache, SpecRows, SpecSource, SuccessorSource,

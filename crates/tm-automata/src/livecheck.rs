@@ -1,5 +1,5 @@
 //! Compiled liveness engine: CSR run graphs, mask-filtered SCC search,
-//! and deterministic parallel fan-out of independent loop queries.
+//! and the first-violation scan over independent loop queries.
 //!
 //! The paper reduces each liveness property (§6, Theorem 5) to the absence
 //! of a certain *loop* in the run-level transition system of the TM
@@ -33,31 +33,27 @@
 //!   from the CSR. Edge enumeration order equals the seed path's
 //!   (state-major, insertion order per state), so verdicts **and lassos**
 //!   are identical to the reference checker's.
-//! * [`CompiledRunGraph::find_first_loop`] fans independent queries out
-//!   over an [`Executor`] and deterministically selects the violation of
-//!   the smallest query index — verdicts and lasso words are identical at
-//!   every pool size.
+//! * [`CompiledRunGraph::find_first_loop`] runs independent queries in
+//!   index order on the calling thread, sharing one [`LiveScratch`], and
+//!   stops at the first violation.
 //!
 //! Every search takes a [`QueryBudget`]; an unbounded one passes
 //! [`QueryBudget::unlimited`].
 
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tm_obs::{Phase, PhaseTimer};
 
 use crate::budget::{EngineError, QueryBudget};
 use crate::fxhash::FxHashMap;
-use crate::pool::Executor;
 
 /// How many units of work (BFS visits during build, Tarjan iterations
 /// during SCC search) pass between deadline/cancellation checks.
 const INTERRUPT_STRIDE: usize = 4096;
 
-/// Maximum thread count (of the checked TM instance, not the worker pool)
-/// representable in an [`EdgeMask`]: thread ids occupy the low bits,
-/// one-hot.
+/// Maximum thread count of the checked TM instance representable in an
+/// [`EdgeMask`]: thread ids occupy the low bits, one-hot.
 pub const MAX_MASK_THREADS: usize = 8;
 
 /// Per-edge class bits: one-hot thread id in the low
@@ -706,84 +702,28 @@ impl<L: Clone> CompiledRunGraph<L> {
         })
     }
 
-    /// Runs independent queries and returns the violation of the smallest
-    /// query index, with its index: the liveness fan-out of the
-    /// `tm_checker::Verifier` session. An executor wider than 1 fans the
-    /// queries out over its workers (each with its own [`LiveScratch`]);
-    /// because each query is deterministic and the minimal index wins,
-    /// the result is identical under every executor and width. Each
-    /// worker polls the budget inside its SCC searches, and fan-out
-    /// failures come back as structured errors.
+    /// Runs independent queries in index order and returns the first
+    /// violation, with its query index: the liveness scan of the
+    /// `tm_checker::Verifier` session. Queries after the first violation
+    /// are not run. One [`LiveScratch`] serves every query, and the
+    /// budget is polled inside each SCC search.
     ///
     /// # Errors
     ///
-    /// * [`EngineError::Deadline`] / [`EngineError::Cancelled`] — the
-    ///   budget interrupted a loop search;
-    /// * [`EngineError::TaskPanicked`] — a fan-out task panicked;
-    /// * [`EngineError::FaultInjected`] — an armed [`crate::fault`] plan
-    ///   fired at dispatch.
+    /// [`EngineError::Deadline`] / [`EngineError::Cancelled`] — the
+    /// budget interrupted a loop search.
     pub fn find_first_loop(
         &self,
         queries: &[LoopQuery],
-        executor: &Executor<'_>,
         budget: &QueryBudget,
-    ) -> Result<Option<(usize, CompiledLasso<L>)>, EngineError>
-    where
-        L: Send + Sync,
-    {
-        let width = executor.threads().max(1).min(queries.len().max(1));
-        if width <= 1 {
-            let mut scratch = LiveScratch::default();
-            for (i, q) in queries.iter().enumerate() {
-                if let Some(lasso) = self.find_loop(q, &mut scratch, budget)? {
-                    return Ok(Some((i, lasso)));
-                }
-            }
-            return Ok(None);
-        }
-        // Strided assignment: worker w owns queries w, w + width, …, in
-        // increasing order, and stops once a smaller-index violation is
-        // known — its own later indices can no longer win.
-        let min_index = AtomicUsize::new(usize::MAX);
-        type SubsetOutcome<L> = Result<(usize, CompiledLasso<L>), EngineError>;
-        let mut found: Vec<Option<SubsetOutcome<L>>> = (0..width).map(|_| None).collect();
-        executor.try_scope(|scope| {
-            for (w, slot) in found.iter_mut().enumerate() {
-                let min_index = &min_index;
-                scope.spawn(move || {
-                    let mut scratch = LiveScratch::default();
-                    let mut i = w;
-                    while i < queries.len() {
-                        if min_index.load(Ordering::Relaxed) < i {
-                            return;
-                        }
-                        match self.find_loop(&queries[i], &mut scratch, budget) {
-                            Ok(Some(lasso)) => {
-                                min_index.fetch_min(i, Ordering::Relaxed);
-                                *slot = Some(Ok((i, lasso)));
-                                return;
-                            }
-                            Ok(None) => {}
-                            Err(error) => {
-                                *slot = Some(Err(error));
-                                return;
-                            }
-                        }
-                        i += width;
-                    }
-                });
-            }
-        })?;
-        // A budget abort anywhere aborts the whole fan-out: the global
-        // condition (deadline, cancellation) holds for every worker.
-        let mut best: Option<(usize, CompiledLasso<L>)> = None;
-        for entry in found.into_iter().flatten() {
-            let (i, lasso) = entry?;
-            if best.as_ref().is_none_or(|(bi, _)| i < *bi) {
-                best = Some((i, lasso));
+    ) -> Result<Option<(usize, CompiledLasso<L>)>, EngineError> {
+        let mut scratch = LiveScratch::default();
+        for (i, q) in queries.iter().enumerate() {
+            if let Some(lasso) = self.find_loop(q, &mut scratch, budget)? {
+                return Ok(Some((i, lasso)));
             }
         }
-        Ok(best)
+        Ok(None)
     }
 
     /// Wraps the `required` edges (`(source state, edge index)` pairs,
@@ -1123,14 +1063,14 @@ mod tests {
     }
 
     #[test]
-    fn find_first_loop_is_pool_size_independent() {
-        // Loops for threads 1 and 2 exist; queries ordered so index 1 is
-        // the first violation whatever the pool size.
+    fn find_first_loop_returns_the_smallest_violating_index() {
+        // Abort loops exist for threads 1 and 2 only: query 0 holds,
+        // queries 1 and 2 both violate, and the scan reports index 1.
         let source = VecSource {
             succ: vec![
                 vec![(lbl(0, 0), 1)],
                 vec![(abort(1, 1), 2)],
-                vec![(lbl(2, 1), 1), (abort(3, 2), 1)],
+                vec![(lbl(2, 1), 1), (abort(3, 2), 2)],
             ],
         };
         let (graph, _) = CompiledRunGraph::build(&source, 100).unwrap();
@@ -1144,21 +1084,20 @@ mod tests {
         };
         let queries: Vec<LoopQuery> = (0..4).map(query_for).collect();
         let unlimited = QueryBudget::unlimited();
-        let expected = graph
-            .find_first_loop(&queries, &Executor::Sequential, &unlimited)
+        let mut scratch = LiveScratch::default();
+        let alone: Vec<bool> = queries
+            .iter()
+            .map(|q| graph.find_loop(q, &mut scratch, &unlimited).unwrap().is_some())
+            .collect();
+        assert_eq!(alone, [false, true, true, false]);
+        let (index, lasso) = graph
+            .find_first_loop(&queries, &unlimited)
             .unwrap()
             .expect("violation");
-        assert_eq!(expected.0, 1);
-        // The persistent pool picks the same violation as the sequential
-        // path, at every pool size.
-        for size in [1usize, 2, 3, 5, 8] {
-            let pool = crate::WorkerPool::new(size);
-            let got = graph
-                .find_first_loop(&queries, &Executor::Pool(&pool), &unlimited)
-                .unwrap()
-                .expect("violation");
-            assert_eq!(got, expected, "pool size {size}");
-        }
+        assert_eq!(index, 1);
+        let alone_1 = graph.find_loop(&queries[1], &mut scratch, &unlimited).unwrap();
+        assert_eq!(Some(lasso), alone_1);
+        assert_eq!(graph.find_first_loop(&queries[3..], &unlimited).unwrap(), None);
     }
 
     #[test]

@@ -12,49 +12,24 @@
 //! the same engine.
 //!
 //! There is one entry point per kind of specification artifact, both
-//! bounded by a [`QueryBudget`]:
+//! bounded by a [`QueryBudget`] and both running the same single FIFO
+//! product BFS on the calling thread:
 //!
-//! * [`check_inclusion_otf`] against a compiled [`CompiledDfa`],
-//!   sequential or parallel depending on the width of its [`Executor`];
+//! * [`check_inclusion_otf`] against a compiled [`CompiledDfa`];
 //! * [`check_inclusion_otf_cached`] against a lazily interned
-//!   [`SpecCache`], sequential only — the `tm_checker::Verifier`
-//!   session's safety path.
+//!   [`SpecCache`] — the `tm_checker::Verifier` session's safety path.
 //!
-//! Two execution strategies sit behind them:
-//!
-//! * **Sequential** (executor width 1): a single FIFO product BFS. Its
-//!   discovery order is that of the seed checker (`tm_bench::oracle`) —
-//!   identical verdicts, identical shortest counterexample words,
-//!   identical `product_states` — and it is the same code for both spec
-//!   artifacts.
-//! * **Parallel** (executor width > 1): a level-synchronous BFS. Each
-//!   frontier is sharded across a persistent [`crate::WorkerPool`];
-//!   workers expand their chunks into per-`(chunk, stripe)`
-//!   successor buffers against a read-only striped visited table (keyed
-//!   by [`crate::FxHasher`] over packed `(impl, spec)` ids), and a dedup
-//!   merge between levels — stripes processed in parallel, candidates
-//!   consumed in discovery-tag order — builds the next frontier. Because
-//!   every candidate carries its `(parent index, edge index)` tag and
-//!   merges resolve ties by minimal tag, the explored set, the verdict,
-//!   **and the counterexample word** are independent of the thread count
-//!   and of the executor (the word matches the sequential engine's; only
-//!   `product_states` of a violating run may differ, since the parallel
-//!   engine finishes the violating level instead of stopping
-//!   mid-edge-list).
+//! The BFS's discovery order is that of the seed checker
+//! (`tm_bench::oracle`): identical verdicts, identical shortest
+//! counterexample words, identical `product_states`.
 //!
 //! Successor rows are cached per implementation state on first touch
 //! (letters and targets interned to `u32`), so each implementation state
 //! is stepped exactly once no matter how many product pairs visit it —
 //! the product inner loop is pure integer arithmetic after that.
-//!
-//! The engines take their executor from the caller; the
-//! `tm_checker::Verifier` session sizes its pool from the
-//! `TM_MODELCHECK_THREADS` environment variable (see
-//! [`crate::modelcheck_threads`]).
 
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use tm_obs::{Histogram, Phase, PhaseTimer, Unit};
@@ -64,11 +39,8 @@ use crate::budget::{EngineError, QueryBudget};
 use crate::compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::inclusion::InclusionResult;
-use crate::pool::Executor;
 
-/// How many sequential BFS visits pass between deadline/cancellation
-/// checks (the parallel engine checks per level instead, which is
-/// naturally coarse).
+/// How many BFS visits pass between deadline/cancellation checks.
 const INTERRUPT_STRIDE: usize = 4096;
 
 /// A lazily explorable implementation transition system: the input side
@@ -81,9 +53,9 @@ const INTERRUPT_STRIDE: usize = 4096;
 /// [`EPSILON`] marks internal steps. [`SuccessorSource::letter`] must
 /// resolve every id the source emits (used only to materialize
 /// counterexample words).
-pub trait SuccessorSource: Sync {
+pub trait SuccessorSource {
     /// Implementation state type.
-    type State: Clone + Eq + Hash + Send + Sync;
+    type State: Clone + Eq + Hash;
     /// Label type of counterexample words.
     type Label: Clone;
 
@@ -107,7 +79,7 @@ pub trait SuccessorSource: Sync {
 /// # Examples
 ///
 /// ```
-/// use tm_automata::{check_inclusion_otf, Dfa, Executor, Nfa, NfaSource, QueryBudget};
+/// use tm_automata::{check_inclusion_otf, Dfa, Nfa, NfaSource, QueryBudget};
 /// let mut imp = Nfa::new();
 /// let s = imp.add_state();
 /// imp.set_initial(s);
@@ -122,8 +94,7 @@ pub trait SuccessorSource: Sync {
 /// let imp = imp.compile(&mut alphabet);
 /// let source = NfaSource::new(&imp, &alphabet);
 /// let (result, _) =
-///     check_inclusion_otf(&source, &compiled, &Executor::Sequential, &QueryBudget::unlimited())
-///         .unwrap();
+///     check_inclusion_otf(&source, &compiled, &QueryBudget::unlimited()).unwrap();
 /// assert_eq!(result.counterexample(), Some(&['b'][..]));
 /// ```
 pub struct NfaSource<'a, L> {
@@ -141,7 +112,7 @@ impl<'a, L> NfaSource<'a, L> {
     }
 }
 
-impl<L: Clone + Sync> SuccessorSource for NfaSource<'_, L> {
+impl<L: Clone> SuccessorSource for NfaSource<'_, L> {
     type State = u32;
     type Label = L;
 
@@ -248,9 +219,8 @@ impl<T: crate::DeterministicTransitionSystem> SpecSource for DtsSpecSource<T> {
 /// and specification states interned and row-cached lazily in `cache` —
 /// only the spec states the product actually reaches are ever computed.
 ///
-/// Sequential only (the deterministic engine): verdicts, counterexample
-/// words and `product_states` are identical to [`check_inclusion_otf`]
-/// on [`Executor::Sequential`] against the determinized, compiled spec,
+/// Verdicts, counterexample words and `product_states` are identical to
+/// [`check_inclusion_otf`] against the determinized, compiled spec,
 /// whenever that is buildable at all.
 ///
 /// Spec states and letter rows interned by earlier queries are reused,
@@ -276,7 +246,7 @@ pub fn check_inclusion_otf_cached<S: SuccessorSource, D: SpecSource>(
     cache: &mut SpecCache<D>,
     budget: &QueryBudget,
 ) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    sequential_bounded(source, cache, budget)
+    product_bfs(source, cache, budget)
 }
 
 /// Statistics of an on-the-fly run, beyond the [`InclusionResult`].
@@ -292,17 +262,12 @@ pub struct OtfStats {
 }
 
 /// Checks `L(source) ⊆ L(spec)` on the fly against a compiled
-/// specification. An executor of width 1 selects the deterministic
-/// sequential engine, a wider one the parallel engine; verdicts,
-/// counterexample words, and (on verified runs) statistics are identical
-/// under every executor (see the module docs). An unbounded check passes
+/// specification, on the calling thread. An unbounded check passes
 /// [`QueryBudget::unlimited`].
 ///
-/// The sequential engine polls the budget at BFS level boundaries and
-/// every `INTERRUPT_STRIDE` product visits; the parallel engine polls it
-/// once per level (levels are the natural synchronization points of the
-/// level-synchronous BFS). Aborts are structured — no engine resource
-/// limit panics.
+/// The engine polls the budget at BFS level boundaries and every
+/// `INTERRUPT_STRIDE` product visits. Aborts are structured — no engine
+/// resource limit panics.
 ///
 /// # Errors
 ///
@@ -310,26 +275,18 @@ pub struct OtfStats {
 ///   `budget.max_states()`;
 /// * [`EngineError::Deadline`] / [`EngineError::Cancelled`] — the budget
 ///   interrupted the exploration;
-/// * [`EngineError::TaskPanicked`] — a parallel region task panicked;
 /// * [`EngineError::FaultInjected`] — an armed [`crate::fault`] plan
 ///   fired (test/chaos builds only).
-pub fn check_inclusion_otf<S: SuccessorSource, M: Sync>(
+pub fn check_inclusion_otf<S: SuccessorSource, M>(
     source: &S,
     spec: &CompiledDfa<M>,
-    executor: &Executor<'_>,
     budget: &QueryBudget,
 ) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    if executor.threads() <= 1 {
-        sequential_bounded(source, CompiledSpec(spec), budget)
-    } else {
-        parallel(source, spec, executor, budget)
-    }
+    product_bfs(source, CompiledSpec(spec), budget)
 }
 
-/// Sequential-engine view of the specification side: the dense compiled
-/// table, or a lazily interned [`SpecSource`]. (The parallel engine
-/// steps the spec concurrently and therefore requires the compiled
-/// form.)
+/// The engine's view of the specification side: the dense compiled
+/// table, or a lazily interned [`SpecSource`].
 trait SpecAccess {
     /// Number of specification letters.
     fn num_letters(&self) -> u32;
@@ -562,7 +519,7 @@ impl<D: SpecSource> SpecAccess for &mut SpecCache<D> {
 const ROOT: u32 = u32::MAX;
 
 /// Observes one BFS level's frontier size into the global
-/// `tm_frontier_states` histogram (recorded per level by both engines).
+/// `tm_frontier_states` histogram (recorded once per level).
 fn observe_frontier(size: usize) {
     if !tm_obs::obs_enabled() {
         return;
@@ -662,11 +619,11 @@ impl<'a, S: SuccessorSource> Explorer<'a, S> {
     }
 }
 
-/// The sequential engine: a FIFO product BFS with the implementation side
+/// The engine: a FIFO product BFS with the implementation side
 /// pulled lazily and the specification side from either artifact. The
 /// discovery order is that of the seed checker in `tm_bench::oracle`, hence
 /// the identical verdict, word, and `product_states`.
-fn sequential_bounded<S: SuccessorSource, P: SpecAccess>(
+fn product_bfs<S: SuccessorSource, P: SpecAccess>(
     source: &S,
     mut spec: P,
     budget: &QueryBudget,
@@ -716,7 +673,7 @@ fn sequential_bounded<S: SuccessorSource, P: SpecAccess>(
             } else if letter < spec_letters {
                 match spec.step(qs, letter, budget)? {
                     NO_STATE => {
-                        return Ok(sequential_violation(
+                        return Ok(violation(
                             source,
                             &parent,
                             head,
@@ -729,7 +686,7 @@ fn sequential_bounded<S: SuccessorSource, P: SpecAccess>(
                     next => next,
                 }
             } else {
-                return Ok(sequential_violation(
+                return Ok(violation(
                     source,
                     &parent,
                     head,
@@ -758,8 +715,8 @@ fn sequential_bounded<S: SuccessorSource, P: SpecAccess>(
     ))
 }
 
-/// Builds the violating return of the sequential engine.
-fn sequential_violation<S: SuccessorSource>(
+/// Builds the violating return of the engine.
+fn violation<S: SuccessorSource>(
     source: &S,
     parent: &[(u32, LetterId)],
     head: usize,
@@ -781,8 +738,7 @@ fn sequential_violation<S: SuccessorSource>(
     )
 }
 
-/// Reconstructs a violating word along queue parent pointers (sequential
-/// engine).
+/// Reconstructs a violating word along queue parent pointers.
 fn reconstruct_queue<S: SuccessorSource>(
     source: &S,
     parent: &[(u32, LetterId)],
@@ -804,377 +760,18 @@ fn reconstruct_queue<S: SuccessorSource>(
     word
 }
 
-/// Number of stripes of the parallel visited table. A power of two well
-/// above any sane thread count, so merge workers rarely share a cache
-/// line and the stripe of a pair is a mask away from its hash.
-const STRIPES: usize = 64;
-
-/// Frontiers and per-level work lists smaller than this are processed
-/// inline: three thread scopes per BFS level cost more than they save on
-/// narrow levels.
-const PAR_THRESHOLD: usize = 256;
-
-/// A successor candidate produced by the generation phase: the discovery
-/// tag `(parent frontier index << 32) | edge index` orders candidates
-/// exactly as the sequential FIFO BFS would discover them.
-#[derive(Clone, Copy)]
-struct Candidate {
-    tag: u64,
-    target: u32,
-    spec: u32,
-    letter: LetterId,
-}
-
-/// Per-chunk output of the generation phase.
-#[derive(Default)]
-struct ChunkOut {
-    /// Candidates bucketed by visited-table stripe, in tag order.
-    stripes: Vec<Vec<Candidate>>,
-    /// The minimal-tag violation seen in this chunk, if any.
-    violation: Option<(u64, LetterId)>,
-}
-
-#[inline]
-fn stripe_of(key: u64) -> usize {
-    // Take the *high* bits of the hash: the stripe sets are themselves
-    // FxHash tables probing on the low bits of this same hash, so a
-    // low-bit stripe index would make every key within a stripe collide
-    // on its probe-start bucket. FxHash's final multiply mixes the high
-    // bits best anyway.
-    use std::hash::Hasher;
-    let mut hasher = crate::fxhash::FxHasher::default();
-    hasher.write_u64(key);
-    (hasher.finish() >> (64 - STRIPES.trailing_zeros())) as usize
-}
-
-/// The parallel engine: deterministic level-synchronous BFS (see module
-/// docs). Results are independent of the executor and its width.
-fn parallel<S: SuccessorSource, M: Sync>(
-    source: &S,
-    spec: &CompiledDfa<M>,
-    executor: &Executor<'_>,
-    budget: &QueryBudget,
-) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    let spec_letters = spec.alphabet().len() as u32;
-    let mut ex = Explorer::new(source, budget);
-    let mut visited: Vec<FxHashSet<u64>> = (0..STRIPES).map(|_| FxHashSet::default()).collect();
-
-    // Level 0: distinct initial pairs in order.
-    let spec0 = spec.initial_state();
-    let mut inits = Vec::new();
-    source.initial_states(&mut inits);
-    let mut frontier: Vec<(u32, u32)> = Vec::new();
-    for state in inits {
-        let qi = ex.intern(state)?;
-        let key = pack(qi, spec0);
-        if visited[stripe_of(key)].insert(key) {
-            frontier.push((qi, spec0));
-        }
-    }
-    // Parent arrays per level, for counterexample reconstruction.
-    let mut parents: Vec<Vec<(u32, LetterId)>> = vec![vec![(ROOT, EPSILON); frontier.len()]];
-    let mut total = frontier.len();
-    let mut levels = 0usize;
-
-    while !frontier.is_empty() {
-        // Levels are the natural synchronization points of this engine:
-        // one budget poll per level bounds abort latency by the cost of a
-        // single level expansion.
-        budget.check_interrupt()?;
-        observe_frontier(frontier.len());
-        let level_span = PhaseTimer::start(Phase::BfsLevel).with_value(frontier.len() as u64);
-
-        // Phase 1: generate successor rows for first-touched states, in
-        // frontier order (sharded; interned sequentially for determinism).
-        ensure_rows(&mut ex, &frontier, executor)?;
-
-        // Phase 2: expand the frontier into per-(chunk, stripe) candidate
-        // buffers against the read-only visited table. Pure integers.
-        let mut chunk_outs =
-            expand_frontier(&ex, spec, spec_letters, &visited, &frontier, executor)?;
-        level_span.stop();
-
-        // A violation anywhere in this level beats all deeper ones; the
-        // minimal tag reproduces the sequential engine's word.
-        let violation = chunk_outs
-            .iter()
-            .filter_map(|c| c.violation)
-            .min_by_key(|&(tag, _)| tag);
-        if let Some((tag, letter)) = violation {
-            let word = reconstruct_levels(source, &parents, (tag >> 32) as u32, letter);
-            return Ok((
-                InclusionResult::Counterexample {
-                    word,
-                    product_states: total,
-                },
-                OtfStats {
-                    impl_states: ex.states.len(),
-                    levels,
-                },
-            ));
-        }
-
-        // Phase 3: dedup merge, stripe-parallel, candidates consumed in
-        // tag order (chunk ranges are ascending, buffers are in-order).
-        let mut merge_span = PhaseTimer::start(Phase::DedupMerge);
-        let nodes = merge_level(&mut visited, &mut chunk_outs, executor)?;
-        merge_span.set_value(nodes.len() as u64);
-        merge_span.stop();
-
-        frontier.clear();
-        let mut level_parents = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            frontier.push((node.target, node.spec));
-            level_parents.push(((node.tag >> 32) as u32, node.letter));
-        }
-        parents.push(level_parents);
-        total += nodes.len();
-        if !frontier.is_empty() {
-            // Matches the sequential engine's count: a final expansion
-            // that discovers nothing is not a new level.
-            levels += 1;
-        }
-    }
-
-    Ok((
-        InclusionResult::Included {
-            product_states: total,
-        },
-        OtfStats {
-            impl_states: ex.states.len(),
-            levels,
-        },
-    ))
-}
-
-/// Generates (in parallel) and interns (sequentially, in frontier order)
-/// the successor rows of every frontier state missing one.
-fn ensure_rows<S: SuccessorSource>(
-    ex: &mut Explorer<'_, S>,
-    frontier: &[(u32, u32)],
-    executor: &Executor<'_>,
-) -> Result<(), EngineError> {
-    let mut missing: Vec<u32> = Vec::new();
-    let mut queued = FxHashSet::default();
-    for &(qi, _) in frontier {
-        if ex.rows[qi as usize].is_none() && queued.insert(qi) {
-            missing.push(qi);
-        }
-    }
-    if missing.is_empty() {
-        return Ok(());
-    }
-    let threads = executor.threads();
-    let mut generated: Vec<Vec<(LetterId, S::State)>> = vec![Vec::new(); missing.len()];
-    if missing.len() < PAR_THRESHOLD || threads <= 1 {
-        for (slot, &qi) in generated.iter_mut().zip(&missing) {
-            ex.source.successors(&ex.states[qi as usize], slot);
-        }
-    } else {
-        let chunk = missing.len().div_ceil(threads);
-        let source = ex.source;
-        let states = &ex.states;
-        executor.try_scope(|scope| {
-            for (slots, ids) in generated.chunks_mut(chunk).zip(missing.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, &qi) in slots.iter_mut().zip(ids) {
-                        source.successors(&states[qi as usize], slot);
-                    }
-                });
-            }
-        })?;
-    }
-    for (qi, mut row) in missing.into_iter().zip(generated) {
-        ex.store_row(qi, &mut row)?;
-    }
-    Ok(())
-}
-
-/// Expands the frontier into per-chunk candidate buffers (chunks are
-/// contiguous ascending frontier ranges, so candidate tags come out
-/// ordered per chunk).
-fn expand_frontier<S: SuccessorSource, M: Sync>(
-    ex: &Explorer<'_, S>,
-    spec: &CompiledDfa<M>,
-    spec_letters: u32,
-    visited: &[FxHashSet<u64>],
-    frontier: &[(u32, u32)],
-    executor: &Executor<'_>,
-) -> Result<Vec<ChunkOut>, EngineError> {
-    let threads = executor.threads();
-    let chunk = frontier.len().div_ceil(threads).max(1);
-    let starts: Vec<usize> = (0..frontier.len()).step_by(chunk).collect();
-    let mut outs: Vec<ChunkOut> = (0..starts.len()).map(|_| ChunkOut::default()).collect();
-    // Cross-worker early exit: the minimal violation tag seen so far.
-    // Nodes whose tags can only exceed it cannot improve the result.
-    let min_violation = AtomicU64::new(u64::MAX);
-
-    let expand_chunk = |out: &mut ChunkOut, start: usize| {
-        out.stripes = (0..STRIPES).map(|_| Vec::new()).collect();
-        let end = (start + chunk).min(frontier.len());
-        for (offset, &(qi, qs)) in frontier[start..end].iter().enumerate() {
-            let index = (start + offset) as u64;
-            if min_violation.load(Ordering::Relaxed) < index << 32 {
-                break; // a shallower violation already wins
-            }
-            let row = ex.rows[qi as usize].as_deref().expect("rows ensured");
-            for (edge, &(letter, target)) in row.iter().enumerate() {
-                let tag = index << 32 | edge as u64;
-                let qs2 = if letter == EPSILON {
-                    qs
-                } else if letter < spec_letters {
-                    match spec.step_raw(qs, letter) {
-                        NO_STATE => {
-                            record_violation(out, &min_violation, tag, letter);
-                            break;
-                        }
-                        next => next,
-                    }
-                } else {
-                    record_violation(out, &min_violation, tag, letter);
-                    break;
-                };
-                let key = pack(target, qs2);
-                let stripe = stripe_of(key);
-                if !visited[stripe].contains(&key) {
-                    out.stripes[stripe].push(Candidate {
-                        tag,
-                        target,
-                        spec: qs2,
-                        letter,
-                    });
-                }
-            }
-            if out.violation.is_some() {
-                break; // later nodes of this chunk only have larger tags
-            }
-        }
-    };
-
-    if frontier.len() < PAR_THRESHOLD || threads <= 1 {
-        for (out, &start) in outs.iter_mut().zip(&starts) {
-            expand_chunk(out, start);
-        }
-    } else {
-        let expand_chunk = &expand_chunk;
-        executor.try_scope(|scope| {
-            for (out, &start) in outs.iter_mut().zip(&starts) {
-                scope.spawn(move || expand_chunk(out, start));
-            }
-        })?;
-    }
-    Ok(outs)
-}
-
-fn record_violation(out: &mut ChunkOut, min_violation: &AtomicU64, tag: u64, letter: LetterId) {
-    if out.violation.is_none() {
-        out.violation = Some((tag, letter));
-        min_violation.fetch_min(tag, Ordering::Relaxed);
-    }
-}
-
-/// Dedup merge between levels: inserts candidates into the striped
-/// visited table (stripes processed in parallel, candidates in tag order,
-/// first occurrence wins) and returns the accepted nodes sorted by tag —
-/// the next frontier in sequential discovery order.
-fn merge_level(
-    visited: &mut [FxHashSet<u64>],
-    chunk_outs: &mut [ChunkOut],
-    executor: &Executor<'_>,
-) -> Result<Vec<Candidate>, EngineError> {
-    let threads = executor.threads();
-    // Regroup buffers by stripe (pointer moves only).
-    let mut by_stripe: Vec<Vec<Vec<Candidate>>> = (0..STRIPES).map(|_| Vec::new()).collect();
-    for out in chunk_outs.iter_mut() {
-        for (stripe, buf) in out.stripes.drain(..).enumerate() {
-            if !buf.is_empty() {
-                by_stripe[stripe].push(buf);
-            }
-        }
-    }
-    let candidates: usize = by_stripe
-        .iter()
-        .flat_map(|bufs| bufs.iter().map(Vec::len))
-        .sum();
-    let mut accepted: Vec<Vec<Candidate>> = (0..STRIPES).map(|_| Vec::new()).collect();
-    let merge_stripe = |set: &mut FxHashSet<u64>, bufs: &mut Vec<Vec<Candidate>>, out: &mut Vec<Candidate>| {
-        for buf in bufs.drain(..) {
-            for cand in buf {
-                if set.insert(pack(cand.target, cand.spec)) {
-                    out.push(cand);
-                }
-            }
-        }
-    };
-    if candidates < PAR_THRESHOLD || threads <= 1 {
-        for ((set, bufs), out) in visited.iter_mut().zip(&mut by_stripe).zip(&mut accepted) {
-            merge_stripe(set, bufs, out);
-        }
-    } else {
-        let per = STRIPES.div_ceil(threads);
-        executor.try_scope(|scope| {
-            for ((sets, bufs), outs) in visited
-                .chunks_mut(per)
-                .zip(by_stripe.chunks_mut(per))
-                .zip(accepted.chunks_mut(per))
-            {
-                scope.spawn(move || {
-                    for ((set, buf), out) in sets.iter_mut().zip(bufs).zip(outs) {
-                        merge_stripe(set, buf, out);
-                    }
-                });
-            }
-        })?;
-    }
-    let mut nodes: Vec<Candidate> = accepted.into_iter().flatten().collect();
-    nodes.sort_unstable_by_key(|c| c.tag);
-    Ok(nodes)
-}
-
-/// Reconstructs a violating word along per-level parent arrays (parallel
-/// engine). `at` indexes the current frontier (the last entry of
-/// `parents`).
-fn reconstruct_levels<S: SuccessorSource>(
-    source: &S,
-    parents: &[Vec<(u32, LetterId)>],
-    at: u32,
-    last_letter: LetterId,
-) -> Vec<S::Label> {
-    let mut word = vec![source.letter(last_letter)];
-    let mut level = parents.len() - 1;
-    let mut index = at as usize;
-    loop {
-        let (prev, letter) = parents[level][index];
-        if prev == ROOT {
-            break;
-        }
-        if letter != EPSILON {
-            word.push(source.letter(letter));
-        }
-        index = prev as usize;
-        level -= 1;
-    }
-    word.reverse();
-    word
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dfa::Dfa;
     use crate::nfa::Nfa;
-    use crate::pool::WorkerPool;
 
-    /// Runs the compiled-spec engine without a budget, sequentially for
-    /// `workers <= 1` and on a fresh pool of `workers` otherwise.
+    /// Runs the compiled-spec engine without a budget.
     fn run_otf<S: SuccessorSource>(
         source: &S,
         spec: &CompiledDfa<char>,
-        workers: usize,
     ) -> (InclusionResult<S::Label>, OtfStats) {
-        let pool = (workers > 1).then(|| WorkerPool::new(workers));
-        let executor = pool.as_ref().map_or(Executor::Sequential, Executor::Pool);
-        check_inclusion_otf(source, spec, &executor, &QueryBudget::unlimited()).unwrap()
+        check_inclusion_otf(source, spec, &QueryBudget::unlimited()).unwrap()
     }
 
     fn compile_pair(nfa: &Nfa<char>, spec: &CompiledDfa<char>) -> (CompiledNfa, Alphabet<char>) {
@@ -1228,15 +825,10 @@ mod tests {
         let spec = letter_dfa(&['a', 'b', 'c']).compile();
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
-        let (_, sequential_stats) = run_otf(&source, &spec, 1);
-        assert_eq!(sequential_stats.impl_states, nfa.num_states());
-        assert!(sequential_stats.levels > 0);
-        for threads in [2, 3] {
-            let (result, stats) = run_otf(&source, &spec, threads);
-            assert!(result.holds());
-            // Stats — including the level count — are engine-independent.
-            assert_eq!(stats, sequential_stats, "threads={threads}");
-        }
+        let (result, stats) = run_otf(&source, &spec);
+        assert!(result.holds());
+        assert_eq!(stats.impl_states, nfa.num_states());
+        assert!(stats.levels > 0);
     }
 
     #[test]
@@ -1245,19 +837,15 @@ mod tests {
         let spec = letter_dfa(&['a', 'b', 'c']).compile();
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
-        // Both engines return the structured abort, never panic.
-        let pool = WorkerPool::new(4);
-        for executor in [Executor::Sequential, Executor::Pool(&pool)] {
-            assert_eq!(
-                check_inclusion_otf(&source, &spec, &executor, &QueryBudget::new(4)).err(),
-                Some(EngineError::StateLimit(4)),
-                "{executor:?}"
-            );
-        }
+        // The engine returns the structured abort, never panics.
+        assert_eq!(
+            check_inclusion_otf(&source, &spec, &QueryBudget::new(4)).err(),
+            Some(EngineError::StateLimit(4))
+        );
     }
 
     #[test]
-    fn expired_budget_aborts_both_engines() {
+    fn expired_budget_aborts_the_search() {
         let nfa = chain_nfa(10);
         let spec = letter_dfa(&['a', 'b', 'c']).compile();
         let (imp, alphabet) = compile_pair(&nfa, &spec);
@@ -1266,19 +854,14 @@ mod tests {
         let token = crate::CancelToken::new();
         token.cancel();
         let cancelled = QueryBudget::unlimited().with_cancel(token);
-        let pool = WorkerPool::new(4);
-        for executor in [Executor::Sequential, Executor::Pool(&pool)] {
-            assert_eq!(
-                check_inclusion_otf(&source, &spec, &executor, &expired).err(),
-                Some(EngineError::Deadline),
-                "{executor:?}"
-            );
-            assert_eq!(
-                check_inclusion_otf(&source, &spec, &executor, &cancelled).err(),
-                Some(EngineError::Cancelled),
-                "{executor:?}"
-            );
-        }
+        assert_eq!(
+            check_inclusion_otf(&source, &spec, &expired).err(),
+            Some(EngineError::Deadline)
+        );
+        assert_eq!(
+            check_inclusion_otf(&source, &spec, &cancelled).err(),
+            Some(EngineError::Cancelled)
+        );
     }
 
     #[test]
@@ -1311,28 +894,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_counterexample_is_thread_count_independent() {
-        // Violation deep in the chain: 'c' is missing from the spec.
-        let nfa = chain_nfa(14);
-        let spec = letter_dfa(&['a', 'b']).compile();
-        let (imp, alphabet) = compile_pair(&nfa, &spec);
-        let source = NfaSource::new(&imp, &alphabet);
-        let words: Vec<_> = [1usize, 2, 3, 8]
-            .iter()
-            .map(|&t| {
-                run_otf(&source, &spec, t)
-                    .0
-                    .counterexample()
-                    .expect("must violate")
-                    .to_vec()
-            })
-            .collect();
-        for w in &words[1..] {
-            assert_eq!(w, &words[0]);
-        }
-    }
-
-    #[test]
     fn lazy_spec_matches_compiled_spec() {
         // Parity system: 'f' flips, 'z' only when even — as a lazy
         // SpecSource vs its explored, compiled DFA.
@@ -1362,7 +923,7 @@ mod tests {
         ] {
             let (imp, alphabet) = compile_pair(&nfa, &spec);
             let source = NfaSource::new(&imp, &alphabet);
-            let compiled = run_otf(&source, &spec, 1);
+            let compiled = run_otf(&source, &spec);
             let lazy_spec = DtsSpecSource::new(&Parity, vec!['f', 'z']);
             let lazy = check_inclusion_otf_cached(
                 &source,
@@ -1372,30 +933,6 @@ mod tests {
             .unwrap();
             assert_eq!(lazy.0, compiled.0);
             assert_eq!(lazy.1, compiled.1);
-        }
-    }
-
-    #[test]
-    fn pool_executor_matches_sequential() {
-        let pool = crate::WorkerPool::new(3);
-        // One verified and one violating case, under every executor.
-        for dfa_letters in [&['a', 'b', 'c'][..], &['a', 'b'][..]] {
-            let nfa = chain_nfa(14);
-            let spec = letter_dfa(dfa_letters).compile();
-            let (imp, alphabet) = compile_pair(&nfa, &spec);
-            let source = NfaSource::new(&imp, &alphabet);
-            let (expected, expected_stats) = run_otf(&source, &spec, 1);
-            for executor in [Executor::Sequential, Executor::Pool(&pool)] {
-                let (got, stats) =
-                    check_inclusion_otf(&source, &spec, &executor, &QueryBudget::unlimited())
-                        .unwrap();
-                assert_eq!(got.holds(), expected.holds(), "{executor:?}");
-                assert_eq!(got.counterexample(), expected.counterexample(), "{executor:?}");
-                if expected.holds() {
-                    assert_eq!(got.product_states(), expected.product_states(), "{executor:?}");
-                    assert_eq!(stats, expected_stats, "{executor:?}");
-                }
-            }
         }
     }
 

@@ -7,9 +7,9 @@
 //! [`register_thread`] and publishes its current activity into a small
 //! fixed-depth stack of atomic frames. Publication piggybacks on the
 //! instrumentation that already exists — every [`crate::PhaseTimer`]
-//! pushes its [`Phase`] on construction and pops it on drop, and pool
-//! workers wrap each job in a [`task_frame`] — so a profiled thread's
-//! stack reads like `worker-3: task / run_graph_build`.
+//! pushes its [`Phase`] on construction and pops it on drop, and a
+//! thread running a job for another wraps it in a [`task_frame`] — so a
+//! profiled thread's stack reads like `worker-3: task / run_graph_build`.
 //!
 //! The opt-in sampler thread ([`start_sampler`]) wakes every
 //! [`SAMPLE_PERIOD_MICROS`] and, per tick:
@@ -17,9 +17,9 @@
 //! * folds each registered thread's current stack into a
 //!   *folded-stack* line (`worker-3;task;run_graph_build`), counting
 //!   samples per distinct stack — the flamegraph collapsed format;
-//! * observes the number of busy pool workers into the
-//!   `tm_parallelism` histogram, the direct measurement of "how many
-//!   cores does a query actually keep busy";
+//! * observes the number of busy [`ThreadKind::Worker`] threads into the
+//!   `tm_parallelism` histogram. The engines run every query on the
+//!   calling thread and register no workers, so it observes 0;
 //! * counts idle threads under an explicit `idle` frame so per-thread
 //!   utilization (busy / total samples) falls out of the same data.
 //!
@@ -65,7 +65,8 @@ const FRAME_PHASE_BASE: usize = 2;
 /// folded stacks).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ThreadKind {
-    /// A `WorkerPool` worker.
+    /// A thread that runs jobs handed over by other threads (counted by
+    /// `tm_parallelism`). The engines start none.
     Worker,
     /// An HTTP connection/batch thread in `tm-serve`.
     Http,
@@ -251,7 +252,7 @@ pub(crate) fn pop_phase() {
 }
 
 /// Marks the calling thread busy on a task for the guard's lifetime —
-/// pool workers wrap each dequeued job in one, which is what makes a
+/// a worker wraps each dequeued job in one, which is what makes a
 /// worker's sample read `busy` (and feeds `tm_parallelism`) even between
 /// finer-grained phase spans. No-op without a registered slot or with
 /// `TM_OBS=off`.
@@ -329,7 +330,7 @@ fn parallelism_histogram() -> &'static Histogram {
     HISTOGRAM.get_or_init(|| {
         global_histogram(
             "tm_parallelism",
-            "Busy pool workers per profiler sample",
+            "Busy worker threads per profiler sample",
             &[],
             Unit::None,
         )

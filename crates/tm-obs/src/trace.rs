@@ -13,8 +13,7 @@
 //! The recorder is thread-local on purpose: engine phases are recorded
 //! from the query's coordinating thread (the BFS level loop, artifact
 //! builds, and lock/budget waits all run there), so a per-query trace
-//! needs no cross-thread synchronization. Worker-side timings (pool
-//! queue wait) go to the global histograms only.
+//! needs no cross-thread synchronization.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -34,7 +33,9 @@ pub enum Phase {
     /// One BFS level of the product engine (span value = frontier size
     /// entering the level).
     BfsLevel,
-    /// The stripe-parallel dedup merge closing one parallel BFS level.
+    /// The dedup merge of a parallel BFS level. No engine records it
+    /// since every engine runs on the calling thread; kept so phase
+    /// names and indices stay stable for trace readers.
     DedupMerge,
     /// Compiling a TM's run graph (liveness artifact build).
     RunGraphBuild,
@@ -42,11 +43,11 @@ pub enum Phase {
     SccSearch,
     /// Extracting a concrete lasso witness from a found loop.
     LassoExtract,
-    /// Dispatching one parallel region to the executor (submit + drain,
-    /// as seen by the coordinating thread).
+    /// Dispatching a parallel region to worker threads. Never recorded,
+    /// like [`Phase::DedupMerge`]; its time reads zero.
     PoolDispatch,
-    /// Time a pool job spent queued before a worker picked it up
-    /// (worker-side; global histogram only, never in a per-query trace).
+    /// Time a worker-thread job spent queued. Never recorded, like
+    /// [`Phase::DedupMerge`].
     PoolQueueWait,
     /// Waiting to lock the session mutex of the query's instance size.
     SessionLockWait,
@@ -122,8 +123,7 @@ pub struct TraceEvent {
     /// Span duration in nanoseconds.
     pub dur_ns: u64,
     /// Phase-specific magnitude (frontier size for
-    /// [`Phase::BfsLevel`]/[`Phase::DedupMerge`], rows interned for
-    /// [`Phase::SpecIntern`], tasks for [`Phase::PoolDispatch`], 0
+    /// [`Phase::BfsLevel`], rows interned for [`Phase::SpecIntern`], 0
     /// otherwise).
     pub value: u64,
 }

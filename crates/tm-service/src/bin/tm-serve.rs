@@ -3,7 +3,7 @@
 //! exits cleanly on `POST /v1/shutdown`.
 //!
 //! ```bash
-//! tm-serve [--addr 127.0.0.1:0] [--pool N] [--mem-budget BYTES[k|m|g]]
+//! tm-serve [--addr 127.0.0.1:0] [--mem-budget BYTES[k|m|g]]
 //!          [--max-states N] [--port-file PATH] [--max-inflight N]
 //!          [--query-deadline-ms MS] [--batch-deadline-ms MS]
 //!          [--store-dir PATH] [--store-cap BYTES[k|m|g]] [--profile]
@@ -13,7 +13,8 @@
 //! printed on the first stdout line (and written to `--port-file` if
 //! given) so scripts can discover it. The memory budget defaults to the
 //! `TM_SERVICE_MEM_BUDGET` environment variable; `--mem-budget`
-//! overrides it. The pool size defaults to `TM_MODELCHECK_THREADS`.
+//! overrides it. Each query runs on the connection thread that received
+//! it.
 //!
 //! Persistence (flags override the `TM_STORE_DIR` and `TM_STORE_CAP`
 //! environment variables): `--store-dir` keeps compiled artifacts in a
@@ -58,7 +59,7 @@ use std::time::Duration;
 use tm_service::{parse_mem_budget, serve, Service, ServiceConfig};
 
 fn usage() -> &'static str {
-    "usage: tm-serve [--addr HOST:PORT] [--pool N] [--mem-budget BYTES[k|m|g]] \
+    "usage: tm-serve [--addr HOST:PORT] [--mem-budget BYTES[k|m|g]] \
      [--max-states N] [--port-file PATH] [--max-inflight N] \
      [--query-deadline-ms MS] [--batch-deadline-ms MS] \
      [--store-dir PATH] [--store-cap BYTES[k|m|g]] [--profile]"
@@ -77,11 +78,6 @@ fn run() -> Result<(), String> {
         match arg.as_str() {
             "--addr" => addr = value("--addr")?,
             "--port-file" => port_file = Some(value("--port-file")?),
-            "--pool" => {
-                config.pool_size = value("--pool")?
-                    .parse()
-                    .map_err(|e| format!("bad --pool: {e}"))?;
-            }
             "--mem-budget" => config.mem_budget = parse_mem_budget(&value("--mem-budget")?)?,
             "--max-inflight" => {
                 config.max_inflight = value("--max-inflight")?
@@ -125,8 +121,7 @@ fn run() -> Result<(), String> {
     let listener = TcpListener::bind(&addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     println!(
-        "tm-serve listening on {local} (pool={}, budget={}, max-states={}, store={})",
-        config.pool_size,
+        "tm-serve listening on {local} (budget={}, max-states={}, store={})",
         config
             .mem_budget
             .map_or("unbounded".to_owned(), |b| format!("{b} bytes")),

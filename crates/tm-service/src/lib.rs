@@ -14,13 +14,12 @@
 //!              batch scheduler       memory budget       session registry
 //!              (scheduler.rs)         (budget.rs)          (registry.rs)
 //!              orders queries        LRU ledger over      one `Verifier`
-//!              for artifact          heap_bytes(),        per (n, k), all
-//!              reuse                 evict + rebuild      on one WorkerPool
+//!              for artifact          heap_bytes(),        per (n, k), on
+//!              reuse                 evict + rebuild      the caller's thread
 //! ```
 //!
 //! * the **session registry** ([`SessionRegistry`]) lazily creates one
-//!   [`tm_checker::Verifier`] per instance size, all multiplexing one
-//!   shared [`tm_automata::WorkerPool`] — each session behind its own
+//!   [`tm_checker::Verifier`] per instance size, each behind its own
 //!   mutex, so concurrent batches on different instance sizes overlap,
 //!   and each carrying its series in the service's one metrics registry
 //!   (the counters `/v1/stats`, `/v1/sessions` and `/metrics` all read);
@@ -51,8 +50,8 @@
 //!   rebuilds.
 //!
 //! The budget is configured via the `TM_SERVICE_MEM_BUDGET` environment
-//! variable ([`ServiceConfig::from_env`]); the pool inherits
-//! `TM_MODELCHECK_THREADS`.
+//! variable ([`ServiceConfig::from_env`]). Every query runs on the thread
+//! that submitted it.
 //!
 //! # Examples
 //!
@@ -63,7 +62,6 @@
 //!
 //! let service = Service::new(ServiceConfig {
 //!     mem_budget: Some(1 << 20),
-//!     pool_size: 1,
 //!     ..ServiceConfig::default()
 //! });
 //! let results = service.submit(&table3_batch());

@@ -1,23 +1,18 @@
 //! The session registry: one lazily created [`Verifier`] per instance
-//! size `(n, k)`, all multiplexing one shared [`WorkerPool`].
+//! size `(n, k)`.
 //!
 //! A `Verifier` owns per-instance artifact caches, so a service facing
-//! queries at many instance sizes needs one per size — but spawning a
-//! worker pool per session would oversubscribe the host as soon as two
-//! sessions exist. The registry therefore spawns **one** pool at
-//! construction and attaches it to every session it creates
-//! ([`Verifier::shared_pool`]).
+//! queries at many instance sizes needs one per size. Every query runs
+//! on the thread that submitted it.
 //!
 //! Concurrency: the map itself sits behind an `RwLock` whose critical
 //! sections only *resolve or create* sessions — never run queries — and
 //! each session sits behind its own `Mutex`, so batches touching
 //! different instance sizes overlap while queries on one session
 //! serialize (which is also what makes artifact builds single-flight
-//! per key). The pool is safe to share: each `run_batch` call carries
-//! its own completion state, so concurrent sessions simply interleave
-//! their jobs on the one queue. Lock hierarchy: registry → session →
-//! budget ledger; the registry lock is never held while a session lock
-//! is being waited on with the ledger held.
+//! per key). Lock hierarchy: registry → session → budget ledger; the
+//! registry lock is never held while a session lock is being waited on
+//! with the ledger held.
 //!
 //! Each session also carries its serving counters: handles into the
 //! service's metrics registry, resolved once when the session is
@@ -28,7 +23,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::time::Duration;
 
-use tm_automata::WorkerPool;
 use tm_checker::Verifier;
 use tm_obs::{Counter, Histogram, Registry, Unit};
 
@@ -98,29 +92,22 @@ pub fn lock_session(session: &Session) -> MutexGuard<'_, Verifier> {
     session.verifier.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Registry of per-instance-size sessions over one shared pool.
+/// Registry of per-instance-size sessions.
 pub struct SessionRegistry {
     sessions: RwLock<HashMap<(usize, usize), SharedSession>>,
     metrics: Arc<Registry>,
-    pool: Option<Arc<WorkerPool>>,
-    pool_size: usize,
     max_states: usize,
     query_deadline: Option<Duration>,
 }
 
 impl SessionRegistry {
-    /// Creates a registry whose sessions run parallel regions on a
-    /// shared pool of `pool_size` workers (1 = the deterministic
-    /// sequential engines, no pool spawned), bounding every state space
-    /// at `max_states`. Each session's series are registered in
-    /// `metrics` when the session is created.
-    pub fn new(pool_size: usize, max_states: usize, metrics: Arc<Registry>) -> Self {
-        let pool_size = pool_size.max(1);
+    /// Creates a registry whose sessions bound every state space at
+    /// `max_states`. Each session's series are registered in `metrics`
+    /// when the session is created.
+    pub fn new(max_states: usize, metrics: Arc<Registry>) -> Self {
         SessionRegistry {
             sessions: RwLock::new(HashMap::new()),
             metrics,
-            pool: (pool_size > 1).then(|| Arc::new(WorkerPool::new(pool_size))),
-            pool_size,
             max_states,
             query_deadline: None,
         }
@@ -153,18 +140,9 @@ impl SessionRegistry {
             if let Some(deadline) = self.query_deadline {
                 verifier = verifier.deadline(deadline);
             }
-            let verifier = match &self.pool {
-                Some(pool) => verifier.shared_pool(Arc::clone(pool)),
-                None => verifier.pool_size(1),
-            };
             Arc::new(Session::new(verifier, threads, vars, &self.metrics))
         });
         Arc::clone(session)
-    }
-
-    /// The shared pool's worker count (1 = sequential).
-    pub fn pool_size(&self) -> usize {
-        self.pool_size
     }
 
     /// Every session, sorted by instance size. Takes no session lock.
@@ -188,17 +166,16 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_lang::LivenessProperty;
 
     use crate::roster::{run_query, QuerySpec};
 
-    fn registry(pool_size: usize) -> SessionRegistry {
-        SessionRegistry::new(pool_size, 1_000_000, Arc::new(Registry::new()))
+    fn registry() -> SessionRegistry {
+        SessionRegistry::new(1_000_000, Arc::new(Registry::new()))
     }
 
     #[test]
     fn sessions_are_created_lazily_and_keyed_by_size() {
-        let registry = registry(1);
+        let registry = registry();
         assert!(registry.sessions().is_empty());
         let spec21 = QuerySpec::parse("dstm+aggressive:of:2:1").unwrap();
         let spec22 = QuerySpec::parse("sequential:op:2:2").unwrap();
@@ -213,22 +190,8 @@ mod tests {
     }
 
     #[test]
-    fn sessions_share_the_registry_pool() {
-        let registry = registry(4);
-        let spec = QuerySpec {
-            property: crate::PropertyKind::Liveness(LivenessProperty::WaitFreedom),
-            ..QuerySpec::parse("2PL:of:2:1").unwrap()
-        };
-        let verdict = run_query(&mut lock_session(&registry.session(2, 1)), &spec);
-        // The query ran at the shared pool's width without the session
-        // spawning its own pool.
-        assert_eq!(verdict.stats.pool_size, 4);
-        assert_eq!(lock_session(&registry.session(2, 1)).configured_pool_size(), 4);
-    }
-
-    #[test]
     fn the_same_arc_is_handed_to_concurrent_resolvers() {
-        let registry = Arc::new(registry(1));
+        let registry = Arc::new(registry());
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let registry = Arc::clone(&registry);

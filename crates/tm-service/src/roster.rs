@@ -295,11 +295,7 @@ pub fn run_query(verifier: &mut Verifier, spec: &QuerySpec) -> Verdict {
     }
 }
 
-fn run_on<A>(verifier: &mut Verifier, property: PropertyKind, tm: &A) -> Verdict
-where
-    A: TmAlgorithm + Sync,
-    A::State: Send + Sync,
-{
+fn run_on<A: TmAlgorithm>(verifier: &mut Verifier, property: PropertyKind, tm: &A) -> Verdict {
     match property {
         PropertyKind::Safety(p) => verifier.check_safety(tm, p),
         PropertyKind::Liveness(p) => verifier.check_liveness(tm, p),

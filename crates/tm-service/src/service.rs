@@ -78,8 +78,6 @@ pub const STORE_CAP_ENV: &str = "TM_STORE_CAP";
 pub struct ServiceConfig {
     /// Artifact byte budget (`None` = unbounded).
     pub mem_budget: Option<usize>,
-    /// Shared worker-pool size (1 = sequential engines).
-    pub pool_size: usize,
     /// Bound on reachable state spaces.
     pub max_states: usize,
     /// Per-query wall-clock deadline (`None` = none). A query that runs
@@ -103,7 +101,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             mem_budget: None,
-            pool_size: tm_automata::modelcheck_threads(),
             max_states: DEFAULT_SERVICE_MAX_STATES,
             query_deadline: None,
             batch_deadline: None,
@@ -270,7 +267,7 @@ pub enum QueryOutcome {
     },
     /// The query was retired at a resource limit instead of answered
     /// (`holds` is `false`): a state-space blowup, an expired deadline,
-    /// a cancellation, a panicked worker, or an injected fault.
+    /// a cancellation, or an injected fault.
     /// [`EngineError::is_retryable`] says whether resubmitting can
     /// succeed.
     Aborted {
@@ -409,7 +406,9 @@ pub struct ServiceStats {
     pub mem_budget: Option<usize>,
     /// Sessions created (distinct instance sizes seen).
     pub sessions: usize,
-    /// Shared worker-pool size.
+    /// Worker threads per query: always 1, since every query runs on the
+    /// thread that submitted it. Kept as a `/v1/stats` field for clients
+    /// that read it.
     pub pool_size: usize,
     /// Wall-clock nanoseconds spent inside `submit`, **summed across
     /// batches** — concurrent batches each contribute their full elapsed
@@ -710,10 +709,7 @@ pub struct LatencyQuantiles {
 /// ```
 /// use tm_service::{QuerySpec, Service, ServiceConfig};
 ///
-/// let service = Service::new(ServiceConfig {
-///     pool_size: 1,
-///     ..ServiceConfig::default()
-/// });
+/// let service = Service::new(ServiceConfig::default());
 /// let batch = vec![
 ///     QuerySpec::parse("dstm+aggressive:of:2:1").unwrap(),
 ///     QuerySpec::parse("dstm+aggressive:lf:2:1").unwrap(),
@@ -768,12 +764,8 @@ impl Service {
         let evictions =
             metrics.counter("tm_evictions_total", "Artifacts evicted by the memory budget", &[]);
         let service = Service {
-            registry: SessionRegistry::new(
-                config.pool_size,
-                config.max_states,
-                Arc::clone(&metrics),
-            )
-            .query_deadline(config.query_deadline),
+            registry: SessionRegistry::new(config.max_states, Arc::clone(&metrics))
+                .query_deadline(config.query_deadline),
             budget: SharedBudget::new(config.mem_budget, evictions),
             batch_deadline: config.batch_deadline,
             max_inflight: config.max_inflight,
@@ -1118,7 +1110,7 @@ impl Service {
             peak_tracked_bytes: self.budget.peak_bytes(),
             mem_budget: self.budget.limit(),
             sessions: sessions.len(),
-            pool_size: self.registry.pool_size(),
+            pool_size: 1,
             batch_ns: m.batch_seconds.sum(),
             busy_wall_ns: saturating_ns(self.busy.busy_wall()),
             uptime_ns: saturating_ns(self.busy.uptime()),
@@ -1237,10 +1229,9 @@ mod tests {
     use super::*;
     use crate::roster::{table2_batch, table3_batch};
 
-    fn sequential_config(mem_budget: Option<usize>) -> ServiceConfig {
+    fn budget_config(mem_budget: Option<usize>) -> ServiceConfig {
         ServiceConfig {
             mem_budget,
-            pool_size: 1,
             ..ServiceConfig::default()
         }
     }
@@ -1274,7 +1265,7 @@ mod tests {
 
     #[test]
     fn a_batch_builds_each_artifact_once() {
-        let service = Service::new(sequential_config(None));
+        let service = Service::new(budget_config(None));
         let mut batch = table3_batch();
         batch.extend(table2_batch());
         let results = service.submit(&batch);
@@ -1297,7 +1288,7 @@ mod tests {
 
     #[test]
     fn sessions_snapshot_reports_per_size_rows() {
-        let service = Service::new(sequential_config(None));
+        let service = Service::new(budget_config(None));
         let mut batch = table3_batch();
         batch.extend(table2_batch());
         service.submit(&batch);
@@ -1319,7 +1310,7 @@ mod tests {
 
     #[test]
     fn snapshots_take_no_session_lock() {
-        let service = Service::new(sequential_config(None));
+        let service = Service::new(budget_config(None));
         service.submit(&[QuerySpec::parse("dstm+aggressive:of:2:1").unwrap()]);
         let session = service.registry.session(2, 1);
         let held = lock_session(&session);
@@ -1341,7 +1332,7 @@ mod tests {
     fn every_instance_size_gets_its_series_without_drops() {
         let service = Service::new(ServiceConfig {
             max_states: 1,
-            ..sequential_config(None)
+            ..budget_config(None)
         });
         let batch: Vec<QuerySpec> = (1..=MAX_QUERY_THREADS)
             .flat_map(|n| (1..=MAX_QUERY_VARS).map(move |k| (n, k)))
@@ -1360,7 +1351,7 @@ mod tests {
 
     #[test]
     fn latency_quantiles_are_ordered_and_populated_after_queries() {
-        let service = Service::new(sequential_config(None));
+        let service = Service::new(budget_config(None));
         service.submit(&table3_batch());
         let q = service.latency_quantiles();
         assert_eq!(q.count, 12);

@@ -24,10 +24,9 @@ fn mixed_batch() -> Vec<QuerySpec> {
     .collect()
 }
 
-fn config(pool_size: usize) -> ServiceConfig {
+fn config() -> ServiceConfig {
     ServiceConfig {
         mem_budget: Some(16 << 20),
-        pool_size,
         ..ServiceConfig::default()
     }
 }
@@ -51,56 +50,41 @@ fn fingerprint(results: &[QueryResult]) -> Vec<String> {
 #[test]
 fn injected_faults_retry_to_bit_identical_answers() {
     let batch = mixed_batch();
-    for pool in [1, 4] {
-        clear_fault();
-        let baseline_service = Service::new(config(pool));
-        let baseline = fingerprint(&baseline_service.submit(&batch));
+    clear_fault();
+    let baseline_service = Service::new(config());
+    let baseline = fingerprint(&baseline_service.submit(&batch));
 
-        for site in ["build", "evict", "dispatch"] {
-            let service = Service::new(config(pool));
-            install_fault(FaultPlan {
-                site: site.to_owned(),
-                nth: 1,
-                delay_ms: 0,
-                panic: false,
-            });
-            let first = service.submit(&batch);
-            clear_fault();
-            let aborted = first
-                .iter()
-                .filter(|r| matches!(r.outcome, QueryOutcome::Aborted { .. }))
-                .count();
-            // "dispatch" only exists on the parallel path — at pool 1 the
-            // fault never fires and the first run is already clean.
-            if site == "dispatch" && pool == 1 {
-                assert_eq!(aborted, 0, "pool=1 has no dispatch site");
-            } else {
-                assert_eq!(aborted, 1, "site {site} pool {pool}: one query aborts");
+    for site in ["build", "evict"] {
+        let service = Service::new(config());
+        install_fault(FaultPlan {
+            site: site.to_owned(),
+            nth: 1,
+            delay_ms: 0,
+            panic: false,
+        });
+        let first = service.submit(&batch);
+        clear_fault();
+        let aborted = first
+            .iter()
+            .filter(|r| matches!(r.outcome, QueryOutcome::Aborted { .. }))
+            .count();
+        assert_eq!(aborted, 1, "site {site}: one query aborts");
+        // Non-aborted queries from the faulted run already match the
+        // baseline bit for bit.
+        let first_print = fingerprint(&first);
+        for (line, base) in first_print.iter().zip(&baseline) {
+            if !line.contains("aborted") {
+                assert_eq!(line, base, "site {site}: clean query differs");
             }
-            // Non-aborted queries from the faulted run already match the
-            // baseline bit for bit.
-            let first_print = fingerprint(&first);
-            for (line, base) in first_print.iter().zip(&baseline) {
-                if !line.contains("aborted") {
-                    assert_eq!(line, base, "site {site} pool {pool}: clean query differs");
-                }
-            }
-            // The retry on the same service converges to the baseline.
-            let retried = fingerprint(&service.submit(&batch));
-            assert_eq!(retried, baseline, "site {site} pool {pool}: retry differs");
-            // The ledger stayed consistent: tracked bytes within budget
-            // and no phantom reservation left behind by the failed build.
-            let stats = service.stats();
-            assert!(
-                stats.peak_tracked_bytes <= 16 << 20,
-                "site {site} pool {pool}: budget overrun"
-            );
-            assert_eq!(
-                stats.aborted_queries,
-                aborted as u64,
-                "site {site} pool {pool}: abort counter"
-            );
         }
+        // The retry on the same service converges to the baseline.
+        let retried = fingerprint(&service.submit(&batch));
+        assert_eq!(retried, baseline, "site {site}: retry differs");
+        // The ledger stayed consistent: tracked bytes within budget
+        // and no phantom reservation left behind by the failed build.
+        let stats = service.stats();
+        assert!(stats.peak_tracked_bytes <= 16 << 20, "site {site}: budget overrun");
+        assert_eq!(stats.aborted_queries, aborted as u64, "site {site}: abort counter");
     }
     clear_fault();
 }
@@ -108,10 +92,7 @@ fn injected_faults_retry_to_bit_identical_answers() {
 #[test]
 fn a_batch_deadline_sheds_the_tail_and_recovers() {
     let batch = mixed_batch();
-    let service = Service::new(ServiceConfig {
-        pool_size: 1,
-        ..ServiceConfig::default()
-    });
+    let service = Service::new(ServiceConfig::default());
     // A zero-millisecond deadline is already expired: every query sheds.
     let shed = service.submit_traced(&batch, Some(0), false);
     assert_eq!(shed.len(), batch.len());

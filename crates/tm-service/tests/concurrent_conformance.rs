@@ -1,7 +1,7 @@
 //! Concurrent conformance: N client threads hammering one shared
 //! service with interleaved Table 2/3 sub-batches under a tight budget
 //! must produce bit-identical fingerprints to the same sub-batches
-//! submitted sequentially — at pools {1, 4} — while the ledger never
+//! submitted sequentially, while the ledger never
 //! exceeds the budget (pinned in-flight artifacts are not evictable, so
 //! races cannot overcommit). Also pins the lock-freedom of the stats
 //! surface: `stats()` answers immediately while a long batch runs.
@@ -29,10 +29,9 @@ fn sub_batches() -> Vec<Vec<QuerySpec>> {
     batches
 }
 
-fn config(pool_size: usize, mem_budget: Option<usize>) -> ServiceConfig {
+fn config(mem_budget: Option<usize>) -> ServiceConfig {
     ServiceConfig {
         mem_budget,
-        pool_size,
         ..ServiceConfig::default()
     }
 }
@@ -64,7 +63,7 @@ fn concurrent_submission_is_bit_identical_to_sequential() {
     // big enough for any single artifact (the budget's documented
     // requirement), smaller than the artifact total (so the roster
     // cannot be answered without evicting).
-    let sizing = Service::new(config(1, None));
+    let sizing = Service::new(config(None));
     for batch in &batches {
         sizing.submit(batch);
     }
@@ -74,62 +73,57 @@ fn concurrent_submission_is_bit_identical_to_sequential() {
     let budget = largest + (total - largest) / 4;
     assert!(budget < total, "the tight budget must force eviction");
 
-    for pool_size in [1, 4] {
-        // Sequential ground truth under the same tight budget.
-        let sequential = Service::new(config(pool_size, Some(budget)));
-        let baselines: Vec<Vec<String>> = batches
+    // Sequential ground truth under the same tight budget.
+    let sequential = Service::new(config(Some(budget)));
+    let baselines: Vec<Vec<String>> = batches
+        .iter()
+        .map(|batch| fingerprint(&sequential.submit(batch)))
+        .collect();
+    assert!(
+        baselines
             .iter()
-            .map(|batch| fingerprint(&sequential.submit(batch)))
-            .collect();
-        assert!(
-            baselines
-                .iter()
-                .flatten()
-                .all(|line| !line.contains("aborted")),
-            "pool={pool_size}: sequential baseline must be clean"
-        );
+            .flatten()
+            .all(|line| !line.contains("aborted")),
+        "sequential baseline must be clean"
+    );
 
-        // The same sub-batches, hammered concurrently at the service:
-        // every thread round must reproduce its baseline bit for bit,
-        // whatever the interleaving did to the artifact caches.
-        let service = Arc::new(Service::new(config(pool_size, Some(budget))));
-        std::thread::scope(|scope| {
-            for (batch, baseline) in batches.iter().zip(&baselines) {
-                let service = Arc::clone(&service);
-                scope.spawn(move || {
-                    for round in 0..ROUNDS_PER_THREAD {
-                        let results = service.submit(batch);
-                        assert_eq!(
-                            &fingerprint(&results),
-                            baseline,
-                            "pool={pool_size} round={round}: concurrent != sequential"
-                        );
-                    }
-                });
-            }
-        });
+    // The same sub-batches, hammered concurrently at the service:
+    // every thread round must reproduce its baseline bit for bit,
+    // whatever the interleaving did to the artifact caches.
+    let service = Arc::new(Service::new(config(Some(budget))));
+    std::thread::scope(|scope| {
+        for (batch, baseline) in batches.iter().zip(&baselines) {
+            let service = Arc::clone(&service);
+            scope.spawn(move || {
+                for round in 0..ROUNDS_PER_THREAD {
+                    let results = service.submit(batch);
+                    assert_eq!(
+                        &fingerprint(&results),
+                        baseline,
+                        "round={round}: concurrent != sequential"
+                    );
+                }
+            });
+        }
+    });
 
-        let stats = service.stats();
-        assert_eq!(
-            stats.queries,
-            (total_queries * ROUNDS_PER_THREAD) as u64,
-            "pool={pool_size}: every submission answered"
-        );
-        assert_eq!(stats.aborted_queries, 0, "pool={pool_size}");
-        // The budget held under racing admissions: a pinned in-flight
-        // artifact was never evicted out from under a query, and
-        // reservations never overcommitted the ledger.
-        assert!(
-            stats.peak_tracked_bytes <= budget,
-            "pool={pool_size}: peak {} exceeds budget {budget}",
-            stats.peak_tracked_bytes
-        );
-        assert!(stats.tracked_bytes <= budget, "pool={pool_size}");
-        assert!(
-            stats.evictions > 0,
-            "pool={pool_size}: a tight budget must evict: {stats:?}"
-        );
-    }
+    let stats = service.stats();
+    assert_eq!(
+        stats.queries,
+        (total_queries * ROUNDS_PER_THREAD) as u64,
+        "every submission answered"
+    );
+    assert_eq!(stats.aborted_queries, 0);
+    // The budget held under racing admissions: a pinned in-flight
+    // artifact was never evicted out from under a query, and
+    // reservations never overcommitted the ledger.
+    assert!(
+        stats.peak_tracked_bytes <= budget,
+        "peak {} exceeds budget {budget}",
+        stats.peak_tracked_bytes
+    );
+    assert!(stats.tracked_bytes <= budget);
+    assert!(stats.evictions > 0, "a tight budget must evict: {stats:?}");
 }
 
 #[test]
@@ -137,7 +131,7 @@ fn stats_answer_immediately_while_a_long_batch_runs() {
     // The slowest roster queries keep a session busy while the main
     // thread probes the stats surface — which reads atomics and the
     // short ledger/registry locks only, never a session lock.
-    let service = Arc::new(Service::new(config(1, None)));
+    let service = Arc::new(Service::new(config(None)));
     let busy = {
         let service = Arc::clone(&service);
         std::thread::spawn(move || {

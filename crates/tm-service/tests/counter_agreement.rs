@@ -66,10 +66,7 @@ fn assert_surfaces_agree(service: &Service, run: &str) -> (u64, u64) {
 #[test]
 fn stats_sessions_and_metrics_agree() {
     clear_fault();
-    let sequential = ServiceConfig {
-        pool_size: 1,
-        ..ServiceConfig::default()
-    };
+    let sequential = ServiceConfig::default();
 
     // (a) Two safety queries aborted at the state bound: the first
     // builds the lazy ss spec and leaves it resident, the second finds

@@ -53,10 +53,7 @@ fn serve_returns_promptly_after_shutdown_with_no_other_client() {
 
 #[test]
 fn a_request_deadline_maps_to_504_with_retry_after() {
-    let (addr, server) = spawn_server(ServiceConfig {
-        pool_size: 1,
-        ..ServiceConfig::default()
-    });
+    let (addr, server) = spawn_server(ServiceConfig::default());
     let batch = vec![QuerySpec::parse("dstm+aggressive:of:2:1").unwrap()];
     // deadline_ms = 0 is already expired: the whole batch sheds.
     let body = encode_batch_request(&batch, Some(0));
@@ -84,7 +81,6 @@ fn a_request_deadline_maps_to_504_with_retry_after() {
 #[test]
 fn a_state_limit_maps_to_422_without_retry_after() {
     let (addr, server) = spawn_server(ServiceConfig {
-        pool_size: 1,
         max_states: 10,
         ..ServiceConfig::default()
     });
@@ -115,10 +111,7 @@ fn raw_request(addr: &str, request: &str) -> String {
 
 #[test]
 fn oversized_header_sections_answer_431() {
-    let (addr, server) = spawn_server(ServiceConfig {
-        pool_size: 1,
-        ..ServiceConfig::default()
-    });
+    let (addr, server) = spawn_server(ServiceConfig::default());
     // Too many headers: the 101st line trips the count cap, so every
     // sent byte is consumed before the server answers and closes.
     let mut request = String::from("GET /healthz HTTP/1.1\r\n");
@@ -151,7 +144,6 @@ fn overload_sheds_with_429_and_drain_with_503() {
     // inside the service long enough to collide deterministically: we
     // use a liveness query at (2,2), the roster's slowest.
     let (addr, server) = spawn_server(ServiceConfig {
-        pool_size: 1,
         max_inflight: 1,
         ..ServiceConfig::default()
     });

@@ -20,7 +20,6 @@ fn a_panicked_batch_does_not_leak_the_admission_slot() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr").to_string();
     let service = Arc::new(Service::new(ServiceConfig {
-        pool_size: 1,
         max_inflight: 1,
         ..ServiceConfig::default()
     }));

@@ -1,6 +1,6 @@
 //! Introspection acceptance: the sampling profiler must be
 //! conformance-neutral (verdicts with the sampler running are
-//! bit-identical to verdicts without it, at pool sizes {1, 4}), the
+//! bit-identical to verdicts without it), the
 //! lifecycle journal must record real service events with request ids,
 //! and the live endpoints — `/v1/sessions`, `/v1/store`, `/v1/events`,
 //! `/v1/profile`, and the quantile-bearing `/v1/stats` — must serve
@@ -59,33 +59,24 @@ fn paper_batch() -> Vec<QuerySpec> {
     batch
 }
 
-fn config(pool_size: usize) -> ServiceConfig {
-    ServiceConfig {
-        pool_size,
-        ..ServiceConfig::default()
-    }
-}
-
 #[test]
 fn sampling_profiler_is_conformance_neutral() {
     let _flag = ObsFlag::hold();
     let batch = paper_batch();
-    for pool_size in [1, 4] {
-        let without_sampler = Service::new(config(pool_size)).submit(&batch);
-        tm_obs::start_sampler();
-        let with_sampler = Service::new(config(pool_size)).submit(&batch);
-        tm_obs::stop_sampler();
-        // Fresh service on each side, so even the caching flags must
-        // agree; the sampler only reads the per-thread slots.
-        assert_eq!(with_sampler, without_sampler, "pool={pool_size}");
-    }
+    let without_sampler = Service::new(ServiceConfig::default()).submit(&batch);
+    tm_obs::start_sampler();
+    let with_sampler = Service::new(ServiceConfig::default()).submit(&batch);
+    tm_obs::stop_sampler();
+    // Fresh service on each side, so even the caching flags must
+    // agree; the sampler only reads the per-thread slots.
+    assert_eq!(with_sampler, without_sampler);
 }
 
 #[test]
 fn service_lifecycle_lands_in_the_journal() {
     let _flag = ObsFlag::hold();
     let cursor = tm_obs::global_journal().head();
-    let service = Service::new(config(1));
+    let service = Service::new(ServiceConfig::default());
     service.submit(&table3_batch());
     let read = tm_obs::global_journal().read_from(cursor);
     let builds: Vec<_> = read
@@ -114,7 +105,7 @@ fn journal_stays_empty_with_obs_off() {
     let _flag = ObsFlag::hold();
     tm_obs::set_obs_enabled(false);
     let cursor = tm_obs::global_journal().head();
-    let service = Service::new(config(1));
+    let service = Service::new(ServiceConfig::default());
     service.submit(&table3_batch()[..2]);
     let read = tm_obs::global_journal().read_from(cursor);
     tm_obs::set_obs_enabled(true);
@@ -133,7 +124,7 @@ fn introspection_endpoints_serve_over_http() {
     let addr = listener.local_addr().expect("local addr").to_string();
     let service = Arc::new(Service::new(ServiceConfig {
         store_dir: Some(dir.clone()),
-        ..config(1)
+        ..ServiceConfig::default()
     }));
     let server = std::thread::spawn(move || serve(listener, service));
 

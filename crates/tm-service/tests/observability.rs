@@ -1,6 +1,6 @@
 //! Observability acceptance: instrumentation must be conformance-neutral
 //! (verdicts with metrics disabled are bit-identical to verdicts with
-//! metrics enabled, at pool sizes {1, 4}), traces must attach exactly
+//! metrics enabled), traces must attach exactly
 //! when requested (and never under `TM_OBS=off`), the busy clock must
 //! stay within its documented envelope under concurrent batches, and the
 //! `/metrics` + `X-Request-Id` HTTP surfaces must round-trip.
@@ -44,34 +44,25 @@ fn paper_batch() -> Vec<QuerySpec> {
     batch
 }
 
-fn config(pool_size: usize) -> ServiceConfig {
-    ServiceConfig {
-        pool_size,
-        ..ServiceConfig::default()
-    }
-}
-
 #[test]
 fn metrics_off_is_conformance_neutral() {
     let _flag = ObsFlag::hold();
     let batch = paper_batch();
-    for pool_size in [1, 4] {
-        tm_obs::set_obs_enabled(true);
-        let with_obs = Service::new(config(pool_size)).submit(&batch);
-        tm_obs::set_obs_enabled(false);
-        let without_obs = Service::new(config(pool_size)).submit(&batch);
-        tm_obs::set_obs_enabled(true);
-        // Fresh service on each side, so even the caching flags must
-        // agree; `submit` leaves `trace` as `None` on both sides.
-        assert_eq!(with_obs, without_obs, "pool={pool_size}");
-    }
+    tm_obs::set_obs_enabled(true);
+    let with_obs = Service::new(ServiceConfig::default()).submit(&batch);
+    tm_obs::set_obs_enabled(false);
+    let without_obs = Service::new(ServiceConfig::default()).submit(&batch);
+    tm_obs::set_obs_enabled(true);
+    // Fresh service on each side, so even the caching flags must
+    // agree; `submit` leaves `trace` as `None` on both sides.
+    assert_eq!(with_obs, without_obs);
 }
 
 #[test]
 fn traces_attach_exactly_when_requested() {
     let _flag = ObsFlag::hold();
     let batch = table3_batch();
-    let service = Service::new(config(1));
+    let service = Service::new(ServiceConfig::default());
 
     let untraced = service.submit_traced(&batch, None, false);
     assert!(untraced.iter().all(|r| r.trace.is_none()));
@@ -108,7 +99,7 @@ fn traces_attach_exactly_when_requested() {
 #[test]
 fn busy_clock_stays_inside_its_envelope() {
     let _flag = ObsFlag::hold();
-    let service = Arc::new(Service::new(config(1)));
+    let service = Arc::new(Service::new(ServiceConfig::default()));
     // Two concurrent batches over the same sessions. Whether they
     // overlap depends on the scheduler, so only the bounds that hold
     // either way are checked here; that overlapping batches sum past the
@@ -136,7 +127,7 @@ fn http_metrics_and_request_id_round_trip() {
     let _flag = ObsFlag::hold();
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr").to_string();
-    let service = Arc::new(Service::new(config(1)));
+    let service = Arc::new(Service::new(ServiceConfig::default()));
     let server = std::thread::spawn(move || serve(listener, service));
 
     // A traced batch with an explicit request id: the response must echo

@@ -1,7 +1,7 @@
 //! Service conformance: every response — in-process and over the wire —
 //! must be identical to a direct one-shot [`Verifier`] call (verdicts,
-//! counterexample words, lassos), for the full Table 2 + Table 3 roster
-//! at pool sizes {1, 4}; and the acceptance criterion of the memory
+//! counterexample words, lassos), for the full Table 2 + Table 3 roster;
+//! and the acceptance criterion of the memory
 //! budget: a budget smaller than the sum of all compiled artifacts still
 //! answers the full roster bit-identically, with peak tracked bytes
 //! never exceeding the budget.
@@ -30,10 +30,9 @@ fn paper_batch() -> Vec<tm_service::QuerySpec> {
     batch
 }
 
-fn config(pool_size: usize, mem_budget: Option<usize>) -> ServiceConfig {
+fn config(mem_budget: Option<usize>) -> ServiceConfig {
     ServiceConfig {
         mem_budget,
-        pool_size,
         ..ServiceConfig::default()
     }
 }
@@ -41,11 +40,11 @@ fn config(pool_size: usize, mem_budget: Option<usize>) -> ServiceConfig {
 /// Asserts one service response against a fresh one-shot session: same
 /// verdict, same explored states, and byte-identical counterexample word
 /// or lasso.
-fn assert_matches_one_shot(result: &QueryResult, pool_size: usize) {
+fn assert_matches_one_shot(result: &QueryResult) {
     let spec = &result.spec;
-    let mut verifier = Verifier::new(spec.threads, spec.vars).pool_size(pool_size);
+    let mut verifier = Verifier::new(spec.threads, spec.vars);
     let direct = run_query(&mut verifier, spec);
-    let context = format!("{spec} pool={pool_size}");
+    let context = spec.to_string();
     assert_eq!(result.holds, direct.holds(), "{context}: verdict");
     assert_eq!(
         result.states, direct.stats.states_explored,
@@ -102,28 +101,26 @@ fn verdict_fields(results: &[QueryResult]) -> Vec<(String, bool, usize, QueryOut
 #[test]
 fn in_process_service_matches_one_shot_sessions() {
     let batch = paper_batch();
-    for pool_size in [1, 4] {
-        let service = Service::new(config(pool_size, None));
-        let results = service.submit(&batch);
-        assert_eq!(results.len(), batch.len());
-        for (result, spec) in results.iter().zip(&batch) {
-            assert_eq!(&result.spec, spec, "results come back in request order");
-            assert_matches_one_shot(result, pool_size);
-        }
-        // The scheduler made each artifact's queries contiguous: 6
-        // artifacts, 6 builds, everything else cache hits.
-        let stats = service.stats();
-        assert_eq!(stats.artifact_builds, 6, "pool={pool_size}");
-        assert_eq!(stats.cache_hits, 16, "pool={pool_size}");
-        assert_eq!(stats.artifact_rebuilds, 0, "pool={pool_size}");
+    let service = Service::new(config(None));
+    let results = service.submit(&batch);
+    assert_eq!(results.len(), batch.len());
+    for (result, spec) in results.iter().zip(&batch) {
+        assert_eq!(&result.spec, spec, "results come back in request order");
+        assert_matches_one_shot(result);
     }
+    // The scheduler made each artifact's queries contiguous: 6
+    // artifacts, 6 builds, everything else cache hits.
+    let stats = service.stats();
+    assert_eq!(stats.artifact_builds, 6);
+    assert_eq!(stats.cache_hits, 16);
+    assert_eq!(stats.artifact_rebuilds, 0);
 }
 
 #[test]
 fn tight_budget_stays_under_peak_and_answers_bit_identically() {
     let batch = paper_batch();
     // Ground truth and artifact sizes from an unbounded service.
-    let unbounded = Service::new(config(1, None));
+    let unbounded = Service::new(config(None));
     let reference = unbounded.submit(&batch);
     let ledger = unbounded.ledger();
     let total: usize = ledger.iter().map(|(_, bytes)| bytes).sum();
@@ -135,7 +132,7 @@ fn tight_budget_stays_under_peak_and_answers_bit_identically() {
     // any single artifact (the budget's documented requirement).
     let budget = largest + (total - largest) / 4;
     assert!(budget < total);
-    let service = Service::new(config(1, Some(budget)));
+    let service = Service::new(config(Some(budget)));
     let first = service.submit(&batch);
     assert_eq!(verdict_fields(&first), verdict_fields(&reference));
     let stats = service.stats();
@@ -164,55 +161,52 @@ fn tight_budget_stays_under_peak_and_answers_bit_identically() {
 #[test]
 fn http_endpoint_matches_the_in_process_service() {
     let batch = paper_batch();
-    for pool_size in [1, 4] {
-        // In-process ground truth with the same (fresh) configuration.
-        let expected = Service::new(config(pool_size, None)).submit(&batch);
+    // In-process ground truth with the same (fresh) configuration.
+    let expected = Service::new(config(None)).submit(&batch);
 
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = listener.local_addr().expect("local addr").to_string();
-        let service = Arc::new(Service::new(config(pool_size, None)));
-        let server = std::thread::spawn(move || serve(listener, service));
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let service = Arc::new(Service::new(config(None)));
+    let server = std::thread::spawn(move || serve(listener, service));
 
-        let (status, body) = http_request(&addr, "GET", "/healthz", None).expect("healthz");
-        assert_eq!((status, body.as_str()), (200, "{\"ok\": true}"));
+    let (status, body) = http_request(&addr, "GET", "/healthz", None).expect("healthz");
+    assert_eq!((status, body.as_str()), (200, "{\"ok\": true}"));
 
-        let (status, body) =
-            http_request(&addr, "POST", "/v1/batch", Some(&encode_batch(&batch)))
-                .expect("batch request");
-        assert_eq!(status, 200, "{body}");
-        let (results, stats) = decode_results(&body).expect("response decodes");
-        // Over the wire ≡ in process, caching flags included (same
-        // batch, same fresh service state).
-        assert_eq!(results, expected, "pool={pool_size}");
-        assert_eq!(stats.queries, batch.len() as u64);
-        assert_eq!(stats.pool_size, pool_size);
+    let (status, body) = http_request(&addr, "POST", "/v1/batch", Some(&encode_batch(&batch)))
+        .expect("batch request");
+    assert_eq!(status, 200, "{body}");
+    let (results, stats) = decode_results(&body).expect("response decodes");
+    // Over the wire ≡ in process, caching flags included (same
+    // batch, same fresh service state).
+    assert_eq!(results, expected);
+    assert_eq!(stats.queries, batch.len() as u64);
+    assert_eq!(stats.pool_size, 1);
 
-        // Protocol errors are reported, not fatal.
-        let (status, _) = http_request(&addr, "POST", "/v1/batch", Some("{oops"))
-            .expect("malformed request is answered");
-        assert_eq!(status, 400);
-        // An out-of-range instance size is a client error, not a panic
-        // in the serving thread (the TMs and the specification assert
-        // on threads > 4, the liveness edge masks on threads > 8).
-        for threads in [5, 9] {
-            let oversized = format!(
-                r#"{{"queries": [{{"tm": "2PL", "property": "of", "threads": {threads}, "vars": 1}}]}}"#
-            );
-            let (status, body) = http_request(&addr, "POST", "/v1/batch", Some(&oversized))
-                .expect("oversized query is answered");
-            assert_eq!(status, 400, "{body}");
-            assert!(body.contains("out of range"), "{body}");
-        }
-        let (status, _) = http_request(&addr, "GET", "/nope", None).expect("404 route");
-        assert_eq!(status, 404);
-        let (status, body) = http_request(&addr, "GET", "/v1/stats", None).expect("stats");
-        assert_eq!(status, 200);
-        assert!(body.contains("\"queries\""));
-
-        // Clean shutdown: serve() returns and reports every connection.
-        let (status, _) = http_request(&addr, "POST", "/v1/shutdown", None).expect("shutdown");
-        assert_eq!(status, 200);
-        let served = server.join().expect("server thread").expect("serve result");
-        assert_eq!(served, 8);
+    // Protocol errors are reported, not fatal.
+    let (status, _) = http_request(&addr, "POST", "/v1/batch", Some("{oops"))
+        .expect("malformed request is answered");
+    assert_eq!(status, 400);
+    // An out-of-range instance size is a client error, not a panic
+    // in the serving thread (the TMs and the specification assert
+    // on threads > 4, the liveness edge masks on threads > 8).
+    for threads in [5, 9] {
+        let oversized = format!(
+            r#"{{"queries": [{{"tm": "2PL", "property": "of", "threads": {threads}, "vars": 1}}]}}"#
+        );
+        let (status, body) = http_request(&addr, "POST", "/v1/batch", Some(&oversized))
+            .expect("oversized query is answered");
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("out of range"), "{body}");
     }
+    let (status, _) = http_request(&addr, "GET", "/nope", None).expect("404 route");
+    assert_eq!(status, 404);
+    let (status, body) = http_request(&addr, "GET", "/v1/stats", None).expect("stats");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"queries\""));
+
+    // Clean shutdown: serve() returns and reports every connection.
+    let (status, _) = http_request(&addr, "POST", "/v1/shutdown", None).expect("shutdown");
+    assert_eq!(status, 200);
+    let served = server.join().expect("server thread").expect("serve result");
+    assert_eq!(served, 8);
 }

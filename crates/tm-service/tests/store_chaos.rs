@@ -27,7 +27,6 @@ fn batch() -> Vec<QuerySpec> {
 
 fn store_config(dir: &Path) -> ServiceConfig {
     ServiceConfig {
-        pool_size: 1,
         store_dir: Some(dir.to_path_buf()),
         ..ServiceConfig::default()
     }
@@ -62,13 +61,7 @@ fn store_faults_never_abort_queries_or_change_verdicts() {
     clear_fault();
     let queries = batch();
     // Fault-free, storeless ground truth.
-    let baseline = fingerprint(
-        &Service::new(ServiceConfig {
-            pool_size: 1,
-            ..ServiceConfig::default()
-        })
-        .submit(&queries),
-    );
+    let baseline = fingerprint(&Service::new(ServiceConfig::default()).submit(&queries));
 
     // --- Crashed write-through: the first save faults mid-write; the
     // query still answers, later saves persist the rest.

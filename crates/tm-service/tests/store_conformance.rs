@@ -36,10 +36,9 @@ fn paper_batch() -> Vec<QuerySpec> {
     batch
 }
 
-fn store_config(pool_size: usize, dir: &Path, mem_budget: Option<usize>) -> ServiceConfig {
+fn store_config(dir: &Path, mem_budget: Option<usize>) -> ServiceConfig {
     ServiceConfig {
         mem_budget,
-        pool_size,
         store_dir: Some(dir.to_path_buf()),
         ..ServiceConfig::default()
     }
@@ -66,40 +65,38 @@ fn fingerprint(results: &[QueryResult]) -> Vec<String> {
 #[test]
 fn warm_restart_answers_roster_with_zero_rebuilds() {
     let batch = paper_batch();
-    for pool_size in [1, 4] {
-        let dir = scratch_dir(&format!("warm-{pool_size}"));
+    let dir = scratch_dir("warm");
 
-        // Cold service: populates the store by write-through.
-        let cold = Service::try_new(store_config(pool_size, &dir, None)).unwrap();
-        let reference = fingerprint(&cold.submit(&batch));
-        let cold_stats = cold.stats();
-        assert_eq!(cold_stats.artifact_builds, 6, "pool={pool_size}");
-        assert_eq!(
-            cold_stats.store_saves, 6,
-            "every built artifact is written through: {cold_stats:?}"
-        );
-        assert_eq!(cold_stats.store_files, 6);
-        drop(cold);
+    // Cold service: populates the store by write-through.
+    let cold = Service::try_new(store_config(&dir, None)).unwrap();
+    let reference = fingerprint(&cold.submit(&batch));
+    let cold_stats = cold.stats();
+    assert_eq!(cold_stats.artifact_builds, 6);
+    assert_eq!(
+        cold_stats.store_saves, 6,
+        "every built artifact is written through: {cold_stats:?}"
+    );
+    assert_eq!(cold_stats.store_files, 6);
+    drop(cold);
 
-        // "Restarted daemon": a fresh service over the same directory
-        // answers the whole roster without building anything.
-        let warm = Service::try_new(store_config(pool_size, &dir, None)).unwrap();
-        let warm_results = warm.submit(&batch);
-        assert_eq!(fingerprint(&warm_results), reference, "pool={pool_size}");
-        let stats = warm.stats();
-        assert_eq!(
-            stats.artifact_builds, 0,
-            "warm start must answer with zero builds: {stats:?}"
-        );
-        assert_eq!(stats.artifact_rebuilds, 0, "pool={pool_size}");
-        assert_eq!(stats.cache_hits, batch.len() as u64, "pool={pool_size}");
-        assert!(
-            stats.store_hits >= 6,
-            "warm boot loads every stored artifact: {stats:?}"
-        );
-        assert_eq!(stats.store_corrupt, 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    // "Restarted daemon": a fresh service over the same directory
+    // answers the whole roster without building anything.
+    let warm = Service::try_new(store_config(&dir, None)).unwrap();
+    let warm_results = warm.submit(&batch);
+    assert_eq!(fingerprint(&warm_results), reference);
+    let stats = warm.stats();
+    assert_eq!(
+        stats.artifact_builds, 0,
+        "warm start must answer with zero builds: {stats:?}"
+    );
+    assert_eq!(stats.artifact_rebuilds, 0);
+    assert_eq!(stats.cache_hits, batch.len() as u64);
+    assert!(
+        stats.store_hits >= 6,
+        "warm boot loads every stored artifact: {stats:?}"
+    );
+    assert_eq!(stats.store_corrupt, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -107,10 +104,7 @@ fn tight_budget_demotes_and_promotes_instead_of_rebuilding() {
     let batch = paper_batch();
     // Ground truth and artifact sizes from an unbounded, storeless
     // service.
-    let unbounded = Service::new(ServiceConfig {
-        pool_size: 1,
-        ..ServiceConfig::default()
-    });
+    let unbounded = Service::new(ServiceConfig::default());
     let reference = fingerprint(&unbounded.submit(&batch));
     let ledger = unbounded.ledger();
     let total: usize = ledger.iter().map(|(_, bytes)| bytes).sum();
@@ -119,7 +113,7 @@ fn tight_budget_demotes_and_promotes_instead_of_rebuilding() {
     assert!(budget < total, "budget must force evictions");
 
     let dir = scratch_dir("demote");
-    let service = Service::try_new(store_config(1, &dir, Some(budget))).unwrap();
+    let service = Service::try_new(store_config(&dir, Some(budget))).unwrap();
     let first = service.submit(&batch);
     assert_eq!(fingerprint(&first), reference);
     let stats = service.stats();
@@ -166,7 +160,7 @@ fn corrupt_store_files_are_quarantined_and_rebuilt() {
         .map(|q| QuerySpec::parse(q).unwrap())
         .collect();
     let dir = scratch_dir("corrupt");
-    let cold = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let cold = Service::try_new(store_config(&dir, None)).unwrap();
     let reference = fingerprint(&cold.submit(&batch));
     assert_eq!(cold.stats().store_files, 2);
     drop(cold);
@@ -179,7 +173,7 @@ fn corrupt_store_files_are_quarantined_and_rebuilt() {
     std::fs::write(&victim, &bytes).unwrap();
 
     // The restart quarantines the corrupt file at warm boot...
-    let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let warm = Service::try_new(store_config(&dir, None)).unwrap();
     assert!(
         !victim.exists(),
         "the corrupt file must leave the addressable namespace at boot"
@@ -237,7 +231,7 @@ fn checksum_valid_structurally_bad_run_graphs_are_rebuilt() {
         .map(|q| QuerySpec::parse(q).unwrap())
         .collect();
     let dir = scratch_dir("bad-target");
-    let cold = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let cold = Service::try_new(store_config(&dir, None)).unwrap();
     let reference = fingerprint(&cold.submit(&batch));
     drop(cold);
 
@@ -251,7 +245,7 @@ fn checksum_valid_structurally_bad_run_graphs_are_rebuilt() {
     );
     std::fs::write(&victim, &image).unwrap();
 
-    let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let warm = Service::try_new(store_config(&dir, None)).unwrap();
     assert!(dir.join(format!("{}.quarantined", file_name(&key))).exists());
     assert_eq!(fingerprint(&warm.submit(&batch)), reference);
     let stats = warm.stats();
@@ -290,7 +284,7 @@ fn checksum_valid_structurally_bad_spec_rows_are_rebuilt() {
         .map(|q| QuerySpec::parse(q).unwrap())
         .collect();
     let dir = scratch_dir("bad-spec-row");
-    let cold = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let cold = Service::try_new(store_config(&dir, None)).unwrap();
     let reference = fingerprint(&cold.submit(&batch));
     drop(cold);
 
@@ -304,7 +298,7 @@ fn checksum_valid_structurally_bad_spec_rows_are_rebuilt() {
     );
     std::fs::write(&victim, &image).unwrap();
 
-    let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let warm = Service::try_new(store_config(&dir, None)).unwrap();
     assert!(
         !victim.exists(),
         "the bad file must leave the namespace at boot"
@@ -337,7 +331,7 @@ fn unknown_kind_files_are_quarantined_at_warm_start() {
         .map(|q| QuerySpec::parse(q).unwrap())
         .collect();
     let dir = scratch_dir("unknown-kind");
-    let cold = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let cold = Service::try_new(store_config(&dir, None)).unwrap();
     let reference = fingerprint(&cold.submit(&batch));
     drop(cold);
 
@@ -361,7 +355,7 @@ fn unknown_kind_files_are_quarantined_at_warm_start() {
         std::fs::write(dir.join(file_name(key)), image).unwrap();
     }
 
-    let warm = Service::try_new(store_config(1, &dir, None)).unwrap();
+    let warm = Service::try_new(store_config(&dir, None)).unwrap();
     for key in &foreign {
         let path = dir.join(file_name(key));
         assert!(!path.exists(), "{key:?} left in the namespace");

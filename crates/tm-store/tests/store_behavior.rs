@@ -73,7 +73,7 @@ fn sample_artifact(flavor: u32) -> Artifact {
 /// A session that has built the opacity specification at (2, 1) by
 /// checking the sequential TM against it, with the artifact's key.
 fn session_with_spec() -> (Verifier, ArtifactKey) {
-    let mut verifier = Verifier::new(2, 1).pool_size(1);
+    let mut verifier = Verifier::new(2, 1);
     assert!(verifier
         .check_safety(&SequentialTm::new(2, 1), SafetyProperty::Opacity)
         .holds());

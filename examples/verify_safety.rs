@@ -16,11 +16,11 @@ use tm_modelcheck::checker::{safety_table, SafetyVerdict, Verifier};
 use tm_modelcheck::lang::SafetyProperty;
 use tm_modelcheck::spec::DetSpec;
 
-fn check<A>(verifier: &mut Verifier, tm: &A, property: SafetyProperty) -> SafetyVerdict
-where
-    A: TmAlgorithm + Sync,
-    A::State: Send + Sync,
-{
+fn check<A: TmAlgorithm>(
+    verifier: &mut Verifier,
+    tm: &A,
+    property: SafetyProperty,
+) -> SafetyVerdict {
     verifier
         .check_safety(tm, property)
         .into_safety()

@@ -1,8 +1,7 @@
 //! Differential conformance harness for the inclusion checks: the seed
 //! reference (`tm_bench::oracle::check_inclusion_reference`) and the
 //! on-the-fly product engine — through its `check_inclusion` wrapper and
-//! through `check_inclusion_otf`, sequential and on worker pools — must
-//! agree on every Table 2 (TM, property) pair, on the TM steppers
+//! through `check_inclusion_otf` — must agree on every Table 2 (TM, property) pair, on the TM steppers
 //! directly, on randomized NFA/DFA pairs and on hand-built edge cases.
 //!
 //! Counterexamples additionally *replay*: the word is accepted by the
@@ -11,7 +10,6 @@
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -23,32 +21,19 @@ use tm_modelcheck::algorithms::{
 use tm_bench::oracle::{check_inclusion_antichain_reference, check_inclusion_reference};
 use tm_modelcheck::automata::{
     check_inclusion, check_inclusion_antichain, check_inclusion_otf, CompiledDfa, CompiledNfa, Dfa,
-    Executor, InclusionResult, LetterId, Nfa, NfaSource, OtfStats, QueryBudget, SuccessorSource,
-    WorkerPool,
+    InclusionResult, LetterId, Nfa, NfaSource, OtfStats, QueryBudget, SuccessorSource,
 };
 use tm_modelcheck::lang::SafetyProperty;
 use tm_modelcheck::spec::DetSpec;
 
 const MAX_STATES: usize = 20_000_000;
 
-/// The 2- or 4-worker pool of the parallel-engine legs, shared by every
-/// case.
-fn pool(workers: usize) -> &'static WorkerPool {
-    static POOLS: OnceLock<[WorkerPool; 2]> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| [WorkerPool::new(2), WorkerPool::new(4)]);
-    pools
-        .iter()
-        .find(|pool| pool.size() == workers)
-        .expect("a 2- or 4-worker pool")
-}
-
-/// The on-the-fly engine on `executor`, without a budget.
-fn otf<S: SuccessorSource, L: Sync>(
+/// The on-the-fly engine without a budget.
+fn otf<S: SuccessorSource, L>(
     source: &S,
     spec: &CompiledDfa<L>,
-    executor: &Executor<'_>,
 ) -> (InclusionResult<S::Label>, OtfStats) {
-    check_inclusion_otf(source, spec, executor, &QueryBudget::unlimited()).expect("in bounds")
+    check_inclusion_otf(source, spec, &QueryBudget::unlimited()).expect("in bounds")
 }
 
 /// Letter ids of `word` over `spec`'s alphabet, mapping unknown letters
@@ -92,7 +77,7 @@ fn assert_replays<L: Clone + Eq + Hash + std::fmt::Debug>(
 
 /// Runs every engine on one (implementation NFA, compiled spec) pair and
 /// cross-checks them; returns the reference result.
-fn conform<L: Clone + Eq + Hash + Sync + std::fmt::Debug>(
+fn conform<L: Clone + Eq + Hash + std::fmt::Debug>(
     nfa: &Nfa<L>,
     dfa: &Dfa<L>,
     spec: &CompiledDfa<L>,
@@ -105,31 +90,8 @@ fn conform<L: Clone + Eq + Hash + Sync + std::fmt::Debug>(
     let mut alphabet = spec.alphabet().clone();
     let imp = CompiledNfa::compile(nfa, &mut alphabet);
     let source = NfaSource::new(&imp, &alphabet);
-    let (otf_seq, _) = otf(&source, spec, &Executor::Sequential);
-    assert_eq!(otf_seq, reference, "{context}: otf sequential");
-    for threads in [2, 4] {
-        let (otf_par, _) = otf(&source, spec, &Executor::Pool(pool(threads)));
-        assert_eq!(
-            otf_par.holds(),
-            reference.holds(),
-            "{context}: otf x{threads} verdict"
-        );
-        // The parallel engine is deterministic and reproduces the
-        // sequential word; only `product_states` of a violating run may
-        // differ (it finishes the violating level).
-        assert_eq!(
-            otf_par.counterexample(),
-            reference.counterexample(),
-            "{context}: otf x{threads} word"
-        );
-        if reference.holds() {
-            assert_eq!(
-                otf_par.product_states(),
-                reference.product_states(),
-                "{context}: otf x{threads} product states"
-            );
-        }
-    }
+    let (got, _) = otf(&source, spec);
+    assert_eq!(got, reference, "{context}: otf");
     if let Some(word) = reference.counterexample() {
         assert_replays(&imp, &alphabet, spec, word, context);
     }
@@ -137,8 +99,8 @@ fn conform<L: Clone + Eq + Hash + Sync + std::fmt::Debug>(
 }
 
 /// All Table 2 (TM, property) pairs: every engine agrees — same verdict,
-/// same shortest counterexample, and same `product_states` in the
-/// sequential engines — and every counterexample replays.
+/// same shortest counterexample, and same `product_states` — and every
+/// counterexample replays.
 #[test]
 fn table2_all_engines_agree() {
     let roster = tm_bench::table2_roster();
@@ -158,15 +120,11 @@ fn table2_all_engines_agree() {
 
 /// The on-the-fly engine fed by the TM steppers directly (no NFA ever
 /// built) agrees with the materialize-then-check pipeline on every Table
-/// 2 TM — verdict, word, sequential product count, and the implementation
+/// 2 TM — verdict, word, product count, and the implementation
 /// state count discovered on the fly.
 #[test]
 fn tm_steppers_match_materialized_pipeline() {
-    fn check_stepper<A>(tm: &A, name: &str)
-    where
-        A: tm_modelcheck::algorithms::TmAlgorithm + Sync,
-        A::State: Send + Sync,
-    {
+    fn check_stepper<A: tm_modelcheck::algorithms::TmAlgorithm>(tm: &A, name: &str) {
         for property in SafetyProperty::all() {
             let (dfa, _) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
             let spec = dfa.compile();
@@ -174,8 +132,8 @@ fn tm_steppers_match_materialized_pipeline() {
             let expected = check_inclusion(&explored.nfa, &dfa);
             let source = MostGeneralSource::new(tm, spec.alphabet().clone());
             let context = format!("{} / {name} (stepper)", property.short_name());
-            let (otf_seq, stats) = otf(&source, &spec, &Executor::Sequential);
-            assert_eq!(otf_seq, expected, "{context}");
+            let (got, stats) = otf(&source, &spec);
+            assert_eq!(got, expected, "{context}");
             if expected.holds() {
                 assert_eq!(
                     stats.impl_states,
@@ -183,13 +141,6 @@ fn tm_steppers_match_materialized_pipeline() {
                     "{context}: impl state count"
                 );
             }
-            let (otf_par, _) = otf(&source, &spec, &Executor::Pool(pool(4)));
-            assert_eq!(otf_par.holds(), expected.holds(), "{context}: x4 verdict");
-            assert_eq!(
-                otf_par.counterexample(),
-                expected.counterexample(),
-                "{context}: x4 word"
-            );
             if let Some(word) = expected.counterexample() {
                 let mut alphabet = spec.alphabet().clone();
                 let imp = CompiledNfa::compile(&explored.nfa, &mut alphabet);
@@ -211,12 +162,11 @@ fn tm_steppers_match_materialized_pipeline() {
     );
 }
 
-/// The `Verifier` session — pool sizes 1 and 4, its lazily interned
-/// specification cached across all five TMs — agrees
-/// with the bare on-the-fly engine (`check_inclusion_otf` over
-/// `DetSpec::to_dfa().compile()`, sequential and on a 4-worker pool) on
-/// every Table 2 pair: verdict, counterexample word, and (on verified
-/// runs) TM state count.
+/// The `Verifier` session — its lazily interned specification cached
+/// across all five TMs — agrees with the bare on-the-fly engine
+/// (`check_inclusion_otf` over `DetSpec::to_dfa().compile()`) on every
+/// Table 2 pair: verdict, counterexample word, and (on verified runs) TM
+/// state count.
 #[test]
 fn safety_sessions_match_otf_engine_on_table2() {
     use tm_modelcheck::algorithms::TmAlgorithm;
@@ -227,49 +177,36 @@ fn safety_sessions_match_otf_engine_on_table2() {
         name: &str,
         property: SafetyProperty,
         spec: &CompiledDfa<tm_modelcheck::lang::Statement>,
-        sessions: &mut [(&str, Verifier)],
+        verifier: &mut Verifier,
     ) where
-        A: TmAlgorithm + Sync,
-        A::State: Send + Sync,
+        A: TmAlgorithm,
     {
         let source = MostGeneralSource::new(tm, spec.alphabet().clone());
-        let baselines = [
-            ("seq", otf(&source, spec, &Executor::Sequential)),
-            ("pool4", otf(&source, spec, &Executor::Pool(pool(4)))),
-        ];
-        for (label, verifier) in sessions.iter_mut() {
-            let got = verifier
-                .check_safety(tm, property)
-                .into_safety()
-                .expect("safety query");
-            for (engine, (baseline, stats)) in &baselines {
-                let context = format!("{} / {name} ({label} vs {engine})", property.short_name());
-                assert_eq!(got.holds(), baseline.holds(), "{context}: verdict");
-                assert_eq!(
-                    got.counterexample().map(|w| w.statements()),
-                    baseline.counterexample(),
-                    "{context}: word"
-                );
-                if baseline.holds() {
-                    // Full reachable TM state count — engine-independent.
-                    // (On violations the explored portion legitimately
-                    // differs between sequential and parallel runs.)
-                    assert_eq!(got.tm_states, stats.impl_states, "{context}: tm states");
-                }
-            }
+        let (baseline, stats) = otf(&source, spec);
+        let got = verifier
+            .check_safety(tm, property)
+            .into_safety()
+            .expect("safety query");
+        let context = format!("{} / {name}", property.short_name());
+        assert_eq!(got.holds(), baseline.holds(), "{context}: verdict");
+        assert_eq!(
+            got.counterexample().map(|w| w.statements()),
+            baseline.counterexample(),
+            "{context}: word"
+        );
+        if baseline.holds() {
+            // Full reachable TM state count.
+            assert_eq!(got.tm_states, stats.impl_states, "{context}: tm states");
         }
     }
 
     for property in SafetyProperty::all() {
         let spec = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES).0.compile();
-        let mut sessions = [
-            ("lazy/p1", Verifier::new(2, 2).pool_size(1)),
-            ("lazy/p4", Verifier::new(2, 2).pool_size(4)),
-        ];
-        check_case(&SequentialTm::new(2, 2), "sequential", property, &spec, &mut sessions);
-        check_case(&TwoPhaseTm::new(2, 2), "2PL", property, &spec, &mut sessions);
-        check_case(&DstmTm::new(2, 2), "dstm", property, &spec, &mut sessions);
-        check_case(&Tl2Tm::new(2, 2), "TL2", property, &spec, &mut sessions);
+        let mut verifier = Verifier::new(2, 2);
+        check_case(&SequentialTm::new(2, 2), "sequential", property, &spec, &mut verifier);
+        check_case(&TwoPhaseTm::new(2, 2), "2PL", property, &spec, &mut verifier);
+        check_case(&DstmTm::new(2, 2), "dstm", property, &spec, &mut verifier);
+        check_case(&Tl2Tm::new(2, 2), "TL2", property, &spec, &mut verifier);
         check_case(
             &WithContentionManager::new(
                 Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock),
@@ -278,13 +215,11 @@ fn safety_sessions_match_otf_engine_on_table2() {
             "modified-TL2+polite",
             property,
             &spec,
-            &mut sessions,
+            &mut verifier,
         );
-        for (label, verifier) in &sessions {
-            // Five TMs, one property per loop iteration: each session
-            // built its specification artifact exactly once.
-            assert_eq!(verifier.builds(), 1, "{label}: spec built once");
-        }
+        // Five TMs, one property per loop iteration: the session built
+        // its specification artifact exactly once.
+        assert_eq!(verifier.builds(), 1, "spec built once");
     }
 }
 
@@ -321,10 +256,10 @@ fn build_nfa(states: usize, edges: &[(usize, usize, usize)]) -> Nfa<char> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Fuzz: on random NFA/DFA pairs, the on-the-fly engine (sequential
-    /// and parallel, directly and through `check_inclusion`) is
-    /// equivalent to the reference checker, so the parallel path is
-    /// exercised on adversarial shapes, not just the Table 2 examples.
+    /// Fuzz: on random NFA/DFA pairs, the on-the-fly engine (directly
+    /// and through `check_inclusion`) is equivalent to the reference
+    /// checker, so it is exercised on adversarial shapes, not just the
+    /// Table 2 examples.
     #[test]
     fn otf_equals_compiled_on_random_pairs((left, right) in (arb_nfa(), arb_nfa())) {
         let dfa = Dfa::determinize(&right, NFA_ALPHABET.to_vec());

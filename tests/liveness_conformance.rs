@@ -4,9 +4,8 @@
 //! (`tm_bench::oracle::check_liveness_reference`, cloned filtered
 //! subgraphs) on **every** Table 3 TM × contention-manager × property
 //! combination — verdict, run-level lasso, word-level lasso projection,
-//! and Table 3 cycle notation — and must be identical at every
-//! worker-pool size. The engine's run graph has the reference's state
-//! numbering and edge order, which is what makes the lassos agree.
+//! and Table 3 cycle notation. The engine's run graph has the reference's
+//! state numbering and edge order, which is what makes the lassos agree.
 //!
 //! A seeded random-graph fuzz additionally pins the engine's mask-filtered
 //! Tarjan to the reference cloned-subgraph SCC decomposition on
@@ -21,8 +20,8 @@ use tm_bench::oracle::{
 };
 use tm_modelcheck::algorithms::{MostGeneralRunSource, RunLabel, TwoPhaseTm};
 use tm_modelcheck::automata::{
-    CompiledRunGraph, EdgeFilter, Executor, LabelClass, LiveScratch, LoopQuery, LoopSelection,
-    QueryBudget, RunGraphSource, WorkerPool, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
+    CompiledRunGraph, EdgeFilter, LabelClass, LiveScratch, LoopQuery, LoopSelection, QueryBudget,
+    RunGraphSource, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
 };
 use tm_modelcheck::checker::{LivenessVerdict, Verifier};
 use tm_modelcheck::lang::LivenessProperty;
@@ -55,10 +54,10 @@ fn assert_conforms(engine: &LivenessVerdict, reference: &LivenessVerdict, contex
 }
 
 /// All Table 3 TM × manager × property combinations at (2, 1): the engine
-/// agrees with the seed reference at pool sizes 1 and 4, and every
-/// violation is confirmed by the word-level property oracle.
+/// agrees with the seed reference, and every violation is confirmed by
+/// the word-level property oracle.
 #[test]
-fn table3_engine_matches_reference_at_every_pool_size() {
+fn table3_engine_matches_reference() {
     for case in liveness_roster(2, 1) {
         for property in LivenessProperty::all() {
             let reference = case.check_reference(property);
@@ -70,11 +69,9 @@ fn table3_engine_matches_reference_at_every_pool_size() {
                     case.name
                 );
             }
-            for threads in [1usize, 4] {
-                let engine = case.check(property, threads);
-                let context = format!("{} / {property} (pool {threads})", case.name);
-                assert_conforms(&engine, &reference, &context);
-            }
+            let engine = case.check(property);
+            let context = format!("{} / {property}", case.name);
+            assert_conforms(&engine, &reference, &context);
         }
     }
 }
@@ -82,30 +79,26 @@ fn table3_engine_matches_reference_at_every_pool_size() {
 /// Session reuse: a [`Verifier`] answering all three liveness properties
 /// of a TM from **one** cached run graph must yield verdicts, lassos,
 /// word projections, and Table 3 cycle notations bit-identical to three
-/// queries on fresh sessions — at pool sizes 1 and 4, over the full
-/// (2, 1) TM × manager roster.
+/// queries on fresh sessions, over the full (2, 1) TM × manager roster.
 #[test]
-fn session_reuse_matches_one_shot_at_every_pool_size() {
-    for pool in [1usize, 4] {
-        for case in liveness_roster(2, 1) {
-            let mut verifier = Verifier::new(2, 1).pool_size(pool);
-            for property in LivenessProperty::all() {
-                let session = case
-                    .check_session(&mut verifier, property)
-                    .into_liveness()
-                    .expect("liveness query");
-                let one_shot = case.check(property, pool);
-                let context =
-                    format!("{} / {property} (session, pool {pool})", case.name);
-                assert_conforms(&session, &one_shot, &context);
-            }
-            assert_eq!(
-                verifier.builds(),
-                1,
-                "{}: three properties must share one compiled run graph",
-                case.name
-            );
+fn session_reuse_matches_one_shot() {
+    for case in liveness_roster(2, 1) {
+        let mut verifier = Verifier::new(2, 1);
+        for property in LivenessProperty::all() {
+            let session = case
+                .check_session(&mut verifier, property)
+                .into_liveness()
+                .expect("liveness query");
+            let one_shot = case.check(property);
+            let context = format!("{} / {property} (session)", case.name);
+            assert_conforms(&session, &one_shot, &context);
         }
+        assert_eq!(
+            verifier.builds(),
+            1,
+            "{}: three properties must share one compiled run graph",
+            case.name
+        );
     }
 }
 
@@ -125,7 +118,7 @@ fn run_source_matches_materialized_run_graph() {
     assert_eq!(seed_edges, engine_edges);
 }
 
-/// The (3, 1) instance exercises the 7-subset livelock fan-out and
+/// The (3, 1) instance exercises the 7-subset livelock scan and
 /// 3-thread masks; the reference still copes at this size, so pin the
 /// engine to it here too.
 #[test]
@@ -133,11 +126,9 @@ fn three_thread_instance_matches_reference() {
     for case in liveness_roster(3, 1) {
         for property in LivenessProperty::all() {
             let reference = case.check_reference(property);
-            for threads in [1usize, 4] {
-                let engine = case.check(property, threads);
-                let context = format!("{} (3,1) / {property} (pool {threads})", case.name);
-                assert_conforms(&engine, &reference, &context);
-            }
+            let engine = case.check(property);
+            let context = format!("{} (3,1) / {property}", case.name);
+            assert_conforms(&engine, &reference, &context);
         }
     }
 }
@@ -246,12 +237,12 @@ fn masked_tarjan_matches_cloned_subgraph_reference_on_random_graphs() {
     }
 }
 
-/// The fan-out must pick the same (first-in-order) violation at every
-/// pool size, on random graphs with randomized query lists — beyond the
-/// structured queries `Verifier::check_liveness` generates.
+/// The scan over a query list reports the violation of the smallest
+/// violating index — the one a query-by-query `find_loop` finds first —
+/// on random graphs with randomized query lists, beyond the structured
+/// queries `Verifier::check_liveness` generates.
 #[test]
-fn random_query_fanout_is_pool_size_independent() {
-    let pools = [WorkerPool::new(1), WorkerPool::new(4)];
+fn random_query_scan_returns_the_first_violation() {
     let unlimited = QueryBudget::unlimited();
     for seed in 0..24u64 {
         let mut rng = StdRng::seed_from_u64(0xfa40_0000 + seed);
@@ -275,11 +266,13 @@ fn random_query_fanout_is_pool_size_independent() {
                 }
             })
             .collect();
-        let expected = graph.find_first_loop(&queries, &Executor::Sequential, &unlimited);
-        for pool in &pools {
-            let got = graph.find_first_loop(&queries, &Executor::Pool(pool), &unlimited);
-            assert_eq!(got, expected, "seed {seed}, pool {}", pool.size());
-        }
+        let mut scratch = LiveScratch::default();
+        let expected = queries.iter().enumerate().find_map(|(i, query)| {
+            let found = graph.find_loop(query, &mut scratch, &unlimited).expect("unbudgeted");
+            found.map(|lasso| (i, lasso))
+        });
+        let got = graph.find_first_loop(&queries, &unlimited).expect("unbudgeted");
+        assert_eq!(got, expected, "seed {seed}");
     }
 }
 

@@ -11,11 +11,11 @@ use tm_modelcheck::lang::{
 };
 
 /// A safety query through `verifier`, unwrapped.
-fn safety<A>(verifier: &mut Verifier, tm: &A, property: SafetyProperty) -> SafetyVerdict
-where
-    A: TmAlgorithm + Sync,
-    A::State: Send + Sync,
-{
+fn safety<A: TmAlgorithm>(
+    verifier: &mut Verifier,
+    tm: &A,
+    property: SafetyProperty,
+) -> SafetyVerdict {
     verifier
         .check_safety(tm, property)
         .into_safety()

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use tm_bench::oracle::{check_inclusion_antichain_reference, check_inclusion_reference};
 use tm_modelcheck::automata::{
     check_inclusion, check_inclusion_antichain, check_inclusion_otf, Alphabet as LetterAlphabet,
-    BitSet, Dfa, Executor, LetterId, Nfa, NfaSource, QueryBudget,
+    BitSet, Dfa, LetterId, Nfa, NfaSource, QueryBudget,
 };
 use tm_modelcheck::lang::{
     is_opaque, is_opaque_brute_force, is_strictly_serializable,
@@ -253,7 +253,6 @@ fn table2_inclusion_matches_seed_implementation() {
             let (precompiled, _) = check_inclusion_otf(
                 &NfaSource::new(&imp, &alphabet),
                 &compiled,
-                &Executor::Sequential,
                 &QueryBudget::unlimited(),
             )
             .expect("unlimited query");

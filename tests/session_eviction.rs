@@ -52,35 +52,29 @@ fn assert_liveness_identical(kept: &LivenessVerdict, evicted: &LivenessVerdict, 
 
 #[test]
 fn evicted_run_graphs_requery_bit_identically() {
-    for pool in [1, 4] {
-        let mut kept = Verifier::new(2, 1).pool_size(pool);
-        let mut evicting = Verifier::new(2, 1).pool_size(pool);
-        // Names are the TMs' own `name()`s — the run-graph key names.
-        for name in ["sequential", "2PL", "dstm+aggressive", "TL2+polite"] {
-            for property in LivenessProperty::all() {
-                let (reference, _) = liveness_verdict(&mut kept, name, property);
-                // Evict the graph before *every* query: each one is a
-                // cold rebuild after the first.
-                let had_graph = evicting.evict(&ArtifactKey::run_graph(name, 2, 1));
-                let (requeried, rebuilds) = liveness_verdict(&mut evicting, name, property);
-                assert_liveness_identical(
-                    &reference,
-                    &requeried,
-                    &format!("{name}/{property} pool={pool}"),
-                );
-                assert_eq!(
-                    rebuilds,
-                    usize::from(had_graph),
-                    "{name}/{property}: a build after eviction is a rebuild"
-                );
-            }
+    let mut kept = Verifier::new(2, 1);
+    let mut evicting = Verifier::new(2, 1);
+    // Names are the TMs' own `name()`s — the run-graph key names.
+    for name in ["sequential", "2PL", "dstm+aggressive", "TL2+polite"] {
+        for property in LivenessProperty::all() {
+            let (reference, _) = liveness_verdict(&mut kept, name, property);
+            // Evict the graph before *every* query: each one is a
+            // cold rebuild after the first.
+            let had_graph = evicting.evict(&ArtifactKey::run_graph(name, 2, 1));
+            let (requeried, rebuilds) = liveness_verdict(&mut evicting, name, property);
+            assert_liveness_identical(&reference, &requeried, &format!("{name}/{property}"));
+            assert_eq!(
+                rebuilds,
+                usize::from(had_graph),
+                "{name}/{property}: a build after eviction is a rebuild"
+            );
         }
-        // 4 TMs × 3 properties: one first build plus two rebuilds each.
-        assert_eq!(kept.builds(), 4);
-        assert_eq!(kept.rebuilds(), 0);
-        assert_eq!(evicting.builds(), 12);
-        assert_eq!(evicting.rebuilds(), 8);
     }
+    // 4 TMs × 3 properties: one first build plus two rebuilds each.
+    assert_eq!(kept.builds(), 4);
+    assert_eq!(kept.rebuilds(), 0);
+    assert_eq!(evicting.builds(), 12);
+    assert_eq!(evicting.rebuilds(), 8);
 }
 
 fn safety_verdict(
