@@ -4,9 +4,8 @@
 //!
 //! The `scaling/compiled-vs-seed` group is the A/B evidence for the
 //! interned-alphabet refactor: the seed (label-hashing)
-//! `tm_bench::oracle::check_inclusion_reference` against the index-based
-//! `check_inclusion` and its precompiled-spec variant, on the same
-//! automata.
+//! `tm_bench::oracle::check_inclusion_reference` (`seed`) against the
+//! index-based `check_inclusion` (`compiled`), on the same automata.
 //!
 //! Automaton construction dominates this bench's setup, so each sized
 //! case checks the command-line filter *before* building its automata;
@@ -17,10 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use tm_algorithms::{most_general_nfa, DstmTm, MostGeneralSource, TwoPhaseTm};
-use tm_automata::{
-    check_inclusion, check_inclusion_otf, check_inclusion_otf_cached, Alphabet, CompiledNfa,
-    DtsSpecSource, NfaSource, QueryBudget, SpecCache,
-};
+use tm_automata::{check_inclusion, check_inclusion_otf, Alphabet, QueryBudget, SpecCache};
 use tm_bench::oracle::check_inclusion_reference;
 use tm_lang::SafetyProperty;
 use tm_spec::{spec_alphabet, DetSpec, NondetSpec};
@@ -29,45 +25,33 @@ const MAX: usize = 20_000_000;
 
 const SIZES: [(usize, usize); 5] = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)];
 
-/// Instance sizes of the on-the-fly group. At (3, 3) and (4, 2) only the
-/// fully lazy engine runs — determinizing those specifications up front
-/// does not terminate in reasonable time — so those rows bench
-/// `otf-lazy` alone (the `otf-lazy/3x3` / `otf-lazy/4x2` filters are
-/// what CI's release smoke runs behind a timeout).
+/// Instance sizes of the on-the-fly group. Determinizing the (3, 3) and
+/// (4, 2) specifications up front does not terminate in reasonable time;
+/// the lazy specification reaches them (the `otf-lazy/3x3` /
+/// `otf-lazy/4x2` filters are what CI's release smoke runs behind a
+/// timeout).
 const OTF_SIZES: [(usize, usize); 4] = [(2, 2), (3, 2), (3, 3), (4, 2)];
 
 fn bench_compiled_vs_seed(c: &mut Criterion) {
-    let unlimited = QueryBudget::unlimited();
     let mut group = c.benchmark_group("scaling/compiled-vs-seed");
     group.sample_size(10);
     for (n, k) in [(2, 2), (2, 3)] {
         let tag = format!("{n}x{k}");
-        // Build this size's automata only if at least one of its three
+        // Build this size's automata only if at least one of its two
         // bench ids survives the filter.
-        if !["seed", "compiled", "precompiled"]
+        if !["seed", "compiled"]
             .iter()
             .any(|kind| group.is_selected(&format!("{kind}/{tag}")))
         {
             continue;
         }
         let spec = DetSpec::new(SafetyProperty::Opacity, n, k).to_dfa(MAX).0;
-        let compiled = spec.compile();
         let tm = most_general_nfa(&DstmTm::new(n, k), MAX).nfa;
         group.bench_with_input(BenchmarkId::new("seed", &tag), &tm, |b, tm| {
             b.iter(|| check_inclusion_reference(tm, &spec))
         });
         group.bench_with_input(BenchmarkId::new("compiled", &tag), &tm, |b, tm| {
             b.iter(|| check_inclusion(tm, &spec))
-        });
-        // `check_inclusion` minus the spec compile: the NFA is compiled
-        // over the precompiled spec's alphabet.
-        group.bench_with_input(BenchmarkId::new("precompiled", &tag), &tm, |b, tm| {
-            b.iter(|| {
-                let mut alphabet = compiled.alphabet().clone();
-                let imp = CompiledNfa::compile(tm, &mut alphabet);
-                let source = NfaSource::new(&imp, &alphabet);
-                check_inclusion_otf(&source, &compiled, &unlimited)
-            })
         });
     }
     group.finish();
@@ -127,40 +111,27 @@ fn bench_inclusion_scaling(c: &mut Criterion) {
 }
 
 /// The on-the-fly product engine on the TM steppers themselves: no NFA is
-/// built, the TM is stepped lazily — against the compiled spec
-/// (`otf-compiled`), and with the spec side lazy too (`otf-lazy`, a fresh
-/// spec cache per iteration). This is the group that scales past (3, 2).
+/// built, the TM is stepped lazily against the lazy specification
+/// (`otf-lazy`, a fresh spec cache per iteration). This is the group that
+/// scales past (3, 2).
 fn bench_otf_product(c: &mut Criterion) {
     let unlimited = QueryBudget::unlimited();
     let mut group = c.benchmark_group("scaling/otf-product");
     group.sample_size(10);
     for (n, k) in OTF_SIZES {
         let tag = format!("{n}x{k}");
-        let lazy_selected = group.is_selected(&format!("otf-lazy/{tag}"));
-        let compiled_feasible = matches!((n, k), (2, 2) | (3, 2));
-        let compiled_selected =
-            compiled_feasible && group.is_selected(&format!("otf-compiled/{tag}"));
-        if !lazy_selected && !compiled_selected {
+        if !group.is_selected(&format!("otf-lazy/{tag}")) {
             continue;
         }
         let det = DetSpec::new(SafetyProperty::StrictSerializability, n, k);
         let letters = spec_alphabet(n, k);
         let tm = TwoPhaseTm::new(n, k);
         let source = MostGeneralSource::new(&tm, Alphabet::from_letters(&letters));
-        if lazy_selected {
-            let spec = DtsSpecSource::new(&det, letters.clone());
-            group.bench_with_input(BenchmarkId::new("otf-lazy", &tag), &(n, k), |b, _| {
-                b.iter(|| {
-                    check_inclusion_otf_cached(&source, &mut SpecCache::new(&spec), &unlimited)
-                })
-            });
-        }
-        if compiled_selected {
-            let spec = det.to_dfa(MAX).0.compile();
-            group.bench_with_input(BenchmarkId::new("otf-compiled", &tag), &(n, k), |b, _| {
-                b.iter(|| check_inclusion_otf(&source, &spec, &unlimited))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("otf-lazy", &tag), &(n, k), |b, _| {
+            b.iter(|| {
+                check_inclusion_otf(&source, &mut SpecCache::new(&det, letters.clone()), &unlimited)
+            })
+        });
     }
     group.finish();
 }

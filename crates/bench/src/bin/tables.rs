@@ -40,9 +40,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use tm_algorithms::{MostGeneralSource, TmAlgorithm, TwoPhaseTm};
 use tm_automata::{
-    check_equivalence_antichain, check_inclusion, check_inclusion_otf, check_inclusion_otf_cached,
-    CompiledDfa, CompiledNfa, Dfa, DtsSpecSource, InclusionResult, Nfa, NfaSource, QueryBudget,
-    SpecCache,
+    check_equivalence_antichain, check_inclusion, check_inclusion_otf, Dfa, QueryBudget, SpecCache,
 };
 use tm_bench::oracle::check_inclusion_reference;
 use tm_bench::{
@@ -379,20 +377,17 @@ fn bench_inclusion_baseline() -> (Vec<Json>, Duration) {
     let mut compiled_total = Duration::ZERO;
     let mut table = Table::new(
         "Inclusion A/B — seed (label-hashing) vs compiled (letter ids), best of 3",
-        ["TM", "property", "seed", "compiled", "precompiled", "speedup"],
+        ["TM", "property", "seed", "compiled", "speedup"],
     );
     // The roster depends only on the instance size, not the property.
     let roster = table2_roster();
     for property in SafetyProperty::all() {
         let (spec, _) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
-        let compiled = spec.compile();
         for (name, nfa, _) in &roster {
-            // One untimed run (the cheap precompiled path) to record the
-            // explored product size; the timed runs recompute it anyway.
-            let product_states = check_precompiled(nfa, &compiled).product_states();
+            // One untimed run to record the explored product size.
+            let product_states = check_inclusion(nfa, &spec).product_states();
             let seed = best_of(3, || check_inclusion_reference(nfa, &spec));
             let fast = best_of(3, || check_inclusion(nfa, &spec));
-            let precompiled = best_of(3, || check_precompiled(nfa, &compiled));
             compiled_total += fast;
             let speedup = seed.as_secs_f64() / fast.as_secs_f64();
             table.push_row([
@@ -400,7 +395,6 @@ fn bench_inclusion_baseline() -> (Vec<Json>, Duration) {
                 property.short_name().to_owned(),
                 format!("{seed:.2?}"),
                 format!("{fast:.2?}"),
-                format!("{precompiled:.2?}"),
                 format!("{speedup:.2}x"),
             ]);
             cases.push(obj([
@@ -411,29 +405,12 @@ fn bench_inclusion_baseline() -> (Vec<Json>, Duration) {
                 ("product_states", int(product_states)),
                 ("seed_ns", ns(seed)),
                 ("compiled_ns", ns(fast)),
-                ("precompiled_ns", ns(precompiled)),
                 ("speedup", ratio(speedup, 3)),
             ]));
         }
     }
     println!("{table}");
     (cases, compiled_total)
-}
-
-/// Inclusion of `nfa` in an already compiled specification: the NFA is
-/// compiled over the spec's alphabet and checked by the product engine
-/// — [`check_inclusion`] minus the specification compile.
-fn check_precompiled(
-    nfa: &Nfa<Statement>,
-    spec: &CompiledDfa<Statement>,
-) -> InclusionResult<Statement> {
-    let mut alphabet = spec.alphabet().clone();
-    let imp = CompiledNfa::compile(nfa, &mut alphabet);
-    let source = NfaSource::new(&imp, &alphabet);
-    let unlimited = QueryBudget::unlimited();
-    check_inclusion_otf(&source, spec, &unlimited)
-        .expect("unlimited query")
-        .0
 }
 
 /// Scaling rows for the on-the-fly product engine: 2PL (and DSTM where
@@ -461,8 +438,7 @@ fn bench_otf_scaling() -> (Vec<Json>, Duration) {
         let runs = if heavy { 1 } else { 3 };
 
         let mut measure = |tm: &dyn ErasedTm, name: &str| {
-            let lazy_spec = DtsSpecSource::new(&det, letters.clone());
-            let (lazy, product, impl_states) = tm.time_lazy(&alphabet, &lazy_spec, runs);
+            let (lazy, product, impl_states) = tm.time_lazy(&alphabet, &det, &letters, runs);
             lazy_total += lazy;
             table.push_row([
                 name.to_owned(),
@@ -497,8 +473,9 @@ trait ErasedTm {
     /// run) check; returns the wall time plus product/impl state counts.
     fn time_lazy(
         &self,
-        alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
-        spec: &DtsSpecSource<&DetSpec>,
+        alphabet: &tm_automata::Alphabet<Statement>,
+        spec: &DetSpec,
+        letters: &[Statement],
         runs: usize,
     ) -> (Duration, usize, usize);
 }
@@ -506,16 +483,17 @@ trait ErasedTm {
 impl<A: TmAlgorithm> ErasedTm for A {
     fn time_lazy(
         &self,
-        alphabet: &tm_automata::Alphabet<tm_lang::Statement>,
-        spec: &DtsSpecSource<&DetSpec>,
+        alphabet: &tm_automata::Alphabet<Statement>,
+        spec: &DetSpec,
+        letters: &[Statement],
         runs: usize,
     ) -> (Duration, usize, usize) {
         let source = MostGeneralSource::new(self, alphabet.clone());
         let mut counts = (0, 0);
         let best = best_of(runs.max(1), || {
-            let mut cache = SpecCache::new(spec);
+            let mut cache = SpecCache::new(spec, letters.to_vec());
             let (result, stats) =
-                check_inclusion_otf_cached(&source, &mut cache, &QueryBudget::unlimited())
+                check_inclusion_otf(&source, &mut cache, &QueryBudget::unlimited())
                     .expect("bench query within bounds");
             counts = (result.product_states(), stats.impl_states);
         });

@@ -9,10 +9,11 @@
 //!
 //! The inclusion itself runs through [`crate::Verifier::check_safety`]
 //! on the **on-the-fly product engine**
-//! ([`tm_automata::check_inclusion_otf_cached`] /
-//! [`tm_automata::check_inclusion_otf`]): the TM transition system is
+//! ([`tm_automata::check_inclusion_otf`]): the TM transition system is
 //! never materialized into an NFA — its states are stepped lazily as the
-//! product BFS reaches them. This module holds the verdict types.
+//! product BFS reaches them, against the session's lazily interned
+//! specification ([`tm_automata::SpecCache`] over
+//! [`tm_spec::DetSpec`]). This module holds the verdict types.
 
 use std::time::Duration;
 

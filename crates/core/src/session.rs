@@ -7,9 +7,11 @@
 //! shaped around that: a [`Verifier`] is created once per instance size
 //! `(n, k)` and amortizes across all subsequent queries
 //!
-//! * the **specification artifact** of each property (the lazily
-//!   interned [`tm_automata::SpecCache`] rows), shared by every TM checked
-//!   against the same property;
+//! * the **specification artifact** of each property (a
+//!   [`tm_automata::SpecCache`] over the property's [`tm_spec::DetSpec`]
+//!   rules, its rows interned lazily), shared by every TM checked against
+//!   the same property and searched by the one product engine,
+//!   [`tm_automata::check_inclusion_otf`];
 //! * the **compiled run graph** ([`tm_automata::CompiledRunGraph`]) of
 //!   each TM, built on the first liveness query and answering all three
 //!   properties (the `tables` bin used to build it three times per TM).
@@ -43,8 +45,8 @@ use std::time::{Duration, Instant};
 
 use tm_algorithms::{MostGeneralRunSource, MostGeneralSource, RunLabel, TmAlgorithm};
 use tm_automata::{
-    check_inclusion_otf_cached, Alphabet, CancelToken, CompiledRunGraph, DtsSpecSource,
-    EngineError, FxHashMap, InclusionResult, QueryBudget, SpecCache, SpecRows,
+    check_inclusion_otf, Alphabet, CancelToken, CompiledRunGraph, EngineError, FxHashMap,
+    InclusionResult, QueryBudget, SpecCache, SpecRows,
 };
 use tm_lang::{LivenessProperty, SafetyProperty, Statement, Word};
 use tm_spec::{spec_alphabet, DetSpec, DetState};
@@ -129,8 +131,8 @@ pub enum Artifact {
     /// dominate every check. Shared by every TM checked against the
     /// property.
     Spec {
-        /// The interned rows over the specification source.
-        cache: SpecCache<DtsSpecSource<DetSpec>>,
+        /// The interned rows over the specification rules.
+        cache: SpecCache<DetSpec>,
         /// Wall time of the original build.
         build_time: Duration,
     },
@@ -139,8 +141,8 @@ pub enum Artifact {
 impl Artifact {
     /// Reassembles the specification artifact of `(property, threads,
     /// vars)` from stored interned rows, validated by
-    /// [`SpecCache::from_parts`] against a freshly built specification
-    /// source (initial state, row widths, id ranges). The rows are a pure
+    /// [`SpecCache::from_parts`] against freshly built specification
+    /// rules (initial state, row widths, id ranges). The rows are a pure
     /// memo of the deterministic specification, so an artifact that
     /// passes can change timing, never verdicts.
     ///
@@ -160,7 +162,8 @@ impl Artifact {
         if !(1..=tm_spec::MAX_THREADS).contains(&threads) || !(1..=16).contains(&vars) {
             return Err("specification instance size out of range");
         }
-        let cache = SpecCache::from_parts(spec_source(property, threads, vars), states, rows)?;
+        let spec = DetSpec::new(property, threads, vars);
+        let cache = SpecCache::from_parts(spec, spec_alphabet(threads, vars), states, rows)?;
         Ok(Artifact::Spec { cache, build_time })
     }
 
@@ -194,11 +197,6 @@ impl fmt::Debug for Artifact {
             .field("build_time", &self.build_time())
             .finish()
     }
-}
-
-/// The lazily stepped specification source of `(property, n, k)`.
-fn spec_source(property: SafetyProperty, n: usize, k: usize) -> DtsSpecSource<DetSpec> {
-    DtsSpecSource::new(DetSpec::new(property, n, k), spec_alphabet(n, k))
 }
 
 /// A verification session for one instance size `(n, k)`: the single
@@ -418,7 +416,8 @@ impl Verifier {
         let mut rebuilds = 0;
         if !cached {
             let build = Instant::now();
-            let cache = SpecCache::new(spec_source(property, key.threads, key.vars));
+            let (n, k) = (key.threads, key.vars);
+            let cache = SpecCache::new(DetSpec::new(property, n, k), spec_alphabet(n, k));
             let build_time = build.elapsed();
             rebuilds = self.record_build(key.clone(), Artifact::Spec { cache, build_time });
         }
@@ -426,7 +425,7 @@ impl Verifier {
             unreachable!("a spec key holds a spec artifact");
         };
         let build_time = if cached { Duration::ZERO } else { *build_time };
-        let source = MostGeneralSource::new(tm, Alphabet::from_letters(cache.source().letters()));
+        let source = MostGeneralSource::new(tm, Alphabet::from_letters(cache.letters()));
         let search = Instant::now();
         let stats = |states_explored, search_time| QueryStats {
             states_explored,
@@ -436,7 +435,7 @@ impl Verifier {
             rebuilds,
             ..QueryStats::default()
         };
-        let checked = check_inclusion_otf_cached(&source, cache, &budget);
+        let checked = check_inclusion_otf(&source, cache, &budget);
         let (result, otf) = match checked {
             Ok(pair) => pair,
             Err(error) => return abort_verdict(error, stats(0, search.elapsed())),

@@ -10,7 +10,10 @@
 //!
 //! * no plotting, no statistics beyond median/min/max, no saved baselines;
 //! * positional command-line arguments are substring filters on the full
-//!   `group/bench` id (same spirit as criterion's filter argument);
+//!   `group/bench` id (same spirit as criterion's filter argument), and
+//!   a filter that selected no benchmark that ran fails the run
+//!   (`criterion_main!` exits non-zero naming it), so a filter naming a
+//!   renamed or deleted bench id cannot pass by measuring nothing;
 //! * the environment variable `TM_BENCH_QUICK=1` caps every bench at one
 //!   warm-up iteration and three samples, so CI can smoke-run benches in
 //!   seconds.
@@ -79,6 +82,8 @@ impl Bencher {
 /// Top-level benchmark driver.
 pub struct Criterion {
     filters: Vec<String>,
+    /// Per filter: whether it selected a benchmark that ran.
+    matched: Vec<bool>,
     quick: bool,
 }
 
@@ -90,14 +95,22 @@ impl Default for Criterion {
             .skip(1)
             .filter(|a| !a.starts_with('-'))
             .collect();
-        Criterion {
+        Criterion::new(
             filters,
-            quick: std::env::var_os("TM_BENCH_QUICK").is_some_and(|v| v == "1"),
-        }
+            std::env::var_os("TM_BENCH_QUICK").is_some_and(|v| v == "1"),
+        )
     }
 }
 
 impl Criterion {
+    fn new(filters: Vec<String>, quick: bool) -> Self {
+        Criterion {
+            matched: vec![false; filters.len()],
+            filters,
+            quick,
+        }
+    }
+
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group<N: Into<String>>(&mut self, name: N) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -121,6 +134,35 @@ impl Criterion {
 
     fn matches(&self, full_id: &str) -> bool {
         self.filters.is_empty() || self.filters.iter().any(|f| full_id.contains(f.as_str()))
+    }
+
+    /// Records that the benchmark `full_id` ran, crediting every filter
+    /// that selected it.
+    fn ran(&mut self, full_id: &str) {
+        for (filter, matched) in self.filters.iter().zip(&mut self.matched) {
+            *matched |= full_id.contains(filter.as_str());
+        }
+    }
+
+    /// The command-line filters that selected no benchmark that ran.
+    fn unmatched_filters(&self) -> Vec<&str> {
+        self.filters
+            .iter()
+            .zip(&self.matched)
+            .filter(|(_, &matched)| !matched)
+            .map(|(filter, _)| filter.as_str())
+            .collect()
+    }
+
+    /// Ends the run (called by `criterion_main!`): exits with status 1,
+    /// naming them, if some command-line filters selected no benchmark
+    /// that ran.
+    pub fn final_summary(&self) {
+        let unmatched = self.unmatched_filters();
+        if !unmatched.is_empty() {
+            eprintln!("error: no benchmark matched the filter(s) {unmatched:?}");
+            std::process::exit(1);
+        }
     }
 }
 
@@ -182,6 +224,7 @@ impl BenchmarkGroup<'_> {
         if !self.criterion.matches(&full_id) {
             return;
         }
+        self.criterion.ran(&full_id);
         let samples = if self.criterion.quick {
             3
         } else {
@@ -221,23 +264,27 @@ fn report(id: &str, samples: &mut [Duration]) {
     );
 }
 
-/// Declares a function that runs a list of bench functions.
+/// Declares a function that runs a list of bench functions on a shared
+/// driver.
 #[macro_export]
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut criterion = $crate::Criterion::default();
-            $( $target(&mut criterion); )+
+        pub fn $name(criterion: &mut $crate::Criterion) {
+            $( $target(criterion); )+
         }
     };
 }
 
-/// Declares `main` running the given groups.
+/// Declares `main` running the given groups on one driver, then failing
+/// the run if a command-line filter selected nothing
+/// ([`Criterion::final_summary`]).
 #[macro_export]
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            $( $group(); )+
+            let mut criterion = $crate::Criterion::default();
+            $( $group(&mut criterion); )+
+            criterion.final_summary();
         }
     };
 }
@@ -248,10 +295,7 @@ mod tests {
 
     #[test]
     fn bencher_records_samples() {
-        let mut c = Criterion {
-            filters: Vec::new(),
-            quick: true,
-        };
+        let mut c = Criterion::new(Vec::new(), true);
         let mut group = c.benchmark_group("shim");
         group.sample_size(5);
         let mut calls = 0u32;
@@ -262,10 +306,7 @@ mod tests {
 
     #[test]
     fn filters_skip_nonmatching() {
-        let mut c = Criterion {
-            filters: vec!["other".to_owned()],
-            quick: true,
-        };
+        let mut c = Criterion::new(vec!["other".to_owned()], true);
         let mut ran = false;
         let mut group = c.benchmark_group("shim");
         group.bench_function("skipped", |b| b.iter(|| ran = true));
@@ -275,19 +316,29 @@ mod tests {
 
     #[test]
     fn is_selected_matches_run_semantics() {
-        let mut c = Criterion {
-            filters: vec!["group/yes".to_owned()],
-            quick: true,
-        };
+        let mut c = Criterion::new(vec!["group/yes".to_owned()], true);
         let group = c.benchmark_group("group");
         assert!(group.is_selected("yes/2x2"));
         assert!(!group.is_selected("no/2x2"));
         group.finish();
-        let mut unfiltered = Criterion {
-            filters: Vec::new(),
-            quick: true,
-        };
+        let mut unfiltered = Criterion::new(Vec::new(), true);
         assert!(unfiltered.benchmark_group("g").is_selected("anything"));
+    }
+
+    #[test]
+    fn filters_that_ran_nothing_are_reported() {
+        let filters = ["shim/ran", "shim/gone", "other/skipped"].map(str::to_owned);
+        let mut c = Criterion::new(filters.to_vec(), true);
+        let mut group = c.benchmark_group("shim");
+        group.bench_function("ran/2x2", |b| b.iter(|| ()));
+        // Asked about but never run: selects nothing.
+        assert!(group.is_selected("gone/2x2"));
+        group.finish();
+        let mut other = c.benchmark_group("other");
+        other.bench_function("kept", |b| b.iter(|| ()));
+        other.finish();
+        assert_eq!(c.unmatched_filters(), vec!["shim/gone", "other/skipped"]);
+        assert!(Criterion::new(Vec::new(), true).unmatched_filters().is_empty());
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub fn most_general_nfa<A: TmAlgorithm>(
 ///
 /// ```
 /// use tm_algorithms::{MostGeneralSource, SequentialTm};
-/// use tm_automata::{check_inclusion_otf, Dfa, QueryBudget};
+/// use tm_automata::{check_inclusion_otf, Alphabet, Dfa, QueryBudget, SpecCache};
 ///
 /// // A toy specification over commits only, accepting any sequence of
 /// // them: every read/write completion is then a violation.
@@ -114,11 +114,11 @@ pub fn most_general_nfa<A: TmAlgorithm>(
 /// for c in &commits {
 ///     spec.set_transition(q, c, q);
 /// }
-/// let spec = spec.compile();
 /// let tm = SequentialTm::new(2, 2);
-/// let source = MostGeneralSource::new(&tm, spec.alphabet().clone());
+/// let source = MostGeneralSource::new(&tm, Alphabet::from_letters(&commits));
 /// assert_eq!(source.alphabet().len(), 12); // extended to all of Ŝ
-/// let (result, _) = check_inclusion_otf(&source, &spec, &QueryBudget::unlimited()).unwrap();
+/// let mut cache = SpecCache::new(&spec, spec.letter_ids());
+/// let (result, _) = check_inclusion_otf(&source, &mut cache, &QueryBudget::unlimited()).unwrap();
 /// assert_eq!(result.counterexample().map(<[_]>::len), Some(1));
 /// ```
 pub struct MostGeneralSource<'a, A> {

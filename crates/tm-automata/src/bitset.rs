@@ -104,14 +104,6 @@ impl BitSet {
             .all(|(&a, &b)| a & !b == 0)
     }
 
-    /// In-place union.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// The backing words, least-significant index first — the fast path
     /// for bulk bitwise work such as antichain subsumption, where subset
     /// tests run directly on `u64`s without the per-call capacity
@@ -216,12 +208,10 @@ mod tests {
     }
 
     #[test]
-    fn union_and_iter_order() {
+    fn iter_order_is_ascending() {
         let mut a = BitSet::new(70);
         a.insert(65);
-        let mut b = BitSet::new(70);
-        b.insert(2);
-        a.union_with(&b);
+        a.insert(2);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![2, 65]);
     }
 

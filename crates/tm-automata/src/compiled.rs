@@ -1,24 +1,20 @@
-//! Compiled automata over an interned alphabet: the hot-loop
-//! representation behind the inclusion checkers.
+//! The compiled implementation automaton: an NFA over an interned
+//! alphabet, the hot-loop representation behind the inclusion checkers.
 //!
-//! [`crate::Nfa`] and [`crate::Dfa`] are convenient to *build* — labels
-//! are arbitrary `L`, transitions are pushed freely — but poor to *run*:
-//! `Nfa::post` re-scans every outgoing edge of every frontier state per
-//! letter, and every `Dfa::step` hashes a label. The compiled forms fix
-//! the representation instead of the algorithms:
+//! [`crate::Nfa`] is convenient to *build* — labels are arbitrary `L`,
+//! transitions are pushed freely — but poor to *run*: `Nfa::post`
+//! re-scans every outgoing edge of every frontier state per letter.
+//! [`CompiledNfa`] fixes the representation instead of the algorithms:
+//! it stores transitions in CSR (compressed sparse row) form **grouped
+//! by `(state, letter id)`**, with ε-edges segregated into their own
+//! arrays, so `post` walks exactly the per-letter target slices of the
+//! frontier; it also keeps the original insertion-order edge list per
+//! state, which the inclusion BFS walks so that counterexamples come out
+//! identical to the uncompiled checker's.
 //!
-//! * [`CompiledNfa`] stores transitions in CSR (compressed sparse row)
-//!   form **grouped by `(state, letter id)`**, with ε-edges segregated
-//!   into their own arrays, so `post` walks exactly the per-letter target
-//!   slices of the frontier; it also keeps the original insertion-order
-//!   edge list per state, which the inclusion BFS walks so that
-//!   counterexamples come out identical to the uncompiled checker's.
-//! * [`CompiledDfa`] flattens the transition function into one dense
-//!   `u32` table indexed by `state * num_letters + letter`.
-//!
-//! Both are label-free once built: all labels live in the
-//! [`Alphabet`] used at compile time, and are only materialized again
-//! when a counterexample word is reconstructed.
+//! It is label-free once built: all labels live in the [`Alphabet`] used
+//! at compile time, and are only materialized again when a
+//! counterexample word is reconstructed.
 
 use std::hash::Hash;
 
@@ -28,9 +24,6 @@ use crate::nfa::Nfa;
 
 /// Sentinel letter id marking an ε-edge in [`CompiledNfa`] edge lists.
 pub const EPSILON: LetterId = u32::MAX;
-
-/// Sentinel state id marking a missing transition in [`CompiledDfa`].
-pub const NO_STATE: u32 = u32::MAX;
 
 /// An NFA compiled to dense letter ids and CSR transition arrays.
 ///
@@ -266,99 +259,9 @@ impl CompiledNfa {
     }
 }
 
-/// A DFA compiled to a dense `u32` transition table over its interned
-/// alphabet. Letter ids coincide with the source [`crate::Dfa`]'s letter
-/// indices.
-///
-/// # Examples
-///
-/// ```
-/// use tm_automata::Dfa;
-/// let mut dfa = Dfa::new(vec!['a', 'b']);
-/// let q0 = dfa.add_state();
-/// let q1 = dfa.add_state();
-/// dfa.set_initial(q0);
-/// dfa.set_transition(q0, &'a', q1);
-/// let compiled = dfa.compile();
-/// let a = compiled.alphabet().get(&'a').unwrap();
-/// assert_eq!(compiled.step(q0 as u32, a), Some(q1 as u32));
-/// assert_eq!(compiled.step(q1 as u32, a), None);
-/// ```
-#[derive(Clone, Debug)]
-pub struct CompiledDfa<L> {
-    alphabet: Alphabet<L>,
-    num_states: u32,
-    initial: u32,
-    /// `next[state * num_letters + letter]`, [`NO_STATE`] when undefined.
-    next: Vec<u32>,
-}
-
-impl<L: Clone + Eq + Hash> CompiledDfa<L> {
-    pub(crate) fn new(alphabet: Alphabet<L>, num_states: u32, initial: u32, next: Vec<u32>) -> Self {
-        debug_assert_eq!(next.len(), num_states as usize * alphabet.len());
-        CompiledDfa {
-            alphabet,
-            num_states,
-            initial,
-            next,
-        }
-    }
-}
-
-impl<L> CompiledDfa<L> {
-    /// The interned alphabet (ids are the source DFA's letter indices).
-    pub fn alphabet(&self) -> &Alphabet<L> {
-        &self.alphabet
-    }
-
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.num_states as usize
-    }
-
-    /// The initial state.
-    pub fn initial_state(&self) -> u32 {
-        self.initial
-    }
-
-    /// Raw successor lookup: [`NO_STATE`] when the transition is missing.
-    ///
-    /// The inclusion inner loop uses this directly — one multiply, one
-    /// add, one load; no hashing, no `Option` branching.
-    #[inline]
-    pub fn step_raw(&self, state: u32, letter: LetterId) -> u32 {
-        self.next[state as usize * self.alphabet.len() + letter as usize]
-    }
-
-    /// Successor of `state` under `letter`, or `None` (reject).
-    #[inline]
-    pub fn step(&self, state: u32, letter: LetterId) -> Option<u32> {
-        if (letter as usize) >= self.alphabet.len() {
-            return None;
-        }
-        match self.step_raw(state, letter) {
-            NO_STATE => None,
-            next => Some(next),
-        }
-    }
-
-    /// Whether the automaton accepts a word of letter ids.
-    pub fn accepts(&self, word: &[LetterId]) -> bool {
-        let mut q = self.initial;
-        for &letter in word {
-            match self.step(q, letter) {
-                Some(next) => q = next,
-                None => return false,
-            }
-        }
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dfa::Dfa;
 
     /// a*b automaton with an ε-shortcut (same shape as nfa.rs tests).
     fn sample() -> Nfa<char> {
@@ -448,26 +351,5 @@ mod tests {
         let edges = nfa.num_transitions();
         let floor = (4 * edges + 2 * (nfa.num_states() + 1)) * std::mem::size_of::<u32>();
         assert!(compiled.heap_bytes() >= floor, "{}", compiled.heap_bytes());
-    }
-
-    #[test]
-    fn compiled_dfa_agrees_with_dfa() {
-        let mut dfa = Dfa::new(vec!['a', 'b']);
-        let q0 = dfa.add_state();
-        let q1 = dfa.add_state();
-        dfa.set_initial(q0);
-        dfa.set_transition(q0, &'a', q0);
-        dfa.set_transition(q0, &'b', q1);
-        let compiled = dfa.compile();
-        assert_eq!(compiled.num_states(), 2);
-        assert_eq!(compiled.initial_state(), q0 as u32);
-        // Letter ids coincide with DFA letter indices.
-        assert_eq!(compiled.alphabet().get(&'a'), Some(0));
-        assert_eq!(compiled.alphabet().get(&'b'), Some(1));
-        assert!(compiled.accepts(&[0, 0, 1]));
-        assert!(!compiled.accepts(&[1, 0]));
-        assert_eq!(compiled.step(q1 as u32, 0), None);
-        assert_eq!(compiled.step(q0 as u32, 9), None);
-        assert_eq!(compiled.step_raw(q1 as u32, 0), NO_STATE);
     }
 }

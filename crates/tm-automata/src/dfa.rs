@@ -7,14 +7,20 @@
 
 use std::hash::Hash;
 
-use crate::alphabet::Alphabet;
+use crate::alphabet::{Alphabet, LetterId};
 use crate::bitset::BitSet;
-use crate::compiled::{CompiledDfa, CompiledNfa, NO_STATE};
+use crate::compiled::CompiledNfa;
+use crate::explore::DeterministicTransitionSystem;
 use crate::fxhash::FxHashMap;
 use crate::nfa::{Nfa, StateId};
 
 /// A deterministic automaton with all states accepting and a (possibly
 /// partial) dense transition table.
+///
+/// It is also a [`DeterministicTransitionSystem`] over its letter ids
+/// (the indices of [`Dfa::alphabet`], listed by [`Dfa::letter_ids`]), so
+/// the product engine runs it as a [`crate::SpecCache`] like any other
+/// specification, without hashing a label per step.
 ///
 /// # Examples
 ///
@@ -31,8 +37,8 @@ use crate::nfa::{Nfa, StateId};
 #[derive(Clone, Debug)]
 pub struct Dfa<L> {
     /// The interned alphabet, built once at construction: letter ids are
-    /// the letter indices, and [`Dfa::compile`] clones this one instead of
-    /// re-interning every letter.
+    /// the letter indices, and [`crate::check_inclusion`] clones this one
+    /// instead of re-interning every letter.
     alphabet: Alphabet<L>,
     initial: StateId,
     /// `next[state][letter] = Some(target)`.
@@ -62,6 +68,17 @@ impl<L: Clone + Eq + Hash> Dfa<L> {
     /// The alphabet.
     pub fn alphabet(&self) -> &[L] {
         self.alphabet.letters()
+    }
+
+    /// The interned alphabet (ids are the letter indices).
+    pub(crate) fn interned(&self) -> &Alphabet<L> {
+        &self.alphabet
+    }
+
+    /// The letter ids `0..alphabet().len()`, in order: the letter list
+    /// of a [`crate::SpecCache`] over this automaton.
+    pub fn letter_ids(&self) -> Vec<LetterId> {
+        (0..self.alphabet.len() as LetterId).collect()
     }
 
     /// Adds a fresh state with no outgoing transitions.
@@ -119,27 +136,6 @@ impl<L: Clone + Eq + Hash> Dfa<L> {
     pub fn set_transition_by_index(&mut self, from: StateId, letter_index: usize, to: StateId) {
         assert!(letter_index < self.alphabet.len(), "letter index out of range");
         self.next[from][letter_index] = Some(to);
-    }
-
-    /// Compiles to the dense-table form used by the inclusion inner
-    /// loops; letter ids equal this automaton's letter indices. The
-    /// interned alphabet is cloned from the prebuilt one, not re-interned
-    /// letter by letter.
-    pub fn compile(&self) -> CompiledDfa<L> {
-        let alphabet = self.alphabet.clone();
-        let mut next = Vec::with_capacity(self.num_states() * self.alphabet.len());
-        for row in &self.next {
-            next.extend(
-                row.iter()
-                    .map(|t| t.map_or(NO_STATE, |s| s as u32)),
-            );
-        }
-        CompiledDfa::new(
-            alphabet,
-            u32::try_from(self.num_states()).expect("more than u32::MAX states"),
-            self.initial as u32,
-            next,
-        )
     }
 
     /// Whether the automaton accepts `word`.
@@ -303,6 +299,19 @@ impl<L: Clone + Eq + Hash> Dfa<L> {
             }
         }
         seen
+    }
+}
+
+impl<L> DeterministicTransitionSystem for Dfa<L> {
+    type State = StateId;
+    type Label = LetterId;
+
+    fn initial(&self) -> StateId {
+        self.initial
+    }
+
+    fn step(&self, state: &StateId, letter: &LetterId) -> Option<StateId> {
+        self.next[*state][*letter as usize]
     }
 }
 

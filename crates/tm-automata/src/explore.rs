@@ -129,7 +129,7 @@ pub trait DeterministicTransitionSystem {
 }
 
 /// Blanket reference implementation, so adapters that own their system
-/// (such as [`crate::DtsSpecSource`]) can be built over a borrowed one.
+/// (such as [`crate::SpecCache`]) can be built over a borrowed one.
 impl<T: DeterministicTransitionSystem + ?Sized> DeterministicTransitionSystem for &T {
     type State = T::State;
     type Label = T::Label;

@@ -3,14 +3,13 @@
 //! check (§5.4): "Since the TM specification is deterministic, language
 //! inclusion can be checked in time linear in the size of the systems."
 //!
-//! There is one product BFS: the sequential engine behind
-//! [`crate::check_inclusion_otf`] (`product.rs`). [`check_inclusion`] is
-//! its wrapper for already-materialized automata; callers checking one
-//! specification against many implementations compile the specification
-//! once and call [`crate::check_inclusion_otf`] over [`crate::NfaSource`]
-//! themselves. The pre-compilation original is the test oracle of the
-//! differential suites, in the dev-only `tm-bench` crate
-//! (`tm_bench::oracle`).
+//! There is one product BFS: [`crate::check_inclusion_otf`]
+//! (`product.rs`), over one specification artifact, the
+//! [`crate::SpecCache`]. [`check_inclusion`] is its wrapper for
+//! already-materialized automata: the [`Dfa`] runs as the cache's
+//! deterministic transition system. The pre-compilation original is the
+//! test oracle of the differential suites, in the dev-only `tm-bench`
+//! crate (`tm_bench::oracle`).
 
 use std::hash::Hash;
 
@@ -18,7 +17,7 @@ use crate::budget::QueryBudget;
 use crate::compiled::CompiledNfa;
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
-use crate::product::{check_inclusion_otf, NfaSource};
+use crate::product::{check_inclusion_otf, NfaSource, SpecCache};
 
 /// Outcome of an inclusion check.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,12 +67,12 @@ impl<L> InclusionResult<L> {
 /// specification; BFS order makes the returned counterexample shortest
 /// (and identical to the seed checker's in `tm_bench::oracle`).
 ///
-/// Compiles the specification ([`Dfa::compile`], which clones the
-/// prebuilt interned alphabet) and the implementation over it, then runs
-/// the sequential engine of [`crate::check_inclusion_otf`] without a
-/// budget. To check one specification against several implementations,
-/// compile it once and call [`crate::check_inclusion_otf`] over
-/// [`crate::NfaSource`] directly.
+/// Compiles the implementation over a clone of the specification's
+/// interned alphabet and runs [`crate::check_inclusion_otf`] against a
+/// fresh [`SpecCache`] over `dfa`, without a budget. To check one
+/// specification against several implementations, keep one cache and
+/// call [`crate::check_inclusion_otf`] over [`crate::NfaSource`]
+/// directly.
 ///
 /// # Examples
 ///
@@ -92,15 +91,14 @@ impl<L> InclusionResult<L> {
 /// assert_eq!(result.counterexample(), Some(&['b'][..]));
 /// ```
 pub fn check_inclusion<L: Clone + Eq + Hash>(nfa: &Nfa<L>, dfa: &Dfa<L>) -> InclusionResult<L> {
-    let spec = dfa.compile();
     // Implementation labels are interned on top of the specification
     // alphabet: ids at or above its length are implementation-only
     // letters, immediate violations when reached.
-    let mut alphabet = spec.alphabet().clone();
+    let mut alphabet = dfa.interned().clone();
     let imp = CompiledNfa::compile(nfa, &mut alphabet);
     let source = NfaSource::new(&imp, &alphabet);
-    let unlimited = QueryBudget::unlimited();
-    check_inclusion_otf(&source, &spec, &unlimited)
+    let mut spec = SpecCache::new(dfa, dfa.letter_ids());
+    check_inclusion_otf(&source, &mut spec, &QueryBudget::unlimited())
         .expect("an unlimited check cannot abort")
         .0
 }

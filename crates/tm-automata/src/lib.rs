@@ -11,23 +11,23 @@
 //! * [`Nfa`] with ε-moves and [`Dfa`] with subset-construction
 //!   [`Dfa::determinize`] and Moore [`Dfa::minimize`];
 //! * an interned-alphabet compiled core: [`Alphabet`] maps labels to
-//!   dense `u32` [`LetterId`]s, [`CompiledNfa`] stores transitions in
-//!   CSR form grouped by letter (ε segregated), [`CompiledDfa`] is one
-//!   dense `u32` table — see `README.md` for when to use which;
+//!   dense `u32` [`LetterId`]s and [`CompiledNfa`] stores transitions in
+//!   CSR form grouped by letter (ε segregated) — see `README.md`;
 //! * on-the-fly state-space exploration of rule-defined systems
 //!   ([`TransitionSystem`] / [`explore`],
 //!   [`DeterministicTransitionSystem`] / [`explore_deterministic`]);
 //! * linear-time inclusion against a deterministic specification by
-//!   **on-the-fly product exploration** ([`check_inclusion_otf`] against
-//!   a compiled spec, [`check_inclusion_otf_cached`] against a lazily
-//!   interned one; [`SuccessorSource`]) with shortest counterexamples,
-//!   running purely on `(u32 state, u32 letter)` integers: the
-//!   implementation side is stepped lazily — never materialized.
+//!   **on-the-fly product exploration**: one entry point,
+//!   [`check_inclusion_otf`], over one specification artifact, the
+//!   lazily interned [`SpecCache`] of a [`DeterministicTransitionSystem`]
+//!   (a rule system such as `tm_spec::DetSpec`, or a materialized
+//!   [`Dfa`]); the implementation side is a [`SuccessorSource`], stepped
+//!   lazily — never materialized. Counterexamples are shortest, and the
+//!   BFS runs purely on `(u32 state, u32 letter)` integers.
 //!   [`check_inclusion`] wraps the same engine for materialized
 //!   automata. The pre-compilation originals are test oracles and A/B
-//!   baselines in the dev-only `tm-bench` crate
-//!   (`tm_bench::oracle`), not part of this crate. See `README.md` for
-//!   the engine hierarchy;
+//!   baselines in the dev-only `tm-bench` crate (`tm_bench::oracle`),
+//!   not part of this crate. See `README.md` for the engine hierarchy;
 //! * antichain-based inclusion and equivalence between nondeterministic
 //!   automata ([`check_inclusion_antichain`],
 //!   [`check_equivalence_antichain`]) in the style of De Wulf et al.;
@@ -83,7 +83,7 @@ pub use alphabet::{Alphabet, LetterId};
 pub use budget::{CancelToken, EngineError, QueryBudget};
 pub use antichain::{check_equivalence_antichain, check_inclusion_antichain, EquivalenceResult};
 pub use bitset::{BitSet, Iter as BitSetIter};
-pub use compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
+pub use compiled::{CompiledNfa, EPSILON};
 pub use dfa::Dfa;
 pub use explore::{
     explore, explore_deterministic, DeterministicTransitionSystem, Explored, TransitionSystem,
@@ -97,6 +97,5 @@ pub use livecheck::{
 };
 pub use nfa::{Nfa, StateId};
 pub use product::{
-    check_inclusion_otf, check_inclusion_otf_cached, DtsSpecSource, NfaSource, OtfStats,
-    SpecCache, SpecRows, SpecSource, SuccessorSource,
+    check_inclusion_otf, NfaSource, OtfStats, SpecCache, SpecRows, SuccessorSource, NO_STATE,
 };

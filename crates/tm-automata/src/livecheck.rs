@@ -641,8 +641,12 @@ impl<L: Clone> CompiledRunGraph<L> {
         budget: &QueryBudget,
     ) -> Result<Option<CompiledLasso<L>>, EngineError> {
         self.sccs_masked(query.filter, scratch, budget)?;
+        // Each selection scan below is SCC search time: its own span
+        // closes before `build_lasso` opens `LassoExtract`, so no time is
+        // counted twice.
         Ok(match query.selection {
             LoopSelection::FirstEdge => {
+                let scan = PhaseTimer::start(Phase::SccSearch);
                 let found = query.required.first().and_then(|&req| {
                     (0..self.num_states()).find_map(|v| {
                         self.row(v)
@@ -656,6 +660,7 @@ impl<L: Clone> CompiledRunGraph<L> {
                             .map(|e| (v as u32, e as u32))
                     })
                 });
+                scan.stop();
                 found.and_then(|edge| self.build_lasso(query.filter, scratch, &[edge]))
             }
             LoopSelection::FirstComponent => {
@@ -663,6 +668,7 @@ impl<L: Clone> CompiledRunGraph<L> {
                 if r == 0 {
                     return Ok(None);
                 }
+                let scan = PhaseTimer::start(Phase::SccSearch);
                 let count = scratch.count as usize;
                 let mut first_match = std::mem::take(&mut scratch.first_match);
                 first_match.clear();
@@ -684,6 +690,7 @@ impl<L: Clone> CompiledRunGraph<L> {
                         }
                     }
                 }
+                scan.stop();
                 let mut result = None;
                 for comp in 0..count {
                     let slots = &first_match[comp * r..(comp + 1) * r];
@@ -1059,6 +1066,51 @@ mod tests {
                 find(&graph, &single, &mut scratch).is_some(),
                 "thread {t}"
             );
+        }
+    }
+
+    #[test]
+    fn selection_scans_are_scc_search_spans_outside_lasso_extraction() {
+        // One abort loop 1 <-> 2 behind a prefix edge; both selections
+        // find it.
+        let source = VecSource {
+            succ: vec![
+                vec![(lbl(0, 0), 1)],
+                vec![(abort(1, 0), 2)],
+                vec![(lbl(2, 0), 1)],
+            ],
+        };
+        let (graph, _) = CompiledRunGraph::build(&source, 100).unwrap();
+        let filter = EdgeFilter {
+            keep_any: 1 << 0,
+            forbid_all: MASK_COMMIT,
+        };
+        let queries = [LoopSelection::FirstEdge, LoopSelection::FirstComponent].map(|selection| {
+            LoopQuery {
+                filter,
+                required: vec![MASK_ABORT],
+                selection,
+            }
+        });
+        let mut scratch = LiveScratch::default();
+        let (found, record) = tm_obs::with_recorder(true, || {
+            queries.iter().filter(|q| find(&graph, q, &mut scratch).is_some()).count()
+        });
+        assert_eq!(found, 2);
+        let spans = |phase| -> Vec<(u64, u64)> {
+            record
+                .events
+                .iter()
+                .filter(|e| e.phase == phase)
+                .map(|e| (e.start_ns, e.start_ns + e.dur_ns))
+                .collect()
+        };
+        let (scc, lasso) = (spans(Phase::SccSearch), spans(Phase::LassoExtract));
+        // Per query: the decomposition, then the selection scan, then the
+        // lasso — and no lasso span lies inside an SCC search span.
+        assert_eq!((scc.len(), lasso.len()), (4, 2));
+        for &(start, end) in &lasso {
+            assert!(scc.iter().all(|&(s, e)| end <= s || e <= start), "{scc:?} vs {lasso:?}");
         }
     }
 

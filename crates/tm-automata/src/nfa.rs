@@ -7,7 +7,6 @@
 //! failure = the implementation moves while the specification's state set
 //! becomes empty).
 
-use std::collections::HashSet;
 use std::hash::Hash;
 
 use crate::alphabet::Alphabet;
@@ -153,42 +152,6 @@ impl<L: Eq> Nfa<L> {
         true
     }
 
-    /// The distinct (non-ε) labels appearing on transitions, in first-seen
-    /// order.
-    pub fn labels(&self) -> Vec<L>
-    where
-        L: Clone + Hash,
-    {
-        let mut seen = HashSet::new();
-        let mut out = Vec::new();
-        for (l, _) in self.transitions.iter().flatten() {
-            if let Some(l) = l {
-                if seen.insert(l.clone()) {
-                    out.push(l.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// The distinct (non-ε) labels as a shared [`Alphabet`], ids in
-    /// first-seen order. Interning the labels of several automata into
-    /// **one** alphabet (this one, extended via [`Alphabet::intern`] or
-    /// [`CompiledNfa::compile`]) is how spec and TM automata agree on
-    /// letter ids.
-    pub fn labels_interned(&self) -> Alphabet<L>
-    where
-        L: Clone + Hash,
-    {
-        let mut alphabet = Alphabet::new();
-        for (l, _) in self.transitions.iter().flatten() {
-            if let Some(l) = l {
-                alphabet.intern(l);
-            }
-        }
-        alphabet
-    }
-
     /// Compiles this automaton over `alphabet` (interning any new
     /// labels); see [`CompiledNfa`].
     pub fn compile(&self, alphabet: &mut Alphabet<L>) -> CompiledNfa
@@ -239,16 +202,6 @@ mod tests {
         assert_eq!(nfa.num_states(), 3);
         assert_eq!(nfa.num_transitions(), 3);
         assert_eq!(nfa.num_epsilon_transitions(), 1);
-        assert_eq!(nfa.labels(), vec!['a', 'b']);
-    }
-
-    #[test]
-    fn labels_interned_matches_labels_order() {
-        let nfa = sample();
-        let alphabet = nfa.labels_interned();
-        assert_eq!(alphabet.letters(), &nfa.labels()[..]);
-        assert_eq!(alphabet.get(&'a'), Some(0));
-        assert_eq!(alphabet.get(&'b'), Some(1));
     }
 
     #[test]

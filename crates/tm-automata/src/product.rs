@@ -8,16 +8,15 @@
 //! the implementation transition system is only ever evaluated on the
 //! product-reachable states and no `Nfa` is ever built. (The
 //! most-general-program NFA of TL2 at (2, 2) alone has ~19k states.)
-//! [`crate::check_inclusion`] runs already-materialized automata through
-//! the same engine.
 //!
-//! There is one entry point per kind of specification artifact, both
-//! bounded by a [`QueryBudget`] and both running the same single FIFO
-//! product BFS on the calling thread:
-//!
-//! * [`check_inclusion_otf`] against a compiled [`CompiledDfa`];
-//! * [`check_inclusion_otf_cached`] against a lazily interned
-//!   [`SpecCache`] — the `tm_checker::Verifier` session's safety path.
+//! The specification side is one artifact, a [`SpecCache`] over a
+//! [`DeterministicTransitionSystem`]: its states are interned and its
+//! letter rows computed on first touch, so only the specification states
+//! the product reaches are ever stepped. [`check_inclusion_otf`] is the
+//! one entry point, bounded by a [`QueryBudget`] and running a single
+//! FIFO product BFS on the calling thread. The `tm_checker::Verifier`
+//! session runs it over `tm_spec::DetSpec`; [`crate::check_inclusion`]
+//! runs it over a materialized [`crate::Dfa`].
 //!
 //! The BFS's discovery order is that of the seed checker
 //! (`tm_bench::oracle`): identical verdicts, identical shortest
@@ -36,9 +35,14 @@ use tm_obs::{Histogram, Phase, PhaseTimer, Unit};
 
 use crate::alphabet::{Alphabet, LetterId};
 use crate::budget::{EngineError, QueryBudget};
-use crate::compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
+use crate::compiled::{CompiledNfa, EPSILON};
+use crate::explore::DeterministicTransitionSystem;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::inclusion::InclusionResult;
+
+/// Sentinel state id marking a missing transition (a rejecting letter) in
+/// a [`SpecCache`] row.
+pub const NO_STATE: u32 = u32::MAX;
 
 /// How many BFS visits pass between deadline/cancellation checks.
 const INTERRUPT_STRIDE: usize = 4096;
@@ -73,13 +77,13 @@ pub trait SuccessorSource {
 
 /// [`SuccessorSource`] view of a [`CompiledNfa`] and the alphabet it was
 /// compiled against: the bridge that lets already-materialized automata
-/// run through the on-the-fly engine (used by the conformance tests and
-/// as the reference adapter).
+/// run through the on-the-fly engine (used by [`crate::check_inclusion`]
+/// and the conformance tests).
 ///
 /// # Examples
 ///
 /// ```
-/// use tm_automata::{check_inclusion_otf, Dfa, Nfa, NfaSource, QueryBudget};
+/// use tm_automata::{check_inclusion_otf, Alphabet, Dfa, Nfa, NfaSource, QueryBudget, SpecCache};
 /// let mut imp = Nfa::new();
 /// let s = imp.add_state();
 /// imp.set_initial(s);
@@ -89,12 +93,11 @@ pub trait SuccessorSource {
 /// let q = spec.add_state();
 /// spec.set_initial(q);
 /// spec.set_transition(q, &'a', q);
-/// let compiled = spec.compile();
-/// let mut alphabet = compiled.alphabet().clone();
+/// let mut alphabet = Alphabet::from_letters(spec.alphabet());
 /// let imp = imp.compile(&mut alphabet);
 /// let source = NfaSource::new(&imp, &alphabet);
-/// let (result, _) =
-///     check_inclusion_otf(&source, &compiled, &QueryBudget::unlimited()).unwrap();
+/// let mut cache = SpecCache::new(&spec, spec.letter_ids());
+/// let (result, _) = check_inclusion_otf(&source, &mut cache, &QueryBudget::unlimited()).unwrap();
 /// assert_eq!(result.counterexample(), Some(&['b'][..]));
 /// ```
 pub struct NfaSource<'a, L> {
@@ -104,9 +107,9 @@ pub struct NfaSource<'a, L> {
 
 impl<'a, L> NfaSource<'a, L> {
     /// Wraps a compiled automaton and the alphabet its letter ids refer
-    /// to. For inclusion checking against a [`CompiledDfa`], compile the
-    /// automaton against a clone of the specification's alphabet so the
-    /// ids agree (see the type-level example).
+    /// to. For inclusion checking, compile the automaton against an
+    /// alphabet that starts with the specification's letter list, in
+    /// order, so the ids agree (see the type-level example).
     pub fn new(nfa: &'a CompiledNfa, alphabet: &'a Alphabet<L>) -> Self {
         NfaSource { nfa, alphabet }
     }
@@ -130,123 +133,129 @@ impl<L: Clone> SuccessorSource for NfaSource<'_, L> {
     }
 }
 
-/// A lazily explorable *deterministic specification*: the spec-side
-/// counterpart of [`SuccessorSource`], for instances whose specification
-/// is too large to determinize eagerly (the (3,3)/(4,2) scaling cases,
-/// where `DetSpec::to_dfa` — not the TM — is the wall).
-///
-/// Letter ids index the specification's alphabet in a fixed order that
-/// the implementation source must agree on (build both from the same
-/// letter list).
-pub trait SpecSource {
-    /// Structured specification state.
-    type State: Clone + Eq + Hash;
-
-    /// Number of specification letters; implementation letters at or
-    /// beyond this are immediate violations.
-    fn num_letters(&self) -> u32;
-
-    /// The initial state.
-    fn initial_state(&self) -> Self::State;
-
-    /// The successor of `state` under `letter` (`letter <
-    /// num_letters()`), or `None` (reject).
-    fn step(&self, state: &Self::State, letter: LetterId) -> Option<Self::State>;
-}
-
-/// Blanket reference implementation so adapters that *own* their spec
-/// source ([`DtsSpecSource`], [`SpecCache`]) can also borrow one.
-impl<D: SpecSource + ?Sized> SpecSource for &D {
-    type State = D::State;
-
-    fn num_letters(&self) -> u32 {
-        (**self).num_letters()
-    }
-
-    fn initial_state(&self) -> Self::State {
-        (**self).initial_state()
-    }
-
-    fn step(&self, state: &Self::State, letter: LetterId) -> Option<Self::State> {
-        (**self).step(state, letter)
-    }
-}
-
-/// [`SpecSource`] over any [`crate::DeterministicTransitionSystem`] plus
-/// an ordered letter list (letter ids are indices into it) — the adapter
-/// that lets `tm_spec::DetSpec` run the specification side of the
-/// product on the fly.
-///
-/// Owns its system, so a session can cache it alongside the interned
-/// rows; pass `&system` (the trait is implemented for references) for the
-/// borrowed one-shot use of the benches.
-pub struct DtsSpecSource<T: crate::DeterministicTransitionSystem> {
-    system: T,
-    letters: Vec<T::Label>,
-}
-
-impl<T: crate::DeterministicTransitionSystem> DtsSpecSource<T> {
-    /// Wraps `system` over `letters`; implementation sources must emit
-    /// letter ids over the same list (in the same order).
-    pub fn new(system: T, letters: Vec<T::Label>) -> Self {
-        DtsSpecSource { system, letters }
-    }
-
-    /// The letter list, in id order.
-    pub fn letters(&self) -> &[T::Label] {
-        &self.letters
-    }
-}
-
-impl<T: crate::DeterministicTransitionSystem> SpecSource for DtsSpecSource<T> {
-    type State = T::State;
-
-    fn num_letters(&self) -> u32 {
-        self.letters.len() as u32
-    }
-
-    fn initial_state(&self) -> T::State {
-        self.system.initial()
-    }
-
-    fn step(&self, state: &T::State, letter: LetterId) -> Option<T::State> {
-        self.system.step(state, &self.letters[letter as usize])
-    }
-}
-
-/// Checks `L(source) ⊆ L(spec)` with **both** sides explored on the fly:
-/// implementation states stepped lazily as in [`check_inclusion_otf`],
-/// and specification states interned and row-cached lazily in `cache` —
+/// Checks `L(source) ⊆ L(spec)` with **both** sides explored on the fly,
+/// on the calling thread: implementation states are stepped lazily, and
+/// specification states are interned and row-cached lazily in `cache` —
 /// only the spec states the product actually reaches are ever computed.
-///
-/// Verdicts, counterexample words and `product_states` are identical to
-/// [`check_inclusion_otf`] against the determinized, compiled spec,
-/// whenever that is buildable at all.
+/// An unbounded check passes [`QueryBudget::unlimited`].
 ///
 /// Spec states and letter rows interned by earlier queries are reused,
 /// so a session checking many TMs against one specification pays each
 /// spec row at most once; results are bit-identical to a run on a fresh
 /// cache (spec state ids are internal; discovery order is driven by the
-/// implementation side and letter order only). A one-shot check passes
-/// `&mut SpecCache::new(&spec)`.
+/// implementation side and letter order only).
 ///
 /// The state bound of `budget` covers fresh interns on both sides of the
 /// product (already-interned cache rows never count against a later
 /// query); the deadline/cancellation is polled at BFS level boundaries
-/// and every `INTERRUPT_STRIDE` product visits.
+/// and every `INTERRUPT_STRIDE` product visits. Aborts are structured —
+/// no engine resource limit panics.
 ///
 /// # Errors
 ///
-/// [`EngineError::StateLimit`], [`EngineError::Deadline`], or
-/// [`EngineError::Cancelled`] per the budget, and
-/// [`EngineError::FaultInjected`] from an armed [`crate::fault`] plan;
-/// the partially interned cache rows stay valid for retries.
-pub fn check_inclusion_otf_cached<S: SuccessorSource, D: SpecSource>(
+/// * [`EngineError::StateLimit`] — either side outgrew
+///   `budget.max_states()`;
+/// * [`EngineError::Deadline`] / [`EngineError::Cancelled`] — the budget
+///   interrupted the exploration;
+/// * [`EngineError::FaultInjected`] — an armed [`crate::fault`] plan
+///   fired (test/chaos builds only).
+///
+/// The partially interned cache rows stay valid for retries.
+///
+/// The discovery order is that of the seed checker in `tm_bench::oracle`,
+/// hence the identical verdict, word, and `product_states`.
+pub fn check_inclusion_otf<S: SuccessorSource, T: DeterministicTransitionSystem>(
     source: &S,
-    cache: &mut SpecCache<D>,
+    cache: &mut SpecCache<T>,
     budget: &QueryBudget,
 ) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    product_bfs(source, cache, budget)
+    // Implementation letters at or beyond the specification's are
+    // immediate violations.
+    let spec_letters = cache.letters.len() as u32;
+    let mut ex = Explorer::new(source, budget);
+    let mut visited: FxHashSet<u64> = FxHashSet::default();
+    let mut queue: Vec<(u32, u32)> = Vec::new();
+    let mut parent: Vec<(u32, LetterId)> = Vec::new();
+
+    let spec0 = cache.initial(budget)?;
+    let mut inits = Vec::new();
+    source.initial_states(&mut inits);
+    for state in inits {
+        let qi = ex.intern(state)?;
+        if visited.insert(pack(qi, spec0)) {
+            queue.push((qi, spec0));
+            parent.push((ROOT, EPSILON));
+        }
+    }
+
+    let mut head = 0usize;
+    let mut depth_mark = queue.len();
+    let mut levels = 0usize;
+    observe_frontier(depth_mark);
+    let mut level_span = PhaseTimer::start(Phase::BfsLevel).with_value(depth_mark as u64);
+    while head < queue.len() {
+        if head == depth_mark {
+            levels += 1;
+            depth_mark = queue.len();
+            // Close the finished level's span and open the next one.
+            let frontier = depth_mark - head;
+            observe_frontier(frontier);
+            level_span.stop();
+            level_span = PhaseTimer::start(Phase::BfsLevel).with_value(frontier as u64);
+            budget.check_interrupt()?;
+        } else if head.is_multiple_of(INTERRUPT_STRIDE) {
+            // Wide levels still poll the deadline at a bounded stride.
+            budget.check_interrupt()?;
+        }
+        let (qi, qs) = queue[head];
+        ex.ensure_row(qi)?;
+        let row = ex.rows[qi as usize].as_deref().expect("row ensured above");
+        for &(letter, target) in row {
+            let qs2 = if letter == EPSILON {
+                qs
+            } else if letter < spec_letters {
+                match cache.step(qs, letter, budget)? {
+                    NO_STATE => {
+                        return Ok(violation(
+                            source,
+                            &parent,
+                            head,
+                            letter,
+                            queue.len(),
+                            ex.states.len(),
+                            levels,
+                        ))
+                    }
+                    next => next,
+                }
+            } else {
+                return Ok(violation(
+                    source,
+                    &parent,
+                    head,
+                    letter,
+                    queue.len(),
+                    ex.states.len(),
+                    levels,
+                ));
+            };
+            if visited.insert(pack(target, qs2)) {
+                queue.push((target, qs2));
+                parent.push((head as u32, letter));
+            }
+        }
+        head += 1;
+    }
+    level_span.stop();
+    Ok((
+        InclusionResult::Included {
+            product_states: queue.len(),
+        },
+        OtfStats {
+            impl_states: ex.states.len(),
+            levels,
+        },
+    ))
 }
 
 /// Statistics of an on-the-fly run, beyond the [`InclusionResult`].
@@ -261,107 +270,47 @@ pub struct OtfStats {
     pub levels: usize,
 }
 
-/// Checks `L(source) ⊆ L(spec)` on the fly against a compiled
-/// specification, on the calling thread. An unbounded check passes
-/// [`QueryBudget::unlimited`].
-///
-/// The engine polls the budget at BFS level boundaries and every
-/// `INTERRUPT_STRIDE` product visits. Aborts are structured — no engine
-/// resource limit panics.
-///
-/// # Errors
-///
-/// * [`EngineError::StateLimit`] — the implementation side outgrew
-///   `budget.max_states()`;
-/// * [`EngineError::Deadline`] / [`EngineError::Cancelled`] — the budget
-///   interrupted the exploration;
-/// * [`EngineError::FaultInjected`] — an armed [`crate::fault`] plan
-///   fired (test/chaos builds only).
-pub fn check_inclusion_otf<S: SuccessorSource, M>(
-    source: &S,
-    spec: &CompiledDfa<M>,
-    budget: &QueryBudget,
-) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    product_bfs(source, CompiledSpec(spec), budget)
-}
-
-/// The engine's view of the specification side: the dense compiled
-/// table, or a lazily interned [`SpecSource`].
-trait SpecAccess {
-    /// Number of specification letters.
-    fn num_letters(&self) -> u32;
-    /// The (interned) initial state. Fallible because a lazy access may
-    /// intern against the budget.
-    fn initial(&mut self, budget: &QueryBudget) -> Result<u32, EngineError>;
-    /// Raw successor with the [`NO_STATE`] sentinel; `letter` is below
-    /// [`SpecAccess::num_letters`]. Fallible for the same reason as
-    /// [`SpecAccess::initial`].
-    fn step(&mut self, state: u32, letter: LetterId, budget: &QueryBudget)
-        -> Result<u32, EngineError>;
-}
-
-struct CompiledSpec<'a, M>(&'a CompiledDfa<M>);
-
-impl<M> SpecAccess for CompiledSpec<'_, M> {
-    #[inline]
-    fn num_letters(&self) -> u32 {
-        self.0.alphabet().len() as u32
-    }
-
-    #[inline]
-    fn initial(&mut self, _budget: &QueryBudget) -> Result<u32, EngineError> {
-        Ok(self.0.initial_state())
-    }
-
-    #[inline]
-    fn step(
-        &mut self,
-        state: u32,
-        letter: LetterId,
-        _budget: &QueryBudget,
-    ) -> Result<u32, EngineError> {
-        Ok(self.0.step_raw(state, letter))
-    }
-}
-
 /// The cached letter-row table of a [`SpecCache`] in serialization form:
 /// `rows[id]` is spec state `id`'s full letter row, `None` if that state
 /// was interned but never stepped.
 pub type SpecRows = Vec<Option<Box<[u32]>>>;
 
-/// Lazy interning cache over a [`SpecSource`]: spec states become dense
-/// `u32` ids on first touch, and each touched state's full letter row is
-/// computed once and cached, so repeated product visits are table
-/// lookups.
+/// The specification artifact: a [`DeterministicTransitionSystem`] over
+/// an ordered letter list (letter ids are indices into it), with a lazy
+/// interning cache in front. Spec states become dense `u32` ids on first
+/// touch, and each touched state's full letter row is computed once and
+/// cached, so repeated product visits are table lookups.
 ///
-/// The cache is the session-persistable artifact behind
-/// [`check_inclusion_otf_cached`]: held across queries, it makes every
-/// subsequent check against the same specification pay only for spec
-/// states it is the *first* to touch. The underlying source is never
-/// consulted twice for the same state.
-pub struct SpecCache<D: SpecSource> {
-    source: D,
-    ids: FxHashMap<D::State, u32>,
-    states: Vec<D::State>,
+/// Held across queries, the cache makes every subsequent check against
+/// the same specification pay only for spec states it is the *first* to
+/// touch. The system is never stepped twice for the same state. A session
+/// owns its system (`SpecCache<tm_spec::DetSpec>`); a one-shot check can
+/// borrow one, since the trait is implemented for references.
+pub struct SpecCache<T: DeterministicTransitionSystem> {
+    system: T,
+    letters: Vec<T::Label>,
+    ids: FxHashMap<T::State, u32>,
+    states: Vec<T::State>,
     rows: SpecRows,
 }
 
-impl<D: SpecSource> SpecCache<D> {
-    /// Wraps a spec source with an empty cache. `source` may be a
-    /// reference ([`SpecSource`] is implemented for `&D`) for one-shot
-    /// use, or an owned adapter for session use.
-    pub fn new(source: D) -> Self {
+impl<T: DeterministicTransitionSystem> SpecCache<T> {
+    /// Wraps `system` over `letters` with an empty cache; implementation
+    /// sources must emit letter ids over the same list (in the same
+    /// order).
+    pub fn new(system: T, letters: Vec<T::Label>) -> Self {
         SpecCache {
-            source,
+            system,
+            letters,
             ids: FxHashMap::default(),
             states: Vec::new(),
             rows: Vec::new(),
         }
     }
 
-    /// The wrapped source.
-    pub fn source(&self) -> &D {
-        &self.source
+    /// The letter list, in id order.
+    pub fn letters(&self) -> &[T::Label] {
+        &self.letters
     }
 
     /// Number of distinct specification states touched so far (what a
@@ -379,9 +328,9 @@ impl<D: SpecSource> SpecCache<D> {
 
     /// Estimated heap footprint in bytes of the cache's interned rows and
     /// state table (convention of [`crate::CompiledNfa::heap_bytes`]:
-    /// container capacities, elements at inline size). The wrapped
-    /// source is not counted — it is the cheap rule system the cache
-    /// exists to avoid re-stepping, not a compiled artifact.
+    /// container capacities, elements at inline size). The system and
+    /// its letter list are not counted — they are the cheap rule system
+    /// the cache exists to avoid re-stepping, not a compiled artifact.
     pub fn heap_bytes(&self) -> usize {
         let rows: usize = self
             .rows
@@ -390,7 +339,7 @@ impl<D: SpecSource> SpecCache<D> {
             .map(|row| std::mem::size_of_val::<[u32]>(row))
             .sum();
         crate::fxhash::map_heap_bytes(&self.ids)
-            + self.states.capacity() * std::mem::size_of::<D::State>()
+            + self.states.capacity() * std::mem::size_of::<T::State>()
             + self.rows.capacity() * std::mem::size_of::<Option<Box<[u32]>>>()
             + rows
     }
@@ -399,27 +348,27 @@ impl<D: SpecSource> SpecCache<D> {
     /// serialization form used by the on-disk artifact store
     /// (`tm-store`). `states[id]` is the spec state behind id `id`;
     /// `rows[id]` is its cached full letter row (`None` if never
-    /// stepped), entries indexing `states` with misses as
-    /// [`crate::NO_STATE`].
-    pub fn parts(&self) -> (&[D::State], &SpecRows) {
+    /// stepped), entries indexing `states` with misses as [`NO_STATE`].
+    pub fn parts(&self) -> (&[T::State], &SpecRows) {
         (&self.states, &self.rows)
     }
 
-    /// Rebuilds a cache around `source` from [`SpecCache::parts`]
-    /// output, verifying before trusting the data that the tables are
-    /// parallel, states are distinct, the first interned state is the
-    /// source's initial state, and every row has exactly one entry per
-    /// letter pointing inside the state table. The cache is a pure memo
-    /// of `source.step` — ids are dense renames of spec states — so a
-    /// verified import can only change *when* rows are computed, never
-    /// what any query answers.
+    /// Rebuilds a cache around `system` and `letters` from
+    /// [`SpecCache::parts`] output, verifying before trusting the data
+    /// that the tables are parallel, states are distinct, the first
+    /// interned state is the system's initial state, and every row has
+    /// exactly one entry per letter pointing inside the state table. The
+    /// cache is a pure memo of `system.step` — ids are dense renames of
+    /// spec states — so a verified import can only change *when* rows are
+    /// computed, never what any query answers.
     ///
     /// # Errors
     ///
     /// A static description of the first violated invariant.
     pub fn from_parts(
-        source: D,
-        states: Vec<D::State>,
+        system: T,
+        letters: Vec<T::Label>,
+        states: Vec<T::State>,
         rows: SpecRows,
     ) -> Result<Self, &'static str> {
         if states.len() != rows.len() {
@@ -429,13 +378,12 @@ impl<D: SpecSource> SpecCache<D> {
             return Err("more than u32::MAX spec states");
         }
         if let Some(first) = states.first() {
-            if *first != source.initial_state() {
+            if *first != system.initial() {
                 return Err("first interned state is not the initial state");
             }
         }
-        let num_letters = source.num_letters() as usize;
         for row in rows.iter().flatten() {
-            if row.len() != num_letters {
+            if row.len() != letters.len() {
                 return Err("cached row has wrong letter count");
             }
             if row
@@ -452,7 +400,8 @@ impl<D: SpecSource> SpecCache<D> {
             }
         }
         Ok(SpecCache {
-            source,
+            system,
+            letters,
             ids,
             states,
             rows,
@@ -464,7 +413,7 @@ impl<D: SpecSource> SpecCache<D> {
     /// implementation ones — this is the check the (3,3)/(4,2) scaling
     /// cases rely on, where the *spec* side is the wall. Already-interned
     /// states from earlier queries are free.
-    fn intern(&mut self, state: D::State, budget: &QueryBudget) -> Result<u32, EngineError> {
+    fn intern(&mut self, state: T::State, budget: &QueryBudget) -> Result<u32, EngineError> {
         match self.ids.entry(state) {
             Entry::Occupied(entry) => Ok(*entry.get()),
             Entry::Vacant(entry) => {
@@ -477,18 +426,16 @@ impl<D: SpecSource> SpecCache<D> {
             }
         }
     }
-}
 
-impl<D: SpecSource> SpecAccess for &mut SpecCache<D> {
-    fn num_letters(&self) -> u32 {
-        self.source.num_letters()
-    }
-
+    /// The interned initial state.
     fn initial(&mut self, budget: &QueryBudget) -> Result<u32, EngineError> {
-        let init = self.source.initial_state();
+        let init = self.system.initial();
         self.intern(init, budget)
     }
 
+    /// The successor id of `state` under `letter` (a specification
+    /// letter), [`NO_STATE`] on a miss; computes and caches the state's
+    /// full letter row on first touch.
     fn step(
         &mut self,
         state: u32,
@@ -499,8 +446,10 @@ impl<D: SpecSource> SpecAccess for &mut SpecCache<D> {
             // Spans cover only the miss path (one per row ever built), so
             // the hot cache-hit lookup stays untimed.
             let _span = PhaseTimer::start(Phase::SpecIntern).with_value(1);
-            let generated: Vec<Option<D::State>> = (0..self.source.num_letters())
-                .map(|l| self.source.step(&self.states[state as usize], l))
+            let generated: Vec<Option<T::State>> = self
+                .letters
+                .iter()
+                .map(|l| self.system.step(&self.states[state as usize], l))
                 .collect();
             let mut row = Vec::with_capacity(generated.len());
             for succ in generated {
@@ -619,102 +568,6 @@ impl<'a, S: SuccessorSource> Explorer<'a, S> {
     }
 }
 
-/// The engine: a FIFO product BFS with the implementation side
-/// pulled lazily and the specification side from either artifact. The
-/// discovery order is that of the seed checker in `tm_bench::oracle`, hence
-/// the identical verdict, word, and `product_states`.
-fn product_bfs<S: SuccessorSource, P: SpecAccess>(
-    source: &S,
-    mut spec: P,
-    budget: &QueryBudget,
-) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
-    let spec_letters = spec.num_letters();
-    let mut ex = Explorer::new(source, budget);
-    let mut visited: FxHashSet<u64> = FxHashSet::default();
-    let mut queue: Vec<(u32, u32)> = Vec::new();
-    let mut parent: Vec<(u32, LetterId)> = Vec::new();
-
-    let spec0 = spec.initial(budget)?;
-    let mut inits = Vec::new();
-    source.initial_states(&mut inits);
-    for state in inits {
-        let qi = ex.intern(state)?;
-        if visited.insert(pack(qi, spec0)) {
-            queue.push((qi, spec0));
-            parent.push((ROOT, EPSILON));
-        }
-    }
-
-    let mut head = 0usize;
-    let mut depth_mark = queue.len();
-    let mut levels = 0usize;
-    observe_frontier(depth_mark);
-    let mut level_span = PhaseTimer::start(Phase::BfsLevel).with_value(depth_mark as u64);
-    while head < queue.len() {
-        if head == depth_mark {
-            levels += 1;
-            depth_mark = queue.len();
-            // Close the finished level's span and open the next one.
-            let frontier = depth_mark - head;
-            observe_frontier(frontier);
-            level_span.stop();
-            level_span = PhaseTimer::start(Phase::BfsLevel).with_value(frontier as u64);
-            budget.check_interrupt()?;
-        } else if head.is_multiple_of(INTERRUPT_STRIDE) {
-            // Wide levels still poll the deadline at a bounded stride.
-            budget.check_interrupt()?;
-        }
-        let (qi, qs) = queue[head];
-        ex.ensure_row(qi)?;
-        let row = ex.rows[qi as usize].as_deref().expect("row ensured above");
-        for &(letter, target) in row {
-            let qs2 = if letter == EPSILON {
-                qs
-            } else if letter < spec_letters {
-                match spec.step(qs, letter, budget)? {
-                    NO_STATE => {
-                        return Ok(violation(
-                            source,
-                            &parent,
-                            head,
-                            letter,
-                            queue.len(),
-                            ex.states.len(),
-                            levels,
-                        ))
-                    }
-                    next => next,
-                }
-            } else {
-                return Ok(violation(
-                    source,
-                    &parent,
-                    head,
-                    letter,
-                    queue.len(),
-                    ex.states.len(),
-                    levels,
-                ));
-            };
-            if visited.insert(pack(target, qs2)) {
-                queue.push((target, qs2));
-                parent.push((head as u32, letter));
-            }
-        }
-        head += 1;
-    }
-    level_span.stop();
-    Ok((
-        InclusionResult::Included {
-            product_states: queue.len(),
-        },
-        OtfStats {
-            impl_states: ex.states.len(),
-            levels,
-        },
-    ))
-}
-
 /// Builds the violating return of the engine.
 fn violation<S: SuccessorSource>(
     source: &S,
@@ -766,16 +619,18 @@ mod tests {
     use crate::dfa::Dfa;
     use crate::nfa::Nfa;
 
-    /// Runs the compiled-spec engine without a budget.
+    /// Runs the engine without a budget against a fresh cache over `spec`.
     fn run_otf<S: SuccessorSource>(
         source: &S,
-        spec: &CompiledDfa<char>,
+        spec: &Dfa<char>,
     ) -> (InclusionResult<S::Label>, OtfStats) {
-        check_inclusion_otf(source, spec, &QueryBudget::unlimited()).unwrap()
+        let mut cache = SpecCache::new(spec, spec.letter_ids());
+        check_inclusion_otf(source, &mut cache, &QueryBudget::unlimited()).unwrap()
     }
 
-    fn compile_pair(nfa: &Nfa<char>, spec: &CompiledDfa<char>) -> (CompiledNfa, Alphabet<char>) {
-        let mut alphabet = spec.alphabet().clone();
+    /// Compiles `nfa` over an alphabet starting with `spec`'s letters.
+    fn compile_pair(nfa: &Nfa<char>, spec: &Dfa<char>) -> (CompiledNfa, Alphabet<char>) {
+        let mut alphabet = Alphabet::from_letters(spec.alphabet());
         let imp = CompiledNfa::compile(nfa, &mut alphabet);
         (imp, alphabet)
     }
@@ -819,10 +674,42 @@ mod tests {
         nfa
     }
 
+    /// Parity system: 'f' flips, 'z' only when even.
+    struct Parity;
+
+    impl DeterministicTransitionSystem for Parity {
+        type State = bool;
+        type Label = char;
+        fn initial(&self) -> bool {
+            false
+        }
+        fn step(&self, state: &bool, letter: &char) -> Option<bool> {
+            match letter {
+                'f' => Some(!state),
+                'z' if !state => Some(*state),
+                _ => None,
+            }
+        }
+    }
+
+    /// A system over `u64` states whose letters are their own ids.
+    struct Counting(fn(u64, LetterId) -> Option<u64>);
+
+    impl DeterministicTransitionSystem for Counting {
+        type State = u64;
+        type Label = LetterId;
+        fn initial(&self) -> u64 {
+            0
+        }
+        fn step(&self, state: &u64, letter: &LetterId) -> Option<u64> {
+            (self.0)(*state, *letter)
+        }
+    }
+
     #[test]
     fn stats_report_impl_states() {
         let nfa = chain_nfa(10);
-        let spec = letter_dfa(&['a', 'b', 'c']).compile();
+        let spec = letter_dfa(&['a', 'b', 'c']);
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
         let (result, stats) = run_otf(&source, &spec);
@@ -834,12 +721,13 @@ mod tests {
     #[test]
     fn bounded_engine_rejects_state_blowup_structurally() {
         let nfa = chain_nfa(10);
-        let spec = letter_dfa(&['a', 'b', 'c']).compile();
+        let spec = letter_dfa(&['a', 'b', 'c']);
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
+        let mut cache = SpecCache::new(&spec, spec.letter_ids());
         // The engine returns the structured abort, never panics.
         assert_eq!(
-            check_inclusion_otf(&source, &spec, &QueryBudget::new(4)).err(),
+            check_inclusion_otf(&source, &mut cache, &QueryBudget::new(4)).err(),
             Some(EngineError::StateLimit(4))
         );
     }
@@ -847,19 +735,20 @@ mod tests {
     #[test]
     fn expired_budget_aborts_the_search() {
         let nfa = chain_nfa(10);
-        let spec = letter_dfa(&['a', 'b', 'c']).compile();
+        let spec = letter_dfa(&['a', 'b', 'c']);
         let (imp, alphabet) = compile_pair(&nfa, &spec);
         let source = NfaSource::new(&imp, &alphabet);
+        let mut cache = SpecCache::new(&spec, spec.letter_ids());
         let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO);
         let token = crate::CancelToken::new();
         token.cancel();
         let cancelled = QueryBudget::unlimited().with_cancel(token);
         assert_eq!(
-            check_inclusion_otf(&source, &spec, &expired).err(),
+            check_inclusion_otf(&source, &mut cache, &expired).err(),
             Some(EngineError::Deadline)
         );
         assert_eq!(
-            check_inclusion_otf(&source, &spec, &cancelled).err(),
+            check_inclusion_otf(&source, &mut cache, &cancelled).err(),
             Some(EngineError::Cancelled)
         );
     }
@@ -868,93 +757,46 @@ mod tests {
     fn lazy_spec_blowup_is_a_structured_error() {
         // An infinite spec state space: the budget trips on *spec*
         // interning even though the implementation is a single state.
-        struct Unbounded;
-        impl SpecSource for Unbounded {
-            type State = u64;
-            fn num_letters(&self) -> u32 {
-                1
-            }
-            fn initial_state(&self) -> u64 {
-                0
-            }
-            fn step(&self, state: &u64, _letter: LetterId) -> Option<u64> {
-                Some(state + 1)
-            }
-        }
         let nfa = letter_nfa(&['a']);
         let mut alphabet = Alphabet::new();
         alphabet.intern(&'a');
         let imp = CompiledNfa::compile(&nfa, &mut alphabet);
         let source = NfaSource::new(&imp, &alphabet);
-        let mut cache = SpecCache::new(Unbounded);
+        let mut cache = SpecCache::new(Counting(|state, _| Some(state + 1)), vec![0]);
         assert_eq!(
-            check_inclusion_otf_cached(&source, &mut cache, &QueryBudget::new(8)).err(),
+            check_inclusion_otf(&source, &mut cache, &QueryBudget::new(8)).err(),
             Some(EngineError::StateLimit(8))
         );
     }
 
     #[test]
-    fn lazy_spec_matches_compiled_spec() {
-        // Parity system: 'f' flips, 'z' only when even — as a lazy
-        // SpecSource vs its explored, compiled DFA.
-        struct Parity;
-        impl crate::DeterministicTransitionSystem for Parity {
-            type State = bool;
-            type Label = char;
-            fn initial(&self) -> bool {
-                false
-            }
-            fn step(&self, state: &bool, letter: &char) -> Option<bool> {
-                match letter {
-                    'f' => Some(!state),
-                    'z' if !state => Some(*state),
-                    _ => None,
-                }
-            }
-        }
+    fn rule_system_matches_its_explored_dfa() {
+        // The parity rules stepped lazily vs the DFA explored from them.
         let (dfa, _) =
             crate::explore_deterministic(&Parity, vec!['f', 'z'], &QueryBudget::new(10)).unwrap();
-        let spec = dfa.compile();
         for nfa in [
             letter_nfa(&['f']),
             letter_nfa(&['f', 'z']),
             letter_nfa(&['z']),
             chain_nfa(7),
         ] {
-            let (imp, alphabet) = compile_pair(&nfa, &spec);
+            let (imp, alphabet) = compile_pair(&nfa, &dfa);
             let source = NfaSource::new(&imp, &alphabet);
-            let compiled = run_otf(&source, &spec);
-            let lazy_spec = DtsSpecSource::new(&Parity, vec!['f', 'z']);
-            let lazy = check_inclusion_otf_cached(
+            let materialized = run_otf(&source, &dfa);
+            let lazy = check_inclusion_otf(
                 &source,
-                &mut SpecCache::new(&lazy_spec),
+                &mut SpecCache::new(&Parity, vec!['f', 'z']),
                 &QueryBudget::unlimited(),
             )
             .unwrap();
-            assert_eq!(lazy.0, compiled.0);
-            assert_eq!(lazy.1, compiled.1);
+            assert_eq!(lazy.0, materialized.0);
+            assert_eq!(lazy.1, materialized.1);
         }
     }
 
     #[test]
     fn warm_spec_cache_runs_are_bit_identical() {
-        struct Parity;
-        impl crate::DeterministicTransitionSystem for Parity {
-            type State = bool;
-            type Label = char;
-            fn initial(&self) -> bool {
-                false
-            }
-            fn step(&self, state: &bool, letter: &char) -> Option<bool> {
-                match letter {
-                    'f' => Some(!state),
-                    'z' if !state => Some(*state),
-                    _ => None,
-                }
-            }
-        }
-        let lazy_spec = DtsSpecSource::new(Parity, vec!['f', 'z']);
-        let mut cache = SpecCache::new(&lazy_spec);
+        let mut cache = SpecCache::new(&Parity, vec!['f', 'z']);
         let cases = [
             letter_nfa(&['f']),
             letter_nfa(&['f', 'z']),
@@ -964,19 +806,21 @@ mod tests {
         let spec_dfa = crate::explore_deterministic(&Parity, vec!['f', 'z'], &QueryBudget::new(10))
             .unwrap()
             .0;
-        let compiled = spec_dfa.compile();
         // First pass populates the cache; the second answers from it. All
         // reported fields must match the cold (per-call) lazy path.
         for pass in 0..2 {
             let rows_before = cache.rows_built();
             for nfa in &cases {
-                let (imp, alphabet) = compile_pair(nfa, &compiled);
+                let (imp, alphabet) = compile_pair(nfa, &spec_dfa);
                 let source = NfaSource::new(&imp, &alphabet);
                 let unlimited = QueryBudget::unlimited();
-                let cold =
-                    check_inclusion_otf_cached(&source, &mut SpecCache::new(&lazy_spec), &unlimited)
-                        .unwrap();
-                let warm = check_inclusion_otf_cached(&source, &mut cache, &unlimited).unwrap();
+                let cold = check_inclusion_otf(
+                    &source,
+                    &mut SpecCache::new(&Parity, vec!['f', 'z']),
+                    &unlimited,
+                )
+                .unwrap();
+                let warm = check_inclusion_otf(&source, &mut cache, &unlimited).unwrap();
                 assert_eq!(warm.0, cold.0, "pass {pass}");
                 assert_eq!(warm.1, cold.1, "pass {pass}");
             }
@@ -990,29 +834,17 @@ mod tests {
 
     #[test]
     fn spec_cache_heap_bytes_grow_with_interned_rows() {
-        struct Counter;
-        impl SpecSource for Counter {
-            type State = u64;
-            fn num_letters(&self) -> u32 {
-                4
-            }
-            fn initial_state(&self) -> u64 {
-                0
-            }
-            fn step(&self, state: &u64, letter: LetterId) -> Option<u64> {
-                (*state < 50).then_some(state * 4 + letter as u64)
-            }
-        }
-        let mut cache = SpecCache::new(Counter);
+        let counter =
+            Counting(|state, letter| (state < 50).then_some(state * 4 + u64::from(letter)));
+        let mut cache = SpecCache::new(counter, vec![0, 1, 2, 3]);
         let empty = cache.heap_bytes();
         let unlimited = QueryBudget::unlimited();
         // Walk a few states, forcing their full letter rows.
-        let mut access: &mut SpecCache<Counter> = &mut cache;
-        let mut q = access.initial(&unlimited).unwrap();
+        let mut q = cache.initial(&unlimited).unwrap();
         for letter in [0, 1, 2, 3] {
-            q = access.step(q, letter, &unlimited).unwrap();
+            q = cache.step(q, letter, &unlimited).unwrap();
         }
-        let _ = access.step(q, 0, &unlimited).unwrap();
+        let _ = cache.step(q, 0, &unlimited).unwrap();
         let warm = cache.heap_bytes();
         // Every fully computed row is a boxed `[u32; num_letters]`; the
         // state table and interner grew alongside.
@@ -1021,25 +853,14 @@ mod tests {
         assert!(warm >= empty + floor, "{empty} -> {warm}, floor {floor}");
     }
 
-    /// A two-letter spec source over `u64` states, initial state 0, for
-    /// the [`SpecCache::from_parts`] tests.
-    struct TwoLetters;
-
-    impl SpecSource for TwoLetters {
-        type State = u64;
-        fn num_letters(&self) -> u32 {
-            2
-        }
-        fn initial_state(&self) -> u64 {
-            0
-        }
-        fn step(&self, state: &u64, letter: LetterId) -> Option<u64> {
-            Some(state + u64::from(letter) + 1)
-        }
+    /// A two-letter system over `u64` states, initial state 0, for the
+    /// [`SpecCache::from_parts`] tests.
+    fn two_letters() -> Counting {
+        Counting(|state, letter| Some(state + u64::from(letter) + 1))
     }
 
     fn rejection(states: Vec<u64>, rows: SpecRows) -> Option<&'static str> {
-        SpecCache::from_parts(TwoLetters, states, rows).err()
+        SpecCache::from_parts(two_letters(), vec![0, 1], states, rows).err()
     }
 
     fn row(entries: &[u32]) -> Option<Box<[u32]>> {
@@ -1053,7 +874,8 @@ mod tests {
     fn from_parts_accepts_and_returns_valid_parts() {
         let states = vec![0, 1, 2];
         let rows = vec![row(&[1, 2]), None, row(&[NO_STATE, 0])];
-        let cache = SpecCache::from_parts(TwoLetters, states.clone(), rows.clone()).unwrap();
+        let cache =
+            SpecCache::from_parts(two_letters(), vec![0, 1], states.clone(), rows.clone()).unwrap();
         assert_eq!(cache.parts(), (&states[..], &rows));
         assert_eq!(cache.touched(), 3);
         assert_eq!(cache.rows_built(), 2);

@@ -1,13 +1,17 @@
 //! Differential conformance harness for the inclusion checks: the seed
 //! reference (`tm_bench::oracle::check_inclusion_reference`) and the
-//! on-the-fly product engine — through its `check_inclusion` wrapper and
-//! through `check_inclusion_otf` — must agree on every Table 2 (TM, property) pair, on the TM steppers
-//! directly, on randomized NFA/DFA pairs and on hand-built edge cases.
+//! on-the-fly product engine (`check_inclusion_otf`) — through its
+//! `check_inclusion` wrapper, on the TM steppers directly and inside a
+//! `Verifier` session — must agree on every Table 2 (TM, property) pair,
+//! on randomized NFA/DFA pairs and on hand-built edge cases. The
+//! session's lazily interned specification is also checked entry by
+//! entry against the materialized automaton.
 //!
 //! Counterexamples additionally *replay*: the word is accepted by the
 //! implementation automaton and rejected by the specification DFA
-//! (`CompiledDfa::accepts`).
+//! (`Nfa::accepts` / `Dfa::accepts`).
 
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -20,96 +24,71 @@ use tm_modelcheck::algorithms::{
 };
 use tm_bench::oracle::{check_inclusion_antichain_reference, check_inclusion_reference};
 use tm_modelcheck::automata::{
-    check_inclusion, check_inclusion_antichain, check_inclusion_otf, CompiledDfa, CompiledNfa, Dfa,
-    InclusionResult, LetterId, Nfa, NfaSource, OtfStats, QueryBudget, SuccessorSource,
+    check_inclusion, check_inclusion_antichain, check_inclusion_otf, Alphabet, Dfa,
+    InclusionResult, Nfa, OtfStats, QueryBudget, SpecCache, SuccessorSource, NO_STATE,
 };
-use tm_modelcheck::lang::SafetyProperty;
+use tm_modelcheck::checker::{Artifact, ArtifactKey, Verifier};
+use tm_modelcheck::lang::{SafetyProperty, Statement};
 use tm_modelcheck::spec::DetSpec;
 
 const MAX_STATES: usize = 20_000_000;
 
-/// The on-the-fly engine without a budget.
-fn otf<S: SuccessorSource, L>(
+/// The on-the-fly engine without a budget, against a fresh
+/// specification cache over `dfa`.
+fn otf<S: SuccessorSource>(
     source: &S,
-    spec: &CompiledDfa<L>,
+    dfa: &Dfa<Statement>,
 ) -> (InclusionResult<S::Label>, OtfStats) {
-    check_inclusion_otf(source, spec, &QueryBudget::unlimited()).expect("in bounds")
+    let mut spec = SpecCache::new(dfa, dfa.letter_ids());
+    check_inclusion_otf(source, &mut spec, &QueryBudget::unlimited()).expect("in bounds")
 }
 
-/// Letter ids of `word` over `spec`'s alphabet, mapping unknown letters
-/// to an id the specification rejects.
-fn spec_ids<L: Clone + Eq + Hash>(spec: &CompiledDfa<L>, word: &[L]) -> Vec<LetterId> {
-    word.iter()
-        .map(|l| {
-            spec.alphabet()
-                .get(l)
-                .unwrap_or(spec.alphabet().len() as LetterId)
-        })
-        .collect()
-}
-
-/// Asserts that a counterexample of `L(imp) ⊆ L(spec)` replays: accepted
+/// Asserts that a counterexample of `L(nfa) ⊆ L(dfa)` replays: accepted
 /// by the implementation, rejected by the specification.
 fn assert_replays<L: Clone + Eq + Hash + std::fmt::Debug>(
-    imp: &CompiledNfa,
-    imp_alphabet: &tm_modelcheck::automata::Alphabet<L>,
-    spec: &CompiledDfa<L>,
+    nfa: &Nfa<L>,
+    dfa: &Dfa<L>,
     word: &[L],
     context: &str,
 ) {
-    let imp_ids: Vec<LetterId> = word
-        .iter()
-        .map(|l| {
-            imp_alphabet
-                .get(l)
-                .unwrap_or_else(|| panic!("{context}: counterexample letter {l:?} not interned"))
-        })
-        .collect();
     assert!(
-        imp.accepts(&imp_ids),
+        nfa.accepts(word),
         "{context}: counterexample not accepted by the implementation: {word:?}"
     );
     assert!(
-        !spec.accepts(&spec_ids(spec, word)),
+        !dfa.accepts(word),
         "{context}: counterexample accepted by the specification: {word:?}"
     );
 }
 
-/// Runs every engine on one (implementation NFA, compiled spec) pair and
-/// cross-checks them; returns the reference result.
+/// Checks one (implementation NFA, specification DFA) pair with the
+/// engine and the reference and cross-checks them; returns the
+/// reference result.
 fn conform<L: Clone + Eq + Hash + std::fmt::Debug>(
     nfa: &Nfa<L>,
     dfa: &Dfa<L>,
-    spec: &CompiledDfa<L>,
     context: &str,
 ) -> InclusionResult<L> {
     let reference = check_inclusion_reference(nfa, dfa);
-    let wrapped = check_inclusion(nfa, dfa);
-    assert_eq!(wrapped, reference, "{context}: check_inclusion");
-
-    let mut alphabet = spec.alphabet().clone();
-    let imp = CompiledNfa::compile(nfa, &mut alphabet);
-    let source = NfaSource::new(&imp, &alphabet);
-    let (got, _) = otf(&source, spec);
-    assert_eq!(got, reference, "{context}: otf");
+    let got = check_inclusion(nfa, dfa);
+    assert_eq!(got, reference, "{context}: check_inclusion");
     if let Some(word) = reference.counterexample() {
-        assert_replays(&imp, &alphabet, spec, word, context);
+        assert_replays(nfa, dfa, word, context);
     }
     reference
 }
 
-/// All Table 2 (TM, property) pairs: every engine agrees — same verdict,
-/// same shortest counterexample, and same `product_states` — and every
-/// counterexample replays.
+/// All Table 2 (TM, property) pairs: the engine agrees with the
+/// reference — same verdict, same shortest counterexample, and same
+/// `product_states` — and every counterexample replays.
 #[test]
 fn table2_all_engines_agree() {
     let roster = tm_bench::table2_roster();
     for property in SafetyProperty::all() {
         let (dfa, _) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
-        let spec = dfa.compile();
         for (name, nfa, _) in &roster {
             let context = format!("{} / {name}", property.short_name());
-            let result = conform(nfa, &dfa, &spec, &context);
+            let result = conform(nfa, &dfa, &context);
             if let Some(word) = result.counterexample() {
                 let word: tm_modelcheck::lang::Word = word.iter().copied().collect();
                 assert!(!property.holds(&word), "{context}: oracle accepts {word}");
@@ -127,12 +106,11 @@ fn tm_steppers_match_materialized_pipeline() {
     fn check_stepper<A: tm_modelcheck::algorithms::TmAlgorithm>(tm: &A, name: &str) {
         for property in SafetyProperty::all() {
             let (dfa, _) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
-            let spec = dfa.compile();
             let explored = tm_modelcheck::algorithms::most_general_nfa(tm, MAX_STATES);
             let expected = check_inclusion(&explored.nfa, &dfa);
-            let source = MostGeneralSource::new(tm, spec.alphabet().clone());
+            let source = MostGeneralSource::new(tm, Alphabet::from_letters(dfa.alphabet()));
             let context = format!("{} / {name} (stepper)", property.short_name());
-            let (got, stats) = otf(&source, &spec);
+            let (got, stats) = otf(&source, &dfa);
             assert_eq!(got, expected, "{context}");
             if expected.holds() {
                 assert_eq!(
@@ -142,9 +120,7 @@ fn tm_steppers_match_materialized_pipeline() {
                 );
             }
             if let Some(word) = expected.counterexample() {
-                let mut alphabet = spec.alphabet().clone();
-                let imp = CompiledNfa::compile(&explored.nfa, &mut alphabet);
-                assert_replays(&imp, &alphabet, &spec, word, &context);
+                assert_replays(&explored.nfa, &dfa, word, &context);
             }
         }
     }
@@ -163,25 +139,23 @@ fn tm_steppers_match_materialized_pipeline() {
 }
 
 /// The `Verifier` session — its lazily interned specification cached
-/// across all five TMs — agrees with the bare on-the-fly engine
-/// (`check_inclusion_otf` over `DetSpec::to_dfa().compile()`) on every
-/// Table 2 pair: verdict, counterexample word, and (on verified runs) TM
-/// state count.
+/// across all five TMs — agrees with the bare engine over the
+/// materialized specification (`DetSpec::to_dfa`) on every Table 2 pair:
+/// verdict, counterexample word, and (on verified runs) TM state count.
 #[test]
 fn safety_sessions_match_otf_engine_on_table2() {
     use tm_modelcheck::algorithms::TmAlgorithm;
-    use tm_modelcheck::checker::Verifier;
 
     fn check_case<A>(
         tm: &A,
         name: &str,
         property: SafetyProperty,
-        spec: &CompiledDfa<tm_modelcheck::lang::Statement>,
+        spec: &Dfa<Statement>,
         verifier: &mut Verifier,
     ) where
         A: TmAlgorithm,
     {
-        let source = MostGeneralSource::new(tm, spec.alphabet().clone());
+        let source = MostGeneralSource::new(tm, Alphabet::from_letters(spec.alphabet()));
         let (baseline, stats) = otf(&source, spec);
         let got = verifier
             .check_safety(tm, property)
@@ -201,7 +175,7 @@ fn safety_sessions_match_otf_engine_on_table2() {
     }
 
     for property in SafetyProperty::all() {
-        let spec = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES).0.compile();
+        let spec = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES).0;
         let mut verifier = Verifier::new(2, 2);
         check_case(&SequentialTm::new(2, 2), "sequential", property, &spec, &mut verifier);
         check_case(&TwoPhaseTm::new(2, 2), "2PL", property, &spec, &mut verifier);
@@ -220,6 +194,41 @@ fn safety_sessions_match_otf_engine_on_table2() {
         // Five TMs, one property per loop iteration: the session built
         // its specification artifact exactly once.
         assert_eq!(verifier.builds(), 1, "spec built once");
+    }
+}
+
+/// The session's lazily interned specification, entry by entry, against
+/// the materialized automaton: after the Table 2 roster at (2, 2) runs
+/// through one `Verifier`, every row the session's `SpecCache<DetSpec>`
+/// cached reaches the same `DetState` as the `DetSpec::to_dfa`
+/// transition for that letter, and misses exactly where the DFA has none.
+#[test]
+fn session_spec_rows_match_materialized_dfa() {
+    let mut verifier = Verifier::new(2, 2);
+    for property in SafetyProperty::all() {
+        for case in tm_bench::table2_cases() {
+            case.check_session(&mut verifier, property);
+        }
+        let key = ArtifactKey::spec(property, 2, 2);
+        let Some(Artifact::Spec { cache, .. }) = verifier.artifact(&key) else {
+            panic!("{property}: the session holds no specification artifact");
+        };
+        let (dfa, dfa_states) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
+        let dfa_id: HashMap<_, usize> = dfa_states.iter().zip(0..).collect();
+        assert_eq!(cache.letters(), dfa.alphabet(), "{property}: letter order");
+        let (states, rows) = cache.parts();
+        let mut entries = 0;
+        for (state, row) in states.iter().zip(rows) {
+            let Some(row) = row else { continue };
+            let q = dfa_id[state];
+            for (letter, &next) in dfa.alphabet().iter().zip(row.iter()) {
+                let expected = dfa.step(q, letter).map(|t| &dfa_states[t]);
+                let got = (next != NO_STATE).then(|| &states[next as usize]);
+                assert_eq!(got, expected, "{property}: row of {state:?}, letter {letter}");
+                entries += 1;
+            }
+        }
+        assert!(entries > 0, "{property}: the session cached no rows");
     }
 }
 
@@ -256,15 +265,13 @@ fn build_nfa(states: usize, edges: &[(usize, usize, usize)]) -> Nfa<char> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Fuzz: on random NFA/DFA pairs, the on-the-fly engine (directly
-    /// and through `check_inclusion`) is equivalent to the reference
-    /// checker, so it is exercised on adversarial shapes, not just the
-    /// Table 2 examples.
+    /// Fuzz: on random NFA/DFA pairs, the on-the-fly engine (through
+    /// `check_inclusion`) is equivalent to the reference checker, so it
+    /// is exercised on adversarial shapes, not just the Table 2 examples.
     #[test]
     fn otf_equals_compiled_on_random_pairs((left, right) in (arb_nfa(), arb_nfa())) {
         let dfa = Dfa::determinize(&right, NFA_ALPHABET.to_vec());
-        let spec = dfa.compile();
-        conform(&left, &dfa, &spec, "proptest pair");
+        conform(&left, &dfa, "proptest pair");
     }
 }
 
@@ -290,8 +297,7 @@ fn otf_equals_compiled_on_seeded_pairs() {
         let left = random_nfa(&mut rng);
         let right = random_nfa(&mut rng);
         let dfa = Dfa::determinize(&right, NFA_ALPHABET.to_vec());
-        let spec = dfa.compile();
-        conform(&left, &dfa, &spec, &format!("seed {seed}"));
+        conform(&left, &dfa, &format!("seed {seed}"));
     }
 }
 
@@ -366,7 +372,7 @@ fn hand_built_pairs_match_reference() {
         (chain_nfa(12), letter_dfa(&['a', 'b', 'c'])),
     ];
     for (i, (nfa, dfa)) in cases.iter().enumerate() {
-        conform(nfa, dfa, &dfa.compile(), &format!("hand-built pair {i}"));
+        conform(nfa, dfa, &format!("hand-built pair {i}"));
     }
 }
 

@@ -6,8 +6,8 @@ use proptest::prelude::*;
 
 use tm_bench::oracle::{check_inclusion_antichain_reference, check_inclusion_reference};
 use tm_modelcheck::automata::{
-    check_inclusion, check_inclusion_antichain, check_inclusion_otf, Alphabet as LetterAlphabet,
-    BitSet, Dfa, LetterId, Nfa, NfaSource, QueryBudget,
+    check_inclusion, check_inclusion_antichain, Alphabet as LetterAlphabet, BitSet, Dfa, LetterId,
+    Nfa,
 };
 use tm_modelcheck::lang::{
     is_opaque, is_opaque_brute_force, is_strictly_serializable,
@@ -242,21 +242,10 @@ fn table2_inclusion_matches_seed_implementation() {
     let roster = tm_bench::table2_roster();
     for property in SafetyProperty::all() {
         let (spec, _) = DetSpec::new(property, 2, 2).to_dfa(20_000_000);
-        let compiled = spec.compile();
         for (name, nfa, _) in &roster {
             let fast = check_inclusion(nfa, &spec);
             let seed = check_inclusion_reference(nfa, &spec);
             assert_eq!(fast, seed, "{property} / {name}");
-            // The same engine over the shared precompiled spec.
-            let mut alphabet = compiled.alphabet().clone();
-            let imp = nfa.compile(&mut alphabet);
-            let (precompiled, _) = check_inclusion_otf(
-                &NfaSource::new(&imp, &alphabet),
-                &compiled,
-                &QueryBudget::unlimited(),
-            )
-            .expect("unlimited query");
-            assert_eq!(precompiled, seed, "{property} / {name} (precompiled)");
             if let Some(word) = seed.counterexample() {
                 let word: Word = word.iter().copied().collect();
                 assert!(!property.holds(&word), "{property} / {name}: {word}");
