@@ -19,7 +19,7 @@ use tm_algorithms::{most_general_nfa, DstmTm, MostGeneralSource, TwoPhaseTm};
 use tm_automata::{check_inclusion, check_inclusion_otf, Alphabet, QueryBudget, SpecCache};
 use tm_bench::oracle::check_inclusion_reference;
 use tm_lang::SafetyProperty;
-use tm_spec::{spec_alphabet, DetSpec, NondetSpec};
+use tm_spec::{spec_alphabet, DetSpec, NondetSpec, QuotientSpec};
 
 const MAX: usize = 20_000_000;
 
@@ -111,9 +111,9 @@ fn bench_inclusion_scaling(c: &mut Criterion) {
 }
 
 /// The on-the-fly product engine on the TM steppers themselves: no NFA is
-/// built, the TM is stepped lazily against the lazy specification
-/// (`otf-lazy`, a fresh spec cache per iteration). This is the group that
-/// scales past (3, 2).
+/// built, the TM is stepped lazily against the lazy specification the
+/// `Verifier` session uses, `QuotientSpec` (`otf-lazy`, a fresh spec cache
+/// per iteration). This is the group that scales past (3, 2).
 fn bench_otf_product(c: &mut Criterion) {
     let unlimited = QueryBudget::unlimited();
     let mut group = c.benchmark_group("scaling/otf-product");
@@ -123,13 +123,17 @@ fn bench_otf_product(c: &mut Criterion) {
         if !group.is_selected(&format!("otf-lazy/{tag}")) {
             continue;
         }
-        let det = DetSpec::new(SafetyProperty::StrictSerializability, n, k);
+        let spec = QuotientSpec::new(SafetyProperty::StrictSerializability, n, k);
         let letters = spec_alphabet(n, k);
         let tm = TwoPhaseTm::new(n, k);
         let source = MostGeneralSource::new(&tm, Alphabet::from_letters(&letters));
         group.bench_with_input(BenchmarkId::new("otf-lazy", &tag), &(n, k), |b, _| {
             b.iter(|| {
-                check_inclusion_otf(&source, &mut SpecCache::new(&det, letters.clone()), &unlimited)
+                check_inclusion_otf(
+                    &source,
+                    &mut SpecCache::new(&spec, letters.clone()),
+                    &unlimited,
+                )
             })
         });
     }

@@ -51,7 +51,7 @@ use tm_checker::{Artifact, ArtifactKey, Table, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty, Statement};
 use tm_service::wire::{encode_phases, JsonError};
 use tm_service::Json;
-use tm_spec::{spec_alphabet, DetSpec, NondetSpec};
+use tm_spec::{spec_alphabet, DetSpec, NondetSpec, QuotientSpec};
 
 fn env_flag(name: &str) -> bool {
     std::env::var(name).as_deref() == Ok("1")
@@ -235,7 +235,8 @@ fn table1() {
 /// Table 2 through one default (2, 2) session: each property's
 /// specification is interned lazily once, shared by all five TMs. The
 /// header quotes the full specification size from `specs` (the paper's
-/// figure) next to the states the session touched. The "states" column
+/// figure) next to the normal-form keys the session touched
+/// (`tm_spec::QuotientSpec`). The "states" column
 /// still comes from the materialized most-general NFAs (the paper's full
 /// "Size" figure — the on-the-fly check would stop early on the
 /// violating TM).
@@ -267,7 +268,7 @@ fn table2(specs: &[(SafetyProperty, Dfa<Statement>)]) {
         }
         let mut table = Table::new(
             format!(
-                "Table 2 — L(A) ⊆ L(Σᵈ_{}) (spec: {} states, {} touched)",
+                "Table 2 — L(A) ⊆ L(Σᵈ_{}) (spec: {} states, {} keys touched)",
                 property.short_name(),
                 spec.num_states(),
                 touched
@@ -415,7 +416,8 @@ fn bench_inclusion_baseline() -> (Vec<Json>, Duration) {
 
 /// Scaling rows for the on-the-fly product engine: 2PL (and DSTM where
 /// the product stays tractable) against π_ss at (2,2) → (4,2), both
-/// sides explored lazily. Eagerly determinizing the (3,3)/(4,2)
+/// sides explored lazily, over the specification system the session
+/// uses (`QuotientSpec`). Eagerly determinizing the (3,3)/(4,2)
 /// specifications does not terminate in reasonable time, which is
 /// exactly the point of on-the-fly exploration.
 fn bench_otf_scaling() -> (Vec<Json>, Duration) {
@@ -432,13 +434,13 @@ fn bench_otf_scaling() -> (Vec<Json>, Duration) {
         (3, 3, true),
         (4, 2, true),
     ] {
-        let det = DetSpec::new(SafetyProperty::StrictSerializability, n, k);
+        let spec = QuotientSpec::new(SafetyProperty::StrictSerializability, n, k);
         let letters = spec_alphabet(n, k);
         let alphabet = tm_automata::Alphabet::from_letters(&letters);
         let runs = if heavy { 1 } else { 3 };
 
         let mut measure = |tm: &dyn ErasedTm, name: &str| {
-            let (lazy, product, impl_states) = tm.time_lazy(&alphabet, &det, &letters, runs);
+            let (lazy, product, impl_states) = tm.time_lazy(&alphabet, &spec, &letters, runs);
             lazy_total += lazy;
             table.push_row([
                 name.to_owned(),
@@ -474,7 +476,7 @@ trait ErasedTm {
     fn time_lazy(
         &self,
         alphabet: &tm_automata::Alphabet<Statement>,
-        spec: &DetSpec,
+        spec: &QuotientSpec,
         letters: &[Statement],
         runs: usize,
     ) -> (Duration, usize, usize);
@@ -484,7 +486,7 @@ impl<A: TmAlgorithm> ErasedTm for A {
     fn time_lazy(
         &self,
         alphabet: &tm_automata::Alphabet<Statement>,
-        spec: &DetSpec,
+        spec: &QuotientSpec,
         letters: &[Statement],
         runs: usize,
     ) -> (Duration, usize, usize) {

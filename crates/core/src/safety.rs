@@ -13,7 +13,8 @@
 //! never materialized into an NFA — its states are stepped lazily as the
 //! product BFS reaches them, against the session's lazily interned
 //! specification ([`tm_automata::SpecCache`] over
-//! [`tm_spec::DetSpec`]). This module holds the verdict types.
+//! [`tm_spec::QuotientSpec`], the deterministic specification interned
+//! by a normal form). This module holds the verdict types.
 
 use std::time::Duration;
 
@@ -43,13 +44,17 @@ pub struct SafetyVerdict {
     /// state count (Table 2 "Size") when the property holds, the explored
     /// portion when a violation cut the search short.
     pub tm_states: usize,
-    /// Specification states the product touched: the states the
-    /// session's lazily interned specification holds after this query
-    /// (cumulative over the session's earlier queries against the same
-    /// property and size). Not the full deterministic automaton's size,
-    /// which `tm_spec::DetSpec::to_dfa` reports.
+    /// Specification keys the product touched: the normal-form keys
+    /// ([`tm_spec::QuotientSpec`]) the session's lazily interned
+    /// specification holds after this query (cumulative over the
+    /// session's earlier queries against the same property and size).
+    /// For strict serializability a key stands for every state that
+    /// differs only in a doomed thread's record; for opacity keys are
+    /// states. Not the full deterministic automaton's size, which
+    /// `tm_spec::DetSpec::to_dfa` reports.
     pub spec_states: usize,
-    /// Product states explored by the inclusion check.
+    /// Product pairs `(TM state, specification key)` explored by the
+    /// inclusion check.
     pub product_states: usize,
     /// Wall-clock time of the inclusion check (excluding automaton
     /// construction).

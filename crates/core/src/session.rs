@@ -8,10 +8,10 @@
 //! `(n, k)` and amortizes across all subsequent queries
 //!
 //! * the **specification artifact** of each property (a
-//!   [`tm_automata::SpecCache`] over the property's [`tm_spec::DetSpec`]
-//!   rules, its rows interned lazily), shared by every TM checked against
-//!   the same property and searched by the one product engine,
-//!   [`tm_automata::check_inclusion_otf`];
+//!   [`tm_automata::SpecCache`] over the property's
+//!   [`tm_spec::QuotientSpec`], its rows interned lazily), shared by every
+//!   TM checked against the same property and searched by the one product
+//!   engine, [`tm_automata::check_inclusion_otf`];
 //! * the **compiled run graph** ([`tm_automata::CompiledRunGraph`]) of
 //!   each TM, built on the first liveness query and answering all three
 //!   properties (the `tables` bin used to build it three times per TM).
@@ -25,6 +25,19 @@
 //! [`Verifier::import`], [`Verifier::evict`] — is all a service needs to
 //! charge, persist, evict and reload artifacts. [`Verifier::builds`] and
 //! [`Verifier::rebuilds`] count builds of either kind.
+//!
+//! The specification artifact interns [`tm_spec::DetSpec`]'s states by a
+//! normal form ([`tm_spec::QuotientSpec`]): for strict serializability a
+//! doomed transaction keeps only its phase, which takes the Table 2
+//! specification from 3214 touched states to 910 keys and the product
+//! with it; for opacity the key is the state. The quotient accepts the
+//! same words, and its product search reports the same shortest
+//! counterexample (the proof is in `tm_spec::QuotientSpec`'s module
+//! docs; `tests/spec_quotient.rs` validates the normal form against
+//! `DetSpec::to_dfa`). Only `product_states` and `spec_states` count
+//! keys instead of states. There is no switch back to the unquotiented
+//! specification in the session: a plain `SpecCache<DetSpec>` is the
+//! tests' oracle.
 //!
 //! Every query returns a uniform [`Verdict`] carrying [`QueryStats`]
 //! (states explored, build vs. search time, cache hit). Verdicts,
@@ -49,7 +62,7 @@ use tm_automata::{
     InclusionResult, QueryBudget, SpecCache, SpecRows,
 };
 use tm_lang::{LivenessProperty, SafetyProperty, Statement, Word};
-use tm_spec::{spec_alphabet, DetSpec, DetState};
+use tm_spec::{spec_alphabet, DetState, QuotientSpec};
 
 use crate::liveness::{property_queries, LivenessOutcome, LivenessVerdict, RunLasso};
 use crate::reduction::ReductionEvidence;
@@ -124,15 +137,15 @@ pub enum Artifact {
         build_time: Duration,
     },
     /// A lazily stepped specification with its persistent interned rows:
-    /// the specification rules ([`tm_spec::DetSpec`]) are stepped on the
-    /// fly, so only specification states some TM actually reaches are
+    /// the specification rules ([`tm_spec::QuotientSpec`]) are stepped on
+    /// the fly, so only specification keys some TM actually reaches are
     /// ever computed — which is what lets safety scale past (3, 2),
     /// where determinizing the whole specification up front would
     /// dominate every check. Shared by every TM checked against the
     /// property.
     Spec {
         /// The interned rows over the specification rules.
-        cache: SpecCache<DetSpec>,
+        cache: SpecCache<QuotientSpec>,
         /// Wall time of the original build.
         build_time: Duration,
     },
@@ -142,9 +155,12 @@ impl Artifact {
     /// Reassembles the specification artifact of `(property, threads,
     /// vars)` from stored interned rows, validated by
     /// [`SpecCache::from_parts`] against freshly built specification
-    /// rules (initial state, row widths, id ranges). The rows are a pure
-    /// memo of the deterministic specification, so an artifact that
-    /// passes can change timing, never verdicts.
+    /// rules (initial state, row widths, id ranges) after checking that
+    /// every stored state is a key of the normal form
+    /// ([`QuotientSpec::normalize`] leaves it unchanged), so rows
+    /// interned without the quotient are never taken for quotient rows.
+    /// The rows are a pure memo of the specification, so an artifact
+    /// that passes can change timing, never verdicts.
     ///
     /// # Errors
     ///
@@ -162,7 +178,10 @@ impl Artifact {
         if !(1..=tm_spec::MAX_THREADS).contains(&threads) || !(1..=16).contains(&vars) {
             return Err("specification instance size out of range");
         }
-        let spec = DetSpec::new(property, threads, vars);
+        let spec = QuotientSpec::new(property, threads, vars);
+        if states.iter().any(|state| spec.normalize(state) != *state) {
+            return Err("interned state is not in normal form");
+        }
         let cache = SpecCache::from_parts(spec, spec_alphabet(threads, vars), states, rows)?;
         Ok(Artifact::Spec { cache, build_time })
     }
@@ -173,6 +192,17 @@ impl Artifact {
         match self {
             Artifact::RunGraph { graph, .. } => graph.heap_bytes(),
             Artifact::Spec { cache, .. } => cache.heap_bytes(),
+        }
+    }
+
+    /// How many rows the artifact holds: a run graph's states (one CSR
+    /// row each, fixed at build), a specification's computed letter rows
+    /// (they only grow). A stored copy with fewer rows than the resident
+    /// artifact is stale.
+    pub fn rows(&self) -> usize {
+        match self {
+            Artifact::RunGraph { states, .. } => *states,
+            Artifact::Spec { cache, .. } => cache.rows_built(),
         }
     }
 
@@ -417,7 +447,7 @@ impl Verifier {
         if !cached {
             let build = Instant::now();
             let (n, k) = (key.threads, key.vars);
-            let cache = SpecCache::new(DetSpec::new(property, n, k), spec_alphabet(n, k));
+            let cache = SpecCache::new(QuotientSpec::new(property, n, k), spec_alphabet(n, k));
             let build_time = build.elapsed();
             rebuilds = self.record_build(key.clone(), Artifact::Spec { cache, build_time });
         }

@@ -21,8 +21,9 @@
 //! methods *append* into a caller-owned buffer instead of returning a
 //! fresh `Vec`: an explorer reuses one buffer for a whole state expansion,
 //! and stepping a plain TM allocates nothing once the buffer has grown.
-//! A TM × contention-manager product still allocates one buffer for the
-//! base TM's steps per call (see [`crate::WithContentionManager`]).
+//! A TM × contention-manager product collects the base TM's steps in a
+//! second buffer that it owns and reuses (see
+//! [`crate::WithContentionManager`]).
 
 use std::fmt;
 use std::hash::Hash;
@@ -193,8 +194,9 @@ pub trait TmState: Clone + Eq + Hash + fmt::Debug {
 /// implementations should not allocate: build successors on the stack
 /// (states are small `Copy` structs) and `push` them. A composite TM
 /// whose base has another state type cannot hand `out` to the base, so
-/// [`crate::WithContentionManager`] collects the base TM's steps in one
-/// fresh buffer per call. [`TmAlgorithm::steps`] is the allocating
+/// [`crate::WithContentionManager`] collects the base TM's steps in a
+/// buffer of its own that every call reuses. [`TmAlgorithm::steps`] is
+/// the allocating
 /// convenience wrapper for tests and one-off replays.
 pub trait TmAlgorithm {
     /// The state type `Q`.

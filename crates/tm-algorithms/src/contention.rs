@@ -8,6 +8,7 @@
 //! `L(A_cm) ⊆ L(A)` — which is why safety is verified once, without any
 //! manager (§4), while liveness must be checked per manager (§6).
 
+use std::cell::Cell;
 use std::fmt;
 use std::hash::Hash;
 
@@ -286,16 +287,43 @@ impl<S: TmState, P: Clone + Eq + Hash + fmt::Debug> TmState for CmState<S, P> {
 /// assert_eq!(steps.len(), 1);
 /// assert!(!steps[0].action.is_abort());
 /// ```
-#[derive(Clone, Copy, Debug)]
-pub struct WithContentionManager<A, C> {
+pub struct WithContentionManager<A: TmAlgorithm, C> {
     tm: A,
     cm: C,
+    /// The base TM's proper steps of the call in progress: their state
+    /// type is the base's, not the product's, so they cannot go into the
+    /// caller's buffer. Taken and put back by every call, so stepping
+    /// allocates only while the buffer grows to its high-water mark.
+    base: Cell<Vec<Step<A::State>>>,
+}
+
+impl<A: TmAlgorithm + Clone, C: Clone> Clone for WithContentionManager<A, C> {
+    fn clone(&self) -> Self {
+        WithContentionManager {
+            tm: self.tm.clone(),
+            cm: self.cm.clone(),
+            base: Cell::default(),
+        }
+    }
+}
+
+impl<A: TmAlgorithm + fmt::Debug, C: fmt::Debug> fmt::Debug for WithContentionManager<A, C> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("WithContentionManager")
+            .field("tm", &self.tm)
+            .field("cm", &self.cm)
+            .finish()
+    }
 }
 
 impl<A: TmAlgorithm, C: ContentionManager> WithContentionManager<A, C> {
     /// Composes a TM algorithm with a contention manager.
     pub fn new(tm: A, cm: C) -> Self {
-        WithContentionManager { tm, cm }
+        WithContentionManager {
+            tm,
+            cm,
+            base: Cell::default(),
+        }
     }
 
     /// The underlying TM algorithm.
@@ -314,18 +342,18 @@ impl<A: TmAlgorithm, C: ContentionManager> WithContentionManager<A, C> {
         self.cm.transition(p, d, t).unwrap_or_else(|| p.clone())
     }
 
-    /// Appends the base TM's proper steps `base` (of thread `t` in `q`,
-    /// `conflict` being `φ` there) that the manager admits, paired with
-    /// the manager's successor state.
+    /// Drains the base TM's proper steps `base` (of thread `t` in `q`,
+    /// `conflict` being `φ` there), appending those the manager admits,
+    /// paired with the manager's successor state.
     fn push_cm_filtered(
         &self,
         q: &CmState<A::State, C::State>,
         t: ThreadId,
         conflict: bool,
-        base: Vec<Step<A::State>>,
+        base: &mut Vec<Step<A::State>>,
         out: &mut Vec<Step<CmState<A::State, C::State>>>,
     ) {
-        for step in base {
+        for step in base.drain(..) {
             let d = step.action.ext_command();
             let cm_next = match self.cm.transition(&q.cm, d, t) {
                 Some(p) => p,
@@ -379,9 +407,10 @@ impl<A: TmAlgorithm, C: ContentionManager> TmAlgorithm for WithContentionManager
         out: &mut Vec<Step<Self::State>>,
     ) {
         let conflict = self.tm.is_conflict(&q.tm, c, t);
-        let mut base = Vec::new();
+        let mut base = self.base.take();
         self.tm.proper_steps(&q.tm, c, t, &mut base);
-        self.push_cm_filtered(q, t, conflict, base, out);
+        self.push_cm_filtered(q, t, conflict, &mut base, out);
+        self.base.set(base);
     }
 
     fn abort_state(&self, q: &Self::State, t: ThreadId) -> Self::State {
@@ -395,9 +424,8 @@ impl<A: TmAlgorithm, C: ContentionManager> TmAlgorithm for WithContentionManager
     /// abort transition when the base TM would offer it **and** — at a
     /// conflict — the manager has an abort transition. The base TM's
     /// proper steps are computed once and serve both the filter and the
-    /// abort-enabledness test. They go into a fresh buffer, the one
-    /// allocation per call: its element type is the base TM's step, not
-    /// `out`'s.
+    /// abort-enabledness test. They go into the composite's own reused
+    /// buffer: its element type is the base TM's step, not `out`'s.
     fn steps_into(
         &self,
         q: &Self::State,
@@ -407,10 +435,11 @@ impl<A: TmAlgorithm, C: ContentionManager> TmAlgorithm for WithContentionManager
     ) {
         let start = out.len();
         let conflict = self.is_conflict(q, c, t);
-        let mut base = Vec::new();
+        let mut base = self.base.take();
         self.tm.proper_steps(&q.tm, c, t, &mut base);
         let abort_in_base = base.is_empty() || conflict;
-        self.push_cm_filtered(q, t, conflict, base, out);
+        self.push_cm_filtered(q, t, conflict, &mut base, out);
+        self.base.set(base);
         let cm_allows_abort = !conflict || self.cm.transition(&q.cm, None, t).is_some();
         if abort_in_base && cm_allows_abort {
             out.push(Step {

@@ -15,8 +15,11 @@
 //! the product reaches are ever stepped. [`check_inclusion_otf`] is the
 //! one entry point, bounded by a [`QueryBudget`] and running a single
 //! FIFO product BFS on the calling thread. The `tm_checker::Verifier`
-//! session runs it over `tm_spec::DetSpec`; [`crate::check_inclusion`]
-//! runs it over a materialized [`crate::Dfa`].
+//! session runs it over `tm_spec::QuotientSpec` (the deterministic
+//! specification interned by a normal form; its docs prove that the
+//! search reports the same shortest counterexample as over
+//! `tm_spec::DetSpec`); [`crate::check_inclusion`] runs it over a
+//! materialized [`crate::Dfa`].
 //!
 //! The BFS's discovery order is that of the seed checker
 //! (`tm_bench::oracle`): identical verdicts, identical shortest
@@ -164,7 +167,26 @@ impl<L: Clone> SuccessorSource for NfaSource<'_, L> {
 ///
 /// The discovery order is that of the seed checker in `tm_bench::oracle`,
 /// hence the identical verdict, word, and `product_states`.
+///
+/// A query that interned specification states leaves the cache's tables
+/// at their exact size (as a run graph is after its build), so a cache
+/// grown by queries and the same rows rebuilt by
+/// [`SpecCache::from_parts`] report the same [`SpecCache::heap_bytes`].
 pub fn check_inclusion_otf<S: SuccessorSource, T: DeterministicTransitionSystem>(
+    source: &S,
+    cache: &mut SpecCache<T>,
+    budget: &QueryBudget,
+) -> Result<(InclusionResult<S::Label>, OtfStats), EngineError> {
+    let interned = cache.touched();
+    let result = product_bfs(source, cache, budget);
+    if cache.touched() > interned {
+        cache.shrink_to_fit();
+    }
+    result
+}
+
+/// The product BFS behind [`check_inclusion_otf`].
+fn product_bfs<S: SuccessorSource, T: DeterministicTransitionSystem>(
     source: &S,
     cache: &mut SpecCache<T>,
     budget: &QueryBudget,
@@ -284,7 +306,7 @@ pub type SpecRows = Vec<Option<Box<[u32]>>>;
 /// Held across queries, the cache makes every subsequent check against
 /// the same specification pay only for spec states it is the *first* to
 /// touch. The system is never stepped twice for the same state. A session
-/// owns its system (`SpecCache<tm_spec::DetSpec>`); a one-shot check can
+/// owns its system (`SpecCache<tm_spec::QuotientSpec>`); a one-shot check can
 /// borrow one, since the trait is implemented for references.
 pub struct SpecCache<T: DeterministicTransitionSystem> {
     system: T,
@@ -399,13 +421,24 @@ impl<T: DeterministicTransitionSystem> SpecCache<T> {
                 return Err("duplicate interned state");
             }
         }
-        Ok(SpecCache {
+        let mut cache = SpecCache {
             system,
             letters,
             ids,
             states,
             rows,
-        })
+        };
+        cache.shrink_to_fit();
+        Ok(cache)
+    }
+
+    /// Drops the growth slack of the interner and the state and row
+    /// tables (row boxes are exact already), so [`SpecCache::heap_bytes`]
+    /// depends only on the interned contents, not on how they arrived.
+    fn shrink_to_fit(&mut self) {
+        self.ids.shrink_to_fit();
+        self.states.shrink_to_fit();
+        self.rows.shrink_to_fit();
     }
 
     /// Interns `state` against `budget`: specification blowups are the

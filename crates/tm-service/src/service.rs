@@ -63,10 +63,11 @@ pub const MAX_INFLIGHT_ENV: &str = "TM_SERVICE_MAX_INFLIGHT";
 
 /// Environment variable holding the persistent artifact store directory
 /// (unset or empty = no store). With a store, budget evictions *demote*
-/// artifacts to disk instead of discarding them, rebuilt artifacts are
-/// written through, and a new service warm-starts its sessions from the
-/// directory — a restarted daemon answers its old roster with zero
-/// rebuilds.
+/// artifacts to disk instead of discarding them, built artifacts and
+/// specifications that a query grew are written through, and a new
+/// service warm-starts its sessions from the directory — a restarted
+/// daemon answers its old roster with zero rebuilds and no new
+/// specification rows.
 pub const STORE_DIR_ENV: &str = "TM_STORE_DIR";
 
 /// Environment variable holding the on-disk byte cap for the store's own
@@ -440,7 +441,8 @@ pub struct ServiceStats {
     /// mismatch); each was renamed `*.quarantined` and its key rebuilt.
     pub store_corrupt: u64,
     /// Artifact files written to the store (write-through plus
-    /// demotions; content-addressed re-saves are not counted).
+    /// demotions; re-saves of a key whose file already holds as many
+    /// rows are not counted).
     pub store_saves: u64,
     /// Bytes currently addressable in the store directory.
     pub store_bytes: u64,
@@ -829,11 +831,10 @@ impl Service {
         true
     }
 
-    /// Write-through: persists a freshly built artifact straight from
-    /// the (locked) session. Content-addressed re-saves of an already
-    /// stored key are no-ops inside the store; store faults and I/O
-    /// errors are swallowed — persistence is best-effort and never fails
-    /// a query.
+    /// Write-through: persists an artifact that a query built or grew
+    /// straight from the (locked) session. The store skips a key whose
+    /// file already holds as many rows; store faults and I/O errors are
+    /// swallowed — persistence is best-effort and never fails a query.
     fn save_through(&self, session: &Verifier, key: &ArtifactKey) {
         let Some(store) = &self.store else { return };
         if let Some(artifact) = session.artifact(key) {
@@ -1003,13 +1004,15 @@ impl Service {
                 session.promotes.inc();
                 promotes = 1;
             }
+            let rows_before = verifier.artifact(&key).map_or(0, Artifact::rows);
             let verdict = run_query(&mut verifier, spec);
-            let bytes = verifier.artifact(&key).map_or(0, Artifact::heap_bytes);
-            // Write-through: a successful first build (or rebuild) is
-            // persisted immediately, so a restart warm-starts even if
-            // the budget never forces a demotion.
-            if admission.reserved
-                && !verdict.stats.artifact_cached
+            let artifact = verifier.artifact(&key);
+            let bytes = artifact.map_or(0, Artifact::heap_bytes);
+            // Write-through: a successful build, rebuild, or query that
+            // grew a specification's rows is persisted immediately, so a
+            // restart warm-starts with every row even if the budget
+            // never forces a demotion.
+            if artifact.is_some_and(|a| a.rows() > rows_before)
                 && !matches!(verdict.outcome, VerdictOutcome::Aborted(_))
             {
                 self.save_through(&verifier, &key);

@@ -73,8 +73,9 @@ fn warm_restart_answers_roster_with_zero_rebuilds() {
     let cold_stats = cold.stats();
     assert_eq!(cold_stats.artifact_builds, 6);
     assert_eq!(
-        cold_stats.store_saves, 6,
-        "every built artifact is written through: {cold_stats:?}"
+        cold_stats.store_saves, 10,
+        "every built artifact is written through, and so is every Table 2 \
+         query that grew a specification (four of them): {cold_stats:?}"
     );
     assert_eq!(cold_stats.store_files, 6);
     drop(cold);
@@ -97,6 +98,49 @@ fn warm_restart_answers_roster_with_zero_rebuilds() {
     );
     assert_eq!(stats.store_corrupt, 0);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A specification grows as later queries touch new rows, and the store
+/// keeps up: a restarted service loads every row the cold one built,
+/// charges it the same bytes, and re-asks the roster without interning a
+/// single new row (so nothing is re-saved either).
+#[test]
+fn a_restarted_service_reasks_the_roster_without_new_spec_rows() {
+    let batch = paper_batch();
+    let dir = scratch_dir("grown-spec");
+    let cold = Service::try_new(store_config(&dir, None)).unwrap();
+    let reference = fingerprint(&cold.submit(&batch));
+    let cold_ledger = cold.ledger();
+    drop(cold);
+
+    let warm = Service::try_new(store_config(&dir, None)).unwrap();
+    let boot_ledger = sorted(warm.ledger());
+    assert_eq!(
+        boot_ledger,
+        sorted(cold_ledger),
+        "loaded artifacts are charged exactly as built ones"
+    );
+    assert_eq!(fingerprint(&warm.submit(&batch)), reference);
+    let stats = warm.stats();
+    assert_eq!(
+        (stats.artifact_builds, stats.store_saves),
+        (0, 0),
+        "nothing was built or grew: {stats:?}"
+    );
+    assert_eq!(
+        sorted(warm.ledger()),
+        boot_ledger,
+        "no specification interned a new row"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+fn sorted(mut ledger: Vec<(ArtifactKey, usize)>) -> Vec<(String, usize)> {
+    ledger.sort_by_key(|(key, _)| key.to_string());
+    ledger
+        .into_iter()
+        .map(|(key, bytes)| (key.to_string(), bytes))
+        .collect()
 }
 
 #[test]
@@ -314,6 +358,69 @@ fn checksum_valid_structurally_bad_spec_rows_are_rebuilt() {
     assert_eq!(
         stats.artifact_builds, 1,
         "only the bad spec is rebuilt: {stats:?}"
+    );
+    assert!(victim.exists(), "the rebuild is written through again");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A lazy-spec image rewritten by the container's own writer, with the
+/// first thread record of its last interned state replaced by a doomed
+/// (`valid == false`) record that still holds a read set: every checksum
+/// is valid. Section 3 holds the states (a `u32` count, then 64 bytes per
+/// state, 16 per thread: phase, valid, then the sets as `u16`s, `rs`
+/// first).
+fn with_doomed_last_state(image: &[u8]) -> Vec<u8> {
+    let sections = Sections::parse(image).unwrap();
+    let mut writer = SectionWriter::new();
+    for tag in 1..=5 {
+        let mut payload = sections.get(tag).unwrap().to_vec();
+        if tag == 3 {
+            let at = payload.len() - 64;
+            payload[at..at + 4].copy_from_slice(&[1, 0, 1, 0]);
+        }
+        writer.section(tag, payload);
+    }
+    writer.finish(sections.kind, sections.digest)
+}
+
+/// The strict-serializability artifact interns normal forms, in which a
+/// doomed thread keeps only its phase. A checksum-valid file holding a
+/// doomed record with a read set — as rows interned without the normal
+/// form would — is not a quotient artifact: it is quarantined at warm
+/// boot, counted in `tm_store_corrupt_total`, and the query rebuilds to
+/// the cold answer.
+#[test]
+fn checksum_valid_spec_files_with_doomed_records_are_rebuilt() {
+    let batch: Vec<QuerySpec> = ["dstm+aggressive:of:2:1", "TL2:ss:2:2"]
+        .iter()
+        .map(|q| QuerySpec::parse(q).unwrap())
+        .collect();
+    let dir = scratch_dir("doomed-record");
+    let cold = Service::try_new(store_config(&dir, None)).unwrap();
+    let reference = fingerprint(&cold.submit(&batch));
+    drop(cold);
+
+    let key = ArtifactKey::spec(SafetyProperty::StrictSerializability, 2, 2);
+    let victim = dir.join(file_name(&key));
+    let image = with_doomed_last_state(&std::fs::read(&victim).unwrap());
+    assert_eq!(
+        decode_artifact(&image).err(),
+        Some("interned state is not in normal form"),
+        "the checksums pass and the normal-form check rejects"
+    );
+    std::fs::write(&victim, &image).unwrap();
+
+    let warm = Service::try_new(store_config(&dir, None)).unwrap();
+    assert!(dir
+        .join(format!("{}.quarantined", file_name(&key)))
+        .exists());
+    let boot = warm.stats();
+    assert_eq!((boot.store_corrupt, boot.store_hits), (1, 1), "{boot:?}");
+    assert_eq!(fingerprint(&warm.submit(&batch)), reference);
+    let stats = warm.stats();
+    assert_eq!(
+        stats.artifact_builds, 1,
+        "only the rejected spec is rebuilt: {stats:?}"
     );
     assert!(victim.exists(), "the rebuild is written through again");
     std::fs::remove_dir_all(&dir).unwrap();

@@ -9,7 +9,13 @@
 //!   Σ_op (paper Alg. 5), in which each transaction guesses its
 //!   serialization point with an internal ε-move;
 //! * [`DetSpec`] — the deterministic specifications Σᵈ_ss / Σᵈ_op (paper
-//!   Alg. 6), based on weak/strong predecessor tracking;
+//!   Alg. 6), based on weak/strong predecessor tracking; its reachable
+//!   automaton (`DetSpec::to_dfa`) gives the paper's sizes 3520 / 2272;
+//! * [`QuotientSpec`] — [`DetSpec`] with its states interned by a
+//!   normal form ([`forget_doomed`] for strict serializability, the
+//!   identity for opacity): the language-equal system the
+//!   `tm_checker::Verifier` session's product runs over, with the proof
+//!   that its product search reports the same shortest counterexample;
 //! * [`canonical_dfa`] — a determinized + minimized automaton derived
 //!   from the nondeterministic specification (language-equal by
 //!   construction), used as an independently constructed reference;
@@ -36,11 +42,13 @@
 mod canonical;
 mod det;
 mod nondet;
+mod quotient;
 mod state;
 mod validate;
 
 pub use canonical::{canonical_dfa, spec_alphabet};
 pub use det::DetSpec;
 pub use nondet::NondetSpec;
+pub use quotient::{forget_doomed, QuotientSpec};
 pub use state::{DetPhase, DetState, DetThread, NdPhase, NdState, NdThread, MAX_THREADS};
 pub use validate::cross_validate;

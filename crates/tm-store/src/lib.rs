@@ -32,10 +32,12 @@
 //!   `tm-automata`: `CompiledRunGraph::from_parts`, which also
 //!   recomputes the per-label class masks the file does not store, and
 //!   `SpecCache::from_parts` against the specification source rebuilt
-//!   from the key;
+//!   from the key, after `Artifact::spec_from_parts` has checked that
+//!   every stored specification state is in the quotient's normal form;
 //! * [`ArtifactStore`] — the directory: atomic temp-file + rename
-//!   writes, whole-file reads, quarantine of corrupt files, an LRU byte
-//!   cap, and counters for the service metrics.
+//!   writes (a specification file is rewritten when its cache has grown
+//!   more rows), whole-file reads, quarantine of corrupt files, an LRU
+//!   byte cap, and counters for the service metrics.
 //!
 //! Trust model: nothing read from disk is believed until the
 //! container checksums pass, the embedded key re-digests to the

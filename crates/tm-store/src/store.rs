@@ -127,8 +127,8 @@ pub struct StoreStats {
     pub misses: u64,
     /// Files that failed verification and were quarantined.
     pub corrupt: u64,
-    /// Artifacts written (idempotent re-saves of an existing digest are
-    /// not counted).
+    /// Artifacts written (re-saves of a key whose file already holds as
+    /// many rows are not counted).
     pub saves: u64,
     /// Files deleted by the byte cap.
     pub evicted: u64,
@@ -141,6 +141,9 @@ pub struct StoreStats {
 struct Entry {
     bytes: u64,
     last_used: u64,
+    /// [`Artifact::rows`] of the file's contents, once this process has
+    /// written or loaded it (`None` for a file only seen at open).
+    rows: Option<usize>,
 }
 
 /// One row of the LRU-ordered store listing
@@ -170,6 +173,15 @@ impl Ledger {
         self.tick += 1;
         if let Some(entry) = self.entries.get_mut(name) {
             entry.last_used = self.tick;
+        }
+    }
+
+    /// Touches `name` after a verified load of `artifact` from it, which
+    /// tells the ledger how many rows the file holds.
+    fn loaded(&mut self, name: &str, artifact: &Artifact) {
+        self.touch(name);
+        if let Some(entry) = self.entries.get_mut(name) {
+            entry.rows = Some(artifact.rows());
         }
     }
 
@@ -224,7 +236,14 @@ impl ArtifactStore {
         for (name, bytes, _) in found {
             ledger.tick += 1;
             let last_used = ledger.tick;
-            ledger.entries.insert(name, Entry { bytes, last_used });
+            ledger.entries.insert(
+                name,
+                Entry {
+                    bytes,
+                    last_used,
+                    rows: None,
+                },
+            );
         }
         Ok(ArtifactStore {
             dir: config.dir,
@@ -240,19 +259,24 @@ impl ArtifactStore {
     }
 
     /// Saves `artifact` under `key`, encoding it in place (nothing is
-    /// copied before the encode). Content-addressed and idempotent:
-    /// if the digest is already present, the entry is only touched in
-    /// the LRU. The write is atomic (temp file + rename) and runs the
-    /// `store` fault point *before* the rename, so an injected fault
-    /// models a crash mid-write: the addressable store is unchanged and
-    /// only a `.tmp` remains.
+    /// copied before the encode). Content-addressed: if the digest is
+    /// already present, the entry is only touched in the LRU — unless
+    /// this process wrote or loaded that file and it holds fewer
+    /// [`Artifact::rows`] than `artifact` (a specification that later
+    /// queries grew), which is then rewritten. The write is atomic (temp
+    /// file + rename) and runs the `store` fault point *before* the
+    /// rename, so an injected fault models a crash mid-write: the
+    /// addressable store is unchanged and only a `.tmp` remains.
     pub fn save(&self, key: &ArtifactKey, artifact: &Artifact) -> Result<(), StoreError> {
         let name = file_name(key);
+        let rows = artifact.rows();
         {
             let mut ledger = self.lock_ledger();
-            if ledger.entries.contains_key(&name) {
-                ledger.touch(&name);
-                return Ok(());
+            if let Some(entry) = ledger.entries.get(&name) {
+                if entry.rows.is_none_or(|stored| stored >= rows) {
+                    ledger.touch(&name);
+                    return Ok(());
+                }
             }
         }
         let mut timer = PhaseTimer::start(Phase::StoreSave);
@@ -282,6 +306,7 @@ impl ArtifactStore {
                 Entry {
                     bytes: image.len() as u64,
                     last_used,
+                    rows: Some(rows),
                 },
             );
             self.collect_over_cap(&mut ledger)
@@ -323,7 +348,7 @@ impl ArtifactStore {
         }) {
             Ok(artifact) => {
                 self.counters.hits.inc();
-                self.lock_ledger().touch(&name);
+                self.lock_ledger().loaded(&name, &artifact);
                 Ok(Some(artifact))
             }
             Err(why) => {
@@ -406,7 +431,7 @@ impl ArtifactStore {
         }) {
             Ok(result) => {
                 self.counters.hits.inc();
-                self.lock_ledger().touch(&name);
+                self.lock_ledger().loaded(&name, &result.1);
                 Ok(result)
             }
             Err(why) => {

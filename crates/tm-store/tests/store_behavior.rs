@@ -6,14 +6,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use tm_algorithms::{Action, ExtCommand, RunLabel, SequentialTm};
+use tm_algorithms::{Action, DstmTm, ExtCommand, RunLabel, SequentialTm};
 use tm_automata::{CompiledRunGraph, RunGraphParts};
 use tm_checker::{Artifact, ArtifactKey, Verifier};
 use tm_lang::{Command, SafetyProperty, ThreadId, VarId};
 use tm_store::sha256::checksum64;
 use tm_store::{
-    encode_artifact, file_name, ArtifactStore, SectionWriter, Sections, StoreConfig, StoreCounters,
-    StoreError, MAGIC,
+    decode_artifact, encode_artifact, file_name, ArtifactStore, SectionWriter, Sections,
+    StoreConfig, StoreCounters, StoreError, MAGIC,
 };
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -78,6 +78,53 @@ fn session_with_spec() -> (Verifier, ArtifactKey) {
         .check_safety(&SequentialTm::new(2, 1), SafetyProperty::Opacity)
         .holds());
     (verifier, ArtifactKey::spec(SafetyProperty::Opacity, 2, 1))
+}
+
+/// A specification grown by queries is charged exactly what the same rows
+/// cost once stored and loaded: a query that interned states leaves the
+/// cache's tables at their exact size, as a decoded cache is built.
+#[test]
+fn built_and_round_tripped_specs_report_equal_heap_bytes() {
+    for property in SafetyProperty::all() {
+        let mut verifier = Verifier::new(2, 2);
+        let key = ArtifactKey::spec(property, 2, 2);
+        verifier.check_safety(&SequentialTm::new(2, 2), property);
+        verifier.check_safety(&DstmTm::new(2, 2), property);
+        let built = verifier.artifact(&key).expect("the session holds the spec");
+        let (_, loaded) = decode_artifact(&encode_artifact(&key, built)).unwrap();
+        assert_eq!(loaded.heap_bytes(), built.heap_bytes(), "{property}");
+        assert_eq!(loaded.rows(), built.rows(), "{property}");
+    }
+}
+
+/// A specification file is rewritten when the resident cache has grown
+/// past it, and only then.
+#[test]
+fn a_grown_spec_replaces_its_stored_copy() {
+    let dir = scratch_dir("grown-spec");
+    let store = ArtifactStore::open(
+        StoreConfig {
+            dir: dir.clone(),
+            ..StoreConfig::default()
+        },
+        store_counters(),
+    )
+    .unwrap();
+    let property = SafetyProperty::StrictSerializability;
+    let key = ArtifactKey::spec(property, 2, 2);
+    let mut verifier = Verifier::new(2, 2);
+    verifier.check_safety(&SequentialTm::new(2, 2), property);
+    store.save(&key, verifier.artifact(&key).unwrap()).unwrap();
+    store.save(&key, verifier.artifact(&key).unwrap()).unwrap();
+    assert_eq!(store.stats().saves, 1, "an unchanged spec is not re-saved");
+    verifier.check_safety(&DstmTm::new(2, 2), property);
+    let grown = verifier.artifact(&key).unwrap();
+    store.save(&key, grown).unwrap();
+    assert_eq!(store.stats().saves, 2, "a grown spec is re-saved");
+    let loaded = store.load(&key).unwrap().expect("stored");
+    assert_eq!(loaded.rows(), grown.rows());
+    assert_eq!(store.stats().files, 1);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -22,7 +22,7 @@ fn main() {
         .into_safety()
         .expect("safety query");
     println!(
-        "DSTM opacity: {} ({} TM states, {} spec states, checked in {:.2?})",
+        "DSTM opacity: {} ({} TM states, {} spec keys, checked in {:.2?})",
         if verdict.holds() { "VERIFIED" } else { "VIOLATED" },
         verdict.tm_states,
         verdict.spec_states,

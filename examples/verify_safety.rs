@@ -45,8 +45,8 @@ fn check_all(verifier: &mut Verifier, property: SafetyProperty) -> Vec<SafetyVer
 
 fn main() {
     // The session steps each specification lazily and reports only the
-    // states the product touched; the paper's full size comes from
-    // determinizing the specification outright.
+    // normal-form keys the product touched; the paper's full size comes
+    // from determinizing the specification outright.
     let mut verifier = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
         let verdicts = check_all(&mut verifier, property);
@@ -57,7 +57,7 @@ fn main() {
         println!("{}", safety_table(&title, &verdicts));
         let (spec, _) = DetSpec::new(property, 2, 2).to_dfa(20_000_000);
         println!(
-            "spec Σᵈ_{}: {} states (paper: {}); the product touched {}\n",
+            "spec Σᵈ_{}: {} states (paper: {}); the product touched {} keys\n",
             property.short_name(),
             spec.num_states(),
             match property {

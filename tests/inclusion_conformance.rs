@@ -29,7 +29,7 @@ use tm_modelcheck::automata::{
 };
 use tm_modelcheck::checker::{Artifact, ArtifactKey, Verifier};
 use tm_modelcheck::lang::{SafetyProperty, Statement};
-use tm_modelcheck::spec::DetSpec;
+use tm_modelcheck::spec::{DetSpec, QuotientSpec};
 
 const MAX_STATES: usize = 20_000_000;
 
@@ -199,9 +199,10 @@ fn safety_sessions_match_otf_engine_on_table2() {
 
 /// The session's lazily interned specification, entry by entry, against
 /// the materialized automaton: after the Table 2 roster at (2, 2) runs
-/// through one `Verifier`, every row the session's `SpecCache<DetSpec>`
-/// cached reaches the same `DetState` as the `DetSpec::to_dfa`
-/// transition for that letter, and misses exactly where the DFA has none.
+/// through one `Verifier`, every row the session's
+/// `SpecCache<QuotientSpec>` cached belongs to a key of some
+/// `DetSpec::to_dfa` state, reaches the key of that state's DFA successor
+/// for each letter, and misses exactly where the DFA has no transition.
 #[test]
 fn session_spec_rows_match_materialized_dfa() {
     let mut verifier = Verifier::new(2, 2);
@@ -213,18 +214,29 @@ fn session_spec_rows_match_materialized_dfa() {
         let Some(Artifact::Spec { cache, .. }) = verifier.artifact(&key) else {
             panic!("{property}: the session holds no specification artifact");
         };
+        let quotient = QuotientSpec::new(property, 2, 2);
         let (dfa, dfa_states) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
-        let dfa_id: HashMap<_, usize> = dfa_states.iter().zip(0..).collect();
+        // One DFA state per key: the walk in `tests/spec_quotient.rs`
+        // shows every state of a key steps to the same keys.
+        let mut dfa_of_key: HashMap<_, usize> = HashMap::new();
+        for (id, state) in dfa_states.iter().enumerate() {
+            dfa_of_key.entry(quotient.normalize(state)).or_insert(id);
+        }
         assert_eq!(cache.letters(), dfa.alphabet(), "{property}: letter order");
         let (states, rows) = cache.parts();
         let mut entries = 0;
         for (state, row) in states.iter().zip(rows) {
             let Some(row) = row else { continue };
-            let q = dfa_id[state];
+            let q = dfa_of_key[state];
             for (letter, &next) in dfa.alphabet().iter().zip(row.iter()) {
-                let expected = dfa.step(q, letter).map(|t| &dfa_states[t]);
-                let got = (next != NO_STATE).then(|| &states[next as usize]);
-                assert_eq!(got, expected, "{property}: row of {state:?}, letter {letter}");
+                let expected = dfa
+                    .step(q, letter)
+                    .map(|t| quotient.normalize(&dfa_states[t]));
+                let got = (next != NO_STATE).then(|| states[next as usize]);
+                assert_eq!(
+                    got, expected,
+                    "{property}: row of {state:?}, letter {letter}"
+                );
                 entries += 1;
             }
         }
