@@ -2,24 +2,24 @@
 //! and TM state spaces — and the inclusion check — grow with the instance
 //! size `(n, k)`, underlining why the reduction theorem matters.
 //!
-//! The `scaling/compiled-vs-seed` group is the A/B evidence for the
-//! interned-alphabet refactor: the seed (label-hashing)
-//! `tm_bench::oracle::check_inclusion_reference` (`seed`) against the
-//! index-based `check_inclusion` (`compiled`), on the same automata.
+//! The inclusion groups run the product engine the `Verifier` runs,
+//! `check_inclusion_otf`, with the TM stepped lazily
+//! (`MostGeneralSource`): `inclusion-*` against the materialized
+//! specification (`DetSpec::to_dfa`, built in setup), `otf-product`
+//! against the lazily interned one.
 //!
 //! Automaton construction dominates this bench's setup, so each sized
 //! case checks the command-line filter *before* building its automata;
-//! e.g. `cargo bench --bench scaling -- compiled-vs-seed` builds nothing
-//! else (add `/2x2` to one of its bench ids, such as
-//! `compiled-vs-seed/seed/2x2`, to narrow further).
+//! e.g. `cargo bench --bench scaling -- otf-product/otf-lazy/2x2` builds
+//! nothing else.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use tm_algorithms::{most_general_nfa, DstmTm, MostGeneralSource, TwoPhaseTm};
-use tm_automata::{check_inclusion, check_inclusion_otf, Alphabet, QueryBudget, SpecCache};
-use tm_bench::oracle::check_inclusion_reference;
-use tm_lang::SafetyProperty;
-use tm_spec::{spec_alphabet, DetSpec, NondetSpec, QuotientSpec};
+use tm_algorithms::{DstmTm, MostGeneralSource, TmAlgorithm, TwoPhaseTm};
+use tm_automata::{check_inclusion_otf, Alphabet, Dfa, QueryBudget, SpecCache};
+use tm_bench::validation::NondetSpec;
+use tm_lang::{SafetyProperty, Statement};
+use tm_spec::{spec_alphabet, DetSpec, QuotientSpec};
 
 const MAX: usize = 20_000_000;
 
@@ -32,29 +32,15 @@ const SIZES: [(usize, usize); 5] = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2)];
 /// timeout).
 const OTF_SIZES: [(usize, usize); 4] = [(2, 2), (3, 2), (3, 3), (4, 2)];
 
-fn bench_compiled_vs_seed(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scaling/compiled-vs-seed");
-    group.sample_size(10);
-    for (n, k) in [(2, 2), (2, 3)] {
-        let tag = format!("{n}x{k}");
-        // Build this size's automata only if at least one of its two
-        // bench ids survives the filter.
-        if !["seed", "compiled"]
-            .iter()
-            .any(|kind| group.is_selected(&format!("{kind}/{tag}")))
-        {
-            continue;
-        }
-        let spec = DetSpec::new(SafetyProperty::Opacity, n, k).to_dfa(MAX).0;
-        let tm = most_general_nfa(&DstmTm::new(n, k), MAX).nfa;
-        group.bench_with_input(BenchmarkId::new("seed", &tag), &tm, |b, tm| {
-            b.iter(|| check_inclusion_reference(tm, &spec))
-        });
-        group.bench_with_input(BenchmarkId::new("compiled", &tag), &tm, |b, tm| {
-            b.iter(|| check_inclusion(tm, &spec))
-        });
-    }
-    group.finish();
+/// One unbudgeted query of `tm` against a fresh cache over the
+/// materialized specification `spec`.
+fn check_against<A: TmAlgorithm>(tm: &A, spec: &Dfa<Statement>) -> usize {
+    let source = MostGeneralSource::new(tm, Alphabet::from_letters(spec.alphabet()));
+    let mut cache = SpecCache::new(spec, spec.letter_ids());
+    check_inclusion_otf(&source, &mut cache, &QueryBudget::unlimited())
+        .expect("an unlimited check cannot abort")
+        .0
+        .product_states()
 }
 
 fn bench_spec_construction(c: &mut Criterion) {
@@ -85,9 +71,9 @@ fn bench_inclusion_scaling(c: &mut Criterion) {
             continue;
         }
         let spec = DetSpec::new(SafetyProperty::Opacity, n, k).to_dfa(MAX).0;
-        let tm = most_general_nfa(&DstmTm::new(n, k), MAX).nfa;
+        let tm = DstmTm::new(n, k);
         group.bench_with_input(BenchmarkId::from_parameter(&tag), &(n, k), |b, _| {
-            b.iter(|| check_inclusion(&tm, &spec))
+            b.iter(|| check_against(&tm, &spec))
         });
     }
     group.finish();
@@ -102,9 +88,9 @@ fn bench_inclusion_scaling(c: &mut Criterion) {
         let spec = DetSpec::new(SafetyProperty::StrictSerializability, n, k)
             .to_dfa(MAX)
             .0;
-        let tm = most_general_nfa(&TwoPhaseTm::new(n, k), MAX).nfa;
+        let tm = TwoPhaseTm::new(n, k);
         group.bench_with_input(BenchmarkId::from_parameter(&tag), &(n, k), |b, _| {
-            b.iter(|| check_inclusion(&tm, &spec))
+            b.iter(|| check_against(&tm, &spec))
         });
     }
     group.finish();
@@ -142,7 +128,6 @@ fn bench_otf_product(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_compiled_vs_seed,
     bench_spec_construction,
     bench_inclusion_scaling,
     bench_otf_product

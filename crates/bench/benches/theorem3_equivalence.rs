@@ -2,13 +2,16 @@
 //! nondeterministic and deterministic specifications for two threads and
 //! two variables (the paper's external antichain tool proved both
 //! equivalences within 5 seconds), compared against brute-force subset
-//! determinization + minimization.
+//! determinization + minimization — all from the validation toolkit,
+//! `tm_bench::validation`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use tm_automata::{check_equivalence_antichain, check_inclusion_antichain, Dfa};
+use tm_bench::validation::{
+    check_equivalence_antichain, check_inclusion_antichain, determinize, minimize, NondetSpec,
+};
 use tm_lang::SafetyProperty;
-use tm_spec::{spec_alphabet, DetSpec, NondetSpec};
+use tm_spec::{spec_alphabet, DetSpec};
 
 const MAX: usize = 10_000_000;
 
@@ -26,10 +29,7 @@ fn bench_equivalence(c: &mut Criterion) {
             b.iter(|| check_inclusion_antichain(&nondet.nfa, &det))
         });
         group.bench_function("subset-determinize+minimize", |b| {
-            b.iter(|| {
-                let dfa = Dfa::determinize(&nondet.nfa, spec_alphabet(2, 2));
-                dfa.minimize()
-            })
+            b.iter(|| minimize(&determinize(&nondet.nfa, spec_alphabet(2, 2))))
         });
         group.finish();
     }

@@ -1,8 +1,9 @@
 //! Quick sizing probe: specification state counts and construction times
 //! beyond the reduction bound (used to calibrate the scaling bench).
 use std::time::Instant;
+use tm_bench::validation::NondetSpec;
 use tm_lang::SafetyProperty;
-use tm_spec::{DetSpec, NondetSpec};
+use tm_spec::DetSpec;
 
 fn main() {
     for (n, k) in [(2usize, 3usize), (3, 1), (3, 2)] {

@@ -39,10 +39,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use tm_algorithms::{MostGeneralSource, TmAlgorithm, TwoPhaseTm};
-use tm_automata::{
-    check_equivalence_antichain, check_inclusion, check_inclusion_otf, Dfa, QueryBudget, SpecCache,
-};
-use tm_bench::oracle::check_inclusion_reference;
+use tm_automata::{check_inclusion_otf, Dfa, QueryBudget, SpecCache};
+use tm_bench::validation::{check_equivalence_antichain, determinize, minimize, NondetSpec};
 use tm_bench::{
     liveness_property_tag, liveness_roster, table2_cases, table2_roster, table3_check_session,
     table3_names, MAX_STATES,
@@ -51,7 +49,7 @@ use tm_checker::{Artifact, ArtifactKey, Table, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty, Statement};
 use tm_service::wire::{encode_phases, JsonError};
 use tm_service::Json;
-use tm_spec::{spec_alphabet, DetSpec, NondetSpec, QuotientSpec};
+use tm_spec::{spec_alphabet, DetSpec, QuotientSpec};
 
 fn env_flag(name: &str) -> bool {
     std::env::var(name).as_deref() == Ok("1")
@@ -170,17 +168,12 @@ fn main() {
         table2(&specs);
         theorem3(&specs);
         if !smoke {
-            let (baseline, compiled_total) = bench_inclusion_baseline();
             let (scaling, lazy_total) = bench_otf_scaling();
             let phases = bench_safety_phases();
             write_bench_json(
-                baseline,
                 scaling,
                 phases,
-                &[
-                    Metric::nanos("inclusion_compiled_total_ns", compiled_total),
-                    Metric::nanos("scaling_lazy_total_ns", lazy_total),
-                ],
+                &[Metric::nanos("scaling_lazy_total_ns", lazy_total)],
             );
         }
     }
@@ -287,7 +280,13 @@ fn table2(specs: &[(SafetyProperty, Dfa<Statement>)]) {
     );
 }
 
+/// Theorem 3 through the validation toolkit (`tm_bench::validation`):
+/// the antichain equivalence of each nondeterministic specification with
+/// the deterministic one, next to the size of the minimized subset
+/// automaton. The "time" column is the equivalence check; the line under
+/// the table is the whole section.
 fn theorem3(specs: &[(SafetyProperty, Dfa<Statement>)]) {
+    let section = Instant::now();
     let mut table = Table::new(
         "Theorem 3 — L(Σ) = L(Σᵈ) via antichains (2 threads, 2 variables)",
         [
@@ -303,7 +302,7 @@ fn theorem3(specs: &[(SafetyProperty, Dfa<Statement>)]) {
     );
     for (property, det) in specs {
         let nondet = NondetSpec::new(*property, 2, 2).to_nfa(MAX_STATES);
-        let minimized = Dfa::determinize(&nondet.nfa, spec_alphabet(2, 2)).minimize();
+        let minimized = minimize(&determinize(&nondet.nfa, spec_alphabet(2, 2)));
         let start = Instant::now();
         let verdict = check_equivalence_antichain(&nondet.nfa, &det.to_nfa());
         let elapsed = start.elapsed();
@@ -323,6 +322,10 @@ fn theorem3(specs: &[(SafetyProperty, Dfa<Statement>)]) {
         ]);
     }
     println!("{table}");
+    println!(
+        "Theorem 3 section (nondet specs, subset construction, minimization, equivalence): {:.2?}\n",
+        section.elapsed()
+    );
 }
 
 /// Table 3 through the shared (2, 1) session: each TM's run graph is
@@ -367,51 +370,6 @@ fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
         })
         .min()
         .expect("runs > 0")
-}
-
-/// Times the seed (label-hashing) inclusion check against the index-based
-/// one on every Table 2 TM/property pair; the measurements become the
-/// `cases` section of `BENCH_inclusion.json` — the committed baseline for
-/// the interned-alphabet refactor.
-fn bench_inclusion_baseline() -> (Vec<Json>, Duration) {
-    let mut cases = Vec::new();
-    let mut compiled_total = Duration::ZERO;
-    let mut table = Table::new(
-        "Inclusion A/B — seed (label-hashing) vs compiled (letter ids), best of 3",
-        ["TM", "property", "seed", "compiled", "speedup"],
-    );
-    // The roster depends only on the instance size, not the property.
-    let roster = table2_roster();
-    for property in SafetyProperty::all() {
-        let (spec, _) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
-        for (name, nfa, _) in &roster {
-            // One untimed run to record the explored product size.
-            let product_states = check_inclusion(nfa, &spec).product_states();
-            let seed = best_of(3, || check_inclusion_reference(nfa, &spec));
-            let fast = best_of(3, || check_inclusion(nfa, &spec));
-            compiled_total += fast;
-            let speedup = seed.as_secs_f64() / fast.as_secs_f64();
-            table.push_row([
-                name.clone(),
-                property.short_name().to_owned(),
-                format!("{seed:.2?}"),
-                format!("{fast:.2?}"),
-                format!("{speedup:.2}x"),
-            ]);
-            cases.push(obj([
-                ("tm", text(name)),
-                ("property", text(property.short_name())),
-                ("tm_states", int(nfa.num_states())),
-                ("spec_states", int(spec.num_states())),
-                ("product_states", int(product_states)),
-                ("seed_ns", ns(seed)),
-                ("compiled_ns", ns(fast)),
-                ("speedup", ratio(speedup, 3)),
-            ]));
-        }
-    }
-    println!("{table}");
-    (cases, compiled_total)
 }
 
 /// Scaling rows for the on-the-fly product engine: 2PL (and DSTM where
@@ -1219,19 +1177,12 @@ fn write_liveness_json(
     write_with_history(Path::new("BENCH_liveness.json"), members_of(members), metrics, trend_mode());
 }
 
-/// Writes `BENCH_inclusion.json`: the (2,2) seed-vs-compiled baseline,
-/// the on-the-fly scaling rows, and the per-query phase breakdowns.
-fn write_bench_json(
-    cases: Vec<Json>,
-    scaling: Vec<Json>,
-    phases: Vec<Json>,
-    metrics: &[Metric],
-) {
+/// Writes `BENCH_inclusion.json`: the on-the-fly scaling rows and the
+/// per-query phase breakdowns of Table 2.
+fn write_bench_json(scaling: Vec<Json>, phases: Vec<Json>, metrics: &[Metric]) {
     let members = [
-        ("benchmark", text("inclusion-seed-vs-compiled")),
+        ("benchmark", text("inclusion-otf")),
         ("instance", obj([("threads", int(2u8)), ("vars", int(2u8))])),
-        ("unit", text("best-of-3 wall clock")),
-        ("cases", Json::Arr(cases)),
         (
             "scaling_unit",
             text("best wall clock; lazy = both sides on the fly"),

@@ -8,16 +8,24 @@
 //! cargo run --release -p tm-bench --bin tables
 //! ```
 //!
-//! The [`oracle`] module holds the seed checkers that the production
-//! engines replaced: the ground truth of the workspace's differential
-//! test suites and the baselines of the A/B benches. This crate is a
-//! dev-dependency of the facade's tests only; no production crate
-//! depends on it.
+//! Two modules hold code that no query runs:
+//!
+//! * [`oracle`] — the seed checkers that the production engines
+//!   replaced: the ground truth of the workspace's differential test
+//!   suites and the baselines of the A/B benches;
+//! * [`validation`] — the paper-validation toolkit for Theorems 2 and 3:
+//!   the nondeterministic specifications, the bounded-exhaustive oracle
+//!   walk, the antichain equivalence check, subset construction and
+//!   minimization.
+//!
+//! This crate is a dev-dependency of the facade's tests only; no
+//! production crate depends on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod oracle;
+pub mod validation;
 
 use tm_algorithms::{
     most_general_nfa, AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm,

@@ -1,17 +1,17 @@
-//! The pre-compilation inclusion checkers: label hashing in every
-//! `Dfa::step` / `Nfa::post`, label clones on every discovered edge,
-//! SipHash interning of product pairs.
+//! The pre-compilation inclusion checker: label hashing in every
+//! `Dfa::step`, label clones on every discovered edge, SipHash interning
+//! of product pairs.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use tm_automata::{BitSet, Dfa, InclusionResult, Nfa, StateId};
+use tm_automata::{Dfa, InclusionResult, Nfa, StateId};
 
-/// The seed implementation of `tm_automata::check_inclusion`: checks
-/// `L(nfa) ⊆ L(dfa)` by breadth-first exploration of the product,
-/// following ε-moves of the implementation on the spot. BFS order makes
-/// the counterexample shortest.
+/// The seed product checker that `tm_automata::check_inclusion_otf`
+/// replaced: checks `L(nfa) ⊆ L(dfa)` by breadth-first exploration of
+/// the product, following ε-moves of the implementation on the spot. BFS
+/// order makes the counterexample shortest.
 ///
 /// # Examples
 ///
@@ -80,59 +80,13 @@ pub fn check_inclusion_reference<L: Clone + Eq + Hash>(
     }
 }
 
-/// The seed implementation of `tm_automata::check_inclusion_antichain`:
-/// checks `L(a) ⊆ L(b)` over pairs of an `a`-state and a set of
-/// `b`-states, keeping only the ⊆-minimal sets per `a`-state in a
-/// `HashMap`, with a full-edge `Nfa::post` scan per letter.
-pub fn check_inclusion_antichain_reference<L: Clone + Eq + Hash>(
-    a: &Nfa<L>,
-    b: &Nfa<L>,
-) -> InclusionResult<L> {
-    let mut queue: Vec<(StateId, BitSet)> = Vec::new();
-    let mut parent: Vec<Option<(usize, Option<L>)>> = Vec::new();
-    // Antichain of ⊆-minimal B-sets seen per A-state.
-    let mut antichain: HashMap<StateId, Vec<BitSet>> = HashMap::new();
-
-    let b0 = b.initial_closure();
-    for &qa in a.initial_states() {
-        if try_insert(&mut antichain, qa, &b0) {
-            queue.push((qa, b0.clone()));
-            parent.push(None);
-        }
-    }
-
-    let mut head = 0;
-    while head < queue.len() {
-        let (qa, set) = queue[head].clone();
-        for (label, target) in a.transitions_from(qa) {
-            let next_set = match label {
-                None => set.clone(),
-                Some(l) => {
-                    let post = b.post(&set, l);
-                    if post.is_empty() {
-                        return InclusionResult::Counterexample {
-                            word: word_to(&parent, head, l),
-                            product_states: queue.len(),
-                        };
-                    }
-                    post
-                }
-            };
-            if try_insert(&mut antichain, *target, &next_set) {
-                queue.push((*target, next_set));
-                parent.push(Some((head, label.clone())));
-            }
-        }
-        head += 1;
-    }
-    InclusionResult::Included {
-        product_states: queue.len(),
-    }
-}
-
 /// The word along the parent pointers from a root to node `at`, followed
 /// by the violating `last` letter.
-fn word_to<L: Clone>(parent: &[Option<(usize, Option<L>)>], mut at: usize, last: &L) -> Vec<L> {
+pub(crate) fn word_to<L: Clone>(
+    parent: &[Option<(usize, Option<L>)>],
+    mut at: usize,
+    last: &L,
+) -> Vec<L> {
     let mut word = vec![last.clone()];
     while let Some((p, label)) = &parent[at] {
         if let Some(label) = label {
@@ -142,16 +96,4 @@ fn word_to<L: Clone>(parent: &[Option<(usize, Option<L>)>], mut at: usize, last:
     }
     word.reverse();
     word
-}
-
-/// Inserts `set` into `state`'s antichain unless a stored set is a
-/// subset of it, removing stored strict supersets; `true` if inserted.
-fn try_insert(antichain: &mut HashMap<StateId, Vec<BitSet>>, state: StateId, set: &BitSet) -> bool {
-    let entry = antichain.entry(state).or_default();
-    if entry.iter().any(|stored| stored.is_subset(set)) {
-        return false;
-    }
-    entry.retain(|stored| !set.is_subset(stored));
-    entry.push(set.clone());
-    true
 }

@@ -6,8 +6,6 @@
 //!   product BFS; the sequential product engine
 //!   (`tm_automata::check_inclusion_otf`) reproduces its verdicts,
 //!   shortest counterexample words and `product_states` exactly.
-//! * [`check_inclusion_antichain_reference`] — the map-keyed antichain
-//!   inclusion behind `tm_automata::check_inclusion_antichain`.
 //! * [`LabeledGraph`], [`strongly_connected_components`] and
 //!   [`closed_walk_through`] — boxed labelled edge lists, iterative
 //!   Tarjan and closed-walk stitching, the reference for the compiled
@@ -22,5 +20,6 @@ mod inclusion;
 mod liveness;
 
 pub use graph::{closed_walk_through, strongly_connected_components, LabeledGraph, Sccs};
-pub use inclusion::{check_inclusion_antichain_reference, check_inclusion_reference};
+pub(crate) use inclusion::word_to;
+pub use inclusion::check_inclusion_reference;
 pub use liveness::{check_liveness_reference, most_general_run_graph};

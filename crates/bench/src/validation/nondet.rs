@@ -8,13 +8,115 @@
 //! inconsistent with the guessed order — and, for opacity, refuses reads
 //! that no serialization order could justify.
 
+use std::fmt;
+
 use tm_lang::{
-    SafetyProperty, Statement, StatementKind, ThreadId, ThreadSet, VarId, Word,
+    SafetyProperty, Statement, StatementKind, ThreadId, ThreadSet, VarId, VarSet, Word,
 };
 
 use tm_automata::{explore, Explored, Nfa, QueryBudget, TransitionSystem};
+use tm_spec::MAX_THREADS;
 
-use crate::state::{NdPhase, NdState, MAX_THREADS};
+/// Serialization phase of a thread in the **nondeterministic**
+/// specifications (Alg. 5).
+///
+/// The paper's `Status` conflates the phase with commit-viability
+/// (`invalid`). That erases the "has already chosen its serialization
+/// point" information when a serialized transaction is doomed — losing,
+/// for opacity, the read-consistency constraints that still apply to
+/// aborting transactions (a transcription-level fix documented in
+/// DESIGN.md; without it the specification accepts the non-opaque word
+/// `(r,1)1 (w,2)1 (r,2)2 (w,1)2 c1 (r,2)2`). We therefore track the phase
+/// and a separate `valid` flag ([`NdThread::valid`]).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
+pub enum NdPhase {
+    /// No live transaction.
+    #[default]
+    Finished,
+    /// Transaction live, serialization point not yet chosen.
+    Started,
+    /// Serialization point chosen (the ε move was taken).
+    Serialized,
+}
+
+/// Per-thread record of the nondeterministic specifications: phase,
+/// commit-viability, read and write sets, prohibited read/write sets, and
+/// the serialization predecessor set.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct NdThread {
+    /// Serialization phase.
+    pub phase: NdPhase,
+    /// `false` once the transaction can no longer commit (the paper's
+    /// `invalid` status).
+    pub valid: bool,
+    /// Variables globally read by the live transaction.
+    pub rs: VarSet,
+    /// Variables written by the live transaction.
+    pub ws: VarSet,
+    /// Variables the thread may no longer read.
+    pub prs: VarSet,
+    /// Variables the thread may no longer write.
+    pub pws: VarSet,
+    /// Threads whose live transactions serialized before this one.
+    pub sp: ThreadSet,
+}
+
+impl Default for NdThread {
+    fn default() -> Self {
+        NdThread {
+            phase: NdPhase::Finished,
+            valid: true,
+            rs: VarSet::new(),
+            ws: VarSet::new(),
+            prs: VarSet::new(),
+            pws: VarSet::new(),
+            sp: ThreadSet::new(),
+        }
+    }
+}
+
+impl fmt::Debug for NdThread {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:?}{}/rs{:?}ws{:?}prs{:?}pws{:?}sp{:?}",
+            self.phase,
+            if self.valid { "" } else { "✗" },
+            self.rs,
+            self.ws,
+            self.prs,
+            self.pws,
+            self.sp
+        )
+    }
+}
+
+/// State of a nondeterministic specification: one [`NdThread`] per thread.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct NdState(pub [NdThread; MAX_THREADS]);
+
+impl NdState {
+    /// The record of thread `t`.
+    pub fn thread(&self, t: ThreadId) -> &NdThread {
+        &self.0[t.index()]
+    }
+
+    /// `ResetState(q, t)`: status ← finished, sets cleared, `t` removed
+    /// from every other serialization-predecessor set.
+    pub fn reset(&mut self, t: ThreadId) {
+        self.0[t.index()] = NdThread::default();
+        for u in 0..MAX_THREADS {
+            self.0[u].sp.remove(t);
+        }
+    }
+}
+
+impl fmt::Debug for NdState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter()).finish()
+    }
+}
+
 
 /// The nondeterministic TM specification for `n` threads and `k`
 /// variables and a given safety property.
@@ -22,13 +124,14 @@ use crate::state::{NdPhase, NdState, MAX_THREADS};
 /// Its language (over statements `Ŝ`; the ε-moves are internal) is
 /// exactly the set of words satisfying the property — Theorem 2 of the
 /// paper, validated in this workspace by bounded-exhaustive comparison
-/// against the definition-level checkers of `tm-lang`.
+/// against the definition-level checkers of `tm-lang`
+/// ([`super::cross_validate`]).
 ///
 /// # Examples
 ///
 /// ```
 /// use tm_lang::SafetyProperty;
-/// use tm_spec::NondetSpec;
+/// use tm_bench::validation::NondetSpec;
 ///
 /// let spec = NondetSpec::new(SafetyProperty::Opacity, 2, 2);
 /// let nfa = spec.to_nfa(100_000).nfa;
@@ -284,6 +387,20 @@ impl TransitionSystem for NondetSpec {
 mod tests {
     use super::*;
     use tm_lang::{is_opaque, is_strictly_serializable};
+
+    #[test]
+    fn reset_clears_thread_and_back_references() {
+        let mut q = NdState::default();
+        let (t1, t2) = (ThreadId::new(0), ThreadId::new(1));
+        q.0[0].phase = NdPhase::Serialized;
+        q.0[0].valid = false;
+        q.0[0].rs.insert(VarId::new(0));
+        q.0[1].sp.insert(t1);
+        q.reset(t1);
+        assert_eq!(q.thread(t1), &NdThread::default());
+        assert!(q.thread(t1).valid);
+        assert!(!q.thread(t2).sp.contains(t1));
+    }
 
     fn nfa(property: SafetyProperty) -> Nfa<Statement> {
         NondetSpec::new(property, 2, 2).to_nfa(1_000_000).nfa

@@ -5,9 +5,9 @@
 //! a small finite alphabet (the statement alphabet `Ŝ` has `n·(2k + 2)`
 //! letters). Hashing and cloning those labels inside inclusion-check
 //! inner loops is pure overhead: interning them once up front turns every
-//! later label operation into `u32` arithmetic: [`crate::CompiledNfa`]
-//! indexes its transition arrays and [`crate::SpecCache`] its letter rows
-//! directly by letter id.
+//! later label operation into `u32` arithmetic: [`crate::SpecCache`]
+//! indexes its letter rows directly by letter id, and a
+//! [`crate::SuccessorSource`] emits letter ids, not labels.
 
 use std::hash::Hash;
 

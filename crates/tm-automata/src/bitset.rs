@@ -104,14 +104,6 @@ impl BitSet {
             .all(|(&a, &b)| a & !b == 0)
     }
 
-    /// The backing words, least-significant index first — the fast path
-    /// for bulk bitwise work such as antichain subsumption, where subset
-    /// tests run directly on `u64`s without the per-call capacity
-    /// assertion of [`BitSet::is_subset`].
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// Iterates over the elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -253,82 +245,6 @@ mod tests {
         s.insert(3);
         assert!(!s.contains(8));
         assert!(!s.contains(1_000_000));
-    }
-
-    #[test]
-    fn words_expose_backing_storage() {
-        let mut s = BitSet::new(130);
-        s.insert(0);
-        s.insert(64);
-        s.insert(129);
-        assert_eq!(s.words(), &[1, 1, 2]);
-    }
-
-    /// The `words()` prefix contract the antichain subsumption relies on:
-    /// same-capacity sets expose word arrays of identical length
-    /// (`capacity.div_ceil(64)`), so `zip`-based subset tests compare
-    /// every word and never silently truncate.
-    #[test]
-    fn words_length_is_capacity_words() {
-        for capacity in [0usize, 1, 63, 64, 65, 128, 130, 200] {
-            let s = BitSet::new(capacity);
-            assert_eq!(s.words().len(), capacity.div_ceil(64), "cap {capacity}");
-            let t = BitSet::new(capacity);
-            assert_eq!(s.words().len(), t.words().len(), "cap {capacity}");
-        }
-    }
-
-    /// Bits at or beyond the capacity are never set — mutators reject
-    /// out-of-range indices — so raw word-level subset tests (`a & !b`)
-    /// are exact: no stale high bits can leak into the comparison.
-    #[test]
-    fn words_padding_bits_stay_zero() {
-        let mut s = BitSet::new(70);
-        for i in 0..70 {
-            s.insert(i);
-        }
-        for i in (0..70).step_by(3) {
-            s.remove(i);
-        }
-        for i in 0..70 {
-            s.insert(i);
-        }
-        // All 70 bits set, bits 70..128 zero.
-        assert_eq!(s.words(), &[u64::MAX, (1 << 6) - 1]);
-        assert_eq!(s.len(), 70);
-    }
-
-    /// Word-level subsumption (the antichain's `subset_words`) agrees
-    /// with `is_subset` on same-capacity sets — including across word
-    /// boundaries.
-    #[test]
-    fn word_level_subset_matches_is_subset() {
-        let subset_words =
-            |a: &[u64], b: &[u64]| a.iter().zip(b).all(|(&x, &y)| x & !y == 0);
-        let build = |indices: &[usize]| {
-            let mut s = BitSet::new(150);
-            for &i in indices {
-                s.insert(i);
-            }
-            s
-        };
-        let sets = [
-            build(&[]),
-            build(&[0]),
-            build(&[63, 64]),
-            build(&[5, 64, 149]),
-            build(&[5, 63, 64, 100, 149]),
-            build(&[149]),
-        ];
-        for a in &sets {
-            for b in &sets {
-                assert_eq!(
-                    subset_words(a.words(), b.words()),
-                    a.is_subset(b),
-                    "{a:?} vs {b:?}"
-                );
-            }
-        }
     }
 
     #[test]

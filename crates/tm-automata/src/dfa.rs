@@ -1,5 +1,4 @@
-//! Deterministic finite automata over an explicit alphabet, with
-//! subset-construction determinization and Moore minimization.
+//! Deterministic finite automata over an explicit alphabet.
 //!
 //! As everywhere in this workspace, all states are accepting and the
 //! transition function may be partial: a missing transition rejects the
@@ -9,9 +8,7 @@ use std::hash::Hash;
 
 use crate::alphabet::{Alphabet, LetterId};
 use crate::bitset::BitSet;
-use crate::compiled::CompiledNfa;
 use crate::explore::DeterministicTransitionSystem;
-use crate::fxhash::FxHashMap;
 use crate::nfa::{Nfa, StateId};
 
 /// A deterministic automaton with all states accepting and a (possibly
@@ -37,8 +34,7 @@ use crate::nfa::{Nfa, StateId};
 #[derive(Clone, Debug)]
 pub struct Dfa<L> {
     /// The interned alphabet, built once at construction: letter ids are
-    /// the letter indices, and [`crate::check_inclusion`] clones this one
-    /// instead of re-interning every letter.
+    /// the letter indices.
     alphabet: Alphabet<L>,
     initial: StateId,
     /// `next[state][letter] = Some(target)`.
@@ -68,11 +64,6 @@ impl<L: Clone + Eq + Hash> Dfa<L> {
     /// The alphabet.
     pub fn alphabet(&self) -> &[L] {
         self.alphabet.letters()
-    }
-
-    /// The interned alphabet (ids are the letter indices).
-    pub(crate) fn interned(&self) -> &Alphabet<L> {
-        &self.alphabet
     }
 
     /// The letter ids `0..alphabet().len()`, in order: the letter list
@@ -167,125 +158,6 @@ impl<L: Clone + Eq + Hash> Dfa<L> {
         nfa
     }
 
-    /// Determinizes `nfa` over `alphabet` by the subset construction
-    /// (ε-closures included). Only reachable subsets are materialized; the
-    /// empty subset is not a state (it becomes a missing transition).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tm_automata::{Dfa, Nfa};
-    /// let mut nfa = Nfa::new();
-    /// let q0 = nfa.add_state();
-    /// let q1 = nfa.add_state();
-    /// nfa.set_initial(q0);
-    /// nfa.add_transition(q0, Some('a'), q0);
-    /// nfa.add_transition(q0, Some('a'), q1);
-    /// let dfa = Dfa::determinize(&nfa, vec!['a']);
-    /// assert!(dfa.accepts(&['a', 'a']));
-    /// ```
-    pub fn determinize(nfa: &Nfa<L>, alphabet: Vec<L>) -> Dfa<L> {
-        let mut dfa = Dfa::new(alphabet);
-        // Compile the NFA over the target alphabet so each `post` is a
-        // per-letter CSR slice walk instead of a full-edge scan; NFA
-        // labels outside the alphabet get ids ≥ the alphabet length and
-        // are simply never queried.
-        let mut interner = dfa.alphabet.clone();
-        let num_letters = interner.len() as u32;
-        let compiled = CompiledNfa::compile(nfa, &mut interner);
-        let start = compiled.initial_closure();
-        let mut ids: FxHashMap<BitSet, StateId> = FxHashMap::default();
-        let q0 = dfa.add_state();
-        dfa.set_initial(q0);
-        ids.insert(start.clone(), q0);
-        let mut queue = vec![start];
-        let mut head = 0;
-        while head < queue.len() {
-            let from = ids[&queue[head]];
-            for li in 0..num_letters {
-                let target = compiled.post(&queue[head], li);
-                if target.is_empty() {
-                    continue;
-                }
-                let to = match ids.get(&target) {
-                    Some(&id) => id,
-                    None => {
-                        let id = dfa.add_state();
-                        ids.insert(target.clone(), id);
-                        queue.push(target);
-                        id
-                    }
-                };
-                dfa.next[from][li as usize] = Some(to);
-            }
-            head += 1;
-        }
-        dfa
-    }
-
-    /// Minimizes the automaton (Moore partition refinement over the
-    /// completed automaton; the implicit reject sink is kept implicit).
-    ///
-    /// Since all states are accepting, the initial partition separates
-    /// states only from the implicit sink; refinement then splits by
-    /// successor blocks. Unreachable states are dropped first.
-    pub fn minimize(&self) -> Dfa<L> {
-        let reachable = self.reachable_states();
-        let states: Vec<StateId> = reachable.iter().collect();
-        let mut position = vec![usize::MAX; self.num_states()];
-        for (i, &q) in states.iter().enumerate() {
-            position[q] = i;
-        }
-        let n = states.len();
-        let sink = n; // implicit reject sink block
-        let mut block = vec![0usize; n];
-        let mut num_blocks = 1usize;
-        loop {
-            // Signature: for each state, the blocks of its successors
-            // (sink for missing transitions).
-            let mut sig_ids: FxHashMap<Vec<usize>, usize> = FxHashMap::default();
-            let mut new_block = vec![0usize; n];
-            for (i, &q) in states.iter().enumerate() {
-                let mut sig = Vec::with_capacity(self.alphabet.len() + 1);
-                sig.push(block[i]);
-                for li in 0..self.alphabet.len() {
-                    let b = match self.next[q][li] {
-                        Some(t) => block[position[t]],
-                        None => sink,
-                    };
-                    sig.push(b);
-                }
-                let next_id = sig_ids.len();
-                let id = *sig_ids.entry(sig).or_insert(next_id);
-                new_block[i] = id;
-            }
-            let new_num = sig_ids.len();
-            block = new_block;
-            if new_num == num_blocks {
-                break;
-            }
-            num_blocks = new_num;
-        }
-        // Build the quotient automaton.
-        let mut out = Dfa {
-            alphabet: self.alphabet.clone(),
-            initial: 0,
-            next: Vec::new(),
-        };
-        for _ in 0..num_blocks {
-            out.add_state();
-        }
-        out.set_initial(block[position[self.initial]]);
-        for (i, &q) in states.iter().enumerate() {
-            for li in 0..self.alphabet.len() {
-                if let Some(t) = self.next[q][li] {
-                    out.next[block[i]][li] = Some(block[position[t]]);
-                }
-            }
-        }
-        out
-    }
-
     /// The set of states reachable from the initial state.
     pub fn reachable_states(&self) -> BitSet {
         let mut seen = BitSet::new(self.num_states().max(self.initial + 1));
@@ -344,59 +216,6 @@ mod tests {
     #[should_panic(expected = "duplicate letters")]
     fn duplicate_alphabet_rejected() {
         let _ = Dfa::new(vec!['a', 'a']);
-    }
-
-    #[test]
-    fn determinize_preserves_language() {
-        let mut nfa = Nfa::new();
-        let q0 = nfa.add_state();
-        let q1 = nfa.add_state();
-        let q2 = nfa.add_state();
-        nfa.set_initial(q0);
-        nfa.add_transition(q0, Some('a'), q1);
-        nfa.add_transition(q0, None, q1);
-        nfa.add_transition(q1, Some('b'), q2);
-        let dfa = Dfa::determinize(&nfa, vec!['a', 'b']);
-        for word in [&[][..], &['a'][..], &['b'][..], &['a', 'b'][..]] {
-            assert_eq!(dfa.accepts(word), nfa.accepts(word), "{word:?}");
-        }
-        assert!(!dfa.accepts(&['b', 'b']));
-    }
-
-    #[test]
-    fn minimize_merges_equivalent_states() {
-        // Two redundant sibling states with identical behavior.
-        let mut dfa = Dfa::new(vec!['a']);
-        let q0 = dfa.add_state();
-        let q1 = dfa.add_state();
-        let q2 = dfa.add_state();
-        dfa.set_initial(q0);
-        dfa.set_transition(q0, &'a', q1);
-        dfa.set_transition(q1, &'a', q2);
-        // q2 dead-ends; q1 and q2 differ; a twin of q1:
-        let q3 = dfa.add_state();
-        dfa.set_transition(q3, &'a', q2);
-        // q3 is unreachable, so it should vanish entirely.
-        let min = dfa.minimize();
-        assert_eq!(min.num_states(), 3);
-        assert!(min.accepts(&['a', 'a']));
-        assert!(!min.accepts(&['a', 'a', 'a']));
-    }
-
-    #[test]
-    fn minimize_collapses_uniform_loop() {
-        // Every state accepts everything: minimal automaton has 1 state.
-        let mut dfa = Dfa::new(vec!['a', 'b']);
-        let q0 = dfa.add_state();
-        let q1 = dfa.add_state();
-        dfa.set_initial(q0);
-        for q in [q0, q1] {
-            dfa.set_transition(q, &'a', q1);
-            dfa.set_transition(q, &'b', q0);
-        }
-        let min = dfa.minimize();
-        assert_eq!(min.num_states(), 1);
-        assert!(min.accepts(&['a', 'b', 'a', 'a']));
     }
 
     #[test]

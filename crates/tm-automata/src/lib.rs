@@ -8,11 +8,10 @@
 //!
 //! Provided machinery:
 //!
-//! * [`Nfa`] with ε-moves and [`Dfa`] with subset-construction
-//!   [`Dfa::determinize`] and Moore [`Dfa::minimize`];
-//! * an interned-alphabet compiled core: [`Alphabet`] maps labels to
-//!   dense `u32` [`LetterId`]s and [`CompiledNfa`] stores transitions in
-//!   CSR form grouped by letter (ε segregated) — see `README.md`;
+//! * [`Nfa`] with ε-moves and [`Dfa`] — the materialized forms that
+//!   [`explore`] / [`explore_deterministic`] build (the paper's
+//!   specification sizes come from `tm_spec::DetSpec::to_dfa`);
+//!   [`Alphabet`] maps labels to dense `u32` [`LetterId`]s;
 //! * on-the-fly state-space exploration of rule-defined systems
 //!   ([`TransitionSystem`] / [`explore`],
 //!   [`DeterministicTransitionSystem`] / [`explore_deterministic`]);
@@ -23,14 +22,12 @@
 //!   (a rule system such as `tm_spec::DetSpec`, or a materialized
 //!   [`Dfa`]); the implementation side is a [`SuccessorSource`], stepped
 //!   lazily — never materialized. Counterexamples are shortest, and the
-//!   BFS runs purely on `(u32 state, u32 letter)` integers.
-//!   [`check_inclusion`] wraps the same engine for materialized
-//!   automata. The pre-compilation originals are test oracles and A/B
-//!   baselines in the dev-only `tm-bench` crate (`tm_bench::oracle`),
-//!   not part of this crate. See `README.md` for the engine hierarchy;
-//! * antichain-based inclusion and equivalence between nondeterministic
-//!   automata ([`check_inclusion_antichain`],
-//!   [`check_equivalence_antichain`]) in the style of De Wulf et al.;
+//!   BFS runs purely on `(u32 state, u32 letter)` integers. The seed
+//!   checker it replaced is a test oracle in the dev-only `tm-bench`
+//!   crate (`tm_bench::oracle`), not part of this crate, and so are the
+//!   tools that validate the specifications themselves (Theorems 2 and
+//!   3: subset construction, minimization, the antichain equivalence
+//!   check, in `tm_bench::validation`). See `README.md`;
 //! * the **compiled liveness engine** ([`CompiledRunGraph`],
 //!   [`RunGraphSource`], `livecheck.rs`): run graphs built on the fly
 //!   into CSR with per-edge class bitmasks, mask-filtered Tarjan in a
@@ -44,52 +41,62 @@
 //! # Examples
 //!
 //! ```
-//! use tm_automata::{check_inclusion, Dfa, Nfa};
+//! use tm_automata::{
+//!     check_inclusion_otf, Dfa, LetterId, QueryBudget, SpecCache, SuccessorSource, EPSILON,
+//! };
 //!
-//! // Implementation: emits `a` or `b`; specification allows only `a`.
-//! let mut imp = Nfa::new();
-//! let s = imp.add_state();
-//! imp.set_initial(s);
-//! imp.add_transition(s, Some('a'), s);
-//! imp.add_transition(s, Some('b'), s);
+//! // Implementation: one state that emits `a` (letter 0), `b` (letter 1)
+//! // or an internal step.
+//! struct Emitter;
 //!
+//! impl SuccessorSource for Emitter {
+//!     type State = ();
+//!     type Label = char;
+//!     fn initial_states(&self, out: &mut Vec<()>) {
+//!         out.push(());
+//!     }
+//!     fn successors(&self, _: &(), out: &mut Vec<(LetterId, ())>) {
+//!         out.extend([(0, ()), (EPSILON, ()), (1, ())]);
+//!     }
+//!     fn letter(&self, id: LetterId) -> char {
+//!         ['a', 'b'][id as usize]
+//!     }
+//! }
+//!
+//! // Specification: allows only `a`.
 //! let mut spec = Dfa::new(vec!['a', 'b']);
 //! let q = spec.add_state();
 //! spec.set_initial(q);
 //! spec.set_transition(q, &'a', q);
 //!
-//! let verdict = check_inclusion(&imp, &spec);
+//! let mut cache = SpecCache::new(&spec, spec.letter_ids());
+//! let (verdict, _) = check_inclusion_otf(&Emitter, &mut cache, &QueryBudget::unlimited())?;
 //! assert_eq!(verdict.counterexample(), Some(&['b'][..]));
+//! # Ok::<(), tm_automata::EngineError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alphabet;
-mod antichain;
 mod bitset;
 mod budget;
-mod compiled;
 mod dfa;
 mod explore;
 pub mod fault;
 mod fxhash;
-mod inclusion;
 mod livecheck;
 mod nfa;
 mod product;
 
 pub use alphabet::{Alphabet, LetterId};
 pub use budget::{CancelToken, EngineError, QueryBudget};
-pub use antichain::{check_equivalence_antichain, check_inclusion_antichain, EquivalenceResult};
 pub use bitset::{BitSet, Iter as BitSetIter};
-pub use compiled::{CompiledNfa, EPSILON};
 pub use dfa::Dfa;
 pub use explore::{
     explore, explore_deterministic, DeterministicTransitionSystem, Explored, TransitionSystem,
 };
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use inclusion::{check_inclusion, InclusionResult};
 pub use livecheck::{
     CompiledLasso, CompiledRunGraph, EdgeFilter, EdgeMask, LabelClass, LiveScratch, LoopQuery,
     LoopSelection, RunGraphParts, RunGraphSource, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
@@ -97,5 +104,6 @@ pub use livecheck::{
 };
 pub use nfa::{Nfa, StateId};
 pub use product::{
-    check_inclusion_otf, NfaSource, OtfStats, SpecCache, SpecRows, SuccessorSource, NO_STATE,
+    check_inclusion_otf, InclusionResult, OtfStats, SpecCache, SpecRows, SuccessorSource, EPSILON,
+    NO_STATE,
 };

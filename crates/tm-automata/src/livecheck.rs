@@ -243,8 +243,7 @@ impl LiveScratch {
 }
 
 /// A run-level transition graph compiled to CSR with interned labels and
-/// one class mask per label — the liveness counterpart of
-/// [`crate::CompiledNfa`]. Built on the fly from a [`RunGraphSource`];
+/// one class mask per label. Built on the fly from a [`RunGraphSource`];
 /// state 0 is the initial state, states and per-state edges are numbered
 /// in discovery order (identical to the seed exploration's, so component
 /// indices, loop choices, and lassos match the reference checker).
@@ -394,7 +393,7 @@ impl<L> CompiledRunGraph<L> {
 
     /// Heap footprint in bytes: the capacities of the CSR arrays, labels
     /// counted at their inline size (convention of
-    /// [`crate::CompiledNfa::heap_bytes`]). Built and loaded graphs hold
+    /// [`crate::SpecCache::heap_bytes`]). Built and loaded graphs hold
     /// exact-size arrays, so this is
     /// `(states + 1)·4 + edges·6 + labels·(size_of::<L>() + 2)`.
     pub fn heap_bytes(&self) -> usize {

@@ -7,11 +7,7 @@
 //! failure = the implementation moves while the specification's state set
 //! becomes empty).
 
-use std::hash::Hash;
-
-use crate::alphabet::Alphabet;
 use crate::bitset::BitSet;
-use crate::compiled::CompiledNfa;
 
 /// State index within an automaton.
 pub type StateId = usize;
@@ -150,15 +146,6 @@ impl<L: Eq> Nfa<L> {
             }
         }
         true
-    }
-
-    /// Compiles this automaton over `alphabet` (interning any new
-    /// labels); see [`CompiledNfa`].
-    pub fn compile(&self, alphabet: &mut Alphabet<L>) -> CompiledNfa
-    where
-        L: Clone + Hash,
-    {
-        CompiledNfa::compile(self, alphabet)
     }
 }
 

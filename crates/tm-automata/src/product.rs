@@ -3,11 +3,11 @@
 //!
 //! The engine explores `(implementation state, spec state)` pairs
 //! **lazily**, pulling implementation successors from a
-//! [`SuccessorSource`] — implemented by [`CompiledNfa`] (via
-//! [`NfaSource`]) and directly by the TM steppers in `tm-algorithms` — so
-//! the implementation transition system is only ever evaluated on the
-//! product-reachable states and no `Nfa` is ever built. (The
-//! most-general-program NFA of TL2 at (2, 2) alone has ~19k states.)
+//! [`SuccessorSource`] — implemented by the TM steppers in
+//! `tm-algorithms` — so the implementation transition system is only
+//! ever evaluated on the product-reachable states and no `Nfa` is ever
+//! built. (The most-general-program NFA of TL2 at (2, 2) alone has ~19k
+//! states.)
 //!
 //! The specification side is one artifact, a [`SpecCache`] over a
 //! [`DeterministicTransitionSystem`]: its states are interned and its
@@ -18,8 +18,8 @@
 //! session runs it over `tm_spec::QuotientSpec` (the deterministic
 //! specification interned by a normal form; its docs prove that the
 //! search reports the same shortest counterexample as over
-//! `tm_spec::DetSpec`); [`crate::check_inclusion`] runs it over a
-//! materialized [`crate::Dfa`].
+//! `tm_spec::DetSpec`); a materialized [`crate::Dfa`] runs through the
+//! same cache.
 //!
 //! The BFS's discovery order is that of the seed checker
 //! (`tm_bench::oracle`): identical verdicts, identical shortest
@@ -36,12 +36,14 @@ use std::sync::OnceLock;
 
 use tm_obs::{Histogram, Phase, PhaseTimer, Unit};
 
-use crate::alphabet::{Alphabet, LetterId};
+use crate::alphabet::LetterId;
 use crate::budget::{EngineError, QueryBudget};
-use crate::compiled::{CompiledNfa, EPSILON};
 use crate::explore::DeterministicTransitionSystem;
 use crate::fxhash::{FxHashMap, FxHashSet};
-use crate::inclusion::InclusionResult;
+
+/// Sentinel letter id marking an internal (ε) step in a
+/// [`SuccessorSource`]'s successor list.
+pub const EPSILON: LetterId = u32::MAX;
 
 /// Sentinel state id marking a missing transition (a rejecting letter) in
 /// a [`SpecCache`] row.
@@ -49,6 +51,46 @@ pub const NO_STATE: u32 = u32::MAX;
 
 /// How many BFS visits pass between deadline/cancellation checks.
 const INTERRUPT_STRIDE: usize = 4096;
+
+/// Outcome of an inclusion check.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum InclusionResult<L> {
+    /// Every word of the implementation is accepted by the specification.
+    Included {
+        /// Number of product states explored.
+        product_states: usize,
+    },
+    /// A word of the implementation rejected by the specification.
+    Counterexample {
+        /// A shortest offending word.
+        word: Vec<L>,
+        /// Number of product states explored before the violation.
+        product_states: usize,
+    },
+}
+
+impl<L> InclusionResult<L> {
+    /// `true` if inclusion holds.
+    pub fn holds(&self) -> bool {
+        matches!(self, InclusionResult::Included { .. })
+    }
+
+    /// The counterexample word, if any.
+    pub fn counterexample(&self) -> Option<&[L]> {
+        match self {
+            InclusionResult::Counterexample { word, .. } => Some(word),
+            InclusionResult::Included { .. } => None,
+        }
+    }
+
+    /// Number of product states explored.
+    pub fn product_states(&self) -> usize {
+        match self {
+            InclusionResult::Included { product_states }
+            | InclusionResult::Counterexample { product_states, .. } => *product_states,
+        }
+    }
+}
 
 /// A lazily explorable implementation transition system: the input side
 /// of [`check_inclusion_otf`].
@@ -76,64 +118,6 @@ pub trait SuccessorSource {
 
     /// The label behind a letter id emitted by this source.
     fn letter(&self, id: LetterId) -> Self::Label;
-}
-
-/// [`SuccessorSource`] view of a [`CompiledNfa`] and the alphabet it was
-/// compiled against: the bridge that lets already-materialized automata
-/// run through the on-the-fly engine (used by [`crate::check_inclusion`]
-/// and the conformance tests).
-///
-/// # Examples
-///
-/// ```
-/// use tm_automata::{check_inclusion_otf, Alphabet, Dfa, Nfa, NfaSource, QueryBudget, SpecCache};
-/// let mut imp = Nfa::new();
-/// let s = imp.add_state();
-/// imp.set_initial(s);
-/// imp.add_transition(s, Some('a'), s);
-/// imp.add_transition(s, Some('b'), s);
-/// let mut spec = Dfa::new(vec!['a', 'b']);
-/// let q = spec.add_state();
-/// spec.set_initial(q);
-/// spec.set_transition(q, &'a', q);
-/// let mut alphabet = Alphabet::from_letters(spec.alphabet());
-/// let imp = imp.compile(&mut alphabet);
-/// let source = NfaSource::new(&imp, &alphabet);
-/// let mut cache = SpecCache::new(&spec, spec.letter_ids());
-/// let (result, _) = check_inclusion_otf(&source, &mut cache, &QueryBudget::unlimited()).unwrap();
-/// assert_eq!(result.counterexample(), Some(&['b'][..]));
-/// ```
-pub struct NfaSource<'a, L> {
-    nfa: &'a CompiledNfa,
-    alphabet: &'a Alphabet<L>,
-}
-
-impl<'a, L> NfaSource<'a, L> {
-    /// Wraps a compiled automaton and the alphabet its letter ids refer
-    /// to. For inclusion checking, compile the automaton against an
-    /// alphabet that starts with the specification's letter list, in
-    /// order, so the ids agree (see the type-level example).
-    pub fn new(nfa: &'a CompiledNfa, alphabet: &'a Alphabet<L>) -> Self {
-        NfaSource { nfa, alphabet }
-    }
-}
-
-impl<L: Clone> SuccessorSource for NfaSource<'_, L> {
-    type State = u32;
-    type Label = L;
-
-    fn initial_states(&self, out: &mut Vec<u32>) {
-        out.extend_from_slice(self.nfa.initial_states());
-    }
-
-    fn successors(&self, state: &u32, out: &mut Vec<(LetterId, u32)>) {
-        let (letters, targets) = self.nfa.edges_from(*state);
-        out.extend(letters.iter().copied().zip(targets.iter().copied()));
-    }
-
-    fn letter(&self, id: LetterId) -> L {
-        self.alphabet.letter(id).clone()
-    }
 }
 
 /// Checks `L(source) ⊆ L(spec)` with **both** sides explored on the fly,
@@ -349,8 +333,8 @@ impl<T: DeterministicTransitionSystem> SpecCache<T> {
     }
 
     /// Estimated heap footprint in bytes of the cache's interned rows and
-    /// state table (convention of [`crate::CompiledNfa::heap_bytes`]:
-    /// container capacities, elements at inline size). The system and
+    /// state table: container capacities, elements at inline size (the
+    /// convention session-level memory budgets count by). The system and
     /// its letter list are not counted — they are the cheap rule system
     /// the cache exists to avoid re-stepping, not a compiled artifact.
     pub fn heap_bytes(&self) -> usize {
@@ -649,6 +633,7 @@ fn reconstruct_queue<S: SuccessorSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabet::Alphabet;
     use crate::dfa::Dfa;
     use crate::nfa::Nfa;
 
@@ -661,11 +646,48 @@ mod tests {
         check_inclusion_otf(source, &mut cache, &QueryBudget::unlimited()).unwrap()
     }
 
-    /// Compiles `nfa` over an alphabet starting with `spec`'s letters.
-    fn compile_pair(nfa: &Nfa<char>, spec: &Dfa<char>) -> (CompiledNfa, Alphabet<char>) {
-        let mut alphabet = Alphabet::from_letters(spec.alphabet());
-        let imp = CompiledNfa::compile(nfa, &mut alphabet);
-        (imp, alphabet)
+    /// An [`Nfa`] as a [`SuccessorSource`] over the letter ids of
+    /// `spec_letters`, its own labels interned after them.
+    struct NfaStepper<'a> {
+        nfa: &'a Nfa<char>,
+        alphabet: Alphabet<char>,
+    }
+
+    impl<'a> NfaStepper<'a> {
+        fn new(nfa: &'a Nfa<char>, spec_letters: &[char]) -> Self {
+            let mut alphabet = Alphabet::from_letters(spec_letters);
+            for q in 0..nfa.num_states() {
+                for label in nfa.transitions_from(q).iter().filter_map(|(l, _)| l.as_ref()) {
+                    alphabet.intern(label);
+                }
+            }
+            NfaStepper { nfa, alphabet }
+        }
+    }
+
+    impl SuccessorSource for NfaStepper<'_> {
+        type State = usize;
+        type Label = char;
+
+        fn initial_states(&self, out: &mut Vec<usize>) {
+            out.extend_from_slice(self.nfa.initial_states());
+        }
+
+        fn successors(&self, state: &usize, out: &mut Vec<(LetterId, usize)>) {
+            for (label, target) in self.nfa.transitions_from(*state) {
+                let letter = label.map_or(EPSILON, |l| self.alphabet.get(&l).expect("interned"));
+                out.push((letter, *target));
+            }
+        }
+
+        fn letter(&self, id: LetterId) -> char {
+            *self.alphabet.letter(id)
+        }
+    }
+
+    /// `L(nfa) ⊆ L(dfa)` through the engine, without a budget.
+    fn check(nfa: &Nfa<char>, dfa: &Dfa<char>) -> InclusionResult<char> {
+        run_otf(&NfaStepper::new(nfa, dfa.alphabet()), dfa).0
     }
 
     fn letter_nfa(letters: &[char]) -> Nfa<char> {
@@ -740,11 +762,54 @@ mod tests {
     }
 
     #[test]
+    fn inclusion_holds_for_subset_alphabet() {
+        let result = check(&letter_nfa(&['a']), &letter_dfa(&['a', 'b']));
+        assert!(result.holds());
+        assert_eq!(result.counterexample(), None);
+        assert_eq!(result.product_states(), 1);
+    }
+
+    #[test]
+    fn counterexample_is_shortest() {
+        // Implementation: a* then one c allowed after a b.
+        let mut imp = Nfa::new();
+        let s0 = imp.add_state();
+        let s1 = imp.add_state();
+        imp.set_initial(s0);
+        imp.add_transition(s0, Some('a'), s0);
+        imp.add_transition(s0, Some('b'), s1);
+        imp.add_transition(s1, Some('c'), s1);
+        // Spec: only a and b.
+        let mut spec = Dfa::new(vec!['a', 'b', 'c']);
+        let q = spec.add_state();
+        spec.set_initial(q);
+        spec.set_transition(q, &'a', q);
+        spec.set_transition(q, &'b', q);
+        assert_eq!(check(&imp, &spec).counterexample(), Some(&['b', 'c'][..]));
+    }
+
+    #[test]
+    fn epsilon_steps_do_not_consume_spec_letters() {
+        let mut imp = Nfa::new();
+        let s0 = imp.add_state();
+        let s1 = imp.add_state();
+        imp.set_initial(s0);
+        imp.add_transition(s0, None, s1);
+        imp.add_transition(s1, Some('a'), s1);
+        assert!(check(&imp, &letter_dfa(&['a'])).holds());
+    }
+
+    #[test]
+    fn letter_outside_spec_alphabet_is_violation() {
+        let result = check(&letter_nfa(&['z']), &letter_dfa(&['a']));
+        assert_eq!(result.counterexample(), Some(&['z'][..]));
+    }
+
+    #[test]
     fn stats_report_impl_states() {
         let nfa = chain_nfa(10);
         let spec = letter_dfa(&['a', 'b', 'c']);
-        let (imp, alphabet) = compile_pair(&nfa, &spec);
-        let source = NfaSource::new(&imp, &alphabet);
+        let source = NfaStepper::new(&nfa, spec.alphabet());
         let (result, stats) = run_otf(&source, &spec);
         assert!(result.holds());
         assert_eq!(stats.impl_states, nfa.num_states());
@@ -755,8 +820,7 @@ mod tests {
     fn bounded_engine_rejects_state_blowup_structurally() {
         let nfa = chain_nfa(10);
         let spec = letter_dfa(&['a', 'b', 'c']);
-        let (imp, alphabet) = compile_pair(&nfa, &spec);
-        let source = NfaSource::new(&imp, &alphabet);
+        let source = NfaStepper::new(&nfa, spec.alphabet());
         let mut cache = SpecCache::new(&spec, spec.letter_ids());
         // The engine returns the structured abort, never panics.
         assert_eq!(
@@ -769,8 +833,7 @@ mod tests {
     fn expired_budget_aborts_the_search() {
         let nfa = chain_nfa(10);
         let spec = letter_dfa(&['a', 'b', 'c']);
-        let (imp, alphabet) = compile_pair(&nfa, &spec);
-        let source = NfaSource::new(&imp, &alphabet);
+        let source = NfaStepper::new(&nfa, spec.alphabet());
         let mut cache = SpecCache::new(&spec, spec.letter_ids());
         let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO);
         let token = crate::CancelToken::new();
@@ -791,10 +854,7 @@ mod tests {
         // An infinite spec state space: the budget trips on *spec*
         // interning even though the implementation is a single state.
         let nfa = letter_nfa(&['a']);
-        let mut alphabet = Alphabet::new();
-        alphabet.intern(&'a');
-        let imp = CompiledNfa::compile(&nfa, &mut alphabet);
-        let source = NfaSource::new(&imp, &alphabet);
+        let source = NfaStepper::new(&nfa, &['a']);
         let mut cache = SpecCache::new(Counting(|state, _| Some(state + 1)), vec![0]);
         assert_eq!(
             check_inclusion_otf(&source, &mut cache, &QueryBudget::new(8)).err(),
@@ -813,8 +873,7 @@ mod tests {
             letter_nfa(&['z']),
             chain_nfa(7),
         ] {
-            let (imp, alphabet) = compile_pair(&nfa, &dfa);
-            let source = NfaSource::new(&imp, &alphabet);
+            let source = NfaStepper::new(&nfa, dfa.alphabet());
             let materialized = run_otf(&source, &dfa);
             let lazy = check_inclusion_otf(
                 &source,
@@ -844,8 +903,7 @@ mod tests {
         for pass in 0..2 {
             let rows_before = cache.rows_built();
             for nfa in &cases {
-                let (imp, alphabet) = compile_pair(nfa, &spec_dfa);
-                let source = NfaSource::new(&imp, &alphabet);
+                let source = NfaStepper::new(nfa, spec_dfa.alphabet());
                 let unlimited = QueryBudget::unlimited();
                 let cold = check_inclusion_otf(
                     &source,

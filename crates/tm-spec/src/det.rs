@@ -20,15 +20,23 @@
 //! `PAPER-AMBIGUITY` and justified, and the whole construction is
 //! validated against the nondeterministic specification by antichain
 //! language-equivalence and against the definition-level oracle by
-//! bounded-exhaustive search — see `tests/` and EXPERIMENTS.md).
+//! bounded-exhaustive search — the dev-only `tm_bench::validation`
+//! toolkit, run by `tests/spec_correctness.rs`).
 
 use tm_lang::{
-    SafetyProperty, Statement, StatementKind, ThreadId, ThreadSet, VarId, Word,
+    Alphabet, SafetyProperty, Statement, StatementKind, ThreadId, ThreadSet, VarId, Word,
 };
 
 use tm_automata::{DeterministicTransitionSystem, Dfa};
 
 use crate::state::{DetPhase, DetState, MAX_THREADS};
+
+/// The statement alphabet `Ŝ` for `threads` threads and `vars` variables,
+/// in canonical order: the letter list of every specification automaton
+/// and [`tm_automata::SpecCache`] in the workspace.
+pub fn spec_alphabet(threads: usize, vars: usize) -> Vec<Statement> {
+    Alphabet::new(threads, vars).statements().collect()
+}
 
 /// The deterministic TM specification for `n` threads and `k` variables
 /// and a given safety property.
@@ -321,7 +329,7 @@ impl DetSpec {
     ///
     /// Panics if the reachable state space exceeds `max_states`.
     pub fn to_dfa(&self, max_states: usize) -> (Dfa<Statement>, Vec<DetState>) {
-        let alphabet = crate::canonical::spec_alphabet(self.threads, self.vars);
+        let alphabet = spec_alphabet(self.threads, self.vars);
         let budget = tm_automata::QueryBudget::new(max_states);
         tm_automata::explore_deterministic(self, alphabet, &budget)
             .unwrap_or_else(|error| panic!("specification exploration failed: {error}"))

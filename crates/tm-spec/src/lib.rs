@@ -5,9 +5,6 @@
 //! exactly the strictly-serializable (resp. opaque) transaction histories
 //! for a bounded number of threads and variables.
 //!
-//! * [`NondetSpec`] — the natural nondeterministic specifications Σ_ss /
-//!   Σ_op (paper Alg. 5), in which each transaction guesses its
-//!   serialization point with an internal ε-move;
 //! * [`DetSpec`] — the deterministic specifications Σᵈ_ss / Σᵈ_op (paper
 //!   Alg. 6), based on weak/strong predecessor tracking; its reachable
 //!   automaton (`DetSpec::to_dfa`) gives the paper's sizes 3520 / 2272;
@@ -16,39 +13,36 @@
 //!   identity for opacity): the language-equal system the
 //!   `tm_checker::Verifier` session's product runs over, with the proof
 //!   that its product search reports the same shortest counterexample;
-//! * [`canonical_dfa`] — a determinized + minimized automaton derived
-//!   from the nondeterministic specification (language-equal by
-//!   construction), used as an independently constructed reference;
-//! * [`cross_validate`] — bounded-exhaustive comparison of any
-//!   specification automaton against the definition-level checkers of
-//!   `tm-lang`.
+//! * [`spec_alphabet`] — the statement alphabet `Ŝ` in canonical order,
+//!   the letter list of every specification automaton.
+//!
+//! The evidence that these automata define the right languages is
+//! dev-only and lives in `tm_bench::validation`: the nondeterministic
+//! specifications Σ_ss / Σ_op (paper Alg. 5), the bounded-exhaustive
+//! comparison against the definition-level checkers of `tm-lang`
+//! (Theorem 2) and the antichain equivalence `L(Σ) = L(Σᵈ)` (Theorem 3).
 //!
 //! # Examples
 //!
 //! ```
 //! use tm_lang::SafetyProperty;
-//! use tm_spec::NondetSpec;
+//! use tm_spec::DetSpec;
 //!
-//! let spec = NondetSpec::new(SafetyProperty::StrictSerializability, 2, 2);
-//! let explored = spec.to_nfa(1_000_000);
+//! let spec = DetSpec::new(SafetyProperty::StrictSerializability, 2, 2);
+//! let (dfa, _) = spec.to_dfa(1_000_000);
+//! assert_eq!(dfa.num_states(), 3520);
 //! let history: tm_lang::Word = "(r,1)1 (w,1)2 c2 c1".parse()?;
-//! assert!(explored.nfa.accepts(history.statements()));
+//! assert!(dfa.accepts(history.statements()));
 //! # Ok::<(), tm_lang::ParseStatementError>(())
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod canonical;
 mod det;
-mod nondet;
 mod quotient;
 mod state;
-mod validate;
 
-pub use canonical::{canonical_dfa, spec_alphabet};
-pub use det::DetSpec;
-pub use nondet::NondetSpec;
+pub use det::{spec_alphabet, DetSpec};
 pub use quotient::{forget_doomed, QuotientSpec};
-pub use state::{DetPhase, DetState, DetThread, NdPhase, NdState, NdThread, MAX_THREADS};
-pub use validate::cross_validate;
+pub use state::{DetPhase, DetState, DetThread, MAX_THREADS};

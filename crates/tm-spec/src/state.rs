@@ -7,37 +7,15 @@ use tm_lang::{ThreadId, ThreadSet, VarSet};
 /// Maximum number of threads supported by the fixed-size spec states.
 pub const MAX_THREADS: usize = 4;
 
-/// Serialization phase of a thread in the **nondeterministic**
-/// specifications (Alg. 5).
-///
-/// The paper's `Status` conflates the phase with commit-viability
-/// (`invalid`). That erases the "has already chosen its serialization
-/// point" information when a serialized transaction is doomed — losing,
-/// for opacity, the read-consistency constraints that still apply to
-/// aborting transactions (a transcription-level fix documented in
-/// DESIGN.md; without it the specification accepts the non-opaque word
-/// `(r,1)1 (w,2)1 (r,2)2 (w,1)2 c1 (r,2)2`). We therefore track the phase
-/// and a separate `valid` flag ([`NdThread::valid`]).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum NdPhase {
-    /// No live transaction.
-    #[default]
-    Finished,
-    /// Transaction live, serialization point not yet chosen.
-    Started,
-    /// Serialization point chosen (the ε move was taken).
-    Serialized,
-}
-
 /// Lifecycle phase of a thread in the **deterministic** specifications
 /// (Alg. 6).
 ///
-/// As in the nondeterministic case ([`NdPhase`]), the paper's `Status`
-/// conflates the phase with commit-viability; a pinned (`pending`)
-/// transaction that is additionally doomed would otherwise lose its pin,
-/// and with it the prohibited-read bookkeeping opacity needs for aborting
-/// readers (DESIGN.md documents the offending word). Phase and the
-/// `valid` flag ([`DetThread::valid`]) are therefore tracked separately.
+/// The paper's `Status` conflates the phase with commit-viability; a
+/// pinned (`pending`) transaction that is additionally doomed would
+/// otherwise lose its pin, and with it the prohibited-read bookkeeping
+/// opacity needs for aborting readers (DESIGN.md documents the offending
+/// word). Phase and the `valid` flag ([`DetThread::valid`]) are therefore
+/// tracked separately.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum DetPhase {
     /// No live transaction.
@@ -50,60 +28,9 @@ pub enum DetPhase {
     Pending,
 }
 
-/// Per-thread record of the nondeterministic specifications: phase,
+/// Per-thread record of the deterministic specifications: phase,
 /// commit-viability, read and write sets, prohibited read/write sets, and
-/// the serialization predecessor set.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NdThread {
-    /// Serialization phase.
-    pub phase: NdPhase,
-    /// `false` once the transaction can no longer commit (the paper's
-    /// `invalid` status).
-    pub valid: bool,
-    /// Variables globally read by the live transaction.
-    pub rs: VarSet,
-    /// Variables written by the live transaction.
-    pub ws: VarSet,
-    /// Variables the thread may no longer read.
-    pub prs: VarSet,
-    /// Variables the thread may no longer write.
-    pub pws: VarSet,
-    /// Threads whose live transactions serialized before this one.
-    pub sp: ThreadSet,
-}
-
-impl Default for NdThread {
-    fn default() -> Self {
-        NdThread {
-            phase: NdPhase::Finished,
-            valid: true,
-            rs: VarSet::new(),
-            ws: VarSet::new(),
-            prs: VarSet::new(),
-            pws: VarSet::new(),
-            sp: ThreadSet::new(),
-        }
-    }
-}
-
-impl fmt::Debug for NdThread {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:?}{}/rs{:?}ws{:?}prs{:?}pws{:?}sp{:?}",
-            self.phase,
-            if self.valid { "" } else { "✗" },
-            self.rs,
-            self.ws,
-            self.prs,
-            self.pws,
-            self.sp
-        )
-    }
-}
-
-/// Per-thread record of the deterministic specifications: like
-/// [`NdThread`] plus the weak-predecessor set.
+/// the weak and strong predecessor sets.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DetThread {
     /// Lifecycle phase.
@@ -159,32 +86,6 @@ impl fmt::Debug for DetThread {
     }
 }
 
-/// State of a nondeterministic specification: one [`NdThread`] per thread.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct NdState(pub [NdThread; MAX_THREADS]);
-
-impl NdState {
-    /// The record of thread `t`.
-    pub fn thread(&self, t: ThreadId) -> &NdThread {
-        &self.0[t.index()]
-    }
-
-    /// `ResetState(q, t)`: status ← finished, sets cleared, `t` removed
-    /// from every other serialization-predecessor set.
-    pub fn reset(&mut self, t: ThreadId) {
-        self.0[t.index()] = NdThread::default();
-        for u in 0..MAX_THREADS {
-            self.0[u].sp.remove(t);
-        }
-    }
-}
-
-impl fmt::Debug for NdState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(self.0.iter()).finish()
-    }
-}
-
 /// State of a deterministic specification: one [`DetThread`] per thread.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct DetState(pub [DetThread; MAX_THREADS]);
@@ -215,21 +116,6 @@ impl fmt::Debug for DetState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tm_lang::VarId;
-
-    #[test]
-    fn reset_clears_thread_and_back_references() {
-        let mut q = NdState::default();
-        let (t1, t2) = (ThreadId::new(0), ThreadId::new(1));
-        q.0[0].phase = NdPhase::Serialized;
-        q.0[0].valid = false;
-        q.0[0].rs.insert(VarId::new(0));
-        q.0[1].sp.insert(t1);
-        q.reset(t1);
-        assert_eq!(q.thread(t1), &NdThread::default());
-        assert!(q.thread(t1).valid);
-        assert!(!q.thread(t2).sp.contains(t1));
-    }
 
     #[test]
     fn det_reset_clears_both_predecessor_kinds() {

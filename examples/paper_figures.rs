@@ -7,11 +7,11 @@
 //! cargo run --release --example paper_figures
 //! ```
 
-use tm_modelcheck::automata::check_equivalence_antichain;
+use tm_bench::validation::{check_equivalence_antichain, NondetSpec};
 use tm_modelcheck::lang::{
     is_opaque, is_strictly_serializable, SafetyProperty, Word,
 };
-use tm_modelcheck::spec::{DetSpec, NondetSpec};
+use tm_modelcheck::spec::DetSpec;
 
 fn analyze(label: &str, text: &str) {
     let w: Word = text.parse().expect("valid word syntax");

@@ -1,13 +1,16 @@
-//! Property-based validation of the automata substrate on random
-//! prefix-closed automata: determinization and minimization preserve the
-//! language, and the antichain inclusion check agrees with the
-//! determinize-then-product method.
+//! Property-based validation of the automata tools on random
+//! prefix-closed automata: determinization and minimization
+//! (`tm_bench::validation`) preserve the language, and the antichain
+//! inclusion check agrees with the determinize-then-product method, whose
+//! product is the engine the `Verifier` runs (`check_inclusion_otf`).
 
 use proptest::prelude::*;
 
-use tm_modelcheck::automata::{
-    check_equivalence_antichain, check_inclusion, check_inclusion_antichain, Dfa, Nfa,
+use tm_bench::validation::{
+    check_equivalence_antichain, check_inclusion_antichain, check_materialized, determinize,
+    minimize,
 };
+use tm_modelcheck::automata::Nfa;
 
 const ALPHABET: [char; 3] = ['a', 'b', 'c'];
 
@@ -62,7 +65,7 @@ proptest! {
     /// Subset-construction determinization preserves the language.
     #[test]
     fn determinization_preserves_language(nfa in arb_nfa()) {
-        let dfa = Dfa::determinize(&nfa, ALPHABET.to_vec());
+        let dfa = determinize(&nfa, ALPHABET.to_vec());
         for w in words_up_to(4) {
             prop_assert_eq!(nfa.accepts(&w), dfa.accepts(&w), "{:?}", w);
         }
@@ -71,8 +74,8 @@ proptest! {
     /// Minimization preserves the language and never grows the automaton.
     #[test]
     fn minimization_preserves_language(nfa in arb_nfa()) {
-        let dfa = Dfa::determinize(&nfa, ALPHABET.to_vec());
-        let min = dfa.minimize();
+        let dfa = determinize(&nfa, ALPHABET.to_vec());
+        let min = minimize(&dfa);
         prop_assert!(min.num_states() <= dfa.num_states().max(1));
         for w in words_up_to(4) {
             prop_assert_eq!(dfa.accepts(&w), min.accepts(&w), "{:?}", w);
@@ -82,16 +85,16 @@ proptest! {
     /// Minimization is idempotent.
     #[test]
     fn minimization_is_idempotent(nfa in arb_nfa()) {
-        let min = Dfa::determinize(&nfa, ALPHABET.to_vec()).minimize();
-        prop_assert_eq!(min.minimize().num_states(), min.num_states());
+        let min = minimize(&determinize(&nfa, ALPHABET.to_vec()));
+        prop_assert_eq!(minimize(&min).num_states(), min.num_states());
     }
 
     /// The antichain inclusion check agrees with the classical
     /// determinize-then-product check, in both directions.
     #[test]
     fn antichain_agrees_with_product((left, right) in (arb_nfa(), arb_nfa())) {
-        let right_dfa = Dfa::determinize(&right, ALPHABET.to_vec());
-        let classical = check_inclusion(&left, &right_dfa);
+        let right_dfa = determinize(&right, ALPHABET.to_vec());
+        let classical = check_materialized(&left, &right_dfa);
         let antichain = check_inclusion_antichain(&left, &right);
         prop_assert_eq!(classical.holds(), antichain.holds());
         if let (Some(c), Some(a)) = (classical.counterexample(), antichain.counterexample()) {
@@ -106,19 +109,19 @@ proptest! {
     /// determinization and minimization.
     #[test]
     fn equivalence_with_canonical_forms(nfa in arb_nfa()) {
-        let dfa = Dfa::determinize(&nfa, ALPHABET.to_vec());
+        let dfa = determinize(&nfa, ALPHABET.to_vec());
         prop_assert!(check_equivalence_antichain(&nfa, &nfa).holds());
         prop_assert!(check_equivalence_antichain(&nfa, &dfa.to_nfa()).holds());
         prop_assert!(
-            check_equivalence_antichain(&nfa, &dfa.minimize().to_nfa()).holds()
+            check_equivalence_antichain(&nfa, &minimize(&dfa).to_nfa()).holds()
         );
     }
 
     /// Counterexamples returned by inclusion checks are genuine.
     #[test]
     fn counterexamples_are_genuine((left, right) in (arb_nfa(), arb_nfa())) {
-        let right_dfa = Dfa::determinize(&right, ALPHABET.to_vec());
-        if let Some(w) = check_inclusion(&left, &right_dfa).counterexample() {
+        let right_dfa = determinize(&right, ALPHABET.to_vec());
+        if let Some(w) = check_materialized(&left, &right_dfa).counterexample() {
             prop_assert!(left.accepts(w));
             prop_assert!(!right_dfa.accepts(w));
         }

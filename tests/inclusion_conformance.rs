@@ -1,19 +1,18 @@
 //! Differential conformance harness for the inclusion checks: the seed
 //! reference (`tm_bench::oracle::check_inclusion_reference`) and the
-//! on-the-fly product engine (`check_inclusion_otf`) — through its
-//! `check_inclusion` wrapper, on the TM steppers directly and inside a
-//! `Verifier` session — must agree on every Table 2 (TM, property) pair,
-//! on randomized NFA/DFA pairs and on hand-built edge cases. The
-//! session's lazily interned specification is also checked entry by
-//! entry against the materialized automaton.
+//! on-the-fly product engine (`check_inclusion_otf`) — fed materialized
+//! automata through `tm_bench::validation::NfaSource`, the TM steppers
+//! directly, and inside a `Verifier` session — must agree on every Table
+//! 2 (TM, property) pair, on randomized NFA/DFA pairs and on hand-built
+//! edge cases. The session's lazily interned specification is also
+//! checked entry by entry against the materialized automaton.
 //!
 //! Counterexamples additionally *replay*: the word is accepted by the
 //! implementation automaton and rejected by the specification DFA
 //! (`Nfa::accepts` / `Dfa::accepts`).
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::hash::Hash;
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -22,10 +21,11 @@ use tm_modelcheck::algorithms::{
     DstmTm, MostGeneralSource, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm, ValidationStyle,
     WithContentionManager,
 };
-use tm_bench::oracle::{check_inclusion_antichain_reference, check_inclusion_reference};
+use tm_bench::oracle::check_inclusion_reference;
+use tm_bench::validation::{check_materialized, determinize};
 use tm_modelcheck::automata::{
-    check_inclusion, check_inclusion_antichain, check_inclusion_otf, Alphabet, Dfa,
-    InclusionResult, Nfa, OtfStats, QueryBudget, SpecCache, SuccessorSource, NO_STATE,
+    check_inclusion_otf, Alphabet, Dfa, InclusionResult, Nfa, OtfStats, QueryBudget, SpecCache,
+    SuccessorSource, NO_STATE,
 };
 use tm_modelcheck::checker::{Artifact, ArtifactKey, Verifier};
 use tm_modelcheck::lang::{SafetyProperty, Statement};
@@ -62,16 +62,17 @@ fn assert_replays<L: Clone + Eq + Hash + std::fmt::Debug>(
 }
 
 /// Checks one (implementation NFA, specification DFA) pair with the
-/// engine and the reference and cross-checks them; returns the
-/// reference result.
+/// engine, fed the NFA through `NfaSource` (`check_materialized`), and
+/// with the reference, and cross-checks them; returns the reference
+/// result.
 fn conform<L: Clone + Eq + Hash + std::fmt::Debug>(
     nfa: &Nfa<L>,
     dfa: &Dfa<L>,
     context: &str,
 ) -> InclusionResult<L> {
     let reference = check_inclusion_reference(nfa, dfa);
-    let got = check_inclusion(nfa, dfa);
-    assert_eq!(got, reference, "{context}: check_inclusion");
+    let got = check_materialized(nfa, dfa);
+    assert_eq!(got, reference, "{context}: check_inclusion_otf");
     if let Some(word) = reference.counterexample() {
         assert_replays(nfa, dfa, word, context);
     }
@@ -107,7 +108,7 @@ fn tm_steppers_match_materialized_pipeline() {
         for property in SafetyProperty::all() {
             let (dfa, _) = DetSpec::new(property, 2, 2).to_dfa(MAX_STATES);
             let explored = tm_modelcheck::algorithms::most_general_nfa(tm, MAX_STATES);
-            let expected = check_inclusion(&explored.nfa, &dfa);
+            let expected = check_materialized(&explored.nfa, &dfa);
             let source = MostGeneralSource::new(tm, Alphabet::from_letters(dfa.alphabet()));
             let context = format!("{} / {name} (stepper)", property.short_name());
             let (got, stats) = otf(&source, &dfa);
@@ -277,12 +278,12 @@ fn build_nfa(states: usize, edges: &[(usize, usize, usize)]) -> Nfa<char> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Fuzz: on random NFA/DFA pairs, the on-the-fly engine (through
-    /// `check_inclusion`) is equivalent to the reference checker, so it
+    /// Fuzz: on random NFA/DFA pairs, the on-the-fly engine (fed the NFA
+    /// through `NfaSource`) is equivalent to the reference checker, so it
     /// is exercised on adversarial shapes, not just the Table 2 examples.
     #[test]
     fn otf_equals_compiled_on_random_pairs((left, right) in (arb_nfa(), arb_nfa())) {
-        let dfa = Dfa::determinize(&right, NFA_ALPHABET.to_vec());
+        let dfa = determinize(&right, NFA_ALPHABET.to_vec());
         conform(&left, &dfa, "proptest pair");
     }
 }
@@ -308,7 +309,7 @@ fn otf_equals_compiled_on_seeded_pairs() {
         };
         let left = random_nfa(&mut rng);
         let right = random_nfa(&mut rng);
-        let dfa = Dfa::determinize(&right, NFA_ALPHABET.to_vec());
+        let dfa = determinize(&right, NFA_ALPHABET.to_vec());
         conform(&left, &dfa, &format!("seed {seed}"));
     }
 }
@@ -386,87 +387,4 @@ fn hand_built_pairs_match_reference() {
     for (i, (nfa, dfa)) in cases.iter().enumerate() {
         conform(nfa, dfa, &format!("hand-built pair {i}"));
     }
-}
-
-/// The compiled antichain check agrees with the seed reference on
-/// verdicts, counterexample words and explored pairs, including letters
-/// one side lacks and ε-moves.
-#[test]
-fn antichain_matches_reference_on_hand_built_pairs() {
-    let ab = letter_nfa(&['a', 'b']);
-    let a = letter_nfa(&['a']);
-    let mut eps = Nfa::new();
-    let q0 = eps.add_state();
-    let q1 = eps.add_state();
-    eps.set_initial(q0);
-    eps.add_transition(q0, None, q1);
-    eps.add_transition(q1, Some('a'), q1);
-    eps.add_transition(q1, Some('c'), q0);
-    for (left, right) in [(&ab, &a), (&a, &ab), (&eps, &ab), (&ab, &eps), (&eps, &a)] {
-        assert_eq!(
-            check_inclusion_antichain(left, right),
-            check_inclusion_antichain_reference(left, right)
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// Regression: `check_inclusion` on a sequential-TM-shaped instance (a
-// tiny implementation against a large specification) must not re-hash
-// specification letters per call — the (2,2) small-instance regression
-// where compiling the spec table dominated the whole check.
-
-static LABEL_HASHES: AtomicUsize = AtomicUsize::new(0);
-
-/// A label whose `Hash` impl counts invocations.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Counted(u32);
-
-impl Hash for Counted {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        LABEL_HASHES.fetch_add(1, Ordering::Relaxed);
-        self.0.hash(state);
-    }
-}
-
-#[test]
-fn small_instance_check_does_no_per_call_letter_rehash() {
-    // Spec: 40 states over 12 letters (the sequential TM shape: spec
-    // table cells vastly outnumber implementation edges).
-    let letters: Vec<Counted> = (0..12).map(Counted).collect();
-    let mut spec = Dfa::new(letters.clone());
-    for _ in 0..40 {
-        spec.add_state();
-    }
-    spec.set_initial(0);
-    for q in 0..40usize {
-        for l in 0..12u32 {
-            spec.set_transition(q, &Counted(l), (q + l as usize) % 40);
-        }
-    }
-    // Implementation: 3 states, 5 edges.
-    let mut imp: Nfa<Counted> = Nfa::new();
-    for _ in 0..3 {
-        imp.add_state();
-    }
-    imp.set_initial(0);
-    imp.add_transition(0, Some(Counted(0)), 1);
-    imp.add_transition(0, None, 2);
-    imp.add_transition(1, Some(Counted(1)), 2);
-    imp.add_transition(2, Some(Counted(2)), 0);
-    imp.add_transition(2, Some(Counted(0)), 2);
-
-    let warm = check_inclusion(&imp, &spec);
-    let before = LABEL_HASHES.load(Ordering::Relaxed);
-    let again = check_inclusion(&imp, &spec);
-    let per_call = LABEL_HASHES.load(Ordering::Relaxed) - before;
-    assert_eq!(again, warm);
-    // Interning the implementation's own edge labels is the only hashing
-    // allowed: one lookup per labelled edge, nothing proportional to the
-    // specification alphabet (12 letters) or its table.
-    assert!(
-        per_call <= imp.num_transitions(),
-        "check_inclusion re-hashed letters: {per_call} hashes for {} edges",
-        imp.num_transitions()
-    );
 }

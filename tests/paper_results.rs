@@ -235,7 +235,7 @@ fn managed_tms_inherit_safety() {
 /// depth confirms `L(A_cm) ⊆ L(A)`.
 #[test]
 fn managed_language_is_included_in_unmanaged() {
-    use tm_modelcheck::automata::check_inclusion_antichain;
+    use tm_bench::validation::check_inclusion_antichain;
     let bare = tm_modelcheck::algorithms::most_general_nfa(&DstmTm::new(2, 1), 100_000);
     let managed = tm_modelcheck::algorithms::most_general_nfa(
         &WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm),

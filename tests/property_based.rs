@@ -4,18 +4,16 @@
 
 use proptest::prelude::*;
 
-use tm_bench::oracle::{check_inclusion_antichain_reference, check_inclusion_reference};
-use tm_modelcheck::automata::{
-    check_inclusion, check_inclusion_antichain, Alphabet as LetterAlphabet, BitSet, Dfa, LetterId,
-    Nfa,
-};
+use tm_bench::oracle::check_inclusion_reference;
+use tm_bench::validation::{check_materialized, determinize, NondetSpec};
+use tm_modelcheck::automata::Nfa;
 use tm_modelcheck::lang::{
     is_opaque, is_opaque_brute_force, is_strictly_serializable,
     is_strictly_serializable_brute_force, is_sequential, opacity_witness,
     serialization_witness, strictly_equivalent, transactions, SafetyProperty, Statement,
     StatementKind, ThreadId, VarId, Word,
 };
-use tm_modelcheck::spec::{DetSpec, NondetSpec};
+use tm_modelcheck::spec::DetSpec;
 
 /// A random statement over (2 threads, 2 variables).
 fn arb_statement() -> impl Strategy<Value = Statement> {
@@ -163,79 +161,22 @@ fn arb_nfa() -> impl Strategy<Value = Nfa<char>> {
 }
 
 proptest! {
-    /// The compiled CSR representation accepts exactly the words the
-    /// uncompiled automaton accepts (letters outside the compiled
-    /// alphabet reject, as do letters missing from the automaton).
-    #[test]
-    fn compiled_nfa_agrees_on_accepts(
-        (nfa, word) in (arb_nfa(), proptest::collection::vec(0usize..3, 0..6))
-    ) {
-        let mut alphabet = LetterAlphabet::new();
-        let compiled = nfa.compile(&mut alphabet);
-        let chars: Vec<char> = word.iter().map(|&i| NFA_ALPHABET[i]).collect();
-        // Letters the automaton never uses are not interned: give them an
-        // id beyond the compiled alphabet, which the compiled automaton
-        // rejects just like the uncompiled one rejects the raw letter.
-        let ids: Vec<LetterId> = chars
-            .iter()
-            .map(|l| alphabet.get(l).unwrap_or(u32::MAX - 1))
-            .collect();
-        prop_assert_eq!(compiled.accepts(&ids), nfa.accepts(&chars), "{:?}", chars);
-    }
-
-    /// `CompiledNfa::post` (per-letter CSR slice walk) computes the same
-    /// successor sets as the full-edge-scan `Nfa::post`, from the initial
-    /// closure and from its iterated posts.
-    #[test]
-    fn compiled_nfa_agrees_on_post(nfa in arb_nfa()) {
-        let mut alphabet = LetterAlphabet::new();
-        let compiled = nfa.compile(&mut alphabet);
-        prop_assert_eq!(
-            nfa.initial_closure().iter().collect::<Vec<_>>(),
-            compiled.initial_closure().iter().collect::<Vec<_>>()
-        );
-        let mut frontiers = vec![nfa.initial_closure()];
-        for _ in 0..2 {
-            let mut next = Vec::new();
-            for frontier in &frontiers {
-                for letter in NFA_ALPHABET {
-                    let reference = nfa.post(frontier, &letter);
-                    let fast = match alphabet.get(&letter) {
-                        Some(id) => compiled.post(frontier, id),
-                        None => BitSet::new(compiled.num_states()),
-                    };
-                    prop_assert_eq!(
-                        reference.iter().collect::<Vec<_>>(),
-                        fast.iter().collect::<Vec<_>>(),
-                        "letter {}", letter
-                    );
-                    next.push(reference);
-                }
-            }
-            frontiers = next;
-        }
-    }
-
-    /// The index-based inclusion checks return results identical to the
-    /// seed (label-hashing) implementations — verdict, counterexample
-    /// word, and product-state count.
+    /// The product engine returns results identical to the seed
+    /// (label-hashing) product checker — verdict, counterexample word,
+    /// and product-state count.
     #[test]
     fn inclusion_checks_agree_with_seed((left, right) in (arb_nfa(), arb_nfa())) {
-        let dfa = Dfa::determinize(&right, NFA_ALPHABET.to_vec());
+        let dfa = determinize(&right, NFA_ALPHABET.to_vec());
         prop_assert_eq!(
-            check_inclusion(&left, &dfa),
+            check_materialized(&left, &dfa),
             check_inclusion_reference(&left, &dfa)
-        );
-        prop_assert_eq!(
-            check_inclusion_antichain(&left, &right),
-            check_inclusion_antichain_reference(&left, &right)
         );
     }
 }
 
-/// The index-based `check_inclusion` reproduces the seed implementation
-/// bit-for-bit — verdict, shortest counterexample word, and explored
-/// product size — on every Table 2 TM/property pair.
+/// The product engine reproduces the seed implementation bit-for-bit —
+/// verdict, shortest counterexample word, and explored product size — on
+/// every Table 2 TM/property pair.
 #[test]
 fn table2_inclusion_matches_seed_implementation() {
     // The roster depends only on the instance size, not the property.
@@ -243,7 +184,7 @@ fn table2_inclusion_matches_seed_implementation() {
     for property in SafetyProperty::all() {
         let (spec, _) = DetSpec::new(property, 2, 2).to_dfa(20_000_000);
         for (name, nfa, _) in &roster {
-            let fast = check_inclusion(nfa, &spec);
+            let fast = check_materialized(nfa, &spec);
             let seed = check_inclusion_reference(nfa, &spec);
             assert_eq!(fast, seed, "{property} / {name}");
             if let Some(word) = seed.counterexample() {

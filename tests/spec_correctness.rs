@@ -2,7 +2,8 @@
 //! specifications (paper Theorems 2 and 3) by cross-validation:
 //!
 //! * bounded-exhaustive agreement with the definition-level reference
-//!   checkers of `tm-lang` (Theorem 2);
+//!   checkers of `tm-lang` (Theorem 2), both specifications of a
+//!   property walking together so the oracle runs once per word;
 //! * antichain language-equivalence of the nondeterministic and
 //!   deterministic specifications (Theorem 3), including the
 //!   independently constructed canonical (determinized + minimized)
@@ -10,46 +11,48 @@
 //! * the exact state counts the paper reports for the deterministic
 //!   specifications.
 
-use tm_modelcheck::automata::{check_equivalence_antichain, Dfa};
-use tm_modelcheck::lang::{Alphabet, SafetyProperty};
-use tm_modelcheck::spec::{
-    canonical_dfa, cross_validate, spec_alphabet, DetSpec, NondetSpec,
+use tm_bench::validation::{
+    canonical_dfa, check_equivalence_antichain, check_materialized, cross_validate, determinize,
+    minimize, NondetSpec,
 };
+use tm_modelcheck::lang::{Alphabet, SafetyProperty};
+use tm_modelcheck::spec::{spec_alphabet, DetSpec};
 
 const MAX: usize = 2_000_000;
+
+/// Walks both specifications of each property at `(n, k)` against the
+/// oracle in one DFS, on every word up to `max_len`. `separate[i]` holds
+/// the words visited by the separate walks of the `i`-th property's
+/// nondet and det automata (one oracle call per word each, as a walk of
+/// that automaton alone counts them): the joint walk
+/// asks the oracle once per word and steps both automata on it, so it
+/// visits each separate walk's words and steps the automata as often
+/// as the two walks did together.
+fn specs_match_oracle(n: usize, k: usize, max_len: usize, separate: [(u64, u64); 2]) {
+    for (property, (nondet_words, det_words)) in SafetyProperty::all().into_iter().zip(separate) {
+        let nondet = NondetSpec::new(property, n, k).to_nfa(MAX);
+        let (det, _) = DetSpec::new(property, n, k).to_dfa(MAX);
+        let det = det.to_nfa();
+        let walk = cross_validate(&[&nondet.nfa, &det], property, Alphabet::new(n, k), max_len);
+        let context = format!("{property} ({n},{k}) up to length {max_len}");
+        assert_eq!(walk.mismatch, None, "{context}: automaton 0 is nondet, 1 is det");
+        assert_eq!(walk.words, nondet_words, "{context}: words visited");
+        assert_eq!(2 * walk.words, nondet_words + det_words, "{context}: automaton steps");
+    }
+}
 
 /// Theorem 2 at (2,1): both specifications agree with the oracle on every
 /// word up to length 8.
 #[test]
 fn specs_match_oracle_exhaustively_2_1() {
-    for property in SafetyProperty::all() {
-        let alphabet = Alphabet::new(2, 1);
-        let nd = NondetSpec::new(property, 2, 1).to_nfa(MAX);
-        assert_eq!(cross_validate(&nd.nfa, property, alphabet, 8), None, "{property} nondet");
-        let (det, _) = DetSpec::new(property, 2, 1).to_dfa(MAX);
-        assert_eq!(
-            cross_validate(&det.to_nfa(), property, alphabet, 8),
-            None,
-            "{property} det"
-        );
-    }
+    specs_match_oracle(2, 1, 8, [(19_108_408, 19_108_408), (18_970_760, 18_970_760)]);
 }
 
 /// Theorem 2 at (2,2): agreement with the oracle on every word up to
-/// length 5 (length 6 runs in the benches).
+/// length 5.
 #[test]
 fn specs_match_oracle_exhaustively_2_2() {
-    for property in SafetyProperty::all() {
-        let alphabet = Alphabet::new(2, 2);
-        let nd = NondetSpec::new(property, 2, 2).to_nfa(MAX);
-        assert_eq!(cross_validate(&nd.nfa, property, alphabet, 5), None, "{property} nondet");
-        let (det, _) = DetSpec::new(property, 2, 2).to_dfa(MAX);
-        assert_eq!(
-            cross_validate(&det.to_nfa(), property, alphabet, 5),
-            None,
-            "{property} det"
-        );
-    }
+    specs_match_oracle(2, 2, 5, [(271_452, 271_452), (271_356, 271_356)]);
 }
 
 /// Theorem 2 beyond the reduction bound: the parametric specifications
@@ -57,17 +60,7 @@ fn specs_match_oracle_exhaustively_2_2() {
 /// 2-thread-specific.
 #[test]
 fn specs_match_oracle_exhaustively_3_1() {
-    for property in SafetyProperty::all() {
-        let alphabet = Alphabet::new(3, 1);
-        let nd = NondetSpec::new(property, 3, 1).to_nfa(MAX);
-        assert_eq!(cross_validate(&nd.nfa, property, alphabet, 6), None, "{property} nondet");
-        let (det, _) = DetSpec::new(property, 3, 1).to_dfa(MAX);
-        assert_eq!(
-            cross_validate(&det.to_nfa(), property, alphabet, 6),
-            None,
-            "{property} det"
-        );
-    }
+    specs_match_oracle(3, 1, 6, [(3_256_932, 3_256_932), (3_250_596, 3_250_596)]);
 }
 
 /// Theorem 3: `L(Σ_π) = L(Σᵈ_π)` for both properties at (2,2), via the
@@ -130,14 +123,13 @@ fn nondet_spec_state_counts_ballpark() {
 /// serializability language.
 #[test]
 fn opacity_implies_strict_serializability_as_languages() {
-    use tm_modelcheck::automata::check_inclusion;
     let op = NondetSpec::new(SafetyProperty::Opacity, 2, 2).to_nfa(MAX);
     let (ss, _) = DetSpec::new(SafetyProperty::StrictSerializability, 2, 2).to_dfa(MAX);
-    assert!(check_inclusion(&op.nfa, &ss).holds());
+    assert!(check_materialized(&op.nfa, &ss).holds());
     // The converse fails: Fig. 2(a) is SS but not opaque.
     let (opd, _) = DetSpec::new(SafetyProperty::Opacity, 2, 2).to_dfa(MAX);
     let ssn = NondetSpec::new(SafetyProperty::StrictSerializability, 2, 2).to_nfa(MAX);
-    assert!(!check_inclusion(&ssn.nfa, &opd).holds());
+    assert!(!check_materialized(&ssn.nfa, &opd).holds());
 }
 
 /// Subset-determinization blows up the nondeterministic specification
@@ -147,8 +139,8 @@ fn opacity_implies_strict_serializability_as_languages() {
 fn determinization_size_comparison() {
     let property = SafetyProperty::Opacity;
     let nondet = NondetSpec::new(property, 2, 2).to_nfa(MAX);
-    let subset = Dfa::determinize(&nondet.nfa, spec_alphabet(2, 2));
-    let minimal = subset.minimize();
+    let subset = determinize(&nondet.nfa, spec_alphabet(2, 2));
+    let minimal = minimize(&subset);
     let (det, _) = DetSpec::new(property, 2, 2).to_dfa(MAX);
     assert!(minimal.num_states() <= det.num_states());
     assert!(det.num_states() <= subset.num_states());

@@ -7,7 +7,7 @@ use tm_modelcheck::algorithms::{
 use tm_modelcheck::lang::{
     is_opaque, is_strictly_serializable, Command, SafetyProperty, VarId, Word,
 };
-use tm_modelcheck::spec::NondetSpec;
+use tm_bench::validation::NondetSpec;
 
 fn read(v: usize) -> Command {
     Command::Read(VarId::new(v))
