@@ -10,7 +10,7 @@
 //!
 //! The interesting line is the session thread inside
 //! `run_graph_build`: the run-graph compilation of the first query folds
-//! as `session-*;query;run_graph_build` — the build cost discussed in
+//! as `session-0;run_graph_build` — the build cost discussed in
 //! `crates/bench/NOTES.md`.
 
 use std::time::Instant;

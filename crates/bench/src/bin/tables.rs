@@ -599,8 +599,8 @@ fn render(members: &[(String, Json)]) -> String {
 
 /// Per-query engine-phase breakdown of the Table 2 safety roster at
 /// (2, 2) — where each query spends its time (spec interning, BFS
-/// levels), from `QueryStats::phase_ns` through a fresh session. The `phases` section
-/// of `BENCH_inclusion.json`.
+/// levels), from a `tm_obs` recorder around each query of a fresh
+/// session. The `phases` section of `BENCH_inclusion.json`.
 fn bench_safety_phases() -> Vec<Json> {
     let mut rows = Vec::new();
     let mut verifier = Verifier::new(2, 2).max_states(MAX_STATES);
@@ -608,12 +608,13 @@ fn bench_safety_phases() -> Vec<Json> {
     let roster = table2_roster();
     for property in SafetyProperty::all() {
         for (case, (name, _, _)) in cases.iter().zip(&roster) {
-            let verdict = case.check_session(&mut verifier, property);
+            let (verdict, record) =
+                tm_obs::with_recorder(false, || case.check_session(&mut verifier, property));
             rows.push(obj([
                 ("tm", text(name)),
                 ("property", text(property.short_name())),
                 ("cached_spec", Json::Bool(verdict.stats.artifact_cached)),
-                ("phase_ns", encode_phases(&verdict.stats.phase_ns)),
+                ("phase_ns", encode_phases(&record.phase_ns)),
             ]));
         }
     }
@@ -625,7 +626,8 @@ fn bench_safety_phases() -> Vec<Json> {
 /// a query against the session's cached compiled run graph (search only;
 /// the one-time graph build is recorded per TM alongside). The rows
 /// become the `cases` section of `BENCH_liveness.json`; the per-query
-/// phase breakdowns (`QueryStats::phase_ns`) its `phases` section.
+/// phase breakdowns (from a `tm_obs` recorder around the last measured
+/// query) its `phases` section.
 fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<Json>, f64, Vec<Json>, Duration) {
     let mut cases = Vec::new();
     let mut phases = Vec::new();
@@ -647,12 +649,14 @@ fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<Json>, f64, Vec<Json
         // Table 3 already paid — so the aggregate speedup is honest.
         total_builds += build;
         for property in LivenessProperty::all() {
-            let mut verdict = None;
+            let mut measured = None;
             let session = best_of(3, || {
-                verdict = Some(case.check_session(verifier, property));
+                measured = Some(tm_obs::with_recorder(false, || {
+                    case.check_session(verifier, property)
+                }));
             });
             let reference = best_of(3, || case.check_reference(property));
-            let verdict = verdict.expect("measured at least once");
+            let (verdict, record) = measured.expect("measured at least once");
             let states = verdict.stats.states_explored;
             total_reference += reference;
             total_session += session;
@@ -680,7 +684,7 @@ fn bench_liveness_baseline(verifier: &mut Verifier) -> (Vec<Json>, f64, Vec<Json
             phases.push(obj([
                 ("tm", text(&case.name)),
                 ("property", text(liveness_property_tag(property))),
-                ("phase_ns", encode_phases(&verdict.stats.phase_ns)),
+                ("phase_ns", encode_phases(&record.phase_ns)),
             ]));
         }
     }
@@ -867,31 +871,21 @@ fn bench_service() {
     }
     println!("{table}");
 
-    // Instrumentation overhead: the same warm roster (unbounded budget,
-    // every artifact cached) with phase timers and metric updates
-    // enabled vs `TM_OBS=off` — the documented "near-free when
-    // disabled, cheap when enabled" contract (target: ≤ 5% on-vs-off).
-    // The ~97 Hz sampling profiler is measured on top of the enabled
-    // run: its own overhead (push/pop of phase slots is already paid by
-    // the timers; the sampler adds one reader thread) must stay within
-    // the same 5% envelope.
+    // Profiler overhead: the same warm roster (unbounded budget, every
+    // artifact cached) with and without the ~97 Hz sampling profiler.
+    // Phase timers always run, so their frame push/pop is paid by both
+    // sides; the sampler adds one reader thread, which must stay within
+    // a 5% envelope.
     let obs_service = Service::new(config(None));
     let _ = obs_service.submit(&batch);
-    tm_obs::set_obs_enabled(true);
-    let obs_on = best_of(5, || obs_service.submit(&batch));
+    let sampler_off = best_of(5, || obs_service.submit(&batch));
     tm_obs::start_sampler();
     let sampler_on = best_of(5, || obs_service.submit(&batch));
     tm_obs::stop_sampler();
-    tm_obs::set_obs_enabled(false);
-    let obs_off = best_of(5, || obs_service.submit(&batch));
-    tm_obs::set_obs_enabled(true);
-    let obs_overhead = obs_on.as_secs_f64() / obs_off.as_secs_f64() - 1.0;
-    let profiler_overhead = sampler_on.as_secs_f64() / obs_on.as_secs_f64() - 1.0;
+    let profiler_overhead = sampler_on.as_secs_f64() / sampler_off.as_secs_f64() - 1.0;
     println!(
-        "Instrumentation — warm roster best of 5: obs on {obs_on:.2?}, off {obs_off:.2?} \
-         ({:+.1}% overhead, target ≤ 5%); sampler running {sampler_on:.2?} \
-         ({:+.1}% over obs on, target ≤ 5%)\n",
-        obs_overhead * 100.0,
+        "Profiler — warm roster best of 5: sampler off {sampler_off:.2?}, running \
+         {sampler_on:.2?} ({:+.1}% overhead, target ≤ 5%)\n",
         profiler_overhead * 100.0
     );
 
@@ -1101,18 +1095,16 @@ fn bench_service() {
         (
             "instrumentation_unit",
             text(
-                "best-of-5 warm roster through an unbounded-budget service with tm-obs phase \
-                 timers enabled (default) vs TM_OBS=off; overhead_ratio = on/off - 1, target \
-                 <= 0.05; sampler_on_warm_ns = same roster with the ~97 Hz sampling profiler \
-                 also running, profiler_overhead_ratio = sampler_on/on - 1, target <= 0.05",
+                "best-of-5 warm roster through an unbounded-budget service (tm-obs phase timers \
+                 always on) without the sampling profiler (obs_on_warm_ns) and with the ~97 Hz \
+                 sampler running (sampler_on_warm_ns); profiler_overhead_ratio = sampler_on/on \
+                 - 1, target <= 0.05",
             ),
         ),
         (
             "instrumentation",
             obj([
-                ("obs_on_warm_ns", ns(obs_on)),
-                ("obs_off_warm_ns", ns(obs_off)),
-                ("overhead_ratio", ratio(obs_overhead, 4)),
+                ("obs_on_warm_ns", ns(sampler_off)),
                 ("sampler_on_warm_ns", ns(sampler_on)),
                 ("profiler_overhead_ratio", ratio(profiler_overhead, 4)),
             ]),
@@ -1167,9 +1159,9 @@ fn write_liveness_json(
         (
             "phases_unit",
             text(
-                "tm-obs engine-phase totals (QueryStats::phase_ns, nanoseconds, nonzero only) \
-                 of the final measured run of each (2,1) query; phases nest, so they do not \
-                 sum to wall time",
+                "tm-obs engine-phase totals (a tm_obs::with_recorder record, nanoseconds, \
+                 nonzero only) of the final measured run of each (2,1) query; phases nest, so \
+                 they do not sum to wall time",
             ),
         ),
         ("phases", Json::Arr(phases)),
@@ -1192,10 +1184,10 @@ fn write_bench_json(scaling: Vec<Json>, phases: Vec<Json>, metrics: &[Metric]) {
         (
             "phases_unit",
             text(
-                "tm-obs engine-phase totals (QueryStats::phase_ns, nanoseconds, nonzero only) \
-                 per Table 2 query through a fresh (2,2) session; cached_spec = false on each \
-                 property's first query (which pays spec_intern); phases nest, so they do not \
-                 sum to wall time",
+                "tm-obs engine-phase totals (a tm_obs::with_recorder record, nanoseconds, \
+                 nonzero only) per Table 2 query through a fresh (2,2) session; cached_spec = \
+                 false on each property's first query (which pays spec_intern); phases nest, \
+                 so they do not sum to wall time",
             ),
         ),
         ("phases", Json::Arr(phases)),

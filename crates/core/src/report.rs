@@ -14,6 +14,9 @@ use crate::safety::SafetyVerdict;
 /// Uniform run statistics attached to every session query ([`Verdict`]),
 /// separating what the one-shot verdict types blend together: artifact
 /// construction (specification / run graph) versus the search itself.
+/// The per-phase time breakdown is not here: a query's engine phases go
+/// to whichever `tm_obs` recorder the calling thread has installed
+/// (`tm_obs::with_recorder`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryStats {
     /// States explored by the search: product states for a safety query,
@@ -34,29 +37,6 @@ pub struct QueryStats {
     /// first-time builds; what a memory-budgeted service reports as its
     /// eviction cost.
     pub rebuilds: usize,
-    /// Nanoseconds per engine/service phase, indexed by
-    /// [`tm_obs::Phase`]` as usize` — the phase breakdown of this query.
-    /// All zeros when instrumentation is disabled (`TM_OBS=off`). Phases
-    /// nest (a BFS level contains its spec-row interning), so the entries
-    /// do not sum to wall time.
-    pub phase_ns: tm_obs::PhaseNanos,
-    /// Artifacts this query *promoted* from the persistent store
-    /// (loaded and verified from disk instead of rebuilt). Zero when no
-    /// store is configured. Filled by the serving layer; a promote is
-    /// neither a build nor a rebuild.
-    pub store_promotes: usize,
-    /// Artifacts *demoted* to the persistent store by the evictions
-    /// this query's memory admission forced (exported to disk before
-    /// being dropped, instead of discarded). Zero when no store is
-    /// configured.
-    pub store_demotes: usize,
-}
-
-impl QueryStats {
-    /// Nanoseconds recorded for one phase.
-    pub fn phase(&self, phase: tm_obs::Phase) -> u64 {
-        self.phase_ns[phase as usize]
-    }
 }
 
 /// The outcome payload of a [`Verdict`]: the query-specific verdict types

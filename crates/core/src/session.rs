@@ -432,7 +432,7 @@ impl Verifier {
     pub fn check_safety<A: TmAlgorithm>(&mut self, tm: &A, property: SafetyProperty) -> Verdict {
         assert_eq!(tm.threads(), self.threads, "thread count mismatch");
         assert_eq!(tm.vars(), self.vars, "variable count mismatch");
-        capture_phases(|| self.safety_query(tm, property))
+        self.safety_query(tm, property)
     }
 
     /// The safety pipeline, parameterized over the TM's own size so the
@@ -463,7 +463,6 @@ impl Verifier {
             search_time,
             artifact_cached: cached,
             rebuilds,
-            ..QueryStats::default()
         };
         let checked = check_inclusion_otf(&source, cache, &budget);
         let (result, otf) = match checked {
@@ -506,16 +505,6 @@ impl Verifier {
     ) -> Verdict {
         assert_eq!(tm.threads(), self.threads, "thread count mismatch");
         assert_eq!(tm.vars(), self.vars, "variable count mismatch");
-        capture_phases(|| self.liveness_query(tm, property))
-    }
-
-    /// The liveness pipeline behind [`Verifier::check_liveness`] (split
-    /// out so the phase capture brackets exactly one query).
-    fn liveness_query<A: TmAlgorithm>(
-        &mut self,
-        tm: &A,
-        property: LivenessProperty,
-    ) -> Verdict {
         let total = Instant::now();
         let budget = self.query_budget();
         let tm_name = tm.name();
@@ -536,7 +525,6 @@ impl Verifier {
                             search_time: Duration::ZERO,
                             artifact_cached: false,
                             rebuilds: 0,
-                            ..QueryStats::default()
                         },
                     );
                 }
@@ -574,7 +562,6 @@ impl Verifier {
                         search_time: search.elapsed(),
                         artifact_cached: cached,
                         rebuilds,
-                        ..QueryStats::default()
                     },
                 );
             }
@@ -595,7 +582,6 @@ impl Verifier {
                 search_time,
                 artifact_cached: cached,
                 rebuilds,
-                ..QueryStats::default()
             },
         }
     }
@@ -613,23 +599,6 @@ impl Verifier {
     /// deadline, cancellation), the whole run returns that
     /// [`VerdictOutcome::Aborted`] with the stats accumulated so far.
     pub fn verify_with_reduction<A, F>(
-        &mut self,
-        make: F,
-        property: SafetyProperty,
-        structural_depth: usize,
-        spot_sizes: &[(usize, usize)],
-    ) -> Verdict
-    where
-        A: TmAlgorithm,
-        F: Fn(usize, usize) -> A,
-    {
-        capture_phases(|| self.reduction_query(make, property, structural_depth, spot_sizes))
-    }
-
-    /// The reduction pipeline behind [`Verifier::verify_with_reduction`]
-    /// (split out so the phase capture brackets the whole methodology
-    /// run, spot checks included).
-    fn reduction_query<A, F>(
         &mut self,
         make: F,
         property: SafetyProperty,
@@ -674,7 +643,6 @@ impl Verifier {
                         search_time,
                         artifact_cached: all_cached,
                         rebuilds,
-                        ..QueryStats::default()
                     },
                 );
             }
@@ -694,35 +662,7 @@ impl Verifier {
                 search_time: search_time + structural_time,
                 artifact_cached: all_cached,
                 rebuilds,
-                ..QueryStats::default()
             },
-        }
-    }
-}
-
-/// Attaches the engine-phase breakdown to a query's stats
-/// ([`QueryStats::phase_ns`]). Under an already-installed recorder (the
-/// service's per-query one) the query is bracketed by two phase-total
-/// snapshots, so its share still flows to the outer recorder; otherwise a
-/// fresh recorder is installed for the query's duration. Free when
-/// instrumentation is disabled (`TM_OBS=off`): the stats stay all-zero.
-fn capture_phases(f: impl FnOnce() -> Verdict) -> Verdict {
-    match tm_obs::phase_totals() {
-        Some(before) => {
-            let mut verdict = f();
-            if let Some(after) = tm_obs::phase_totals() {
-                for ((slot, a), b) in verdict.stats.phase_ns.iter_mut().zip(after).zip(before) {
-                    *slot = a.saturating_sub(b);
-                }
-            }
-            verdict
-        }
-        None => {
-            let (mut verdict, record) = tm_obs::ensure_recorder(f);
-            if let Some(record) = record {
-                verdict.stats.phase_ns = record.phase_ns;
-            }
-            verdict
         }
     }
 }
@@ -817,6 +757,23 @@ mod tests {
             .check_liveness(&other, LivenessProperty::ObstructionFreedom)
             .holds());
         assert_eq!(verifier.builds(), 2);
+    }
+
+    #[test]
+    fn queries_record_engine_phases_into_the_callers_recorder() {
+        use tm_obs::Phase;
+        let mut verifier = Verifier::new(2, 1);
+        let tm = DstmTm::new(2, 1);
+        let (safety, record) = tm_obs::with_recorder(false, || {
+            verifier.check_safety(&tm, SafetyProperty::Opacity)
+        });
+        assert!(safety.holds());
+        assert!(record.phase_ns[Phase::BfsLevel as usize] > 0, "{record:?}");
+        let (liveness, record) = tm_obs::with_recorder(false, || {
+            verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom)
+        });
+        assert!(!liveness.stats.artifact_cached);
+        assert!(record.phase_ns[Phase::RunGraphBuild as usize] > 0, "{record:?}");
     }
 
     #[test]

@@ -487,9 +487,6 @@ const ROOT: u32 = u32::MAX;
 /// Observes one BFS level's frontier size into the global
 /// `tm_frontier_states` histogram (recorded once per level).
 fn observe_frontier(size: usize) {
-    if !tm_obs::obs_enabled() {
-        return;
-    }
     static FRONTIER: OnceLock<Histogram> = OnceLock::new();
     FRONTIER
         .get_or_init(|| {

@@ -32,13 +32,10 @@
 //!
 //! ## Cost model
 //!
-//! Instrumentation is passive: it never changes verdicts, words, or
-//! lassos (pinned by the metrics-on ≡ metrics-off conformance tests).
-//! When disabled (`TM_OBS=off` or [`set_obs_enabled`]`(false)`) the hot
-//! path cost is one relaxed atomic load per site — no clock reads, no
-//! allocation. When enabled, a phase span costs two `Instant::now`
-//! reads plus a handful of relaxed atomic adds; spans are placed at
-//! per-level / per-artifact granularity, never per-state.
+//! Instrumentation is always on and passive: it never changes verdicts,
+//! words, or lassos. A phase span costs two `Instant::now` reads plus a
+//! handful of relaxed atomic adds; spans are placed at per-level /
+//! per-artifact granularity, never per-state.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,41 +61,11 @@ pub use registry::{
 };
 pub use profile::{
     collect_profile, profile_snapshot, register_thread, sampler_running, start_sampler,
-    stop_sampler, task_frame, ProfileSnapshot, TaskFrame, ThreadKind, ThreadRegistration,
+    stop_sampler, ProfileSnapshot, ThreadKind, ThreadRegistration,
     PROFILE_MAX_DEPTH, SAMPLE_PERIOD_MICROS,
 };
 pub use text::{parse_prometheus, Exposition, Sample};
 pub use trace::{
-    ensure_recorder, phase_totals, record_phase, recorder_active, timed, with_recorder, Phase,
-    PhaseNanos, PhaseTimer, TraceEvent, TraceRecord, TRACE_EVENT_CAP,
+    timed, with_recorder, Phase, PhaseNanos, PhaseTimer, TraceEvent, TraceRecord,
+    TRACE_EVENT_CAP,
 };
-
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Environment variable disabling all instrumentation when set to `off`
-/// (or `0`): `TM_OBS=off`.
-pub const OBS_ENV: &str = "TM_OBS";
-
-// 0 = not yet read from the environment, 1 = enabled, 2 = disabled.
-static OBS_STATE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether instrumentation is enabled (the default; `TM_OBS=off`
-/// disables it). The first call reads the environment; afterwards this
-/// is a single relaxed atomic load — the entire disabled-path cost of a
-/// [`PhaseTimer`].
-pub fn obs_enabled() -> bool {
-    match OBS_STATE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let off = matches!(std::env::var(OBS_ENV).as_deref(), Ok("off") | Ok("0"));
-            OBS_STATE.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-            !off
-        }
-    }
-}
-
-/// Overrides the enable flag (tests and the on/off overhead bench).
-pub fn set_obs_enabled(enabled: bool) {
-    OBS_STATE.store(if enabled { 1 } else { 2 }, Ordering::Relaxed);
-}

@@ -7,15 +7,14 @@
 //! [`register_thread`] and publishes its current activity into a small
 //! fixed-depth stack of atomic frames. Publication piggybacks on the
 //! instrumentation that already exists — every [`crate::PhaseTimer`]
-//! pushes its [`Phase`] on construction and pops it on drop, and a
-//! thread running a job for another wraps it in a [`task_frame`] — so a
-//! profiled thread's stack reads like `worker-3: task / run_graph_build`.
+//! pushes its [`Phase`] on construction and pops it on drop — so a
+//! profiled thread's stack reads like `http-0: bfs_level / spec_intern`.
 //!
 //! The opt-in sampler thread ([`start_sampler`]) wakes every
 //! [`SAMPLE_PERIOD_MICROS`] and, per tick:
 //!
 //! * folds each registered thread's current stack into a
-//!   *folded-stack* line (`worker-3;task;run_graph_build`), counting
+//!   *folded-stack* line (`http-0;bfs_level;spec_intern`), counting
 //!   samples per distinct stack — the flamegraph collapsed format;
 //! * observes the number of busy [`ThreadKind::Worker`] threads into the
 //!   `tm_parallelism` histogram. The engines run every query on the
@@ -29,11 +28,9 @@
 //! because nothing here feeds back into the engines (pinned by the
 //! sampler-on ≡ sampler-off conformance tests).
 //!
-//! Cost model: with `TM_OBS=off` nothing is published and
-//! [`register_thread`] hands back an inert guard — the hot-path cost is
-//! the same single relaxed load the rest of `tm-obs` pays. Enabled, a
-//! frame push/pop is two relaxed stores plus one load on data owned by
-//! the pushing thread.
+//! Cost model: a frame push/pop is two relaxed stores plus one load on
+//! data owned by the pushing thread; an unregistered thread publishes
+//! nothing.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -42,13 +39,13 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::obs_enabled;
 use crate::registry::{global_histogram, Histogram, Unit};
 use crate::trace::Phase;
 
 /// Maximum published stack depth per thread; deeper nesting keeps
 /// counting depth (pops stay balanced) but publishes no further frames.
-/// Engine spans nest at most three deep today (task → dispatch → phase).
+/// Spans nest at most two deep today (a BFS level around its spec-row
+/// interning).
 pub const PROFILE_MAX_DEPTH: usize = 8;
 
 /// Sampler period: 10 309 µs ≈ 97 Hz. Deliberately a prime number of
@@ -58,8 +55,7 @@ pub const SAMPLE_PERIOD_MICROS: u64 = 10_309;
 
 // Frame encoding inside a slot's atomic stack.
 const FRAME_EMPTY: usize = 0;
-const FRAME_TASK: usize = 1;
-const FRAME_PHASE_BASE: usize = 2;
+const FRAME_PHASE_BASE: usize = 1;
 
 /// What kind of thread a profile slot belongs to (the root frame of its
 /// folded stacks).
@@ -76,7 +72,7 @@ pub enum ThreadKind {
 }
 
 impl ThreadKind {
-    /// The stable label used as the folded-stack root (`worker-3`).
+    /// The stable label used as the folded-stack root (`http-0`).
     pub fn label(self) -> &'static str {
         match self {
             ThreadKind::Worker => "worker",
@@ -134,13 +130,9 @@ thread_local! {
 }
 
 /// Registers the calling thread with the profiler until the returned
-/// guard drops. With `TM_OBS=off` the guard is inert: no slot is
-/// allocated and nothing is ever published.
+/// guard drops.
 #[must_use = "the thread is profiled only while the guard lives"]
 pub fn register_thread(kind: ThreadKind) -> ThreadRegistration {
-    if !obs_enabled() {
-        return ThreadRegistration { slot: None };
-    }
     let slot = {
         let mut table = lock_slots();
         // Reuse the lowest-ordinal inactive slot of this kind so thread
@@ -166,14 +158,14 @@ pub fn register_thread(kind: ThreadKind) -> ThreadRegistration {
         }
     };
     CURRENT.with(|cell| *cell.borrow_mut() = Some(Arc::clone(&slot)));
-    ThreadRegistration { slot: Some(slot) }
+    ThreadRegistration { slot }
 }
 
 /// RAII handle of [`register_thread`]; unregisters (and stops all
 /// publication from) the thread on drop.
 #[derive(Debug)]
 pub struct ThreadRegistration {
-    slot: Option<Arc<Slot>>,
+    slot: Arc<Slot>,
 }
 
 impl std::fmt::Debug for Slot {
@@ -185,27 +177,19 @@ impl std::fmt::Debug for Slot {
     }
 }
 
-impl ThreadRegistration {
-    /// `true` if the thread actually got a slot (`false` under
-    /// `TM_OBS=off`).
-    pub fn is_registered(&self) -> bool {
-        self.slot.is_some()
-    }
-}
-
 impl Drop for ThreadRegistration {
     fn drop(&mut self) {
-        if let Some(slot) = self.slot.take() {
-            CURRENT.with(|cell| *cell.borrow_mut() = None);
-            slot.reset();
-            slot.active.store(false, Ordering::Relaxed);
-        }
+        CURRENT.with(|cell| *cell.borrow_mut() = None);
+        self.slot.reset();
+        self.slot.active.store(false, Ordering::Relaxed);
     }
 }
 
-/// Pushes a frame onto the calling thread's slot. Returns `true` iff a
-/// frame was pushed (a matching [`pop_frame`] is then owed).
-fn push_frame(frame: usize) -> bool {
+/// Pushes the [`Phase`] frame of a starting `PhaseTimer` onto the
+/// calling thread's slot. Returns `true` iff a frame was pushed (a
+/// matching [`pop_phase`] is then owed).
+pub(crate) fn push_phase(phase: Phase) -> bool {
+    let frame = FRAME_PHASE_BASE + phase as usize;
     CURRENT.with(|cell| {
         let borrow = cell.borrow();
         let Some(slot) = borrow.as_ref() else {
@@ -222,8 +206,8 @@ fn push_frame(frame: usize) -> bool {
     })
 }
 
-/// Pops the frame a successful [`push_frame`] published.
-fn pop_frame() {
+/// Pops the frame a successful [`push_phase`] published.
+pub(crate) fn pop_phase() {
     CURRENT.with(|cell| {
         let borrow = cell.borrow();
         let Some(slot) = borrow.as_ref() else {
@@ -240,47 +224,9 @@ fn pop_frame() {
     });
 }
 
-/// Pushes the [`Phase`] frame of a starting `PhaseTimer` (crate-internal
-/// hook). Returns whether a pop is owed.
-pub(crate) fn push_phase(phase: Phase) -> bool {
-    push_frame(FRAME_PHASE_BASE + phase as usize)
-}
-
-/// Pops the frame pushed by [`push_phase`] (crate-internal hook).
-pub(crate) fn pop_phase() {
-    pop_frame();
-}
-
-/// Marks the calling thread busy on a task for the guard's lifetime —
-/// a worker wraps each dequeued job in one, which is what makes a
-/// worker's sample read `busy` (and feeds `tm_parallelism`) even between
-/// finer-grained phase spans. No-op without a registered slot or with
-/// `TM_OBS=off`.
-#[must_use = "the task frame is published only while the guard lives"]
-#[derive(Debug)]
-pub struct TaskFrame {
-    pushed: bool,
-}
-
-/// Publishes a [`TaskFrame`] on the calling thread.
-pub fn task_frame() -> TaskFrame {
-    TaskFrame {
-        pushed: obs_enabled() && push_frame(FRAME_TASK),
-    }
-}
-
-impl Drop for TaskFrame {
-    fn drop(&mut self) {
-        if self.pushed {
-            pop_frame();
-        }
-    }
-}
-
 fn frame_name(frame: usize) -> &'static str {
     match frame {
         FRAME_EMPTY => "",
-        FRAME_TASK => "task",
         _ => Phase::ALL
             .get(frame - FRAME_PHASE_BASE)
             .map(|p| p.name())
@@ -295,7 +241,7 @@ fn frame_name(frame: usize) -> &'static str {
 pub struct ProfileSnapshot {
     /// Sampler ticks taken so far.
     pub samples: u64,
-    /// Samples per folded stack (`worker-0;task;bfs_level` → count).
+    /// Samples per folded stack (`http-0;bfs_level` → count).
     pub folded: BTreeMap<String, u64>,
 }
 
@@ -446,44 +392,27 @@ pub fn collect_profile(window: Duration) -> String {
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the global slot table / enable flag.
+    /// Serializes tests that touch the global slot table or the sampler.
     fn profile_lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
     #[test]
-    fn obs_off_registers_nothing_and_publishes_nothing() {
-        let _guard = profile_lock();
-        crate::set_obs_enabled(false);
-        let registration = register_thread(ThreadKind::Worker);
-        assert!(!registration.is_registered());
-        let frame = task_frame();
-        // No slot, no publication: the sampler would see no active slot
-        // from this thread.
-        CURRENT.with(|cell| assert!(cell.borrow().is_none()));
-        drop(frame);
-        drop(registration);
-        crate::set_obs_enabled(true);
-    }
-
-    #[test]
     fn frames_push_and_pop_through_the_guards() {
         let _guard = profile_lock();
-        crate::set_obs_enabled(true);
-        let registration = register_thread(ThreadKind::Session);
-        assert!(registration.is_registered());
+        let _registration = register_thread(ThreadKind::Session);
         {
-            let _task = task_frame();
-            let _timer = crate::PhaseTimer::start(Phase::RunGraphBuild);
+            let _level = crate::PhaseTimer::start(Phase::BfsLevel);
+            let _intern = crate::PhaseTimer::start(Phase::SpecIntern);
             CURRENT.with(|cell| {
                 let borrow = cell.borrow();
                 let slot = borrow.as_ref().expect("registered");
                 assert_eq!(slot.depth.load(Ordering::Relaxed), 2);
-                assert_eq!(frame_name(slot.frames[0].load(Ordering::Relaxed)), "task");
+                assert_eq!(frame_name(slot.frames[0].load(Ordering::Relaxed)), "bfs_level");
                 assert_eq!(
                     frame_name(slot.frames[1].load(Ordering::Relaxed)),
-                    "run_graph_build"
+                    "spec_intern"
                 );
             });
         }
@@ -496,9 +425,10 @@ mod tests {
     #[test]
     fn overdeep_stacks_stay_balanced() {
         let _guard = profile_lock();
-        crate::set_obs_enabled(true);
         let _registration = register_thread(ThreadKind::Session);
-        let frames: Vec<TaskFrame> = (0..PROFILE_MAX_DEPTH + 3).map(|_| task_frame()).collect();
+        let frames: Vec<crate::PhaseTimer> = (0..PROFILE_MAX_DEPTH + 3)
+            .map(|_| crate::PhaseTimer::start(Phase::BfsLevel))
+            .collect();
         CURRENT.with(|cell| {
             let borrow = cell.borrow();
             let slot = borrow.as_ref().unwrap();
@@ -514,13 +444,12 @@ mod tests {
     #[test]
     fn unregistering_frees_the_ordinal_for_reuse() {
         let _guard = profile_lock();
-        crate::set_obs_enabled(true);
         let first = register_thread(ThreadKind::Http);
-        let first_ordinal = first.slot.as_ref().unwrap().ordinal;
+        let first_ordinal = first.slot.ordinal;
         drop(first);
         let second = register_thread(ThreadKind::Http);
         assert_eq!(
-            second.slot.as_ref().unwrap().ordinal,
+            second.slot.ordinal,
             first_ordinal,
             "a freed slot is reused before a new ordinal is minted"
         );
@@ -529,7 +458,6 @@ mod tests {
     #[test]
     fn sampler_start_stop_are_idempotent() {
         let _guard = profile_lock();
-        crate::set_obs_enabled(true);
         assert!(start_sampler());
         assert!(!start_sampler(), "second start is a no-op");
         assert!(sampler_running());
@@ -541,10 +469,9 @@ mod tests {
     #[test]
     fn sampler_folds_stacks_and_diffs_windows() {
         let _guard = profile_lock();
-        crate::set_obs_enabled(true);
         let _registration = register_thread(ThreadKind::Session);
-        let _task = task_frame();
-        let _timer = crate::PhaseTimer::start(Phase::SccSearch);
+        let _level = crate::PhaseTimer::start(Phase::BfsLevel);
+        let _intern = crate::PhaseTimer::start(Phase::SpecIntern);
         let before = profile_snapshot();
         // Drive ticks directly instead of racing a real sampler thread.
         for _ in 0..5 {
@@ -555,7 +482,7 @@ mod tests {
         let folded = after.folded_since(&before);
         let line = folded
             .lines()
-            .find(|l| l.starts_with("session-") && l.contains("task;scc_search"))
+            .find(|l| l.starts_with("session-") && l.contains("bfs_level;spec_intern"))
             .expect("the published stack shows up in the folded text");
         let count: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
         assert_eq!(count, 5);

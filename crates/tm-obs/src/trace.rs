@@ -4,11 +4,11 @@
 //!
 //! Every recorded span goes to the **global** per-phase histogram
 //! (`tm_phase_seconds{phase=…}`); when a recorder is installed on the
-//! recording thread ([`with_recorder`] / [`ensure_recorder`]) the span
-//! is *also* added to the per-query phase totals, and — if event capture
-//! was requested — appended to a bounded event list (capacity
-//! [`TRACE_EVENT_CAP`]; overflow increments
-//! [`TraceRecord::dropped_events`] instead of allocating further).
+//! recording thread ([`with_recorder`]) the span is *also* added to the
+//! per-query phase totals, and — if event capture was requested —
+//! appended to a bounded event list (capacity [`TRACE_EVENT_CAP`];
+//! overflow increments [`TraceRecord::dropped_events`] instead of
+//! allocating further).
 //!
 //! The recorder is thread-local on purpose: engine phases are recorded
 //! from the query's coordinating thread (the BFS level loop, artifact
@@ -20,7 +20,6 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::registry::{global_histogram, Histogram, Unit};
-use crate::obs_enabled;
 
 /// A named phase of query execution. The engine phases are recorded by
 /// `tm-automata`; the wait phases by `tm-service`.
@@ -182,10 +181,9 @@ fn phase_histogram(phase: Phase) -> &'static Histogram {
 }
 
 /// Records one finished span: into the global per-phase histogram, and
-/// into the thread's recorder if one is installed. Called by
-/// [`PhaseTimer`]; direct use is for sites that measure durations
-/// themselves (condvar waits).
-pub fn record_phase(phase: Phase, duration: Duration, value: u64) {
+/// into the thread's recorder if one is installed. Called when a
+/// [`PhaseTimer`] ends.
+pub(crate) fn record_phase(phase: Phase, duration: Duration, value: u64) {
     let dur_ns = duration.as_nanos().min(u128::from(u64::MAX)) as u64;
     phase_histogram(phase).observe(dur_ns);
     COLLECTOR.with(|cell| {
@@ -207,19 +205,6 @@ pub fn record_phase(phase: Phase, duration: Duration, value: u64) {
             }
         }
     });
-}
-
-/// `true` if this thread currently has a recorder installed.
-pub fn recorder_active() -> bool {
-    COLLECTOR.with(|cell| cell.borrow().is_some())
-}
-
-/// The recorder's phase totals so far (`None` without a recorder).
-/// Callers that run inside someone else's recorder — the session query
-/// inside the service's per-query recorder — diff two snapshots to get
-/// their own share.
-pub fn phase_totals() -> Option<PhaseNanos> {
-    COLLECTOR.with(|cell| cell.borrow().as_ref().map(|c| c.record.phase_ns))
 }
 
 /// Runs `f` with a fresh recorder installed on this thread and returns
@@ -246,47 +231,29 @@ pub fn with_recorder<R>(capture_events: bool, f: impl FnOnce() -> R) -> (R, Trac
     (result, record)
 }
 
-/// Runs `f` under this thread's existing recorder if one is installed
-/// (returning `None` for the record — the outer owner keeps it), or
-/// under a fresh one otherwise ([`with_recorder`]). This is what the
-/// session layer uses so phase totals flow to whichever recorder is
-/// outermost, without double-installing under the service.
-pub fn ensure_recorder<R>(f: impl FnOnce() -> R) -> (R, Option<TraceRecord>) {
-    if recorder_active() || !obs_enabled() {
-        (f(), None)
-    } else {
-        let (result, record) = with_recorder(false, f);
-        (result, Some(record))
-    }
-}
-
-/// An RAII span: measures from construction to drop and records via
-/// [`record_phase`]. When instrumentation is disabled
-/// ([`crate::obs_enabled`] is `false`) construction is one atomic load
-/// and drop is a no-op — no clock reads.
+/// An RAII span: measures from construction to drop and records the
+/// duration into the phase histogram and the thread's recorder.
 #[must_use = "a PhaseTimer records on drop; binding it to _ ends the span immediately"]
 #[derive(Debug)]
 pub struct PhaseTimer {
     phase: Phase,
     value: u64,
-    start: Option<Instant>,
+    start: Instant,
     /// Whether the span pushed a profiler frame (the thread was
     /// registered with [`crate::profile`]) and owes a pop on drop.
     frame: bool,
 }
 
 impl PhaseTimer {
-    /// Starts a span (no-op when instrumentation is disabled). On a
-    /// thread registered with the sampling profiler
+    /// Starts a span. On a thread registered with the sampling profiler
     /// ([`crate::profile::register_thread`]) the phase is also published
     /// as the thread's current frame for the span's duration.
     pub fn start(phase: Phase) -> Self {
-        let start = obs_enabled().then(Instant::now);
         PhaseTimer {
             phase,
             value: 0,
-            frame: start.is_some() && crate::profile::push_phase(phase),
-            start,
+            frame: crate::profile::push_phase(phase),
+            start: Instant::now(),
         }
     }
 
@@ -303,35 +270,30 @@ impl PhaseTimer {
 
     /// Ends the span now (equivalent to dropping it).
     pub fn stop(self) {}
+
+    /// Ends the span, recording `elapsed` as its duration.
+    fn end(&self, elapsed: Duration) {
+        if self.frame {
+            crate::profile::pop_phase();
+        }
+        record_phase(self.phase, elapsed, self.value);
+    }
 }
 
 /// Runs `f` inside a `phase` span and returns its result with the time
 /// it took. One pair of clock reads feeds both the span and the caller's
-/// duration, and the clock is read even with instrumentation disabled
-/// (the caller asked for the duration); only the span is gated.
+/// duration.
 pub fn timed<R>(phase: Phase, f: impl FnOnce() -> R) -> (R, Duration) {
-    // Taking the span's start leaves it the profiler frame only; the
-    // recording uses the duration measured here.
-    let mut span = PhaseTimer::start(phase);
-    let enabled = span.start.take();
-    let started = enabled.unwrap_or_else(Instant::now);
+    let span = PhaseTimer::start(phase);
     let result = f();
-    let elapsed = started.elapsed();
-    drop(span);
-    if enabled.is_some() {
-        record_phase(phase, elapsed, 0);
-    }
+    let elapsed = span.start.elapsed();
+    std::mem::ManuallyDrop::new(span).end(elapsed);
     (result, elapsed)
 }
 
 impl Drop for PhaseTimer {
     fn drop(&mut self) {
-        if self.frame {
-            crate::profile::pop_phase();
-        }
-        if let Some(start) = self.start {
-            record_phase(self.phase, start.elapsed(), self.value);
-        }
+        self.end(self.start.elapsed());
     }
 }
 
@@ -339,17 +301,8 @@ impl Drop for PhaseTimer {
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the global enable flag (the flag is
-    /// process-wide; the test harness is parallel).
-    fn flag_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     #[test]
     fn recorder_collects_totals_and_events() {
-        let _flag = flag_lock();
-        crate::set_obs_enabled(true);
         let ((), record) = with_recorder(true, || {
             record_phase(Phase::BfsLevel, Duration::from_nanos(100), 7);
             record_phase(Phase::BfsLevel, Duration::from_nanos(50), 3);
@@ -365,8 +318,6 @@ mod tests {
 
     #[test]
     fn event_buffer_is_bounded() {
-        let _flag = flag_lock();
-        crate::set_obs_enabled(true);
         let ((), record) = with_recorder(true, || {
             for _ in 0..TRACE_EVENT_CAP + 10 {
                 record_phase(Phase::SpecIntern, Duration::from_nanos(1), 0);
@@ -379,8 +330,6 @@ mod tests {
 
     #[test]
     fn totals_only_recorder_allocates_no_events() {
-        let _flag = flag_lock();
-        crate::set_obs_enabled(true);
         let ((), record) = with_recorder(false, || {
             record_phase(Phase::SccSearch, Duration::from_nanos(42), 0);
         });
@@ -390,8 +339,6 @@ mod tests {
 
     #[test]
     fn nested_recorders_do_not_leak_into_each_other() {
-        let _flag = flag_lock();
-        crate::set_obs_enabled(true);
         let ((), outer) = with_recorder(false, || {
             record_phase(Phase::SessionLockWait, Duration::from_nanos(10), 0);
             let ((), inner) = with_recorder(false, || {
@@ -405,24 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn ensure_recorder_defers_to_an_installed_one() {
-        let _flag = flag_lock();
-        crate::set_obs_enabled(true);
-        let ((), outer) = with_recorder(false, || {
-            let (_, inner) = ensure_recorder(|| {
-                record_phase(Phase::RunGraphBuild, Duration::from_nanos(30), 0);
-            });
-            assert!(inner.is_none(), "existing recorder keeps the spans");
-        });
-        assert_eq!(outer.phase_ns[Phase::RunGraphBuild as usize], 30);
-        // Without an outer recorder, ensure_recorder returns its own.
-        let (_, own) = ensure_recorder(|| {
-            record_phase(Phase::RunGraphBuild, Duration::from_nanos(11), 0);
-        });
-        assert_eq!(own.expect("fresh recorder").phase_ns[Phase::RunGraphBuild as usize], 11);
-    }
-
-    #[test]
     fn phase_names_round_trip() {
         for phase in Phase::ALL {
             assert_eq!(Phase::from_name(phase.name()), Some(phase));
@@ -431,14 +360,21 @@ mod tests {
     }
 
     #[test]
-    fn disabled_timer_records_nothing() {
-        let _flag = flag_lock();
-        crate::set_obs_enabled(false);
+    fn timers_record_their_span() {
         let ((), record) = with_recorder(true, || {
             PhaseTimer::start(Phase::BfsLevel).with_value(9).stop();
         });
-        crate::set_obs_enabled(true);
-        assert_eq!(record.total_ns(), 0);
-        assert!(record.events.is_empty());
+        assert_eq!(record.events.len(), 1);
+        assert_eq!(record.events[0].phase, Phase::BfsLevel);
+        assert_eq!(record.events[0].value, 9);
+        let ((_, elapsed), record) = with_recorder(false, || {
+            timed(Phase::SessionLockWait, || std::thread::sleep(Duration::from_millis(1)))
+        });
+        assert!(elapsed >= Duration::from_millis(1));
+        assert_eq!(
+            record.phase_ns[Phase::SessionLockWait as usize],
+            elapsed.as_nanos() as u64,
+            "timed records the duration it returns"
+        );
     }
 }

@@ -24,7 +24,7 @@
 //!
 //! * `--trace` — ask the server for per-query phase traces and print a
 //!   phase-breakdown table after the results. Exits non-zero if the
-//!   server answered without traces (e.g. it runs `TM_OBS=off`);
+//!   server answered without traces;
 //! * `--metrics` — fetch `GET /metrics`, check it parses as Prometheus
 //!   text, and print a one-line-per-series summary (`--json` prints the
 //!   raw exposition instead);
@@ -199,10 +199,7 @@ fn run() -> Result<(), String> {
         let (status, body) = request(&mut retry, &addr, "GET", &path, None)?;
         check(status)?;
         if body.trim().is_empty() {
-            eprintln!(
-                "tm-query: the profile window caught no samples \
-                 (is the server running TM_OBS=off, or simply idle?)"
-            );
+            eprintln!("tm-query: the profile window caught no samples (is the server idle?)");
         }
         print!("{body}");
         return Ok(());
@@ -238,8 +235,7 @@ fn run() -> Result<(), String> {
             .collect();
         if !missing.is_empty() {
             return Err(format!(
-                "trace requested but the server answered without one for: {} \
-                 (is it running with TM_OBS=off?)",
+                "trace requested but the server answered without one for: {}",
                 missing.join(", ")
             ));
         }

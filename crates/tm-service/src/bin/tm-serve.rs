@@ -36,9 +36,6 @@
 //! Observability section for the metric and phase inventory):
 //!
 //! * `GET /metrics` always serves the Prometheus text exposition;
-//! * `TM_OBS=off` (or `0`) disables phase timers and per-query traces
-//!   (cheap counters stay on) — `trace: true` requests then come back
-//!   without traces;
 //! * `TM_LOG=json` emits one structured JSON log line per HTTP request
 //!   (with its `X-Request-Id`) to stderr;
 //! * `TM_SLOW_QUERY_MS=N` logs any query slower than N ms to stderr,

@@ -270,7 +270,7 @@ fn handle_connection(
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     // Publish this connection thread into the sampling profiler for
-    // the request's lifetime (inert under `TM_OBS=off`).
+    // the request's lifetime.
     let _profile = tm_obs::register_thread(tm_obs::ThreadKind::Http);
     let started = Instant::now();
     let mut reader = BufReader::new(stream);

@@ -225,12 +225,8 @@ fn current_request_id() -> String {
 }
 
 /// Publishes one lifecycle event into the global journal, stamped with
-/// the current thread's request id. A no-op with instrumentation
-/// disabled — `TM_OBS=off` servers keep an empty journal.
+/// the current thread's request id.
 fn journal(kind: EventKind, key: impl ToString, bytes: u64) {
-    if !tm_obs::obs_enabled() {
-        return;
-    }
     tm_obs::global_journal().publish(JournalEvent::now(
         kind,
         key.to_string(),
@@ -296,8 +292,7 @@ pub struct QueryResult {
     /// The verdict payload.
     pub outcome: QueryOutcome,
     /// The per-query phase trace, present only when the batch requested
-    /// tracing ([`Service::submit_traced`]) and instrumentation is
-    /// enabled.
+    /// tracing ([`Service::submit_traced`]).
     pub trace: Option<TraceRecord>,
 }
 
@@ -878,13 +873,12 @@ impl Service {
 
     /// [`Service::submit`] with an explicit batch deadline in
     /// milliseconds (a request-supplied `deadline_ms` overrides the
-    /// configured default) and, when `trace` is `true` (and
-    /// instrumentation is enabled; with `TM_OBS=off` the results come
-    /// back untraced), a per-query [`TraceRecord`] — the phase totals and
-    /// captured spans — on every result. Queries still unanswered when
-    /// the deadline expires are shed as [`QueryOutcome::Aborted`] /
-    /// [`EngineError::Deadline`] results without running; results stay
-    /// in request order either way.
+    /// configured default) and, when `trace` is `true`, a per-query
+    /// [`TraceRecord`] — the phase totals and captured spans — on every
+    /// result. Queries still unanswered when the deadline expires are
+    /// shed as [`QueryOutcome::Aborted`] / [`EngineError::Deadline`]
+    /// results without running; results stay in request order either
+    /// way.
     pub fn submit_traced(
         &self,
         batch: &[QuerySpec],
@@ -908,10 +902,9 @@ impl Service {
             .collect()
     }
 
-    /// Runs one query under a per-query trace recorder (when
-    /// instrumentation is enabled), updates the per-query metrics, and
-    /// emits the slow-query log line if the query crossed the
-    /// `TM_SLOW_QUERY_MS` threshold.
+    /// Runs one query under a per-query trace recorder, updates the
+    /// per-query metrics, and emits the slow-query log line if the query
+    /// crossed the `TM_SLOW_QUERY_MS` threshold.
     fn run_traced(
         &self,
         spec: &QuerySpec,
@@ -919,16 +912,10 @@ impl Service {
         trace: bool,
     ) -> QueryResult {
         let started = Instant::now();
-        let result = if tm_obs::obs_enabled() {
-            let (mut result, record) =
-                tm_obs::with_recorder(trace, || self.run_one(spec, deadline));
-            if trace {
-                result.trace = Some(record);
-            }
-            result
-        } else {
-            self.run_one(spec, deadline)
-        };
+        let (mut result, record) = tm_obs::with_recorder(trace, || self.run_one(spec, deadline));
+        if trace {
+            result.trace = Some(record);
+        }
         let elapsed = started.elapsed();
         self.metrics.observe_query(&result, elapsed);
         if let Some(threshold) = tm_obs::slow_query_threshold() {
@@ -983,7 +970,7 @@ impl Service {
             journal(EventKind::AdmissionWait, &key, 0);
         }
         let pin = PinGuard::new(&self.budget, &key, admission.reserved);
-        let mut demotes = self.perform_evictions(&admission.evicted);
+        self.perform_evictions(&admission.evicted);
         // Fault site: the artifact (re)build about to happen.
         if admission.reserved {
             if let Err(error) = fault::fault_point("build") {
@@ -993,8 +980,7 @@ impl Service {
             }
         }
         let session = self.registry.session(spec.threads, spec.vars);
-        let mut promotes = 0;
-        let (mut verdict, bytes) = {
+        let (verdict, bytes) = {
             let (mut verifier, waited) =
                 tm_obs::timed(Phase::SessionLockWait, || lock_session(&session));
             session.lock_wait.observe(saturating_ns(waited));
@@ -1002,7 +988,6 @@ impl Service {
             // verified on-disk copy imports in place of a rebuild.
             if admission.reserved && self.promote(&mut verifier, &key) {
                 session.promotes.inc();
-                promotes = 1;
             }
             let rows_before = verifier.artifact(&key).map_or(0, Artifact::rows);
             let verdict = run_query(&mut verifier, spec);
@@ -1049,26 +1034,21 @@ impl Service {
             // grow as new TMs touch new rows) and settle back under
             // budget.
             let evicted = pin.settle(bytes);
-            demotes += self.perform_evictions(&evicted);
+            self.perform_evictions(&evicted);
         }
-        verdict.stats.store_promotes = promotes;
-        verdict.stats.store_demotes = demotes;
         QueryResult::from_verdict(spec.clone(), verdict)
     }
 
-    /// Performs ledger-decided evictions on the owning sessions,
-    /// returning how many victims were demoted to the persistent store
-    /// (always 0 without one). The decision and the drop are
-    /// deliberately decoupled: by the time a victim's session lock is
-    /// acquired here, a concurrent query may have re-admitted the
-    /// artifact, so each drop re-checks the ledger (holding the session
-    /// lock, which is what any user of the artifact would need) and
-    /// skips victims that came back to life. With a store, the victim
-    /// is exported and saved right before the drop — eviction becomes
-    /// demotion, and a later query on the key promotes it back instead
-    /// of rebuilding.
-    fn perform_evictions(&self, evicted: &[ArtifactKey]) -> usize {
-        let mut demotes = 0;
+    /// Performs ledger-decided evictions on the owning sessions. The
+    /// decision and the drop are deliberately decoupled: by the time a
+    /// victim's session lock is acquired here, a concurrent query may
+    /// have re-admitted the artifact, so each drop re-checks the ledger
+    /// (holding the session lock, which is what any user of the artifact
+    /// would need) and skips victims that came back to life. With a
+    /// store, the victim is exported and saved right before the drop —
+    /// eviction becomes demotion, and a later query on the key promotes
+    /// it back instead of rebuilding.
+    fn perform_evictions(&self, evicted: &[ArtifactKey]) {
         for key in evicted {
             let session = self.registry.session(key.threads, key.vars);
             let mut session = lock_session(&session);
@@ -1077,14 +1057,12 @@ impl Service {
             }
             let bytes = session.artifact(key).map_or(0, Artifact::heap_bytes) as u64;
             if self.demote(&session, key) {
-                demotes += 1;
                 journal(EventKind::Demote, key, bytes);
             } else {
                 journal(EventKind::Evict, key, bytes);
             }
             session.evict(key);
         }
-        demotes
     }
 
     /// Current counters, read from the metrics registry handles. Takes

@@ -44,8 +44,7 @@
 //! result: `{"phases": {"<phase>": <ns>, ...}, "events": [{"phase":
 //! ..., "start_ns": ..., "dur_ns": ..., "value": ...}, ...],
 //! "dropped_events": N}` (phase names are the
-//! [`tm_obs::Phase::name`] vocabulary; servers running `TM_OBS=off`
-//! omit the member).
+//! [`tm_obs::Phase::name`] vocabulary).
 
 use std::fmt;
 

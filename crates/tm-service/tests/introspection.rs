@@ -16,28 +16,26 @@ use tm_service::{
     Service, ServiceConfig,
 };
 
-/// Serializes tests that toggle process-global observability state (the
-/// `TM_OBS` flag, the sampler) and restores the defaults on drop.
-struct ObsFlag {
+/// Serializes tests that use process-global observability state (the
+/// sampler, the journal) and stops the sampler on drop.
+struct GlobalObs {
     _guard: MutexGuard<'static, ()>,
 }
 
-impl ObsFlag {
+impl GlobalObs {
     fn hold() -> Self {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         let guard = LOCK
             .get_or_init(|| Mutex::new(()))
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        tm_obs::set_obs_enabled(true);
-        ObsFlag { _guard: guard }
+        GlobalObs { _guard: guard }
     }
 }
 
-impl Drop for ObsFlag {
+impl Drop for GlobalObs {
     fn drop(&mut self) {
         tm_obs::stop_sampler();
-        tm_obs::set_obs_enabled(true);
     }
 }
 
@@ -61,7 +59,7 @@ fn paper_batch() -> Vec<QuerySpec> {
 
 #[test]
 fn sampling_profiler_is_conformance_neutral() {
-    let _flag = ObsFlag::hold();
+    let _global = GlobalObs::hold();
     let batch = paper_batch();
     let without_sampler = Service::new(ServiceConfig::default()).submit(&batch);
     tm_obs::start_sampler();
@@ -74,7 +72,7 @@ fn sampling_profiler_is_conformance_neutral() {
 
 #[test]
 fn service_lifecycle_lands_in_the_journal() {
-    let _flag = ObsFlag::hold();
+    let _global = GlobalObs::hold();
     let cursor = tm_obs::global_journal().head();
     let service = Service::new(ServiceConfig::default());
     service.submit(&table3_batch());
@@ -101,24 +99,8 @@ fn service_lifecycle_lands_in_the_journal() {
 }
 
 #[test]
-fn journal_stays_empty_with_obs_off() {
-    let _flag = ObsFlag::hold();
-    tm_obs::set_obs_enabled(false);
-    let cursor = tm_obs::global_journal().head();
-    let service = Service::new(ServiceConfig::default());
-    service.submit(&table3_batch()[..2]);
-    let read = tm_obs::global_journal().read_from(cursor);
-    tm_obs::set_obs_enabled(true);
-    assert!(
-        read.events.is_empty(),
-        "TM_OBS=off publishes nothing, saw {:?}",
-        read.events
-    );
-}
-
-#[test]
 fn introspection_endpoints_serve_over_http() {
-    let _flag = ObsFlag::hold();
+    let _global = GlobalObs::hold();
     let dir = scratch_dir("http");
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
     let addr = listener.local_addr().expect("local addr").to_string();

@@ -174,27 +174,6 @@ proptest! {
     }
 }
 
-/// The product engine reproduces the seed implementation bit-for-bit —
-/// verdict, shortest counterexample word, and explored product size — on
-/// every Table 2 TM/property pair.
-#[test]
-fn table2_inclusion_matches_seed_implementation() {
-    // The roster depends only on the instance size, not the property.
-    let roster = tm_bench::table2_roster();
-    for property in SafetyProperty::all() {
-        let (spec, _) = DetSpec::new(property, 2, 2).to_dfa(20_000_000);
-        for (name, nfa, _) in &roster {
-            let fast = check_materialized(nfa, &spec);
-            let seed = check_inclusion_reference(nfa, &spec);
-            assert_eq!(fast, seed, "{property} / {name}");
-            if let Some(word) = seed.counterexample() {
-                let word: Word = word.iter().copied().collect();
-                assert!(!property.holds(&word), "{property} / {name}: {word}");
-            }
-        }
-    }
-}
-
 /// Non-proptest: membership in the nondeterministic spec agrees with the
 /// oracle on a fixed pseudo-random sample (the NFA is too costly to build
 /// per proptest case).
