@@ -22,8 +22,9 @@ fn main() {
         for case in liveness_roster(n, k) {
             for property in LivenessProperty::all() {
                 let verdict = case.check(property);
+                assert_eq!(verdict.abort_reason(), None, "{} ({n},{k}) {property}", case.name);
                 let holds = verdict.holds();
-                if let Some(lasso) = verdict.counterexample() {
+                if let Some(lasso) = verdict.lasso() {
                     // Every violation must be a genuine one: its
                     // word-level projection fails the property.
                     let word = lasso
@@ -45,8 +46,8 @@ fn main() {
                     case.name,
                     liveness_property_tag(property),
                     if holds { "Y" } else { "N" },
-                    verdict.tm_states,
-                    verdict.total_time
+                    verdict.stats.states_explored,
+                    verdict.stats.build_time + verdict.stats.search_time
                 );
                 checks += 1;
             }

@@ -45,7 +45,7 @@ use tm_bench::{
     liveness_property_tag, liveness_roster, table2_cases, table2_roster, table3_check_session,
     table3_names, MAX_STATES,
 };
-use tm_checker::{Artifact, ArtifactKey, Table, Verifier};
+use tm_checker::{Artifact, ArtifactKey, Outcome, Table, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty, Statement};
 use tm_service::wire::{encode_phases, JsonError};
 use tm_service::Json;
@@ -244,11 +244,11 @@ fn table2(specs: &[(SafetyProperty, Dfa<Statement>)]) {
         for (case, (name, nfa, paper_states)) in cases.iter().zip(&roster) {
             let verdict = case.check_session(&mut verifier, property);
             let check_time = verdict.stats.search_time;
-            let safety = verdict.as_safety().expect("safety query");
-            touched = safety.spec_states;
-            let (verdict, cx) = match safety.counterexample() {
-                None => ("Y".to_owned(), String::new()),
-                Some(w) => ("N".to_owned(), w.to_string()),
+            touched = verdict.stats.spec_states;
+            let (verdict, cx) = match verdict.outcome {
+                Outcome::Verified => ("Y".to_owned(), String::new()),
+                Outcome::Counterexample(w) => ("N".to_owned(), w.to_string()),
+                other => panic!("{name} {property}: {other:?}"),
             };
             rows.push([
                 name.clone(),
@@ -340,8 +340,8 @@ fn table3(verifier: &mut Verifier) {
         let lf = table3_check_session(verifier, name, LivenessProperty::LivelockFreedom);
         let wf = table3_check_session(verifier, name, LivenessProperty::WaitFreedom);
         let lasso = of
-            .counterexample()
-            .or(lf.counterexample())
+            .lasso()
+            .or(lf.lasso())
             .map(|l| l.cycle_notation())
             .unwrap_or_default();
         table.push_row([
@@ -1096,15 +1096,15 @@ fn bench_service() {
             "instrumentation_unit",
             text(
                 "best-of-5 warm roster through an unbounded-budget service (tm-obs phase timers \
-                 always on) without the sampling profiler (obs_on_warm_ns) and with the ~97 Hz \
-                 sampler running (sampler_on_warm_ns); profiler_overhead_ratio = sampler_on/on \
-                 - 1, target <= 0.05",
+                 always on) without the sampling profiler (sampler_off_warm_ns) and with the ~97 Hz \
+                 sampler running (sampler_on_warm_ns); profiler_overhead_ratio = \
+                 sampler_on/sampler_off - 1, target <= 0.05",
             ),
         ),
         (
             "instrumentation",
             obj([
-                ("obs_on_warm_ns", ns(sampler_off)),
+                ("sampler_off_warm_ns", ns(sampler_off)),
                 ("sampler_on_warm_ns", ns(sampler_on)),
                 ("profiler_overhead_ratio", ratio(profiler_overhead, 4)),
             ]),

@@ -32,7 +32,7 @@ use tm_algorithms::{
     TwoPhaseTm, ValidationStyle, WithContentionManager,
 };
 use tm_automata::Nfa;
-use tm_checker::{LivenessVerdict, Verdict, Verifier};
+use tm_checker::{Verdict, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty, Statement};
 
 /// State-space bound used throughout the experiment suite.
@@ -77,8 +77,8 @@ pub fn table3_check_session(
     verifier: &mut Verifier,
     name: &str,
     property: LivenessProperty,
-) -> LivenessVerdict {
-    let verdict = match name {
+) -> Verdict {
+    match name {
         "seq" => verifier.check_liveness(&SequentialTm::new(2, 1), property),
         "2PL" => verifier.check_liveness(&TwoPhaseTm::new(2, 1), property),
         "dstm+aggressive" => verifier.check_liveness(
@@ -90,10 +90,7 @@ pub fn table3_check_session(
             property,
         ),
         other => panic!("unknown Table 3 row: {other}"),
-    };
-    verdict
-        .into_liveness()
-        .expect("liveness query returns a liveness verdict")
+    }
 }
 
 /// One TM × contention-manager liveness case of [`liveness_roster`]: the
@@ -119,11 +116,9 @@ impl LivenessCase {
 
     /// Runs the compiled liveness engine through a fresh [`Verifier`]
     /// session (so the run graph is built anew).
-    pub fn check(&self, property: LivenessProperty) -> LivenessVerdict {
+    pub fn check(&self, property: LivenessProperty) -> Verdict {
         let mut verifier = Verifier::new(self.threads, self.vars);
         self.check_session(&mut verifier, property)
-            .into_liveness()
-            .expect("liveness query returns a liveness verdict")
     }
 
     /// Runs the query through a [`Verifier`] session: the first query for
@@ -139,7 +134,7 @@ impl LivenessCase {
 
     /// Runs the seed reference checker
     /// ([`oracle::check_liveness_reference`]).
-    pub fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict {
+    pub fn check_reference(&self, property: LivenessProperty) -> Verdict {
         self.tm.check_reference(property)
     }
 }
@@ -148,7 +143,7 @@ impl LivenessCase {
 /// an associated state type and cannot be boxed directly).
 trait ErasedLiveness {
     fn check_session(&self, verifier: &mut Verifier, property: LivenessProperty) -> Verdict;
-    fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict;
+    fn check_reference(&self, property: LivenessProperty) -> Verdict;
 }
 
 impl<A: TmAlgorithm> ErasedLiveness for A {
@@ -156,7 +151,7 @@ impl<A: TmAlgorithm> ErasedLiveness for A {
         verifier.check_liveness(self, property)
     }
 
-    fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict {
+    fn check_reference(&self, property: LivenessProperty) -> Verdict {
         oracle::check_liveness_reference(self, property)
     }
 }

@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use tm_algorithms::{RunLabel, TmAlgorithm};
 use tm_automata::{explore, QueryBudget, TransitionSystem};
-use tm_checker::{LivenessOutcome, LivenessVerdict, RunLasso, DEFAULT_MAX_STATES};
+use tm_checker::{Outcome, QueryStats, RunLasso, Verdict, DEFAULT_MAX_STATES};
 use tm_lang::{LivenessProperty, ThreadId};
 
 use super::graph::{closed_walk_through, strongly_connected_components, LabeledGraph, Sccs};
@@ -71,24 +71,26 @@ pub fn most_general_run_graph<A: TmAlgorithm>(
 /// **clones** a filtered subgraph and reruns Tarjan for every per-thread
 /// / per-subset pass — `2^n` graph copies for the livelock check alone,
 /// plus `O(E)` edge scans per required-edge query (`find_cyclic_edge`).
-/// It returns the engine's verdicts and lassos.
+/// It returns the engine's verdicts, lassos and `states_explored`; the
+/// whole check is its `search_time`.
 pub fn check_liveness_reference<A: TmAlgorithm>(
     tm: &A,
     property: LivenessProperty,
-) -> LivenessVerdict {
+) -> Verdict {
     let start = Instant::now();
     let (graph, states) = most_general_run_graph(tm, DEFAULT_MAX_STATES);
-    let outcome = match property {
+    let lasso = match property {
         LivenessProperty::ObstructionFreedom => check_obstruction(tm, &graph),
         LivenessProperty::LivelockFreedom => check_livelock(tm, &graph),
         LivenessProperty::WaitFreedom => check_wait(tm, &graph),
     };
-    LivenessVerdict {
-        tm_name: tm.name(),
-        property,
-        tm_states: states.len(),
-        total_time: start.elapsed(),
-        outcome,
+    Verdict {
+        outcome: lasso.map_or(Outcome::Verified, Outcome::Lasso),
+        stats: QueryStats {
+            states_explored: states.len(),
+            search_time: start.elapsed(),
+            ..QueryStats::default()
+        },
     }
 }
 
@@ -111,23 +113,29 @@ fn build_lasso(
 
 /// Obstruction freedom: for each thread `t`, search the subgraph of
 /// `t`-only, non-commit edges for an SCC containing an abort edge of `t`.
-fn check_obstruction<A: TmAlgorithm>(tm: &A, graph: &LabeledGraph<RunLabel>) -> LivenessOutcome {
+fn check_obstruction<A: TmAlgorithm>(
+    tm: &A,
+    graph: &LabeledGraph<RunLabel>,
+) -> Option<RunLasso> {
     for t in tm.thread_ids() {
         let filtered = graph.filtered(|_, l, _| l.thread == t && !l.is_commit());
         let sccs = strongly_connected_components(&filtered);
         if let Some(edge) = find_cyclic_edge(&filtered, &sccs, |l| l.is_abort()) {
             if let Some(lasso) = build_lasso(graph, &filtered, vec![edge]) {
-                return LivenessOutcome::Violation(lasso);
+                return Some(lasso);
             }
         }
     }
-    LivenessOutcome::Verified
+    None
 }
 
 /// Livelock freedom: for each non-empty subset `T'` of threads, search the
 /// subgraph of `T'`-edges without commits for an SCC containing an abort
 /// edge of every thread in `T'`.
-fn check_livelock<A: TmAlgorithm>(tm: &A, graph: &LabeledGraph<RunLabel>) -> LivenessOutcome {
+fn check_livelock<A: TmAlgorithm>(
+    tm: &A,
+    graph: &LabeledGraph<RunLabel>,
+) -> Option<RunLasso> {
     let n = tm.threads();
     for subset in 1u32..(1 << n) {
         let in_subset = |t: ThreadId| subset & (1 << t.index()) != 0;
@@ -145,17 +153,20 @@ fn check_livelock<A: TmAlgorithm>(tm: &A, graph: &LabeledGraph<RunLabel>) -> Liv
                 }
             }
             if let Some(lasso) = build_lasso(graph, &filtered, required) {
-                return LivenessOutcome::Violation(lasso);
+                return Some(lasso);
             }
         }
     }
-    LivenessOutcome::Verified
+    None
 }
 
 /// Wait freedom: for each thread `t`, search the subgraph without
 /// `(commit, t)` completions for an SCC containing a word-level statement
 /// of `t`.
-fn check_wait<A: TmAlgorithm>(tm: &A, graph: &LabeledGraph<RunLabel>) -> LivenessOutcome {
+fn check_wait<A: TmAlgorithm>(
+    tm: &A,
+    graph: &LabeledGraph<RunLabel>,
+) -> Option<RunLasso> {
     for t in tm.thread_ids() {
         let filtered = graph.filtered(|_, l, _| !(l.thread == t && l.is_commit()));
         let sccs = strongly_connected_components(&filtered);
@@ -163,11 +174,11 @@ fn check_wait<A: TmAlgorithm>(tm: &A, graph: &LabeledGraph<RunLabel>) -> Livenes
             l.thread == t && l.statement().is_some()
         }) {
             if let Some(lasso) = build_lasso(graph, &filtered, vec![edge]) {
-                return LivenessOutcome::Violation(lasso);
+                return Some(lasso);
             }
         }
     }
-    LivenessOutcome::Verified
+    None
 }
 
 /// An edge matching `want` whose endpoints share an SCC (i.e. an edge on

@@ -8,7 +8,9 @@
 //!   for verification queries — one session per instance size owns
 //!   build-once artifact caches (interned
 //!   specifications, compiled run graphs) and answers every query below
-//!   through them, returning a uniform [`Verdict`] with [`QueryStats`].
+//!   through them, returning one [`Verdict`]: an [`Outcome`] — verified,
+//!   a counterexample word, a lasso, reduction evidence, or an abort —
+//!   with [`QueryStats`] holding each count and time once.
 //! * **Safety** ([`Verifier::check_safety`]): strict serializability and
 //!   opacity, decided as language inclusion of the TM algorithm (applied
 //!   to the most general program) in the deterministic specification
@@ -24,7 +26,7 @@
 //!   paper's end-to-end argument — check at the (2,2) bound, establish
 //!   the structural properties, conclude for all instance sizes.
 //! * **Reports** ([`safety_table`], [`liveness_table`]): the paper's
-//!   Tables 2 and 3 regenerated from verdicts.
+//!   Tables 2 and 3 regenerated from `(TM name, property, verdict)` rows.
 //!
 //! The seed liveness checker the compiled engine replaced is a test
 //! oracle in the dev-only `tm-bench` crate (`tm_bench::oracle`), the
@@ -63,12 +65,12 @@ mod safety;
 mod session;
 mod structural;
 
-pub use liveness::{LivenessOutcome, LivenessVerdict, RunLasso};
+pub use liveness::RunLasso;
 pub use reduction::ReductionEvidence;
-pub use report::{liveness_table, safety_table, QueryStats, Table, Verdict, VerdictOutcome};
-pub use safety::{SafetyOutcome, SafetyVerdict, DEFAULT_MAX_STATES};
+pub use report::{liveness_table, safety_table, Outcome, QueryStats, Table, Verdict};
+pub use safety::DEFAULT_MAX_STATES;
 pub use session::{Artifact, ArtifactKey, ArtifactKind, Verifier};
-pub use tm_automata::{CancelToken, EngineError, QueryBudget};
+pub use tm_automata::{EngineError, QueryBudget};
 pub use structural::{
     check_all_structural, check_structural, StructuralProperty, StructuralReport,
     StructuralViolation,

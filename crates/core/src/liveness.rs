@@ -28,8 +28,6 @@
 //! (`tm_bench::oracle`); it returns the same verdicts and lassos and is
 //! the differential baseline of `tests/liveness_conformance.rs`.
 
-use std::time::Duration;
-
 use tm_algorithms::RunLabel;
 use tm_automata::{
     EdgeFilter, LoopQuery, LoopSelection, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT, MASK_EMITS,
@@ -67,47 +65,6 @@ impl RunLasso {
             .map(|l| l.to_string())
             .collect::<Vec<_>>()
             .join(", ")
-    }
-}
-
-/// Outcome of a liveness check.
-#[derive(Clone, Debug)]
-pub enum LivenessOutcome {
-    /// No offending loop exists: the TM (with its manager) ensures the
-    /// property for this instance size (and by Theorem 5 in general, for
-    /// structurally well-behaved TMs).
-    Verified,
-    /// An offending reachable loop.
-    Violation(RunLasso),
-}
-
-/// Result of a [`crate::Verifier::check_liveness`] query.
-#[derive(Clone, Debug)]
-pub struct LivenessVerdict {
-    /// TM algorithm (with manager) name.
-    pub tm_name: String,
-    /// The property checked.
-    pub property: LivenessProperty,
-    /// Reachable states of the run-level transition system.
-    pub tm_states: usize,
-    /// Wall-clock time for the whole check.
-    pub total_time: Duration,
-    /// The verdict.
-    pub outcome: LivenessOutcome,
-}
-
-impl LivenessVerdict {
-    /// `true` if the property was verified.
-    pub fn holds(&self) -> bool {
-        matches!(self.outcome, LivenessOutcome::Verified)
-    }
-
-    /// The counterexample lasso, if any.
-    pub fn counterexample(&self) -> Option<&RunLasso> {
-        match &self.outcome {
-            LivenessOutcome::Violation(l) => Some(l),
-            LivenessOutcome::Verified => None,
-        }
     }
 }
 
@@ -164,24 +121,21 @@ pub(crate) fn property_queries(n: usize, property: LivenessProperty) -> Vec<Loop
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Verifier;
+    use crate::{Verdict, Verifier};
     use tm_algorithms::{
         AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm, TwoPhaseTm,
         WithContentionManager,
     };
 
     /// One liveness query through a fresh default session.
-    fn check<A: TmAlgorithm>(tm: &A, property: LivenessProperty) -> LivenessVerdict {
-        Verifier::new(tm.threads(), tm.vars())
-            .check_liveness(tm, property)
-            .into_liveness()
-            .expect("liveness query")
+    fn check<A: TmAlgorithm>(tm: &A, property: LivenessProperty) -> Verdict {
+        Verifier::new(tm.threads(), tm.vars()).check_liveness(tm, property)
     }
 
     #[test]
     fn sequential_tm_is_not_obstruction_free() {
         let verdict = check(&SequentialTm::new(2, 1), LivenessProperty::ObstructionFreedom);
-        let lasso = verdict.counterexample().expect("Table 3: N");
+        let lasso = verdict.lasso().expect("Table 3: N");
         // The paper's loop is `a1` (a single abort).
         let word = lasso.to_word_lasso().expect("emits statements");
         assert!(!word.is_obstruction_free());
@@ -197,7 +151,7 @@ mod tests {
         ] {
             let verdict = check(&tm, p);
             assert!(!verdict.holds(), "{p:?}");
-            let lasso = verdict.counterexample().unwrap();
+            let lasso = verdict.lasso().unwrap();
             let word = lasso.to_word_lasso().unwrap();
             assert!(!p.holds(&word), "{p:?}: {word}");
         }
@@ -208,7 +162,7 @@ mod tests {
         let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
         assert!(check(&tm, LivenessProperty::ObstructionFreedom).holds());
         let lf = check(&tm, LivenessProperty::LivelockFreedom);
-        let lasso = lf.counterexample().expect("Table 3: N");
+        let lasso = lf.lasso().expect("Table 3: N");
         let word = lasso.to_word_lasso().unwrap();
         assert!(!word.is_livelock_free());
         // Both threads abort infinitely (ownership ping-pong).
@@ -242,7 +196,7 @@ mod tests {
     fn tl2_polite_is_not_obstruction_free() {
         let tm = WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm);
         let verdict = check(&tm, LivenessProperty::ObstructionFreedom);
-        let lasso = verdict.counterexample().expect("Table 3: N");
+        let lasso = verdict.lasso().expect("Table 3: N");
         let word = lasso.to_word_lasso().unwrap();
         assert!(!word.is_obstruction_free());
     }
@@ -264,7 +218,7 @@ mod tests {
     #[test]
     fn counterexample_prefix_starts_at_initial_state() {
         let verdict = check(&TwoPhaseTm::new(2, 1), LivenessProperty::ObstructionFreedom);
-        let lasso = verdict.counterexample().unwrap();
+        let lasso = verdict.lasso().unwrap();
         // Prefix must be a real run: non-empty here, since the violating
         // loop needs the other thread to hold a lock first.
         assert!(!lasso.prefix.is_empty());

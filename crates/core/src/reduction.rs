@@ -16,18 +16,18 @@
 //! is not a proof of satisfaction — the paper establishes them by manual
 //! inspection of each algorithm).
 
-use crate::safety::SafetyVerdict;
+use crate::report::Verdict;
 use crate::structural::StructuralReport;
 
 /// Evidence assembled by [`crate::Verifier::verify_with_reduction`].
 #[derive(Clone, Debug)]
 pub struct ReductionEvidence {
     /// The safety verdict at the reduction bound (2, 2).
-    pub base_verdict: SafetyVerdict,
+    pub base_verdict: Box<Verdict>,
     /// Structural-property reports (P1–P4 flavors) at (2, 2).
     pub structural: Vec<StructuralReport>,
     /// Additional inclusion checks at larger instance sizes.
-    pub spot_checks: Vec<SafetyVerdict>,
+    pub spot_checks: Vec<Verdict>,
 }
 
 impl ReductionEvidence {
@@ -37,13 +37,13 @@ impl ReductionEvidence {
     pub fn concludes(&self) -> bool {
         self.base_verdict.holds()
             && self.structural.iter().all(StructuralReport::holds)
-            && self.spot_checks.iter().all(SafetyVerdict::holds)
+            && self.spot_checks.iter().all(Verdict::holds)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::Verifier;
+    use crate::{Outcome, Verifier};
     use tm_algorithms::{SequentialTm, TwoPhaseTm};
     use tm_lang::SafetyProperty;
 
@@ -55,7 +55,9 @@ mod tests {
             4,
             &[(2, 1), (3, 1), (3, 2)],
         );
-        let evidence = verdict.into_reduction().expect("reduction query");
+        let Outcome::Reduction(evidence) = verdict.outcome else {
+            panic!("a reduction query returns its evidence");
+        };
         assert!(evidence.concludes());
         assert_eq!(evidence.spot_checks.len(), 3);
     }
@@ -68,6 +70,6 @@ mod tests {
             4,
             &[(2, 1), (2, 3), (3, 2)],
         );
-        assert!(verdict.into_reduction().expect("reduction query").concludes());
+        assert!(matches!(verdict.outcome, Outcome::Reduction(ref e) if e.concludes()));
     }
 }

@@ -1,32 +1,49 @@
-//! Plain-text report tables in the style of the paper's Tables 2 and 3,
-//! and the uniform [`Verdict`] every [`crate::Verifier`] session query
-//! returns.
+//! The uniform [`Verdict`] every [`crate::Verifier`] session query
+//! returns, and plain-text report tables in the style of the paper's
+//! Tables 2 and 3.
 
 use std::fmt;
 use std::time::Duration;
 
 use tm_automata::EngineError;
+use tm_lang::{LivenessProperty, SafetyProperty, Word};
 
-use crate::liveness::LivenessVerdict;
+use crate::liveness::RunLasso;
 use crate::reduction::ReductionEvidence;
-use crate::safety::SafetyVerdict;
 
-/// Uniform run statistics attached to every session query ([`Verdict`]),
-/// separating what the one-shot verdict types blend together: artifact
-/// construction (specification / run graph) versus the search itself.
-/// The per-phase time breakdown is not here: a query's engine phases go
-/// to whichever `tm_obs` recorder the calling thread has installed
-/// (`tm_obs::with_recorder`).
+/// Run statistics of one session query ([`Verdict`]), each count and
+/// time exactly once: artifact construction (specification / run graph)
+/// apart from the search itself. The per-phase time breakdown is not
+/// here: a query's engine phases go to whichever `tm_obs` recorder the
+/// calling thread has installed (`tm_obs::with_recorder`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct QueryStats {
-    /// States explored by the search: product states for a safety query,
-    /// run-graph states for a liveness query, base-instance product
-    /// states for a reduction query.
+    /// States explored by the search: product pairs `(TM state,
+    /// specification key)` for a safety query, run-graph states for a
+    /// liveness query, the base check's product pairs for a reduction
+    /// query.
     pub states_explored: usize,
+    /// TM states the on-the-fly product discovered (safety and reduction
+    /// queries; zero for liveness, whose run-graph states are
+    /// `states_explored`): the full reachable count (Table 2 "Size") when
+    /// the property holds, the explored portion when a violation cut the
+    /// search short.
+    pub tm_states: usize,
+    /// Specification keys the product touched (safety and reduction
+    /// queries; zero for liveness): the normal-form keys
+    /// ([`tm_spec::QuotientSpec`]) the session's lazily interned
+    /// specification holds after this query — cumulative over the
+    /// session's earlier queries against the same property and size. For
+    /// strict serializability a key stands for every state that differs
+    /// only in a doomed thread's record; for opacity keys are states. Not
+    /// the full deterministic automaton's size, which
+    /// `tm_spec::DetSpec::to_dfa` reports.
+    pub spec_states: usize,
     /// Time spent building the artifacts this query needed (zero when the
     /// session answered from its cache).
     pub build_time: Duration,
-    /// Time spent searching (inclusion BFS or loop queries).
+    /// Time spent searching (inclusion BFS or loop queries; for a
+    /// reduction query also the structural evidence).
     pub search_time: Duration,
     /// `true` if every artifact the query needed was already cached by an
     /// earlier query of the same session.
@@ -39,27 +56,34 @@ pub struct QueryStats {
     pub rebuilds: usize,
 }
 
-/// The outcome payload of a [`Verdict`]: the query-specific verdict types
-/// survive unchanged underneath the uniform session envelope.
+/// What a query decided: one of the paper's three answers — verified, a
+/// shortest violating word (§5), a violating lasso (§6) — or the
+/// methodology's evidence, or no answer at all.
 #[derive(Clone, Debug)]
-pub enum VerdictOutcome {
-    /// A safety (inclusion) query.
-    Safety(SafetyVerdict),
-    /// A liveness (loop-search) query.
-    Liveness(LivenessVerdict),
-    /// A full reduction-methodology run.
+pub enum Outcome {
+    /// The property holds at the queried instance size (by Theorems 1
+    /// and 5 at every size, for a structurally well-behaved TM).
+    Verified,
+    /// A word the TM produces that violates the safety property, shortest
+    /// by the product's breadth-first search. Debug builds re-check it
+    /// against the definition-level oracle.
+    Counterexample(Word),
+    /// A reachable loop of the run graph that violates the liveness
+    /// property.
+    Lasso(RunLasso),
+    /// A full reduction-methodology run; [`ReductionEvidence::concludes`]
+    /// says whether it established the property for all sizes.
     Reduction(ReductionEvidence),
     /// The engine retired the query at a resource limit — state-space
-    /// blowup, expired deadline, cooperative cancellation, a panicked
-    /// worker, or an injected fault — instead of answering it. The
-    /// [`QueryStats`] are partial: whatever the query had spent when it
-    /// was retired. [`EngineError::is_retryable`] says whether asking
-    /// again (with more time, or after cancellation clears) can succeed.
+    /// blowup, expired deadline, or an injected fault — instead of
+    /// answering it. The [`QueryStats`] are partial: whatever the query
+    /// had spent when it was retired. [`EngineError::is_retryable`] says
+    /// whether asking again (with more time) can succeed.
     Aborted(EngineError),
 }
 
-/// The uniform result of every [`crate::Verifier`] query: the
-/// query-specific outcome plus [`QueryStats`].
+/// The result of every [`crate::Verifier`] query: its [`Outcome`] plus
+/// [`QueryStats`].
 ///
 /// # Examples
 ///
@@ -76,7 +100,7 @@ pub enum VerdictOutcome {
 #[derive(Clone, Debug)]
 pub struct Verdict {
     /// What the query decided.
-    pub outcome: VerdictOutcome,
+    pub outcome: Outcome,
     /// How the session answered it.
     pub stats: QueryStats,
 }
@@ -86,67 +110,48 @@ impl Verdict {
     /// query: the methodology concluded).
     pub fn holds(&self) -> bool {
         match &self.outcome {
-            VerdictOutcome::Safety(v) => v.holds(),
-            VerdictOutcome::Liveness(v) => v.holds(),
-            VerdictOutcome::Reduction(e) => e.concludes(),
-            VerdictOutcome::Aborted(_) => false,
+            Outcome::Verified => true,
+            Outcome::Reduction(evidence) => evidence.concludes(),
+            Outcome::Counterexample(_) | Outcome::Lasso(_) | Outcome::Aborted(_) => false,
         }
     }
 
     /// The abort reason, if the engine retired this query at a resource
-    /// limit instead of answering it (see [`VerdictOutcome::Aborted`]).
+    /// limit instead of answering it (see [`Outcome::Aborted`]).
     pub fn abort_reason(&self) -> Option<EngineError> {
         match &self.outcome {
-            VerdictOutcome::Aborted(error) => Some(*error),
+            Outcome::Aborted(error) => Some(*error),
             _ => None,
         }
     }
 
-    /// The safety verdict, if this was a safety query.
-    pub fn as_safety(&self) -> Option<&SafetyVerdict> {
+    /// The violating word, if this safety query found one.
+    pub fn counterexample(&self) -> Option<&Word> {
         match &self.outcome {
-            VerdictOutcome::Safety(v) => Some(v),
+            Outcome::Counterexample(word) => Some(word),
             _ => None,
         }
     }
 
-    /// The liveness verdict, if this was a liveness query.
-    pub fn as_liveness(&self) -> Option<&LivenessVerdict> {
+    /// The violating lasso, if this liveness query found one.
+    pub fn lasso(&self) -> Option<&RunLasso> {
         match &self.outcome {
-            VerdictOutcome::Liveness(v) => Some(v),
+            Outcome::Lasso(lasso) => Some(lasso),
             _ => None,
         }
     }
 
-    /// The reduction evidence, if this was a reduction query.
-    pub fn as_reduction(&self) -> Option<&ReductionEvidence> {
+    /// The "verdict" and witness cells of a report row: `Y`, or `N` with
+    /// the counterexample word or the lasso's loop, or `aborted` with the
+    /// reason.
+    fn cells(&self) -> (&'static str, String) {
         match &self.outcome {
-            VerdictOutcome::Reduction(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// Unwraps a safety query's verdict.
-    pub fn into_safety(self) -> Option<SafetyVerdict> {
-        match self.outcome {
-            VerdictOutcome::Safety(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Unwraps a liveness query's verdict.
-    pub fn into_liveness(self) -> Option<LivenessVerdict> {
-        match self.outcome {
-            VerdictOutcome::Liveness(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Unwraps a reduction query's evidence.
-    pub fn into_reduction(self) -> Option<ReductionEvidence> {
-        match self.outcome {
-            VerdictOutcome::Reduction(e) => Some(e),
-            _ => None,
+            Outcome::Counterexample(word) => ("N", word.to_string()),
+            Outcome::Lasso(lasso) => ("N", lasso.cycle_notation()),
+            Outcome::Aborted(error) => ("aborted", error.to_string()),
+            Outcome::Verified | Outcome::Reduction(_) => {
+                (if self.holds() { "Y" } else { "N" }, String::new())
+            }
         }
     }
 }
@@ -237,54 +242,49 @@ impl fmt::Display for Table {
     }
 }
 
-/// Formats a set of safety verdicts as the paper's Table 2 ("Y, time" or
-/// "N, counterexample, time").
-pub fn safety_table(title: &str, verdicts: &[SafetyVerdict]) -> Table {
+/// Formats `(TM name, property, verdict)` rows of safety queries as the
+/// paper's Table 2 ("Y, time" or "N, counterexample, time").
+pub fn safety_table(title: &str, rows: &[(String, SafetyProperty, Verdict)]) -> Table {
     let mut table = Table::new(
         title,
         ["TM", "Size", "property", "verdict", "time", "counterexample"],
     );
-    for v in verdicts {
-        let (verdict, cx) = match v.counterexample() {
-            None => ("Y".to_owned(), String::new()),
-            Some(w) => ("N".to_owned(), w.to_string()),
-        };
+    for (tm_name, property, v) in rows {
+        let (verdict, cx) = v.cells();
         // On a violation the on-the-fly check stops early, so the state
         // count is a lower bound, not the paper's full "Size" figure.
         let size = if v.holds() {
-            v.tm_states.to_string()
+            v.stats.tm_states.to_string()
         } else {
-            format!(">={}", v.tm_states)
+            format!(">={}", v.stats.tm_states)
         };
         table.push_row([
-            v.tm_name.clone(),
+            tm_name.clone(),
             size,
-            v.property.short_name().to_owned(),
-            verdict,
-            format!("{:.2?}", v.check_time),
+            property.short_name().to_owned(),
+            verdict.to_owned(),
+            format!("{:.2?}", v.stats.search_time),
             cx,
         ]);
     }
     table
 }
 
-/// Formats a set of liveness verdicts as the paper's Table 3 (loop parts
-/// of the counterexample lassos shown).
-pub fn liveness_table(title: &str, verdicts: &[LivenessVerdict]) -> Table {
+/// Formats `(TM name, property, verdict)` rows of liveness queries as
+/// the paper's Table 3 (loop parts of the counterexample lassos shown;
+/// the time is build plus search).
+pub fn liveness_table(title: &str, rows: &[(String, LivenessProperty, Verdict)]) -> Table {
     let mut table = Table::new(
         title,
         ["TM algorithm", "property", "verdict", "time", "loop"],
     );
-    for v in verdicts {
-        let (verdict, lasso) = match v.counterexample() {
-            None => ("Y".to_owned(), String::new()),
-            Some(l) => ("N".to_owned(), l.cycle_notation()),
-        };
+    for (tm_name, property, v) in rows {
+        let (verdict, lasso) = v.cells();
         table.push_row([
-            v.tm_name.clone(),
-            v.property.to_string(),
-            verdict,
-            format!("{:.2?}", v.total_time),
+            tm_name.clone(),
+            property.to_string(),
+            verdict.to_owned(),
+            format!("{:.2?}", v.stats.build_time + v.stats.search_time),
             lasso,
         ]);
     }

@@ -14,98 +14,31 @@
 //! product BFS reaches them, against the session's lazily interned
 //! specification ([`tm_automata::SpecCache`] over
 //! [`tm_spec::QuotientSpec`], the deterministic specification interned
-//! by a normal form). This module holds the verdict types.
-
-use std::time::Duration;
-
-use tm_lang::{SafetyProperty, Word};
-
-/// Outcome of a safety check.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SafetyOutcome {
-    /// `L(A) ⊆ L(Σᵈ_π)` — the TM ensures the property (for this instance
-    /// size; by Theorem 1 for all sizes if the TM is structurally
-    /// well-behaved).
-    Verified,
-    /// A word produced by the TM that violates the property. The word has
-    /// been re-checked against the definition-level oracle.
-    Violation(Word),
-}
-
-/// Result of a [`crate::Verifier::check_safety`] query, with the
-/// statistics reported in the paper's Table 2.
-#[derive(Clone, Debug)]
-pub struct SafetyVerdict {
-    /// TM algorithm name.
-    pub tm_name: String,
-    /// The property checked.
-    pub property: SafetyProperty,
-    /// TM states discovered by the on-the-fly check: the full reachable
-    /// state count (Table 2 "Size") when the property holds, the explored
-    /// portion when a violation cut the search short.
-    pub tm_states: usize,
-    /// Specification keys the product touched: the normal-form keys
-    /// ([`tm_spec::QuotientSpec`]) the session's lazily interned
-    /// specification holds after this query (cumulative over the
-    /// session's earlier queries against the same property and size).
-    /// For strict serializability a key stands for every state that
-    /// differs only in a doomed thread's record; for opacity keys are
-    /// states. Not the full deterministic automaton's size, which
-    /// `tm_spec::DetSpec::to_dfa` reports.
-    pub spec_states: usize,
-    /// Product pairs `(TM state, specification key)` explored by the
-    /// inclusion check.
-    pub product_states: usize,
-    /// Wall-clock time of the inclusion check (excluding automaton
-    /// construction).
-    pub check_time: Duration,
-    /// Wall-clock time of the whole pipeline.
-    pub total_time: Duration,
-    /// The verdict.
-    pub outcome: SafetyOutcome,
-}
-
-impl SafetyVerdict {
-    /// `true` if the property was verified.
-    pub fn holds(&self) -> bool {
-        matches!(self.outcome, SafetyOutcome::Verified)
-    }
-
-    /// The counterexample word, if any.
-    pub fn counterexample(&self) -> Option<&Word> {
-        match &self.outcome {
-            SafetyOutcome::Violation(w) => Some(w),
-            SafetyOutcome::Verified => None,
-        }
-    }
-}
+//! by a normal form). A violation comes back as
+//! [`crate::Outcome::Counterexample`].
 
 /// Default bound on reachable TM / specification states.
 pub const DEFAULT_MAX_STATES: usize = 10_000_000;
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::Verifier;
+    use crate::{Verdict, Verifier};
     use tm_algorithms::{
         DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm, TwoPhaseTm, ValidationStyle,
         WithContentionManager,
     };
-    use tm_lang::is_strictly_serializable;
+    use tm_lang::{is_strictly_serializable, SafetyProperty};
 
     /// One safety query through a fresh default session.
-    fn check<A: TmAlgorithm>(tm: &A, property: SafetyProperty) -> SafetyVerdict {
-        Verifier::new(tm.threads(), tm.vars())
-            .check_safety(tm, property)
-            .into_safety()
-            .expect("safety query")
+    fn check<A: TmAlgorithm>(tm: &A, property: SafetyProperty) -> Verdict {
+        Verifier::new(tm.threads(), tm.vars()).check_safety(tm, property)
     }
 
     #[test]
     fn sequential_tm_is_opaque() {
         let verdict = check(&SequentialTm::new(2, 2), SafetyProperty::Opacity);
         assert!(verdict.holds());
-        assert_eq!(verdict.tm_states, 3);
+        assert_eq!(verdict.stats.tm_states, 3);
     }
 
     #[test]

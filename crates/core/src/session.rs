@@ -39,8 +39,10 @@
 //! specification in the session: a plain `SpecCache<DetSpec>` is the
 //! tests' oracle.
 //!
-//! Every query returns a uniform [`Verdict`] carrying [`QueryStats`]
-//! (states explored, build vs. search time, cache hit). Verdicts,
+//! Every query returns one [`Verdict`]: an [`Outcome`] (verified, a
+//! counterexample word, a lasso, reduction evidence, or an abort) and
+//! [`QueryStats`] (states explored, build vs. search time, cache hit),
+//! seeded by the one step that acquires the query's artifact. Verdicts,
 //! counterexample words, and lassos equal the bare engines' and the
 //! reference checkers' (pinned by `tests/inclusion_conformance.rs` and
 //! `tests/liveness_conformance.rs`).
@@ -58,16 +60,15 @@ use std::time::{Duration, Instant};
 
 use tm_algorithms::{MostGeneralRunSource, MostGeneralSource, RunLabel, TmAlgorithm};
 use tm_automata::{
-    check_inclusion_otf, Alphabet, CancelToken, CompiledRunGraph, EngineError, FxHashMap,
-    InclusionResult, QueryBudget, SpecCache, SpecRows,
+    check_inclusion_otf, Alphabet, CompiledRunGraph, EngineError, FxHashMap, InclusionResult,
+    QueryBudget, SpecCache, SpecRows,
 };
-use tm_lang::{LivenessProperty, SafetyProperty, Statement, Word};
+use tm_lang::{LivenessProperty, SafetyProperty, Word};
 use tm_spec::{spec_alphabet, DetState, QuotientSpec};
 
-use crate::liveness::{property_queries, LivenessOutcome, LivenessVerdict, RunLasso};
+use crate::liveness::{property_queries, RunLasso};
 use crate::reduction::ReductionEvidence;
-use crate::report::{QueryStats, Verdict, VerdictOutcome};
-use crate::safety::{SafetyOutcome, SafetyVerdict};
+use crate::report::{Outcome, QueryStats, Verdict};
 use crate::structural::check_all_structural;
 
 /// Which compiled artifact an [`ArtifactKey`] names.
@@ -259,7 +260,6 @@ pub struct Verifier {
     vars: usize,
     max_states: usize,
     deadline: Option<Duration>,
-    cancel: Option<CancelToken>,
     artifacts: FxHashMap<ArtifactKey, Artifact>,
     /// Builds and imports ever per key — survives eviction, so a build
     /// after [`Verifier::evict`] is recognized as a rebuild.
@@ -284,15 +284,13 @@ use crate::safety::DEFAULT_MAX_STATES;
 
 impl Verifier {
     /// Creates a session for instance size `(threads, vars)` with a
-    /// [`crate::DEFAULT_MAX_STATES`] bound, no deadline and no
-    /// cancellation token.
+    /// [`crate::DEFAULT_MAX_STATES`] bound and no deadline.
     pub fn new(threads: usize, vars: usize) -> Self {
         Verifier {
             threads,
             vars,
             max_states: DEFAULT_MAX_STATES,
             deadline: None,
-            cancel: None,
             artifacts: FxHashMap::default(),
             history: FxHashMap::default(),
             builds: 0,
@@ -302,7 +300,7 @@ impl Verifier {
 
     /// Sets the bound on reachable state spaces. A query whose state
     /// space exceeds the bound returns
-    /// [`VerdictOutcome::Aborted`]`(`[`EngineError::StateLimit`]`)`
+    /// [`Outcome::Aborted`]`(`[`EngineError::StateLimit`]`)`
     /// instead of panicking.
     pub fn max_states(mut self, max_states: usize) -> Self {
         self.max_states = max_states;
@@ -311,7 +309,7 @@ impl Verifier {
 
     /// Sets a per-query wall-clock deadline: each subsequent query that
     /// runs longer (artifact build included) returns
-    /// [`VerdictOutcome::Aborted`]`(`[`EngineError::Deadline`]`)` with
+    /// [`Outcome::Aborted`]`(`[`EngineError::Deadline`]`)` with
     /// the partial stats it had accumulated. The engines poll the
     /// deadline at BFS level boundaries and Tarjan iteration chunks, so
     /// overshoot is bounded by one chunk.
@@ -320,27 +318,15 @@ impl Verifier {
         self
     }
 
-    /// Attaches a cancellation token checked by every subsequent query:
-    /// [`CancelToken::cancel`] from another thread retires the running
-    /// query at its next budget poll with
-    /// [`VerdictOutcome::Aborted`]`(`[`EngineError::Cancelled`]`)`.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// The budget one query runs under: the session's state bound, plus
     /// the optional deadline (counted from *now* — each query gets the
-    /// full window) and cancellation token.
+    /// full window).
     fn query_budget(&self) -> QueryBudget {
-        let mut budget = QueryBudget::new(self.max_states);
-        if let Some(deadline) = self.deadline {
-            budget = budget.with_timeout(deadline);
+        let budget = QueryBudget::new(self.max_states);
+        match self.deadline {
+            Some(deadline) => budget.with_timeout(deadline),
+            None => budget,
         }
-        if let Some(token) = &self.cancel {
-            budget = budget.with_cancel(token.clone());
-        }
-        budget
     }
 
     /// How many artifacts this session has built so far — at most one
@@ -418,13 +404,43 @@ impl Verifier {
         rebuilt
     }
 
+    /// The artifact step every query starts with: the artifact cached
+    /// under `key`, or else a fresh `build()`, recorded as a build (or
+    /// rebuild). Returns the artifact — or the build's abort — and the
+    /// query's stats seeded with what acquiring it cost: build time,
+    /// cache hit, rebuilds.
+    fn acquire(
+        &mut self,
+        key: &ArtifactKey,
+        build: impl FnOnce() -> Result<Artifact, EngineError>,
+    ) -> (Result<&mut Artifact, EngineError>, QueryStats) {
+        let mut stats = QueryStats {
+            artifact_cached: self.artifacts.contains_key(key),
+            ..QueryStats::default()
+        };
+        if !stats.artifact_cached {
+            let start = Instant::now();
+            match build() {
+                Ok(artifact) => {
+                    stats.build_time = artifact.build_time();
+                    stats.rebuilds = self.record_build(key.clone(), artifact);
+                }
+                Err(error) => {
+                    stats.build_time = start.elapsed();
+                    return (Err(error), stats);
+                }
+            }
+        }
+        let artifact = self.artifacts.get_mut(key).expect("acquired above");
+        (Ok(artifact), stats)
+    }
+
     /// Checks a safety property of `tm` on the most general program,
     /// reusing the session's specification artifact for the property.
     ///
-    /// A state space exceeding the session's bound, an expired
-    /// [`Verifier::deadline`], or a cancelled [`Verifier::cancel_token`]
-    /// returns [`VerdictOutcome::Aborted`] with partial stats — never a
-    /// panic.
+    /// A state space exceeding the session's bound or an expired
+    /// [`Verifier::deadline`] returns [`Outcome::Aborted`] with partial
+    /// stats — never a panic.
     ///
     /// # Panics
     ///
@@ -439,50 +455,43 @@ impl Verifier {
     /// reduction methodology can run spot checks at non-session sizes
     /// against the same artifact caches.
     fn safety_query<A: TmAlgorithm>(&mut self, tm: &A, property: SafetyProperty) -> Verdict {
-        let total = Instant::now();
-        let key = ArtifactKey::spec(property, tm.threads(), tm.vars());
+        let (n, k) = (tm.threads(), tm.vars());
         let budget = self.query_budget();
-        let cached = self.artifacts.contains_key(&key);
-        let mut rebuilds = 0;
-        if !cached {
-            let build = Instant::now();
-            let (n, k) = (key.threads, key.vars);
+        let (acquired, mut stats) = self.acquire(&ArtifactKey::spec(property, n, k), || {
+            let start = Instant::now();
             let cache = SpecCache::new(QuotientSpec::new(property, n, k), spec_alphabet(n, k));
-            let build_time = build.elapsed();
-            rebuilds = self.record_build(key.clone(), Artifact::Spec { cache, build_time });
-        }
-        let Some(Artifact::Spec { cache, build_time }) = self.artifacts.get_mut(&key) else {
-            unreachable!("a spec key holds a spec artifact");
+            let build_time = start.elapsed();
+            Ok(Artifact::Spec { cache, build_time })
+        });
+        let Ok(Artifact::Spec { cache, .. }) = acquired else {
+            unreachable!("a spec build never aborts, and a spec key holds a spec artifact");
         };
-        let build_time = if cached { Duration::ZERO } else { *build_time };
         let source = MostGeneralSource::new(tm, Alphabet::from_letters(cache.letters()));
         let search = Instant::now();
-        let stats = |states_explored, search_time| QueryStats {
-            states_explored,
-            build_time,
-            search_time,
-            artifact_cached: cached,
-            rebuilds,
-        };
         let checked = check_inclusion_otf(&source, cache, &budget);
+        stats.search_time = search.elapsed();
         let (result, otf) = match checked {
             Ok(pair) => pair,
-            Err(error) => return abort_verdict(error, stats(0, search.elapsed())),
+            Err(error) => {
+                let outcome = Outcome::Aborted(error);
+                return Verdict { outcome, stats };
+            }
         };
-        let search_time = search.elapsed();
-        let verdict = assemble_safety(
-            tm.name(),
-            property,
-            result,
-            otf.impl_states,
-            cache.touched(),
-            search_time,
-            total.elapsed(),
-        );
-        Verdict {
-            stats: stats(verdict.product_states, search_time),
-            outcome: VerdictOutcome::Safety(verdict),
-        }
+        stats.states_explored = result.product_states();
+        stats.tm_states = otf.impl_states;
+        stats.spec_states = cache.touched();
+        let outcome = match result {
+            InclusionResult::Included { .. } => Outcome::Verified,
+            InclusionResult::Counterexample { word, .. } => {
+                let word: Word = word.into_iter().collect();
+                debug_assert!(
+                    !property.holds(&word),
+                    "counterexample not confirmed by the reference checker: {word}"
+                );
+                Outcome::Counterexample(word)
+            }
+        };
+        Verdict { outcome, stats }
     }
 
     /// Checks a liveness property of `tm` (× its contention manager) on
@@ -490,10 +499,9 @@ impl Verifier {
     /// first query for this TM and cached; subsequent properties are pure
     /// loop searches over it.
     ///
-    /// A run-graph state space exceeding the session's bound, an expired
-    /// [`Verifier::deadline`], or a cancelled [`Verifier::cancel_token`]
-    /// returns [`VerdictOutcome::Aborted`] with partial stats — never a
-    /// panic.
+    /// A run-graph state space exceeding the session's bound or an
+    /// expired [`Verifier::deadline`] returns [`Outcome::Aborted`] with
+    /// partial stats — never a panic.
     ///
     /// # Panics
     ///
@@ -505,85 +513,43 @@ impl Verifier {
     ) -> Verdict {
         assert_eq!(tm.threads(), self.threads, "thread count mismatch");
         assert_eq!(tm.vars(), self.vars, "variable count mismatch");
-        let total = Instant::now();
         let budget = self.query_budget();
-        let tm_name = tm.name();
-        let key = ArtifactKey::run_graph(tm_name.clone(), self.threads, self.vars);
-        let cached = self.artifacts.contains_key(&key);
-        let mut rebuilds = 0;
-        if !cached {
-            let build = Instant::now();
+        let queries = property_queries(self.threads, property);
+        let key = ArtifactKey::run_graph(tm.name(), self.threads, self.vars);
+        let (acquired, mut stats) = self.acquire(&key, || {
+            let start = Instant::now();
             let source = MostGeneralRunSource::new(tm);
-            let (graph, states) = match CompiledRunGraph::build_budget(&source, &budget) {
-                Ok(pair) => pair,
-                Err(error) => {
-                    return abort_verdict(
-                        error,
-                        QueryStats {
-                            states_explored: 0,
-                            build_time: build.elapsed(),
-                            search_time: Duration::ZERO,
-                            artifact_cached: false,
-                            rebuilds: 0,
-                        },
-                    );
-                }
-            };
-            let artifact = Artifact::RunGraph {
+            let (graph, states) = CompiledRunGraph::build_budget(&source, &budget)?;
+            let build_time = start.elapsed();
+            Ok(Artifact::RunGraph {
                 graph,
                 states: states.len(),
-                build_time: build.elapsed(),
-            };
-            rebuilds = self.record_build(key.clone(), artifact);
-        }
-        let queries = property_queries(self.threads, property);
-        let Some(Artifact::RunGraph {
-            graph,
-            states,
-            build_time,
-        }) = self.artifacts.get(&key)
-        else {
+                build_time,
+            })
+        });
+        let artifact = match acquired {
+            Ok(artifact) => artifact,
+            Err(error) => {
+                let outcome = Outcome::Aborted(error);
+                return Verdict { outcome, stats };
+            }
+        };
+        let Artifact::RunGraph { graph, states, .. } = artifact else {
             unreachable!("a run-graph key holds a run graph");
         };
-        let (states, build_time) = (*states, if cached { Duration::ZERO } else { *build_time });
+        stats.states_explored = *states;
         let search = Instant::now();
-        let outcome = match graph.find_first_loop(&queries, &budget) {
-            Ok(Some((_, lasso))) => LivenessOutcome::Violation(RunLasso {
+        let found = graph.find_first_loop(&queries, &budget);
+        stats.search_time = search.elapsed();
+        let outcome = match found {
+            Ok(Some((_, lasso))) => Outcome::Lasso(RunLasso {
                 prefix: lasso.prefix,
                 cycle: lasso.cycle,
             }),
-            Ok(None) => LivenessOutcome::Verified,
-            Err(error) => {
-                return abort_verdict(
-                    error,
-                    QueryStats {
-                        states_explored: states,
-                        build_time,
-                        search_time: search.elapsed(),
-                        artifact_cached: cached,
-                        rebuilds,
-                    },
-                );
-            }
+            Ok(None) => Outcome::Verified,
+            Err(error) => Outcome::Aborted(error),
         };
-        let search_time = search.elapsed();
-        let verdict = LivenessVerdict {
-            tm_name,
-            property,
-            tm_states: states,
-            total_time: total.elapsed(),
-            outcome,
-        };
-        Verdict {
-            outcome: VerdictOutcome::Liveness(verdict),
-            stats: QueryStats {
-                states_explored: states,
-                build_time,
-                search_time,
-                artifact_cached: cached,
-                rebuilds,
-            },
-        }
+        Verdict { outcome, stats }
     }
 
     /// Applies the paper's reduction methodology (§4) through the
@@ -595,9 +561,11 @@ impl Verifier {
     ///
     /// `make(n, k)` must build the same TM algorithm at size `(n, k)`.
     ///
-    /// If any constituent query aborts at a resource limit (state bound,
-    /// deadline, cancellation), the whole run returns that
-    /// [`VerdictOutcome::Aborted`] with the stats accumulated so far.
+    /// The stats are the base check's, with the build and search times,
+    /// cache hits and rebuilds of the structural evidence and the spot
+    /// checks added in. If any constituent query aborts at a resource
+    /// limit (state bound, deadline), the whole run returns that
+    /// [`Outcome::Aborted`] with the stats accumulated so far.
     pub fn verify_with_reduction<A, F>(
         &mut self,
         make: F,
@@ -609,107 +577,38 @@ impl Verifier {
         A: TmAlgorithm,
         F: Fn(usize, usize) -> A,
     {
-        let total = Instant::now();
         let base_tm = make(self.threads, self.vars);
         let base = self.safety_query(&base_tm, property);
-        if matches!(base.outcome, VerdictOutcome::Aborted(_)) {
+        if base.abort_reason().is_some() {
             return base;
         }
-        let mut build_time = base.stats.build_time;
-        let mut search_time = base.stats.search_time;
-        let states_explored = base.stats.states_explored;
-        let mut all_cached = base.stats.artifact_cached;
-        let mut rebuilds = base.stats.rebuilds;
-        let base_verdict = base.into_safety().expect("safety query");
+        let mut stats = base.stats;
+        let structural_start = Instant::now();
         let structural = check_all_structural(&base_tm, structural_depth);
-        let structural_time = total
-            .elapsed()
-            .saturating_sub(build_time)
-            .saturating_sub(search_time);
+        // Structural evidence is part of the methodology's search.
+        stats.search_time += structural_start.elapsed();
         let mut spot_checks = Vec::with_capacity(spot_sizes.len());
         for &(n, k) in spot_sizes {
-            let tm = make(n, k);
-            let spot = self.safety_query(&tm, property);
-            build_time += spot.stats.build_time;
-            search_time += spot.stats.search_time;
-            all_cached &= spot.stats.artifact_cached;
-            rebuilds += spot.stats.rebuilds;
-            if let VerdictOutcome::Aborted(error) = spot.outcome {
-                return abort_verdict(
-                    error,
-                    QueryStats {
-                        states_explored,
-                        build_time,
-                        search_time,
-                        artifact_cached: all_cached,
-                        rebuilds,
-                    },
-                );
+            let spot = self.safety_query(&make(n, k), property);
+            stats.build_time += spot.stats.build_time;
+            stats.search_time += spot.stats.search_time;
+            stats.artifact_cached &= spot.stats.artifact_cached;
+            stats.rebuilds += spot.stats.rebuilds;
+            if let Some(error) = spot.abort_reason() {
+                let outcome = Outcome::Aborted(error);
+                return Verdict { outcome, stats };
             }
-            spot_checks.push(spot.into_safety().expect("safety query"));
+            spot_checks.push(spot);
         }
         let evidence = ReductionEvidence {
-            base_verdict,
+            base_verdict: Box::new(base),
             structural,
             spot_checks,
         };
         Verdict {
-            outcome: VerdictOutcome::Reduction(evidence),
-            stats: QueryStats {
-                states_explored,
-                build_time,
-                // Structural evidence is part of the methodology's search.
-                search_time: search_time + structural_time,
-                artifact_cached: all_cached,
-                rebuilds,
-            },
+            outcome: Outcome::Reduction(evidence),
+            stats,
         }
-    }
-}
-
-/// Wraps an engine abort into the uniform verdict envelope with the
-/// partial stats the query had accumulated when it was retired.
-fn abort_verdict(error: EngineError, stats: QueryStats) -> Verdict {
-    Verdict {
-        outcome: VerdictOutcome::Aborted(error),
-        stats,
-    }
-}
-
-/// Builds a [`SafetyVerdict`] from an inclusion result, re-checking any
-/// counterexample against the definition-level oracle (debug builds).
-fn assemble_safety(
-    tm_name: String,
-    property: SafetyProperty,
-    result: InclusionResult<Statement>,
-    tm_states: usize,
-    spec_states: usize,
-    check_time: Duration,
-    total_time: Duration,
-) -> SafetyVerdict {
-    let (outcome, product_states) = match result {
-        InclusionResult::Included { product_states } => (SafetyOutcome::Verified, product_states),
-        InclusionResult::Counterexample {
-            word,
-            product_states,
-        } => {
-            let word: Word = word.into_iter().collect();
-            debug_assert!(
-                !property.holds(&word),
-                "counterexample not confirmed by the reference checker: {word}"
-            );
-            (SafetyOutcome::Violation(word), product_states)
-        }
-    };
-    SafetyVerdict {
-        tm_name,
-        property,
-        tm_states,
-        spec_states,
-        product_states,
-        check_time,
-        total_time,
-        outcome,
     }
 }
 
@@ -786,7 +685,9 @@ mod tests {
             &[(2, 1), (3, 1)],
         );
         assert!(verdict.holds());
-        let evidence = verdict.as_reduction().unwrap();
+        let Outcome::Reduction(evidence) = &verdict.outcome else {
+            panic!("a reduction query returns its evidence");
+        };
         assert_eq!(evidence.spot_checks.len(), 2);
         // Base (2,2) + spots (2,1), (3,1): three spec artifacts.
         assert_eq!(verifier.builds(), 3);
@@ -831,19 +732,6 @@ mod tests {
         let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
         let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
         assert_eq!(verdict.abort_reason(), Some(EngineError::Deadline));
-    }
-
-    #[test]
-    fn a_cancelled_token_aborts_every_engine() {
-        let token = CancelToken::new();
-        token.cancel();
-        let mut verifier = Verifier::new(2, 2).cancel_token(token.clone());
-        let verdict = verifier.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
-        assert_eq!(verdict.abort_reason(), Some(EngineError::Cancelled));
-        let mut verifier = Verifier::new(2, 1).cancel_token(token);
-        let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-        let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
-        assert_eq!(verdict.abort_reason(), Some(EngineError::Cancelled));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use dstm::{DstmState, DstmStatus, DstmTm};
 pub use explore::{
     check_pending_invariant, most_general_nfa, MostGeneralRunSource, MostGeneralSource, RunLabel,
 };
-pub use runner::{execute_schedule, run_statements, Run, RunEntry, ScheduleError};
+pub use runner::{execute_schedule, run_statements, Run, ScheduleError};
 pub use sequential::{SeqState, SeqStatus, SequentialTm};
 pub use tl2::{Tl2State, Tl2Status, Tl2Tm, ValidationStyle};
 pub use two_phase::{TwoPhaseState, TwoPhaseTm};

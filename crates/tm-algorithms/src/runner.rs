@@ -10,42 +10,18 @@ use std::fmt;
 
 use tm_lang::{Command, Statement, ThreadId, Word};
 
-use crate::algorithm::{Action, TmAlgorithm};
-
-/// One atomic step of a recorded run: `⟨q, c, (d, t), r⟩` without the
-/// state.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct RunEntry {
-    /// The scheduled thread.
-    pub thread: ThreadId,
-    /// The command being executed.
-    pub command: Command,
-    /// The TM's atomic action (extended command + response).
-    pub action: Action,
-}
-
-impl fmt::Display for RunEntry {
-    /// Paper Table 1 notation: extended command with a thread subscript,
-    /// e.g. `(rl,1)1`, `v2`, `a1`.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.action {
-            Action::Abort => write!(f, "a{}", self.thread.number()),
-            Action::Internal(d) | Action::Complete(d) => {
-                write!(f, "{}{}", d, self.thread.number())
-            }
-        }
-    }
-}
+use crate::algorithm::TmAlgorithm;
+use crate::explore::RunLabel;
 
 /// A recorded run of a TM algorithm under a scheduler.
 #[derive(Clone, Debug, Default)]
 pub struct Run {
-    entries: Vec<RunEntry>,
+    entries: Vec<RunLabel>,
 }
 
 impl Run {
     /// The atomic steps of the run.
-    pub fn entries(&self) -> &[RunEntry] {
+    pub fn entries(&self) -> &[RunLabel] {
         &self.entries
     }
 
@@ -53,17 +29,14 @@ impl Run {
     pub fn to_notation(&self) -> String {
         self.entries
             .iter()
-            .map(RunEntry::to_string)
+            .map(RunLabel::to_string)
             .collect::<Vec<_>>()
             .join(", ")
     }
 
     /// The word of the run: the sequence of successful statements.
     pub fn word(&self) -> Word {
-        self.entries
-            .iter()
-            .filter_map(|e| e.action.statement(e.command, e.thread))
-            .collect()
+        self.entries.iter().filter_map(|e| e.statement()).collect()
     }
 }
 
@@ -157,7 +130,7 @@ pub fn execute_schedule<A: TmAlgorithm>(
             thread: t,
             reason: "TM offers no transition (deadlocked by contention manager)",
         })?;
-        run.entries.push(RunEntry {
+        run.entries.push(RunLabel {
             thread: t,
             command,
             action: chosen.action,

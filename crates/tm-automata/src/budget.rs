@@ -10,16 +10,12 @@
 //!   product specification rows, run-graph states) and turns a blowup
 //!   into [`EngineError::StateLimit`];
 //! * an optional deadline is checked at BFS level boundaries and Tarjan
-//!   iteration chunks and turns a timeout into [`EngineError::Deadline`];
-//! * an optional [`CancelToken`] lets another thread retire a query
-//!   cooperatively ([`EngineError::Cancelled`]).
+//!   iteration chunks and turns a timeout into [`EngineError::Deadline`].
 //!
-//! The checks are cheap (a load and a clock read per level/chunk, a
-//! comparison per interned state).
+//! The checks are cheap (a clock read per level/chunk, a comparison per
+//! interned state).
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Why an engine stopped without an answer.
@@ -35,15 +31,13 @@ pub enum EngineError {
     StateLimit(usize),
     /// The budget's deadline expired mid-search.
     Deadline,
-    /// The budget's [`CancelToken`] was cancelled.
-    Cancelled,
     /// A deterministic fault-injection point fired (see [`crate::fault`]).
     FaultInjected,
 }
 
 impl EngineError {
     /// Whether a retry of the same query can succeed: `true` for
-    /// transient conditions (deadline, cancellation, an injected fault),
+    /// transient conditions (deadline, an injected fault),
     /// `false` for a state-space blowup, which is deterministic at a
     /// fixed bound.
     pub fn is_retryable(&self) -> bool {
@@ -51,13 +45,12 @@ impl EngineError {
     }
 
     /// A stable machine-readable code (`state-limit`, `deadline`,
-    /// `cancelled`, `fault-injected`) — the wire vocabulary of aborted
+    /// `fault-injected`) — the wire vocabulary of aborted
     /// query results.
     pub fn code(&self) -> &'static str {
         match self {
             EngineError::StateLimit(_) => "state-limit",
             EngineError::Deadline => "deadline",
-            EngineError::Cancelled => "cancelled",
             EngineError::FaultInjected => "fault-injected",
         }
     }
@@ -67,7 +60,6 @@ impl EngineError {
     pub fn from_code(code: &str) -> Option<EngineError> {
         match code {
             "deadline" => Some(EngineError::Deadline),
-            "cancelled" => Some(EngineError::Cancelled),
             "fault-injected" => Some(EngineError::FaultInjected),
             _ => {
                 let rest = code.strip_prefix("state-limit")?;
@@ -93,60 +85,34 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// A shared cancellation flag: clone it into a [`QueryBudget`], keep one
-/// handle, and [`CancelToken::cancel`] retires the query at its next
-/// budget check.
-#[derive(Clone, Debug, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; takes effect at the query's
-    /// next budget check (a BFS level boundary or Tarjan chunk).
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// The resource budget of one engine query: a state bound, an optional
-/// wall-clock deadline, and an optional [`CancelToken`].
+/// The resource budget of one engine query: a state bound plus an
+/// optional wall-clock deadline.
 ///
 /// # Examples
 ///
 /// ```
-/// use tm_automata::{CancelToken, EngineError, QueryBudget};
+/// use std::time::Duration;
+/// use tm_automata::{EngineError, QueryBudget};
 ///
-/// let token = CancelToken::new();
-/// let budget = QueryBudget::new(1_000).with_cancel(token.clone());
+/// let budget = QueryBudget::new(1_000);
 /// assert!(budget.check_interrupt().is_ok());
-/// token.cancel();
-/// assert_eq!(budget.check_interrupt(), Err(EngineError::Cancelled));
 /// assert_eq!(budget.check_states(1_000), Err(EngineError::StateLimit(1_000)));
+/// let expired = budget.with_timeout(Duration::ZERO);
+/// assert_eq!(expired.check_interrupt(), Err(EngineError::Deadline));
 /// ```
 #[derive(Clone, Debug)]
 pub struct QueryBudget {
     max_states: usize,
     deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
 }
 
 impl QueryBudget {
     /// A budget bounding interning tables at `max_states`, with no
-    /// deadline and no cancellation.
+    /// deadline.
     pub fn new(max_states: usize) -> Self {
         QueryBudget {
             max_states,
             deadline: None,
-            cancel: None,
         }
     }
 
@@ -161,25 +127,14 @@ impl QueryBudget {
         QueryBudget { deadline, ..self }
     }
 
-    /// Attaches a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// The state bound.
     pub fn max_states(&self) -> usize {
         self.max_states
     }
 
-    /// Checks cancellation, then the deadline. Cheap; engines call it at
-    /// BFS level boundaries and Tarjan iteration chunks.
+    /// Checks the deadline. Cheap; engines call it at BFS level
+    /// boundaries and Tarjan iteration chunks.
     pub fn check_interrupt(&self) -> Result<(), EngineError> {
-        if let Some(token) = &self.cancel {
-            if token.is_cancelled() {
-                return Err(EngineError::Cancelled);
-            }
-        }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 return Err(EngineError::Deadline);
@@ -221,22 +176,10 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_wins_over_deadline() {
-        let token = CancelToken::new();
-        let budget = QueryBudget::unlimited()
-            .with_timeout(Duration::ZERO)
-            .with_cancel(token.clone());
-        token.cancel();
-        assert!(token.is_cancelled());
-        assert_eq!(budget.check_interrupt(), Err(EngineError::Cancelled));
-    }
-
-    #[test]
     fn codes_round_trip() {
         for error in [
             EngineError::StateLimit(42),
             EngineError::Deadline,
-            EngineError::Cancelled,
             EngineError::FaultInjected,
         ] {
             assert_eq!(EngineError::from_code(&error.to_string()), Some(error));

@@ -13,7 +13,7 @@ use crate::budget::{EngineError, QueryBudget};
 use crate::fxhash::FxHashMap;
 use crate::nfa::{Nfa, StateId};
 
-/// How many BFS visits pass between deadline/cancellation checks: cheap
+/// How many BFS visits pass between deadline checks: cheap
 /// enough to bound abort latency, coarse enough to keep the hot loop
 /// clock-free.
 const INTERRUPT_STRIDE: usize = 1024;
@@ -61,7 +61,7 @@ impl<S, L> Explored<S, L> {
 
 /// Explores the reachable state space of `ts` breadth-first under
 /// `budget`: the state bound is checked before every intern, the
-/// deadline/cancellation every `INTERRUPT_STRIDE` visited states.
+/// deadline every `INTERRUPT_STRIDE` visited states.
 ///
 /// # Errors
 ///
@@ -69,8 +69,8 @@ impl<S, L> Explored<S, L> {
 /// `budget.max_states()` — in this workspace the bound is the caller's
 /// declaration that the instance was expected to be finite and small (cf.
 /// the paper's reduction to two threads and two variables), so hitting it
-/// is a structured abort, never a panic — and [`EngineError::Deadline`] /
-/// [`EngineError::Cancelled`] per the budget.
+/// is a structured abort, never a panic — and [`EngineError::Deadline`]
+/// per the budget.
 pub fn explore<T: TransitionSystem>(
     ts: &T,
     budget: &QueryBudget,
@@ -248,12 +248,9 @@ mod tests {
             explore(&ModCounter { n: 100 }, &budget).err(),
             Some(EngineError::Deadline)
         );
-        let stale = crate::CancelToken::new();
-        stale.cancel();
-        let budget = QueryBudget::unlimited().with_cancel(stale);
         assert_eq!(
             explore_deterministic(&Parity, vec!['f', 'z'], &budget).err(),
-            Some(EngineError::Cancelled)
+            Some(EngineError::Deadline)
         );
     }
 

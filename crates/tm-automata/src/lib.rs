@@ -90,7 +90,7 @@ mod nfa;
 mod product;
 
 pub use alphabet::{Alphabet, LetterId};
-pub use budget::{CancelToken, EngineError, QueryBudget};
+pub use budget::{EngineError, QueryBudget};
 pub use bitset::{BitSet, Iter as BitSetIter};
 pub use dfa::Dfa;
 pub use explore::{

@@ -49,7 +49,7 @@ use crate::budget::{EngineError, QueryBudget};
 use crate::fxhash::FxHashMap;
 
 /// How many units of work (BFS visits during build, Tarjan iterations
-/// during SCC search) pass between deadline/cancellation checks.
+/// during SCC search) pass between deadline checks.
 const INTERRUPT_STRIDE: usize = 4096;
 
 /// Maximum thread count of the checked TM instance representable in an
@@ -293,13 +293,13 @@ impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
     }
 
     /// [`CompiledRunGraph::build`] under a full [`QueryBudget`]: the state
-    /// bound is checked before every intern, the deadline/cancellation
+    /// bound is checked before every intern, the deadline
     /// every `INTERRUPT_STRIDE` expanded states.
     ///
     /// # Errors
     ///
-    /// [`EngineError::StateLimit`], [`EngineError::Deadline`], or
-    /// [`EngineError::Cancelled`] per the budget.
+    /// [`EngineError::StateLimit`] or [`EngineError::Deadline`] per the
+    /// budget.
     ///
     /// # Panics
     ///
@@ -526,14 +526,13 @@ impl<L> CompiledRunGraph<L> {
     /// subgraph: roots are tried in state order and edges are visited in
     /// enumeration order, skipping filtered ones.
     ///
-    /// The deadline/cancellation of `budget` is polled every
+    /// The deadline of `budget` is polled every
     /// `INTERRUPT_STRIDE` Tarjan iterations (an interrupted run leaves
     /// `scratch` in an unspecified — but reusable — state).
     ///
     /// # Errors
     ///
-    /// [`EngineError::Deadline`] or [`EngineError::Cancelled`] per the
-    /// budget; the state bound does not apply (the graph is already
+    /// [`EngineError::Deadline`] per the budget; the state bound does not apply (the graph is already
     /// built).
     pub fn sccs_masked(
         &self,
@@ -631,8 +630,7 @@ impl<L: Clone> CompiledRunGraph<L> {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Deadline`] or [`EngineError::Cancelled`] per the
-    /// budget.
+    /// [`EngineError::Deadline`] per the budget.
     pub fn find_loop(
         &self,
         query: &LoopQuery,
@@ -716,8 +714,8 @@ impl<L: Clone> CompiledRunGraph<L> {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Deadline`] / [`EngineError::Cancelled`] — the
-    /// budget interrupted a loop search.
+    /// [`EngineError::Deadline`] — the budget interrupted a loop
+    /// search.
     pub fn find_first_loop(
         &self,
         queries: &[LoopQuery],

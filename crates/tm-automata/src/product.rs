@@ -49,7 +49,7 @@ pub const EPSILON: LetterId = u32::MAX;
 /// a [`SpecCache`] row.
 pub const NO_STATE: u32 = u32::MAX;
 
-/// How many BFS visits pass between deadline/cancellation checks.
+/// How many BFS visits pass between deadline checks.
 const INTERRUPT_STRIDE: usize = 4096;
 
 /// Outcome of an inclusion check.
@@ -134,7 +134,7 @@ pub trait SuccessorSource {
 ///
 /// The state bound of `budget` covers fresh interns on both sides of the
 /// product (already-interned cache rows never count against a later
-/// query); the deadline/cancellation is polled at BFS level boundaries
+/// query); the deadline is polled at BFS level boundaries
 /// and every `INTERRUPT_STRIDE` product visits. Aborts are structured —
 /// no engine resource limit panics.
 ///
@@ -142,8 +142,8 @@ pub trait SuccessorSource {
 ///
 /// * [`EngineError::StateLimit`] — either side outgrew
 ///   `budget.max_states()`;
-/// * [`EngineError::Deadline`] / [`EngineError::Cancelled`] — the budget
-///   interrupted the exploration;
+/// * [`EngineError::Deadline`] — the budget interrupted the
+///   exploration;
 /// * [`EngineError::FaultInjected`] — an armed [`crate::fault`] plan
 ///   fired (test/chaos builds only).
 ///
@@ -833,16 +833,9 @@ mod tests {
         let source = NfaStepper::new(&nfa, spec.alphabet());
         let mut cache = SpecCache::new(&spec, spec.letter_ids());
         let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO);
-        let token = crate::CancelToken::new();
-        token.cancel();
-        let cancelled = QueryBudget::unlimited().with_cancel(token);
         assert_eq!(
             check_inclusion_otf(&source, &mut cache, &expired).err(),
             Some(EngineError::Deadline)
-        );
-        assert_eq!(
-            check_inclusion_otf(&source, &mut cache, &cancelled).err(),
-            Some(EngineError::Cancelled)
         );
     }
 

@@ -56,7 +56,7 @@ pub use log::{
 };
 pub use registry::{
     global, global_counter, global_histogram, render_exposition, Counter, Gauge, GaugeF,
-    Histogram, HistogramSnapshot, LocalHistogram, Registry, Unit,
+    Histogram, HistogramSnapshot, Registry, Unit,
     DEFAULT_SERIES_CAP, HISTOGRAM_BUCKETS,
 };
 pub use profile::{

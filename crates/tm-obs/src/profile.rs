@@ -108,6 +108,11 @@ impl Slot {
         }
     }
 
+    /// The root frame of this slot's folded stacks (`http-0`).
+    fn root(&self) -> String {
+        format!("{}-{}", self.kind.label(), self.ordinal)
+    }
+
     fn reset(&self) {
         self.depth.store(0, Ordering::Relaxed);
         for frame in &self.frames {
@@ -294,7 +299,7 @@ fn sample_once(data: &Mutex<ProfileSnapshot>) {
     let mut stacks: Vec<String> = Vec::with_capacity(slots.len());
     for slot in &slots {
         let depth = slot.depth.load(Ordering::Acquire).min(PROFILE_MAX_DEPTH);
-        let mut stack = format!("{}-{}", slot.kind.label(), slot.ordinal);
+        let mut stack = slot.root();
         if depth == 0 {
             stack.push_str(";idle");
         } else {
@@ -378,14 +383,23 @@ pub fn sampler_running() -> bool {
 /// Profiles the next `window` of wall clock and returns the folded-stack
 /// text for it: ensures the sampler is running (leaving it running if it
 /// already was), sleeps the window on the calling thread, and diffs the
-/// cumulative snapshots around it. This is what `GET /v1/profile`
-/// serves.
+/// cumulative snapshots around it. The calling thread's own slot is left
+/// out: it only sleeps out the window, so an idle process profiles to an
+/// empty text. This is what `GET /v1/profile` serves.
 pub fn collect_profile(window: Duration) -> String {
     start_sampler();
+    let own_root = CURRENT.with(|cell| cell.borrow().as_ref().map(|slot| slot.root()));
     let before = profile_snapshot();
     std::thread::sleep(window);
-    let after = profile_snapshot();
-    after.folded_since(&before)
+    let folded = profile_snapshot().folded_since(&before);
+    let Some(own_root) = own_root else {
+        return folded;
+    };
+    folded
+        .lines()
+        .filter(|line| line.split([';', ' ']).next() != Some(own_root.as_str()))
+        .map(|line| format!("{line}\n"))
+        .collect()
 }
 
 #[cfg(test)]

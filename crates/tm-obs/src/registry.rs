@@ -195,8 +195,7 @@ impl Histogram {
     }
 }
 
-/// A point-in-time copy of a [`Histogram`] (or the accumulated state of
-/// a [`LocalHistogram`] shard).
+/// A point-in-time copy of a [`Histogram`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct HistogramSnapshot {
     /// Per-bucket (non-cumulative) observation counts.
@@ -219,15 +218,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Accumulates `other` into `self` (shard merging).
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-    }
-
     /// Estimates the `q`-quantile (`q` in `[0, 1]`) of the observed
     /// values, in the histogram's raw unit (nanoseconds for
     /// [`Unit::Nanos`] histograms — divide by 1e9 for seconds).
@@ -260,65 +250,6 @@ impl HistogramSnapshot {
             }
         }
         (1u64 << (self.buckets.len().saturating_sub(1))) as f64
-    }
-}
-
-/// A plain (non-atomic, single-owner) histogram shard: observe locally
-/// with no atomics at all, then [`LocalHistogram::flush_into`] a shared
-/// [`Histogram`] once per batch. Shard merges are exact: the merged
-/// snapshot equals what single-threaded observation of the same values
-/// would have produced (pinned by the registry proptests).
-#[derive(Clone, Debug)]
-pub struct LocalHistogram {
-    buckets: [u64; HISTOGRAM_BUCKETS],
-    count: u64,
-    sum: u64,
-}
-
-impl Default for LocalHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LocalHistogram {
-    /// An empty shard.
-    pub fn new() -> Self {
-        LocalHistogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-
-    /// Records one observation (no atomics). The sum wraps on overflow,
-    /// matching the shared histogram's atomic `fetch_add` semantics.
-    pub fn observe(&mut self, value: u64) {
-        self.buckets[bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(value);
-    }
-
-    /// This shard's accumulated state.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self.buckets.to_vec(),
-            count: self.count,
-            sum: self.sum,
-        }
-    }
-
-    /// Adds this shard's state to a shared histogram and empties the
-    /// shard.
-    pub fn flush_into(&mut self, target: &Histogram) {
-        for (bucket, &n) in target.0.buckets.iter().zip(&self.buckets) {
-            if n > 0 {
-                bucket.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        target.0.count.fetch_add(self.count, Ordering::Relaxed);
-        target.0.sum.fetch_add(self.sum, Ordering::Relaxed);
-        *self = LocalHistogram::new();
     }
 }
 
@@ -698,33 +629,6 @@ mod tests {
         assert_eq!(exposition.series("tm_thing")[0].value, 1.0);
         assert_eq!(exposition.series("tm_h_count")[0].value, 1.0);
         assert_eq!(exposition.series("tm_g")[0].value, 1.0);
-    }
-
-    #[test]
-    fn local_shards_merge_to_the_single_threaded_answer() {
-        let values: Vec<u64> = (0..1000).map(|i| (i * i * 31) % 100_000).collect();
-        // Single-threaded reference.
-        let mut reference = LocalHistogram::new();
-        for &v in &values {
-            reference.observe(v);
-        }
-        // Four shards, interleaved assignment, merged.
-        let mut shards = vec![LocalHistogram::new(); 4];
-        for (i, &v) in values.iter().enumerate() {
-            shards[i % 4].observe(v);
-        }
-        let mut merged = HistogramSnapshot::default();
-        for shard in &shards {
-            merged.merge(&shard.snapshot());
-        }
-        assert_eq!(merged, reference.snapshot());
-        // Flushing the shards into a shared histogram agrees too.
-        let shared = Histogram::detached();
-        for shard in &mut shards {
-            shard.flush_into(&shared);
-        }
-        assert_eq!(shared.snapshot(), reference.snapshot());
-        assert_eq!(shards[0].snapshot(), HistogramSnapshot::default());
     }
 
     #[test]

@@ -1,40 +1,15 @@
-//! Property tests for the histogram core: sharded observation — local
-//! shards merged, or concurrent atomic observation — must be
-//! indistinguishable from single-threaded observation of the same
-//! values.
+//! Property tests for the histogram core: concurrent atomic observation
+//! must be indistinguishable from single-threaded observation of the
+//! same values.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use tm_obs::{Histogram, HistogramSnapshot, LocalHistogram};
+use tm_obs::Histogram;
 
 proptest! {
     #[test]
-    fn merged_shards_equal_single_threaded_counts(input in (vec(0u64..2_000_000_000, 0..400), 1usize..8)) {
-        let (values, shard_count) = input;
-        let mut reference = LocalHistogram::new();
-        for &v in &values {
-            reference.observe(v);
-        }
-        let mut shards = vec![LocalHistogram::new(); shard_count];
-        for (i, &v) in values.iter().enumerate() {
-            shards[i % shard_count].observe(v);
-        }
-        let mut merged = HistogramSnapshot::default();
-        for shard in &shards {
-            merged.merge(&shard.snapshot());
-        }
-        prop_assert_eq!(&merged, &reference.snapshot());
-        // Flushing into a shared atomic histogram gives the same answer.
-        let shared = Histogram::detached();
-        for shard in &mut shards {
-            shard.flush_into(&shared);
-        }
-        prop_assert_eq!(&shared.snapshot(), &reference.snapshot());
-    }
-
-    #[test]
     fn concurrent_observation_equals_sequential(values in vec(0u64..u64::MAX, 0..256)) {
-        let mut reference = LocalHistogram::new();
+        let reference = Histogram::detached();
         for &v in &values {
             reference.observe(v);
         }

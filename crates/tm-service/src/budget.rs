@@ -191,28 +191,7 @@ impl MemoryBudget {
     /// forever and shrink the budget for every later query.
     pub fn reserve(&mut self, key: &ArtifactKey) -> Vec<ArtifactKey> {
         let hint = self.hint(key);
-        self.clock += 1;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                self.tracked = self.tracked - entry.bytes + hint;
-                entry.bytes = hint;
-                entry.last_used = self.clock;
-            }
-            None => {
-                self.entries.insert(
-                    key.clone(),
-                    Entry {
-                        bytes: hint,
-                        last_used: self.clock,
-                        pins: 0,
-                    },
-                );
-                self.tracked += hint;
-            }
-        }
-        let evicted = self.evict_while_over(0, Some(key));
-        self.peak = self.peak.max(self.tracked);
-        evicted
+        self.upsert(key, hint)
     }
 
     /// Releases `key`'s charge — the settle path for a build that failed
@@ -234,9 +213,17 @@ impl MemoryBudget {
     /// entries — never `key` itself, never a pinned entry. Returns the
     /// keys the caller must drop.
     pub fn charge(&mut self, key: ArtifactKey, bytes: usize) -> Vec<ArtifactKey> {
-        self.clock += 1;
         self.hints.insert(key.clone(), bytes);
-        match self.entries.get_mut(&key) {
+        self.upsert(&key, bytes)
+    }
+
+    /// The step [`MemoryBudget::reserve`] and [`MemoryBudget::charge`]
+    /// share: (re)charges `key` at `bytes` as most recently used, evicts
+    /// LRU entries other than `key` until the ledger fits, and samples
+    /// the peak.
+    fn upsert(&mut self, key: &ArtifactKey, bytes: usize) -> Vec<ArtifactKey> {
+        self.clock += 1;
+        match self.entries.get_mut(key) {
             Some(entry) => {
                 self.tracked = self.tracked - entry.bytes + bytes;
                 entry.bytes = bytes;
@@ -254,24 +241,24 @@ impl MemoryBudget {
                 self.tracked += bytes;
             }
         }
-        let evicted = self.evict_while_over(0, Some(&key));
+        let evicted = self.evict_while_over(key);
         self.peak = self.peak.max(self.tracked);
         evicted
     }
 
-    /// Evicts LRU entries while `tracked + headroom` exceeds the limit,
+    /// Evicts LRU entries while the tracked total exceeds the limit,
     /// never evicting `exclude` or a pinned entry. Stops (leaving the
     /// ledger over budget) when nothing evictable remains.
-    fn evict_while_over(&mut self, headroom: usize, exclude: Option<&ArtifactKey>) -> Vec<ArtifactKey> {
+    fn evict_while_over(&mut self, exclude: &ArtifactKey) -> Vec<ArtifactKey> {
         let Some(limit) = self.limit else {
             return Vec::new();
         };
         let mut evicted = Vec::new();
-        while self.tracked + headroom > limit {
+        while self.tracked > limit {
             let victim = self
                 .entries
                 .iter()
-                .filter(|(key, entry)| Some(*key) != exclude && entry.pins == 0)
+                .filter(|(key, entry)| *key != exclude && entry.pins == 0)
                 .min_by_key(|(_, entry)| entry.last_used)
                 .map(|(key, _)| key.clone());
             let Some(victim) = victim else { break };

@@ -17,7 +17,7 @@ pub const DEFAULT_BACKOFF_BASE_MS: u64 = 100;
 pub const DEFAULT_BACKOFF_CAP_MS: u64 = 5_000;
 
 /// `true` for HTTP statuses a client should retry: 429 (shed by
-/// admission control), 503 (draining, cancellation, injected fault),
+/// admission control), 503 (draining, injected fault),
 /// 504 (batch deadline expired). Everything else — including 422, the
 /// non-retryable state-limit abort — is final.
 pub fn is_retryable_status(status: u16) -> bool {

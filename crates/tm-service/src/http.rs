@@ -378,7 +378,7 @@ fn read_request<R: BufRead>(
 
 /// The HTTP status a finished batch maps to: any retryable abort makes
 /// the whole response retryable — 504 for deadline expiry, 503 for
-/// cancellation/injected faults — while abort reasons the client
+/// injected faults — while abort reasons the client
 /// cannot retry away (the state limit) map to 422. The body always
 /// carries the full per-query results either way.
 fn batch_status(results: &[QueryResult]) -> (u16, Option<u64>) {

@@ -93,7 +93,7 @@ pub use roster::{
     MAX_QUERY_THREADS, MAX_QUERY_VARS,
 };
 pub use scheduler::execution_order;
-pub use tm_automata::{CancelToken, EngineError};
+pub use tm_automata::EngineError;
 pub use service::{
     parse_mem_budget, LatencyQuantiles, QueryOutcome, QueryResult, Service, ServiceConfig,
     ServiceStats, SessionInfo, BATCH_DEADLINE_ENV, DEFAULT_MAX_INFLIGHT,

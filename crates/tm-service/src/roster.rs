@@ -376,12 +376,35 @@ mod tests {
 
     #[test]
     fn tm_names_match_the_algorithms() {
+        use tm_algorithms::ContentionManager as _;
         let spec = QuerySpec::parse("modified-TL2+polite:op:2:2").unwrap();
         let tm = WithContentionManager::new(
             Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock),
             PoliteCm,
         );
         assert_eq!(spec.tm_name(), tm.name());
+        // Every roster name is the algorithm's own: results carry it.
+        let bare = [
+            (TmKind::Sequential, SequentialTm::new(2, 1).name()),
+            (TmKind::TwoPhase, TwoPhaseTm::new(2, 1).name()),
+            (TmKind::Dstm, DstmTm::new(2, 1).name()),
+            (TmKind::Tl2, Tl2Tm::new(2, 1).name()),
+            (
+                TmKind::ModifiedTl2,
+                Tl2Tm::with_validation(2, 1, ValidationStyle::RValidateThenChkLock).name(),
+            ),
+        ];
+        let managers = [
+            (CmKind::None, String::new()),
+            (CmKind::Aggressive, format!("+{}", AggressiveCm.name())),
+            (CmKind::Polite, format!("+{}", PoliteCm.name())),
+        ];
+        for (tm, name) in &bare {
+            for (cm, suffix) in &managers {
+                let spec = QuerySpec { tm: *tm, cm: *cm, ..spec.clone() };
+                assert_eq!(spec.tm_name(), format!("{name}{suffix}"));
+            }
+        }
         for kind in TmKind::all() {
             assert_eq!(kind.code().parse::<TmKind>().unwrap(), kind);
         }

@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tm_automata::{fault, EngineError};
-use tm_checker::{Artifact, ArtifactKey, Verdict, VerdictOutcome, Verifier};
+use tm_checker::{Artifact, ArtifactKey, Outcome, Verdict, Verifier};
 use tm_obs::{
     Counter, EventKind, Gauge, GaugeF, Histogram, JournalEvent, LogValue, Phase, Registry,
     TraceRecord, Unit,
@@ -264,7 +264,7 @@ pub enum QueryOutcome {
     },
     /// The query was retired at a resource limit instead of answered
     /// (`holds` is `false`): a state-space blowup, an expired deadline,
-    /// a cancellation, or an injected fault.
+    /// or an injected fault.
     /// [`EngineError::is_retryable`] says whether resubmitting can
     /// succeed.
     Aborted {
@@ -298,41 +298,26 @@ pub struct QueryResult {
 
 impl QueryResult {
     fn from_verdict(spec: QuerySpec, verdict: Verdict) -> Self {
-        let stats = verdict.stats;
-        let (name, holds, outcome) = match verdict.outcome {
-            VerdictOutcome::Safety(v) => {
-                let outcome = match v.counterexample() {
-                    None => QueryOutcome::Verified,
-                    Some(word) => QueryOutcome::SafetyViolation {
-                        word: word.to_string(),
-                    },
-                };
-                let holds = v.holds();
-                (v.tm_name, holds, outcome)
-            }
-            VerdictOutcome::Liveness(v) => {
-                let outcome = match v.counterexample() {
-                    None => QueryOutcome::Verified,
-                    Some(lasso) => QueryOutcome::LivenessViolation {
-                        prefix: lasso.prefix.iter().map(ToString::to_string).collect(),
-                        cycle: lasso.cycle.iter().map(ToString::to_string).collect(),
-                        notation: lasso.cycle_notation(),
-                    },
-                };
-                let holds = v.holds();
-                (v.tm_name, holds, outcome)
-            }
-            VerdictOutcome::Aborted(reason) => {
-                let name = spec.tm_name();
-                (name, false, QueryOutcome::Aborted { reason })
-            }
-            VerdictOutcome::Reduction(_) => {
+        let holds = verdict.holds();
+        let outcome = match verdict.outcome {
+            Outcome::Verified => QueryOutcome::Verified,
+            Outcome::Counterexample(word) => QueryOutcome::SafetyViolation {
+                word: word.to_string(),
+            },
+            Outcome::Lasso(lasso) => QueryOutcome::LivenessViolation {
+                prefix: lasso.prefix.iter().map(ToString::to_string).collect(),
+                cycle: lasso.cycle.iter().map(ToString::to_string).collect(),
+                notation: lasso.cycle_notation(),
+            },
+            Outcome::Aborted(reason) => QueryOutcome::Aborted { reason },
+            Outcome::Reduction(_) => {
                 unreachable!("the service only issues safety and liveness queries")
             }
         };
+        let stats = verdict.stats;
         QueryResult {
+            name: spec.tm_name(),
             spec,
-            name,
             holds,
             states: stats.states_explored,
             cached: stats.artifact_cached,
@@ -387,7 +372,7 @@ pub struct ServiceStats {
     /// Builds that were rebuilds of an evicted artifact (the sum of
     /// `tm_artifact_rebuilds_total`).
     pub artifact_rebuilds: u64,
-    /// Queries that aborted (deadline, cancellation, state limit,
+    /// Queries that aborted (deadline, state limit,
     /// injected fault) instead of producing a verdict:
     /// `tm_queries_total{result="aborted"}`.
     pub aborted_queries: u64,
@@ -998,13 +983,13 @@ impl Service {
             // restart warm-starts with every row even if the budget
             // never forces a demotion.
             if artifact.is_some_and(|a| a.rows() > rows_before)
-                && !matches!(verdict.outcome, VerdictOutcome::Aborted(_))
+                && verdict.abort_reason().is_none()
             {
                 self.save_through(&verifier, &key);
             }
             (verdict, bytes)
         };
-        let aborted = matches!(verdict.outcome, VerdictOutcome::Aborted(_));
+        let aborted = verdict.abort_reason().is_some();
         if aborted {
             journal(EventKind::Abort, &key, 0);
         }

@@ -173,11 +173,13 @@ fn introspection_endpoints_serve_over_http() {
     });
     assert!(build_with_id, "a build event carries the request id: {body}");
 
-    // /v1/profile: the sampler runs for the window and folds at least
-    // the registered connection thread (idle while this handler
-    // sleeps).
+    // /v1/profile: the sampler runs for the window and folds the
+    // connection thread held by an open, silent client connection (the
+    // thread serving the profile itself is left out).
+    let silent = std::net::TcpStream::connect(&addr).expect("silent connection");
     let (status, profile) =
         http_request(&addr, "GET", "/v1/profile?seconds=1", None).expect("profile");
+    drop(silent);
     assert_eq!(status, 200);
     assert!(
         profile.lines().any(|l| {
@@ -193,4 +195,22 @@ fn introspection_endpoints_serve_over_http() {
     server.join().expect("server thread").expect("serve result");
     tm_obs::stop_sampler();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_idle_daemon_profiles_to_an_empty_body() {
+    let _global = GlobalObs::hold();
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let service = Arc::new(Service::new(ServiceConfig::default()));
+    let server = std::thread::spawn(move || serve(listener, service));
+    // The only registered thread is the one serving the profile, which
+    // sleeps out the window: nothing else is there to sample.
+    let (status, profile) =
+        http_request(&addr, "GET", "/v1/profile?seconds=1", None).expect("profile");
+    assert_eq!(status, 200);
+    assert_eq!(profile, "", "an idle daemon folds no stacks");
+    let (status, _) = http_request(&addr, "POST", "/v1/shutdown", None).expect("shutdown");
+    assert_eq!(status, 200);
+    server.join().expect("server thread").expect("serve result");
 }

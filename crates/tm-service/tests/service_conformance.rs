@@ -9,7 +9,7 @@
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use tm_checker::{Verifier, VerdictOutcome};
+use tm_checker::{Outcome, Verifier};
 use tm_service::wire::{decode_results, encode_batch};
 use tm_service::{
     http_request, run_query, serve, table2_batch, table3_batch, QueryOutcome, QueryResult,
@@ -50,42 +50,28 @@ fn assert_matches_one_shot(result: &QueryResult) {
         result.states, direct.stats.states_explored,
         "{context}: states"
     );
-    match &direct.outcome {
-        VerdictOutcome::Safety(v) => {
-            assert_eq!(result.name, v.tm_name, "{context}: name");
-            match (v.counterexample(), &result.outcome) {
-                (None, QueryOutcome::Verified) => {}
-                (Some(word), QueryOutcome::SafetyViolation { word: served }) => {
-                    assert_eq!(served, &word.to_string(), "{context}: word");
-                }
-                other => panic!("{context}: outcome shape mismatch: {other:?}"),
-            }
+    match (&direct.outcome, &result.outcome) {
+        (Outcome::Verified, QueryOutcome::Verified) => {}
+        (Outcome::Counterexample(word), QueryOutcome::SafetyViolation { word: served }) => {
+            assert_eq!(served, &word.to_string(), "{context}: word");
         }
-        VerdictOutcome::Liveness(v) => {
-            assert_eq!(result.name, v.tm_name, "{context}: name");
-            match (v.counterexample(), &result.outcome) {
-                (None, QueryOutcome::Verified) => {}
-                (
-                    Some(lasso),
-                    QueryOutcome::LivenessViolation {
-                        prefix,
-                        cycle,
-                        notation,
-                    },
-                ) => {
-                    let strings =
-                        |labels: &[tm_algorithms::RunLabel]| -> Vec<String> {
-                            labels.iter().map(ToString::to_string).collect()
-                        };
-                    assert_eq!(prefix, &strings(&lasso.prefix), "{context}: prefix");
-                    assert_eq!(cycle, &strings(&lasso.cycle), "{context}: cycle");
-                    assert_eq!(notation, &lasso.cycle_notation(), "{context}: notation");
-                }
-                other => panic!("{context}: outcome shape mismatch: {other:?}"),
-            }
+        (
+            Outcome::Lasso(lasso),
+            QueryOutcome::LivenessViolation {
+                prefix,
+                cycle,
+                notation,
+            },
+        ) => {
+            let strings = |labels: &[tm_algorithms::RunLabel]| -> Vec<String> {
+                labels.iter().map(ToString::to_string).collect()
+            };
+            assert_eq!(prefix, &strings(&lasso.prefix), "{context}: prefix");
+            assert_eq!(cycle, &strings(&lasso.cycle), "{context}: cycle");
+            assert_eq!(notation, &lasso.cycle_notation(), "{context}: notation");
         }
-        VerdictOutcome::Reduction(_) => unreachable!("no reduction queries in the roster"),
-        VerdictOutcome::Aborted(reason) => panic!("{context}: one-shot aborted: {reason}"),
+        (Outcome::Aborted(reason), _) => panic!("{context}: one-shot aborted: {reason}"),
+        other => panic!("{context}: outcome shape mismatch: {other:?}"),
     }
 }
 

@@ -116,10 +116,7 @@ fn main() {
     // Step 2: model check both safety properties.
     let mut verifier = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
-        let verdict = verifier
-            .check_safety(&tm, property)
-            .into_safety()
-            .expect("safety query");
+        let verdict = verifier.check_safety(&tm, property);
         match verdict.counterexample() {
             None => println!("{property}: verified"),
             Some(w) => println!("{property}: VIOLATED — shortest counterexample: {w}"),

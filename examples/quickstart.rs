@@ -17,29 +17,23 @@ fn main() {
     // DSTM on the most general program against the deterministic opacity
     // specification and checks language inclusion.
     let mut safety = Verifier::new(2, 2);
-    let verdict = safety
-        .check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity)
-        .into_safety()
-        .expect("safety query");
+    let verdict = safety.check_safety(&DstmTm::new(2, 2), SafetyProperty::Opacity);
     println!(
         "DSTM opacity: {} ({} TM states, {} spec keys, checked in {:.2?})",
-        if verdict.holds() { "VERIFIED" } else { "VIOLATED" },
-        verdict.tm_states,
-        verdict.spec_states,
-        verdict.check_time,
+        yn(verdict.holds()),
+        verdict.stats.tm_states,
+        verdict.stats.spec_states,
+        verdict.stats.search_time,
     );
 
     // A broken TM yields a counterexample word. The paper's "modified
     // TL2" splits commit-time validation into two non-atomic steps in the
     // unsafe order:
     let modified = Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock);
-    let verdict = safety
-        .check_safety(&modified, SafetyProperty::StrictSerializability)
-        .into_safety()
-        .expect("safety query");
+    let verdict = safety.check_safety(&modified, SafetyProperty::StrictSerializability);
     println!(
         "modified TL2 strict serializability: {} — counterexample: {}",
-        if verdict.holds() { "VERIFIED" } else { "VIOLATED" },
+        yn(verdict.holds()),
         verdict
             .counterexample()
             .map(|w| w.to_string())
@@ -57,31 +51,21 @@ fn main() {
     println!("DSTM+aggressive obstruction freedom: {}", yn(of.holds()));
 
     // ... but two aggressive writers can abort each other forever:
-    let lf = liveness
-        .check_liveness(&dstm_aggr, LivenessProperty::LivelockFreedom)
-        .into_liveness()
-        .expect("liveness query");
+    let lf = liveness.check_liveness(&dstm_aggr, LivenessProperty::LivelockFreedom);
     println!(
         "DSTM+aggressive livelock freedom: {} — loop: {}",
         yn(lf.holds()),
-        lf.counterexample()
-            .map(|l| l.cycle_notation())
-            .unwrap_or_default(),
+        lf.lasso().map(|l| l.cycle_notation()).unwrap_or_default(),
     );
 
     // TL2 with the polite manager aborts at every conflict; a blocked
     // thread can then starve even in isolation:
     let tl2_pol = WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm);
-    let of = liveness
-        .check_liveness(&tl2_pol, LivenessProperty::ObstructionFreedom)
-        .into_liveness()
-        .expect("liveness query");
+    let of = liveness.check_liveness(&tl2_pol, LivenessProperty::ObstructionFreedom);
     println!(
         "TL2+polite obstruction freedom: {} — loop: {}",
         yn(of.holds()),
-        of.counterexample()
-            .map(|l| l.cycle_notation())
-            .unwrap_or_default(),
+        of.lasso().map(|l| l.cycle_notation()).unwrap_or_default(),
     );
 }
 

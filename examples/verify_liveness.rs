@@ -11,21 +11,23 @@ use tm_modelcheck::algorithms::{
     WithContentionManager,
 };
 use tm_modelcheck::algorithms::TmAlgorithm;
-use tm_modelcheck::checker::{liveness_table, LivenessVerdict, Verifier};
+use tm_modelcheck::checker::{liveness_table, Verdict, Verifier};
 use tm_modelcheck::lang::LivenessProperty;
 
-fn check<A: TmAlgorithm>(verifier: &mut Verifier, tm: &A, p: LivenessProperty) -> LivenessVerdict {
-    verifier
-        .check_liveness(tm, p)
-        .into_liveness()
-        .expect("liveness query")
+/// One table row: the TM's name, the property, and the session's verdict.
+fn check<A: TmAlgorithm>(
+    verifier: &mut Verifier,
+    tm: &A,
+    p: LivenessProperty,
+) -> (String, LivenessProperty, Verdict) {
+    (tm.name(), p, verifier.check_liveness(tm, p))
 }
 
 fn main() {
     // One session: each TM's run graph is compiled once and answers all
     // three properties.
     let mut verifier = Verifier::new(2, 1);
-    let mut verdicts: Vec<LivenessVerdict> = Vec::new();
+    let mut verdicts = Vec::new();
     let properties = [
         LivenessProperty::ObstructionFreedom,
         LivenessProperty::LivelockFreedom,

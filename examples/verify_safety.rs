@@ -12,22 +12,23 @@ use tm_modelcheck::algorithms::{
     WithContentionManager,
 };
 use tm_modelcheck::algorithms::TmAlgorithm;
-use tm_modelcheck::checker::{safety_table, SafetyVerdict, Verifier};
+use tm_modelcheck::checker::{safety_table, Verdict, Verifier};
 use tm_modelcheck::lang::SafetyProperty;
 use tm_modelcheck::spec::DetSpec;
 
+/// One table row: the TM's name, the property, and the session's verdict.
 fn check<A: TmAlgorithm>(
     verifier: &mut Verifier,
     tm: &A,
     property: SafetyProperty,
-) -> SafetyVerdict {
-    verifier
-        .check_safety(tm, property)
-        .into_safety()
-        .expect("safety query")
+) -> (String, SafetyProperty, Verdict) {
+    (tm.name(), property, verifier.check_safety(tm, property))
 }
 
-fn check_all(verifier: &mut Verifier, property: SafetyProperty) -> Vec<SafetyVerdict> {
+fn check_all(
+    verifier: &mut Verifier,
+    property: SafetyProperty,
+) -> Vec<(String, SafetyProperty, Verdict)> {
     let modified = WithContentionManager::new(
         Tl2Tm::with_validation(2, 2, ValidationStyle::RValidateThenChkLock),
         PoliteCm,
@@ -49,12 +50,12 @@ fn main() {
     // from determinizing the specification outright.
     let mut verifier = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
-        let verdicts = check_all(&mut verifier, property);
+        let rows = check_all(&mut verifier, property);
         let title = format!(
             "Table 2 — L(A) ⊆ L(Σᵈ_{}), most general program (2 threads, 2 variables)",
             property.short_name()
         );
-        println!("{}", safety_table(&title, &verdicts));
+        println!("{}", safety_table(&title, &rows));
         let (spec, _) = DetSpec::new(property, 2, 2).to_dfa(20_000_000);
         println!(
             "spec Σᵈ_{}: {} states (paper: {}); the product touched {} keys\n",
@@ -64,7 +65,7 @@ fn main() {
                 SafetyProperty::StrictSerializability => "3520",
                 SafetyProperty::Opacity => "2272",
             },
-            verdicts.last().expect("six verdicts").spec_states,
+            rows.last().expect("six rows").2.stats.spec_states,
         );
     }
     println!(

@@ -158,10 +158,7 @@ fn safety_sessions_match_otf_engine_on_table2() {
     {
         let source = MostGeneralSource::new(tm, Alphabet::from_letters(spec.alphabet()));
         let (baseline, stats) = otf(&source, spec);
-        let got = verifier
-            .check_safety(tm, property)
-            .into_safety()
-            .expect("safety query");
+        let got = verifier.check_safety(tm, property);
         let context = format!("{} / {name}", property.short_name());
         assert_eq!(got.holds(), baseline.holds(), "{context}: verdict");
         assert_eq!(
@@ -171,7 +168,7 @@ fn safety_sessions_match_otf_engine_on_table2() {
         );
         if baseline.holds() {
             // Full reachable TM state count.
-            assert_eq!(got.tm_states, stats.impl_states, "{context}: tm states");
+            assert_eq!(got.stats.tm_states, stats.impl_states, "{context}: tm states");
         }
     }
 

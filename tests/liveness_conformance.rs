@@ -23,18 +23,18 @@ use tm_modelcheck::automata::{
     CompiledRunGraph, EdgeFilter, LabelClass, LiveScratch, LoopQuery, LoopSelection, QueryBudget,
     RunGraphSource, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
 };
-use tm_modelcheck::checker::{LivenessVerdict, Verifier};
+use tm_modelcheck::checker::{Verdict, Verifier};
 use tm_modelcheck::lang::LivenessProperty;
 
 /// Asserts engine ≡ reference on one verdict pair: outcome, state count,
 /// run-level lasso, word projection, and Table 3 notation.
-fn assert_conforms(engine: &LivenessVerdict, reference: &LivenessVerdict, context: &str) {
+fn assert_conforms(engine: &Verdict, reference: &Verdict, context: &str) {
     assert_eq!(engine.holds(), reference.holds(), "{context}: verdict");
     assert_eq!(
-        engine.tm_states, reference.tm_states,
+        engine.stats.states_explored, reference.stats.states_explored,
         "{context}: run-graph state count"
     );
-    match (engine.counterexample(), reference.counterexample()) {
+    match (engine.lasso(), reference.lasso()) {
         (None, None) => {}
         (Some(e), Some(r)) => {
             assert_eq!(e, r, "{context}: run-level lasso");
@@ -61,7 +61,7 @@ fn table3_engine_matches_reference() {
     for case in liveness_roster(2, 1) {
         for property in LivenessProperty::all() {
             let reference = case.check_reference(property);
-            if let Some(lasso) = reference.counterexample() {
+            if let Some(lasso) = reference.lasso() {
                 let word = lasso.to_word_lasso().expect("TM loops emit statements");
                 assert!(
                     !property.holds(&word),
@@ -85,10 +85,7 @@ fn session_reuse_matches_one_shot() {
     for case in liveness_roster(2, 1) {
         let mut verifier = Verifier::new(2, 1);
         for property in LivenessProperty::all() {
-            let session = case
-                .check_session(&mut verifier, property)
-                .into_liveness()
-                .expect("liveness query");
+            let session = case.check_session(&mut verifier, property);
             let one_shot = case.check(property);
             let context = format!("{} / {property} (session)", case.name);
             assert_conforms(&session, &one_shot, &context);

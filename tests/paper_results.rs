@@ -5,33 +5,31 @@ use tm_modelcheck::algorithms::{
     AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm, TwoPhaseTm,
     ValidationStyle, WithContentionManager,
 };
-use tm_modelcheck::checker::{LivenessVerdict, SafetyVerdict, Verifier};
+use tm_modelcheck::checker::{Verdict, Verifier};
 use tm_modelcheck::lang::{
     is_opaque, is_strictly_serializable, LivenessProperty, SafetyProperty,
 };
 
-/// A safety query through `verifier`, unwrapped.
+/// A safety query through `verifier`, which must answer it.
 fn safety<A: TmAlgorithm>(
     verifier: &mut Verifier,
     tm: &A,
     property: SafetyProperty,
-) -> SafetyVerdict {
-    verifier
-        .check_safety(tm, property)
-        .into_safety()
-        .expect("safety query")
+) -> Verdict {
+    let verdict = verifier.check_safety(tm, property);
+    assert_eq!(verdict.abort_reason(), None, "{} {property}", tm.name());
+    verdict
 }
 
-/// A liveness query through `verifier`, unwrapped.
+/// A liveness query through `verifier`, which must answer it.
 fn liveness<A: TmAlgorithm>(
     verifier: &mut Verifier,
     tm: &A,
     property: LivenessProperty,
-) -> LivenessVerdict {
-    verifier
-        .check_liveness(tm, property)
-        .into_liveness()
-        .expect("liveness query")
+) -> Verdict {
+    let verdict = verifier.check_liveness(tm, property);
+    assert_eq!(verdict.abort_reason(), None, "{} {property}", tm.name());
+    verdict
 }
 
 /// Paper Theorem 4: the sequential TM, 2PL, DSTM, and TL2 ensure opacity
@@ -41,16 +39,15 @@ fn theorem4_all_four_tms_are_opaque() {
     let mut verifier = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
         let verdicts = [
-            safety(&mut verifier, &SequentialTm::new(2, 2), property),
-            safety(&mut verifier, &TwoPhaseTm::new(2, 2), property),
-            safety(&mut verifier, &DstmTm::new(2, 2), property),
-            safety(&mut verifier, &Tl2Tm::new(2, 2), property),
+            ("sequential", safety(&mut verifier, &SequentialTm::new(2, 2), property)),
+            ("2PL", safety(&mut verifier, &TwoPhaseTm::new(2, 2), property)),
+            ("dstm", safety(&mut verifier, &DstmTm::new(2, 2), property)),
+            ("TL2", safety(&mut verifier, &Tl2Tm::new(2, 2), property)),
         ];
-        for v in &verdicts {
+        for (name, v) in &verdicts {
             assert!(
                 v.holds(),
-                "{} should ensure {property}: {:?}",
-                v.tm_name,
+                "{name} should ensure {property}: {:?}",
                 v.counterexample()
             );
         }
@@ -172,25 +169,28 @@ fn theorem6_liveness_matrix() {
 fn table3_counterexample_shapes() {
     let of = LivenessProperty::ObstructionFreedom;
     let mut verifier = Verifier::new(2, 1);
-    for verdict in [
-        liveness(&mut verifier, &SequentialTm::new(2, 1), of),
-        liveness(&mut verifier, &TwoPhaseTm::new(2, 1), of),
-        liveness(
-            &mut verifier,
-            &WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm),
-            of,
+    for (name, verdict) in [
+        ("sequential", liveness(&mut verifier, &SequentialTm::new(2, 1), of)),
+        ("2PL", liveness(&mut verifier, &TwoPhaseTm::new(2, 1), of)),
+        (
+            "TL2+polite",
+            liveness(
+                &mut verifier,
+                &WithContentionManager::new(Tl2Tm::new(2, 1), PoliteCm),
+                of,
+            ),
         ),
     ] {
-        let lasso = verdict.counterexample().expect("all fail OF");
+        let lasso = verdict.lasso().expect("all fail OF");
         let word = lasso.to_word_lasso().expect("loop emits statements");
         // The whole observable loop is one abort by one thread.
-        assert_eq!(word.cycle().len(), 1, "{}: {word}", verdict.tm_name);
+        assert_eq!(word.cycle().len(), 1, "{name}: {word}");
         assert!(word.cycle()[0].kind.is_abort());
     }
 
     let dstm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
     let verdict = liveness(&mut verifier, &dstm, LivenessProperty::LivelockFreedom);
-    let lasso = verdict.counterexample().expect("fails LF");
+    let lasso = verdict.lasso().expect("fails LF");
     let word = lasso.to_word_lasso().unwrap();
     // Both threads abort infinitely often, nobody commits.
     let mut abort_threads: Vec<usize> = word

@@ -7,9 +7,18 @@ use tm_modelcheck::algorithms::{
     DstmTm, KarmaCm, PastAbortsCm, SequentialTm, Tl2Tm, TwoPhaseTm, WithContentionManager,
 };
 use tm_modelcheck::checker::{
-    check_all_structural, check_structural, StructuralProperty, Verifier,
+    check_all_structural, check_structural, Outcome, ReductionEvidence, StructuralProperty,
+    Verdict, Verifier,
 };
 use tm_modelcheck::lang::SafetyProperty;
+
+/// The evidence of a reduction query, which must not have aborted.
+fn reduction_evidence(verdict: Verdict) -> ReductionEvidence {
+    match verdict.outcome {
+        Outcome::Reduction(evidence) => evidence,
+        other => panic!("a reduction query returns its evidence, got {other:?}"),
+    }
+}
 
 /// §4: the four TMs satisfy the structural properties (bounded-exhaustive
 /// evidence at depth 5).
@@ -59,10 +68,12 @@ fn karma_cm_violates_p1() {
 /// evidence + spot checks at other sizes.
 #[test]
 fn reduction_pipeline_two_phase() {
-    let evidence = Verifier::new(2, 2)
-        .verify_with_reduction(TwoPhaseTm::new, SafetyProperty::Opacity, 4, &[(2, 1), (3, 1)])
-        .into_reduction()
-        .expect("reduction query");
+    let evidence = reduction_evidence(Verifier::new(2, 2).verify_with_reduction(
+        TwoPhaseTm::new,
+        SafetyProperty::Opacity,
+        4,
+        &[(2, 1), (3, 1)],
+    ));
     assert!(evidence.concludes());
     assert!(evidence.base_verdict.holds());
     assert_eq!(evidence.structural.len(), 4);
@@ -97,10 +108,12 @@ fn spot_checks_beyond_the_bound() {
 fn unsafe_tm_fails_at_the_bound_already() {
     use tm_modelcheck::algorithms::ValidationStyle;
     let make = |n, k| Tl2Tm::with_validation(n, k, ValidationStyle::RValidateThenChkLock);
-    let evidence = Verifier::new(2, 2)
-        .verify_with_reduction(make, SafetyProperty::Opacity, 4, &[])
-        .into_reduction()
-        .expect("reduction query");
+    let evidence = reduction_evidence(Verifier::new(2, 2).verify_with_reduction(
+        make,
+        SafetyProperty::Opacity,
+        4,
+        &[],
+    ));
     assert!(!evidence.concludes());
     assert!(!evidence.base_verdict.holds());
 }

@@ -11,16 +11,12 @@ use tm_algorithms::{
     AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TwoPhaseTm, ValidationStyle,
     WithContentionManager,
 };
-use tm_checker::{ArtifactKey, LivenessVerdict, SafetyVerdict, Verifier};
+use tm_checker::{ArtifactKey, Verdict, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty};
 
 /// The Table 3 roster rows, rebuilt per call (construction is cheap).
-fn liveness_verdict(
-    verifier: &mut Verifier,
-    name: &str,
-    property: LivenessProperty,
-) -> (LivenessVerdict, usize) {
-    let verdict = match name {
+fn liveness_verdict(verifier: &mut Verifier, name: &str, property: LivenessProperty) -> Verdict {
+    match name {
         "sequential" => verifier.check_liveness(&SequentialTm::new(2, 1), property),
         "2PL" => verifier.check_liveness(&TwoPhaseTm::new(2, 1), property),
         "dstm+aggressive" => verifier.check_liveness(
@@ -32,20 +28,18 @@ fn liveness_verdict(
             property,
         ),
         other => panic!("unknown roster row: {other}"),
-    };
-    let rebuilds = verdict.stats.rebuilds;
-    (verdict.into_liveness().expect("liveness query"), rebuilds)
+    }
 }
 
-fn assert_liveness_identical(kept: &LivenessVerdict, evicted: &LivenessVerdict, context: &str) {
+fn assert_liveness_identical(kept: &Verdict, evicted: &Verdict, context: &str) {
+    assert_eq!(kept.abort_reason(), None, "{context}: answered");
     assert_eq!(kept.holds(), evicted.holds(), "{context}: verdict");
-    assert_eq!(kept.tm_states, evicted.tm_states, "{context}: states");
     assert_eq!(
-        kept.counterexample(),
-        evicted.counterexample(),
-        "{context}: lasso"
+        kept.stats.states_explored, evicted.stats.states_explored,
+        "{context}: states"
     );
-    if let (Some(a), Some(b)) = (kept.counterexample(), evicted.counterexample()) {
+    assert_eq!(kept.lasso(), evicted.lasso(), "{context}: lasso");
+    if let (Some(a), Some(b)) = (kept.lasso(), evicted.lasso()) {
         assert_eq!(a.cycle_notation(), b.cycle_notation(), "{context}: notation");
     }
 }
@@ -57,14 +51,14 @@ fn evicted_run_graphs_requery_bit_identically() {
     // Names are the TMs' own `name()`s — the run-graph key names.
     for name in ["sequential", "2PL", "dstm+aggressive", "TL2+polite"] {
         for property in LivenessProperty::all() {
-            let (reference, _) = liveness_verdict(&mut kept, name, property);
+            let reference = liveness_verdict(&mut kept, name, property);
             // Evict the graph before *every* query: each one is a
             // cold rebuild after the first.
             let had_graph = evicting.evict(&ArtifactKey::run_graph(name, 2, 1));
-            let (requeried, rebuilds) = liveness_verdict(&mut evicting, name, property);
+            let requeried = liveness_verdict(&mut evicting, name, property);
             assert_liveness_identical(&reference, &requeried, &format!("{name}/{property}"));
             assert_eq!(
-                rebuilds,
+                requeried.stats.rebuilds,
                 usize::from(had_graph),
                 "{name}/{property}: a build after eviction is a rebuild"
             );
@@ -77,12 +71,8 @@ fn evicted_run_graphs_requery_bit_identically() {
     assert_eq!(evicting.rebuilds(), 8);
 }
 
-fn safety_verdict(
-    verifier: &mut Verifier,
-    name: &str,
-    property: SafetyProperty,
-) -> (SafetyVerdict, usize) {
-    let verdict = match name {
+fn safety_verdict(verifier: &mut Verifier, name: &str, property: SafetyProperty) -> Verdict {
+    match name {
         "sequential" => verifier.check_safety(&SequentialTm::new(2, 2), property),
         "2PL" => verifier.check_safety(&TwoPhaseTm::new(2, 2), property),
         "dstm" => verifier.check_safety(&DstmTm::new(2, 2), property),
@@ -94,9 +84,7 @@ fn safety_verdict(
             property,
         ),
         other => panic!("unknown roster row: {other}"),
-    };
-    let rebuilds = verdict.stats.rebuilds;
-    (verdict.into_safety().expect("safety query"), rebuilds)
+    }
 }
 
 #[test]
@@ -108,9 +96,10 @@ fn evicted_specs_requery_bit_identically() {
     let mut evicting = Verifier::new(2, 2);
     for property in SafetyProperty::all() {
         for name in ["sequential", "dstm", "modified-TL2+polite"] {
-            let (reference, _) = safety_verdict(&mut kept, name, property);
+            let reference = safety_verdict(&mut kept, name, property);
+            assert_eq!(reference.abort_reason(), None, "{name}/{property:?}: answered");
             let had_spec = evicting.evict(&ArtifactKey::spec(property, 2, 2));
-            let (requeried, rebuilds) = safety_verdict(&mut evicting, name, property);
+            let requeried = safety_verdict(&mut evicting, name, property);
             assert_eq!(
                 reference.holds(),
                 requeried.holds(),
@@ -122,7 +111,7 @@ fn evicted_specs_requery_bit_identically() {
                 "{name}/{property:?}: word"
             );
             assert_eq!(
-                rebuilds,
+                requeried.stats.rebuilds,
                 usize::from(had_spec),
                 "{name}/{property:?}: rebuild accounting"
             );

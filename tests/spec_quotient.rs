@@ -160,10 +160,7 @@ fn assert_session_matches_unquotiented<A: TmAlgorithm>(tm: &A, verifier: &mut Ve
         let source = MostGeneralSource::new(tm, Alphabet::from_letters(spec.letters()));
         let (expected, stats) =
             check_inclusion_otf(&source, &mut spec, &QueryBudget::unlimited()).expect("in bounds");
-        let got = verifier
-            .check_safety(tm, property)
-            .into_safety()
-            .expect("safety query");
+        let got = verifier.check_safety(tm, property);
         let context = format!("{} / {} ({n},{k})", property.short_name(), tm.name());
         assert_eq!(
             got.counterexample().map(|w| w.statements()),
@@ -172,12 +169,12 @@ fn assert_session_matches_unquotiented<A: TmAlgorithm>(tm: &A, verifier: &mut Ve
         );
         assert_eq!(got.holds(), expected.holds(), "{context}: verdict");
         if expected.holds() {
-            assert_eq!(got.tm_states, stats.impl_states, "{context}: tm states");
+            assert_eq!(got.stats.tm_states, stats.impl_states, "{context}: tm states");
         }
         assert!(
-            got.product_states <= expected.product_states(),
+            got.stats.states_explored <= expected.product_states(),
             "{context}: {} quotient pairs against {}",
-            got.product_states,
+            got.stats.states_explored,
             expected.product_states()
         );
     }
